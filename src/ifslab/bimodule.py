@@ -254,6 +254,21 @@ class BumpPartition:
     def sum_values(self, points: np.ndarray) -> np.ndarray:
         return self.bump_values(points).sum(axis=1)
 
+    def support_rows(self, points: np.ndarray) -> np.ndarray:
+        """Ascending indices of the points within one pitch of a node coordinate
+        on every axis; every tent is exactly zero at the other points."""
+        if self.size == 0:
+            return np.zeros(0, dtype=np.intp)
+        near = np.ones(len(points), dtype=bool)
+        for axis in range(points.shape[1]):
+            coords = np.unique(self.nodes[:, axis])
+            x = points[:, axis]
+            right = np.minimum(np.searchsorted(coords, x), len(coords) - 1)
+            left = np.maximum(right - 1, 0)
+            gap = np.minimum(np.abs(x - coords[left]), np.abs(x - coords[right]))
+            near &= gap < self.pitch
+        return np.flatnonzero(near)
+
 
 def _rectangle_conditions_ok(ifs: IfsSystem, node: np.ndarray, pitch: float,
                              value_pieces: list[AffinePiece], clearance: float):
@@ -347,17 +362,35 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
 # Reconstruction checks
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ReconstructionVectors:
+    """The pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k) on the support rows.
+
+    `rows` are the ascending flat indices of the depth-m cells whose center
+    lies within one pitch of a node coordinate on every axis; `xi` and
+    `eta` are (len(rows), M) arrays whose column k is pair k.  Every tent,
+    and so every xi_k and eta_k, is exactly zero on the other cells.
+    """
+
+    depth: int
+    rows: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.xi.shape[1]
+
+
 def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                           partition: BumpPartition, depth: int):
+                           partition: BumpPartition, depth: int) -> ReconstructionVectors:
     """Pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k), point-sampled at depth."""
     centers = cell_grid(ifs, depth).centers
-    a_vals = np.asarray(symbol(centers), dtype=float)
-    bumps = partition.bump_values(centers)  # (cells, M)
-    roots = np.sqrt(bumps)
-    n = ifs.n_branches
-    xis = [CellFunction(depth, n * a_vals * roots[:, k]) for k in range(partition.size)]
-    etas = [CellFunction(depth, roots[:, k].copy()) for k in range(partition.size)]
-    return xis, etas
+    rows = partition.support_rows(centers)
+    points = centers[rows]
+    a_vals = np.asarray(symbol(points), dtype=float)
+    roots = np.sqrt(partition.bump_values(points))  # (rows, M)
+    return ReconstructionVectors(depth, rows, (ifs.n_branches * a_vals)[:, None] * roots, roots)
 
 
 def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
@@ -376,17 +409,41 @@ def trial_field(ifs: IfsSystem, depth: int, seed) -> CellFunction:
 
 
 def verify_theta_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                                xis, etas, trials: int, depth: int,
+                                vectors: ReconstructionVectors, trials: int,
                                 seed: int = 0) -> float:
-    """max over trial fields of sup_cell |sum_k theta_{xi_k,eta_k} zeta - a zeta|."""
+    """max over trial fields of sup_cell |sum_k theta_{xi_k,eta_k} zeta - a zeta|.
+
+    theta_{xi_k,eta_k} zeta vanishes off the support rows, so the sum is
+    formed there only: <eta_k, zeta>_A is gathered on the tails w of the
+    support rows and the terms are added in the order of k.
+    """
+    depth = vectors.depth
+    if depth < 1:
+        raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
+    if not ifs.is_hutchinson():
+        raise ValueError("the A-valued inner product uses uniform weights")
     a_ref = reference_symbol(ifs, symbol, depth)
+    n = ifs.n_branches
+    count = n ** (depth - 1)
+    tails, tail_of_row = np.unique(vectors.rows % count, return_inverse=True)
+    # eta_k on the cells i.w over each support tail w; zero off the support rows
+    eta_blocks = np.zeros((n, len(tails), vectors.size))
+    eta_blocks[vectors.rows // count, tail_of_row] = vectors.eta
     worst = 0.0
     for t in range(trials):
         zeta = trial_field(ifs, depth, (seed, t))
-        acc = np.zeros(zeta.n_cells, dtype=zeta.values.dtype)
-        for xi, eta in zip(xis, etas):
-            acc = acc + theta_apply(ifs, xi, eta, zeta).values
-        residual = np.abs(acc - a_ref.values * zeta.values).max()
+        zeta_blocks = zeta.values.reshape(n, count)[:, tails, None]
+        # transfer over the first letter, summed in letter order like transfer_values
+        total = eta_blocks[0] * zeta_blocks[0]
+        for i in range(1, n):
+            total = total + eta_blocks[i] * zeta_blocks[i]
+        inner = (total / n)[tail_of_row]  # (rows, M)
+        acc = np.zeros(len(vectors.rows), dtype=zeta.values.dtype)
+        for k in range(vectors.size):
+            acc = acc + vectors.xi[:, k] * inner[:, k]
+        full = np.zeros(zeta.n_cells, dtype=acc.dtype)
+        full[vectors.rows] = acc
+        residual = np.abs(full - a_ref.values * zeta.values).max()
         worst = max(worst, float(residual))
     return worst
 
@@ -403,28 +460,31 @@ def _projection_pattern(ifs: IfsSystem, depth: int):
 
 
 def verify_operator_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                                   xis, etas, depth: int) -> float:
-    """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{depth+1}.
+                                   vectors: ReconstructionVectors) -> float:
+    """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}.
 
     The summands share the sparsity pattern of C C*, so the sum is
-    accumulated entrywise on that pattern instead of composing matrices.
+    accumulated entrywise on that pattern instead of composing matrices;
+    only the entries (i.w, j.w) with both cells among the support rows
+    can be non-zero, and only those are summed.
     """
-    level = depth + 1
+    level = vectors.depth
     a_ref = reference_symbol(ifs, symbol, level)
     count = ifs.n_branches**level
     mass = exact_cell_masses(ifs, level).masses
-    if xis:
-        rows, cols, base = _projection_pattern(ifs, level)
-        vals = np.zeros(len(base))
-        for xi, eta in zip(xis, etas):
-            if xi.depth != level or eta.depth != level:
-                raise DepthMismatch("reconstruction vectors must be sampled at depth+1")
-            vals += xi.values[rows] * np.conj(eta.values)[cols]
-        matrix = sp.coo_matrix((vals * base, (rows, cols)), shape=(count, count)).tocsr()
-        matrix = matrix - sp.diags(a_ref.values)
-    else:
-        matrix = sp.csr_matrix(-sp.diags(a_ref.values))
-    residual_op = CellOperator(level, level, matrix, mass, mass, "dense")
+    rows, cols, base = _projection_pattern(ifs, level)
+    position = np.full(count, -1)
+    position[vectors.rows] = np.arange(len(vectors.rows))
+    live = np.flatnonzero((position[rows] >= 0) & (position[cols] >= 0))
+    xi = vectors.xi[position[rows[live]]]
+    eta = vectors.eta[position[cols[live]]]
+    live_vals = np.zeros(len(live))
+    for k in range(vectors.size):
+        live_vals += xi[:, k] * eta[:, k]
+    vals = np.zeros(len(base))
+    vals[live] = live_vals
+    matrix = sp.coo_matrix((vals * base, (rows, cols)), shape=(count, count)).tocsr()
+    residual_op = CellOperator(level, level, matrix - sp.diags(a_ref.values), mass, mass, "dense")
     return operator_norm(residual_op)
 
 

@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -142,6 +143,16 @@ def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
 # Suites
 # ---------------------------------------------------------------------------
 
+def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
+    """Whether the attractor is the ambient box; the later suites need it."""
+    resolution = 128
+    defect = geometry.self_similarity_defect(ifs, resolution)
+    spacing = float(np.linalg.norm(ifs.box.sizes / resolution))
+    threshold = spacing + cfg.tol("defect_slack")
+    return CheckRow("geometry", "self-similarity-defect", f"grid {resolution}",
+                    defect, threshold, defect <= threshold)
+
+
 def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
     rows = []
     tol = cfg.tol("inverse_branch")
@@ -149,12 +160,7 @@ def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
     rows.append(CheckRow("geometry", "inverse-branch", "grid 64", residual, tol,
                          residual <= tol))
 
-    resolution = 128
-    defect = geometry.self_similarity_defect(ifs, resolution)
-    spacing = float(np.linalg.norm(ifs.box.sizes / resolution))
-    threshold = spacing + cfg.tol("defect_slack")
-    rows.append(CheckRow("geometry", "self-similarity-defect", f"grid {resolution}",
-                         defect, threshold, defect <= threshold))
+    rows.append(self_similarity_row(cfg, ifs))
 
     candidate = expected.osc_candidate if expected is not None else ifs.box.intervals
     osc = geometry.check_open_set_condition(ifs, candidate)
@@ -261,23 +267,38 @@ def _auto_support(ifs, delta: float):
     return None
 
 
-def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> list[CheckRow]:
+@dataclass(frozen=True)
+class ReconstructionSuite:
+    """Check rows of the reconstruction suite and its per-depth table.
+
+    `table` holds the (example, depth, n_bumps, residual_theta,
+    residual_operator) rows of reconstruction.csv.  It is filled only when
+    the symbol's support comes from the catalog entry, so definition-file
+    systems get an empty table.
+    """
+
+    rows: list[CheckRow]
+    table: list[tuple] = field(default_factory=list)
+
+
+def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> ReconstructionSuite:
     if not attractor_ok:
-        return _refused("reconstruction", "attractor is not the ambient box")
+        return ReconstructionSuite(_refused("reconstruction", "attractor is not the ambient box"))
     if not ifs.is_hutchinson():
-        return _refused("reconstruction", "requires uniform weights")
+        return ReconstructionSuite(_refused("reconstruction", "requires uniform weights"))
     rows = []
-    support = expected.admissible_support if expected is not None else None
+    declared = expected.admissible_support if expected is not None else None
+    support = declared if declared is not None else _auto_support(ifs, cfg.delta)
     if support is None:
-        support = _auto_support(ifs, cfg.delta)
-    if support is None:
-        return [CheckRow("reconstruction", "bump-partition",
-                         "no admissible support window found", 1.0, 0.0, False)]
+        return ReconstructionSuite([CheckRow("reconstruction", "bump-partition",
+                                             "no admissible support window found",
+                                             1.0, 0.0, False)])
     try:
         symbol = bimodule.admissible_symbol(ifs, support, delta=cfg.delta)
         partition = bimodule.build_bump_partition(ifs, symbol)
     except (ValueError, IfsLabError) as exc:
-        return [CheckRow("reconstruction", "bump-partition", str(exc), 1.0, 0.0, False)]
+        return ReconstructionSuite([CheckRow("reconstruction", "bump-partition", str(exc),
+                                             1.0, 0.0, False)])
 
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     rep_depth = depths[0]
@@ -293,17 +314,20 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> li
     # same sampled vectors.
     theta_residuals, op_residuals = [], []
     for depth in depths:
-        xis, etas = bimodule.reconstruction_vectors(ifs, symbol, partition, depth + 1)
+        vectors = bimodule.reconstruction_vectors(ifs, symbol, partition, depth + 1)
         theta_residuals.append(bimodule.verify_theta_reconstruction(
-            ifs, symbol, xis, etas, VERIFY_TRIALS, depth + 1, seed=cfg.seed))
-        op_residuals.append(bimodule.verify_operator_reconstruction(
-            ifs, symbol, xis, etas, depth))
+            ifs, symbol, vectors, VERIFY_TRIALS, seed=cfg.seed))
+        op_residuals.append(bimodule.verify_operator_reconstruction(ifs, symbol, vectors))
     lo, hi = cfg.tol("reconstruction_ratio_lo"), cfg.tol("reconstruction_ratio_hi")
     rows.extend(_ratio_rows("reconstruction", "theta-ratio", "trial max",
                             theta_residuals, depths, lo, hi))
     rows.extend(_ratio_rows("reconstruction", "operator-ratio", f"{partition.size} bumps",
                             op_residuals, depths, lo, hi))
-    return rows
+    table = []
+    if declared is not None:
+        table = [(ifs.name or cfg.system, depth, partition.size, res_theta, res_op)
+                 for depth, res_theta, res_op in zip(depths, theta_residuals, op_residuals)]
+    return ReconstructionSuite(rows, table)
 
 
 # ---------------------------------------------------------------------------
@@ -320,33 +344,45 @@ def _write_check_csv(path, rows: list[CheckRow]) -> None:
                          f"{row.threshold:.17g},{status}\n")
 
 
-def _finish(rows: list[CheckRow], out_dir: str, files: dict) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    for filename, file_rows in sorted(files.items()):
-        _write_check_csv(os.path.join(out_dir, filename), file_rows)
+def _first_failure(rows: list[CheckRow]) -> int:
+    """Exit status of `rows`; names the first failing check on stderr."""
     failing = [row for row in rows if not row.passed]
-    if failing:
-        first = failing[0]
-        print(f"FIRST FAILING CHECK: {first.check} ({first.suite}: {first.detail}); "
-              f"{len(failing)} of {len(rows)} checks failed", file=sys.stderr)
-        return 1
-    return 0
+    if not failing:
+        return 0
+    first = failing[0]
+    print(f"FIRST FAILING CHECK: {first.check} ({first.suite}: {first.detail}; "
+          f"value {first.value:.6g}, bound {first.threshold:.6g}); "
+          f"{len(failing)} of {len(rows)} checks failed", file=sys.stderr)
+    return 1
+
+
+def _finish_verify(cfg: RunConfig, g_rows, m_rows, o_rows, r_rows) -> int:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    files = {
+        "verify_geometry.csv": g_rows,
+        "verify_measure.csv": m_rows,
+        "verify_operators.csv": o_rows,
+        "verify_reconstruction.csv": r_rows,
+    }
+    for filename, file_rows in sorted(files.items()):
+        _write_check_csv(os.path.join(cfg.out_dir, filename), file_rows)
+    return _first_failure(g_rows + m_rows + o_rows + r_rows)
+
+
+def _finish_reconstruct(cfg: RunConfig, suite: ReconstructionSuite) -> int:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    bimodule.write_reconstruction_csv(os.path.join(cfg.out_dir, "reconstruction.csv"),
+                                      suite.table)
+    return _first_failure(suite.rows)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     ifs, expected = _load_system(cfg.system)
     rows = geometry_rows(cfg, ifs, expected)
     attractor_ok = rows[1].passed  # self-similarity defect row
-    m_rows = measure_rows(cfg, ifs, attractor_ok)
-    o_rows = operator_rows(cfg, ifs, attractor_ok)
-    r_rows = reconstruction_rows(cfg, ifs, expected, attractor_ok)
-    all_rows = rows + m_rows + o_rows + r_rows
-    return _finish(all_rows, cfg.out_dir, {
-        "verify_geometry.csv": rows,
-        "verify_measure.csv": m_rows,
-        "verify_operators.csv": o_rows,
-        "verify_reconstruction.csv": r_rows,
-    })
+    return _finish_verify(cfg, rows, measure_rows(cfg, ifs, attractor_ok),
+                          operator_rows(cfg, ifs, attractor_ok),
+                          reconstruction_rows(cfg, ifs, expected, attractor_ok).rows)
 
 
 def cmd_measure(cfg: RunConfig) -> int:
@@ -376,18 +412,13 @@ def cmd_measure(cfg: RunConfig) -> int:
     else:
         rows.append(CheckRow("measure", "exact-masses",
                              "refused: separation assumption disabled", 1.0, 0.0, False))
-    failing = [row for row in rows if not row.passed]
-    if failing:
-        print(f"FIRST FAILING CHECK: {failing[0].check}", file=sys.stderr)
-        return 1
-    return 0
+    return _first_failure(rows)
 
 
 def cmd_operators(cfg: RunConfig) -> int:
     ifs, _ = _load_system(cfg.system)
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     table = []
-    status = 0
     symbols = [random_trig_symbol(seed, ifs.dimension)
                for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
     for depth in depths:
@@ -401,54 +432,41 @@ def cmd_operators(cfg: RunConfig) -> int:
             if ifs.is_hutchinson() else float("nan")
         bound = max(s.lip_bound for s in symbols) * ifs.box.diameter * ifs.c2**depth
         table.append((depth, "covariance", cov, bound))
-        for _, _, value, limit in table[-4:]:
-            # NaN marks an identity that needs uniform weights; a skipped
-            # check is a failure, not a silent pass.
-            if np.isnan(value) or value > limit:
-                status = 1
     os.makedirs(cfg.out_dir, exist_ok=True)
     operators.write_residual_table(os.path.join(cfg.out_dir, "operator_residuals.csv"), table)
-    if status:
-        print("FIRST FAILING CHECK: operator residual above bound", file=sys.stderr)
-    return status
+    # NaN marks an identity that needs uniform weights; a skipped check is
+    # a failure, not a silent pass, and NaN <= limit is false.
+    return _first_failure([CheckRow("operators", identity, f"depth {depth}", value, limit,
+                                    bool(value <= limit))
+                           for depth, identity, value, limit in table])
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
     ifs, expected = _load_system(cfg.system)
-    resolution = 128
-    defect = geometry.self_similarity_defect(ifs, resolution)
-    spacing = float(np.linalg.norm(ifs.box.sizes / resolution))
-    attractor_ok = defect <= spacing + cfg.tol("defect_slack")
-    rows = reconstruction_rows(cfg, ifs, expected, attractor_ok)
-    depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
-    support = expected.admissible_support if expected is not None else None
-    csv_rows = []
-    if attractor_ok and support is not None:
-        symbol = bimodule.admissible_symbol(ifs, support, delta=cfg.delta)
-        partition = bimodule.build_bump_partition(ifs, symbol)
-        for depth in depths:
-            xis, etas = bimodule.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-            res_theta = bimodule.verify_theta_reconstruction(
-                ifs, symbol, xis, etas, VERIFY_TRIALS, depth + 1, seed=cfg.seed)
-            res_op = bimodule.verify_operator_reconstruction(ifs, symbol, xis, etas, depth)
-            csv_rows.append((ifs.name or cfg.system, depth, partition.size, res_theta, res_op))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    bimodule.write_reconstruction_csv(os.path.join(cfg.out_dir, "reconstruction.csv"), csv_rows)
-    failing = [row for row in rows if not row.passed]
-    if failing:
-        print(f"FIRST FAILING CHECK: {failing[0].check} ({failing[0].detail})", file=sys.stderr)
-        return 1
-    return 0
+    attractor_ok = self_similarity_row(cfg, ifs).passed
+    return _finish_reconstruct(cfg, reconstruction_rows(cfg, ifs, expected, attractor_ok))
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    commands = [("measure", cmd_measure), ("operators", cmd_operators),
-                ("reconstruct", cmd_reconstruct), ("verify", cmd_verify)]
+    """measure, operators, reconstruct and verify; one reconstruction suite feeds
+    both reconstruction.csv and verify_reconstruction.csv."""
+    ifs, expected = _load_system(cfg.system)
+    g_rows = geometry_rows(cfg, ifs, expected)
+    attractor_ok = g_rows[1].passed
+    jobs = [partial(cmd_measure, cfg), partial(cmd_operators, cfg),
+            partial(measure_rows, cfg, ifs, attractor_ok),
+            partial(operator_rows, cfg, ifs, attractor_ok),
+            partial(reconstruction_rows, cfg, ifs, expected, attractor_ok)]
     if cfg.parallel:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = {name: pool.submit(fn, cfg) for name, fn in commands}
-        return max(future.result() for future in results.values())
-    return max(fn(cfg) for _, fn in commands)
+            futures = [pool.submit(job) for job in jobs]
+        results = [future.result() for future in futures]
+    else:
+        results = [job() for job in jobs]
+    measure_code, operators_code, m_rows, o_rows, suite = results
+    reconstruct_code = _finish_reconstruct(cfg, suite)
+    verify_code = _finish_verify(cfg, g_rows, m_rows, o_rows, suite.rows)
+    return max(measure_code, operators_code, reconstruct_code, verify_code)
 
 
 # ---------------------------------------------------------------------------

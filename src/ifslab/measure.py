@@ -106,10 +106,6 @@ def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid
     return grid
 
 
-def cell_centers(ifs: IfsSystem, depth: int) -> np.ndarray:
-    return cell_grid(ifs, depth).centers
-
-
 # ---------------------------------------------------------------------------
 # Mass vectors
 # ---------------------------------------------------------------------------

@@ -117,10 +117,9 @@ def test_criterion_6_reconstruction(tent_square, tent_sigma):
         partition = bi.build_bump_partition(ifs, symbol)
         theta_res, op_res = [], []
         for depth in depths:
-            xis, etas = bi.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-            theta_res.append(bi.verify_theta_reconstruction(
-                ifs, symbol, xis, etas, 20, depth + 1, seed=7))
-            op_res.append(bi.verify_operator_reconstruction(ifs, symbol, xis, etas, depth))
+            vectors = bi.reconstruction_vectors(ifs, symbol, partition, depth + 1)
+            theta_res.append(bi.verify_theta_reconstruction(ifs, symbol, vectors, 20, seed=7))
+            op_res.append(bi.verify_operator_reconstruction(ifs, symbol, vectors))
         for series in (theta_res, op_res):
             assert all(r > 0 for r in series)
             for r0, r1 in zip(series, series[1:]):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import dense_gram_adjoint
 from ifslab import bimodule as bi
-from ifslab.bimodule import (AdmissibleSymbol, CographFunction, a_valued_inner,
+from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
                              admissible_symbol, bimodule_action, build_bump_partition,
                              cograph_inner, cograph_iso, cograph_iso_inverse,
                              covariant_rep_check, reconstruction_vectors, theta_apply,
@@ -11,7 +12,7 @@ from ifslab.bimodule import (AdmissibleSymbol, CographFunction, a_valued_inner,
                              verify_theta_reconstruction)
 from ifslab.errors import DepthMismatch
 from ifslab.measure import cell_grid, exact_cell_masses
-from ifslab.operators import CellFunction, operator_norm
+from ifslab.operators import CellFunction, CellOperator, operator_norm
 from ifslab.sampling import uniform_doubles, window_symbol, zero_symbol
 
 
@@ -225,13 +226,22 @@ def test_admissible_symbol_vanishes_near_value_set(tent_square):
 # reconstruction vectors and residuals
 # ---------------------------------------------------------------------------
 
+def dense_columns(vectors, n_cells):
+    """Full-length (cells, M) copies of xi and eta, zero off the support rows."""
+    xi = np.zeros((n_cells, vectors.size))
+    eta = np.zeros((n_cells, vectors.size))
+    xi[vectors.rows] = vectors.xi
+    eta[vectors.rows] = vectors.eta
+    return xi, eta
+
+
 def test_vectors_zero_symbol(tent_square):
     symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
     partition = build_bump_partition(tent_square.system, symbol)
-    xis, etas = reconstruction_vectors(tent_square.system, symbol, partition, 3)
-    assert xis == [] and etas == []
-    assert verify_operator_reconstruction(tent_square.system, symbol, xis, etas, 2) == 0.0
-    assert verify_theta_reconstruction(tent_square.system, symbol, xis, etas, 3, 3) == 0.0
+    vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
+    assert vectors.xi.shape[1] == 0 and vectors.eta.shape[1] == 0
+    assert verify_operator_reconstruction(tent_square.system, symbol, vectors) == 0.0
+    assert verify_theta_reconstruction(tent_square.system, symbol, vectors, 3) == 0.0
 
 
 def test_vectors_built_from_samples_bit_exactly(tent_square):
@@ -239,13 +249,14 @@ def test_vectors_built_from_samples_bit_exactly(tent_square):
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     partition = build_bump_partition(ifs, symbol)
     depth = 3
-    xis, etas = reconstruction_vectors(ifs, symbol, partition, depth)
+    vectors = reconstruction_vectors(ifs, symbol, partition, depth)
     centers = cell_grid(ifs, depth).centers
+    xis, etas = dense_columns(vectors, len(centers))
     a_vals = symbol(centers)
     bumps = partition.bump_values(centers)
     for k in (0, partition.size // 2, partition.size - 1):
-        np.testing.assert_array_equal(xis[k].values, 4 * a_vals * np.sqrt(bumps[:, k]))
-        np.testing.assert_array_equal(etas[k].values, np.sqrt(bumps[:, k]))
+        np.testing.assert_array_equal(xis[:, k], 4 * a_vals * np.sqrt(bumps[:, k]))
+        np.testing.assert_array_equal(etas[:, k], np.sqrt(bumps[:, k]))
 
 
 def test_vectors_reproduce_symbol_pointwise(tent_square):
@@ -253,9 +264,10 @@ def test_vectors_reproduce_symbol_pointwise(tent_square):
     ifs = tent_square.system
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     partition = build_bump_partition(ifs, symbol)
-    xis, etas = reconstruction_vectors(ifs, symbol, partition, 4)
-    total = sum(xi.values * eta.values for xi, eta in zip(xis, etas)) / 4.0
+    vectors = reconstruction_vectors(ifs, symbol, partition, 4)
     centers = cell_grid(ifs, 4).centers
+    xis, etas = dense_columns(vectors, len(centers))
+    total = (xis * etas).sum(axis=1) / 4.0
     np.testing.assert_allclose(total, symbol(centers), atol=1e-12)
 
 
@@ -265,9 +277,8 @@ def test_theta_reconstruction_rates(tent_square):
     partition = build_bump_partition(ifs, symbol)
     residuals = []
     for level in (4, 5, 6):
-        xis, etas = reconstruction_vectors(ifs, symbol, partition, level)
-        residuals.append(verify_theta_reconstruction(ifs, symbol, xis, etas, 10,
-                                                     level, seed=3))
+        vectors = reconstruction_vectors(ifs, symbol, partition, level)
+        residuals.append(verify_theta_reconstruction(ifs, symbol, vectors, 10, seed=3))
     for r0, r1 in zip(residuals, residuals[1:]):
         assert 0.3 <= r1 / r0 <= 0.7
 
@@ -278,17 +289,18 @@ def test_broken_partition_detected(tent_square):
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     partition = build_bump_partition(ifs, symbol)
     level = 5
-    xis, etas = reconstruction_vectors(ifs, symbol, partition, level)
     centers = cell_grid(ifs, level).centers
     bumps = partition.bump_values(centers)
     drop = int(np.argmax((np.asarray(symbol(centers)) * bumps.max(axis=1))))
     drop = int(np.argmax(bumps[drop]))
     hole = np.abs(np.asarray(symbol(centers)) * bumps[:, drop]).max()
     assert hole > 0.05
+    holed = BumpPartition(np.delete(partition.nodes, drop, axis=0), partition.pitch,
+                          partition.margin)
     broken = verify_theta_reconstruction(
-        ifs, symbol, xis[:drop] + xis[drop + 1:], etas[:drop] + etas[drop + 1:],
-        10, level, seed=3)
-    intact = verify_theta_reconstruction(ifs, symbol, xis, etas, 10, level, seed=3)
+        ifs, symbol, reconstruction_vectors(ifs, symbol, holed, level), 10, seed=3)
+    intact = verify_theta_reconstruction(
+        ifs, symbol, reconstruction_vectors(ifs, symbol, partition, level), 10, seed=3)
     assert broken >= hole - intact - 0.02
 
 
@@ -298,10 +310,92 @@ def test_operator_reconstruction_rates_second_system(tent_sigma):
     partition = build_bump_partition(ifs, symbol)
     residuals = []
     for depth in (2, 3, 4):
-        xis, etas = reconstruction_vectors(ifs, symbol, partition, depth + 1)
-        residuals.append(verify_operator_reconstruction(ifs, symbol, xis, etas, depth))
+        vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
+        residuals.append(verify_operator_reconstruction(ifs, symbol, vectors))
     for r0, r1 in zip(residuals, residuals[1:]):
         assert r1 / r0 <= 0.5  # contracts at least at the dominant ratio
+
+
+def dense_pairs(ifs, symbol, partition, level):
+    """(cells, M) arrays of xi_k = n a sqrt(f_k) and eta_k = sqrt(f_k) on every cell."""
+    centers = cell_grid(ifs, level).centers
+    a_vals = np.asarray(symbol(centers), dtype=float)
+    roots = np.sqrt(partition.bump_values(centers))
+    n = ifs.n_branches
+    xis = np.zeros_like(roots)
+    for k in range(partition.size):
+        xis[:, k] = n * a_vals * roots[:, k]
+    return xis, roots
+
+
+def dense_reconstruction(ifs, symbol, partition, level, trials, seed):
+    """Theta and operator residuals from full-length pairs on every cell.
+
+    The reference the support-row kernels must reproduce bit for bit: one
+    theta_apply per pair and trial, and the C C* pattern accumulated over
+    all pairs, both summed in pair order.
+    """
+    xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
+    xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
+    etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
+
+    a_ref = bi.reference_symbol(ifs, symbol, level)
+    theta = 0.0
+    for t in range(trials):
+        zeta = bi.trial_field(ifs, level, (seed, t))
+        acc = np.zeros(zeta.n_cells, dtype=zeta.values.dtype)
+        for xi, eta in zip(xis, etas):
+            acc = acc + theta_apply(ifs, xi, eta, zeta).values
+        theta = max(theta, float(np.abs(acc - a_ref.values * zeta.values).max()))
+
+    n = ifs.n_branches
+    count = n**level
+    if xis:
+        rows, cols, base = bi._projection_pattern(ifs, level)
+        vals = np.zeros(len(base))
+        for xi, eta in zip(xis, etas):
+            vals += xi.values[rows] * np.conj(eta.values)[cols]
+        matrix = sp.coo_matrix((vals * base, (rows, cols)), shape=(count, count)).tocsr()
+        matrix = matrix - sp.diags(a_ref.values)
+    else:
+        matrix = sp.csr_matrix(-sp.diags(a_ref.values))
+    mass = exact_cell_masses(ifs, level).masses
+    return theta, operator_norm(CellOperator(level, level, matrix, mass, mass, "dense"))
+
+
+def straddling_case(ifs):
+    """A window from the box edge across the value set, and a hand-made tent
+    lattice on the whole box.  Not an admissible cover, but the kernels'
+    sums must still equal the dense ones, here with several first letters
+    per support tail."""
+    symbol = AdmissibleSymbol(window_symbol([[0.0, 0.7], [0.2, 0.6]]), 0.05)
+    ticks = np.arange(1, 8) / 8.0
+    nodes = np.stack([g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij")], axis=1)
+    return symbol, BumpPartition(nodes, 0.125, 0.025)
+
+
+@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "zero_symbol", "straddling"])
+def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
+    entry = tent_sigma if name == "tent_sigma" else tent_square
+    ifs = entry.system
+    if name == "zero_symbol":
+        symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
+        partition = build_bump_partition(ifs, symbol)
+        assert partition.size == 0
+    elif name == "straddling":
+        symbol, partition = straddling_case(ifs)
+    else:
+        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
+        partition = build_bump_partition(ifs, symbol)
+    for depth in (2, 3):
+        vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
+        xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, depth + 1)
+        stored_xi, stored_eta = dense_columns(vectors, len(xi_cols))
+        np.testing.assert_array_equal(stored_xi, xi_cols)
+        np.testing.assert_array_equal(stored_eta, eta_cols)
+        theta = verify_theta_reconstruction(ifs, symbol, vectors, 5, seed=7)
+        op = verify_operator_reconstruction(ifs, symbol, vectors)
+        assert (theta, op) == dense_reconstruction(ifs, symbol, partition, depth + 1, 5, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ifslab.cli import main
 from ifslab.ifsfile import export_ifs
-from ifslab import catalog
+from ifslab import bimodule, catalog
 
 
 def run(args):
@@ -77,6 +78,39 @@ def test_operators_residual_table(tmp_path):
     isometry = [line for line in lines[1:] if line.split(",")[1] == "isometry"]
     assert len(isometry) == 3
     assert all(float(line.split(",")[2]) <= 1e-12 for line in isometry)
+
+
+def test_operators_failure_names_check(tmp_path, capsys):
+    code = run(["operators", "--system", "tent_1d", "--depths", "2..3",
+                "--out", str(tmp_path), "--tol", "isometry=-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FIRST FAILING CHECK: isometry" in err
+    assert "depth 2" in err
+
+
+def test_measure_failure_names_suite(tmp_path, capsys):
+    code = run(["measure", "--system", "tent_square", "--depths", "2..2",
+                "--samples", "1000", "--no-separation", "--out", str(tmp_path)])
+    assert code == 1
+    assert "FIRST FAILING CHECK: exact-masses (measure: " in capsys.readouterr().err
+
+
+def test_reconstruction_suite_runs_once(tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("reconstruction_vectors", "build_bump_partition"):
+        def counted(*args, _name=name, _original=getattr(bimodule, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(bimodule, name, counted)
+
+    assert run(["reconstruct", "--system", "tent_sigma", "--depths", "2..5",
+                "--out", str(tmp_path / "reconstruct")]) == 0
+    assert calls == {"reconstruction_vectors": 4, "build_bump_partition": 1}
+    calls.clear()
+    assert run(["report", "--system", "tent_square", "--depths", "2..3",
+                "--samples", "20000", "--out", str(tmp_path / "report")]) == 0
+    assert calls == {"reconstruction_vectors": 2, "build_bump_partition": 1}
 
 
 def test_report_byte_identical(tmp_path):
