@@ -213,22 +213,55 @@ def measure_rows(cfg: RunConfig, ifs, attractor_ok: bool) -> list[CheckRow]:
     return [CheckRow("measure", "fixpoint-vs-exact", f"depth {depth}", tv, tol, tv <= tol)]
 
 
-def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool) -> list[CheckRow]:
+@dataclass(frozen=True)
+class OperatorSuite:
+    """Residuals of every operator identity, computed once per run.
+
+    Index j of each list is depth depths[j].  `transfer` is None and
+    `covariance` empty without uniform weights; covariance[k][j] is trial
+    symbol k's residual at depths[j].
+    """
+
+    depths: list[int]
+    isometry: list[float]
+    projection: list[float]
+    transfer: list[float] | None
+    symbols: list
+    covariance: list[list[float]]
+
+
+def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
+    depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
+    symbols = [random_trig_symbol(seed, ifs.dimension)
+               for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
+    uniform = ifs.is_hutchinson()
+    return OperatorSuite(
+        depths,
+        [isometry_residual(ifs, m) for m in depths],
+        [projection_residual(ifs, m) for m in depths],
+        [transfer_equality_residual(ifs, m) for m in depths] if uniform else None,
+        symbols,
+        [[covariance_residual(ifs, symbol, m) for m in depths] for symbol in symbols]
+        if uniform else [])
+
+
+def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool,
+                  suite: OperatorSuite | None = None) -> list[CheckRow]:
     if not attractor_ok:
         return _refused("operators", "attractor is not the ambient box")
+    suite = suite if suite is not None else operator_suite(cfg, ifs)
     rows = []
-    depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
-    for depth in depths:
-        residual = isometry_residual(ifs, depth)
+    for j, depth in enumerate(suite.depths):
+        residual = suite.isometry[j]
         tol = cfg.tol("isometry")
         rows.append(CheckRow("operators", "isometry", f"depth {depth}",
                              residual, tol, residual <= tol))
-        residual = projection_residual(ifs, depth)
+        residual = suite.projection[j]
         tol = cfg.tol("projection")
         rows.append(CheckRow("operators", "projection", f"depth {depth}",
                              residual, tol, residual <= tol))
-        if ifs.is_hutchinson():
-            residual = transfer_equality_residual(ifs, depth)
+        if suite.transfer is not None:
+            residual = suite.transfer[j]
             tol = cfg.tol("transfer_eq")
             rows.append(CheckRow("operators", "transfer-eq", f"depth {depth}",
                                  residual, tol, residual <= tol))
@@ -236,18 +269,16 @@ def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool) -> list[CheckRow]:
             rows.append(CheckRow("operators", "transfer-eq",
                                  "requires uniform weights", 1.0, 0.0, False))
 
-    if ifs.is_hutchinson():
+    if suite.covariance:
         lo, hi = cfg.tol("covariance_ratio_lo"), cfg.tol("covariance_ratio_hi")
-        for k, seed in enumerate(_symbol_seeds(cfg, VERIFY_SYMBOLS)):
-            symbol = random_trig_symbol(seed, ifs.dimension)
-            residuals = [covariance_residual(ifs, symbol, m) for m in depths]
+        for k, (symbol, residuals) in enumerate(zip(suite.symbols, suite.covariance)):
             bound = symbol.lip_bound * ifs.box.diameter
-            for m, res in zip(depths, residuals):
+            for m, res in zip(suite.depths, residuals):
                 limit = bound * ifs.c2**m
                 rows.append(CheckRow("operators", "covariance-bound",
                                      f"symbol {k} depth {m}", res, limit, res <= limit))
             rows.extend(_ratio_rows("operators", "covariance-ratio", f"symbol {k}",
-                                    residuals, depths, lo, hi))
+                                    residuals, suite.depths, lo, hi))
     else:
         rows.append(CheckRow("operators", "covariance-bound",
                              "requires uniform weights", 1.0, 0.0, False))
@@ -415,23 +446,20 @@ def cmd_measure(cfg: RunConfig) -> int:
     return _first_failure(rows)
 
 
-def cmd_operators(cfg: RunConfig) -> int:
-    ifs, _ = _load_system(cfg.system)
-    depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
+def _finish_operators(cfg: RunConfig, ifs, suite: OperatorSuite) -> int:
+    """Write operator_residuals.csv: per depth, each identity's residual and
+    the worst covariance residual over the trial symbols."""
+    nan = float("nan")
+    bound_lip = max(s.lip_bound for s in suite.symbols) * ifs.box.diameter
     table = []
-    symbols = [random_trig_symbol(seed, ifs.dimension)
-               for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
-    for depth in depths:
-        residual = isometry_residual(ifs, depth)
-        table.append((depth, "isometry", residual, cfg.tol("isometry")))
-        residual_p = projection_residual(ifs, depth)
-        table.append((depth, "projection", residual_p, cfg.tol("projection")))
-        residual_t = transfer_equality_residual(ifs, depth) if ifs.is_hutchinson() else float("nan")
-        table.append((depth, "transfer-eq", residual_t, cfg.tol("transfer_eq")))
-        cov = max(covariance_residual(ifs, s, depth) for s in symbols) \
-            if ifs.is_hutchinson() else float("nan")
-        bound = max(s.lip_bound for s in symbols) * ifs.box.diameter * ifs.c2**depth
-        table.append((depth, "covariance", cov, bound))
+    for j, depth in enumerate(suite.depths):
+        table.append((depth, "isometry", suite.isometry[j], cfg.tol("isometry")))
+        table.append((depth, "projection", suite.projection[j], cfg.tol("projection")))
+        table.append((depth, "transfer-eq",
+                      suite.transfer[j] if suite.transfer is not None else nan,
+                      cfg.tol("transfer_eq")))
+        cov = max(res[j] for res in suite.covariance) if suite.covariance else nan
+        table.append((depth, "covariance", cov, bound_lip * ifs.c2**depth))
     os.makedirs(cfg.out_dir, exist_ok=True)
     operators.write_residual_table(os.path.join(cfg.out_dir, "operator_residuals.csv"), table)
     # NaN marks an identity that needs uniform weights; a skipped check is
@@ -441,6 +469,11 @@ def cmd_operators(cfg: RunConfig) -> int:
                            for depth, identity, value, limit in table])
 
 
+def cmd_operators(cfg: RunConfig) -> int:
+    ifs, _ = _load_system(cfg.system)
+    return _finish_operators(cfg, ifs, operator_suite(cfg, ifs))
+
+
 def cmd_reconstruct(cfg: RunConfig) -> int:
     ifs, expected = _load_system(cfg.system)
     attractor_ok = self_similarity_row(cfg, ifs).passed
@@ -448,14 +481,14 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """measure, operators, reconstruct and verify; one reconstruction suite feeds
-    both reconstruction.csv and verify_reconstruction.csv."""
+    """measure, operators, reconstruct and verify; one operator suite feeds both
+    operator_residuals.csv and verify_operators.csv, and one reconstruction
+    suite both reconstruction.csv and verify_reconstruction.csv."""
     ifs, expected = _load_system(cfg.system)
     g_rows = geometry_rows(cfg, ifs, expected)
     attractor_ok = g_rows[1].passed
-    jobs = [partial(cmd_measure, cfg), partial(cmd_operators, cfg),
+    jobs = [partial(cmd_measure, cfg), partial(operator_suite, cfg, ifs),
             partial(measure_rows, cfg, ifs, attractor_ok),
-            partial(operator_rows, cfg, ifs, attractor_ok),
             partial(reconstruction_rows, cfg, ifs, expected, attractor_ok)]
     if cfg.parallel:
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -463,9 +496,11 @@ def cmd_report(cfg: RunConfig) -> int:
         results = [future.result() for future in futures]
     else:
         results = [job() for job in jobs]
-    measure_code, operators_code, m_rows, o_rows, suite = results
-    reconstruct_code = _finish_reconstruct(cfg, suite)
-    verify_code = _finish_verify(cfg, g_rows, m_rows, o_rows, suite.rows)
+    measure_code, o_suite, m_rows, r_suite = results
+    operators_code = _finish_operators(cfg, ifs, o_suite)
+    o_rows = operator_rows(cfg, ifs, attractor_ok, o_suite)
+    reconstruct_code = _finish_reconstruct(cfg, r_suite)
+    verify_code = _finish_verify(cfg, g_rows, m_rows, o_rows, r_suite.rows)
     return max(measure_code, operators_code, reconstruct_code, verify_code)
 
 

@@ -78,10 +78,6 @@ class AmbientBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def vertices(self) -> np.ndarray:
-        corners = list(product(*self.intervals))
-        return np.array(corners, dtype=float)
-
 
 def boxes_overlap_openly(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff the open interiors of boxes a, b (shape (d,2)) intersect."""
@@ -94,12 +90,6 @@ def box_intersection(a: np.ndarray, b: np.ndarray):
     if np.any(lo > hi):
         return None
     return np.stack([lo, hi], axis=1)
-
-
-def box_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean gap between two closed boxes (0 if they touch)."""
-    gap = np.maximum(a[:, 0] - b[:, 1], b[:, 0] - a[:, 1])
-    return float(np.linalg.norm(np.maximum(gap, 0.0)))
 
 
 # ---------------------------------------------------------------------------

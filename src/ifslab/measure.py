@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DepthMismatch, DepthOverflow, NoConvergence
-from .geometry import IfsSystem
+from .geometry import IfsSystem, check_open_set_condition
 from .sampling import bit_stream
 
 DEFAULT_CELL_BUDGET = 2**20
@@ -186,14 +186,16 @@ _CHAIN_COUNT = 1024
 def bin_points(ifs: IfsSystem, points: np.ndarray, depth: int) -> np.ndarray:
     """Flat cell index of each point, resolved level by level.
 
-    At every level the point is assigned to the first branch (in index
-    order) whose image box contains it, which realizes the convention
-    that shared-boundary points belong to the lexicographically smallest
-    word.  When the box is the attractor the greedy descent never dead
-    ends, and under measure separation the word is exact off a null set.
-    Points in no image box (possible on non-self-similar fixtures) fall
-    to the branch with the nearest image box, so masses binned on such
-    systems are outer estimates only.
+    This is the geometric binning behind :func:`chaos_game` on systems
+    whose box fails the open set condition.  At every level the point is
+    assigned to the first branch (in index order) whose image box contains
+    it within a slack of 1e-9 times the box diameter, which realizes the
+    convention that shared-boundary points belong to the lexicographically
+    smallest word.  When the box is the attractor the greedy descent never
+    dead ends, and under measure separation the word is exact off a null
+    set.  Points in no image box (possible on non-self-similar fixtures)
+    fall to the branch with the nearest image box, so masses binned on
+    such systems are outer estimates only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = ifs.n_branches
@@ -228,6 +230,42 @@ def bin_points(ifs: IfsSystem, points: np.ndarray, depth: int) -> np.ndarray:
     return idx
 
 
+def _window_cells(letters: np.ndarray, emitting: np.ndarray, burn_in: int,
+                  depth: int, n: int) -> np.ndarray:
+    """Flat cell index of every emitted sample from its last `depth` letters.
+
+    The sample after step k is g_{l_k} o g_{l_{k-1}} o ... (x_0), so it lies
+    in the cell of the word (l_k, l_{k-1}, ..., l_{k-m+1}); the newest letter
+    is the most significant digit.  Needs burn_in >= depth - 1 so every
+    window lies inside the letter array.
+    """
+    steps = len(letters)
+    idx = np.zeros((steps - burn_in, letters.shape[1]), dtype=np.int64)
+    for back in range(depth):
+        idx *= n
+        idx += letters[burn_in - back:steps - back]
+    return idx[emitting]
+
+
+def _orbit_points(ifs: IfsSystem, letters: np.ndarray, emitting: np.ndarray,
+                  burn_in: int) -> np.ndarray:
+    """Coordinates of every emitted sample, running the orbit from the box center."""
+    x = np.tile(ifs.box.center, (letters.shape[1], 1))
+    out = np.empty((int(emitting.sum()), ifs.dimension))
+    cursor = 0
+    for k, step_letters in enumerate(letters):
+        for i, gamma in enumerate(ifs.branches):
+            sel = step_letters == i
+            if sel.any():
+                x[sel] = gamma(x[sel])
+        if k >= burn_in:
+            active = emitting[k - burn_in]
+            took = int(active.sum())
+            out[cursor:cursor + took] = x[active]
+            cursor += took
+    return out
+
+
 def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
                burn_in: int = 100, budget: int | None = None) -> CellMeasure:
     """Empirical depth-m masses from the seeded random-orbit construction.
@@ -237,6 +275,15 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     draws come from a single PCG64 stream consumed column-wise, so the
     output is a bit-exact function of (seed, n_samples, burn_in).  Counts
     merge by integer addition, which makes the merge order irrelevant.
+
+    Masses are symbolic when the ambient box satisfies the open set
+    condition and burn_in >= depth - 1: each sample is counted in the cell
+    of its last `depth` letters, which is exact for every sample, and no
+    coordinates are computed.  Otherwise (overlapping branch images, or a
+    burn-in shorter than the window) the orbit is run and its points are
+    binned geometrically by :func:`bin_points`, whose shared-face
+    convention then applies.  The two agree except on samples within the
+    binning slack of a face shared by two image boxes.
 
     The default burn-in of 100 comes from log(diam * precision) /
     log(1/c2) ~ 52 steps at c2 = 1/2, doubled for slack.
@@ -257,24 +304,15 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     cumulative = np.cumsum(ifs.weights)
     cumulative[-1] = 1.0
     letters = np.searchsorted(cumulative, uniforms, side="right")
+    # emitting[e, c]: chain c emits a sample after step burn_in + e.
+    emitting = per_chain[None, :] >= np.arange(1, steps - burn_in + 1)[:, None]
 
-    x = np.tile(ifs.box.center, (chains, 1))
-    out = np.empty((n_samples, ifs.dimension))
-    cursor = 0
-    for k in range(steps):
-        step_letters = letters[k]
-        for i, gamma in enumerate(ifs.branches):
-            sel = step_letters == i
-            if sel.any():
-                x[sel] = gamma(x[sel])
-        emitted = k + 1 - burn_in
-        if emitted >= 1:
-            active = per_chain >= emitted
-            took = int(active.sum())
-            out[cursor:cursor + took] = x[active]
-            cursor += took
-    assert cursor == n_samples
-    counts = np.bincount(bin_points(ifs, out, depth), minlength=count)
+    if burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed:
+        cells = _window_cells(letters, emitting, burn_in, depth, ifs.n_branches)
+    else:
+        cells = bin_points(ifs, _orbit_points(ifs, letters, emitting, burn_in), depth)
+    assert len(cells) == n_samples
+    counts = np.bincount(cells, minlength=count)
     return CellMeasure(depth, counts / n_samples, "empirical",
                        sample_count=n_samples, seed=int(seed))
 

@@ -6,7 +6,7 @@ import pytest
 
 from ifslab.cli import main
 from ifslab.ifsfile import export_ifs
-from ifslab import bimodule, catalog
+from ifslab import bimodule, catalog, cli, geometry
 
 
 def run(args):
@@ -111,6 +111,39 @@ def test_reconstruction_suite_runs_once(tmp_path, monkeypatch):
     assert run(["report", "--system", "tent_square", "--depths", "2..3",
                 "--samples", "20000", "--out", str(tmp_path / "report")]) == 0
     assert calls == {"reconstruction_vectors": 2, "build_bump_partition": 1}
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_operator_suite_runs_once(tmp_path, monkeypatch, uniform):
+    # report computes every operator residual once and writes both
+    # operator_residuals.csv and verify_operators.csv from it, the same
+    # files that separate `operators` and `verify` runs write
+    system = str(tmp_path / "tent.ifs")
+    ifs = catalog.get("tent_1d").system
+    if not uniform:
+        ifs = geometry.IfsSystem(ifs.box, ifs.branches, weights=[0.3, 0.7])
+    with open(system, "w") as handle:
+        handle.write(export_ifs(ifs, "tent_1d"))
+    args = ["--system", system, "--depths", "2..4", "--samples", "5000", "--seed", "3"]
+    assert run(["operators", *args, "--out", str(tmp_path / "alone")]) == int(not uniform)
+    assert run(["verify", *args, "--out", str(tmp_path / "alone")]) == int(not uniform)
+
+    calls = Counter()
+    for name in ("isometry_residual", "projection_residual",
+                 "transfer_equality_residual", "covariance_residual"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(["report", *args, "--out", str(tmp_path / "report")]) == int(not uniform)
+    if uniform:
+        assert calls == {"isometry_residual": 3, "projection_residual": 3,
+                         "transfer_equality_residual": 3, "covariance_residual": 15}
+    else:
+        assert calls == {"isometry_residual": 3, "projection_residual": 3}
+    for name in ("operator_residuals.csv", "verify_operators.csv"):
+        assert (tmp_path / "alone" / name).read_bytes() == \
+            (tmp_path / "report" / name).read_bytes(), name
 
 
 def test_report_byte_identical(tmp_path):

@@ -3,13 +3,16 @@ import io
 import numpy as np
 import pytest
 
+from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthMismatch, DepthOverflow, NoConvergence
-from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+from ifslab.geometry import (AffineContraction, AmbientBox, IfsSystem,
+                             box_intersection, boxes_overlap_openly)
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
-                            exact_cell_masses, markov_fixpoint,
+                            exact_cell_masses, index_word, markov_fixpoint,
                             measure_separation_estimate, self_similarity_residual,
                             total_variation, word_index)
+from ifslab.sampling import bit_stream
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,105 @@ def test_chaos_game_tv_halves_with_4x_samples(tent_square):
             chaos_game(tent_square.system, 2, 100_000, seed=seed).masses, exact))
     ratio = np.mean(small) / np.mean(large)
     assert 1.0 <= ratio <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# chaos game: symbolic addressing against the orbit and geometric binning
+# ---------------------------------------------------------------------------
+
+def _orbit_oracle(ifs, depth, n_samples, seed, burn_in=100):
+    """The chaos game run the long way: the same PCG64 letters in the same
+    (step, chain) layout, the orbit advanced by x[sel] = gamma(x[sel]), and
+    every emitted sample kept.  Returns the samples in emission order and
+    the flat index of each one's last `depth` letters, newest first (-1
+    where the orbit has taken fewer than `depth` steps)."""
+    n = ifs.n_branches
+    chains = min(1024, n_samples)
+    per_chain = np.full(chains, n_samples // chains)
+    per_chain[:n_samples % chains] += 1
+    steps = int(per_chain.max()) + burn_in
+    raw = bit_stream(seed, steps * chains).reshape(steps, chains)
+    cumulative = np.cumsum(ifs.weights)
+    cumulative[-1] = 1.0
+    letters = np.searchsorted(cumulative, (raw >> np.uint64(11)) * 2.0**-53, side="right")
+    place = n ** np.arange(depth - 1, -1, -1)
+    x = np.tile(ifs.box.center, (chains, 1))
+    points, windows = [], []
+    for k in range(steps):
+        for i, gamma in enumerate(ifs.branches):
+            sel = letters[k] == i
+            x[sel] = gamma(x[sel])
+        if k >= burn_in:
+            active = per_chain >= k + 1 - burn_in
+            points.append(x[active].copy())
+            newest_first = letters[k::-1][:depth, active]
+            windows.append(place @ newest_first if k + 1 >= depth
+                           else np.full(int(active.sum()), -1))
+    return np.concatenate(points), np.concatenate(windows)
+
+
+def _assert_symbolic_matches_geometric(ifs, depth, n_samples, seed):
+    """Equal counts, or every sample binned differently sits within the
+    binning slack of a face shared by the two image boxes it was split
+    between.  Returns the number of such samples."""
+    n = ifs.n_branches
+    points, symbolic = _orbit_oracle(ifs, depth, n_samples, seed)
+    geometric = bin_points(ifs, points, depth)
+    counts = np.rint(chaos_game(ifs, depth, n_samples, seed).masses * n_samples)
+    np.testing.assert_array_equal(counts, np.bincount(symbolic, minlength=n**depth))
+    boxes = ifs.image_boxes()
+    tol = 1e-9 * max(1.0, ifs.box.diameter)
+    moved = np.flatnonzero(symbolic != geometric)
+    for sample in moved:
+        current = points[sample]
+        sym = index_word(int(symbolic[sample]), n, depth)
+        geo = index_word(int(geometric[sample]), n, depth)
+        level = next(j for j in range(depth) if sym[j] != geo[j])
+        for letter in sym[:level]:
+            current = ifs.branches[letter - 1].inverse(current)
+        a, b = boxes[sym[level] - 1], boxes[geo[level] - 1]
+        face = box_intersection(a, b)
+        assert face is not None and not boxes_overlap_openly(a, b)
+        assert np.all((current >= face[:, 0] - tol) & (current <= face[:, 1] + tol)), \
+            (sample, current, sym, geo)
+    return len(moved)
+
+
+@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d"])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_symbolic_counts_match_orbit_binning(name, depth):
+    ifs = catalog.get(name).system
+    for seed in (0, 3, 11):
+        _assert_symbolic_matches_geometric(ifs, depth, 30_000, seed)
+
+
+def test_symbolic_counts_move_shared_face_samples(tent_sigma):
+    # At this seed two samples sit within the slack of y = 2/3 and of
+    # y = 4/9; geometric binning sends both to the lexicographically
+    # smaller cell, symbolic addressing to the cell of their letters.
+    assert _assert_symbolic_matches_geometric(tent_sigma.system, 2, 10**6, 8) == 2
+
+
+@pytest.mark.parametrize("depth, burn_in", [(3, 0), (2, 0), (4, 2)])
+def test_short_burn_in_bins_the_orbit(tent_sigma, depth, burn_in):
+    # A window longer than burn_in + 1 letters would reach before the
+    # first step, so these runs bin the orbit points geometrically.
+    ifs = tent_sigma.system
+    points, _ = _orbit_oracle(ifs, depth, 5_000, 4, burn_in)
+    expected = np.bincount(bin_points(ifs, points, depth), minlength=ifs.n_branches**depth)
+    mu = chaos_game(ifs, depth, 5_000, seed=4, burn_in=burn_in)
+    np.testing.assert_array_equal(np.rint(mu.masses * 5_000), expected)
+
+
+def test_overlapping_images_bin_the_orbit(overlap_bad):
+    ifs = overlap_bad.system
+    for depth, seed in ((2, 0), (3, 5), (8, 3)):
+        points, symbolic = _orbit_oracle(ifs, depth, 20_000, seed)
+        expected = np.bincount(bin_points(ifs, points, depth), minlength=2**depth)
+        mu = chaos_game(ifs, depth, 20_000, seed=seed)
+        np.testing.assert_array_equal(np.rint(mu.masses * 20_000), expected)
+        # the overlap makes the letter windows a different, wrong histogram
+        assert np.any(np.bincount(symbolic, minlength=2**depth) != expected)
 
 
 def test_bin_points_lexicographic_on_boundary(tent_1d):
