@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, boxes_overlap_openly, box_intersection,
@@ -448,44 +447,31 @@ def verify_theta_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
     return worst
 
 
-def _projection_pattern(ifs: IfsSystem, depth: int):
-    """COO structure of C C* on V_{depth}: entries p_j at (i.w, j.w)."""
-    n = ifs.n_branches
-    count = n ** (depth - 1)
-    w = np.arange(count)
-    rows = np.concatenate([i * count + w for i in range(n) for _ in range(n)])
-    cols = np.concatenate([j * count + w for _ in range(n) for j in range(n)])
-    base = np.concatenate([np.full(count, ifs.weights[j]) for _ in range(n) for j in range(n)])
-    return rows, cols, base
-
-
 def verify_operator_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
                                    vectors: ReconstructionVectors) -> float:
     """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}.
 
-    The summands share the sparsity pattern of C C*, so the sum is
-    accumulated entrywise on that pattern instead of composing matrices;
-    only the entries (i.w, j.w) with both cells among the support rows
-    can be non-zero, and only those are summed.
+    Entry (i, j) of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j.
+    It can be non-zero only where both cells are support rows; it is formed
+    for every support row i.w and one letter j at a time, with eta_k read
+    as zero off the support rows.
     """
     level = vectors.depth
     a_ref = reference_symbol(ifs, symbol, level)
-    count = ifs.n_branches**level
-    mass = exact_cell_masses(ifs, level).masses
-    rows, cols, base = _projection_pattern(ifs, level)
-    position = np.full(count, -1)
-    position[vectors.rows] = np.arange(len(vectors.rows))
-    live = np.flatnonzero((position[rows] >= 0) & (position[cols] >= 0))
-    xi = vectors.xi[position[rows[live]]]
-    eta = vectors.eta[position[cols[live]]]
-    live_vals = np.zeros(len(live))
-    for k in range(vectors.size):
-        live_vals += xi[:, k] * eta[:, k]
-    vals = np.zeros(len(base))
-    vals[live] = live_vals
-    matrix = sp.coo_matrix((vals * base, (rows, cols)), shape=(count, count)).tocsr()
-    residual_op = CellOperator(level, level, matrix - sp.diags(a_ref.values), mass, mass, "dense")
-    return operator_norm(residual_op)
+    n = ifs.n_branches
+    count = n ** (level - 1)
+    support = len(vectors.rows)
+    # row of each cell in `eta`; the appended zero row stands for every other cell
+    position = np.full(n * count, support)
+    position[vectors.rows] = np.arange(support)
+    eta = np.vstack([vectors.eta, np.zeros((1, vectors.size))])
+    tail, first = vectors.rows % count, vectors.rows // count
+    blocks = np.zeros((count, n, n))
+    for j in range(n):
+        blocks[tail, first, j] = np.einsum("rk,rk->r", vectors.xi,
+                                           eta[position[j * count + tail]])
+    reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
+    return operator_norm(reconstructed.subtract(mult_op(ifs, a_ref)))
 
 
 def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,

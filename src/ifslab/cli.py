@@ -13,9 +13,7 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -41,6 +39,9 @@ DEFAULT_TOLERANCES = {
     "chaos_band_fraction": 0.95,
 }
 
+# Keys a config file may set in its [run] section.
+RUN_KEYS = ("system", "depths", "samples", "seed", "out", "delta")
+
 VERIFY_SYMBOLS = 5
 VERIFY_TRIALS = 5
 
@@ -53,7 +54,6 @@ class RunConfig:
     seed: int = 7
     out_dir: str = "reports"
     delta: float = 0.05
-    parallel: bool = False
     assume_separation: bool = True
     tolerances: dict = field(default_factory=dict)
 
@@ -125,8 +125,7 @@ def projection_residual(ifs, depth: int) -> float:
 def transfer_equality_residual(ifs, depth: int) -> float:
     cstar = operators.adjoint_composition_op(ifs, depth)
     transfer = operators.transfer_op(ifs, depth)
-    diff = (cstar.matrix - transfer.matrix)
-    return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
+    return float(np.abs(cstar.subtract(transfer).matrix).max())
 
 
 def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
@@ -487,16 +486,10 @@ def cmd_report(cfg: RunConfig) -> int:
     ifs, expected = _load_system(cfg.system)
     g_rows = geometry_rows(cfg, ifs, expected)
     attractor_ok = g_rows[1].passed
-    jobs = [partial(cmd_measure, cfg), partial(operator_suite, cfg, ifs),
-            partial(measure_rows, cfg, ifs, attractor_ok),
-            partial(reconstruction_rows, cfg, ifs, expected, attractor_ok)]
-    if cfg.parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(job) for job in jobs]
-        results = [future.result() for future in futures]
-    else:
-        results = [job() for job in jobs]
-    measure_code, o_suite, m_rows, r_suite = results
+    measure_code = cmd_measure(cfg)
+    o_suite = operator_suite(cfg, ifs)
+    m_rows = measure_rows(cfg, ifs, attractor_ok)
+    r_suite = reconstruction_rows(cfg, ifs, expected, attractor_ok)
     operators_code = _finish_operators(cfg, ifs, o_suite)
     o_rows = operator_rows(cfg, ifs, attractor_ok, o_suite)
     reconstruct_code = _finish_reconstruct(cfg, r_suite)
@@ -525,6 +518,11 @@ def _config_from_file(path: str) -> dict:
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
+    for section, known in (("run", RUN_KEYS), ("tolerances", DEFAULT_TOLERANCES)):
+        if section in parser:
+            unknown = sorted(set(parser[section]) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in [{section}] of {path!r}")
     if "run" in parser:
         run = parser["run"]
         if "system" in run:
@@ -538,8 +536,6 @@ def _config_from_file(path: str) -> dict:
             values["out_dir"] = run["out"]
         if "delta" in run:
             values["delta"] = float(run["delta"])
-        if "parallel" in run:
-            values["parallel"] = run.getboolean("parallel")
     if "tolerances" in parser:
         values["tolerances"] = {key: float(val) for key, val in parser["tolerances"].items()}
     return values
@@ -562,8 +558,6 @@ def build_config(args) -> RunConfig:
         overrides["out_dir"] = args.out
     if args.delta is not None:
         overrides["delta"] = args.delta
-    if args.parallel:
-        overrides["parallel"] = True
     if args.no_separation:
         overrides["assume_separation"] = False
     tolerances = dict(cfg.tolerances)
@@ -599,8 +593,6 @@ def make_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory for CSV reports")
         cmd.add_argument("--config", help="config file with [run] and [tolerances]")
         cmd.add_argument("--delta", type=float, help="clearance to the value set")
-        cmd.add_argument("--parallel", action="store_true",
-                         help="run report suites concurrently")
         cmd.add_argument("--no-separation", action="store_true",
                          help="drop the measure-separation assumption (refuses exact masses)")
         cmd.add_argument("--tol", action="append", metavar="KEY=VALUE",

@@ -18,7 +18,11 @@ class DepthMismatch(IfsLabError):
 
 
 class NoConvergence(IfsLabError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver hit its iteration cap before reaching tolerance.
+
+    Raised by `measure.markov_fixpoint`.  Operator norms are computed
+    exactly from the block structure and never raise it.
+    """
 
 
 class DegenerateCandidate(IfsLabError):

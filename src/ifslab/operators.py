@@ -6,6 +6,12 @@ operator prepends a letter (phi maps the cell i.w onto w), its adjoint
 averages the first letter against the weights, and the transfer operator
 is the uniform-weight special case of that adjoint.  All operators carry
 explicit domain and codomain depths; nothing refines implicitly.
+
+Each of these operators couples only cells that share a tail word (C, C*
+and C C* couple i.w with j.w, a multiplication couples a cell with
+itself), so an operator is stored as one small block per tail, and under
+the product (Bernoulli) masses its norm is the largest norm of a rescaled
+block.
 """
 
 from __future__ import annotations
@@ -13,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import DepthMismatch, NoConvergence
+from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import CellMeasure, cell_grid, check_depth, exact_cell_masses
+from .measure import CellMeasure, cell_grid, check_depth
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -45,55 +50,92 @@ class CellFunction:
         return CellFunction(self.depth, fn(self.values))
 
 
+def _letter_masses(weights: np.ndarray, count: int) -> np.ndarray:
+    """Product masses of the `count` words of one length, first letter most
+    significant: the relative masses of the cells w' . w over one tail w."""
+    masses = np.ones(1)
+    while masses.size < count:
+        masses = np.kron(masses, weights)
+    return masses
+
+
 @dataclass(frozen=True)
 class CellOperator:
-    """Finite matrix between cell-function spaces at stated depths."""
+    """A map V_dom -> V_cod stored as one block per tail word.
+
+    `matrix` has shape (T, r, c) with T r = n^cod_depth and T c =
+    n^dom_depth: block w maps the cells l T + w (l < c) to the cells
+    k T + w (k < r), i.e. the cells that end in the tail w.  C is
+    (n^m, n, 1), C* is (n^m, 1, n), C C* is (n^m, n, n), and a diagonal
+    operator is stored as (n^d, 1, 1).  The inner products are weighted by
+    the product masses of `weights`; within one block they differ only by
+    the letters in front of the tail, so the tail's mass cancels.
+    """
 
     dom_depth: int
     cod_depth: int
-    matrix: object  # scipy sparse or ndarray
-    dom_mass: np.ndarray
-    cod_mass: np.ndarray
-    kind: str = "dense"  # "diagonal" | "branch" | "dense"
+    matrix: np.ndarray
+    weights: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+    def __post_init__(self):
+        tails, rows, cols = self.matrix.shape
+        n = len(self.weights)
+        if (tails * rows, tails * cols) != (n**self.cod_depth, n**self.dom_depth):
+            raise DepthMismatch(f"blocks of shape {self.matrix.shape} do not map "
+                                f"depth {self.dom_depth} to depth {self.cod_depth}")
+
+    def _grouped(self, tails: int) -> np.ndarray:
+        """The same operator as `tails` blocks; `tails` divides the stored count.
+
+        Cell k T + u T' + v, with T' = tails, moves to row k s + u of block v,
+        s = T / T'; the entries are placed, never combined.
+        """
+        count, rows, cols = self.matrix.shape
+        if count == tails:
+            return self.matrix
+        s = count // tails
+        out = np.zeros((tails, rows, s, cols, s), dtype=self.matrix.dtype)
+        u = np.arange(s)
+        out[:, :, u, :, u] = self.matrix.reshape(s, tails, rows, cols)
+        return out.reshape(tails, rows * s, cols * s)
+
+    def _pair(self, other: "CellOperator"):
+        """Both block arrays grouped by the coarser of the two tail counts."""
+        tails = min(len(self.matrix), len(other.matrix))
+        return self._grouped(tails), other._grouped(tails)
 
     def apply(self, f: CellFunction) -> CellFunction:
         if f.depth != self.dom_depth:
             raise DepthMismatch(
                 f"operator domain depth {self.dom_depth}, argument depth {f.depth}")
-        return CellFunction(self.cod_depth, self.matrix @ f.values)
+        tails, _, cols = self.matrix.shape
+        out = np.einsum("wkl,lw->kw", self.matrix, f.values.reshape(cols, tails))
+        return CellFunction(self.cod_depth, out.reshape(-1))
 
     def compose(self, other: "CellOperator") -> "CellOperator":
         """self after other."""
         if other.cod_depth != self.dom_depth:
             raise DepthMismatch("inner depths do not match")
-        kind = "diagonal" if self.kind == other.kind == "diagonal" else "dense"
-        return CellOperator(other.dom_depth, self.cod_depth, self.matrix @ other.matrix,
-                            other.dom_mass, self.cod_mass, kind)
+        outer, inner = self._pair(other)
+        return CellOperator(other.dom_depth, self.cod_depth, outer @ inner, self.weights)
 
     def adjoint(self) -> "CellOperator":
-        """Adjoint for the mass-weighted inner products."""
-        mat = self.matrix.conj().T if sp.issparse(self.matrix) else np.conj(self.matrix).T
-        scaled = sp.diags(1.0 / self.dom_mass) @ mat @ sp.diags(self.cod_mass)
-        return CellOperator(self.cod_depth, self.dom_depth, scaled,
-                            self.cod_mass, self.dom_mass, self.kind)
+        """Adjoint for the mass-weighted inner products: entry (k, l) of a
+        block becomes the conjugate of entry (l, k) times mass(k) / mass(l)."""
+        _, rows, cols = self.matrix.shape
+        scale = (_letter_masses(self.weights, rows)[None, :]
+                 / _letter_masses(self.weights, cols)[:, None])
+        return CellOperator(self.cod_depth, self.dom_depth,
+                            np.conj(self.matrix).transpose(0, 2, 1) * scale, self.weights)
 
     def subtract(self, other: "CellOperator") -> "CellOperator":
         if (self.dom_depth, self.cod_depth) != (other.dom_depth, other.cod_depth):
             raise DepthMismatch("operators act between different spaces")
-        kind = "diagonal" if self.kind == other.kind == "diagonal" else "dense"
-        return CellOperator(self.dom_depth, self.cod_depth, self.matrix - other.matrix,
-                            self.dom_mass, self.cod_mass, kind)
+        left, right = self._pair(other)
+        return CellOperator(self.dom_depth, self.cod_depth, left - right, self.weights)
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
-
-
-def _masses(ifs: IfsSystem, depth: int) -> np.ndarray:
-    return exact_cell_masses(ifs, depth).masses
+        return self._grouped(1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +195,22 @@ def inner_product(f: CellFunction, g: CellFunction, mu: CellMeasure) -> complex:
 # ---------------------------------------------------------------------------
 
 def mult_op(ifs: IfsSystem, a: CellFunction) -> CellOperator:
-    """Multiplication by a cell function: a diagonal matrix."""
-    mass = _masses(ifs, a.depth)
-    return CellOperator(a.depth, a.depth, sp.diags(a.values), mass, mass, "diagonal")
+    """Multiplication by a cell function: one 1 x 1 block per cell."""
+    return CellOperator(a.depth, a.depth, a.values.reshape(-1, 1, 1), ifs.weights)
 
 
 def composition_op(ifs: IfsSystem, depth: int) -> CellOperator:
-    """C: V_m -> V_{m+1}, (C f)(i.w) = f(w); exactly n ones per column."""
+    """C: V_m -> V_{m+1}, (C f)(i.w) = f(w); a column of n ones per tail w."""
     n = ifs.n_branches
     check_depth(n, depth + 1)
-    count = n**depth
-    block = sp.identity(count, format="csr")
-    matrix = sp.vstack([block] * n, format="csr")
-    return CellOperator(depth, depth + 1, matrix,
-                        _masses(ifs, depth), _masses(ifs, depth + 1), "branch")
+    return CellOperator(depth, depth + 1, np.ones((n**depth, n, 1)), ifs.weights)
 
 
 def adjoint_composition_op(ifs: IfsSystem, depth: int) -> CellOperator:
     """C*: V_{m+1} -> V_m, sending the indicator of i.w to p_i times w's."""
     n = ifs.n_branches
     check_depth(n, depth + 1)
-    count = n**depth
-    block = sp.identity(count, format="csr")
-    matrix = sp.hstack([w * block for w in ifs.weights], format="csr")
-    return CellOperator(depth + 1, depth, matrix,
-                        _masses(ifs, depth + 1), _masses(ifs, depth), "branch")
+    return CellOperator(depth + 1, depth, np.tile(ifs.weights, (n**depth, 1, 1)), ifs.weights)
 
 
 def transfer_op(ifs: IfsSystem, depth: int) -> CellOperator:
@@ -190,10 +223,7 @@ def transfer_op(ifs: IfsSystem, depth: int) -> CellOperator:
         raise ValueError("the transfer operator is defined for uniform weights")
     n = ifs.n_branches
     check_depth(n, depth + 1)
-    block = sp.identity(n**depth, format="csr")
-    matrix = sp.hstack([block / n] * n, format="csr")
-    return CellOperator(depth + 1, depth, matrix,
-                        _masses(ifs, depth + 1), _masses(ifs, depth), "branch")
+    return CellOperator(depth + 1, depth, np.full((n**depth, 1, n), 1.0 / n), ifs.weights)
 
 
 def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
@@ -206,71 +236,21 @@ def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
 # Operator norm
 # ---------------------------------------------------------------------------
 
-def operator_norm(op: CellOperator, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value for the mass-weighted norms, by power iteration.
+def operator_norm(op: CellOperator) -> float:
+    """Largest singular value for the mass-weighted norms, exactly.
 
-    The weighted problem is rescaled to a Euclidean one through the
-    square roots of the mass vectors, then T*T is iterated from the
-    normalized all-ones vector (a deterministic ramp replaces it if the
-    start happens to be annihilated).
-
-    Square operators whose stored nonzeros all sit on the diagonal are
-    resolved exactly as max |entry|: multiplication-type residuals have
-    tightly clustered spectra where the iteration plateaus, and for a
-    diagonal the weighted norm is that maximum whatever the masses.
+    The operator is block diagonal over the tails, so its norm is the
+    largest 2-norm of a block rescaled by sqrt(mass(k) / mass(l)).  A
+    diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
+    max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
+    underflow).
     """
-    sq_dom = np.sqrt(op.dom_mass)
-    sq_cod = np.sqrt(op.cod_mass)
-    matrix = op.matrix
-
-    if op.shape[0] == op.shape[1]:
-        if sp.issparse(matrix):
-            coo = matrix.tocoo()
-            live = coo.data != 0.0
-            if not live.any():
-                return 0.0
-            if np.all(coo.row[live] == coo.col[live]):
-                return float(np.abs(coo.data[live]).max())
-        else:
-            dense = np.asarray(matrix)
-            off = dense[~np.eye(dense.shape[0], dtype=bool)]
-            if not np.any(off):
-                return float(np.abs(np.diagonal(dense)).max())
-
-    def forward(v):
-        return sq_cod * (matrix @ (v / sq_dom))
-
-    def backward(u):
-        return (matrix.conj().T @ (u * sq_cod)) / sq_dom if sp.issparse(matrix) \
-            else (np.conj(matrix).T @ (u * sq_cod)) / sq_dom
-
-    dim = op.shape[1]
-    for attempt in range(2):
-        v = np.ones(dim) if attempt == 0 else np.arange(1.0, dim + 1.0)
-        v = v / np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(max_iter):
-            u = forward(v)
-            norm_u = np.linalg.norm(u)
-            if norm_u == 0.0:
-                break
-            w = backward(u / norm_u)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                sigma = norm_u
-                return float(sigma)
-            previous, sigma = sigma, norm_w
-            v = w / norm_w
-            if abs(sigma - previous) <= tol * max(sigma, 1e-300):
-                return float(sigma)
-        else:
-            raise NoConvergence(f"power iteration did not settle in {max_iter} steps")
-        # The all-ones start was annihilated; retry with the ramp unless
-        # the operator is actually zero.
-        data = matrix.data if sp.issparse(matrix) else matrix
-        if data.size == 0 or np.max(np.abs(data)) == 0.0:
-            return 0.0
-    return 0.0
+    _, rows, cols = op.matrix.shape
+    scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]
+                    / _letter_masses(op.weights, cols)[None, :])
+    # a block of one row or one column has one singular value, its length
+    order = 2 if min(rows, cols) > 1 else None
+    return float(np.linalg.norm(op.matrix * scale, ord=order, axis=(1, 2)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -36,5 +36,4 @@ def all_entries():
 
 def dense_gram_adjoint(matrix, dom_mass, cod_mass):
     """Adjoint solved from <T*g, f> = <g, T f> on the weighted spaces."""
-    dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-    return np.diag(1.0 / dom_mass) @ dense.conj().T @ np.diag(cod_mass)
+    return np.diag(1.0 / dom_mass) @ np.asarray(matrix).conj().T @ np.diag(cod_mass)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import dense_gram_adjoint
 from ifslab import bimodule as bi
@@ -12,7 +11,8 @@ from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a
                              verify_theta_reconstruction)
 from ifslab.errors import DepthMismatch
 from ifslab.measure import cell_grid, exact_cell_masses
-from ifslab.operators import CellFunction, CellOperator, operator_norm
+from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
+                              composition_op, mult_op, operator_norm)
 from ifslab.sampling import uniform_doubles, window_symbol, zero_symbol
 
 
@@ -332,8 +332,9 @@ def dense_reconstruction(ifs, symbol, partition, level, trials, seed):
     """Theta and operator residuals from full-length pairs on every cell.
 
     The reference the support-row kernels must reproduce bit for bit: one
-    theta_apply per pair and trial, and the C C* pattern accumulated over
-    all pairs, both summed in pair order.
+    theta_apply per pair and trial, summed in pair order, and the C C*
+    blocks of every tail formed from the full-length pairs with the same
+    sum over pairs as the kernel.
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
@@ -349,18 +350,26 @@ def dense_reconstruction(ifs, symbol, partition, level, trials, seed):
         theta = max(theta, float(np.abs(acc - a_ref.values * zeta.values).max()))
 
     n = ifs.n_branches
-    count = n**level
-    if xis:
-        rows, cols, base = bi._projection_pattern(ifs, level)
-        vals = np.zeros(len(base))
-        for xi, eta in zip(xis, etas):
-            vals += xi.values[rows] * np.conj(eta.values)[cols]
-        matrix = sp.coo_matrix((vals * base, (rows, cols)), shape=(count, count)).tocsr()
-        matrix = matrix - sp.diags(a_ref.values)
-    else:
-        matrix = sp.csr_matrix(-sp.diags(a_ref.values))
-    mass = exact_cell_masses(ifs, level).masses
-    return theta, operator_norm(CellOperator(level, level, matrix, mass, mass, "dense"))
+    count = n ** (level - 1)
+    cells = np.arange(n * count)
+    blocks = np.zeros((count, n, n))
+    for j in range(n):
+        blocks[cells % count, cells // count, j] = np.einsum(
+            "rk,rk->r", xi_cols, eta_cols[j * count + cells % count])
+    reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
+    residual = reconstructed.subtract(mult_op(ifs, a_ref))
+    return theta, operator_norm(residual), residual.to_dense()
+
+
+def dense_operator_residual(ifs, symbol, partition, level):
+    """sum_k M_{xi_k} C C* M_{eta_k}* - M_a as a dense matrix, and its weighted norm."""
+    xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
+    projection = composition_op(ifs, level - 1).compose(
+        adjoint_composition_op(ifs, level - 1)).to_dense()
+    a_ref = bi.reference_symbol(ifs, symbol, level)
+    dense = (xi_cols @ eta_cols.T) * projection - np.diag(a_ref.values)
+    root = np.sqrt(exact_cell_masses(ifs, level).masses)
+    return dense, np.linalg.svd(root[:, None] * dense / root[None, :], compute_uv=False)[0]
 
 
 def straddling_case(ifs):
@@ -395,7 +404,13 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
         np.testing.assert_array_equal(stored_eta, eta_cols)
         theta = verify_theta_reconstruction(ifs, symbol, vectors, 5, seed=7)
         op = verify_operator_reconstruction(ifs, symbol, vectors)
-        assert (theta, op) == dense_reconstruction(ifs, symbol, partition, depth + 1, 5, 7)
+        dense_theta, dense_op, blocks_dense = dense_reconstruction(
+            ifs, symbol, partition, depth + 1, 5, 7)
+        assert (theta, op) == (dense_theta, dense_op)
+        if depth == 2:
+            dense, norm = dense_operator_residual(ifs, symbol, partition, depth + 1)
+            assert np.abs(blocks_dense - dense).max() <= 1e-14
+            assert abs(op - norm) <= 1e-12 * norm
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +428,6 @@ def test_covariant_rep_residuals(tent_square):
 def test_isometry_of_unit_module_element(tent_square):
     # V_1* V_1 = rho(<1,1>_A) = identity
     ifs = tent_square.system
-    from ifslab.operators import adjoint_composition_op, composition_op, mult_op
-
     comp = composition_op(ifs, 2)
     ones = CellFunction(3, np.ones(64))
     v_one = mult_op(ifs, ones).compose(comp)

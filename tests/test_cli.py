@@ -6,7 +6,7 @@ import pytest
 
 from ifslab.cli import main
 from ifslab.ifsfile import export_ifs
-from ifslab import bimodule, catalog, cli, geometry
+from ifslab import bimodule, catalog, cli, geometry, measure, operators
 
 
 def run(args):
@@ -158,14 +158,31 @@ def test_report_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_report_parallel_matches_sequential(tmp_path):
-    args = ["report", "--system", "tent_square", "--depths", "2..3",
-            "--samples", "20000", "--seed", "3"]
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert run(args + ["--out", str(seq)]) == 0
-    assert run(args + ["--out", str(par), "--parallel"]) == 0
-    for name in sorted(os.listdir(seq)):
-        assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+def test_cell_masses_built_for_measure_and_trial_fields_only(tmp_path, monkeypatch):
+    # operators and their norms need only the branch weights; the product
+    # mass vector is built by the measure suite (measure and verify, once
+    # each) and to normalise the trial fields (2 depths x 5 trials)
+    calls = Counter()
+    original = measure.exact_cell_masses
+
+    def counted(*args, **kwargs):
+        calls["exact_cell_masses"] += 1
+        return original(*args, **kwargs)
+
+    for module in (measure, operators, bimodule, cli):
+        if getattr(module, "exact_cell_masses", None) is original:
+            monkeypatch.setattr(module, "exact_cell_masses", counted)
+    assert run(["report", "--system", "tent_square", "--depths", "2..3",
+                "--samples", "20000", "--out", str(tmp_path)]) == 0
+    assert calls == {"exact_cell_masses": 12}
+
+
+@pytest.mark.parametrize("system,seed", [("tent_sigma", 6), ("tent_1d", 22),
+                                         ("sigma_1d", 39), ("tent_square", 70)])
+def test_verify_reaches_verdict_on_round_off_residuals(tmp_path, system, seed):
+    # residuals at round-off level once stalled an iterative norm on these seeds
+    assert run(["verify", "--system", system, "--depths", "2..3", "--seed", str(seed),
+                "--out", str(tmp_path)]) == 0
 
 
 def test_file_system_source(tmp_path):
@@ -189,6 +206,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     code = run(["measure", "--config", str(config), "--out", str(tmp_path / "flagged")])
     assert code == 0
     assert (tmp_path / "flagged" / "measure_exact.csv").exists()
+
+
+@pytest.mark.parametrize("section,key", [("run", "seeds"), ("run", "parallel"),
+                                         ("tolerances", "isometery")])
+def test_config_file_unknown_key_is_config_error(tmp_path, capsys, section, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[{section}]\n{key} = 1\n")
+    assert run(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{key!r} in [{section}]" in err
 
 
 def test_tolerance_override_changes_exit(tmp_path):

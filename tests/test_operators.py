@@ -200,7 +200,7 @@ def test_adjoint_matches_gram_oracle(tent_square):
     ifs = tent_square.system
     comp = composition_op(ifs, 2)
     explicit = adjoint_composition_op(ifs, 2)
-    gram = dense_gram_adjoint(comp.matrix, exact_cell_masses(ifs, 2).masses,
+    gram = dense_gram_adjoint(comp.to_dense(), exact_cell_masses(ifs, 2).masses,
                               exact_cell_masses(ifs, 3).masses)
     assert np.abs(explicit.to_dense() - gram).max() <= 1e-14
 
@@ -225,9 +225,9 @@ def test_transfer_fixes_constants(tent_square):
 
 
 def test_transfer_equals_adjoint_for_uniform_weights(tent_sigma):
-    diff = (transfer_op(tent_sigma.system, 2).matrix
-            - adjoint_composition_op(tent_sigma.system, 2).matrix)
-    assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-14
+    diff = (transfer_op(tent_sigma.system, 2).to_dense()
+            - adjoint_composition_op(tent_sigma.system, 2).to_dense())
+    assert np.abs(diff).max() <= 1e-14
 
 
 def test_transfer_requires_uniform_weights(tent_1d):
@@ -309,33 +309,66 @@ def test_norm_diagonal(tent_square):
     assert operator_norm(diag) == 3.0
 
 
-def test_norm_against_svd_oracle():
-    # dense random operator with nonuniform masses vs a direct weighted SVD
+def weighted_svd_norm(ifs, op):
+    """Largest singular value of the dense matrix for the mass-weighted norms."""
+    cod = np.sqrt(exact_cell_masses(ifs, op.cod_depth).masses)
+    dom = np.sqrt(exact_cell_masses(ifs, op.dom_depth).masses)
+    return np.linalg.svd(cod[:, None] * op.to_dense() / dom[None, :], compute_uv=False)[0]
+
+
+def skewed(entry):
+    """The entry's system with the non-uniform weights 0.1, 0.2, 0.3, 0.4."""
+    from ifslab.geometry import IfsSystem
+
+    return IfsSystem(entry.system.box, entry.system.branches, weights=[0.1, 0.2, 0.3, 0.4])
+
+
+def test_norm_against_svd_oracle(tent_square):
+    # block operators with non-uniform weights vs a dense weighted SVD
+    ifs = skewed(tent_square)
     rng = np.random.default_rng(14)
-    matrix = rng.normal(size=(6, 5))
-    dom_mass = rng.uniform(0.5, 2.0, size=5)
-    cod_mass = rng.uniform(0.5, 2.0, size=6)
-    dom_mass /= dom_mass.sum()
-    cod_mass /= cod_mass.sum()
-    operator = CellOperator(0, 0, matrix, dom_mass, cod_mass)
-    scaled = np.diag(np.sqrt(cod_mass)) @ matrix @ np.diag(1.0 / np.sqrt(dom_mass))
-    expected = np.linalg.svd(scaled, compute_uv=False)[0]
-    assert abs(operator_norm(operator) - expected) <= 1e-9 * expected
+    comp, comp_star = composition_op(ifs, 2), adjoint_composition_op(ifs, 2)
+    a = CellFunction(3, rng.normal(size=64))
+    blocks = rng.normal(size=(16, 4, 4)) + 1j * rng.normal(size=(16, 4, 4))
+    cases = [comp, comp_star, comp.compose(comp_star), mult_op(ifs, a),
+             CellOperator(3, 3, blocks, ifs.weights)]
+    for operator in cases:
+        expected = weighted_svd_norm(ifs, operator)
+        assert abs(operator_norm(operator) - expected) <= 1e-12 * expected
+
+
+def test_block_algebra_matches_dense(tent_square):
+    # compose, subtract, adjoint and apply on operators stored with different
+    # tail groupings agree with the dense matrices they stand for
+    ifs = skewed(tent_square)
+    rng = np.random.default_rng(16)
+    comp = composition_op(ifs, 2)
+    diag = mult_op(ifs, CellFunction(2, rng.normal(size=16)))
+    square = CellOperator(3, 3, rng.normal(size=(16, 4, 4)), ifs.weights)
+    after = comp.compose(diag)  # (4^2, 4, 1) after (4^2, 1, 1)
+    np.testing.assert_allclose(after.to_dense(), comp.to_dense() @ diag.to_dense(),
+                               rtol=1e-15, atol=0)
+    after = square.compose(comp).compose(diag)
+    np.testing.assert_allclose(
+        after.to_dense(), square.to_dense() @ comp.to_dense() @ diag.to_dense(),
+        rtol=1e-13, atol=1e-15)
+    values = rng.normal(size=64)
+    diff = square.subtract(mult_op(ifs, CellFunction(3, values)))
+    np.testing.assert_array_equal(diff.to_dense(), square.to_dense() - np.diag(values))
+    mass2, mass3 = exact_cell_masses(ifs, 2).masses, exact_cell_masses(ifs, 3).masses
+    adjoint = after.adjoint().to_dense()
+    np.testing.assert_allclose(adjoint, dense_gram_adjoint(after.to_dense(), mass2, mass3),
+                               rtol=1e-13, atol=1e-15)
+    f = CellFunction(2, rng.normal(size=16))
+    np.testing.assert_allclose(after.apply(f).values, after.to_dense() @ f.values,
+                               rtol=1e-13, atol=1e-15)
+    with pytest.raises(DepthMismatch):
+        CellOperator(2, 3, np.ones((16, 4, 4)), ifs.weights)
 
 
 def test_norm_zero_operator(tent_square):
     zero = mult_op(tent_square.system, CellFunction(2, np.zeros(16)))
     assert operator_norm(zero) == 0.0
-
-
-def test_norm_no_convergence():
-    from ifslab.errors import NoConvergence
-
-    rng = np.random.default_rng(15)
-    matrix = rng.normal(size=(8, 8))
-    mass = np.full(8, 1.0 / 8.0)
-    with pytest.raises(NoConvergence):
-        operator_norm(CellOperator(0, 0, matrix, mass, mass), tol=0.0, max_iter=2)
 
 
 def test_pullback_tiles_values(tent_square):
