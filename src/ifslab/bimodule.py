@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverFailure, DepthMismatch
-from .geometry import (AffinePiece, IfsSystem, boxes_overlap_openly, box_intersection,
-                       branch_index_set, branch_value_set)
+from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
+                       boxes_overlap_openly, branch_membership, branch_value_set)
 from .measure import cell_grid, exact_cell_masses
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
                         composition_op, inner_product, mult_op, operator_norm,
@@ -125,63 +125,10 @@ def theta_matrix(ifs: IfsSystem, xi: CellFunction, eta: CellFunction) -> CellOpe
 # Admissible symbols and bump partitions
 # ---------------------------------------------------------------------------
 
-def _box_to_segment_distance(box: np.ndarray, endpoints: np.ndarray) -> float:
-    """Exact distance from a closed box to a segment.
-
-    dist^2(box, p + s v) is piecewise quadratic and convex in s; minimize
-    on each interval between the axis-crossing breakpoints.
-    """
-    a, b = np.asarray(endpoints, dtype=float)
-    v = b - a
-    lo, hi = box[:, 0], box[:, 1]
-
-    def clamp_gap(point):
-        return np.maximum(np.maximum(lo - point, point - hi), 0.0)
-
-    breaks = {0.0, 1.0}
-    for axis in range(box.shape[0]):
-        if v[axis] != 0.0:
-            for bound in (lo[axis], hi[axis]):
-                s = (bound - a[axis]) / v[axis]
-                if 0.0 < s < 1.0:
-                    breaks.add(float(s))
-    knots = sorted(breaks)
-    best = np.inf
-    for left, right in zip(knots[:-1], knots[1:]):
-        # On (left, right) the active gap terms are fixed linear forms
-        # alpha + beta s; the quadratic vertex is -B / 2A.
-        mid = 0.5 * (left + right)
-        point = a + mid * v
-        low_side = point < lo
-        high_side = point > hi
-        beta = np.where(low_side, -v, np.where(high_side, v, 0.0))
-        alpha = np.where(low_side, lo - a, np.where(high_side, a - hi, 0.0))
-        quad_a = float(beta @ beta)
-        quad_b = 2.0 * float(alpha @ beta)
-        candidates = [left, right]
-        if quad_a > 0.0:
-            candidates.append(min(max(-quad_b / (2.0 * quad_a), left), right))
-        for s in candidates:
-            gap = clamp_gap(a + s * v)
-            best = min(best, float(gap @ gap))
-    return float(np.sqrt(best))
-
-
-def _box_to_piece_distance(box: np.ndarray, piece: AffinePiece) -> float:
-    if piece.dimension == 0:
-        gap = np.maximum(np.maximum(box[:, 0] - piece.point, piece.point - box[:, 1]), 0.0)
-        return float(np.linalg.norm(gap))
-    if piece.dimension == 1:
-        return _box_to_segment_distance(box, piece.endpoints)
-    raise ValueError("bump partitions support value sets of dimension <= 1")
-
-
 def support_distance_to_value_set(ifs: IfsSystem, support_box: np.ndarray) -> float:
-    pieces = branch_value_set(ifs)
-    if not pieces:
-        return np.inf
-    return min(_box_to_piece_distance(np.asarray(support_box, dtype=float), piece)
-               for piece in pieces)
+    """Exact distance from the closed support box to the two-branch value set."""
+    boxes = np.asarray(support_box, dtype=float)[None]
+    return float(box_distances_to_pieces(boxes, branch_value_set(ifs))[0])
 
 
 @dataclass(frozen=True)
@@ -269,44 +216,70 @@ class BumpPartition:
         return np.flatnonzero(near)
 
 
-def _rectangle_conditions_ok(ifs: IfsSystem, node: np.ndarray, pitch: float,
-                             value_pieces: list[AffinePiece], clearance: float):
-    """Check conditions (1)-(3) for the open rect (node-h, node+h)^d.
+# Lattice nodes tested per array pass.  The search stops at the first block
+# holding a failure, so an early failure stays cheap and memory stays
+# bounded at fine pitches.
+_NODE_BLOCK = 2048
 
-    Returns None when all pass, otherwise the name of the failed
-    condition.  Box images are exact for axis-aligned branches; for
-    general affine branches the vertex hulls overestimate the sets, so a
-    failure here can only be conservative, never a false pass.
+
+def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
+                            value_pieces: list[AffinePiece], clearance: float):
+    """(index, condition) of the first node whose rectangle fails, or None.
+
+    Tests conditions (1)-(3) for the open rectangles (node-h, node+h)^d
+    clipped to the box, and names the first failed condition of that node:
+    value-set clearance, then branches i = 1..n in order.  A node whose
+    rectangle misses the box passes.  Box images are exact for
+    axis-aligned branches; for general affine branches the vertex hulls
+    overestimate the sets, so a failure here can only be conservative,
+    never a false pass.
     """
-    rect = np.stack([node - pitch, node + pitch], axis=1)
-    clipped = box_intersection(rect, ifs.box.intervals)
-    if clipped is None:
+    box = ifs.box.intervals
+    lo = np.maximum(nodes - pitch, box[:, 0])
+    hi = np.minimum(nodes + pitch, box[:, 1])
+    live = np.flatnonzero(np.all(lo <= hi, axis=1))
+    clipped = np.stack([lo[live], hi[live]], axis=2)
+    members = branch_membership(ifs, nodes[live])
+    corners = box_corners(clipped)
+
+    # row 0: clearance; row i: branch i (branch-return for members, else foreign-branch)
+    fails = np.zeros((1 + ifs.n_branches, len(live)), dtype=bool)
+    fails[0] = box_distances_to_pieces(clipped, value_pieces) < clearance
+    for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
+        own = members[:, i - 1]
+        fails[i] = ~own & boxes_overlap_openly(clipped, image)
+        own_corners = corners[own]
+        pre = gamma.inverse(own_corners.reshape(-1, ifs.dimension)).reshape(own_corners.shape)
+        pre_lo = np.maximum(pre.min(axis=1), box[:, 0])
+        pre_hi = np.minimum(pre.max(axis=1), box[:, 1])
+        pre_box = np.stack([pre_lo, pre_hi], axis=2)
+        returns = np.zeros(len(pre_box), dtype=bool)
+        for j, gamma_j in enumerate(ifs.branches, start=1):
+            if j != i:
+                returns |= boxes_overlap_openly(gamma_j.image_box(pre_box), clipped[own])
+        fails[i, own] = returns & np.all(pre_lo <= pre_hi, axis=1)
+
+    hits = np.flatnonzero(fails.any(axis=0))
+    if len(hits) == 0:
         return None
+    k = hits[0]
+    first = int(np.argmax(fails[:, k]))
+    if first == 0:
+        condition = "value-set-clearance"
+    else:
+        condition = "branch-return" if members[k, first - 1] else "foreign-branch"
+    return int(live[k]), condition
 
-    for piece in value_pieces:
-        if _box_to_piece_distance(clipped, piece) < clearance:
-            return "value-set-clearance"
 
-    members = branch_index_set(ifs, node)
-    image_boxes = ifs.image_boxes()
-    for i in range(1, ifs.n_branches + 1):
-        if i in members:
-            gamma = ifs.branches[i - 1]
-            corners = np.array(np.meshgrid(*clipped, indexing="ij")).reshape(ifs.dimension, -1).T
-            pre = gamma.inverse(corners)
-            pre_box = np.stack([pre.min(axis=0), pre.max(axis=0)], axis=1)
-            pre_box = box_intersection(pre_box, ifs.box.intervals)
-            if pre_box is None:
-                continue
-            for j, gamma_j in enumerate(ifs.branches, start=1):
-                if j == i:
-                    continue
-                img = gamma_j.image_box(pre_box)
-                if boxes_overlap_openly(img, clipped):
-                    return "branch-return"
-        else:
-            if boxes_overlap_openly(clipped, image_boxes[i - 1]):
-                return "foreign-branch"
+def _first_failure(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
+                   value_pieces: list[AffinePiece], clearance: float):
+    """(node, condition) of the first failing node in lattice order, or None."""
+    for start in range(0, len(nodes), _NODE_BLOCK):
+        found = _first_failure_in_block(ifs, nodes[start:start + _NODE_BLOCK], pitch,
+                                        value_pieces, clearance)
+        if found is not None:
+            index, condition = found
+            return nodes[start + index], condition
     return None
 
 
@@ -317,6 +290,11 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
     Starts from the largest dyadic pitch compatible with the box and
     halves it until every tent rectangle passes the exact interval tests;
     underflow of `min_pitch` raises CoverFailure with the obstruction.
+    At each pitch the nodes are tested as arrays, `_NODE_BLOCK` nodes at a
+    time in lattice order, and the search stops at the first block that
+    holds a failure.  The obstruction is the first failing node in lattice
+    order, with its first failed condition: value-set clearance, then
+    branch-return or foreign-branch for branches 1..n.
     """
     support = symbol.support_box
     if support is None:
@@ -339,12 +317,7 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
             ranges.append(np.arange(first, last + 1))
         mesh = np.meshgrid(*ranges, indexing="ij")
         nodes = lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
-        failed = None
-        for node in nodes:
-            verdict = _rectangle_conditions_ok(ifs, node, pitch, value_pieces, clearance)
-            if verdict is not None:
-                failed = (node, verdict)
-                break
+        failed = _first_failure(ifs, nodes, pitch, value_pieces, clearance)
         if failed is None:
             return BumpPartition(nodes, float(pitch), clearance)
         last_obstruction = failed

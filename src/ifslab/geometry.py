@@ -70,18 +70,32 @@ class AmbientBox:
         points = np.atleast_2d(points)
         return np.all((points >= self.lo - tol) & (points <= self.hi + tol), axis=1)
 
-    def grid(self, resolution: int) -> np.ndarray:
-        """Inclusive lattice with `resolution` subdivisions per axis."""
+    def grid_axes(self, resolution: int) -> list[np.ndarray]:
+        """The coordinates of the lattice `grid(resolution)` along each axis."""
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
-        axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        return [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
+
+    def grid(self, resolution: int) -> np.ndarray:
+        """Inclusive lattice with `resolution` subdivisions per axis."""
+        mesh = np.meshgrid(*self.grid_axes(resolution), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def boxes_overlap_openly(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff the open interiors of boxes a, b (shape (d,2)) intersect."""
-    return bool(np.all(np.maximum(a[:, 0], b[:, 0]) < np.minimum(a[:, 1], b[:, 1])))
+def boxes_overlap_openly(a: np.ndarray, b: np.ndarray):
+    """True iff the open interiors of boxes a, b (shape (d,2)) intersect.
+
+    Stacks of boxes (..., d, 2) broadcast and give one flag per box.
+    """
+    return np.all(np.maximum(a[..., 0], b[..., 0]) < np.minimum(a[..., 1], b[..., 1]),
+                  axis=-1)
+
+
+def box_corners(boxes: np.ndarray) -> np.ndarray:
+    """(..., 2^d, d) vertices of the boxes (..., d, 2), in `product` order."""
+    d = boxes.shape[-2]
+    pick = np.array(list(product((0, 1), repeat=d)))  # (2^d, d)
+    return boxes[..., np.arange(d), pick]
 
 
 def box_intersection(a: np.ndarray, b: np.ndarray):
@@ -158,11 +172,14 @@ class AffineContraction:
         return bool(np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1))
 
     def image_box(self, box: np.ndarray) -> np.ndarray:
-        """Exact box image for axis-aligned maps, vertex bounding box otherwise."""
-        box = np.asarray(box, dtype=float)
-        corners = np.array(list(product(*box)), dtype=float)
-        images = self(corners)
-        return np.stack([images.min(axis=0), images.max(axis=0)], axis=1)
+        """Exact box image for axis-aligned maps, vertex bounding box otherwise.
+
+        A stack of boxes (..., d, 2) maps box by box, all vertices in one
+        product with the linear part.
+        """
+        corners = box_corners(np.asarray(box, dtype=float))
+        images = self(corners.reshape(-1, self.dimension)).reshape(corners.shape)
+        return np.stack([images.min(axis=-2), images.max(axis=-2)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +256,25 @@ class IfsSystem:
         return out[0] if squeeze else out
 
 
+def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """(len(points), n) flags: column i - 1 says whether the point lies in g_i(K).
+
+    Decided through the inverse map, one linear solve per point: a solve
+    with one right-hand side rounds differently from a solve with many, so
+    each flag is the one `branch_index_set` gives for that point alone.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    flags = np.empty((len(points), ifs.n_branches), dtype=bool)
+    for i, gamma in enumerate(ifs.branches):
+        pre = np.linalg.solve(gamma.linear, (points - gamma.translation)[:, :, None])[:, :, 0]
+        flags[:, i] = ifs.box.contains(pre, tol=tol)
+    return flags
+
+
 def branch_index_set(ifs: IfsSystem, x: np.ndarray, tol: float = 1e-12) -> frozenset[int]:
     """I(x): 1-based indices i with x in g_i(K), decided via the inverse map."""
-    x = np.asarray(x, dtype=float)
-    hits = []
-    for i, gamma in enumerate(ifs.branches, start=1):
-        pre = gamma.inverse(x)
-        if bool(ifs.box.contains(pre, tol=tol)[0]):
-            hits.append(i)
-    return frozenset(hits)
+    hits = branch_membership(ifs, x, tol)[0]
+    return frozenset(int(i) + 1 for i in np.flatnonzero(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +293,36 @@ def verify_inverse_branches(ifs: IfsSystem, grid_resolution: int = 64) -> float:
     return worst
 
 
+def _lattice_distances(axes: list[np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest node of the product lattice of `axes`.
+
+    The nearest node is the nearest coordinate on every axis.  The squared
+    gaps are added in axis order and the root taken last, the sum that
+    cKDTree forms, so the distances agree with its query bit for bit.
+    """
+    total = np.zeros(len(points))
+    for a, coords in enumerate(axes):
+        x = points[:, a]
+        right = np.clip(np.searchsorted(coords, x), 1, len(coords) - 1)
+        gap = np.minimum(np.abs(x - coords[right - 1]), np.abs(x - coords[right]))
+        total = total + gap * gap
+    return np.sqrt(total)
+
+
 def self_similarity_defect(ifs: IfsSystem, grid_resolution: int = 128) -> float:
-    """Symmetric Hausdorff distance between grids of K and of U_i g_i(K)."""
+    """Symmetric Hausdorff distance between grids of K and of U_i g_i(K).
+
+    The grid of K is a product of `linspace` axes, so the distance from an
+    image point to it is a nearest-lattice search per axis, done one branch
+    image at a time.  The images of non-axis-aligned branches form no
+    product grid, so the distance from the grid to them uses a cKDTree.
+    """
+    axes = ifs.box.grid_axes(grid_resolution)
     grid = ifs.box.grid(grid_resolution)
     images = np.vstack([gamma(grid) for gamma in ifs.branches])
     d_box_to_images = cKDTree(images).query(grid)[0].max()
-    d_images_to_box = cKDTree(grid).query(images)[0].max()
+    d_images_to_box = max(_lattice_distances(axes, part).max()
+                          for part in np.split(images, ifs.n_branches))
     return float(max(d_box_to_images, d_images_to_box))
 
 
@@ -542,6 +593,80 @@ def _overlap_witness(ifs: IfsSystem, candidate: np.ndarray, i: int, j: int) -> n
         if strict.any():
             return images[strict][0]
     return None
+
+
+# ---------------------------------------------------------------------------
+# Distances from boxes to points and segments
+# ---------------------------------------------------------------------------
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[k] @ y[k] for every leading index k.
+
+    Each product goes through the BLAS dot that `x[k] @ y[k]` calls, which
+    may fuse multiply and add; a sum of elementwise products rounds
+    differently.
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _clamp_gaps(lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per-axis gap from each point to the box [lo, hi]; zero inside it."""
+    return np.maximum(np.maximum(lo - points, points - hi), 0.0)
+
+
+def _box_segment_distances(boxes: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
+    """Exact distance from each closed box (N, d, 2) to the segment [a, b].
+
+    dist^2(box, a + s v) is piecewise quadratic and convex in s.  The knots
+    are 0, 1 and the crossings of the box faces inside (0, 1); on each
+    interval between sorted knots the active gap terms are fixed linear
+    forms alpha + beta s, and the minimum is at an end or at the clamped
+    vertex -B / 2A.  A face crossing outside (0, 1), or on an axis with
+    v[axis] == 0, is replaced by the knot 0; the repeated knot only adds
+    intervals of zero width, whose candidates are knots already present.
+    """
+    a, b = np.asarray(endpoints, dtype=float)
+    v = b - a
+    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = ((boxes - a[:, None]) / v[:, None]).reshape(len(boxes), 2 * len(v))
+    crossings = np.where((crossings > 0.0) & (crossings < 1.0), crossings, 0.0)
+    ends = np.zeros((len(boxes), 2))
+    ends[:, 1] = 1.0
+    knots = np.sort(np.concatenate([ends, crossings], axis=1), axis=1)
+    left, right = knots[:, :-1], knots[:, 1:]
+    midpoints = a + (0.5 * (left + right))[:, :, None] * v
+    low_side = midpoints < lo[:, None, :]
+    high_side = midpoints > hi[:, None, :]
+    beta = np.where(low_side, -v, np.where(high_side, v, 0.0))
+    alpha = np.where(low_side, lo[:, None, :] - a, np.where(high_side, a - hi[:, None, :], 0.0))
+    quad_a = _rowdot(beta, beta)
+    quad_b = 2.0 * _rowdot(alpha, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.minimum(np.maximum(-quad_b / (2.0 * quad_a), left), right)
+    vertex = np.where(quad_a > 0.0, vertex, left)
+    s = np.concatenate([left, right, vertex], axis=1)
+    gaps = _clamp_gaps(lo[:, None, :], hi[:, None, :], a + s[:, :, None] * v)
+    return np.sqrt(_rowdot(gaps, gaps).min(axis=1))
+
+
+def box_distances_to_pieces(boxes: np.ndarray, pieces: list[AffinePiece]) -> np.ndarray:
+    """Exact distance from each closed box (N, d, 2) to the union of the pieces.
+
+    Pieces are points or segments; inf when there are none.
+    """
+    boxes = np.asarray(boxes, dtype=float)
+    best = np.full(len(boxes), np.inf)
+    for piece in pieces:
+        if piece.dimension == 0:
+            gaps = _clamp_gaps(boxes[:, :, 0], boxes[:, :, 1], piece.point)
+            distance = np.sqrt(_rowdot(gaps, gaps))
+        elif piece.dimension == 1:
+            distance = _box_segment_distances(boxes, piece.endpoints)
+        else:
+            raise ValueError("bump partitions support value sets of dimension <= 1")
+        best = np.minimum(best, distance)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,90 @@ def all_entries():
 def dense_gram_adjoint(matrix, dom_mass, cod_mass):
     """Adjoint solved from <T*g, f> = <g, T f> on the weighted spaces."""
     return np.diag(1.0 / dom_mass) @ np.asarray(matrix).conj().T @ np.diag(cod_mass)
+
+
+def reference_box_segment_distance(box, endpoints):
+    """Distance from one closed box (d, 2) to a segment, one interval at a time.
+
+    dist^2(box, a + s v) is piecewise quadratic and convex in s; each
+    interval between the distinct sorted face crossings is minimized at
+    its ends and its clamped vertex.
+    """
+    a, b = np.asarray(endpoints, dtype=float)
+    v = b - a
+    lo, hi = box[:, 0], box[:, 1]
+
+    def clamp_gap(point):
+        return np.maximum(np.maximum(lo - point, point - hi), 0.0)
+
+    breaks = {0.0, 1.0}
+    for axis in range(box.shape[0]):
+        if v[axis] != 0.0:
+            for bound in (lo[axis], hi[axis]):
+                s = (bound - a[axis]) / v[axis]
+                if 0.0 < s < 1.0:
+                    breaks.add(float(s))
+    knots = sorted(breaks)
+    best = np.inf
+    for left, right in zip(knots[:-1], knots[1:]):
+        mid = 0.5 * (left + right)
+        point = a + mid * v
+        low_side = point < lo
+        high_side = point > hi
+        beta = np.where(low_side, -v, np.where(high_side, v, 0.0))
+        alpha = np.where(low_side, lo - a, np.where(high_side, a - hi, 0.0))
+        quad_a = float(beta @ beta)
+        quad_b = 2.0 * float(alpha @ beta)
+        candidates = [left, right]
+        if quad_a > 0.0:
+            candidates.append(min(max(-quad_b / (2.0 * quad_a), left), right))
+        for s in candidates:
+            gap = clamp_gap(a + s * v)
+            best = min(best, float(gap @ gap))
+    return float(np.sqrt(best))
+
+
+def reference_box_piece_distance(box, piece):
+    """Distance from one closed box (d, 2) to a point or segment piece."""
+    if piece.dimension == 0:
+        gap = np.maximum(np.maximum(box[:, 0] - piece.point, piece.point - box[:, 1]), 0.0)
+        return float(np.linalg.norm(gap))
+    if piece.dimension == 1:
+        return reference_box_segment_distance(box, piece.endpoints)
+    raise ValueError("bump partitions support value sets of dimension <= 1")
+
+
+def random_ifs(rng, kind):
+    """A seeded affine IFS on the unit box: kind "1d", "2d-diagonal",
+    "2d-rotated" or "3d".  Half of the axis-aligned draws tile the box
+    (each axis cut in two, each piece the flipped or unflipped image of
+    the box); the rest place 2-3 random contractions anywhere in it."""
+    from itertools import product
+
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    d = {"1d": 1, "2d-diagonal": 2, "2d-rotated": 2, "3d": 3}[kind]
+    box = AmbientBox(np.array([[0.0, 1.0]] * d))
+    branches = []
+    if kind != "2d-rotated" and rng.random() < 0.5:
+        cuts = rng.choice([0.5, 1 / 3, 0.4], d)
+        for halves in product((0, 1), repeat=d):
+            low = np.where(halves, cuts, 0.0)
+            size = np.where(halves, 1.0 - cuts, cuts)
+            flip = rng.random(d) < 0.5
+            branches.append(AffineContraction(np.diag(np.where(flip, -size, size)),
+                                              np.where(flip, low + size, low)))
+    else:
+        for _ in range(int(rng.integers(2, 4))):
+            if kind == "2d-rotated":
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                turn = np.array([[np.cos(angle), -np.sin(angle)],
+                                 [np.sin(angle), np.cos(angle)]])
+                linear = rng.uniform(0.2, 0.45) * turn
+            else:
+                linear = np.diag(rng.uniform(0.2, 0.6, d) * rng.choice([-1.0, 1.0], d))
+            images = np.array(list(product((0.0, 1.0), repeat=d))) @ linear.T
+            low, high = images.min(axis=0), images.max(axis=0)
+            shift = -low + rng.uniform(0.0, 1.0, d) * (1.0 - (high - low))
+            branches.append(AffineContraction(linear, shift))
+    return IfsSystem(box, branches, name=kind)

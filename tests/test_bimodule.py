@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from conftest import dense_gram_adjoint
+from conftest import dense_gram_adjoint, random_ifs, reference_box_piece_distance
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
                              admissible_symbol, bimodule_action, build_bump_partition,
@@ -9,7 +11,8 @@ from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a
                              covariant_rep_check, reconstruction_vectors, theta_apply,
                              theta_matrix, verify_operator_reconstruction,
                              verify_theta_reconstruction)
-from ifslab.errors import DepthMismatch
+from ifslab.errors import CoverFailure, DepthMismatch
+from ifslab.geometry import box_intersection, branch_value_set
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, mult_op, operator_norm)
@@ -215,6 +218,145 @@ def test_cover_failure_reports_obstruction(tent_square):
     with pytest.raises(CoverFailure) as excinfo:
         build_bump_partition(tent_square.system, symbol, min_pitch=0.2)
     assert excinfo.value.obstruction is not None
+
+
+def reference_image_box(gamma, box):
+    """Bounding box of the images of the vertices of one box."""
+    images = gamma(np.array(list(product(*box))))
+    return np.stack([images.min(axis=0), images.max(axis=0)], axis=1)
+
+
+def overlap_openly(a, b):
+    return bool(np.all(np.maximum(a[:, 0], b[:, 0]) < np.minimum(a[:, 1], b[:, 1])))
+
+
+def reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance):
+    """Conditions (1)-(3) for the rectangle of one node: None or the failed name."""
+    rect = np.stack([node - pitch, node + pitch], axis=1)
+    clipped = box_intersection(rect, ifs.box.intervals)
+    if clipped is None:
+        return None
+    for piece in value_pieces:
+        if reference_box_piece_distance(clipped, piece) < clearance:
+            return "value-set-clearance"
+    members = {i for i, gamma in enumerate(ifs.branches, start=1)
+               if ifs.box.contains(gamma.inverse(node), tol=1e-12)[0]}
+    image_boxes = [reference_image_box(gamma, ifs.box.intervals) for gamma in ifs.branches]
+    for i in range(1, ifs.n_branches + 1):
+        if i in members:
+            gamma = ifs.branches[i - 1]
+            corners = np.array(np.meshgrid(*clipped, indexing="ij")).reshape(ifs.dimension, -1).T
+            pre = gamma.inverse(corners)
+            pre_box = np.stack([pre.min(axis=0), pre.max(axis=0)], axis=1)
+            pre_box = box_intersection(pre_box, ifs.box.intervals)
+            if pre_box is None:
+                continue
+            for j, gamma_j in enumerate(ifs.branches, start=1):
+                if j != i and overlap_openly(reference_image_box(gamma_j, pre_box), clipped):
+                    return "branch-return"
+        elif overlap_openly(clipped, image_boxes[i - 1]):
+            return "foreign-branch"
+    return None
+
+
+def reference_partition(ifs, symbol, min_pitch=2.0**-12, failures=None):
+    """The node-by-node bump partition search: (nodes, pitch, margin), or
+    raises as `build_bump_partition` must.  Appends the lattice index of
+    each pitch's first failing node to `failures`."""
+    support = np.asarray(symbol.support_box, dtype=float)
+    value_pieces = branch_value_set(ifs)
+    gaps = [reference_box_piece_distance(support, piece) for piece in value_pieces]
+    if gaps and min(gaps) < symbol.delta:
+        raise ValueError("symbol support is closer than delta to the value set")
+    clearance = symbol.delta / 2.0
+    lo = ifs.box.lo
+    pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+    last = None
+    while pitch >= min_pitch:
+        ranges = []
+        for a in range(ifs.dimension):
+            first = int(np.floor((support[a, 0] - pitch - lo[a]) / pitch)) + 1
+            final = int(np.ceil((support[a, 1] + pitch - lo[a]) / pitch)) - 1
+            ranges.append(np.arange(first, final + 1))
+        mesh = np.meshgrid(*ranges, indexing="ij")
+        nodes = lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
+        failed = None
+        for index, node in enumerate(nodes):
+            condition = reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance)
+            if condition is not None:
+                failed = (node, condition)
+                if failures is not None:
+                    failures.append(index)
+                break
+        if failed is None:
+            return BumpPartition(nodes, float(pitch), clearance)
+        last = failed
+        pitch /= 2.0
+    if last is None:
+        raise CoverFailure(f"min_pitch {min_pitch} exceeds the starting pitch")
+    node, condition = last
+    raise CoverFailure(
+        f"no admissible rectangle pitch above {min_pitch} (condition {condition} at {node})",
+        obstruction=node, condition=condition)
+
+
+def partition_outcome(build, *args):
+    """("partition", nodes, pitch, margin) or (exception type, text)."""
+    try:
+        result = build(*args)
+    except (ValueError, CoverFailure) as exc:
+        return type(exc), str(exc)
+    return "partition", result.nodes.tolist(), result.pitch, result.margin
+
+
+def oracle_cases():
+    """(label, ifs, symbol, min_pitch): the declared catalog supports and
+    seeded random supports on random 1-D, 2-D and 3-D systems."""
+    from ifslab import catalog
+
+    cases = []
+    for entry in catalog.catalog():
+        if entry.expected.admissible_support is not None:
+            symbol = admissible_symbol(entry.system, entry.expected.admissible_support, 0.05)
+            cases.append((entry.name, entry.system, symbol, 2.0**-12))
+    square = catalog.get("tent_square")
+    cases.append(("tent_square min_pitch 0.2", square.system, cases[0][2], 0.2))
+    # the node-by-node search visits up to (support / pitch)^d nodes per pitch
+    min_pitch = {1: 2.0**-10, 2: 2.0**-7, 3: 2.0**-5}
+    rng = np.random.default_rng(2024)
+    for draw in range(25):
+        for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
+            ifs = random_ifs(rng, kind)
+            for delta in (0.01, 0.05):
+                center = rng.uniform(0.0, 1.0, ifs.dimension)
+                half = rng.uniform(0.03, 0.15, ifs.dimension)
+                support = np.stack([np.maximum(center - half, 0.0),
+                                    np.minimum(center + half, 1.0)], axis=1)
+                symbol = AdmissibleSymbol(window_symbol(support), delta)
+                cases.append((f"{kind} draw {draw} delta {delta}", ifs, symbol,
+                              min_pitch[ifs.dimension]))
+    return cases
+
+
+def test_batched_partition_matches_node_by_node_search():
+    tally = {}
+    for label, ifs, symbol, min_pitch in oracle_cases():
+        batched = partition_outcome(build_bump_partition, ifs, symbol, min_pitch)
+        reference = partition_outcome(reference_partition, ifs, symbol, min_pitch)
+        assert batched == reference, label
+        tally[batched[0]] = tally.get(batched[0], 0) + 1
+    # the cases reach all three outcomes
+    assert set(tally) == {"partition", CoverFailure, ValueError}, tally
+
+
+def test_partition_failure_past_the_first_node_block(monkeypatch):
+    # with blocks of 4 nodes, the first failure at some pitch sits in a later block
+    monkeypatch.setattr(bi, "_NODE_BLOCK", 4)
+    failures = []
+    for label, ifs, symbol, min_pitch in oracle_cases()[:40]:
+        reference = partition_outcome(reference_partition, ifs, symbol, min_pitch, failures)
+        assert partition_outcome(build_bump_partition, ifs, symbol, min_pitch) == reference, label
+    assert max(failures) >= 4
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):

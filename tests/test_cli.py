@@ -146,6 +146,21 @@ def test_operator_suite_runs_once(tmp_path, monkeypatch, uniform):
             (tmp_path / "report" / name).read_bytes(), name
 
 
+def test_transfer_equality_fails_off_uniform_weights():
+    # weights within 1e-12 of 1/2 count as uniform, but C* is built from
+    # them and L from 1/n, so C* - L is about 4e-13: above the 1e-14 bound
+    tent = catalog.get("tent_1d").system
+    ifs = geometry.IfsSystem(tent.box, tent.branches, weights=[0.5 + 4e-13, 0.5 - 4e-13])
+    assert ifs.is_hutchinson()
+    for depth in (2, 3):
+        assert 3.9e-13 <= cli.transfer_equality_residual(ifs, depth) <= 4.1e-13
+    cfg = cli.RunConfig(system="tent_1d", depths=(2, 3))
+    rows = [row for row in cli.operator_rows(cfg, ifs, True) if row.check == "transfer-eq"]
+    assert [row.detail for row in rows] == ["depth 2", "depth 3"]
+    assert not any(row.passed for row in rows)
+    assert all(row.value > row.threshold == 1e-14 for row in rows)
+
+
 def test_report_byte_identical(tmp_path):
     args = ["report", "--system", "tent_square", "--depths", "2..3",
             "--samples", "50000", "--seed", "11"]

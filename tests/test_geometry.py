@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from conftest import random_ifs, reference_box_piece_distance
 
 from ifslab import geometry as geo
 from ifslab.errors import DegenerateCandidate, NotAContraction
-from ifslab.geometry import (AffineContraction, AmbientBox, IfsSystem,
-                             branch_coincidence_set, branch_index_set, branch_value_set,
+from ifslab.geometry import (AffineContraction, AffinePiece, AmbientBox, IfsSystem,
+                             box_distances_to_pieces, branch_coincidence_set,
+                             branch_index_set, branch_value_set,
                              check_open_set_condition, contraction_bounds,
                              is_finite_branch, pieces_match_expected,
                              self_similarity_defect, verify_inverse_branches)
@@ -81,11 +85,63 @@ def test_self_similarity_defect_tent_1d(tent_1d):
 def test_self_similarity_defect_cantor_gap():
     # middle-third Cantor system on [0,1]: the box is not the attractor and
     # the defect sits near the distance 1/6 from the gap midpoint
+    assert self_similarity_defect(cantor_system(), 128) >= 0.1
+
+
+def cantor_system():
     box = AmbientBox(np.array([[0.0, 1.0]]))
     branches = (AffineContraction(np.array([[1 / 3]]), np.array([0.0])),
                 AffineContraction(np.array([[1 / 3]]), np.array([2 / 3])))
-    cantor = IfsSystem(box, branches, name="cantor")
-    assert self_similarity_defect(cantor, 128) >= 0.1
+    return IfsSystem(box, branches, name="cantor")
+
+
+def reference_self_similarity_defect(ifs, grid_resolution):
+    """Both halves of the Hausdorff distance through a cKDTree."""
+    grid = ifs.box.grid(grid_resolution)
+    images = np.vstack([gamma(grid) for gamma in ifs.branches])
+    return float(max(cKDTree(images).query(grid)[0].max(),
+                     cKDTree(grid).query(images)[0].max()))
+
+
+def test_self_similarity_defect_matches_kdtree_search(all_entries):
+    rng = np.random.default_rng(11)
+    systems = [(entry.system, 128) for entry in all_entries]
+    systems.append((cantor_system(), 128))
+    systems += [(random_ifs(rng, "2d-rotated"), 128) for _ in range(3)]
+    systems += [(random_ifs(rng, "3d"), 24) for _ in range(2)]
+    for ifs, resolution in systems:
+        assert self_similarity_defect(ifs, resolution) == \
+            reference_self_similarity_defect(ifs, resolution), ifs.name
+
+
+def segment_piece(a, b):
+    ends = np.array([a, b], dtype=float)
+    return AffinePiece((1, 2), ends[0], (ends[1] - ends[0])[:, None], 1, endpoints=ends)
+
+
+def test_box_distances_match_one_box_search():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        low = rng.uniform(0.0, 1.0, (300, d))
+        width = rng.uniform(0.0, 0.4, (300, d))
+        width[::3, 0] = 0.0  # clipped boxes of zero width
+        boxes = np.stack([low, low + width], axis=2)
+        a, b = rng.uniform(-0.2, 1.2, (2, d))
+        parallel = b.copy()
+        parallel[0] = a[0]  # v[0] == 0: an axis-parallel segment
+        center = boxes[7].mean(axis=1)
+        through = (2 * center - a, a)  # crosses box 7 at its center
+        pieces = [segment_piece(a, b), segment_piece(a, parallel), segment_piece(*through),
+                  AffinePiece((1, 2), a, np.zeros((d, 0)), 0, point=a)]
+        for piece in pieces:
+            got = box_distances_to_pieces(boxes, [piece])
+            want = [reference_box_piece_distance(box, piece) for box in boxes]
+            assert got.tolist() == want
+        assert box_distances_to_pieces(boxes, [pieces[2]])[7] == 0.0
+        union = box_distances_to_pieces(boxes, pieces)
+        assert union.tolist() == [min(reference_box_piece_distance(box, p) for p in pieces)
+                                  for box in boxes]
+    assert box_distances_to_pieces(boxes, []).tolist() == [np.inf] * len(boxes)
 
 
 # ---------------------------------------------------------------------------
