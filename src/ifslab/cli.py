@@ -143,13 +143,14 @@ def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
 # ---------------------------------------------------------------------------
 
 def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
-    """Whether the attractor is the ambient box; the later suites need it."""
-    resolution = 128
-    defect = geometry.self_similarity_defect(ifs, resolution)
-    spacing = float(np.linalg.norm(ifs.box.sizes / resolution))
-    threshold = spacing + cfg.tol("defect_slack")
-    return CheckRow("geometry", "self-similarity-defect", f"grid {resolution}",
-                    defect, threshold, defect <= threshold)
+    """Whether the attractor is the ambient box; the later suites need it.
+
+    The value is the uncovered volume fraction of the box; nan (a failure)
+    when the coverage is undecided."""
+    coverage = geometry.self_similarity_defect(ifs)
+    threshold = cfg.tol("defect_slack")
+    return CheckRow("geometry", "self-similarity-defect", coverage.method,
+                    coverage.uncovered, threshold, bool(coverage.uncovered <= threshold))
 
 
 def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateCandidate, NotAContraction
 
@@ -70,15 +70,12 @@ class AmbientBox:
         points = np.atleast_2d(points)
         return np.all((points >= self.lo - tol) & (points <= self.hi + tol), axis=1)
 
-    def grid_axes(self, resolution: int) -> list[np.ndarray]:
-        """The coordinates of the lattice `grid(resolution)` along each axis."""
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        return [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
-
     def grid(self, resolution: int) -> np.ndarray:
         """Inclusive lattice with `resolution` subdivisions per axis."""
-        mesh = np.meshgrid(*self.grid_axes(resolution), indexing="ij")
+        if resolution < 1:
+            raise ValueError("resolution must be >= 1")
+        axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
+        mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -293,37 +290,61 @@ def verify_inverse_branches(ifs: IfsSystem, grid_resolution: int = 64) -> float:
     return worst
 
 
-def _lattice_distances(axes: list[np.ndarray], points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest node of the product lattice of `axes`.
+class Coverage(NamedTuple):
+    """How much of the box the branch images leave out, and how that was decided."""
 
-    The nearest node is the nearest coordinate on every axis.  The squared
-    gaps are added in axis order and the root taken last, the sum that
-    cKDTree forms, so the distances agree with its query bit for bit.
+    uncovered: float  # volume fraction of K outside U_i g_i(K); nan when undecided
+    method: str
+
+
+def _uncovered_box_fraction(ifs: IfsSystem) -> float:
+    """Volume fraction of the box outside the union of its (box) images.
+
+    The image faces and the box faces cut each axis into at most 2n + 1
+    intervals.  Every image box is a union of cells of this arrangement, so
+    the uncovered volume is the volume of the cells that no image box holds.
+    Coordinates are taken relative to the box, which gives unit volume.
     """
-    total = np.zeros(len(points))
-    for a, coords in enumerate(axes):
-        x = points[:, a]
-        right = np.clip(np.searchsorted(coords, x), 1, len(coords) - 1)
-        gap = np.minimum(np.abs(x - coords[right - 1]), np.abs(x - coords[right]))
-        total = total + gap * gap
-    return np.sqrt(total)
+    lo, sizes = ifs.box.lo[:, None], ifs.box.sizes[:, None]
+    images = np.clip((np.stack(ifs.image_boxes()) - lo) / sizes, 0.0, 1.0)  # (n, d, 2)
+    cuts = [np.unique(np.concatenate([[0.0, 1.0], images[:, a].ravel()]))
+            for a in range(ifs.dimension)]
+    faces = [np.searchsorted(c, images[:, a]) for a, c in enumerate(cuts)]  # (n, 2) each
+    covered = np.zeros([len(c) - 1 for c in cuts], dtype=bool)
+    for i in range(ifs.n_branches):
+        covered[tuple(slice(f[i, 0], f[i, 1]) for f in faces)] = True
+    free = np.nonzero(~covered)
+    volumes = np.ones(len(free[0]))
+    for c, index in zip(cuts, free):
+        volumes = volumes * np.diff(c)[index]
+    return float(volumes.sum())
 
 
-def self_similarity_defect(ifs: IfsSystem, grid_resolution: int = 128) -> float:
-    """Symmetric Hausdorff distance between grids of K and of U_i g_i(K).
+def self_similarity_defect(ifs: IfsSystem) -> Coverage:
+    """The volume fraction of K (the box) that U_i g_i(K) leaves uncovered.
 
-    The grid of K is a product of `linspace` axes, so the distance from an
-    image point to it is a nearest-lattice search per axis, done one branch
-    image at a time.  The images of non-axis-aligned branches form no
-    product grid, so the distance from the grid to them uses a cKDTree.
+    The images are closed, so a union of full volume is all of K: the
+    fraction is 0 exactly when K = g_1(K) u ... u g_n(K).  It is decided
+    without a grid:
+
+    - "box arrangement": every branch is axis-aligned, so every image is a
+      box; the fraction is the volume of the cells of the arrangement of
+      image faces that lie in no image.
+    - "volume identity (open set condition)": otherwise, when the open box
+      passes the open set condition, the images meet only on boundaries
+      and cover sum |det A_i| of the volume, so the fraction is
+      |1 - sum |det A_i||.
+    - "coverage undecided: ...": neither applies; the fraction is nan.
     """
-    axes = ifs.box.grid_axes(grid_resolution)
-    grid = ifs.box.grid(grid_resolution)
-    images = np.vstack([gamma(grid) for gamma in ifs.branches])
-    d_box_to_images = cKDTree(images).query(grid)[0].max()
-    d_images_to_box = max(_lattice_distances(axes, part).max()
-                          for part in np.split(images, ifs.n_branches))
-    return float(max(d_box_to_images, d_images_to_box))
+    if all(g.is_axis_aligned() for g in ifs.branches):
+        return Coverage(_uncovered_box_fraction(ifs), "box arrangement")
+    osc = check_open_set_condition(ifs, ifs.box.intervals)
+    if osc.passed:
+        covered = sum(abs(float(np.linalg.det(g.linear))) for g in ifs.branches)
+        return Coverage(abs(1.0 - covered), "volume identity (open set condition)")
+    return Coverage(float("nan"),
+                    "coverage undecided: branches not axis-aligned and open set condition "
+                    f"failed ({osc.failed_condition} at branches {osc.violating})")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +384,10 @@ class AffinePiece:
         pts = self.basepoint + mesh @ self.basis.T
         keep = np.all((pts >= self.box[:, 0] - 1e-12) & (pts <= self.box[:, 1] + 1e-12), axis=1)
         return pts[keep]
+
+
+# Corner pairs (in `box_corners` order) that span the 12 edges of a 3-D box.
+_CUBE_EDGES = np.array([(c, c | bit) for bit in (1, 2, 4) for c in range(8) if not c & bit])
 
 
 def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
@@ -415,33 +440,27 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
         ends = np.clip(ends, box.lo, box.hi)
         return AffinePiece(pair, particular, kernel, 1, endpoints=ends, box=box.intervals)
 
-    # k == 2 in a 3-D box: classify by linear-programming extents.
-    from scipy.optimize import linprog
-
-    # Constraints lo <= particular + kernel @ s <= hi, rows +/- kernel.
-    a_mat = np.vstack([kernel, -kernel])  # (2d, k)
-    b_vec = np.concatenate([box.hi - particular, particular - box.lo])
-    extents = []
-    feasible = True
-    for axis in range(k):
-        c = np.zeros(k)
-        lo_val = hi_val = None
-        for sign in (1.0, -1.0):
-            c[axis] = sign
-            res = linprog(c, A_ub=a_mat, b_ub=b_vec, bounds=[(None, None)] * k,
-                          method="highs")
-            if not res.success:
-                feasible = False
-                break
-            val = sign * res.fun
-            lo_val, hi_val = (val, hi_val) if sign > 0 else (lo_val, val)
-        if not feasible:
-            break
-        extents.append(abs(hi_val) + abs(lo_val))
-    if not feasible:
+    # k == 2 in a 3-D box: the plane meets the box in the convex hull of the
+    # box corners on it and the crossings of the box edges through it.
+    normal = vt[0]
+    corners = box_corners(box.intervals)
+    side = corners @ normal - normal @ particular
+    sign = np.where(np.abs(side) <= pivot_tol, 0.0, np.sign(side))
+    a, b = _CUBE_EDGES[sign[_CUBE_EDGES[:, 0]] * sign[_CUBE_EDGES[:, 1]] < 0].T
+    t = (side[a] / (side[a] - side[b]))[:, None]
+    points = np.vstack([corners[sign == 0], corners[a] + t * (corners[b] - corners[a])])
+    if not len(points):
         return None
-    dim = int(sum(e > pivot_tol for e in extents))
-    return AffinePiece(pair, particular, kernel, dim, box=box.intervals)
+    _, spread, axes = np.linalg.svd(points - points.mean(axis=0))
+    dim = int(np.sum(spread > pivot_tol))
+    if dim == 0:
+        p = np.clip(points[0], box.lo, box.hi)
+        return AffinePiece(pair, p, np.zeros((d, 0)), 0, point=p, box=box.intervals)
+    if dim == 1:
+        along = points @ axes[0]
+        ends = np.clip(points[[along.argmin(), along.argmax()]], box.lo, box.hi)
+        return AffinePiece(pair, ends[0], axes[:1].T, 1, endpoints=ends, box=box.intervals)
+    return AffinePiece(pair, particular, kernel, 2, box=box.intervals)
 
 
 def branch_coincidence_set(ifs: IfsSystem, pivot_tol: float = _PIVOT_TOL) -> list[AffinePiece]:
@@ -681,14 +700,21 @@ def _point_segment_distance(point: np.ndarray, endpoints: np.ndarray) -> float:
     return float(np.linalg.norm(point - (a + t * ab)))
 
 
-def distance_to_pieces(point: np.ndarray, pieces) -> float:
-    """Distance from a point to a union of expected points/segments."""
-    best = np.inf
-    for piece in pieces:
-        if piece.ndim == 1:
-            best = min(best, float(np.linalg.norm(point - piece)))
-        else:
-            best = min(best, _point_segment_distance(point, piece))
+def _union_distances(points: np.ndarray, expected_points, expected_segments) -> np.ndarray:
+    """Distance from each point (N, d) to a union of points and segments; inf when empty."""
+    best = np.full(len(points), np.inf)
+    if expected_points:
+        gaps = points[:, None, :] - np.array(expected_points)
+        best = np.minimum(best, np.linalg.norm(gaps, axis=2).min(axis=1))
+    if expected_segments:
+        segments = np.array(expected_segments)  # (S, 2, d)
+        a, ab = segments[:, 0], segments[:, 1] - segments[:, 0]
+        denom = _rowdot(ab, ab)
+        rel = points[:, None, :] - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(_rowdot(rel, ab) / denom, 0.0, 1.0)
+        t = np.where(denom == 0.0, 0.0, t)
+        best = np.minimum(best, np.linalg.norm(rel - t[..., None] * ab, axis=2).min(axis=1))
     return best
 
 
@@ -697,24 +723,22 @@ def pieces_match_expected(pieces: list[AffinePiece], expected_segments,
     """Union equality between reported pieces and stated segments/points.
 
     Forward inclusion samples every reported piece densely and measures
-    the distance to the expected union.  Reverse inclusion covers each
-    expected segment by the parameter intervals of collinear reported
-    pieces (an exact 1-D interval-union argument) and requires each
-    expected point to be hit.
+    the distance from all samples to the expected union in one array.
+    Reverse inclusion covers each expected segment by the parameter
+    intervals of collinear reported pieces (an exact 1-D interval-union
+    argument) and requires each expected point to be hit.
     """
     expected_segments = [np.asarray(seg, dtype=float) for seg in expected_segments]
     expected_points = [np.asarray(p, dtype=float) for p in expected_points]
-    union = expected_segments + expected_points
 
     if not pieces:
-        return not union
+        return not (expected_segments or expected_points)
 
-    for piece in pieces:
-        if piece.dimension > 1:
-            return False
-        for x in piece.sample(65):
-            if distance_to_pieces(x, union) > tol:
-                return False
+    if any(piece.dimension > 1 for piece in pieces):
+        return False
+    samples = np.vstack([piece.sample(65) for piece in pieces])
+    if np.any(_union_distances(samples, expected_points, expected_segments) > tol):
+        return False
 
     for point in expected_points:
         hit = any(

@@ -1,6 +1,7 @@
 import numpy as np
 
 from ifslab import catalog, geometry as geo
+from ifslab.cli import DEFAULT_TOLERANCES
 from ifslab.ifsfile import export_ifs, parse_ifs
 
 
@@ -43,8 +44,8 @@ def test_every_expected_fact_is_validated(all_entries):
         assert geo.is_finite_branch(ifs) == entry.expected.finite_branch, entry.name
         osc = geo.check_open_set_condition(ifs, entry.expected.osc_candidate)
         assert osc.passed == entry.expected.osc_should_pass, entry.name
-        defect_ok = geo.self_similarity_defect(ifs, 64) <= ifs.box.diameter / 64 + 1e-9
-        assert defect_ok == entry.expected.is_attractor, entry.name
+        covered = geo.self_similarity_defect(ifs).uncovered <= DEFAULT_TOLERANCES["defect_slack"]
+        assert covered == entry.expected.is_attractor, entry.name
 
 
 def test_hutchinson_lebesgue_flags(all_entries):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -238,3 +240,64 @@ def test_tolerance_override_changes_exit(tmp_path):
     code = run(["verify", "--system", "tent_1d", "--depths", "2..3",
                 "--out", str(tmp_path), "--tol", "inverse_branch=-1"])
     assert code == 1
+
+
+GAP_SYSTEM = """
+[system]
+dimension = 1
+box = [[0.0, 1.0]]
+phi = piecewise
+
+[branch.1]
+linear = [[0.5]]
+translation = [0.0]
+domain = [[0.0, 0.5]]
+
+[branch.2]
+linear = [[0.48]]
+translation = [0.52]
+domain = [[0.52, 1.0]]
+"""
+
+
+def test_verify_fails_on_narrow_gap(tmp_path, capsys):
+    # images [0, 0.5] and [0.52, 1] leave a 2 % gap; no later suite may run
+    path = tmp_path / "gap.ifs"
+    path.write_text(GAP_SYSTEM)
+    code = run(["verify", "--system", str(path), "--depths", "2..3",
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "FIRST FAILING CHECK: self-similarity-defect (" in capsys.readouterr().err
+    row = next(line for line in (tmp_path / "out" / "verify_geometry.csv").read_text().split("\n")
+               if line.startswith("self-similarity-defect,"))
+    assert abs(float(row.split(",")[2]) - 0.02) <= 1e-12
+    for name in ("verify_measure.csv", "verify_operators.csv", "verify_reconstruction.csv"):
+        lines = (tmp_path / "out" / name).read_text().strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == ["refused"], name
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from ifslab.cli import main
+from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem, branch_coincidence_set
+
+out = sys.argv[1]
+assert main(["verify", "--system", "tent_sigma", "--depths", "2..3", "--out", out + "/a"]) == 0
+assert main(["verify", "--system", "overlap_bad", "--depths", "2..3", "--out", out + "/b"]) == 1
+box = AmbientBox(np.array([[0.0, 1.0]] * 3))
+plane = IfsSystem(box, (AffineContraction(np.diag([0.4, 0.4, 0.4]), np.zeros(3)),
+                        AffineContraction(np.diag([0.4, 0.4, -0.4]), np.array([0.0, 0.0, 0.8]))))
+assert branch_coincidence_set(plane)[0].dimension == 2
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # scipy is a test dependency only: no command may import it, not even lazily
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

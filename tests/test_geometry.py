@@ -1,13 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from conftest import random_ifs, reference_box_piece_distance
 
 from ifslab import geometry as geo
+from ifslab.cli import DEFAULT_TOLERANCES
 from ifslab.errors import DegenerateCandidate, NotAContraction
+from ifslab.ifsfile import export_ifs, parse_ifs
 from ifslab.geometry import (AffineContraction, AffinePiece, AmbientBox, IfsSystem,
                              box_distances_to_pieces, branch_coincidence_set,
                              branch_index_set, branch_value_set,
@@ -75,17 +78,18 @@ def test_inverse_branches_identity_phi_fails(tent_1d):
 
 
 def test_self_similarity_defect_tent_square(tent_square):
-    assert self_similarity_defect(tent_square.system, 128) <= np.sqrt(2) / 128
+    assert self_similarity_defect(tent_square.system) == (0.0, "box arrangement")
 
 
 def test_self_similarity_defect_tent_1d(tent_1d):
-    assert self_similarity_defect(tent_1d.system, 128) <= 1.0 / 128
+    assert self_similarity_defect(tent_1d.system) == (0.0, "box arrangement")
 
 
 def test_self_similarity_defect_cantor_gap():
-    # middle-third Cantor system on [0,1]: the box is not the attractor and
-    # the defect sits near the distance 1/6 from the gap midpoint
-    assert self_similarity_defect(cantor_system(), 128) >= 0.1
+    # middle-third Cantor system on [0,1]: the middle third is uncovered
+    coverage = self_similarity_defect(cantor_system())
+    assert coverage.method == "box arrangement"
+    assert abs(coverage.uncovered - 1.0 / 3.0) <= 1e-12
 
 
 def cantor_system():
@@ -95,23 +99,120 @@ def cantor_system():
     return IfsSystem(box, branches, name="cantor")
 
 
-def reference_self_similarity_defect(ifs, grid_resolution):
-    """Both halves of the Hausdorff distance through a cKDTree."""
-    grid = ifs.box.grid(grid_resolution)
-    images = np.vstack([gamma(grid) for gamma in ifs.branches])
-    return float(max(cKDTree(images).query(grid)[0].max(),
-                     cKDTree(grid).query(images)[0].max()))
+def test_self_similarity_defect_catalog_and_file_twins(all_entries):
+    for entry in all_entries:
+        if entry.name == "overlap_bad":
+            continue
+        twin = parse_ifs(export_ifs(entry.system, entry.phi_name))
+        for ifs in (entry.system, twin):
+            assert self_similarity_defect(ifs) == (0.0, "box arrangement"), entry.name
 
 
-def test_self_similarity_defect_matches_kdtree_search(all_entries):
-    rng = np.random.default_rng(11)
-    systems = [(entry.system, 128) for entry in all_entries]
-    systems.append((cantor_system(), 128))
-    systems += [(random_ifs(rng, "2d-rotated"), 128) for _ in range(3)]
-    systems += [(random_ifs(rng, "3d"), 24) for _ in range(2)]
-    for ifs, resolution in systems:
-        assert self_similarity_defect(ifs, resolution) == \
-            reference_self_similarity_defect(ifs, resolution), ifs.name
+def test_self_similarity_defect_overlap_bad(overlap_bad):
+    # images [0, 0.5] and [0.3, 0.8] leave (0.8, 1] uncovered
+    coverage = self_similarity_defect(overlap_bad.system)
+    assert coverage.method == "box arrangement"
+    assert abs(coverage.uncovered - 0.2) <= 1e-12
+
+
+def inclusion_exclusion_uncovered(ifs):
+    """1 - vol(U_i g_i(K)) / vol(K), the union volume summed over every
+    intersection of image boxes with alternating signs."""
+    images = ifs.image_boxes()
+    union = 0.0
+    for size in range(1, len(images) + 1):
+        for subset in combinations(images, size):
+            lo = np.max([box[:, 0] for box in subset], axis=0)
+            hi = np.min([box[:, 1] for box in subset], axis=0)
+            union += (-1) ** (size + 1) * np.prod(np.maximum(hi - lo, 0.0))
+    return 1.0 - union / np.prod(ifs.box.sizes)
+
+
+def test_self_similarity_defect_matches_inclusion_exclusion():
+    # random overlapping and tiling axis-aligned systems in 1, 2 and 3 dimensions
+    rng = np.random.default_rng(23)
+    for kind in 20 * ["1d", "2d-diagonal", "3d"]:
+        ifs = random_ifs(rng, kind)
+        coverage = self_similarity_defect(ifs)
+        assert coverage.method == "box arrangement"
+        assert abs(coverage.uncovered - inclusion_exclusion_uncovered(ifs)) <= 1e-12
+
+
+def rotated_system(scale):
+    # two squares turned by 45 degrees, one in each half of the unit square
+    turn = scale * np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    box = AmbientBox(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    branches = [AffineContraction(turn, np.array([x, 0.5]) - turn @ np.array([0.5, 0.5]))
+                for x in (0.25, 0.75)]
+    return IfsSystem(box, branches, name="rotated")
+
+
+def test_self_similarity_defect_rotated_volume_identity():
+    ifs = rotated_system(0.3)
+    assert check_open_set_condition(ifs, ifs.box.intervals).passed
+    coverage = self_similarity_defect(ifs)
+    assert coverage.method == "volume identity (open set condition)"
+    assert abs(coverage.uncovered - (1.0 - 2 * 0.3**2)) <= 1e-12
+
+
+def test_self_similarity_defect_undecided_without_osc():
+    # the same turned squares, moved onto each other: no open set condition
+    ifs = rotated_system(0.3)
+    moved = AffineContraction(ifs.branches[0].linear, ifs.branches[0].translation + [0.1, 0.0])
+    overlapping = IfsSystem(ifs.box, (ifs.branches[0], moved))
+    coverage = self_similarity_defect(overlapping)
+    assert np.isnan(coverage.uncovered)
+    assert coverage.method.startswith("coverage undecided: ")
+
+
+def guillotine_tiles(rng, box, splits):
+    """Boxes tiling `box`: every tile cut once along each axis in turn, so
+    each tile is strictly smaller than the box on every axis, then `splits`
+    cuts of random tiles along random axes."""
+    tiles = [box.intervals.copy()]
+    axes = [*range(box.dimension), *rng.integers(0, box.dimension, splits)]
+    for step, axis in enumerate(axes):
+        chosen = range(len(tiles)) if step < box.dimension else [rng.integers(len(tiles))]
+        for k in list(chosen):
+            low, high = tiles[k].copy(), tiles[k].copy()
+            cut = low[axis, 0] + rng.uniform(0.2, 0.8) * (low[axis, 1] - low[axis, 0])
+            low[axis, 1] = high[axis, 0] = cut
+            tiles[k] = low
+            tiles.append(high)
+    return tiles
+
+
+def tile_branch(box, tile, flip):
+    """The axis-aligned map of `box` onto `tile`, reversing the flipped axes."""
+    scale = (tile[:, 1] - tile[:, 0]) / box.sizes
+    linear = np.where(flip, -scale, scale)
+    start = np.where(flip, tile[:, 1], tile[:, 0])
+    return AffineContraction(np.diag(linear), start - linear * box.lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 6))
+def test_self_similarity_defect_guillotine_tilings(seed, d, splits):
+    # a tiling of the box by its flipped images covers it; shrinking one
+    # image by a tenth along one axis leaves exactly that volume uncovered
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-5.0, 5.0, d)
+    box = AmbientBox(np.stack([lo, lo + rng.uniform(0.1, 10.0, d)], axis=1))
+    tiles = guillotine_tiles(rng, box, splits)
+    flips = rng.random((len(tiles), d)) < 0.5
+    branches = [tile_branch(box, tile, flip) for tile, flip in zip(tiles, flips)]
+    coverage = self_similarity_defect(IfsSystem(box, branches))
+    assert coverage.method == "box arrangement"
+    assert coverage.uncovered <= 1e-12
+
+    k, axis = rng.integers(len(tiles)), rng.integers(d)
+    shrunk = tiles[k].copy()
+    shrunk[axis, 1] -= 0.1 * (shrunk[axis, 1] - shrunk[axis, 0])
+    branches[k] = tile_branch(box, shrunk, flips[k])
+    lost = 0.1 * np.prod(tiles[k][:, 1] - tiles[k][:, 0]) / np.prod(box.sizes)
+    coverage = self_similarity_defect(IfsSystem(box, branches))
+    assert coverage.uncovered > DEFAULT_TOLERANCES["defect_slack"]
+    assert abs(coverage.uncovered - lost) <= 1e-12
 
 
 def segment_piece(a, b):
@@ -158,6 +259,92 @@ def test_value_set_matches_paper(tent_square):
     values = branch_value_set(tent_square.system)
     assert pieces_match_expected(values, tent_square.expected.value_segments,
                                  tent_square.expected.value_points)
+
+
+def reference_pieces_match_expected(pieces, expected_segments, expected_points=(),
+                                    tol=1e-9):
+    """Union equality with the forward inclusion tested one sample at a time."""
+    expected_segments = [np.asarray(seg, dtype=float) for seg in expected_segments]
+    expected_points = [np.asarray(p, dtype=float) for p in expected_points]
+    union = expected_segments + expected_points
+    segment_distance = geo._point_segment_distance
+
+    def distance(point):
+        return min((float(np.linalg.norm(point - piece)) if piece.ndim == 1
+                    else segment_distance(point, piece) for piece in union),
+                   default=np.inf)
+
+    if not pieces:
+        return not union
+    for piece in pieces:
+        if piece.dimension > 1:
+            return False
+        for x in piece.sample(65):
+            if distance(x) > tol:
+                return False
+    for point in expected_points:
+        if not any((p.dimension == 0 and np.linalg.norm(p.point - point) <= tol)
+                   or (p.dimension == 1 and segment_distance(point, p.endpoints) <= tol)
+                   for p in pieces):
+            return False
+    for seg in expected_segments:
+        a, b = seg
+        length = float(np.linalg.norm(b - a))
+        intervals = []
+        for piece in pieces:
+            if piece.dimension != 1:
+                continue
+            e0, e1 = piece.endpoints
+            if segment_distance(e0, seg) > tol or segment_distance(e1, seg) > tol:
+                continue
+            t0 = float((e0 - a) @ (b - a)) / length**2
+            t1 = float((e1 - a) @ (b - a)) / length**2
+            intervals.append(tuple(sorted((t0, t1))))
+        if not intervals:
+            return False
+        intervals.sort()
+        covered = 0.0
+        for lo, hi in intervals:
+            if lo > covered + tol / length:
+                return False
+            covered = max(covered, hi)
+        if covered < 1.0 - tol / length:
+            return False
+    return True
+
+
+def perturbed_expectations(segments, points, d, rng):
+    """Expected sets that differ from (segments, points): one piece dropped,
+    moved by about 1e-6 or 1e-3, or one extra point."""
+    segments = [np.asarray(seg, dtype=float) for seg in segments]
+    points = [np.asarray(p, dtype=float) for p in points]
+    for k in range(len(segments)):
+        yield segments[:k] + segments[k + 1:], points
+        for shift in (1e-6, 1e-3):
+            moved = segments[k] + shift * rng.standard_normal(segments[k].shape)
+            yield segments[:k] + [moved] + segments[k + 1:], points
+    for k in range(len(points)):
+        yield segments, points[:k] + points[k + 1:]
+        yield segments, points[:k] + [points[k] + 1e-6] + points[k + 1:]
+    yield segments, points + [np.full(d, 0.123)]
+
+
+def test_pieces_match_expected_equals_sample_loop(all_entries):
+    rng = np.random.default_rng(3)
+    for entry in all_entries:
+        facts = entry.expected
+        pieces = branch_coincidence_set(entry.system)
+        values = branch_value_set(entry.system, pieces)
+        for got, segments, points in ((pieces, facts.coincidence_segments,
+                                       facts.coincidence_points),
+                                      (values, facts.value_segments, facts.value_points)):
+            assert pieces_match_expected(got, segments, points), entry.name
+            assert reference_pieces_match_expected(got, segments, points), entry.name
+            for seg_set, point_set in perturbed_expectations(
+                    segments, points, entry.system.dimension, rng):
+                verdict = pieces_match_expected(got, seg_set, point_set)
+                assert verdict == reference_pieces_match_expected(got, seg_set, point_set)
+                assert not verdict, entry.name
 
 
 def test_parallel_branches_give_empty_set():
