@@ -6,15 +6,16 @@ X = C(K) carries the A-valued inner product <xi, eta>_A = L(conj(xi) eta)
 theta_{xi,eta} zeta = xi <eta, zeta>_A.  For a symbol vanishing near the
 two-branch value set, finitely many bump pairs reconstruct multiplication
 by the symbol; the residual checks here measure that reconstruction
-against the cell-average reference symbol.
+against the cell-average reference symbol, in the module norm of X and
+in the operator norm on V_m, from one block operator per depth.
 
-Sampling convention for the residual suites: reconstruction vectors and
-trial fields are point-sampled at cell centers (which commutes with the
-affine branch maps), while the reference multiplication symbol uses the
-cell-average rule.  Center sampling alone satisfies every identity to
-machine precision at all depths; the mismatch between point and average
-sampling is what the residuals measure, and it contracts at the branch
-rate per depth.
+Sampling convention for the residual suites: reconstruction vectors are
+point-sampled at cell centers (which commutes with the affine branch
+maps), while the reference multiplication symbol uses the cell-average
+rule.  Center sampling alone satisfies every identity to machine
+precision at all depths; the mismatch between point and average sampling
+is what the residuals measure, and it contracts at the branch rate per
+depth.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import numpy as np
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cell_grid, exact_cell_masses
+from .measure import cell_grid
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
-                        composition_op, inner_product, mult_op, operator_norm,
-                        pullback, sample_to_cells, transfer_values)
-from .sampling import LipschitzSymbol, random_trig_symbol, uniform_doubles
+                        composition_op, mult_op, operator_norm, pullback,
+                        sample_to_cells, transfer_values)
+from .sampling import LipschitzSymbol, uniform_doubles
 
 
 # ---------------------------------------------------------------------------
@@ -370,66 +371,21 @@ def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
     return sample_to_cells(ifs, symbol, depth, rule="average")
 
 
-def trial_field(ifs: IfsSystem, depth: int, seed) -> CellFunction:
-    """Seeded Lipschitz trial vector, center-sampled, unit weighted-L2 norm."""
-    field = random_trig_symbol(seed, ifs.dimension)
-    raw = sample_to_cells(ifs, field.evaluator, depth, rule="center")
-    mu = exact_cell_masses(ifs, depth)
-    norm = np.sqrt(inner_product(raw, raw, mu).real
-                   if np.iscomplexobj(raw.values) else inner_product(raw, raw, mu))
-    return CellFunction(depth, raw.values / norm)
+def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
+                            vectors: ReconstructionVectors) -> CellOperator:
+    """sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}, as its blocks.
 
-
-def verify_theta_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                                vectors: ReconstructionVectors, trials: int,
-                                seed: int = 0) -> float:
-    """max over trial fields of sup_cell |sum_k theta_{xi_k,eta_k} zeta - a zeta|.
-
-    theta_{xi_k,eta_k} zeta vanishes off the support rows, so the sum is
-    formed there only: <eta_k, zeta>_A is gathered on the tails w of the
-    support rows and the terms are added in the order of k.
-    """
-    depth = vectors.depth
-    if depth < 1:
-        raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
-    if not ifs.is_hutchinson():
-        raise ValueError("the A-valued inner product uses uniform weights")
-    a_ref = reference_symbol(ifs, symbol, depth)
-    n = ifs.n_branches
-    count = n ** (depth - 1)
-    tails, tail_of_row = np.unique(vectors.rows % count, return_inverse=True)
-    # eta_k on the cells i.w over each support tail w; zero off the support rows
-    eta_blocks = np.zeros((n, len(tails), vectors.size))
-    eta_blocks[vectors.rows // count, tail_of_row] = vectors.eta
-    worst = 0.0
-    for t in range(trials):
-        zeta = trial_field(ifs, depth, (seed, t))
-        zeta_blocks = zeta.values.reshape(n, count)[:, tails, None]
-        # transfer over the first letter, summed in letter order like transfer_values
-        total = eta_blocks[0] * zeta_blocks[0]
-        for i in range(1, n):
-            total = total + eta_blocks[i] * zeta_blocks[i]
-        inner = (total / n)[tail_of_row]  # (rows, M)
-        acc = np.zeros(len(vectors.rows), dtype=zeta.values.dtype)
-        for k in range(vectors.size):
-            acc = acc + vectors.xi[:, k] * inner[:, k]
-        full = np.zeros(zeta.n_cells, dtype=acc.dtype)
-        full[vectors.rows] = acc
-        residual = np.abs(full - a_ref.values * zeta.values).max()
-        worst = max(worst, float(residual))
-    return worst
-
-
-def verify_operator_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                                   vectors: ReconstructionVectors) -> float:
-    """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}.
-
-    Entry (i, j) of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j.
-    It can be non-zero only where both cells are support rows; it is formed
-    for every support row i.w and one letter j at a time, with eta_k read
-    as zero off the support rows.
+    The covariant representation maps theta_{xi,eta} to M_xi C C* M_eta*,
+    so this one operator serves both reconstruction checks.  Entry (i, j)
+    of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
+    with a the cell-average reference symbol.  The sum can be non-zero
+    only where both cells are support rows; it is formed for every support
+    row i.w and one letter j at a time, with eta_k read as zero off the
+    support rows.
     """
     level = vectors.depth
+    if level < 1:
+        raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
     a_ref = reference_symbol(ifs, symbol, level)
     n = ifs.n_branches
     count = n ** (level - 1)
@@ -444,7 +400,27 @@ def verify_operator_reconstruction(ifs: IfsSystem, symbol: AdmissibleSymbol,
         blocks[tail, first, j] = np.einsum("rk,rk->r", vectors.xi,
                                            eta[position[j * count + tail]])
     reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
-    return operator_norm(reconstructed.subtract(mult_op(ifs, a_ref)))
+    return reconstructed.subtract(mult_op(ifs, a_ref))
+
+
+def verify_theta_reconstruction(ifs: IfsSystem, residual: CellOperator) -> float:
+    """Norm of sum_k theta_{xi_k,eta_k} - a on the Hilbert module X, exactly.
+
+    On the fibre of tail w, zeta -> (zeta(i.w))_i, the operator acts by the
+    n x n block B_w = (1/n) sum_k xi_k(i.w) eta_k(j.w) - a(i.w) delta_ij,
+    which is the block of `residual` under uniform weights.  With
+    |zeta|_X^2 = max_w (1/n) sum_i |zeta(i.w)|^2 the module norm is
+    max_w |B_w|_2: the unweighted spectral norm of the blocks.
+    """
+    if not ifs.is_hutchinson():
+        raise ValueError("the A-valued inner product uses uniform weights")
+    return float(np.linalg.norm(residual.matrix, ord=2, axis=(1, 2)).max())
+
+
+def verify_operator_reconstruction(residual: CellOperator) -> float:
+    """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a for the mass-weighted
+    inner product on V_m; equal to the theta residual under uniform weights."""
+    return operator_norm(residual)
 
 
 def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,

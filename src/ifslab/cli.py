@@ -96,15 +96,7 @@ def covariance_residual(ifs, symbol, depth: int) -> float:
     comp = operators.composition_op(ifs, depth)
     comp_star = operators.adjoint_composition_op(ifs, depth)
     lhs = comp_star.compose(operators.mult_op(ifs, a_fine)).compose(comp)
-
-    def transferred(points):
-        points = np.atleast_2d(points)
-        total = np.zeros(len(points))
-        for gamma in ifs.branches:
-            total += np.asarray(symbol.evaluator(gamma(points)))
-        return total / ifs.n_branches
-
-    la_coarse = operators.sample_to_cells(ifs, transferred, depth, rule="average")
+    la_coarse = operators.transfer_to_cells(ifs, symbol.evaluator, depth)
     rhs = operators.mult_op(ifs, la_coarse)
     return operators.operator_norm(lhs.subtract(rhs))
 
@@ -340,17 +332,16 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> Re
     rows.append(CheckRow("reconstruction", "covariant-rep-inner",
                          f"depth {rep_depth}", res2, tol, res2 <= tol))
 
-    # The depth-m experiment runs on level m+1 data throughout: the
-    # composite operator acts on V_{m+1}, and the theta check uses the
-    # same sampled vectors.
+    # The depth-m experiment runs on level m+1 data throughout: one block
+    # operator on V_{m+1} gives both the theta and the operator residual.
     theta_residuals, op_residuals = [], []
     for depth in depths:
         vectors = bimodule.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-        theta_residuals.append(bimodule.verify_theta_reconstruction(
-            ifs, symbol, vectors, VERIFY_TRIALS, seed=cfg.seed))
-        op_residuals.append(bimodule.verify_operator_reconstruction(ifs, symbol, vectors))
+        residual = bimodule.reconstruction_residual(ifs, symbol, vectors)
+        theta_residuals.append(bimodule.verify_theta_reconstruction(ifs, residual))
+        op_residuals.append(bimodule.verify_operator_reconstruction(residual))
     lo, hi = cfg.tol("reconstruction_ratio_lo"), cfg.tol("reconstruction_ratio_hi")
-    rows.extend(_ratio_rows("reconstruction", "theta-ratio", "trial max",
+    rows.extend(_ratio_rows("reconstruction", "theta-ratio", "module norm",
                             theta_residuals, depths, lo, hi))
     rows.extend(_ratio_rows("reconstruction", "operator-ratio", f"{partition.size} bumps",
                             op_residuals, depths, lo, hi))
@@ -416,8 +407,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                           reconstruction_rows(cfg, ifs, expected, attractor_ok).rows)
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    ifs, expected = _load_system(cfg.system)
+def _finish_measure(cfg: RunConfig, ifs, expected) -> int:
+    """Write the measure_*.csv tables at depths[0] and check them."""
     separated = cfg.assume_separation and (expected is None or expected.measure_separated)
     depth = cfg.depths[0]
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -444,6 +435,11 @@ def cmd_measure(cfg: RunConfig) -> int:
         rows.append(CheckRow("measure", "exact-masses",
                              "refused: separation assumption disabled", 1.0, 0.0, False))
     return _first_failure(rows)
+
+
+def cmd_measure(cfg: RunConfig) -> int:
+    ifs, expected = _load_system(cfg.system)
+    return _finish_measure(cfg, ifs, expected)
 
 
 def _finish_operators(cfg: RunConfig, ifs, suite: OperatorSuite) -> int:
@@ -481,13 +477,14 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """measure, operators, reconstruct and verify; one operator suite feeds both
+    """measure, operators, reconstruct and verify on one loaded system, so
+    every per-depth cache serves every suite; one operator suite feeds both
     operator_residuals.csv and verify_operators.csv, and one reconstruction
     suite both reconstruction.csv and verify_reconstruction.csv."""
     ifs, expected = _load_system(cfg.system)
     g_rows = geometry_rows(cfg, ifs, expected)
     attractor_ok = g_rows[1].passed
-    measure_code = cmd_measure(cfg)
+    measure_code = _finish_measure(cfg, ifs, expected)
     o_suite = operator_suite(cfg, ifs)
     m_rows = measure_rows(cfg, ifs, attractor_ok)
     r_suite = reconstruction_rows(cfg, ifs, expected, attractor_ok)

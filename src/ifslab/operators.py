@@ -142,30 +142,75 @@ class CellOperator:
 # Sampling C(K) into V_m
 # ---------------------------------------------------------------------------
 
-def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
-                    points: int = DEFAULT_AVERAGE_POINTS) -> CellFunction:
+def _average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
+    """The Halton points of the averaging rule in every depth-m cell.
+
+    Entry s is the (count, d) array lo + offset_s * sizes over the cells'
+    box hulls, for the DEFAULT_AVERAGE_POINTS Halton offsets in order.
+    Built once per depth and kept beside the cell grid, so every symbol
+    sampled at that depth is evaluated on the same arrays.
+    """
+    key = ("average", depth)
+    cached = ifs._cell_cache.get(key)
+    if cached is not None:
+        check_depth(ifs.n_branches, depth)
+        return cached
+    grid = cell_grid(ifs, depth)
+    lo = grid.boxes[:, :, 0]
+    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
+    offsets = halton_points(DEFAULT_AVERAGE_POINTS, ifs.dimension)  # (s, d) in [0,1)^d
+    cached = tuple(lo + offset * sizes for offset in offsets)
+    ifs._cell_cache[key] = cached
+    return cached
+
+
+def _branch_average_points(ifs: IfsSystem, depth: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Entry s holds the n branch images of _average_points(ifs, depth)[s]."""
+    averaging = _average_points(ifs, depth)
+    key = ("branch-average", depth)
+    cached = ifs._cell_cache.get(key)
+    if cached is None:
+        cached = tuple(tuple(gamma(points) for gamma in ifs.branches) for points in averaging)
+        ifs._cell_cache[key] = cached
+    return cached
+
+
+def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center") -> CellFunction:
     """Discretize a continuous field on depth-m cells.
 
     rule="center" evaluates at the cell centers (images of the box
     center, so sampling commutes with the branch maps).  rule="average"
-    takes the mean over `points` Halton points placed in each cell's box
-    hull; the Halton set is deliberately flip-asymmetric, so averaged
-    sampling does not commute with orientation-reversing branches and
-    residuals against center-sampled data decay at the contraction rate.
+    takes the mean over DEFAULT_AVERAGE_POINTS Halton points placed in
+    each cell's box hull, built once per depth; the Halton set is
+    deliberately flip-asymmetric, so averaged sampling does not commute
+    with orientation-reversing branches and residuals against
+    center-sampled data decay at the contraction rate.
     """
-    grid = cell_grid(ifs, depth)
     if rule == "center":
-        values = np.asarray(evaluator(grid.centers))
+        values = np.asarray(evaluator(cell_grid(ifs, depth).centers))
         return CellFunction(depth, values)
     if rule == "average":
-        offsets = halton_points(points, ifs.dimension)  # (s, d) in [0,1)^d
-        lo = grid.boxes[:, :, 0]
-        sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
-        total = np.zeros(len(lo), dtype=np.asarray(evaluator(grid.centers[:1])).dtype)
-        for offset in offsets:
-            total = total + np.asarray(evaluator(lo + offset * sizes))
-        return CellFunction(depth, total / points)
+        total = 0.0
+        for points in _average_points(ifs, depth):
+            total = total + np.asarray(evaluator(points))
+        return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
     raise ValueError(f"unknown sampling rule {rule!r}")
+
+
+def transfer_to_cells(ifs: IfsSystem, evaluator, depth: int) -> CellFunction:
+    """The averaging rule applied to L a = (1/n) sum_i a o gamma_i at depth m.
+
+    The field is evaluated on the branch images of the averaging points,
+    also built once per depth; per point the branches are summed in order
+    and divided by n, and the points are averaged as in `sample_to_cells`.
+    """
+    total = 0.0
+    for images in _branch_average_points(ifs, depth):
+        branch_sum = np.zeros(len(images[0]))
+        for image in images:
+            branch_sum += np.asarray(evaluator(image))
+        total = total + branch_sum / ifs.n_branches
+    return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
 
 
 def refine(ifs: IfsSystem, f: CellFunction, new_depth: int) -> CellFunction:

@@ -118,8 +118,9 @@ def test_criterion_6_reconstruction(tent_square, tent_sigma):
         theta_res, op_res = [], []
         for depth in depths:
             vectors = bi.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-            theta_res.append(bi.verify_theta_reconstruction(ifs, symbol, vectors, 20, seed=7))
-            op_res.append(bi.verify_operator_reconstruction(ifs, symbol, vectors))
+            residual = bi.reconstruction_residual(ifs, symbol, vectors)
+            theta_res.append(bi.verify_theta_reconstruction(ifs, residual))
+            op_res.append(bi.verify_operator_reconstruction(residual))
         for series in (theta_res, op_res):
             assert all(r > 0 for r in series)
             for r0, r1 in zip(series, series[1:]):

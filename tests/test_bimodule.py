@@ -8,9 +8,9 @@ from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
                              admissible_symbol, bimodule_action, build_bump_partition,
                              cograph_inner, cograph_iso, cograph_iso_inverse,
-                             covariant_rep_check, reconstruction_vectors, theta_apply,
-                             theta_matrix, verify_operator_reconstruction,
-                             verify_theta_reconstruction)
+                             covariant_rep_check, reconstruction_residual,
+                             reconstruction_vectors, theta_apply, theta_matrix,
+                             verify_operator_reconstruction, verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
 from ifslab.geometry import box_intersection, branch_value_set
 from ifslab.measure import cell_grid, exact_cell_masses
@@ -382,8 +382,9 @@ def test_vectors_zero_symbol(tent_square):
     partition = build_bump_partition(tent_square.system, symbol)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
     assert vectors.xi.shape[1] == 0 and vectors.eta.shape[1] == 0
-    assert verify_operator_reconstruction(tent_square.system, symbol, vectors) == 0.0
-    assert verify_theta_reconstruction(tent_square.system, symbol, vectors, 3) == 0.0
+    residual = reconstruction_residual(tent_square.system, symbol, vectors)
+    assert verify_operator_reconstruction(residual) == 0.0
+    assert verify_theta_reconstruction(tent_square.system, residual) == 0.0
 
 
 def test_vectors_built_from_samples_bit_exactly(tent_square):
@@ -413,14 +414,16 @@ def test_vectors_reproduce_symbol_pointwise(tent_square):
     np.testing.assert_allclose(total, symbol(centers), atol=1e-12)
 
 
+def theta_residual(ifs, symbol, partition, level):
+    vectors = reconstruction_vectors(ifs, symbol, partition, level)
+    return verify_theta_reconstruction(ifs, reconstruction_residual(ifs, symbol, vectors))
+
+
 def test_theta_reconstruction_rates(tent_square):
     ifs = tent_square.system
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     partition = build_bump_partition(ifs, symbol)
-    residuals = []
-    for level in (4, 5, 6):
-        vectors = reconstruction_vectors(ifs, symbol, partition, level)
-        residuals.append(verify_theta_reconstruction(ifs, symbol, vectors, 10, seed=3))
+    residuals = [theta_residual(ifs, symbol, partition, level) for level in (4, 5, 6)]
     for r0, r1 in zip(residuals, residuals[1:]):
         assert 0.3 <= r1 / r0 <= 0.7
 
@@ -439,10 +442,8 @@ def test_broken_partition_detected(tent_square):
     assert hole > 0.05
     holed = BumpPartition(np.delete(partition.nodes, drop, axis=0), partition.pitch,
                           partition.margin)
-    broken = verify_theta_reconstruction(
-        ifs, symbol, reconstruction_vectors(ifs, symbol, holed, level), 10, seed=3)
-    intact = verify_theta_reconstruction(
-        ifs, symbol, reconstruction_vectors(ifs, symbol, partition, level), 10, seed=3)
+    broken = theta_residual(ifs, symbol, holed, level)
+    intact = theta_residual(ifs, symbol, partition, level)
     assert broken >= hole - intact - 0.02
 
 
@@ -453,7 +454,8 @@ def test_operator_reconstruction_rates_second_system(tent_sigma):
     residuals = []
     for depth in (2, 3, 4):
         vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
-        residuals.append(verify_operator_reconstruction(ifs, symbol, vectors))
+        residuals.append(verify_operator_reconstruction(
+            reconstruction_residual(ifs, symbol, vectors)))
     for r0, r1 in zip(residuals, residuals[1:]):
         assert r1 / r0 <= 0.5  # contracts at least at the dominant ratio
 
@@ -470,27 +472,15 @@ def dense_pairs(ifs, symbol, partition, level):
     return xis, roots
 
 
-def dense_reconstruction(ifs, symbol, partition, level, trials, seed):
-    """Theta and operator residuals from full-length pairs on every cell.
+def dense_reconstruction(ifs, symbol, partition, level):
+    """sum_k M_{xi_k} C C* M_{eta_k}* - M_a from full-length pairs on every cell.
 
-    The reference the support-row kernels must reproduce bit for bit: one
-    theta_apply per pair and trial, summed in pair order, and the C C*
-    blocks of every tail formed from the full-length pairs with the same
-    sum over pairs as the kernel.
+    The reference the support-row kernel must reproduce bit for bit: the
+    C C* blocks of every tail, formed from the full-length pairs with the
+    same sum over pairs as the kernel.
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
-    xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
-    etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
-
     a_ref = bi.reference_symbol(ifs, symbol, level)
-    theta = 0.0
-    for t in range(trials):
-        zeta = bi.trial_field(ifs, level, (seed, t))
-        acc = np.zeros(zeta.n_cells, dtype=zeta.values.dtype)
-        for xi, eta in zip(xis, etas):
-            acc = acc + theta_apply(ifs, xi, eta, zeta).values
-        theta = max(theta, float(np.abs(acc - a_ref.values * zeta.values).max()))
-
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -499,8 +489,7 @@ def dense_reconstruction(ifs, symbol, partition, level, trials, seed):
         blocks[cells % count, cells // count, j] = np.einsum(
             "rk,rk->r", xi_cols, eta_cols[j * count + cells % count])
     reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
-    residual = reconstructed.subtract(mult_op(ifs, a_ref))
-    return theta, operator_norm(residual), residual.to_dense()
+    return reconstructed.subtract(mult_op(ifs, a_ref))
 
 
 def dense_operator_residual(ifs, symbol, partition, level):
@@ -544,15 +533,76 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
         stored_xi, stored_eta = dense_columns(vectors, len(xi_cols))
         np.testing.assert_array_equal(stored_xi, xi_cols)
         np.testing.assert_array_equal(stored_eta, eta_cols)
-        theta = verify_theta_reconstruction(ifs, symbol, vectors, 5, seed=7)
-        op = verify_operator_reconstruction(ifs, symbol, vectors)
-        dense_theta, dense_op, blocks_dense = dense_reconstruction(
-            ifs, symbol, partition, depth + 1, 5, 7)
-        assert (theta, op) == (dense_theta, dense_op)
+        residual = reconstruction_residual(ifs, symbol, vectors)
+        reference = dense_reconstruction(ifs, symbol, partition, depth + 1)
+        np.testing.assert_array_equal(residual.matrix, reference.matrix)
+        op = verify_operator_reconstruction(residual)
+        assert op == operator_norm(reference)
+        # uniform weights: the module norm and the operator norm coincide
+        assert verify_theta_reconstruction(ifs, residual) == op
         if depth == 2:
             dense, norm = dense_operator_residual(ifs, symbol, partition, depth + 1)
-            assert np.abs(blocks_dense - dense).max() <= 1e-14
+            assert np.abs(reference.to_dense() - dense).max() <= 1e-14
             assert abs(op - norm) <= 1e-12 * norm
+
+
+def dense_theta_fibres(ifs, symbol, partition, level):
+    """The fibre blocks of sum_k theta_{xi_k,eta_k} - M_a, one column at a time.
+
+    Column c is the sum over pairs of theta_apply on the indicator of cell
+    c, minus a_ref there; it must vanish off the cells that share c's tail.
+    Returns (tails, n, n) blocks: entry (i, j) of block w is row i.w of
+    column j.w.
+    """
+    xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
+    xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
+    etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
+    a_ref = bi.reference_symbol(ifs, symbol, level)
+    n = ifs.n_branches
+    count = n ** (level - 1)
+    cells = np.arange(n * count)
+    blocks = np.zeros((count, n, n))
+    for c in cells:
+        zeta = CellFunction(level, (cells == c).astype(float))
+        column = -a_ref.values * zeta.values
+        for xi, eta in zip(xis, etas):
+            column = column + theta_apply(ifs, xi, eta, zeta).values
+        fibre = cells % count == c % count
+        assert not np.any(column[~fibre]), c
+        blocks[c % count, :, c // count] = column[fibre]
+    return blocks
+
+
+@pytest.mark.parametrize("name,levels", [("tent_1d", (2, 3, 4, 5)), ("tent_square", (2, 3)),
+                                         ("tent_sigma", (2, 3))])
+def test_theta_residual_is_the_dense_module_norm(name, levels, tent_1d, tent_square,
+                                                 tent_sigma):
+    # |zeta|_X^2 = max_w (1/n) sum_i |zeta(i.w)|^2, so the module norm of a
+    # fibrewise operator is the largest spectral norm of its fibre blocks
+    entry = {"tent_1d": tent_1d, "tent_square": tent_square, "tent_sigma": tent_sigma}[name]
+    ifs = entry.system
+    symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
+    partition = build_bump_partition(ifs, symbol)
+    for level in levels:
+        blocks = dense_theta_fibres(ifs, symbol, partition, level)
+        oracle = float(np.linalg.norm(blocks, ord=2, axis=(1, 2)).max())
+        theta = theta_residual(ifs, symbol, partition, level)
+        assert oracle > 0.01
+        assert abs(theta - oracle) <= 1e-12, (level, theta, oracle)
+
+
+def test_theta_residual_requires_uniform_weights(tent_1d):
+    from ifslab.geometry import IfsSystem
+
+    ifs = tent_1d.system
+    skew = IfsSystem(ifs.box, ifs.branches, weights=[0.25, 0.75])
+    symbol = admissible_symbol(ifs, tent_1d.expected.admissible_support, delta=0.05)
+    vectors = reconstruction_vectors(skew, symbol, build_bump_partition(ifs, symbol), 3)
+    with pytest.raises(ValueError):
+        verify_theta_reconstruction(skew, reconstruction_residual(skew, symbol, vectors))
+    with pytest.raises(DepthMismatch):
+        reconstruction_residual(ifs, symbol, reconstruction_vectors(
+            ifs, symbol, build_bump_partition(ifs, symbol), 0))
 
 
 # ---------------------------------------------------------------------------

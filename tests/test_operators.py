@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import dense_gram_adjoint
-from ifslab import cli
+from conftest import dense_gram_adjoint, random_ifs
+from ifslab import catalog, cli
 from ifslab import measure as mea
 from ifslab import operators as op
 from ifslab.errors import DepthMismatch
@@ -11,7 +11,7 @@ from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op
                               composition_op, inner_product, mult_op, operator_norm,
                               pullback, refine, sample_to_cells, transfer_op,
                               transfer_values)
-from ifslab.sampling import random_trig_symbol
+from ifslab.sampling import halton_points, random_trig_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +375,42 @@ def test_pullback_tiles_values(tent_square):
     f = CellFunction(1, np.arange(4.0))
     np.testing.assert_array_equal(pullback(tent_square.system, f).values,
                                   np.tile(np.arange(4.0), 4))
+
+
+def rebuilt_covariance_residual(ifs, symbol, depth):
+    """covariance_residual with the averaging points and their branch images
+    rebuilt for every symbol and call: the reference the per-depth arrays
+    must reproduce bit for bit."""
+    def averaged(evaluator, level):
+        grid = cell_grid(ifs, level)
+        lo = grid.boxes[:, :, 0]
+        sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
+        total = np.zeros(len(lo))
+        for offset in halton_points(5, ifs.dimension):
+            total = total + np.asarray(evaluator(lo + offset * sizes))
+        return CellFunction(level, total / 5)
+
+    def transferred(points):
+        total = np.zeros(len(points))
+        for gamma in ifs.branches:
+            total += np.asarray(symbol.evaluator(gamma(points)))
+        return total / ifs.n_branches
+
+    lhs = adjoint_composition_op(ifs, depth).compose(
+        mult_op(ifs, averaged(symbol.evaluator, depth + 1))).compose(composition_op(ifs, depth))
+    rhs = mult_op(ifs, averaged(transferred, depth))
+    return operator_norm(lhs.subtract(rhs))
+
+
+def test_covariance_residual_on_shared_points_is_bit_identical():
+    # the turned systems' cell box hulls are larger than their cells
+    rng = np.random.default_rng(2024)
+    systems = [catalog.get(name).system
+               for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d")]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "2d-rotated", "3d")]
+    for ifs in systems:
+        for k in range(3):
+            symbol = random_trig_symbol((7, 101, k), ifs.dimension)
+            for depth in (2, 3, 4):
+                assert cli.covariance_residual(ifs, symbol, depth) \
+                    == rebuilt_covariance_residual(ifs, symbol, depth), (ifs.name, k, depth)
