@@ -29,8 +29,8 @@ from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pie
                        boxes_overlap_openly, branch_membership, branch_value_set)
 from .measure import cell_grid
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
-                        composition_op, mult_op, operator_norm, pullback,
-                        sample_to_cells, transfer_values)
+                        composition_op, max_spectral_norm, mult_op, operator_norm,
+                        pullback, sample_to_cells, transfer_values)
 from .sampling import LipschitzSymbol, uniform_doubles
 
 
@@ -414,7 +414,7 @@ def verify_theta_reconstruction(ifs: IfsSystem, residual: CellOperator) -> float
     """
     if not ifs.is_hutchinson():
         raise ValueError("the A-valued inner product uses uniform weights")
-    return float(np.linalg.norm(residual.matrix, ord=2, axis=(1, 2)).max())
+    return max_spectral_norm(residual.matrix)
 
 
 def verify_operator_reconstruction(residual: CellOperator) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch, DepthOverflow, NoConvergence
 from .geometry import IfsSystem, check_open_set_condition
-from .sampling import bit_stream
+from .sampling import uniform_doubles
 
 DEFAULT_CELL_BUDGET = 2**20
 
@@ -230,6 +230,16 @@ def bin_points(ifs: IfsSystem, points: np.ndarray, depth: int) -> np.ndarray:
     return idx
 
 
+def _draw_letters(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The 0-based letter of each uniform: the number of cumulative weights
+    <= u, which is searchsorted(cumulative, u, side="right") as an integer,
+    counted with one comparison pass per weight instead of a binary search."""
+    letters = np.zeros(uniforms.shape, dtype=np.intp)
+    for edge in cumulative:
+        letters += uniforms >= edge
+    return letters
+
+
 def _window_cells(letters: np.ndarray, emitting: np.ndarray, burn_in: int,
                   depth: int, n: int) -> np.ndarray:
     """Flat cell index of every emitted sample from its last `depth` letters.
@@ -299,11 +309,12 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     per_chain[:extra] += 1
     steps = int(per_chain.max()) + burn_in
 
-    raw = bit_stream(int(seed), steps * chains).reshape(steps, chains)
-    uniforms = (raw >> np.uint64(11)) * 2.0**-53
     cumulative = np.cumsum(ifs.weights)
     cumulative[-1] = 1.0
-    letters = np.searchsorted(cumulative, uniforms, side="right")
+    # one expression, so the raw words and uniforms are freed before the
+    # window arrays are built: they set the peak memory of a 10^6-sample run
+    letters = _draw_letters(cumulative, uniform_doubles(int(seed), steps * chains)
+                            .reshape(steps, chains))
     # emitting[e, c]: chain c emits a sample after step burn_in + e.
     emitting = per_chain[None, :] >= np.arange(1, steps - burn_in + 1)[:, None]
 

@@ -164,13 +164,18 @@ def _average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
     return cached
 
 
-def _branch_average_points(ifs: IfsSystem, depth: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Entry s holds the n branch images of _average_points(ifs, depth)[s]."""
+def _branch_average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
+    """Entry s stacks the n branch images of _average_points(ifs, depth)[s]
+    into one (n T, d) array: branch i fills rows i T ... (i + 1) T - 1."""
     averaging = _average_points(ifs, depth)
     key = ("branch-average", depth)
     cached = ifs._cell_cache.get(key)
     if cached is None:
-        cached = tuple(tuple(gamma(points) for gamma in ifs.branches) for points in averaging)
+        count = len(averaging[0])
+        cached = tuple(np.empty((ifs.n_branches * count, ifs.dimension)) for _ in averaging)
+        for stacked, points in zip(cached, averaging):
+            for i, gamma in enumerate(ifs.branches):
+                stacked[i * count:(i + 1) * count] = gamma(points)
         ifs._cell_cache[key] = cached
     return cached
 
@@ -201,15 +206,19 @@ def transfer_to_cells(ifs: IfsSystem, evaluator, depth: int) -> CellFunction:
     """The averaging rule applied to L a = (1/n) sum_i a o gamma_i at depth m.
 
     The field is evaluated on the branch images of the averaging points,
-    also built once per depth; per point the branches are summed in order
-    and divided by n, and the points are averaged as in `sample_to_cells`.
+    also built once per depth and stacked so that one evaluator call per
+    Halton offset covers every branch; per point the branches are summed
+    in order and divided by n, and the points are averaged as in
+    `sample_to_cells`.
     """
+    n = ifs.n_branches
     total = 0.0
     for images in _branch_average_points(ifs, depth):
-        branch_sum = np.zeros(len(images[0]))
-        for image in images:
-            branch_sum += np.asarray(evaluator(image))
-        total = total + branch_sum / ifs.n_branches
+        values = np.asarray(evaluator(images)).reshape(n, -1)
+        branch_sum = np.zeros(values.shape[1])
+        for branch_values in values:
+            branch_sum += branch_values
+        total = total + branch_sum / n
     return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
 
 
@@ -281,21 +290,41 @@ def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
 # Operator norm
 # ---------------------------------------------------------------------------
 
+def max_spectral_norm(blocks: np.ndarray) -> float:
+    """max_w |blocks[w]|_2 over a (T, r, c) stack, with one SVD per block
+    whose norm the stack does not already fix.
+
+    If every block equals the first (an all-zero stack among them), that
+    block's norm is the answer.  Otherwise the all-zero blocks, whose norm
+    0 is never the maximum, are dropped before the batched SVD.  The value
+    is the one the batched norm of the whole stack gives.
+    """
+    first = blocks[0]
+    if (blocks == first).all():
+        return float(np.linalg.norm(first, ord=2))
+    nonzero = blocks[blocks.any(axis=(1, 2))]
+    return float(np.linalg.norm(nonzero, ord=2, axis=(1, 2)).max())
+
+
 def operator_norm(op: CellOperator) -> float:
     """Largest singular value for the mass-weighted norms, exactly.
 
     The operator is block diagonal over the tails, so its norm is the
-    largest 2-norm of a block rescaled by sqrt(mass(k) / mass(l)).  A
-    diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
+    largest 2-norm of a block rescaled by sqrt(mass(k) / mass(l)).  A block
+    of one row or one column has one singular value, its Euclidean length;
+    a diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
     max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
-    underflow).
+    underflow).  Larger blocks take one SVD per nonzero block
+    (`max_spectral_norm`): zero blocks count as 0, and when all blocks are
+    equal they share one SVD.
     """
     _, rows, cols = op.matrix.shape
     scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]
                     / _letter_masses(op.weights, cols)[None, :])
-    # a block of one row or one column has one singular value, its length
-    order = 2 if min(rows, cols) > 1 else None
-    return float(np.linalg.norm(op.matrix * scale, ord=order, axis=(1, 2)).max())
+    blocks = op.matrix * scale
+    if min(rows, cols) > 1:
+        return max_spectral_norm(blocks)
+    return float(np.linalg.norm(blocks, axis=(1, 2)).max())
 
 
 # ---------------------------------------------------------------------------

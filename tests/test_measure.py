@@ -12,7 +12,7 @@ from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             measure_separation_estimate, self_similarity_residual,
                             total_variation, word_index)
-from ifslab.sampling import bit_stream
+from ifslab.sampling import bit_stream, uniform_doubles
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,23 @@ def test_chaos_game_tv_halves_with_4x_samples(tent_square):
             chaos_game(tent_square.system, 2, 100_000, seed=seed).masses, exact))
     ratio = np.mean(small) / np.mean(large)
     assert 1.0 <= ratio <= 3.0
+
+
+def test_threshold_letter_draw_matches_binary_search():
+    rng = np.random.default_rng(19)
+    seeded = uniform_doubles(23, 64 * 1024).reshape(64, 1024)
+    for weights in ([0.25, 0.25, 0.5], [0.5, 0.25, 0.125, 0.125], [0.25] * 4,
+                    rng.dirichlet(np.ones(6)), rng.dirichlet(np.full(3, 0.3))):
+        cumulative = np.cumsum(weights)
+        cumulative[-1] = 1.0
+        # every cumulative edge exactly, and its two floating-point neighbours
+        edges = np.concatenate([[0.0], cumulative, np.nextafter(cumulative, 0.0),
+                                np.nextafter(cumulative, 2.0)])
+        for uniforms in (seeded, edges, rng.random(5000)):
+            expected = np.searchsorted(cumulative, uniforms, side="right")
+            letters = mea._draw_letters(cumulative, uniforms)
+            assert letters.dtype == expected.dtype
+            np.testing.assert_array_equal(letters, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,63 @@ def test_norm_zero_operator(tent_square):
     assert operator_norm(zero) == 0.0
 
 
+def batched_block_norm(blocks):
+    """The block norm before zero and equal blocks were skipped: one batched
+    norm over every block (Euclidean length for one row or one column)."""
+    order = 2 if min(blocks.shape[1:]) > 1 else None
+    return np.linalg.norm(blocks, ord=order, axis=(1, 2)).max()
+
+
+def block_stacks(rng, shape, dtype):
+    """Seeded (T, r, c) stacks: all equal, all zero, a few nonzero blocks
+    among zeros, one nonzero block, and all distinct."""
+    def draw(size):
+        values = rng.normal(size=size)
+        return values + 1j * rng.normal(size=size) if dtype is complex else values
+
+    tails = shape[0]
+    equal = np.repeat(draw((1, *shape[1:])), tails, axis=0)
+    zero = np.zeros(shape, dtype=dtype)
+    few = zero.copy()
+    few[rng.choice(tails, size=3, replace=False)] = draw((3, *shape[1:]))
+    one = zero.copy()
+    one[rng.integers(tails)] = draw(shape[1:])
+    return [equal, zero, few, one, draw(shape)]
+
+
+def test_max_spectral_norm_equals_batched_norm():
+    rng = np.random.default_rng(81)
+    for dtype in (float, complex):
+        for shape in ((16, 4, 4), (9, 3, 2), (5, 2, 6)):
+            for blocks in block_stacks(rng, shape, dtype):
+                assert op.max_spectral_norm(blocks) == batched_block_norm(blocks)
+
+
+def test_operator_norm_equals_batched_norm(tent_square):
+    # every block shape operator_norm meets, rescaled as it rescales them
+    ifs = skewed(tent_square)
+    rng = np.random.default_rng(82)
+    for dtype in (float, complex):
+        for dom, cod, shape in ((3, 3, (16, 4, 4)), (3, 2, (16, 1, 4)),
+                                (2, 3, (16, 4, 1)), (2, 2, (16, 1, 1))):
+            for blocks in block_stacks(rng, shape, dtype):
+                operator = CellOperator(dom, cod, blocks, ifs.weights)
+                scale = np.sqrt(op._letter_masses(ifs.weights, shape[1])[:, None]
+                                / op._letter_masses(ifs.weights, shape[2])[None, :])
+                assert operator_norm(operator) == batched_block_norm(blocks * scale)
+
+
+def test_max_spectral_norm_rejects_nan_blocks():
+    blocks = np.zeros((8, 3, 3))
+    blocks[5, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        batched_block_norm(blocks)
+    with pytest.raises(np.linalg.LinAlgError):
+        op.max_spectral_norm(blocks)
+    with pytest.raises(np.linalg.LinAlgError):
+        op.max_spectral_norm(np.full((8, 3, 3), np.nan))
+
+
 def test_pullback_tiles_values(tent_square):
     f = CellFunction(1, np.arange(4.0))
     np.testing.assert_array_equal(pullback(tent_square.system, f).values,
