@@ -21,6 +21,7 @@ depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -193,10 +194,42 @@ class BumpPartition:
         return len(self.nodes)
 
     def bump_values(self, points: np.ndarray) -> np.ndarray:
-        """(len(points), M) tent values."""
-        points = np.atleast_2d(points)
-        rel = 1.0 - np.abs(points[:, None, :] - self.nodes[None, :, :]) / self.pitch
-        return np.prod(np.maximum(rel, 0.0), axis=2)
+        """(len(points), M) tent values.
+
+        A tent is nonzero only within one pitch of its node on every axis,
+        so each point is evaluated at the at most 3^d lattice nodes whose
+        index is within one of its nearest lattice index
+        round((x - base) / h), base being the lowest node coordinate per
+        axis; every other entry is 0.0.  Each evaluated entry is the product
+        over the axes, in order, of max(0, 1 - |x_a - q_a| / h).  The nodes
+        must sit on the pitch lattice (a node may be missing) to within a
+        quarter pitch.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        values = np.zeros((len(points), self.size))
+        if self.size == 0:
+            return values
+        base = self.nodes.min(axis=0)
+        index = np.rint((self.nodes - base) / self.pitch).astype(np.intp)
+        if np.abs(base + index * self.pitch - self.nodes).max() > 0.25 * self.pitch:
+            raise ValueError("bump nodes do not sit on a lattice of the partition's pitch")
+        shape = index.max(axis=0) + 1
+        column = np.full(shape, -1, dtype=np.intp)
+        column[tuple(index.T)] = np.arange(self.size)
+        if np.count_nonzero(column >= 0) < self.size:
+            raise ValueError("two bump nodes share a lattice point")
+        nearest = np.rint((points - base) / self.pitch)
+        for offset in product((-1, 0, 1), repeat=points.shape[1]):
+            near = nearest + offset
+            rows = np.flatnonzero(np.all((near >= 0) & (near < shape), axis=1))
+            cols = column[tuple(near[rows].astype(np.intp).T)]
+            rows, cols = rows[cols >= 0], cols[cols >= 0]
+            rel = np.maximum(1.0 - np.abs(points[rows] - self.nodes[cols]) / self.pitch, 0.0)
+            tent = rel[:, 0]
+            for axis in range(1, rel.shape[1]):
+                tent = tent * rel[:, axis]
+            values[rows, cols] = tent
+        return values
 
     def sum_values(self, points: np.ndarray) -> np.ndarray:
         return self.bump_values(points).sum(axis=1)
@@ -362,13 +395,18 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
     rows = partition.support_rows(centers)
     points = centers[rows]
     a_vals = np.asarray(symbol(points), dtype=float)
-    roots = np.sqrt(partition.bump_values(points))  # (rows, M)
+    roots = partition.bump_values(points)  # (rows, M)
+    np.sqrt(roots, out=roots)
     return ReconstructionVectors(depth, rows, (ifs.n_branches * a_vals)[:, None] * roots, roots)
 
 
 def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
-    """Cell-average discretization of the symbol: the comparison target."""
-    return sample_to_cells(ifs, symbol, depth, rule="average")
+    """Cell-average discretization of the symbol: the comparison target.
+
+    Only the cells whose hull meets the symbol's support box are evaluated
+    (`sample_to_cells`); the others are 0.0 either way.
+    """
+    return sample_to_cells(ifs, symbol, depth, rule="average", support=symbol.support_box)
 
 
 def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,

@@ -14,6 +14,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -571,7 +572,13 @@ def build_config(args) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every `parse_args` call fills a fresh namespace from the actions'
+    defaults, so one parse leaves nothing behind for the next.
+    """
     parser = argparse.ArgumentParser(
         prog="ifslab",
         description="Verification suites for iterated-function-system operator identities.")

@@ -95,6 +95,11 @@ def box_corners(boxes: np.ndarray) -> np.ndarray:
     return boxes[..., np.arange(d), pick]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def box_intersection(a: np.ndarray, b: np.ndarray):
     lo = np.maximum(a[:, 0], b[:, 0])
     hi = np.minimum(a[:, 1], b[:, 1])
@@ -191,6 +196,11 @@ class IfsSystem:
     branches: on overlap boundaries a pointwise inverse is ambiguous, so
     agreement with the branch inverses is only demanded off a null set
     and is measured by :func:`verify_inverse_branches`.
+
+    A system is immutable, so whatever is derived from its box and branches
+    alone is kept in `_cell_cache` and computed once: the image boxes, the
+    coincidence and value sets, and per depth the cell grid and the
+    averaging points.
     """
 
     def __init__(self, box: AmbientBox, branches, weights=None, phi=None, name: str = ""):
@@ -242,7 +252,13 @@ class IfsSystem:
         return bool(np.max(np.abs(self.weights - 1.0 / self.n_branches)) <= tol)
 
     def image_boxes(self) -> list[np.ndarray]:
-        return [g.image_box(self.box.intervals) for g in self.branches]
+        """The (d, 2) image box of every branch, computed once per system;
+        each call returns a fresh list of the read-only boxes."""
+        cached = self._cell_cache.get("image-boxes")
+        if cached is None:
+            cached = tuple(_read_only(g.image_box(self.box.intervals)) for g in self.branches)
+            self._cell_cache["image-boxes"] = cached
+        return list(cached)
 
     def apply_phi(self, points: np.ndarray) -> np.ndarray:
         if self.phi is None:
@@ -463,21 +479,51 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
     return AffinePiece(pair, particular, kernel, 2, box=box.intervals)
 
 
+def _frozen_pieces(pieces: list[AffinePiece]) -> tuple[AffinePiece, ...]:
+    """The pieces as a tuple, with every array they hold made read-only."""
+    for piece in pieces:
+        for array in (piece.basepoint, piece.basis, piece.point, piece.endpoints):
+            if array is not None:
+                _read_only(array)
+    return tuple(pieces)
+
+
 def branch_coincidence_set(ifs: IfsSystem, pivot_tol: float = _PIVOT_TOL) -> list[AffinePiece]:
-    """All nonempty pieces of C: points where two distinct branches agree."""
-    pieces = []
-    for i, j in combinations(range(1, ifs.n_branches + 1), 2):
-        piece = _solve_pair(ifs.branches[i - 1], ifs.branches[j - 1], ifs.box,
-                            (i, j), pivot_tol)
-        if piece is not None:
-            pieces.append(piece)
-    return pieces
+    """All nonempty pieces of C: points where two distinct branches agree.
+
+    Solved once per system and `pivot_tol`; each call returns a fresh list
+    of the same (read-only) pieces.
+    """
+    key = ("coincidence", pivot_tol)
+    cached = ifs._cell_cache.get(key)
+    if cached is None:
+        pieces = []
+        for i, j in combinations(range(1, ifs.n_branches + 1), 2):
+            piece = _solve_pair(ifs.branches[i - 1], ifs.branches[j - 1], ifs.box,
+                                (i, j), pivot_tol)
+            if piece is not None:
+                pieces.append(piece)
+        cached = ifs._cell_cache[key] = _frozen_pieces(pieces)
+    return list(cached)
+
+
+def _same_pieces(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 def branch_value_set(ifs: IfsSystem, pieces: list[AffinePiece] | None = None) -> list[AffinePiece]:
-    """Images g_i(piece) of the coincidence pieces: the two-branch value set."""
+    """Images g_i(piece) of the coincidence pieces: the two-branch value set.
+
+    Without `pieces`, or given the pieces `branch_coincidence_set(ifs)`
+    returns, the images are mapped once per system; each call returns a
+    fresh list.  Any other pieces are mapped on every call.
+    """
     if pieces is None:
         pieces = branch_coincidence_set(ifs)
+    coincidence = ifs._cell_cache.get(("coincidence", _PIVOT_TOL))
+    memoise = coincidence is not None and _same_pieces(pieces, coincidence)
+    if memoise and "value-set" in ifs._cell_cache:
+        return list(ifs._cell_cache["value-set"])
     images = []
     for piece in pieces:
         gamma = ifs.branches[piece.pair[0] - 1]
@@ -487,6 +533,8 @@ def branch_value_set(ifs: IfsSystem, pieces: list[AffinePiece] | None = None) ->
         endpoints = gamma(piece.endpoints) if piece.endpoints is not None else None
         images.append(AffinePiece(piece.pair, base, basis, piece.dimension,
                                   point=point, endpoints=endpoints, box=ifs.box.intervals))
+    if memoise:
+        ifs._cell_cache["value-set"] = _frozen_pieces(images)
     return images
 
 

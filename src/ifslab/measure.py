@@ -85,6 +85,13 @@ class CellGrid:
 
 
 def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid:
+    """The depth-m cell grid, built once per system and depth.
+
+    Each level applies every branch to the centers and half-frames of the
+    level above, so a new depth continues from the deepest grid already
+    built at a smaller depth; the arrays are the ones a build from depth 0
+    gives.
+    """
     key = ("grid", depth)
     cached = ifs._cell_cache.get(key)
     if cached is not None:
@@ -92,9 +99,15 @@ def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid
         return cached
     count = check_depth(ifs.n_branches, depth, budget)
     d = ifs.dimension
-    centers = ifs.box.center[None, :].copy()
-    half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
-    for _ in range(depth):
+    start = max((m for m in range(depth) if ("grid", m) in ifs._cell_cache), default=None)
+    if start is None:
+        start = 0
+        centers = ifs.box.center[None, :].copy()
+        half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
+    else:
+        shallower = ifs._cell_cache[("grid", start)]
+        centers, half = shallower.centers, shallower.half_frames
+    for _ in range(depth - start):
         centers = np.concatenate([g(centers) for g in ifs.branches], axis=0)
         half = np.concatenate([np.einsum("ab,kbc->kac", g.linear, half)
                                for g in ifs.branches], axis=0)

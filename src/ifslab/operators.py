@@ -180,7 +180,24 @@ def _branch_average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]
     return cached
 
 
-def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center") -> CellFunction:
+def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
+    """Ascending indices of the cells whose box hull (N, d, 2) meets the
+    closed box `support` (d, 2) widened by a rounding margin.
+
+    The margin, 1e-12 of the support's size and position per axis, covers
+    the averaging points' rounding past their hull and a field that rounds
+    to a tiny nonzero value just past its support face: the sin^2 window
+    reads t = 1, where sin(pi)^2 ~ 1.5e-32, a few ulps outside it.
+    """
+    support = np.asarray(support, dtype=float)
+    margin = 1e-12 * (np.abs(support).max(axis=1) + (support[:, 1] - support[:, 0]))
+    meets = ((boxes[:, :, 1] >= support[:, 0] - margin)
+             & (boxes[:, :, 0] <= support[:, 1] + margin))
+    return np.flatnonzero(meets.all(axis=1))
+
+
+def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
+                    support=None) -> CellFunction:
     """Discretize a continuous field on depth-m cells.
 
     rule="center" evaluates at the cell centers (images of the box
@@ -190,15 +207,26 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center")
     deliberately flip-asymmetric, so averaged sampling does not commute
     with orientation-reversing branches and residuals against
     center-sampled data decay at the contraction rate.
+
+    `support` (rule="average" only) is a closed box (d, 2) outside of
+    which the field is zero.  Only the cells whose hull meets it are
+    evaluated; the others get 0.0, the mean the full evaluation gives them
+    (a sum 0.0 + (+-0.0) + ... is +0.0), so the values are the same.
     """
     if rule == "center":
         values = np.asarray(evaluator(cell_grid(ifs, depth).centers))
         return CellFunction(depth, values)
     if rule == "average":
+        averaging = _average_points(ifs, depth)
+        rows = None if support is None else _support_cells(cell_grid(ifs, depth).boxes, support)
         total = 0.0
-        for points in _average_points(ifs, depth):
-            total = total + np.asarray(evaluator(points))
-        return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
+        for points in averaging:
+            total = total + np.asarray(evaluator(points if rows is None else points[rows]))
+        if rows is None:
+            return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
+        values = np.zeros(len(averaging[0]))
+        values[rows] = total / DEFAULT_AVERAGE_POINTS
+        return CellFunction(depth, values)
     raise ValueError(f"unknown sampling rule {rule!r}")
 
 

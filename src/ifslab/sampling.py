@@ -93,10 +93,18 @@ def random_trig_symbol(seed, dim: int) -> LipschitzSymbol:
     ph2 = 2 * np.pi * u[4 * dim + 4]
 
     def evaluate(points):
+        # b0 + x @ slope + amp1 cos(pi x @ k1 + ph1) + amp2 cos(pi x @ k2 + ph2),
+        # evaluated left to right in two buffers
         points = np.atleast_2d(points)
-        val = b0 + points @ slope
-        val = val + amp1 * np.cos(np.pi * (points @ k1) + ph1)
-        val = val + amp2 * np.cos(np.pi * (points @ k2) + ph2)
+        val = points @ slope
+        val += b0
+        for k, amp, ph in ((k1, amp1, ph1), (k2, amp2, ph2)):
+            wave = points @ k
+            wave *= np.pi
+            wave += ph
+            np.cos(wave, out=wave)
+            wave *= amp
+            val += wave
         return val
 
     lip = float(np.linalg.norm(slope)) + amp1 * np.pi * float(np.linalg.norm(k1)) \

@@ -15,7 +15,7 @@ from ifslab.errors import CoverFailure, DepthMismatch
 from ifslab.geometry import box_intersection, branch_value_set
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
-                              composition_op, mult_op, operator_norm)
+                              composition_op, mult_op, operator_norm, sample_to_cells)
 from ifslab.sampling import uniform_doubles, window_symbol, zero_symbol
 
 
@@ -626,3 +626,167 @@ def test_isometry_of_unit_module_element(tent_square):
     prod = adjoint_composition_op(ifs, 2).compose(mult_op(ifs, ones)).compose(comp)
     assert np.abs(prod.to_dense() - np.eye(16)).max() <= 1e-15
     assert abs(operator_norm(v_one) - 1.0) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Tents at lattice neighbours, reference symbol on its support
+# ---------------------------------------------------------------------------
+
+def dense_bump_values(partition, points, chunk=1024):
+    """The (points, M) tent values from every (point, node) pair, as
+    prod_a max(0, 1 - |x_a - q_a| / h) over a (points, M, d) array."""
+    points = np.atleast_2d(points)
+    blocks = []
+    for start in range(0, len(points), chunk):
+        part = points[start:start + chunk]
+        rel = 1.0 - np.abs(part[:, None, :] - partition.nodes[None, :, :]) / partition.pitch
+        blocks.append(np.prod(np.maximum(rel, 0.0), axis=2))
+    return np.concatenate(blocks) if blocks else np.zeros((0, partition.size))
+
+
+def lattice_probe_points(partition, rng):
+    """Nodes, points on lattice lines and halfway between them, and points
+    beyond the node range on every side."""
+    nodes, h = partition.nodes, partition.pitch
+    d = nodes.shape[1]
+    probes = [nodes, nodes + h, nodes - h, nodes + 0.5 * h, nodes + 2 * h,
+              nodes.min(axis=0) - 3 * h + np.zeros((1, d)),
+              nodes.max(axis=0) + 2.5 * h + np.zeros((1, d)),
+              np.full((1, d), -100.0), np.full((1, d), 100.0)]
+    # a random node-range point moved onto a lattice line along one axis
+    spread = rng.uniform(nodes.min(axis=0) - 2 * h, nodes.max(axis=0) + 2 * h, (64, d))
+    on_line = spread.copy()
+    axis = rng.integers(0, d, 64)
+    pick = nodes[rng.integers(0, len(nodes), 64)]
+    on_line[np.arange(64), axis] = pick[np.arange(64), axis]
+    probes += [spread, on_line]
+    return np.vstack(probes)
+
+
+def catalog_partitions():
+    from ifslab import catalog
+
+    for entry in catalog.catalog():
+        support = entry.expected.admissible_support
+        if support is not None:
+            symbol = admissible_symbol(entry.system, support, delta=0.05)
+            yield entry.name, entry.system, build_bump_partition(entry.system, symbol)
+
+
+def test_lattice_bump_values_equal_dense_formula_on_catalog():
+    rng = np.random.default_rng(11)
+    seen = 0
+    for name, ifs, partition in catalog_partitions():
+        seen += 1
+        for level in range(2, 7):
+            centers = cell_grid(ifs, level).centers
+            got = partition.bump_values(centers)
+            assert got.tobytes() == dense_bump_values(partition, centers).tobytes(), (name, level)
+        probes = lattice_probe_points(partition, rng)
+        got = partition.bump_values(probes)
+        assert got.tobytes() == dense_bump_values(partition, probes).tobytes(), name
+    assert seen == 4
+
+
+def test_lattice_bump_values_equal_dense_formula_on_random_systems():
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    rng = np.random.default_rng(5)
+    min_pitch = {1: 2.0**-10, 2: 2.0**-7, 3: 2.0**-5}
+    # the tent on [0.1, 1.1]: nodes 0.1 + h k carry rounding off the lattice
+    shifted = IfsSystem(AmbientBox(np.array([[0.1, 1.1]])),
+                        [AffineContraction(np.array([[0.5]]), np.array([0.05])),
+                         AffineContraction(np.array([[-0.5]]), np.array([1.15]))])
+    cases = [(shifted, AdmissibleSymbol(window_symbol([[0.7, 1.0]]), 0.05))]
+    for _ in range(12):
+        for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
+            ifs = random_ifs(rng, kind)
+            center = rng.uniform(0.0, 1.0, ifs.dimension)
+            half = rng.uniform(0.03, 0.15, ifs.dimension)
+            support = np.stack([np.maximum(center - half, 0.0),
+                                np.minimum(center + half, 1.0)], axis=1)
+            cases.append((ifs, AdmissibleSymbol(window_symbol(support), 0.01)))
+    built = {1: 0, 2: 0, 3: 0}
+    for ifs, symbol in cases:
+        try:
+            partition = build_bump_partition(ifs, symbol, min_pitch[ifs.dimension])
+        except (ValueError, CoverFailure):
+            continue
+        built[ifs.dimension] += 1
+        probes = np.vstack([lattice_probe_points(partition, rng),
+                            rng.uniform(ifs.box.lo, ifs.box.hi, (500, ifs.dimension))])
+        got = partition.bump_values(probes)
+        assert got.tobytes() == dense_bump_values(partition, probes).tobytes()
+    assert all(count >= 2 for count in built.values()), built
+
+
+def test_bump_values_refuse_nodes_off_the_lattice():
+    nodes = np.array([[0.0, 0.0], [0.125, 0.0], [0.3, 0.125]])
+    with pytest.raises(ValueError, match="lattice"):
+        BumpPartition(nodes, 0.125, 0.025).bump_values(np.zeros((1, 2)))
+    twice = np.array([[0.0], [0.125], [0.125]])
+    with pytest.raises(ValueError, match="share"):
+        BumpPartition(twice, 0.125, 0.025).bump_values(np.zeros((1, 1)))
+
+
+def test_reconstruction_vectors_peak_memory(tent_sigma):
+    # level 6: 2550 support rows and 196 bumps; the (rows, M, d) temporaries
+    # of the dense tent formula peaked at 20.2 MiB
+    import tracemalloc
+
+    ifs = tent_sigma.system
+    symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
+    partition = build_bump_partition(ifs, symbol)
+    cell_grid(ifs, 6)
+    tracemalloc.start()
+    try:
+        vectors = reconstruction_vectors(ifs, symbol, partition, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vectors.xi.shape == (2550, 196)
+    assert peak < 12 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("name,support,amplitude", [
+    ("tent_square", [[0.25, 0.5], [0.25, 0.5]], 1.0),
+    ("tent_square", [[0.1, 0.4], [0.1, 0.4]], -0.7),
+    ("tent_sigma", [[0.08, 0.27], [0.08, 0.27]], 1.0),
+    ("tent_1d", [[0.6, 0.9]], -2.0),
+])
+def test_support_sampling_equals_full_sampling(name, support, amplitude):
+    from ifslab import catalog
+
+    ifs = catalog.get(name).system
+    symbol = window_symbol(support, amplitude)
+    for depth in range(2, 6):
+        full = sample_to_cells(ifs, symbol, depth, rule="average")
+        restricted = sample_to_cells(ifs, symbol, depth, rule="average",
+                                     support=symbol.support_box)
+        assert restricted.values.tobytes() == full.values.tobytes(), depth
+        # the field is zero off the support; some cells are not
+        assert np.count_nonzero(full.values) > 0
+        reference = bi.reference_symbol(ifs, AdmissibleSymbol(symbol, 0.05), depth)
+        assert reference.values.tobytes() == full.values.tobytes(), depth
+
+
+def test_support_sampling_evaluates_touching_cells(tent_square):
+    # [0.25, 0.5]^2 has its faces on cell faces from depth 2; the cells that
+    # only touch it read t = 0 or t = 1 at their shared face, and the window
+    # is sin(pi)^2 ~ 1.5e-32, not 0, at t = 1
+    ifs = tent_square.system
+    symbol = window_symbol([[0.25, 0.5], [0.25, 0.5]])
+    assert symbol(np.array([[0.5, 0.375]]))[0] != 0.0
+    evaluated = []
+
+    def recording(points):
+        evaluated.append(len(points))
+        return symbol(points)
+
+    for depth in (2, 3):
+        evaluated.clear()
+        sample_to_cells(ifs, recording, depth, rule="average", support=symbol.support_box)
+        boxes = cell_grid(ifs, depth).boxes
+        touching = np.all((boxes[:, :, 1] >= 0.25) & (boxes[:, :, 0] <= 0.5), axis=1)
+        assert evaluated == [int(touching.sum())] * 5
+        assert touching.sum() < len(boxes)

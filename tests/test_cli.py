@@ -340,3 +340,44 @@ def test_commands_do_not_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_verify_solves_each_branch_pair_once(tmp_path, monkeypatch):
+    # the coincidence and value sets serve every suite from one solve:
+    # tent_sigma has 6 branches, so 6 * 5 / 2 = 15 pairs
+    calls = Counter()
+    original = geometry._solve_pair
+
+    def counted(*args, **kwargs):
+        calls[args[3]] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_solve_pair", counted)
+    assert run(["verify", "--system", "tent_sigma", "--depths", "2..3",
+                "--out", str(tmp_path)]) == 0
+    assert sum(calls.values()) == 15 and set(calls.values()) == {1}
+
+
+def test_shared_parser_leaks_no_state(tmp_path):
+    # one parser serves every main() call of a process; flags of one call
+    # must not reach the next
+    assert cli.make_parser() is cli.make_parser()
+    common = ["verify", "--system", "tent_square", "--depths", "2..3", "--seed", "4"]
+    first = run(common + ["--tol", "isometry=1e-3", "--no-separation",
+                          "--out", str(tmp_path / "first")])
+    assert first == 0
+    assert run(common + ["--out", str(tmp_path / "second")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    fresh = subprocess.run([sys.executable, "-m", "ifslab.cli", *common,
+                            "--out", str(tmp_path / "fresh")],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    names = sorted(os.listdir(tmp_path / "fresh"))
+    assert names == sorted(os.listdir(tmp_path / "second")) and len(names) == 4
+    for name in names:
+        assert ((tmp_path / "second" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
+    # the first call did see its override
+    first_rows = (tmp_path / "first" / "verify_operators.csv").read_text()
+    assert "isometry,depth 2,0,0.001,pass" in first_rows

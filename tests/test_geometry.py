@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ifs, reference_box_piece_distance
 
+from ifslab import catalog
 from ifslab import geometry as geo
 from ifslab.cli import DEFAULT_TOLERANCES
 from ifslab.errors import DegenerateCandidate, NotAContraction
@@ -355,6 +356,52 @@ def test_parallel_branches_give_empty_set():
     assert branch_coincidence_set(system) == []
     assert branch_value_set(system) == []
     assert is_finite_branch(system)
+
+
+def test_memoised_sets_are_fresh_lists():
+    # a caller that edits a returned list must not change the next result
+    ifs = catalog.get("tent_sigma").system
+    pieces = branch_coincidence_set(ifs)
+    values = branch_value_set(ifs)
+    expected = ([p.pair for p in pieces], [p.pair for p in values])
+    pieces.clear()
+    values.append(values[0])
+    boxes = ifs.image_boxes()
+    boxes.pop()
+    again = branch_coincidence_set(ifs)
+    assert ([p.pair for p in again], [p.pair for p in branch_value_set(ifs)]) == expected
+    assert branch_value_set(ifs, again)[0] is branch_value_set(ifs)[0]
+    assert len(ifs.image_boxes()) == ifs.n_branches
+    with pytest.raises(ValueError):
+        again[0].endpoints[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        ifs.image_boxes()[0][0, 0] = 0.5
+
+
+def test_value_set_maps_the_pieces_it_is_given():
+    ifs = catalog.get("tent_sigma").system
+    memoised = branch_value_set(ifs)
+    pieces = branch_coincidence_set(ifs)
+    # other pieces: a subset, and pieces of a looser pivot tolerance
+    subset = branch_value_set(ifs, pieces[1:2])
+    assert len(subset) == 1 and subset[0].pair == pieces[1].pair
+    np.testing.assert_array_equal(subset[0].endpoints,
+                                  ifs.branches[pieces[1].pair[0] - 1](pieces[1].endpoints))
+    assert subset[0] is not memoised[1]
+    assert branch_value_set(ifs, []) == []
+    loose = branch_coincidence_set(ifs, pivot_tol=1e-9)
+    assert loose is not pieces and loose[0] is not pieces[0]
+    assert branch_value_set(ifs, loose)[0] is not memoised[0]
+    # and the memo is untouched by them
+    assert [p.pair for p in branch_value_set(ifs)] == [p.pair for p in memoised]
+
+
+def test_value_set_of_given_pieces_before_the_memo():
+    # pieces handed in before the system solved its own coincidence set are
+    # not taken for the memo, even when they are the empty list
+    ifs = catalog.get("tent_1d").system
+    assert branch_value_set(ifs, []) == []
+    assert [p.pair for p in branch_value_set(ifs)] == [(1, 2)]
 
 
 def test_piece_points_satisfy_equation(tent_sigma):

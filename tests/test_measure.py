@@ -365,3 +365,20 @@ def test_cell_measure_rejects_bad_vectors():
         CellMeasure(1, np.array([0.5, 0.4]), "exact")
     with pytest.raises(ValueError):
         CellMeasure(1, np.array([-0.1, 1.1]), "exact")
+
+
+def test_grid_extended_from_shallower_equals_fresh_build():
+    # a build that continues from a cached shallower grid gives the arrays
+    # of a build from depth 0, on axis-aligned and rotated branches
+    from conftest import random_ifs
+
+    rng = np.random.default_rng(3)
+    systems = [catalog.get("tent_sigma").system]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "3d", "2d-rotated")]
+    for system in systems:
+        for depth in (1, 3, 4, 2, 5):
+            extended = cell_grid(system, depth)
+            reference = cell_grid(IfsSystem(system.box, system.branches), depth)
+            for name in ("centers", "half_frames", "boxes"):
+                got, want = getattr(extended, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes(), (system.name, depth, name)

@@ -471,3 +471,25 @@ def test_covariance_residual_on_shared_points_is_bit_identical():
             for depth in (2, 3, 4):
                 assert cli.covariance_residual(ifs, symbol, depth) \
                     == rebuilt_covariance_residual(ifs, symbol, depth), (ifs.name, k, depth)
+
+
+def test_trig_symbol_evaluates_its_formula_bit_exactly():
+    # the evaluator works in place; each value is still
+    # b0 + x @ slope + amp1 cos(pi x @ k1 + ph1) + amp2 cos(pi x @ k2 + ph2)
+    from ifslab.sampling import uniform_doubles
+
+    for dim in (1, 2, 3):
+        for seed in (0, (7, 101, 3), 42):
+            u = uniform_doubles(seed, 4 * dim + 7)
+            slope = (0.6 + 0.6 * u[1:1 + dim]) * np.where(u[1 + dim:1 + 2 * dim] < 0.5, -1.0, 1.0)
+            k1 = np.rint(1 + u[1 + 2 * dim:1 + 3 * dim]).astype(float)
+            k2 = np.rint(1 + 1.5 * u[1 + 3 * dim:1 + 4 * dim]).astype(float)
+            amp1, amp2 = 0.05 + 0.08 * u[4 * dim + 1], 0.05 + 0.08 * u[4 * dim + 2]
+            ph1, ph2 = 2 * np.pi * u[4 * dim + 3], 2 * np.pi * u[4 * dim + 4]
+            points = uniform_doubles((seed, dim) if isinstance(seed, int) else seed + (dim,),
+                                     300 * dim).reshape(300, dim)
+            expected = (2.0 * u[0] - 1.0) + points @ slope
+            expected = expected + amp1 * np.cos(np.pi * (points @ k1) + ph1)
+            expected = expected + amp2 * np.cos(np.pi * (points @ k2) + ph2)
+            got = random_trig_symbol(seed, dim)(points)
+            assert got.tobytes() == expected.tobytes(), (dim, seed)
