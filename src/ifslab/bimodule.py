@@ -266,7 +266,9 @@ def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
     rectangle misses the box passes.  Box images are exact for
     axis-aligned branches; for general affine branches the vertex hulls
     overestimate the sets, so a failure here can only be conservative,
-    never a false pass.
+    never a false pass.  For each branch i the pre-image boxes are mapped
+    by every branch j in one product and tested against the rectangles
+    as one (n, nodes) overlap array, with row i masked out.
     """
     box = ifs.box.intervals
     lo = np.maximum(nodes - pitch, box[:, 0])
@@ -276,22 +278,31 @@ def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
     members = branch_membership(ifs, nodes[live])
     corners = box_corners(clipped)
 
+    # every branch's x -> x L^T + t at once: the transposed views multiply as
+    # each branch's own map does
+    n, d = ifs.n_branches, ifs.dimension
+    linear_t = np.stack([g.linear for g in ifs.branches]).transpose(0, 2, 1)  # (n, d, d)
+    translations = np.stack([g.translation for g in ifs.branches])[:, None, :]
+
     # row 0: clearance; row i: branch i (branch-return for members, else foreign-branch)
-    fails = np.zeros((1 + ifs.n_branches, len(live)), dtype=bool)
+    fails = np.zeros((1 + n, len(live)), dtype=bool)
     fails[0] = box_distances_to_pieces(clipped, value_pieces) < clearance
     for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
         own = members[:, i - 1]
         fails[i] = ~own & boxes_overlap_openly(clipped, image)
         own_corners = corners[own]
-        pre = gamma.inverse(own_corners.reshape(-1, ifs.dimension)).reshape(own_corners.shape)
+        pre = gamma.inverse(own_corners.reshape(-1, d)).reshape(own_corners.shape)
         pre_lo = np.maximum(pre.min(axis=1), box[:, 0])
         pre_hi = np.minimum(pre.max(axis=1), box[:, 1])
         pre_box = np.stack([pre_lo, pre_hi], axis=2)
-        returns = np.zeros(len(pre_box), dtype=bool)
-        for j, gamma_j in enumerate(ifs.branches, start=1):
-            if j != i:
-                returns |= boxes_overlap_openly(gamma_j.image_box(pre_box), clipped[own])
-        fails[i, own] = returns & np.all(pre_lo <= pre_hi, axis=1)
+        # image boxes of the pre-boxes under every branch j: (n, own, d, 2)
+        pre_corners = box_corners(pre_box)  # (own, 2^d, d)
+        images = (pre_corners.reshape(-1, d) @ linear_t + translations).reshape(
+            (n, *pre_corners.shape))
+        image_boxes = np.stack([images.min(axis=2), images.max(axis=2)], axis=-1)
+        overlaps = boxes_overlap_openly(image_boxes, clipped[own])  # (n, own)
+        overlaps[i - 1] = False  # a return through another branch only
+        fails[i, own] = overlaps.any(axis=0) & np.all(pre_lo <= pre_hi, axis=1)
 
     hits = np.flatnonzero(fails.any(axis=0))
     if len(hits) == 0:

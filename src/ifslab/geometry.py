@@ -682,57 +682,83 @@ def _clamp_gaps(lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarra
 
 
 def _box_segment_distances(boxes: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
-    """Exact distance from each closed box (N, d, 2) to the segment [a, b].
+    """Exact distance from each closed box (N, d, 2) to each segment [a, b]
+    of `endpoints` (P, 2, d), as a (P, N) array.
 
     dist^2(box, a + s v) is piecewise quadratic and convex in s.  The knots
     are 0, 1 and the crossings of the box faces inside (0, 1); on each
     interval between sorted knots the active gap terms are fixed linear
-    forms alpha + beta s, and the minimum is at an end or at the clamped
-    vertex -B / 2A.  A face crossing outside (0, 1), or on an axis with
-    v[axis] == 0, is replaced by the knot 0; the repeated knot only adds
-    intervals of zero width, whose candidates are knots already present.
+    forms alpha + beta s, and the minimum is at a knot or at the interval's
+    clamped vertex -B / 2A.  A face crossing outside (0, 1), or on an axis
+    with v[axis] == 0, is replaced by the knot 0; the repeated knot only
+    adds intervals of zero width, whose candidates are knots already
+    present.
+
+    The P N box-segment pairs lie along the last axis, segment-major, so
+    each elementwise step runs over all of them in one array; the sums over
+    the d axes go through `_rowdot` on contiguous (..., d) rows, as they
+    would for one box and one segment.
     """
-    a, b = np.asarray(endpoints, dtype=float)
-    v = b - a
-    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
+    def rows(x):  # (X, d, C) -> contiguous (X, C, d)
+        return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+    endpoints = np.asarray(endpoints, dtype=float)
+    count = len(boxes)
+    a = np.repeat(endpoints[:, 0].T, count, axis=1)  # (d, P N)
+    v = np.repeat((endpoints[:, 1] - endpoints[:, 0]).T, count, axis=1)
+    lo = np.tile(boxes[:, :, 0].T, len(endpoints))
+    hi = np.tile(boxes[:, :, 1].T, len(endpoints))
     with np.errstate(divide="ignore", invalid="ignore"):
-        crossings = ((boxes - a[:, None]) / v[:, None]).reshape(len(boxes), 2 * len(v))
+        crossings = ((np.stack([lo, hi]) - a) / v).reshape(-1, a.shape[1])
     crossings = np.where((crossings > 0.0) & (crossings < 1.0), crossings, 0.0)
-    ends = np.zeros((len(boxes), 2))
-    ends[:, 1] = 1.0
-    knots = np.sort(np.concatenate([ends, crossings], axis=1), axis=1)
-    left, right = knots[:, :-1], knots[:, 1:]
-    midpoints = a + (0.5 * (left + right))[:, :, None] * v
-    low_side = midpoints < lo[:, None, :]
-    high_side = midpoints > hi[:, None, :]
-    beta = np.where(low_side, -v, np.where(high_side, v, 0.0))
-    alpha = np.where(low_side, lo[:, None, :] - a, np.where(high_side, a - hi[:, None, :], 0.0))
+    ends = np.zeros((2, a.shape[1]))
+    ends[1] = 1.0
+    knots = np.sort(np.concatenate([ends, crossings]), axis=0)  # (2 d + 2, P N)
+    left, right = knots[:-1], knots[1:]
+    midpoints = a + (0.5 * (left + right))[:, None, :] * v  # (2 d + 1, d, P N)
+    low_side = midpoints < lo
+    high_side = midpoints > hi
+    beta = rows(np.where(low_side, -v, np.where(high_side, v, 0.0)))
+    alpha = rows(np.where(low_side, lo - a, np.where(high_side, a - hi, 0.0)))
     quad_a = _rowdot(beta, beta)
     quad_b = 2.0 * _rowdot(alpha, beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.minimum(np.maximum(-quad_b / (2.0 * quad_a), left), right)
     vertex = np.where(quad_a > 0.0, vertex, left)
-    s = np.concatenate([left, right, vertex], axis=1)
-    gaps = _clamp_gaps(lo[:, None, :], hi[:, None, :], a + s[:, :, None] * v)
-    return np.sqrt(_rowdot(gaps, gaps).min(axis=1))
+    s = np.concatenate([knots, vertex])
+    gaps = rows(_clamp_gaps(lo, hi, a + s[:, None, :] * v))
+    return np.sqrt(_rowdot(gaps, gaps).min(axis=0)).reshape(len(endpoints), count)
+
+
+# Box-piece pairs per array pass of `box_distances_to_pieces`, so that the
+# temporaries of a pass stay small however many boxes come in.
+_PAIR_CHUNK = 256
 
 
 def box_distances_to_pieces(boxes: np.ndarray, pieces: list[AffinePiece]) -> np.ndarray:
     """Exact distance from each closed box (N, d, 2) to the union of the pieces.
 
-    Pieces are points or segments; inf when there are none.
+    Pieces are points or segments; inf when there are none.  The boxes are
+    taken in chunks of at most _PAIR_CHUNK box-piece pairs (one box per
+    chunk when there are more pieces), and each chunk meets all point
+    pieces in one array and all segment pieces in another.
     """
     boxes = np.asarray(boxes, dtype=float)
+    if any(piece.dimension > 1 for piece in pieces):
+        raise ValueError("bump partitions support value sets of dimension <= 1")
+    points = np.array([piece.point for piece in pieces if piece.dimension == 0])
+    segments = np.array([piece.endpoints for piece in pieces if piece.dimension == 1])
     best = np.full(len(boxes), np.inf)
-    for piece in pieces:
-        if piece.dimension == 0:
-            gaps = _clamp_gaps(boxes[:, :, 0], boxes[:, :, 1], piece.point)
-            distance = np.sqrt(_rowdot(gaps, gaps))
-        elif piece.dimension == 1:
-            distance = _box_segment_distances(boxes, piece.endpoints)
-        else:
-            raise ValueError("bump partitions support value sets of dimension <= 1")
-        best = np.minimum(best, distance)
+    step = max(1, _PAIR_CHUNK // max(1, len(pieces)))
+    for start in range(0, len(boxes), step):
+        chunk = boxes[start:start + step]
+        nearest = best[start:start + step]
+        if len(points):
+            gaps = _clamp_gaps(chunk[:, None, :, 0], chunk[:, None, :, 1], points)
+            nearest = np.minimum(nearest, np.sqrt(_rowdot(gaps, gaps)).min(axis=1))
+        if len(segments):
+            nearest = np.minimum(nearest, _box_segment_distances(chunk, segments).min(axis=0))
+        best[start:start + step] = nearest
     return best
 
 

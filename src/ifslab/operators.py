@@ -55,7 +55,7 @@ def _letter_masses(weights: np.ndarray, count: int) -> np.ndarray:
     significant: the relative masses of the cells w' . w over one tail w."""
     masses = np.ones(1)
     while masses.size < count:
-        masses = np.kron(masses, weights)
+        masses = (masses[:, None] * weights).ravel()
     return masses
 
 
@@ -142,13 +142,35 @@ class CellOperator:
 # Sampling C(K) into V_m
 # ---------------------------------------------------------------------------
 
-def _average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
+# Rows per evaluator call: a field is evaluated on slices of at most this
+# many points, so its temporaries stay small and one call never grows large
+# enough for a threaded BLAS to split its matrix products across cores.
+_EVAL_ROWS = 2**15
+
+
+def _blocks(evaluator, points: np.ndarray, count: int):
+    """The evaluator's values on `points`, one block of `count` rows at a time.
+
+    Each call takes as many whole blocks as fit in _EVAL_ROWS rows, so a
+    small array is one call; a block longer than that is evaluated in
+    slices of _EVAL_ROWS rows.  Only one call's values are held at a time.
+    """
+    per_call = max(1, _EVAL_ROWS // count) * count
+    for start in range(0, len(points), per_call):
+        chunk = points[start:start + per_call]
+        values = np.concatenate([np.asarray(evaluator(chunk[k:k + _EVAL_ROWS]))
+                                 for k in range(0, len(chunk), _EVAL_ROWS)])
+        yield from values.reshape(-1, count)
+
+
+def _average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
     """The Halton points of the averaging rule in every depth-m cell.
 
-    Entry s is the (count, d) array lo + offset_s * sizes over the cells'
-    box hulls, for the DEFAULT_AVERAGE_POINTS Halton offsets in order.
-    Built once per depth and kept beside the cell grid, so every symbol
-    sampled at that depth is evaluated on the same arrays.
+    One offset-major (s T, d) array: rows s T ... (s + 1) T - 1 are
+    lo + offset_s * sizes over the T cells' box hulls, for the
+    DEFAULT_AVERAGE_POINTS Halton offsets in order.  Built once per depth
+    and kept beside the cell grid, so every symbol sampled at that depth is
+    evaluated on the same array.
     """
     key = ("average", depth)
     cached = ifs._cell_cache.get(key)
@@ -159,23 +181,27 @@ def _average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
     lo = grid.boxes[:, :, 0]
     sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
     offsets = halton_points(DEFAULT_AVERAGE_POINTS, ifs.dimension)  # (s, d) in [0,1)^d
-    cached = tuple(lo + offset * sizes for offset in offsets)
+    cached = (lo + offsets[:, None, :] * sizes).reshape(-1, ifs.dimension)
     ifs._cell_cache[key] = cached
     return cached
 
 
-def _branch_average_points(ifs: IfsSystem, depth: int) -> tuple[np.ndarray, ...]:
-    """Entry s stacks the n branch images of _average_points(ifs, depth)[s]
-    into one (n T, d) array: branch i fills rows i T ... (i + 1) T - 1."""
+def _branch_average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
+    """The n branch images of _average_points(ifs, depth) in one (s n T, d)
+    array, ordered by offset, then branch, then cell: rows (s n + i) T ...
+    (s n + i + 1) T - 1 hold branch i of offset s's T points."""
     averaging = _average_points(ifs, depth)
     key = ("branch-average", depth)
     cached = ifs._cell_cache.get(key)
     if cached is None:
-        count = len(averaging[0])
-        cached = tuple(np.empty((ifs.n_branches * count, ifs.dimension)) for _ in averaging)
-        for stacked, points in zip(cached, averaging):
+        n = ifs.n_branches
+        count = len(averaging) // DEFAULT_AVERAGE_POINTS
+        cached = np.empty((n * len(averaging), ifs.dimension))
+        for s in range(DEFAULT_AVERAGE_POINTS):
+            points = averaging[s * count:(s + 1) * count]
             for i, gamma in enumerate(ifs.branches):
-                stacked[i * count:(i + 1) * count] = gamma(points)
+                row = (s * n + i) * count
+                cached[row:row + count] = gamma(points)
         ifs._cell_cache[key] = cached
     return cached
 
@@ -206,7 +232,9 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     each cell's box hull, built once per depth; the Halton set is
     deliberately flip-asymmetric, so averaged sampling does not commute
     with orientation-reversing branches and residuals against
-    center-sampled data decay at the contraction rate.
+    center-sampled data decay at the contraction rate.  The offset-major
+    points are evaluated in calls of at most _EVAL_ROWS rows (one call
+    when they fit), and each cell sums its offsets in order from 0.0.
 
     `support` (rule="average" only) is a closed box (d, 2) outside of
     which the field is zero.  Only the cells whose hull meets it are
@@ -216,36 +244,41 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     if rule == "center":
         values = np.asarray(evaluator(cell_grid(ifs, depth).centers))
         return CellFunction(depth, values)
-    if rule == "average":
-        averaging = _average_points(ifs, depth)
-        rows = None if support is None else _support_cells(cell_grid(ifs, depth).boxes, support)
-        total = 0.0
-        for points in averaging:
-            total = total + np.asarray(evaluator(points if rows is None else points[rows]))
-        if rows is None:
-            return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
-        values = np.zeros(len(averaging[0]))
-        values[rows] = total / DEFAULT_AVERAGE_POINTS
-        return CellFunction(depth, values)
-    raise ValueError(f"unknown sampling rule {rule!r}")
+    if rule != "average":
+        raise ValueError(f"unknown sampling rule {rule!r}")
+    points = _average_points(ifs, depth)
+    count = len(points) // DEFAULT_AVERAGE_POINTS
+    cells = np.arange(count)
+    if support is not None:
+        cells = _support_cells(cell_grid(ifs, depth).boxes, support)
+        points = points[(np.arange(DEFAULT_AVERAGE_POINTS)[:, None] * count + cells).ravel()]
+    total = np.zeros(len(cells))
+    if len(cells):  # a support that meets no cell evaluates nothing
+        for values in _blocks(evaluator, points, len(cells)):
+            total = total + values
+    out = np.zeros(count, dtype=total.dtype)
+    out[cells] = total / DEFAULT_AVERAGE_POINTS
+    return CellFunction(depth, out)
 
 
 def transfer_to_cells(ifs: IfsSystem, evaluator, depth: int) -> CellFunction:
     """The averaging rule applied to L a = (1/n) sum_i a o gamma_i at depth m.
 
     The field is evaluated on the branch images of the averaging points,
-    also built once per depth and stacked so that one evaluator call per
-    Halton offset covers every branch; per point the branches are summed
-    in order and divided by n, and the points are averaged as in
-    `sample_to_cells`.
+    built once per depth as one array ordered by offset, then branch, then
+    cell, in calls of at most _EVAL_ROWS rows (one call when they fit).
+    Per point the branches are summed in order and divided by n, and the
+    offsets are averaged as in `sample_to_cells`.
     """
     n = ifs.n_branches
-    total = 0.0
-    for images in _branch_average_points(ifs, depth):
-        values = np.asarray(evaluator(images)).reshape(n, -1)
-        branch_sum = np.zeros(values.shape[1])
-        for branch_values in values:
-            branch_sum += branch_values
+    points = _branch_average_points(ifs, depth)
+    count = len(points) // (DEFAULT_AVERAGE_POINTS * n)
+    blocks = _blocks(evaluator, points, count)
+    total = np.zeros(count)
+    for _ in range(DEFAULT_AVERAGE_POINTS):
+        branch_sum = np.zeros(count)
+        for _ in range(n):
+            branch_sum += next(blocks)
         total = total + branch_sum / n
     return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
 

@@ -124,3 +124,49 @@ def random_ifs(rng, kind):
             shift = -low + rng.uniform(0.0, 1.0, d) * (1.0 - (high - low))
             branches.append(AffineContraction(linear, shift))
     return IfsSystem(box, branches, name=kind)
+
+
+def per_piece_box_distances(boxes, pieces):
+    """Distance from each closed box (N, d, 2) to the union of the pieces,
+    one array pass per piece over all boxes: the loop that
+    `box_distances_to_pieces` batches, kept as its bit-for-bit reference."""
+    from ifslab.geometry import _clamp_gaps, _rowdot
+
+    def segment_distances(boxes, endpoints):
+        a, b = np.asarray(endpoints, dtype=float)
+        v = b - a
+        lo, hi = boxes[:, :, 0], boxes[:, :, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = ((boxes - a[:, None]) / v[:, None]).reshape(len(boxes), 2 * len(v))
+        crossings = np.where((crossings > 0.0) & (crossings < 1.0), crossings, 0.0)
+        ends = np.zeros((len(boxes), 2))
+        ends[:, 1] = 1.0
+        knots = np.sort(np.concatenate([ends, crossings], axis=1), axis=1)
+        left, right = knots[:, :-1], knots[:, 1:]
+        midpoints = a + (0.5 * (left + right))[:, :, None] * v
+        low_side = midpoints < lo[:, None, :]
+        high_side = midpoints > hi[:, None, :]
+        beta = np.where(low_side, -v, np.where(high_side, v, 0.0))
+        alpha = np.where(low_side, lo[:, None, :] - a,
+                         np.where(high_side, a - hi[:, None, :], 0.0))
+        quad_a = _rowdot(beta, beta)
+        quad_b = 2.0 * _rowdot(alpha, beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.minimum(np.maximum(-quad_b / (2.0 * quad_a), left), right)
+        vertex = np.where(quad_a > 0.0, vertex, left)
+        s = np.concatenate([left, right, vertex], axis=1)
+        gaps = _clamp_gaps(lo[:, None, :], hi[:, None, :], a + s[:, :, None] * v)
+        return np.sqrt(_rowdot(gaps, gaps).min(axis=1))
+
+    boxes = np.asarray(boxes, dtype=float)
+    best = np.full(len(boxes), np.inf)
+    for piece in pieces:
+        if piece.dimension == 0:
+            gaps = _clamp_gaps(boxes[:, :, 0], boxes[:, :, 1], piece.point)
+            distance = np.sqrt(_rowdot(gaps, gaps))
+        elif piece.dimension == 1:
+            distance = segment_distances(boxes, piece.endpoints)
+        else:
+            raise ValueError("bump partitions support value sets of dimension <= 1")
+        best = np.minimum(best, distance)
+    return best

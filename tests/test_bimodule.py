@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import dense_gram_adjoint, random_ifs, reference_box_piece_distance
+from conftest import (dense_gram_adjoint, per_piece_box_distances, random_ifs,
+                      reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
                              admissible_symbol, bimodule_action, build_bump_partition,
@@ -12,7 +13,8 @@ from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a
                              reconstruction_vectors, theta_apply, theta_matrix,
                              verify_operator_reconstruction, verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
-from ifslab.geometry import box_intersection, branch_value_set
+from ifslab.geometry import (box_corners, box_intersection, boxes_overlap_openly,
+                             branch_membership, branch_value_set)
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, mult_op, operator_norm, sample_to_cells)
@@ -357,6 +359,74 @@ def test_partition_failure_past_the_first_node_block(monkeypatch):
         reference = partition_outcome(reference_partition, ifs, symbol, min_pitch, failures)
         assert partition_outcome(build_bump_partition, ifs, symbol, min_pitch) == reference, label
     assert max(failures) >= 4
+
+
+def per_pair_first_failure_in_block(ifs, nodes, pitch, value_pieces, clearance):
+    """`bimodule._first_failure_in_block` with one image-box pass per branch
+    pair (i, j) and one distance pass per value piece: the loops the
+    batched return test and distances replace."""
+    box = ifs.box.intervals
+    lo = np.maximum(nodes - pitch, box[:, 0])
+    hi = np.minimum(nodes + pitch, box[:, 1])
+    live = np.flatnonzero(np.all(lo <= hi, axis=1))
+    clipped = np.stack([lo[live], hi[live]], axis=2)
+    members = branch_membership(ifs, nodes[live])
+    corners = box_corners(clipped)
+    fails = np.zeros((1 + ifs.n_branches, len(live)), dtype=bool)
+    fails[0] = per_piece_box_distances(clipped, value_pieces) < clearance
+    for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
+        own = members[:, i - 1]
+        fails[i] = ~own & boxes_overlap_openly(clipped, image)
+        own_corners = corners[own]
+        pre = gamma.inverse(own_corners.reshape(-1, ifs.dimension)).reshape(own_corners.shape)
+        pre_lo = np.maximum(pre.min(axis=1), box[:, 0])
+        pre_hi = np.minimum(pre.max(axis=1), box[:, 1])
+        pre_box = np.stack([pre_lo, pre_hi], axis=2)
+        returns = np.zeros(len(pre_box), dtype=bool)
+        for j, gamma_j in enumerate(ifs.branches, start=1):
+            if j != i:
+                returns |= boxes_overlap_openly(gamma_j.image_box(pre_box), clipped[own])
+        fails[i, own] = returns & np.all(pre_lo <= pre_hi, axis=1)
+    hits = np.flatnonzero(fails.any(axis=0))
+    if len(hits) == 0:
+        return None
+    k = hits[0]
+    first = int(np.argmax(fails[:, k]))
+    if first == 0:
+        condition = "value-set-clearance"
+    else:
+        condition = "branch-return" if members[k, first - 1] else "foreign-branch"
+    return int(live[k]), condition
+
+
+def exact_outcome(ifs, symbol, min_pitch):
+    """The partition's node bytes, pitch and margin, or the failure's
+    obstruction bytes and condition."""
+    try:
+        result = build_bump_partition(ifs, symbol, min_pitch)
+    except CoverFailure as exc:
+        return CoverFailure, exc.obstruction.tobytes(), exc.condition, str(exc)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return "partition", result.nodes.shape, result.nodes.tobytes(), result.pitch, result.margin
+
+
+def test_partition_equals_per_pair_return_test(monkeypatch):
+    cases = oracle_cases()
+    # a large min_pitch ends every catalog search in a CoverFailure
+    cases += [(label + " min_pitch 0.1", ifs, symbol, 0.1)
+              for label, ifs, symbol, _ in cases[:4]]
+    tally = {}
+    for label, ifs, symbol, min_pitch in cases:
+        batched = exact_outcome(ifs, symbol, min_pitch)
+        with monkeypatch.context() as patch:
+            patch.setattr(bi, "_first_failure_in_block", per_pair_first_failure_in_block)
+            assert exact_outcome(ifs, symbol, min_pitch) == batched, label
+        tally[batched[0]] = tally.get(batched[0], 0) + 1
+        if ifs.name in ("2d-rotated", "3d"):
+            tally[ifs.name] = tally.get(ifs.name, 0) + 1
+    assert tally[CoverFailure] >= 5 and tally["partition"] >= 5, tally
+    assert tally["2d-rotated"] and tally["3d"], tally
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):
@@ -780,7 +850,7 @@ def test_support_sampling_evaluates_touching_cells(tent_square):
     evaluated = []
 
     def recording(points):
-        evaluated.append(len(points))
+        evaluated.append(points.copy())
         return symbol(points)
 
     for depth in (2, 3):
@@ -788,5 +858,12 @@ def test_support_sampling_evaluates_touching_cells(tent_square):
         sample_to_cells(ifs, recording, depth, rule="average", support=symbol.support_box)
         boxes = cell_grid(ifs, depth).boxes
         touching = np.all((boxes[:, :, 1] >= 0.25) & (boxes[:, :, 0] <= 0.5), axis=1)
-        assert evaluated == [int(touching.sum())] * 5
         assert touching.sum() < len(boxes)
+        points = np.concatenate(evaluated)
+        # five averaging points in every touching cell, and none anywhere else
+        assert len(points) == 5 * int(touching.sum())
+        hulls = boxes[touching]
+        inside = np.all((points[:, None, :] >= hulls[None, :, :, 0])
+                        & (points[:, None, :] <= hulls[None, :, :, 1]), axis=2)
+        assert np.all(inside.sum(axis=1) == 1)
+        assert np.all(inside.sum(axis=0) == 5)

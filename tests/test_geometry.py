@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ifs, reference_box_piece_distance
+from conftest import per_piece_box_distances, random_ifs, reference_box_piece_distance
 
 from ifslab import catalog
 from ifslab import geometry as geo
@@ -244,6 +244,77 @@ def test_box_distances_match_one_box_search():
         assert union.tolist() == [min(reference_box_piece_distance(box, p) for p in pieces)
                                   for box in boxes]
     assert box_distances_to_pieces(boxes, []).tolist() == [np.inf] * len(boxes)
+
+
+
+def point_piece(p):
+    p = np.asarray(p, dtype=float)
+    return AffinePiece((1, 2), p, np.zeros((len(p), 0)), 0, point=p)
+
+
+def test_box_distances_equal_per_piece_passes():
+    rng = np.random.default_rng(29)
+    sigma = branch_value_set(catalog.get("tent_sigma").system)
+    for d in (1, 2, 3):
+        a, b = rng.uniform(-0.2, 1.2, (2, d))
+        parallel = b.copy()
+        parallel[0] = a[0]  # an axis-parallel segment
+        pieces = [segment_piece(a, b), segment_piece(a, parallel),
+                  point_piece(rng.uniform(0.0, 1.0, d)), point_piece(a),
+                  segment_piece(*rng.uniform(0.0, 1.0, (2, d)))]
+        piece_sets = [pieces, pieces[2:4], [pieces[2]], [pieces[1]], []]
+        if d == 2:
+            piece_sets.append(sigma)
+        for count in (0, 1, 196, 2048):
+            low = rng.uniform(0.0, 1.0, (count, d))
+            width = rng.uniform(0.0, 0.3, (count, d))
+            width[::4, 0] = 0.0
+            boxes = np.stack([low, low + width], axis=2)
+            if count >= 196:
+                # boxes touching each segment: at an end, and straddling its middle
+                for k, piece in enumerate(p for p in pieces if p.dimension == 1):
+                    end, mid = piece.endpoints[0], piece.endpoints.mean(axis=0)
+                    boxes[3 * k] = np.stack([end, end + 0.1], axis=1)
+                    boxes[3 * k + 1] = np.stack([mid - 0.05, mid + 0.05], axis=1)
+                    boxes[3 * k + 2] = np.stack([end - 0.1, end], axis=1)
+            for chosen in piece_sets:
+                got = box_distances_to_pieces(boxes, chosen)
+                want = per_piece_box_distances(boxes, chosen)
+                assert got.tobytes() == want.tobytes(), (d, count, len(chosen))
+            if count >= 196:
+                assert (box_distances_to_pieces(boxes[:9], pieces) == 0.0).sum() >= 6
+
+
+def test_box_distances_across_a_chunk_boundary():
+    rng = np.random.default_rng(30)
+    chunk = geo._PAIR_CHUNK
+    for piece_count in (1, 3, 11):
+        pieces = [segment_piece(*rng.uniform(0.0, 1.0, (2, 2))) if k % 3 else
+                  point_piece(rng.uniform(0.0, 1.0, 2)) for k in range(piece_count)]
+        step = chunk // piece_count
+        for count in (step - 1, step, step + 1, 2 * step + 1):
+            low = rng.uniform(0.0, 1.0, (count, 2))
+            boxes = np.stack([low, low + 0.05], axis=2)
+            got = box_distances_to_pieces(boxes, pieces)
+            assert got.tobytes() == per_piece_box_distances(boxes, pieces).tobytes()
+
+
+def test_box_distances_peak_memory_stays_at_per_piece_passes(tent_sigma):
+    import tracemalloc
+
+    pieces = branch_value_set(tent_sigma.system)
+    rng = np.random.default_rng(31)
+    low = rng.uniform(0.0, 1.0, (2048, 2))
+    boxes = np.stack([low, low + 0.02], axis=2)
+    peaks = []
+    for distances in (box_distances_to_pieces, per_piece_box_distances):
+        tracemalloc.start()
+        try:
+            distances(boxes, pieces)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -434,28 +434,36 @@ def test_pullback_tiles_values(tent_square):
                                   np.tile(np.arange(4.0), 4))
 
 
+def per_offset_average(ifs, evaluator, level):
+    """The averaging rule with one evaluator call per Halton offset."""
+    grid = cell_grid(ifs, level)
+    lo = grid.boxes[:, :, 0]
+    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
+    total = 0.0
+    for offset in halton_points(5, ifs.dimension):
+        total = total + np.asarray(evaluator(lo + offset * sizes))
+    return total / 5
+
+
+def transferred(ifs, evaluator):
+    """The field (1/n) sum_i evaluator o gamma_i, branches summed in order."""
+    def evaluate(points):
+        total = np.zeros(len(points))
+        for gamma in ifs.branches:
+            total += np.asarray(evaluator(gamma(points)))
+        return total / ifs.n_branches
+    return evaluate
+
+
 def rebuilt_covariance_residual(ifs, symbol, depth):
     """covariance_residual with the averaging points and their branch images
     rebuilt for every symbol and call: the reference the per-depth arrays
     must reproduce bit for bit."""
-    def averaged(evaluator, level):
-        grid = cell_grid(ifs, level)
-        lo = grid.boxes[:, :, 0]
-        sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
-        total = np.zeros(len(lo))
-        for offset in halton_points(5, ifs.dimension):
-            total = total + np.asarray(evaluator(lo + offset * sizes))
-        return CellFunction(level, total / 5)
-
-    def transferred(points):
-        total = np.zeros(len(points))
-        for gamma in ifs.branches:
-            total += np.asarray(symbol.evaluator(gamma(points)))
-        return total / ifs.n_branches
-
+    a_fine = CellFunction(depth + 1, per_offset_average(ifs, symbol.evaluator, depth + 1))
     lhs = adjoint_composition_op(ifs, depth).compose(
-        mult_op(ifs, averaged(symbol.evaluator, depth + 1))).compose(composition_op(ifs, depth))
-    rhs = mult_op(ifs, averaged(transferred, depth))
+        mult_op(ifs, a_fine)).compose(composition_op(ifs, depth))
+    rhs = mult_op(ifs, CellFunction(
+        depth, per_offset_average(ifs, transferred(ifs, symbol.evaluator), depth)))
     return operator_norm(lhs.subtract(rhs))
 
 
@@ -493,3 +501,102 @@ def test_trig_symbol_evaluates_its_formula_bit_exactly():
             expected = expected + amp2 * np.cos(np.pi * (points @ k2) + ph2)
             got = random_trig_symbol(seed, dim)(points)
             assert got.tobytes() == expected.tobytes(), (dim, seed)
+
+
+# ---------------------------------------------------------------------------
+# The covariance check as array passes, against the code they replaced
+# ---------------------------------------------------------------------------
+
+def test_letter_masses_equal_kron_products():
+    rng = np.random.default_rng(28)
+    for n in range(2, 7):
+        raw = rng.uniform(0.1, 1.0, n)
+        for weights in (np.full(n, 1.0 / n), raw / raw.sum()):
+            for power in range(5):
+                expected = np.ones(1)
+                for _ in range(power):
+                    expected = np.kron(expected, weights)
+                got = op._letter_masses(weights, n**power)
+                assert got.shape == expected.shape
+                assert (got == expected).all(), (n, power)
+
+
+def four_operator_covariance_residual(ifs, symbol, depth):
+    """|C* M_a C - M_(La)| through the block operators: compose, subtract
+    and operator_norm on the same sampled a and La."""
+    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
+    lhs = adjoint_composition_op(ifs, depth).compose(mult_op(ifs, a_fine)).compose(
+        composition_op(ifs, depth))
+    rhs = mult_op(ifs, op.transfer_to_cells(ifs, symbol.evaluator, depth))
+    return operator_norm(lhs.subtract(rhs))
+
+
+def interval_ifs(rng, n):
+    """A 1-D system of n branches tiling [0, 1] at random cuts, each flipped or not."""
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n - 1)), [1.0]])
+    while np.diff(cuts).min() < 0.2 / n:
+        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]])
+    branches = []
+    for low, high in zip(cuts[:-1], cuts[1:]):
+        flip = rng.random() < 0.5
+        branches.append(AffineContraction(np.array([[-(high - low) if flip else high - low]]),
+                                          np.array([high if flip else low])))
+    return IfsSystem(AmbientBox(np.array([[0.0, 1.0]])), branches, name=f"interval {n}")
+
+
+def test_covariance_residual_equals_four_operator_expression():
+    systems = [(catalog.get(name).system, range(10), (2, 3, 4))
+               for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d")]
+    systems.append((skewed(catalog.get("tent_square")), range(2), (2, 3)))
+    rng = np.random.default_rng(10)
+    for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
+        for _ in range(3):
+            systems.append((random_ifs(rng, kind), range(2), (2, 3)))
+    # n = 16 is where a plain left-to-right sum over the branches moves a last bit
+    for n in range(2, 17):
+        systems.append((interval_ifs(rng, n), range(1), (1, 2)))
+    checked = 0
+    for ifs, seeds, depths in systems:
+        for seed in seeds:
+            for k in range(5):
+                symbol = random_trig_symbol((seed, 101, k), ifs.dimension)
+                for depth in depths:
+                    got = cli.covariance_residual(ifs, symbol, depth)
+                    assert got == four_operator_covariance_residual(ifs, symbol, depth), \
+                        (ifs.name, seed, k, depth)
+                    checked += 1
+    assert checked == 600 + 20 + 12 * 20 + 150
+
+
+def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
+    from ifslab.sampling import window_symbol
+
+    ifs = tent_sigma.system
+    symbol = random_trig_symbol((7, 101, 0), 2)
+    window = window_symbol([[0.05, 0.95], [0.05, 0.95]])
+    rows = []
+
+    def recording(field):
+        def evaluate(points):
+            rows.append(len(points))
+            return field(points)
+        return evaluate
+
+    # depth 6: 5 x 6^6 averaging points and 5 x 6 x 6^5 branch images
+    got = sample_to_cells(ifs, recording(symbol.evaluator), 6, rule="average")
+    assert sum(rows) == 5 * 6**6 and max(rows) <= 2**15
+    assert got.values.tobytes() == per_offset_average(ifs, symbol.evaluator, 6).tobytes()
+
+    rows.clear()
+    got = sample_to_cells(ifs, recording(window), 6, rule="average",
+                          support=window.support_box)
+    assert sum(rows) > 2**15 and max(rows) <= 2**15
+    assert got.values.tobytes() == per_offset_average(ifs, window, 6).tobytes()
+
+    rows.clear()
+    got = op.transfer_to_cells(ifs, recording(symbol.evaluator), 5)
+    assert sum(rows) == 5 * 6 * 6**5 and max(rows) <= 2**15
+    expected = per_offset_average(ifs, transferred(ifs, symbol.evaluator), 5)
+    assert got.values.tobytes() == expected.tobytes()
