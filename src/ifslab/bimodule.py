@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cell_grid
+from .measure import cell_grid, check_depth
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
                         composition_op, max_spectral_norm, mult_op, operator_norm,
                         pullback, sample_to_cells, transfer_values)
@@ -420,6 +420,11 @@ def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
     return sample_to_cells(ifs, symbol, depth, rule="average", support=symbol.support_box)
 
 
+# Support rows per einsum call of `reconstruction_residual`: one call's
+# gathered xi and eta rows stay small whatever the depth.
+_PAIR_ROWS = 256
+
+
 def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
                             vectors: ReconstructionVectors) -> CellOperator:
     """sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}, as its blocks.
@@ -428,9 +433,11 @@ def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
     so this one operator serves both reconstruction checks.  Entry (i, j)
     of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
     with a the cell-average reference symbol.  The sum can be non-zero
-    only where both cells are support rows; it is formed for every support
-    row i.w and one letter j at a time, with eta_k read as zero off the
-    support rows.
+    only where both cells are support rows, so it is formed one letter j
+    at a time, for the support rows i.w whose partner j.w is a support row
+    too, `_PAIR_ROWS` rows per call; every other entry stays 0.0, which
+    the sum with eta_k read as zero gives too.  The weights and the
+    reference symbol are then applied to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
@@ -438,18 +445,23 @@ def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
     a_ref = reference_symbol(ifs, symbol, level)
     n = ifs.n_branches
     count = n ** (level - 1)
-    support = len(vectors.rows)
-    # row of each cell in `eta`; the appended zero row stands for every other cell
-    position = np.full(n * count, support)
-    position[vectors.rows] = np.arange(support)
-    eta = np.vstack([vectors.eta, np.zeros((1, vectors.size))])
+    # row of each cell in `xi` and `eta`; -1 off the support rows
+    position = np.full(n * count, -1)
+    position[vectors.rows] = np.arange(len(vectors.rows))
     tail, first = vectors.rows % count, vectors.rows // count
     blocks = np.zeros((count, n, n))
     for j in range(n):
-        blocks[tail, first, j] = np.einsum("rk,rk->r", vectors.xi,
-                                           eta[position[j * count + tail]])
-    reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
-    return reconstructed.subtract(mult_op(ifs, a_ref))
+        partner = position[j * count + tail]
+        paired = np.flatnonzero(partner >= 0)
+        for start in range(0, len(paired), _PAIR_ROWS):
+            chunk = paired[start:start + _PAIR_ROWS]
+            blocks[tail[chunk], first[chunk], j] = np.einsum(
+                "rk,rk->r", vectors.xi[chunk], vectors.eta[partner[chunk]])
+    blocks *= ifs.weights
+    # cell i.w is entry (i, i) of block w; off the diagonals x - 0.0 == x
+    letters = np.arange(n)
+    blocks[:, letters, letters] -= a_ref.values.reshape(n, count).T
+    return CellOperator(level, level, blocks, ifs.weights)
 
 
 def verify_theta_reconstruction(ifs: IfsSystem, residual: CellOperator) -> float:
@@ -476,31 +488,40 @@ def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,
                         seed: int = 0) -> tuple[float, float]:
     """Residuals of the two covariant-representation relations.
 
-    residual_1: rho(a) V_xi - V_{a.xi} with V_xi = M_xi C; both sides are
-    the same diagonal-times-C product, so only multiply rounding remains.
-    residual_2: V_xi* V_eta - rho(<xi, eta>_A), exact at cell level up to
-    summation rounding.
+    Both relations are diagonal identities on cells, so each residual is
+    the norm of the difference of its two sides' cell values, arranged as
+    the blocks of a block-diagonal operator.
+
+    residual_1: rho(a) V_xi - V_{a.xi} with V_xi = M_xi C, V_m -> V_{m+1}.
+    Both sides send f to a(i.w) xi(i.w) f(w); the left side's product is
+    the 1 x 1 block product np.matmul forms, the right side's the
+    elementwise one, so only multiply rounding remains.  The blocks are
+    C's: one column of n rows per tail w.
+    residual_2: V_xi* V_eta - rho(<xi, eta>_A) on V_m.  The left side
+    multiplies by sum_i p_i conj(xi) eta (i.w), formed as the
+    row-times-column np.matmul product `cli.covariance_residual` uses; the
+    right side by the transfer L(conj(xi) eta)(w).  Exact at cell level up
+    to summation rounding.
     """
-    comp = composition_op(ifs, depth)
-    comp_star = adjoint_composition_op(ifs, depth)
-    count = ifs.n_branches ** (depth + 1)
+    n = ifs.n_branches
+    count = check_depth(n, depth + 1)
     worst1 = worst2 = 0.0
     for t in range(trials):
         u = uniform_doubles((seed, t), 6 * count).reshape(6, count)
-        a = CellFunction(depth + 1, (2 * u[0] - 1) + 1j * (2 * u[1] - 1))
-        xi = CellFunction(depth + 1, (2 * u[2] - 1) + 1j * (2 * u[3] - 1))
-        eta = CellFunction(depth + 1, (2 * u[4] - 1) + 1j * (2 * u[5] - 1))
+        a = (2 * u[0] - 1) + 1j * (2 * u[1] - 1)
+        xi = (2 * u[2] - 1) + 1j * (2 * u[3] - 1)
+        eta = (2 * u[4] - 1) + 1j * (2 * u[5] - 1)
 
-        lhs1 = mult_op(ifs, a).compose(mult_op(ifs, xi)).compose(comp)
-        rhs1 = mult_op(ifs, CellFunction(depth + 1, a.values * xi.values)).compose(comp)
-        worst1 = max(worst1, operator_norm(lhs1.subtract(rhs1)))
+        module = np.matmul(a[:, None, None], xi[:, None, None])[:, 0, 0] - a * xi
+        # cell i.w is row i of the block of tail w
+        blocks = np.ascontiguousarray(module.reshape(n, -1).T)[:, :, None]
+        worst1 = max(worst1, operator_norm(CellOperator(depth, depth + 1, blocks, ifs.weights)))
 
-        lhs2 = comp_star.compose(
-            mult_op(ifs, CellFunction(depth + 1, np.conj(xi.values) * eta.values))
-        ).compose(comp)
-        rhs2 = mult_op(ifs, CellFunction(
-            depth, transfer_values(ifs, np.conj(xi.values) * eta.values)))
-        worst2 = max(worst2, operator_norm(lhs2.subtract(rhs2)))
+        inner = np.conj(xi) * eta
+        products = np.ascontiguousarray(inner.reshape(n, -1).T) * ifs.weights
+        branch_sum = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
+        diagonal = (branch_sum - transfer_values(ifs, inner))[:, None, None]
+        worst2 = max(worst2, operator_norm(CellOperator(depth, depth, diagonal, ifs.weights)))
     return worst1, worst2
 
 

@@ -229,18 +229,23 @@ class OperatorSuite:
 
 
 def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
+    """The operator residuals.  The covariance loop runs depth by depth, every
+    symbol at one depth in turn, while that depth's averaging points and
+    branch images are held (`operators.averaging_working_sets`)."""
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     symbols = [random_trig_symbol(seed, ifs.dimension)
                for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
     uniform = ifs.is_hutchinson()
-    return OperatorSuite(
-        depths,
-        [isometry_residual(ifs, m) for m in depths],
-        [projection_residual(ifs, m) for m in depths],
-        [transfer_equality_residual(ifs, m) for m in depths] if uniform else None,
-        symbols,
-        [[covariance_residual(ifs, symbol, m) for m in depths] for symbol in symbols]
-        if uniform else [])
+    isometry = [isometry_residual(ifs, m) for m in depths]
+    projection = [projection_residual(ifs, m) for m in depths]
+    transfer = [transfer_equality_residual(ifs, m) for m in depths] if uniform else None
+    covariance = []
+    if uniform:
+        covariance = [[] for _ in symbols]
+        for m in operators.averaging_working_sets(ifs, depths):
+            for residuals, symbol in zip(covariance, symbols):
+                residuals.append(covariance_residual(ifs, symbol, m))
+    return OperatorSuite(depths, isometry, projection, transfer, symbols, covariance)
 
 
 def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool,

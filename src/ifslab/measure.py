@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch, DepthOverflow, NoConvergence
 from .geometry import IfsSystem, check_open_set_condition
-from .sampling import uniform_doubles
+from .sampling import uniform_blocks
 
 DEFAULT_CELL_BUDGET = 2**20
 
@@ -253,40 +253,48 @@ def _draw_letters(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return letters
 
 
-def _window_cells(letters: np.ndarray, emitting: np.ndarray, burn_in: int,
-                  depth: int, n: int) -> np.ndarray:
-    """Flat cell index of every emitted sample from its last `depth` letters.
+def _window_cells(window: np.ndarray, emitting: np.ndarray, depth: int,
+                  n: int) -> np.ndarray:
+    """Flat cell index of every sample one block emits, from its last `depth` letters.
 
     The sample after step k is g_{l_k} o g_{l_{k-1}} o ... (x_0), so it lies
     in the cell of the word (l_k, l_{k-1}, ..., l_{k-m+1}); the newest letter
-    is the most significant digit.  Needs burn_in >= depth - 1 so every
-    window lies inside the letter array.
+    is the most significant digit.  `emitting` (rows, chains) marks the
+    samples of the last `rows` letter rows of `window`, which must hold at
+    least depth - 1 letter rows before them.
     """
-    steps = len(letters)
-    idx = np.zeros((steps - burn_in, letters.shape[1]), dtype=np.int64)
+    rows, end = len(emitting), len(window)
+    idx = np.zeros(emitting.shape, dtype=np.int64)
     for back in range(depth):
         idx *= n
-        idx += letters[burn_in - back:steps - back]
+        idx += window[end - rows - back:end - back]
     return idx[emitting]
 
 
-def _orbit_points(ifs: IfsSystem, letters: np.ndarray, emitting: np.ndarray,
-                  burn_in: int) -> np.ndarray:
-    """Coordinates of every emitted sample, running the orbit from the box center."""
-    x = np.tile(ifs.box.center, (letters.shape[1], 1))
+def _orbit_points(ifs: IfsSystem, x: np.ndarray, letters: np.ndarray,
+                  emitting: np.ndarray) -> np.ndarray:
+    """Advance the orbit `x` (chains, d) in place through one block's letter
+    rows and return the coordinates of the samples `emitting` marks in the
+    block's last len(emitting) rows, in step order."""
     out = np.empty((int(emitting.sum()), ifs.dimension))
     cursor = 0
+    skip = len(letters) - len(emitting)
     for k, step_letters in enumerate(letters):
         for i, gamma in enumerate(ifs.branches):
             sel = step_letters == i
             if sel.any():
                 x[sel] = gamma(x[sel])
-        if k >= burn_in:
-            active = emitting[k - burn_in]
+        if k >= skip:
+            active = emitting[k - skip]
             took = int(active.sum())
             out[cursor:cursor + took] = x[active]
             cursor += took
     return out
+
+
+# Step rows per block of the chaos game: one block's words, uniforms,
+# letters and cell indices (or orbit points) are held at a time.
+_STEP_BLOCK = 64
 
 
 def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
@@ -296,17 +304,22 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     The orbit x_{k+1} = g_{i_k}(x_k) is run as 1024 parallel sub-chains
     (fewer when n_samples is small), each burned in independently; letter
     draws come from a single PCG64 stream consumed column-wise, so the
-    output is a bit-exact function of (seed, n_samples, burn_in).  Counts
-    merge by integer addition, which makes the merge order irrelevant.
+    output is a bit-exact function of (seed, n_samples, burn_in).  The
+    stream is drawn in blocks of `_STEP_BLOCK` steps of every chain, in the
+    order of one draw of all steps, and each block's samples are counted
+    before the next is drawn.  Counts merge by integer addition, which
+    makes the merge order irrelevant.
 
     Masses are symbolic when the ambient box satisfies the open set
     condition and burn_in >= depth - 1: each sample is counted in the cell
     of its last `depth` letters, which is exact for every sample, and no
-    coordinates are computed.  Otherwise (overlapping branch images, or a
-    burn-in shorter than the window) the orbit is run and its points are
-    binned geometrically by :func:`bin_points`, whose shared-face
-    convention then applies.  The two agree except on samples within the
-    binning slack of a face shared by two image boxes.
+    coordinates are computed; the last depth - 1 letter rows of a block
+    are carried into the next for the windows that straddle it.  Otherwise
+    (overlapping branch images, or a burn-in shorter than the window) the
+    orbit is carried across blocks and each block's points are binned
+    geometrically by :func:`bin_points`, whose shared-face convention then
+    applies.  The two agree except on samples within the binning slack of
+    a face shared by two image boxes.
 
     The default burn-in of 100 comes from log(diam * precision) /
     log(1/c2) ~ 52 steps at c2 = 1/2, doubled for slack.
@@ -324,19 +337,25 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
 
     cumulative = np.cumsum(ifs.weights)
     cumulative[-1] = 1.0
-    # one expression, so the raw words and uniforms are freed before the
-    # window arrays are built: they set the peak memory of a 10^6-sample run
-    letters = _draw_letters(cumulative, uniform_doubles(int(seed), steps * chains)
-                            .reshape(steps, chains))
-    # emitting[e, c]: chain c emits a sample after step burn_in + e.
-    emitting = per_chain[None, :] >= np.arange(1, steps - burn_in + 1)[:, None]
-
-    if burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed:
-        cells = _window_cells(letters, emitting, burn_in, depth, ifs.n_branches)
-    else:
-        cells = bin_points(ifs, _orbit_points(ifs, letters, emitting, burn_in), depth)
-    assert len(cells) == n_samples
-    counts = np.bincount(cells, minlength=count)
+    symbolic = burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed
+    # the block stream bounds the peak memory: no array spans all the steps
+    uniforms = uniform_blocks(int(seed), steps * chains, _STEP_BLOCK * chains)
+    carry = np.zeros((0, chains), dtype=np.intp)  # up to depth - 1 previous letter rows
+    x = np.tile(ifs.box.center, (chains, 1))      # the orbit, on the geometric path
+    counts = np.zeros(count, dtype=np.int64)
+    for start in range(0, steps, _STEP_BLOCK):
+        letters = _draw_letters(cumulative, next(uniforms).reshape(-1, chains))
+        # emitting[e, c]: chain c emits a sample after step burn_in + e
+        emitted = np.arange(max(start, burn_in), start + len(letters)) - burn_in
+        emitting = per_chain[None, :] > emitted[:, None]
+        if symbolic:
+            window = np.concatenate([carry, letters])
+            cells = _window_cells(window, emitting, depth, ifs.n_branches)
+            carry = window[max(0, len(window) - (depth - 1)):]
+        else:
+            cells = bin_points(ifs, _orbit_points(ifs, x, letters, emitting), depth)
+        counts += np.bincount(cells, minlength=count)
+    assert counts.sum() == n_samples
     return CellMeasure(depth, counts / n_samples, "empirical",
                        sample_count=n_samples, seed=int(seed))
 

@@ -163,47 +163,74 @@ def _blocks(evaluator, points: np.ndarray, count: int):
         yield from values.reshape(-1, count)
 
 
-def _average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
-    """The Halton points of the averaging rule in every depth-m cell.
+def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
+    """The Halton points of the averaging rule in the box hulls (T, d, 2).
 
     One offset-major (s T, d) array: rows s T ... (s + 1) T - 1 are
-    lo + offset_s * sizes over the T cells' box hulls, for the
-    DEFAULT_AVERAGE_POINTS Halton offsets in order.  Built once per depth
-    and kept beside the cell grid, so every symbol sampled at that depth is
-    evaluated on the same array.
+    lo + offset_s * sizes over the T hulls, for the DEFAULT_AVERAGE_POINTS
+    Halton offsets in order.  Each point depends on its own hull only, so
+    the points of a subset of cells equal the same rows of all cells'.
     """
-    key = ("average", depth)
-    cached = ifs._cell_cache.get(key)
-    if cached is not None:
-        check_depth(ifs.n_branches, depth)
-        return cached
-    grid = cell_grid(ifs, depth)
-    lo = grid.boxes[:, :, 0]
-    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
     offsets = halton_points(DEFAULT_AVERAGE_POINTS, ifs.dimension)  # (s, d) in [0,1)^d
-    cached = (lo + offsets[:, None, :] * sizes).reshape(-1, ifs.dimension)
-    ifs._cell_cache[key] = cached
-    return cached
+    points = offsets[:, None, :] * (boxes[:, :, 1] - boxes[:, :, 0])
+    points += boxes[:, :, 0]  # lo + offset * size, added in place
+    return points.reshape(-1, ifs.dimension)
+
+
+def _average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
+    """The averaging points of every depth-m cell (`_offset_points`).
+
+    Read from `ifs._cell_cache` while `averaging_working_sets` holds them
+    there; built afresh otherwise.
+    """
+    cached = ifs._cell_cache.get(("average", depth))
+    if cached is not None:
+        return cached
+    return _offset_points(ifs, cell_grid(ifs, depth).boxes)
 
 
 def _branch_average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
     """The n branch images of _average_points(ifs, depth) in one (s n T, d)
     array, ordered by offset, then branch, then cell: rows (s n + i) T ...
-    (s n + i + 1) T - 1 hold branch i of offset s's T points."""
+    (s n + i + 1) T - 1 hold branch i of offset s's T points.  Read from
+    `ifs._cell_cache` like `_average_points`."""
+    cached = ifs._cell_cache.get(("branch-average", depth))
+    if cached is not None:
+        return cached
     averaging = _average_points(ifs, depth)
-    key = ("branch-average", depth)
-    cached = ifs._cell_cache.get(key)
-    if cached is None:
-        n = ifs.n_branches
-        count = len(averaging) // DEFAULT_AVERAGE_POINTS
-        cached = np.empty((n * len(averaging), ifs.dimension))
-        for s in range(DEFAULT_AVERAGE_POINTS):
-            points = averaging[s * count:(s + 1) * count]
-            for i, gamma in enumerate(ifs.branches):
-                row = (s * n + i) * count
-                cached[row:row + count] = gamma(points)
-        ifs._cell_cache[key] = cached
-    return cached
+    n = ifs.n_branches
+    count = len(averaging) // DEFAULT_AVERAGE_POINTS
+    images = np.empty((n * len(averaging), ifs.dimension))
+    for s in range(DEFAULT_AVERAGE_POINTS):
+        points = averaging[s * count:(s + 1) * count]
+        for i, gamma in enumerate(ifs.branches):
+            row = (s * n + i) * count
+            images[row:row + count] = gamma(points)
+    return images
+
+
+def averaging_working_sets(ifs: IfsSystem, depths):
+    """Yield each of the consecutive `depths` m while `ifs._cell_cache` holds
+    what the covariance residuals at m read: the depth-(m+1) averaging
+    points and the depth-m branch images.
+
+    Each array is built once.  The depth-(m+1) points serve depth m and
+    then give the branch images of depth m + 1, after which they are
+    dropped; the branch images of depth m are dropped when the loop moves
+    on.  No entry outlives the loop, whether it ends, breaks or raises.
+    """
+    cache = ifs._cell_cache
+    try:
+        for depth in depths:
+            cache[("branch-average", depth)] = _branch_average_points(ifs, depth)
+            cache.pop(("average", depth), None)
+            cache[("average", depth + 1)] = _average_points(ifs, depth + 1)
+            yield depth
+            del cache[("branch-average", depth)]
+    finally:
+        for depth in depths:
+            cache.pop(("branch-average", depth), None)
+            cache.pop(("average", depth + 1), None)
 
 
 def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
@@ -229,7 +256,7 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     rule="center" evaluates at the cell centers (images of the box
     center, so sampling commutes with the branch maps).  rule="average"
     takes the mean over DEFAULT_AVERAGE_POINTS Halton points placed in
-    each cell's box hull, built once per depth; the Halton set is
+    each cell's box hull (`_average_points`); the Halton set is
     deliberately flip-asymmetric, so averaged sampling does not commute
     with orientation-reversing branches and residuals against
     center-sampled data decay at the contraction rate.  The offset-major
@@ -237,21 +264,25 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     when they fit), and each cell sums its offsets in order from 0.0.
 
     `support` (rule="average" only) is a closed box (d, 2) outside of
-    which the field is zero.  Only the cells whose hull meets it are
-    evaluated; the others get 0.0, the mean the full evaluation gives them
-    (a sum 0.0 + (+-0.0) + ... is +0.0), so the values are the same.
+    which the field is zero.  Only the cells whose hull meets it get
+    averaging points, the same floats as their rows of the full array, and
+    are evaluated; the others get 0.0, the mean the full evaluation gives
+    them (a sum 0.0 + (+-0.0) + ... is +0.0), so the values are the same.
     """
     if rule == "center":
         values = np.asarray(evaluator(cell_grid(ifs, depth).centers))
         return CellFunction(depth, values)
     if rule != "average":
         raise ValueError(f"unknown sampling rule {rule!r}")
-    points = _average_points(ifs, depth)
-    count = len(points) // DEFAULT_AVERAGE_POINTS
-    cells = np.arange(count)
-    if support is not None:
-        cells = _support_cells(cell_grid(ifs, depth).boxes, support)
-        points = points[(np.arange(DEFAULT_AVERAGE_POINTS)[:, None] * count + cells).ravel()]
+    if support is None:
+        points = _average_points(ifs, depth)
+        count = len(points) // DEFAULT_AVERAGE_POINTS
+        cells = np.arange(count)
+    else:
+        boxes = cell_grid(ifs, depth).boxes
+        count = len(boxes)
+        cells = _support_cells(boxes, support)
+        points = _offset_points(ifs, boxes[cells])
     total = np.zeros(len(cells))
     if len(cells):  # a support that meets no cell evaluates nothing
         for values in _blocks(evaluator, points, len(cells)):
@@ -264,9 +295,9 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
 def transfer_to_cells(ifs: IfsSystem, evaluator, depth: int) -> CellFunction:
     """The averaging rule applied to L a = (1/n) sum_i a o gamma_i at depth m.
 
-    The field is evaluated on the branch images of the averaging points,
-    built once per depth as one array ordered by offset, then branch, then
-    cell, in calls of at most _EVAL_ROWS rows (one call when they fit).
+    The field is evaluated on the branch images of the averaging points
+    (`_branch_average_points`), one array ordered by offset, then branch,
+    then cell, in calls of at most _EVAL_ROWS rows (one call when they fit).
     Per point the branches are summed in order and divided by n, and the
     offsets are averaged as in `sample_to_cells`.
     """

@@ -170,3 +170,98 @@ def per_piece_box_distances(boxes, pieces):
             raise ValueError("bump partitions support value sets of dimension <= 1")
         best = np.minimum(best, distance)
     return best
+
+
+def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
+    """Chaos-game masses with every step drawn at once: the one-shot form
+    that `measure.chaos_game` streams in step blocks, kept as its
+    bit-for-bit reference."""
+    from ifslab.geometry import check_open_set_condition
+    from ifslab.measure import _draw_letters, bin_points
+    from ifslab.sampling import uniform_doubles
+
+    n = ifs.n_branches
+    chains = min(1024, n_samples)
+    base, extra = divmod(n_samples, chains)
+    per_chain = np.full(chains, base, dtype=np.int64)
+    per_chain[:extra] += 1
+    steps = int(per_chain.max()) + burn_in
+    cumulative = np.cumsum(ifs.weights)
+    cumulative[-1] = 1.0
+    letters = _draw_letters(cumulative, uniform_doubles(int(seed), steps * chains)
+                            .reshape(steps, chains))
+    emitting = per_chain[None, :] >= np.arange(1, steps - burn_in + 1)[:, None]
+    if burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed:
+        idx = np.zeros((steps - burn_in, chains), dtype=np.int64)
+        for back in range(depth):
+            idx *= n
+            idx += letters[burn_in - back:steps - back]
+        cells = idx[emitting]
+    else:
+        x = np.tile(ifs.box.center, (chains, 1))
+        points = []
+        for k, step_letters in enumerate(letters):
+            for i, gamma in enumerate(ifs.branches):
+                sel = step_letters == i
+                if sel.any():
+                    x[sel] = gamma(x[sel])
+            if k >= burn_in:
+                points.append(x[emitting[k - burn_in]])
+        cells = bin_points(ifs, np.concatenate(points), depth)
+    assert len(cells) == n_samples
+    return np.bincount(cells, minlength=n**depth) / n_samples
+
+
+def assembled_reconstruction_residual(ifs, symbol, vectors):
+    """The reconstruction residual built by copies: eta stacked with a zero
+    row, every support row's partner row gathered for each letter, the
+    blocks scaled into a new array and M_a subtracted through the operator
+    algebra.  Kept as the reference that `reconstruction_residual`, which
+    builds the same blocks in place, must equal bit for bit."""
+    from ifslab.bimodule import reference_symbol
+    from ifslab.operators import CellOperator, mult_op
+
+    level = vectors.depth
+    a_ref = reference_symbol(ifs, symbol, level)
+    n = ifs.n_branches
+    count = n ** (level - 1)
+    support = len(vectors.rows)
+    position = np.full(n * count, support)
+    position[vectors.rows] = np.arange(support)
+    eta = np.vstack([vectors.eta, np.zeros((1, vectors.size))])
+    tail, first = vectors.rows % count, vectors.rows // count
+    blocks = np.zeros((count, n, n))
+    for j in range(n):
+        blocks[tail, first, j] = np.einsum("rk,rk->r", vectors.xi,
+                                           eta[position[j * count + tail]])
+    reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
+    return reconstructed.subtract(mult_op(ifs, a_ref))
+
+
+def assembled_covariant_rep_check(ifs, depth, trials, seed=0):
+    """The covariant-representation residuals through the operator algebra:
+    five multiplication operators composed with C and C*, two differences
+    and their norms per trial.  Kept as the reference that
+    `covariant_rep_check`, which forms the two diagonal identities
+    directly, must equal bit for bit."""
+    from ifslab.operators import (CellFunction, adjoint_composition_op, composition_op,
+                                  mult_op, operator_norm, transfer_values)
+    from ifslab.sampling import uniform_doubles
+
+    comp = composition_op(ifs, depth)
+    comp_star = adjoint_composition_op(ifs, depth)
+    count = ifs.n_branches ** (depth + 1)
+    worst1 = worst2 = 0.0
+    for t in range(trials):
+        u = uniform_doubles((seed, t), 6 * count).reshape(6, count)
+        a = CellFunction(depth + 1, (2 * u[0] - 1) + 1j * (2 * u[1] - 1))
+        xi = CellFunction(depth + 1, (2 * u[2] - 1) + 1j * (2 * u[3] - 1))
+        eta = CellFunction(depth + 1, (2 * u[4] - 1) + 1j * (2 * u[5] - 1))
+        lhs1 = mult_op(ifs, a).compose(mult_op(ifs, xi)).compose(comp)
+        rhs1 = mult_op(ifs, CellFunction(depth + 1, a.values * xi.values)).compose(comp)
+        worst1 = max(worst1, operator_norm(lhs1.subtract(rhs1)))
+        inner = np.conj(xi.values) * eta.values
+        lhs2 = comp_star.compose(mult_op(ifs, CellFunction(depth + 1, inner))).compose(comp)
+        rhs2 = mult_op(ifs, CellFunction(depth, transfer_values(ifs, inner)))
+        worst2 = max(worst2, operator_norm(lhs2.subtract(rhs2)))
+    return worst1, worst2

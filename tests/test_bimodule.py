@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (dense_gram_adjoint, per_piece_box_distances, random_ifs,
+from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
+                      dense_gram_adjoint, per_piece_box_distances, random_ifs,
                       reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
@@ -517,6 +518,33 @@ def test_broken_partition_detected(tent_square):
     assert broken >= hole - intact - 0.02
 
 
+@pytest.mark.parametrize("pair_rows", [None, 1, 7])
+def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_rows):
+    # the in-place blocks against the copying form: stacked eta,
+    # full-row gathers, blocks * weights and the subtraction of M_a through
+    # the operator algebra; also with einsum calls of one and of seven rows
+    from ifslab import catalog
+
+    if pair_rows is not None:
+        monkeypatch.setattr(bi, "_PAIR_ROWS", pair_rows)
+    for name, levels in (("tent_sigma", (3, 4, 5, 6)), ("tent_square", (3, 4, 5, 6)),
+                         ("sigma_1d", (3, 5))):
+        if pair_rows is not None and name != "sigma_1d":
+            levels = levels[:2]
+        entry = catalog.get(name)
+        ifs = entry.system
+        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
+        partition = build_bump_partition(ifs, symbol)
+        for level in levels:
+            vectors = reconstruction_vectors(ifs, symbol, partition, level)
+            got = reconstruction_residual(ifs, symbol, vectors)
+            expected = assembled_reconstruction_residual(ifs, symbol, vectors)
+            assert (got.dom_depth, got.cod_depth) == (expected.dom_depth, expected.cod_depth)
+            assert got.matrix.shape == expected.matrix.shape
+            assert np.all(got.matrix == expected.matrix), (name, level)
+            assert got.matrix.tobytes() == expected.matrix.tobytes(), (name, level)
+
+
 def test_operator_reconstruction_rates_second_system(tent_sigma):
     ifs = tent_sigma.system
     symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
@@ -685,6 +713,39 @@ def test_covariant_rep_residuals(tent_square):
     # multiply rounding path differs between the two assemblies
     assert res1 <= 1e-15
     assert res2 <= 1e-12
+
+
+def covariant_rep_systems():
+    """Catalog systems, seeded random systems of every kind and 1-D interval
+    systems of 2..16 branches, every third with non-uniform weights."""
+    from ifslab import catalog
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    systems = [entry.system for entry in catalog.catalog()]
+    rng = np.random.default_rng(17)
+    systems += [random_ifs(rng, kind) for kind in ("1d", "2d-diagonal", "2d-rotated", "3d")
+                for _ in range(2)]
+    for n in range(2, 17):
+        branches = [AffineContraction(np.array([[1.0 / n]]), np.array([k / n]))
+                    for k in range(n)]
+        weights = rng.dirichlet(np.ones(n)) if n % 3 == 0 else None
+        systems.append(IfsSystem(AmbientBox(np.array([[0.0, 1.0]])), branches,
+                                 weights=weights, name=f"interval {n}"))
+    return systems
+
+
+def test_covariant_rep_check_equals_operator_algebra():
+    checked = 0
+    for ifs in covariant_rep_systems():
+        for depth in (0, 1, 2, 3):
+            if ifs.n_branches ** (depth + 1) > 4096:
+                continue
+            for seed in (0, 7):
+                got = covariant_rep_check(ifs, depth, 5, seed=seed)
+                assert got == assembled_covariant_rep_check(ifs, depth, 5, seed=seed), \
+                    (ifs.name, depth, seed)
+                checked += 1
+    assert checked > 150
 
 
 def test_isometry_of_unit_module_element(tent_square):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,6 +174,43 @@ def test_report_byte_identical(tmp_path):
     assert names == sorted(os.listdir(out2))
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
+    # the covariance loop holds one depth's averaging points and branch
+    # images at a time; the cell grids stay for the later suites
+    loaded = []
+    original = cli._load_system
+
+    def capture(name):
+        ifs, expected = original(name)
+        loaded.append(ifs)
+        return ifs, expected
+
+    monkeypatch.setattr(cli, "_load_system", capture)
+    for command in ("verify", "report"):
+        assert run([command, "--system", "tent_sigma", "--depths", "2..4", "--samples",
+                    "20000", "--out", str(tmp_path / command)]) == 0
+    assert len(loaded) == 2
+    for ifs in loaded:
+        keys = [key for key in ifs._cell_cache if isinstance(key, tuple)]
+        assert ("grid", 5) in keys
+        assert not [key for key in keys if key[0] in ("average", "branch-average")], keys
+
+
+def test_report_memory_is_bounded(tmp_path):
+    # the benchmark's configuration (10^6 samples); a one-shot chaos game,
+    # averaging arrays kept to the end of the command and copied
+    # reconstruction blocks take the traced peak to 35 MiB
+    args = ["report", "--system", "tent_sigma", "--depths", "2..5"]
+    assert run([*args, "--samples", "1000", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert run([*args, "--out", str(tmp_path / "report")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 def test_cell_masses_built_for_measure_suites_only(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import one_shot_chaos_game
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthMismatch, DepthOverflow, NoConvergence
@@ -12,7 +14,7 @@ from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             measure_separation_estimate, self_similarity_residual,
                             total_variation, word_index)
-from ifslab.sampling import bit_stream, uniform_doubles
+from ifslab.sampling import bit_stream, uniform_blocks, uniform_doubles
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +154,18 @@ def test_threshold_letter_draw_matches_binary_search():
             np.testing.assert_array_equal(letters, expected)
 
 
+def test_uniform_blocks_continue_one_stream():
+    # the blocks are the doubles of one draw, in order, for int and tuple
+    # seeds and for blocks that do and do not divide the count
+    for seed in (0, 7, (7, 101, 3)):
+        for count, block in ((1, 1), (1_000, 64), (1_000, 1_000), (1_000, 3_000),
+                             (3 * 65_536 + 5, 65_536)):
+            blocks = list(uniform_blocks(seed, count, block))
+            assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            assert 0 < len(blocks[-1]) <= block
+            assert np.array_equal(np.concatenate(blocks), uniform_doubles(seed, count))
+
+
 # ---------------------------------------------------------------------------
 # chaos game: symbolic addressing against the orbit and geometric binning
 # ---------------------------------------------------------------------------
@@ -249,6 +263,56 @@ def test_overlapping_images_bin_the_orbit(overlap_bad):
         np.testing.assert_array_equal(np.rint(mu.masses * 20_000), expected)
         # the overlap makes the letter windows a different, wrong histogram
         assert np.any(np.bincount(symbolic, minlength=2**depth) != expected)
+
+
+# ---------------------------------------------------------------------------
+# chaos game: the step-block stream against the one-shot draw
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d",
+                                  "overlap_bad"])
+def test_streamed_chaos_game_equals_one_shot(name):
+    # overlap_bad takes the geometric path (orbit carried across blocks);
+    # sample counts below 1024 chains and not divisible by 1024; burn-ins
+    # of 100 and of exactly depth - 1 (the shortest symbolic window)
+    ifs = catalog.get(name).system
+    for depth in range(1, 6):
+        for n_samples in (700, 5_001, 66_667):
+            for burn_in in (100, depth - 1):
+                expected = one_shot_chaos_game(ifs, depth, n_samples, 13, burn_in)
+                mu = chaos_game(ifs, depth, n_samples, seed=13, burn_in=burn_in)
+                assert np.array_equal(mu.masses, expected), (depth, n_samples, burn_in)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_streamed_chaos_game_blocks_shorter_than_window(monkeypatch, rows):
+    # a block of fewer step rows than the depth - 1 letters a window
+    # carries: the carry then spans several blocks
+    monkeypatch.setattr(mea, "_STEP_BLOCK", rows)
+    for name, depth, burn_in in (("tent_sigma", 5, 4), ("tent_1d", 5, 100),
+                                 ("tent_square", 4, 3), ("overlap_bad", 4, 3),
+                                 ("tent_sigma", 4, 1)):
+        ifs = catalog.get(name).system
+        for n_samples in (1, 1_000, 4_097):
+            expected = one_shot_chaos_game(ifs, depth, n_samples, 5, burn_in)
+            mu = chaos_game(ifs, depth, n_samples, seed=5, burn_in=burn_in)
+            assert np.array_equal(mu.masses, expected), (name, depth, n_samples)
+
+
+def test_chaos_game_memory_is_bounded(tent_sigma):
+    # a draw of every step at once holds 25 MiB of words, uniforms, letters
+    # and windows for 10^6 samples; the step blocks hold one block's worth
+    # (depth 1 carries no letter rows between blocks)
+    ifs = tent_sigma.system
+    chaos_game(ifs, 2, 1_000, seed=7)  # memoised geometry outside the trace
+    for depth in (1, 2):
+        tracemalloc.start()
+        try:
+            chaos_game(ifs, depth, 10**6, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (depth, peak)
 
 
 def test_bin_points_lexicographic_on_boundary(tent_1d):

@@ -11,7 +11,7 @@ from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op
                               composition_op, inner_product, mult_op, operator_norm,
                               pullback, refine, sample_to_cells, transfer_op,
                               transfer_values)
-from ifslab.sampling import halton_points, random_trig_symbol
+from ifslab.sampling import halton_points, random_trig_symbol, window_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -600,3 +600,82 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
     assert sum(rows) == 5 * 6 * 6**5 and max(rows) <= 2**15
     expected = per_offset_average(ifs, transferred(ifs, symbol.evaluator), 5)
     assert got.values.tobytes() == expected.tobytes()
+
+
+def test_support_averaging_points_equal_gathered_rows():
+    # the support cells' points are built from their own hulls; they must be
+    # the same floats as their rows of the full array, which in turn are
+    # lo + offset * sizes as one expression
+    rng = np.random.default_rng(12)
+    cases = [(catalog.get(name).system, catalog.get(name).expected.admissible_support, depths)
+             for name, depths in (("tent_sigma", (3, 4, 5, 6)), ("tent_square", (2, 3, 4, 5)))]
+    cases.append((random_ifs(rng, "2d-rotated"), [[0.2, 0.7], [0.1, 0.5]], (2, 3, 4)))
+    for ifs, support, depths in cases:
+        offsets = halton_points(op.DEFAULT_AVERAGE_POINTS, ifs.dimension)
+        for depth in depths:
+            boxes = cell_grid(ifs, depth).boxes
+            lo, sizes = boxes[:, :, 0], boxes[:, :, 1] - boxes[:, :, 0]
+            full = op._average_points(ifs, depth)
+            assert full.tobytes() == (lo + offsets[:, None, :] * sizes).reshape(
+                -1, ifs.dimension).tobytes()
+            cells = op._support_cells(boxes, support)
+            assert 0 < len(cells) < len(boxes)
+            gathered = full.reshape(len(offsets), len(boxes), -1)[:, cells].reshape(
+                -1, ifs.dimension)
+            assert op._offset_points(ifs, boxes[cells]).tobytes() == gathered.tobytes()
+
+
+def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkeypatch):
+    ifs = tent_sigma.system
+    window = window_symbol(tent_sigma.expected.admissible_support)
+    built = []
+    original = op._offset_points
+
+    def recording(ifs, boxes):
+        built.append(len(boxes))
+        return original(ifs, boxes)
+
+    monkeypatch.setattr(op, "_offset_points", recording)
+    for depth in (4, 6):
+        built.clear()
+        sample_to_cells(ifs, window, depth, rule="average", support=window.support_box)
+        cells = op._support_cells(cell_grid(ifs, depth).boxes, window.support_box)
+        assert built == [len(cells)] and len(cells) < 6**depth / 4
+
+
+def test_averaging_working_sets_hold_one_depth(monkeypatch):
+    ifs = catalog.get("tent_sigma").system
+    symbols = [random_trig_symbol((7, 101, k), 2) for k in range(3)]
+    builds = []
+    original = op._offset_points
+
+    def counted(ifs, boxes):
+        builds.append(len(boxes))
+        return original(ifs, boxes)
+
+    def held(ifs):
+        return {key for key in ifs._cell_cache
+                if isinstance(key, tuple) and key[0] in ("average", "branch-average")}
+
+    expected = {(k, m): cli.covariance_residual(ifs, symbol, m)
+                for k, symbol in enumerate(symbols) for m in (2, 3, 4)}
+    assert held(ifs) == set()
+    monkeypatch.setattr(op, "_offset_points", counted)
+    for m in op.averaging_working_sets(ifs, [2, 3, 4]):
+        assert held(ifs) == {("average", m + 1), ("branch-average", m)}
+        assert op._average_points(ifs, m + 1).tobytes() == \
+            original(ifs, cell_grid(ifs, m + 1).boxes).tobytes()
+        for k, symbol in enumerate(symbols):
+            assert cli.covariance_residual(ifs, symbol, m) == expected[k, m]
+    # the points of depths 2..5, each once: depth m's serve depth m - 1 and
+    # then give the branch images of depth m
+    assert builds == [6**2, 6**3, 6**4, 6**5]
+    assert held(ifs) == set()
+
+    for m in op.averaging_working_sets(ifs, [2, 3]):
+        break
+    assert held(ifs) == set()
+    with pytest.raises(RuntimeError):
+        for m in op.averaging_working_sets(ifs, [2, 3]):
+            raise RuntimeError("stop")
+    assert held(ifs) == set()
