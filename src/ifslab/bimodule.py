@@ -128,9 +128,18 @@ def theta_matrix(ifs: IfsSystem, xi: CellFunction, eta: CellFunction) -> CellOpe
 # ---------------------------------------------------------------------------
 
 def support_distance_to_value_set(ifs: IfsSystem, support_box: np.ndarray) -> float:
-    """Exact distance from the closed support box to the two-branch value set."""
+    """Exact distance from the closed support box to the two-branch value set.
+
+    Kept in `ifs._cell_cache` per support box, so the symbol's admission
+    and its bump partition share one computation.
+    """
     boxes = np.asarray(support_box, dtype=float)[None]
-    return float(box_distances_to_pieces(boxes, branch_value_set(ifs))[0])
+    key = ("support-gap", boxes.shape, boxes.tobytes())
+    gap = ifs._cell_cache.get(key)
+    if gap is None:
+        gap = ifs._cell_cache[key] = float(
+            box_distances_to_pieces(boxes, branch_value_set(ifs))[0])
+    return gap
 
 
 @dataclass(frozen=True)
@@ -231,9 +240,6 @@ class BumpPartition:
             values[rows, cols] = tent
         return values
 
-    def sum_values(self, points: np.ndarray) -> np.ndarray:
-        return self.bump_values(points).sum(axis=1)
-
     def support_rows(self, points: np.ndarray) -> np.ndarray:
         """Ascending indices of the points within one pitch of a node coordinate
         on every axis; every tent is exactly zero at the other points."""
@@ -255,27 +261,74 @@ class BumpPartition:
 # bounded at fine pitches.
 _NODE_BLOCK = 2048
 
+# Rounding allowance of the gap certificate in `_clearance_failures`, per
+# unit of the coordinates' magnitude plus the box's longest side.
+_GAP_SLACK = 1e-12
 
-def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
-                            value_pieces: list[AffinePiece], clearance: float):
-    """(index, condition) of the first node whose rectangle fails, or None.
 
-    Tests conditions (1)-(3) for the open rectangles (node-h, node+h)^d
-    clipped to the box, and names the first failed condition of that node:
-    value-set clearance, then branches i = 1..n in order.  A node whose
-    rectangle misses the box passes.  Box images are exact for
-    axis-aligned branches; for general affine branches the vertex hulls
-    overestimate the sets, so a failure here can only be conservative,
-    never a false pass.  For each branch i the pre-image boxes are mapped
-    by every branch j in one product and tested against the rectangles
-    as one (n, nodes) overlap array, with row i masked out.
+def _lattice_nodes(ifs: IfsSystem, support: np.ndarray, pitch: float) -> np.ndarray:
+    """The pitch-h lattice nodes, anchored at the box corner, within one
+    pitch of the support on every axis, in lattice (C) order."""
+    lo = ifs.box.lo
+    ranges = []
+    for a in range(ifs.dimension):
+        first = int(np.floor((support[a, 0] - pitch - lo[a]) / pitch)) + 1
+        last = int(np.ceil((support[a, 1] + pitch - lo[a]) / pitch)) - 1
+        ranges.append(np.arange(first, last + 1))
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    return lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _clearance_failures(ifs: IfsSystem, clipped: np.ndarray, value_pieces: list[AffinePiece],
+                        clearance: float, support: np.ndarray, gap: float) -> np.ndarray:
+    """box_distances_to_pieces(clipped, value_pieces) < clearance, per rectangle.
+
+    `gap` is the support box's distance to the value set.  A rectangle
+    reaches past the support by e, the Euclidean length of its per-axis
+    overhang, so each of its points lies within e of the support and
+    dist(R, V) >= gap - e exactly.  A rectangle with
+    gap - e >= clearance + slack therefore cannot fail, and only the
+    others go through the kernel, gathered into one array: each box's
+    distance takes the same steps alone or in any chunk, so the flags are
+    the kernel's.
+
+    The slack covers rounding.  Every candidate the kernel evaluates is a
+    point of a piece, and a rounding slip in its knots or vertex changes
+    the squared distance by at most a squared rounding error, so the computed gap
+    and distances lie within a few units in the last place of the
+    coordinates, plus a few of the distance itself, of the exact ones; so
+    does e.  The slack, `_GAP_SLACK` times the largest coordinate magnitude
+    of the box and support plus the box's longest side, exceeds those
+    errors by a factor of hundreds.
     """
     box = ifs.box.intervals
-    lo = np.maximum(nodes - pitch, box[:, 0])
-    hi = np.minimum(nodes + pitch, box[:, 1])
-    live = np.flatnonzero(np.all(lo <= hi, axis=1))
-    clipped = np.stack([lo[live], hi[live]], axis=2)
-    members = branch_membership(ifs, nodes[live])
+    scale = np.abs(np.concatenate([box, support])).max() + ifs.box.sizes.max()
+    overhang = np.maximum(np.maximum(support[:, 0] - clipped[:, :, 0],
+                                     clipped[:, :, 1] - support[:, 1]), 0.0)
+    reach = np.sqrt((overhang * overhang).sum(axis=1))
+    doubtful = np.flatnonzero(gap - reach < clearance + _GAP_SLACK * scale)
+    too_close = np.zeros(len(clipped), dtype=bool)
+    too_close[doubtful] = box_distances_to_pieces(clipped[doubtful], value_pieces) < clearance
+    return too_close
+
+
+def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
+                            too_close: np.ndarray):
+    """(index, condition) of the first node whose rectangle fails, or None.
+
+    `nodes` are live nodes, `clipped` their rectangles clipped to the box
+    and `too_close` their value-set clearance flags.  Adds the branch tests,
+    conditions (2) and (3), and names the first failed condition of the
+    first failing node: value-set clearance, then branches i = 1..n in
+    order.  Box images are exact for axis-aligned branches; for general
+    affine branches the vertex hulls overestimate the sets, so a failure
+    here can only be conservative, never a false pass.  For each branch i
+    the pre-image boxes are mapped by every branch j in one product and
+    tested against the rectangles as one (n, nodes) overlap array, with
+    row i masked out.
+    """
+    box = ifs.box.intervals
+    members = branch_membership(ifs, nodes)
     corners = box_corners(clipped)
 
     # every branch's x -> x L^T + t at once: the transposed views multiply as
@@ -285,8 +338,8 @@ def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
     translations = np.stack([g.translation for g in ifs.branches])[:, None, :]
 
     # row 0: clearance; row i: branch i (branch-return for members, else foreign-branch)
-    fails = np.zeros((1 + n, len(live)), dtype=bool)
-    fails[0] = box_distances_to_pieces(clipped, value_pieces) < clearance
+    fails = np.zeros((1 + n, len(nodes)), dtype=bool)
+    fails[0] = too_close
     for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
         own = members[:, i - 1]
         fails[i] = ~own & boxes_overlap_openly(clipped, image)
@@ -313,15 +366,15 @@ def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
         condition = "value-set-clearance"
     else:
         condition = "branch-return" if members[k, first - 1] else "foreign-branch"
-    return int(live[k]), condition
+    return int(k), condition
 
 
-def _first_failure(ifs: IfsSystem, nodes: np.ndarray, pitch: float,
-                   value_pieces: list[AffinePiece], clearance: float):
-    """(node, condition) of the first failing node in lattice order, or None."""
+def _first_failure(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
+                   too_close: np.ndarray):
+    """(node, condition) of the first failing live node in lattice order, or None."""
     for start in range(0, len(nodes), _NODE_BLOCK):
-        found = _first_failure_in_block(ifs, nodes[start:start + _NODE_BLOCK], pitch,
-                                        value_pieces, clearance)
+        block = slice(start, start + _NODE_BLOCK)
+        found = _first_failure_in_block(ifs, nodes[block], clipped[block], too_close[block])
         if found is not None:
             index, condition = found
             return nodes[start + index], condition
@@ -334,12 +387,19 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
 
     Starts from the largest dyadic pitch compatible with the box and
     halves it until every tent rectangle passes the exact interval tests;
-    underflow of `min_pitch` raises CoverFailure with the obstruction.
-    At each pitch the nodes are tested as arrays, `_NODE_BLOCK` nodes at a
-    time in lattice order, and the search stops at the first block that
-    holds a failure.  The obstruction is the first failing node in lattice
-    order, with its first failed condition: value-set clearance, then
-    branch-return or foreign-branch for branches 1..n.
+    underflow of `min_pitch` raises CoverFailure with the obstruction: the
+    first failing node in lattice order at the finest pitch, the last one
+    at least `min_pitch`, with its first failed condition (value-set
+    clearance, then branch-return or foreign-branch for branches 1..n).
+
+    Each pitch first clips the rectangles to the box (a rectangle that
+    misses the box passes) and flags the ones within delta/2 of the value
+    set (`_clearance_failures`: the kernel runs only on the rectangles
+    that the support's gap cannot certify).  Only the finest pitch's
+    obstruction is ever reported, so at any coarser pitch one clearance
+    failure fails the pitch and no branch test runs.  Otherwise the branch
+    tests run as arrays, `_NODE_BLOCK` nodes at a time in lattice order,
+    and stop at the first block that holds a failure.
     """
     support = symbol.support_box
     if support is None:
@@ -351,21 +411,23 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
 
     value_pieces = branch_value_set(ifs)
     clearance = symbol.delta / 2.0
-    lo = ifs.box.lo
+    box = ifs.box.intervals
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
     last_obstruction = None
     while pitch >= min_pitch:
-        ranges = []
-        for a in range(ifs.dimension):
-            first = int(np.floor((support[a, 0] - pitch - lo[a]) / pitch)) + 1
-            last = int(np.ceil((support[a, 1] + pitch - lo[a]) / pitch)) - 1
-            ranges.append(np.arange(first, last + 1))
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        nodes = lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
-        failed = _first_failure(ifs, nodes, pitch, value_pieces, clearance)
-        if failed is None:
-            return BumpPartition(nodes, float(pitch), clearance)
-        last_obstruction = failed
+        nodes = _lattice_nodes(ifs, support, pitch)
+        # the rectangles (node-h, node+h)^d that meet the box, clipped to it
+        lo = np.maximum(nodes - pitch, box[:, 0])
+        hi = np.minimum(nodes + pitch, box[:, 1])
+        live = np.flatnonzero(np.all(lo <= hi, axis=1))
+        clipped = np.stack([lo[live], hi[live]], axis=2)
+        too_close = _clearance_failures(ifs, clipped, value_pieces, clearance, support, gap)
+        finest = pitch / 2.0 < min_pitch
+        if finest or not too_close.any():
+            failed = _first_failure(ifs, nodes[live], clipped, too_close)
+            if failed is None:
+                return BumpPartition(nodes, float(pitch), clearance)
+            last_obstruction = failed
         pitch /= 2.0
     if last_obstruction is None:
         raise CoverFailure(f"min_pitch {min_pitch} exceeds the starting pitch")

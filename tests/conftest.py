@@ -172,6 +172,21 @@ def per_piece_box_distances(boxes, pieces):
     return best
 
 
+def einsum_cell_grid(ifs, depth):
+    """(centers, half_frames, boxes) of the depth-m cells built from depth 0
+    with each branch's half frames formed by np.einsum("ab,kbc->kac"): the
+    product `measure.cell_grid` writes as an ordered sum, kept as its
+    bit-for-bit reference."""
+    centers = ifs.box.center[None, :].copy()
+    half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
+    for _ in range(depth):
+        centers = np.concatenate([g(centers) for g in ifs.branches], axis=0)
+        half = np.concatenate([np.einsum("ab,kbc->kac", g.linear, half)
+                               for g in ifs.branches], axis=0)
+    extent = np.abs(half).sum(axis=2)
+    return centers, half, np.stack([centers - extent, centers + extent], axis=2)
+
+
 def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
     """Chaos-game masses with every step drawn at once: the one-shot form
     that `measure.chaos_game` streams in step blocks, kept as its

@@ -14,8 +14,8 @@ from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a
                              reconstruction_vectors, theta_apply, theta_matrix,
                              verify_operator_reconstruction, verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
-from ifslab.geometry import (box_corners, box_intersection, boxes_overlap_openly,
-                             branch_membership, branch_value_set)
+from ifslab.geometry import (box_corners, box_distances_to_pieces, box_intersection,
+                             boxes_overlap_openly, branch_membership, branch_value_set)
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, mult_op, operator_norm, sample_to_cells)
@@ -190,7 +190,7 @@ def test_partition_exists_for_clear_support(tent_square):
     # normalization on 10^3 support points
     u = uniform_doubles(70, 2000).reshape(1000, 2)
     pts = 0.1 + 0.3 * u
-    assert np.abs(partition.sum_values(pts) - 1.0).max() <= 1e-12
+    assert np.abs(partition.bump_values(pts).sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_partition_rectangles_clear_value_set(tent_square):
@@ -362,19 +362,20 @@ def test_partition_failure_past_the_first_node_block(monkeypatch):
     assert max(failures) >= 4
 
 
-def per_pair_first_failure_in_block(ifs, nodes, pitch, value_pieces, clearance):
+def per_piece_clearance_failures(ifs, clipped, value_pieces, clearance, support, gap):
+    """`bimodule._clearance_failures` with no gap certificate and one
+    distance pass per value piece over every rectangle."""
+    return per_piece_box_distances(clipped, value_pieces) < clearance
+
+
+def per_pair_first_failure_in_block(ifs, nodes, clipped, too_close):
     """`bimodule._first_failure_in_block` with one image-box pass per branch
-    pair (i, j) and one distance pass per value piece: the loops the
-    batched return test and distances replace."""
+    pair (i, j): the loop the batched return test replaces."""
     box = ifs.box.intervals
-    lo = np.maximum(nodes - pitch, box[:, 0])
-    hi = np.minimum(nodes + pitch, box[:, 1])
-    live = np.flatnonzero(np.all(lo <= hi, axis=1))
-    clipped = np.stack([lo[live], hi[live]], axis=2)
-    members = branch_membership(ifs, nodes[live])
+    members = branch_membership(ifs, nodes)
     corners = box_corners(clipped)
-    fails = np.zeros((1 + ifs.n_branches, len(live)), dtype=bool)
-    fails[0] = per_piece_box_distances(clipped, value_pieces) < clearance
+    fails = np.zeros((1 + ifs.n_branches, len(nodes)), dtype=bool)
+    fails[0] = too_close
     for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
         own = members[:, i - 1]
         fails[i] = ~own & boxes_overlap_openly(clipped, image)
@@ -397,7 +398,7 @@ def per_pair_first_failure_in_block(ifs, nodes, pitch, value_pieces, clearance):
         condition = "value-set-clearance"
     else:
         condition = "branch-return" if members[k, first - 1] else "foreign-branch"
-    return int(live[k]), condition
+    return int(k), condition
 
 
 def exact_outcome(ifs, symbol, min_pitch):
@@ -422,12 +423,125 @@ def test_partition_equals_per_pair_return_test(monkeypatch):
         batched = exact_outcome(ifs, symbol, min_pitch)
         with monkeypatch.context() as patch:
             patch.setattr(bi, "_first_failure_in_block", per_pair_first_failure_in_block)
+            patch.setattr(bi, "_clearance_failures", per_piece_clearance_failures)
             assert exact_outcome(ifs, symbol, min_pitch) == batched, label
         tally[batched[0]] = tally.get(batched[0], 0) + 1
         if ifs.name in ("2d-rotated", "3d"):
             tally[ifs.name] = tally.get(ifs.name, 0) + 1
     assert tally[CoverFailure] >= 5 and tally["partition"] >= 5, tally
     assert tally["2d-rotated"] and tally["3d"], tally
+
+
+def moved_case(ifs, symbol, min_pitch, scale, shift):
+    """The partition problem in other units: every coordinate x becomes
+    scale * x + shift (box, branches, support, delta and min_pitch)."""
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    offset = np.full(ifs.dimension, shift)
+    branches = [AffineContraction(g.linear, scale * g.translation + offset - g.linear @ offset)
+                for g in ifs.branches]
+    moved = IfsSystem(AmbientBox(scale * ifs.box.intervals + shift), branches,
+                      name=ifs.name)
+    support = scale * np.asarray(symbol.support_box, dtype=float) + shift
+    return moved, AdmissibleSymbol(window_symbol(support), scale * symbol.delta), scale * min_pitch
+
+
+def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
+    # every rectangle of every pitch the search visits: the oracle cases,
+    # and the catalog cases moved to the box [1000, 1001]^d and shrunk 1000-fold
+    from ifslab import geometry
+
+    cases = oracle_cases()
+    cases += [(label + " translated", *moved_case(ifs, symbol, min_pitch, 1.0, 1000.0))
+              for label, ifs, symbol, min_pitch in cases[:4]]
+    cases += [(label + " shrunk", *moved_case(ifs, symbol, min_pitch, 1e-3, 0.0))
+              for label, ifs, symbol, min_pitch in cases[:4]]
+    original = bi._clearance_failures
+    seen = {"rectangles": 0, "kernel rows": 0, "failing": 0}
+
+    def kernel(boxes, pieces):
+        seen["kernel rows"] += len(boxes)
+        return geometry.box_distances_to_pieces(boxes, pieces)
+
+    def checked(ifs, clipped, value_pieces, clearance, support, gap):
+        flags = original(ifs, clipped, value_pieces, clearance, support, gap)
+        want = geometry.box_distances_to_pieces(clipped, value_pieces) < clearance
+        assert flags.tobytes() == want.tobytes(), label
+        seen["rectangles"] += len(clipped)
+        seen["failing"] += int(want.sum())
+        return flags
+
+    monkeypatch.setattr(bi, "box_distances_to_pieces", kernel)
+    monkeypatch.setattr(bi, "_clearance_failures", checked)
+    for label, ifs, symbol, min_pitch in cases:
+        partition_outcome(build_bump_partition, ifs, symbol, min_pitch)
+    # the certificate spares most rectangles the kernel, and many fail
+    assert seen["failing"] > 0 and seen["kernel rows"] < 0.5 * seen["rectangles"], seen
+
+
+def test_clearance_certificate_at_its_edge(tent_square):
+    # rectangles overhanging a support corner straight towards a value
+    # point are exactly gap - e from it: a clearance just above that fails
+    # them, so the certificate must leave them to the kernel
+    from ifslab.geometry import AffinePiece
+
+    symbol = AdmissibleSymbol(window_symbol([[0.2, 0.3], [0.2, 0.3]]), 0.05)
+    for shift in (0.0, 1000.0):
+        ifs, moved, _ = moved_case(tent_square.system, symbol, 2.0**-12, 1.0, shift)
+        support = np.asarray(moved.support_box)
+        point = np.array([0.4, 0.4]) + shift
+        pieces = [AffinePiece((1, 2), point, np.zeros((2, 0)), 0, point=point)]
+        gap = float(box_distances_to_pieces(support[None], pieces)[0])
+        # corner overhangs interleaved with rectangles inside the support
+        rects = []
+        for eps in (1e-3, 1e-2, 3e-2, 5e-2):
+            rects.append(np.array([[0.2, 0.3 + eps], [0.2, 0.3 + eps]]) + shift)
+            rects.append(np.array([[0.2, 0.25], [0.22, 0.3]]) + shift)
+        rects = np.array(rects)
+        distances = box_distances_to_pieces(rects, pieces)
+        for k in range(0, len(rects), 2):
+            for clearance in (distances[k] * (1 + 1e-14), distances[k], distances[k] * (1 - 1e-14)):
+                flags = bi._clearance_failures(ifs, rects, pieces, clearance, support, gap)
+                want = distances < clearance
+                assert flags.tobytes() == want.tobytes(), (shift, k, clearance)
+                assert want[k] == (clearance > distances[k])
+
+
+def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
+    original = bi._first_failure_in_block
+    tested = []
+
+    def spy(ifs, nodes, clipped, too_close):
+        tested.append(nodes.copy())
+        return original(ifs, nodes, clipped, too_close)
+
+    monkeypatch.setattr(bi, "_first_failure_in_block", spy)
+    catalog_cases = oracle_cases()[:4]
+    for label, ifs, symbol, min_pitch in catalog_cases:
+        tested.clear()
+        partition = build_bump_partition(ifs, symbol, min_pitch)
+        start = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+        assert partition.pitch < start, label  # coarser pitches failed first
+        # the branch tests saw the passing pitch's nodes, and no others
+        assert np.concatenate(tested).tobytes() == partition.nodes.tobytes(), label
+    for label, ifs, symbol, _ in catalog_cases:
+        tested.clear()
+        outcome = exact_outcome(ifs, symbol, 0.1)
+        failures = []
+        with pytest.raises(CoverFailure) as excinfo:
+            reference_partition(ifs, symbol, 0.1, failures)
+        reference = excinfo.value
+        assert outcome == (CoverFailure, reference.obstruction.tobytes(), reference.condition,
+                           str(reference)), label
+        # the finest pitch at least 0.1 ran the branch tests up to its obstruction
+        pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+        while pitch / 2.0 >= 0.1:
+            pitch /= 2.0
+        nodes = bi._lattice_nodes(ifs, np.asarray(symbol.support_box, dtype=float), pitch)
+        assert tested, label
+        seen = np.concatenate(tested)
+        assert seen.tobytes() == nodes[:len(seen)].tobytes(), label
+        assert len(seen) > failures[-1], label
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):

@@ -431,6 +431,25 @@ def test_cell_measure_rejects_bad_vectors():
         CellMeasure(1, np.array([-0.1, 1.1]), "exact")
 
 
+def test_grid_half_frames_equal_einsum():
+    # the ordered-sum half frames equal np.einsum's bytes, signed zeros
+    # included, on the catalog and on rotated 2-D and random 3-D systems
+    from conftest import einsum_cell_grid, random_ifs
+
+    rng = np.random.default_rng(17)
+    systems = [entry.system for entry in catalog.catalog()]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "3d", "3d")]
+    for system in systems:
+        fresh = IfsSystem(system.box, system.branches, name=system.name)
+        for depth in range(7):
+            if system.n_branches**depth > 300_000:
+                break
+            grid = cell_grid(fresh, depth)
+            for got, want in zip((grid.centers, grid.half_frames, grid.boxes),
+                                 einsum_cell_grid(system, depth)):
+                assert got.tobytes() == want.tobytes(), (system.name, depth)
+
+
 def test_grid_extended_from_shallower_equals_fresh_build():
     # a build that continues from a cached shallower grid gives the arrays
     # of a build from depth 0, on axis-aligned and rotated branches
