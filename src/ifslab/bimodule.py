@@ -202,22 +202,26 @@ class BumpPartition:
     def size(self) -> int:
         return len(self.nodes)
 
-    def bump_values(self, points: np.ndarray) -> np.ndarray:
-        """(len(points), M) tent values.
+    def tent_slots(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tents that can be nonzero at each point: (columns, values),
+        both (len(points), 3^d).
 
         A tent is nonzero only within one pitch of its node on every axis,
         so each point is evaluated at the at most 3^d lattice nodes whose
         index is within one of its nearest lattice index
         round((x - base) / h), base being the lowest node coordinate per
-        axis; every other entry is 0.0.  Each evaluated entry is the product
-        over the axes, in order, of max(0, 1 - |x_a - q_a| / h).  The nodes
-        must sit on the pitch lattice (a node may be missing) to within a
-        quarter pitch.
+        axis.  Slot o of a point holds the o-th of those index offsets in
+        (-1, 0, 1)^d order: its bump column and the product over the axes,
+        in order, of max(0, 1 - |x_a - q_a| / h); a slot with no node there
+        has column -1 and value 0.0.  The nodes must sit on the pitch
+        lattice (a node may be missing) to within a quarter pitch.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.zeros((len(points), self.size))
+        slots = 3 ** points.shape[1]
+        columns = np.full((len(points), slots), -1, dtype=np.intp)
+        values = np.zeros((len(points), slots))
         if self.size == 0:
-            return values
+            return columns, values
         base = self.nodes.min(axis=0)
         index = np.rint((self.nodes - base) / self.pitch).astype(np.intp)
         if np.abs(base + index * self.pitch - self.nodes).max() > 0.25 * self.pitch:
@@ -228,7 +232,7 @@ class BumpPartition:
         if np.count_nonzero(column >= 0) < self.size:
             raise ValueError("two bump nodes share a lattice point")
         nearest = np.rint((points - base) / self.pitch)
-        for offset in product((-1, 0, 1), repeat=points.shape[1]):
+        for slot, offset in enumerate(product((-1, 0, 1), repeat=points.shape[1])):
             near = nearest + offset
             rows = np.flatnonzero(np.all((near >= 0) & (near < shape), axis=1))
             cols = column[tuple(near[rows].astype(np.intp).T)]
@@ -237,7 +241,17 @@ class BumpPartition:
             tent = rel[:, 0]
             for axis in range(1, rel.shape[1]):
                 tent = tent * rel[:, axis]
-            values[rows, cols] = tent
+            columns[rows, slot] = cols
+            values[rows, slot] = tent
+        return columns, values
+
+    def bump_values(self, points: np.ndarray) -> np.ndarray:
+        """(len(points), M) tent values: `tent_slots` scattered into their
+        columns; every other entry is 0.0."""
+        columns, tents = self.tent_slots(points)
+        values = np.zeros((len(columns), self.size))
+        rows, slots = np.nonzero(columns >= 0)
+        values[rows, columns[rows, slots]] = tents[rows, slots]
         return values
 
     def support_rows(self, points: np.ndarray) -> np.ndarray:
@@ -446,19 +460,30 @@ class ReconstructionVectors:
     """The pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k) on the support rows.
 
     `rows` are the ascending flat indices of the depth-m cells whose center
-    lies within one pitch of a node coordinate on every axis; `xi` and
-    `eta` are (len(rows), M) arrays whose column k is pair k.  Every tent,
-    and so every xi_k and eta_k, is exactly zero on the other cells.
+    lies within one pitch of a node coordinate on every axis.  The pairs
+    are stored sparse, one (len(rows), 3^d) array each: row r holds the
+    tents that can be nonzero at its center (`BumpPartition.tent_slots`),
+    `columns[r, o]` being the pair index of slot o (-1 for an empty slot,
+    whose values are 0.0).  Every other entry of xi_k and eta_k, on these
+    rows or on any other cell, is exactly zero.  `size` is the number of
+    pairs M.
     """
 
     depth: int
     rows: np.ndarray
+    columns: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
+    size: int
 
-    @property
-    def size(self) -> int:
-        return self.xi.shape[1]
+    def dense(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Stored rows `rows` (indices into `self.rows`) of `values`, `xi` or
+        `eta`, scattered into a C-contiguous (len(rows), M) array."""
+        out = np.zeros((len(rows), self.size))
+        columns = self.columns[rows]
+        r, slots = np.nonzero(columns >= 0)
+        out[r, columns[r, slots]] = values[rows[r], slots]
+        return out
 
 
 def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
@@ -468,9 +493,11 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
     rows = partition.support_rows(centers)
     points = centers[rows]
     a_vals = np.asarray(symbol(points), dtype=float)
-    roots = partition.bump_values(points)  # (rows, M)
+    columns, roots = partition.tent_slots(points)
     np.sqrt(roots, out=roots)
-    return ReconstructionVectors(depth, rows, (ifs.n_branches * a_vals)[:, None] * roots, roots)
+    return ReconstructionVectors(depth, rows, columns,
+                                 (ifs.n_branches * a_vals)[:, None] * roots, roots,
+                                 partition.size)
 
 
 def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
@@ -482,51 +509,75 @@ def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
     return sample_to_cells(ifs, symbol, depth, rule="average", support=symbol.support_box)
 
 
+@dataclass(frozen=True)
+class ReconstructionResidual:
+    """The blocks of a block-diagonal operator on V_depth that can be nonzero.
+
+    matrix[t] is the n x n block of tail tails[t], `tails` ascending; every
+    other tail's block is exactly zero.  `weights` are the branch weights,
+    so `operator_norm` reads it as it reads a `CellOperator`: a zero block
+    is never the maximum, and its norm is the operator's.
+    """
+
+    depth: int
+    tails: np.ndarray
+    matrix: np.ndarray
+    weights: np.ndarray
+
+
 # Support rows per einsum call of `reconstruction_residual`: one call's
-# gathered xi and eta rows stay small whatever the depth.
+# scattered xi and eta rows stay small whatever the depth.
 _PAIR_ROWS = 256
 
 
 def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                            vectors: ReconstructionVectors) -> CellOperator:
+                            vectors: ReconstructionVectors) -> ReconstructionResidual:
     """sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}, as its blocks.
 
     The covariant representation maps theta_{xi,eta} to M_xi C C* M_eta*,
     so this one operator serves both reconstruction checks.  Entry (i, j)
     of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
-    with a the cell-average reference symbol.  The sum can be non-zero
-    only where both cells are support rows, so it is formed one letter j
-    at a time, for the support rows i.w whose partner j.w is a support row
-    too, `_PAIR_ROWS` rows per call; every other entry stays 0.0, which
-    the sum with eta_k read as zero gives too.  The weights and the
-    reference symbol are then applied to the blocks in place.
+    with a the cell-average reference symbol.  Only the tails that carry a
+    support row or a nonzero reference cell get a block; every other block
+    is exactly zero.  The sum can be non-zero only where both cells are
+    support rows, so it is formed one letter j at a time, for the support
+    rows i.w whose partner j.w is a support row too, `_PAIR_ROWS` rows per
+    call, each call's xi and eta rows scattered into dense (rows, M)
+    arrays; every other entry stays 0.0, which the sum with eta_k read as
+    zero gives too.  The weights and the reference symbol are then applied
+    to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
         raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
-    a_ref = reference_symbol(ifs, symbol, level)
-    n = ifs.n_branches
-    count = n ** (level - 1)
-    # row of each cell in `xi` and `eta`; -1 off the support rows
+    reference = reference_symbol(ifs, symbol, level).values.reshape(ifs.n_branches, -1)
+    n, count = reference.shape
+    # row of each cell in the stored pairs; -1 off the support rows
     position = np.full(n * count, -1)
     position[vectors.rows] = np.arange(len(vectors.rows))
     tail, first = vectors.rows % count, vectors.rows // count
-    blocks = np.zeros((count, n, n))
+    kept = (reference != 0).any(axis=0)
+    kept[tail] = True
+    tails = np.flatnonzero(kept)
+    block = np.full(count, -1)
+    block[tails] = np.arange(len(tails))
+    blocks = np.zeros((len(tails), n, n))
     for j in range(n):
         partner = position[j * count + tail]
         paired = np.flatnonzero(partner >= 0)
         for start in range(0, len(paired), _PAIR_ROWS):
             chunk = paired[start:start + _PAIR_ROWS]
-            blocks[tail[chunk], first[chunk], j] = np.einsum(
-                "rk,rk->r", vectors.xi[chunk], vectors.eta[partner[chunk]])
+            blocks[block[tail[chunk]], first[chunk], j] = np.einsum(
+                "rk,rk->r", vectors.dense(vectors.xi, chunk),
+                vectors.dense(vectors.eta, partner[chunk]))
     blocks *= ifs.weights
     # cell i.w is entry (i, i) of block w; off the diagonals x - 0.0 == x
     letters = np.arange(n)
-    blocks[:, letters, letters] -= a_ref.values.reshape(n, count).T
-    return CellOperator(level, level, blocks, ifs.weights)
+    blocks[:, letters, letters] -= reference[:, tails].T
+    return ReconstructionResidual(level, tails, blocks, ifs.weights)
 
 
-def verify_theta_reconstruction(ifs: IfsSystem, residual: CellOperator) -> float:
+def verify_theta_reconstruction(ifs: IfsSystem, residual: ReconstructionResidual) -> float:
     """Norm of sum_k theta_{xi_k,eta_k} - a on the Hilbert module X, exactly.
 
     On the fibre of tail w, zeta -> (zeta(i.w))_i, the operator acts by the
@@ -540,7 +591,7 @@ def verify_theta_reconstruction(ifs: IfsSystem, residual: CellOperator) -> float
     return max_spectral_norm(residual.matrix)
 
 
-def verify_operator_reconstruction(residual: CellOperator) -> float:
+def verify_operator_reconstruction(residual: ReconstructionResidual) -> float:
     """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a for the mass-weighted
     inner product on V_m; equal to the theta residual under uniform weights."""
     return operator_norm(residual)

@@ -91,20 +91,25 @@ def _symbol_seeds(cfg: RunConfig, count: int):
     return [(cfg.seed, 101, k) for k in range(count)]
 
 
-def covariance_residual(ifs, symbol, depth: int) -> float:
-    """|C* M_a C - M_(La)| with a cell-averaged at depth+1 and La at depth.
+def covariance_residual(ifs, symbols, depth: int) -> list[float]:
+    """|C* M_a C - M_(La)| for each symbol a, cell-averaged at depth+1 and La at depth.
 
     Both sides are diagonal on V_m: C* M_a C multiplies by
     w -> sum_i p_i a(i.w), so the norm is max_w |sum_i p_i a(i.w) - (La)(w)|.
+    The symbols are sampled one block of tails at a time
+    (`operators.averaged_tail_blocks`), and each keeps its running maximum.
     The sum over i is the row-times-column product the block operators
     form, so the value is the one the operator algebra gives, bit for bit.
     """
     n = ifs.n_branches
-    a_fine = operators.sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
-    products = np.ascontiguousarray(a_fine.values.reshape(n, -1).T) * ifs.weights
-    lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
-    la_coarse = operators.transfer_to_cells(ifs, symbol.evaluator, depth)
-    return float(np.abs(lhs - la_coarse.values).max())
+    worst = np.zeros(len(symbols))
+    for fine, transfer in operators.averaged_tail_blocks(
+            ifs, [symbol.evaluator for symbol in symbols], depth):
+        # products[k, w, i] = p_i a_k(i.w), C-contiguous
+        products = np.ascontiguousarray(fine.transpose(0, 2, 1)) * ifs.weights
+        lhs = np.matmul(products[:, :, None, :], np.ones((n, 1)))[:, :, 0, 0]
+        worst = np.maximum(worst, np.abs(lhs - transfer).max(axis=1))
+    return [float(value) for value in worst]
 
 
 def isometry_residual(ifs, depth: int) -> float:
@@ -229,9 +234,8 @@ class OperatorSuite:
 
 
 def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
-    """The operator residuals.  The covariance loop runs depth by depth, every
-    symbol at one depth in turn, while that depth's averaging points and
-    branch images are held (`operators.averaging_working_sets`)."""
+    """The operator residuals.  The covariance residuals run once per depth,
+    every symbol on each block of tails in turn (`covariance_residual`)."""
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     symbols = [random_trig_symbol(seed, ifs.dimension)
                for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
@@ -241,10 +245,8 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
     transfer = [transfer_equality_residual(ifs, m) for m in depths] if uniform else None
     covariance = []
     if uniform:
-        covariance = [[] for _ in symbols]
-        for m in operators.averaging_working_sets(ifs, depths):
-            for residuals, symbol in zip(covariance, symbols):
-                residuals.append(covariance_residual(ifs, symbol, m))
+        per_depth = [covariance_residual(ifs, symbols, m) for m in depths]
+        covariance = [list(residuals) for residuals in zip(*per_depth)]
     return OperatorSuite(depths, isometry, projection, transfer, symbols, covariance)
 
 

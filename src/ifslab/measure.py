@@ -84,12 +84,14 @@ class CellGrid:
     boxes: np.ndarray        # (count, d, 2)
 
 
-def _linear_frames(linear: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """linear @ half[k] for every frame k, summed over the inner axis in order."""
-    frames = np.zeros(half.shape)
+def _linear_frames(linear: np.ndarray, half: np.ndarray, out: np.ndarray,
+                   term: np.ndarray) -> None:
+    """out[k] = linear @ half[k] for every frame k, summed over the inner
+    axis in order from 0.0; `term` is scratch of out's shape."""
+    out[...] = 0.0
     for b in range(linear.shape[1]):
-        frames += linear[:, b, None] * half[:, None, b, :]
-    return frames
+        np.multiply(linear[:, b, None], half[:, None, b, :], out=term)
+        out += term
 
 
 def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid:
@@ -98,7 +100,8 @@ def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid
     Each level applies every branch to the centers and half-frames of the
     level above, so a new depth continues from the deepest grid already
     built at a smaller depth; the arrays are the ones a build from depth 0
-    gives.  A branch's linear part L acts on the half-frames as the sum
+    gives.  Each level is written branch by branch into its preallocated
+    arrays.  A branch's linear part L acts on the half-frames as the sum
     over b, in order from 0.0, of L[:, b] times row b of each frame: the
     steps and rounding of np.einsum("ab,kbc->kac"), signed zeros included,
     in less than half its time.  (np.matmul is faster still, but rounds
@@ -120,8 +123,15 @@ def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid
         shallower = ifs._cell_cache[("grid", start)]
         centers, half = shallower.centers, shallower.half_frames
     for _ in range(depth - start):
-        centers = np.concatenate([g(centers) for g in ifs.branches], axis=0)
-        half = np.concatenate([_linear_frames(g.linear, half) for g in ifs.branches], axis=0)
+        above = len(centers)
+        level_centers = np.empty((ifs.n_branches * above, d))
+        level_half = np.empty((ifs.n_branches * above, d, d))
+        term = np.empty(half.shape)
+        for i, g in enumerate(ifs.branches):
+            rows = slice(i * above, (i + 1) * above)
+            level_centers[rows] = g(centers)
+            _linear_frames(g.linear, half, level_half[rows], term)
+        centers, half = level_centers, level_half
     assert centers.shape == (count, d)
     extent = np.abs(half).sum(axis=2)
     boxes = np.stack([centers - extent, centers + extent], axis=2)

@@ -148,6 +148,12 @@ class CellOperator:
 _EVAL_ROWS = 2**15
 
 
+def _evaluate(evaluator, points: np.ndarray) -> np.ndarray:
+    """The evaluator's values on `points`, in calls of at most _EVAL_ROWS rows."""
+    return np.concatenate([np.asarray(evaluator(points[k:k + _EVAL_ROWS]))
+                           for k in range(0, len(points), _EVAL_ROWS)])
+
+
 def _blocks(evaluator, points: np.ndarray, count: int):
     """The evaluator's values on `points`, one block of `count` rows at a time.
 
@@ -157,10 +163,7 @@ def _blocks(evaluator, points: np.ndarray, count: int):
     """
     per_call = max(1, _EVAL_ROWS // count) * count
     for start in range(0, len(points), per_call):
-        chunk = points[start:start + per_call]
-        values = np.concatenate([np.asarray(evaluator(chunk[k:k + _EVAL_ROWS]))
-                                 for k in range(0, len(chunk), _EVAL_ROWS)])
-        yield from values.reshape(-1, count)
+        yield from _evaluate(evaluator, points[start:start + per_call]).reshape(-1, count)
 
 
 def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
@@ -177,60 +180,62 @@ def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
     return points.reshape(-1, ifs.dimension)
 
 
-def _average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
-    """The averaging points of every depth-m cell (`_offset_points`).
+def _tail_block(n_branches: int) -> int:
+    """Tails per block of `averaged_tail_blocks`: a block's averaging points,
+    and their branch images, fill at most _EVAL_ROWS rows (or one tail's
+    do, if they alone fill more)."""
+    return max(1, _EVAL_ROWS // (DEFAULT_AVERAGE_POINTS * n_branches))
 
-    Read from `ifs._cell_cache` while `averaging_working_sets` holds them
-    there; built afresh otherwise.
+
+def averaged_tail_blocks(ifs: IfsSystem, evaluators, depth: int):
+    """The averaging rule applied to each field a and to L a, block of tails by block.
+
+    L a = (1/n) sum_i a o gamma_i.  For each block of `_tail_block(n)`
+    consecutive tails w of length m (the depth), yields `fine`, a
+    (fields, n, W) array with fine[k, i, v] the average of field k on the
+    depth-(m+1) cell i.w of the block's v-th tail w, and `transfer`, a
+    (fields, W) array with the average of L a_k on the depth-m cell w.
+
+    The averaging points of the block's cells are placed in their gathered
+    box hulls (`_offset_points`); the depth-m points are mapped through
+    each branch into one array ordered by offset, then branch, then tail.
+    Each field is evaluated on each array in calls of at most _EVAL_ROWS
+    rows (one call at the default block).  Each cell sums its offsets in
+    order from 0.0; per point the branches are summed in order and divided
+    by n.  Every point depends on its own hull alone and every value on
+    its own point, so a block's values are the same floats as the matching
+    rows of a whole-depth computation, and at most one block's points and
+    values are held at a time.
     """
-    cached = ifs._cell_cache.get(("average", depth))
-    if cached is not None:
-        return cached
-    return _offset_points(ifs, cell_grid(ifs, depth).boxes)
-
-
-def _branch_average_points(ifs: IfsSystem, depth: int) -> np.ndarray:
-    """The n branch images of _average_points(ifs, depth) in one (s n T, d)
-    array, ordered by offset, then branch, then cell: rows (s n + i) T ...
-    (s n + i + 1) T - 1 hold branch i of offset s's T points.  Read from
-    `ifs._cell_cache` like `_average_points`."""
-    cached = ifs._cell_cache.get(("branch-average", depth))
-    if cached is not None:
-        return cached
-    averaging = _average_points(ifs, depth)
-    n = ifs.n_branches
-    count = len(averaging) // DEFAULT_AVERAGE_POINTS
-    images = np.empty((n * len(averaging), ifs.dimension))
-    for s in range(DEFAULT_AVERAGE_POINTS):
-        points = averaging[s * count:(s + 1) * count]
+    n, d, s = ifs.n_branches, ifs.dimension, DEFAULT_AVERAGE_POINTS
+    count = check_depth(n, depth)
+    fine_boxes = cell_grid(ifs, depth + 1).boxes.reshape(n, count, d, 2)
+    boxes = cell_grid(ifs, depth).boxes
+    step = _tail_block(n)
+    for start in range(0, count, step):
+        tails = slice(start, start + step)
+        width = min(step, count - start)
+        fine_points = _offset_points(ifs, fine_boxes[:, tails].reshape(-1, d, 2))
+        points = _offset_points(ifs, boxes[tails])
+        images = np.empty((s, n, width, d))
         for i, gamma in enumerate(ifs.branches):
-            row = (s * n + i) * count
-            images[row:row + count] = gamma(points)
-    return images
-
-
-def averaging_working_sets(ifs: IfsSystem, depths):
-    """Yield each of the consecutive `depths` m while `ifs._cell_cache` holds
-    what the covariance residuals at m read: the depth-(m+1) averaging
-    points and the depth-m branch images.
-
-    Each array is built once.  The depth-(m+1) points serve depth m and
-    then give the branch images of depth m + 1, after which they are
-    dropped; the branch images of depth m are dropped when the loop moves
-    on.  No entry outlives the loop, whether it ends, breaks or raises.
-    """
-    cache = ifs._cell_cache
-    try:
-        for depth in depths:
-            cache[("branch-average", depth)] = _branch_average_points(ifs, depth)
-            cache.pop(("average", depth), None)
-            cache[("average", depth + 1)] = _average_points(ifs, depth + 1)
-            yield depth
-            del cache[("branch-average", depth)]
-    finally:
-        for depth in depths:
-            cache.pop(("branch-average", depth), None)
-            cache.pop(("average", depth + 1), None)
+            images[:, i] = gamma(points).reshape(s, width, d)
+        images = images.reshape(-1, d)
+        fine = np.empty((len(evaluators), n, width))
+        transfer = np.empty((len(evaluators), width))
+        for k, evaluator in enumerate(evaluators):
+            total = np.zeros((n, width))
+            for values in _evaluate(evaluator, fine_points).reshape(s, n, width):
+                total = total + values
+            fine[k] = total / s
+            total = np.zeros(width)
+            for values in _evaluate(evaluator, images).reshape(s, n, width):
+                branch_sum = np.zeros(width)
+                for branch in values:
+                    branch_sum += branch
+                total = total + branch_sum / n
+            transfer[k] = total / s
+        yield fine, transfer
 
 
 def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
@@ -256,7 +261,7 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     rule="center" evaluates at the cell centers (images of the box
     center, so sampling commutes with the branch maps).  rule="average"
     takes the mean over DEFAULT_AVERAGE_POINTS Halton points placed in
-    each cell's box hull (`_average_points`); the Halton set is
+    each cell's box hull (`_offset_points`); the Halton set is
     deliberately flip-asymmetric, so averaged sampling does not commute
     with orientation-reversing branches and residuals against
     center-sampled data decay at the contraction rate.  The offset-major
@@ -274,13 +279,12 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
         return CellFunction(depth, values)
     if rule != "average":
         raise ValueError(f"unknown sampling rule {rule!r}")
+    boxes = cell_grid(ifs, depth).boxes
+    count = len(boxes)
     if support is None:
-        points = _average_points(ifs, depth)
-        count = len(points) // DEFAULT_AVERAGE_POINTS
         cells = np.arange(count)
+        points = _offset_points(ifs, boxes)
     else:
-        boxes = cell_grid(ifs, depth).boxes
-        count = len(boxes)
         cells = _support_cells(boxes, support)
         points = _offset_points(ifs, boxes[cells])
     total = np.zeros(len(cells))
@@ -290,28 +294,6 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     out = np.zeros(count, dtype=total.dtype)
     out[cells] = total / DEFAULT_AVERAGE_POINTS
     return CellFunction(depth, out)
-
-
-def transfer_to_cells(ifs: IfsSystem, evaluator, depth: int) -> CellFunction:
-    """The averaging rule applied to L a = (1/n) sum_i a o gamma_i at depth m.
-
-    The field is evaluated on the branch images of the averaging points
-    (`_branch_average_points`), one array ordered by offset, then branch,
-    then cell, in calls of at most _EVAL_ROWS rows (one call when they fit).
-    Per point the branches are summed in order and divided by n, and the
-    offsets are averaged as in `sample_to_cells`.
-    """
-    n = ifs.n_branches
-    points = _branch_average_points(ifs, depth)
-    count = len(points) // (DEFAULT_AVERAGE_POINTS * n)
-    blocks = _blocks(evaluator, points, count)
-    total = np.zeros(count)
-    for _ in range(DEFAULT_AVERAGE_POINTS):
-        branch_sum = np.zeros(count)
-        for _ in range(n):
-            branch_sum += next(blocks)
-        total = total + branch_sum / n
-    return CellFunction(depth, total / DEFAULT_AVERAGE_POINTS)
 
 
 def refine(ifs: IfsSystem, f: CellFunction, new_depth: int) -> CellFunction:
@@ -389,8 +371,11 @@ def max_spectral_norm(blocks: np.ndarray) -> float:
     If every block equals the first (an all-zero stack among them), that
     block's norm is the answer.  Otherwise the all-zero blocks, whose norm
     0 is never the maximum, are dropped before the batched SVD.  The value
-    is the one the batched norm of the whole stack gives.
+    is the one the batched norm of the whole stack gives.  An empty stack
+    has norm 0.
     """
+    if len(blocks) == 0:
+        return 0.0
     first = blocks[0]
     if (blocks == first).all():
         return float(np.linalg.norm(first, ord=2))
@@ -408,7 +393,9 @@ def operator_norm(op: CellOperator) -> float:
     max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
     underflow).  Larger blocks take one SVD per nonzero block
     (`max_spectral_norm`): zero blocks count as 0, and when all blocks are
-    equal they share one SVD.
+    equal they share one SVD.  `op` may also hold only the blocks that can
+    be nonzero (`bimodule.ReconstructionResidual`): the omitted ones have
+    norm 0.
     """
     _, rows, cols = op.matrix.shape
     scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]

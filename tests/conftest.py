@@ -227,30 +227,106 @@ def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
     return np.bincount(cells, minlength=n**depth) / n_samples
 
 
-def assembled_reconstruction_residual(ifs, symbol, vectors):
-    """The reconstruction residual built by copies: eta stacked with a zero
-    row, every support row's partner row gathered for each letter, the
+def dense_reconstruction_pairs(ifs, symbol, partition, level):
+    """(rows, xi, eta): the support rows of the level-m cells and the pairs
+    xi_k = n a sqrt(f_k), eta_k = sqrt(f_k) on them as dense (rows, M)
+    arrays, every tent of the partition evaluated.  Kept as the reference
+    that the sparse `ReconstructionVectors` must scatter to bit for bit."""
+    from ifslab.measure import cell_grid
+
+    centers = cell_grid(ifs, level).centers
+    rows = partition.support_rows(centers)
+    points = centers[rows]
+    a_vals = np.asarray(symbol(points), dtype=float)
+    roots = np.sqrt(partition.bump_values(points))
+    return rows, (ifs.n_branches * a_vals)[:, None] * roots, roots
+
+
+def assembled_reconstruction_residual(ifs, symbol, partition, level):
+    """The reconstruction residual built by copies, as a CellOperator with
+    every tail's block: dense pairs on the support rows, eta stacked with a
+    zero row, every support row's partner row gathered for each letter, the
     blocks scaled into a new array and M_a subtracted through the operator
     algebra.  Kept as the reference that `reconstruction_residual`, which
-    builds the same blocks in place, must equal bit for bit."""
+    builds the blocks that can be nonzero in place, must equal bit for bit."""
     from ifslab.bimodule import reference_symbol
     from ifslab.operators import CellOperator, mult_op
 
-    level = vectors.depth
+    rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
     a_ref = reference_symbol(ifs, symbol, level)
     n = ifs.n_branches
     count = n ** (level - 1)
-    support = len(vectors.rows)
-    position = np.full(n * count, support)
-    position[vectors.rows] = np.arange(support)
-    eta = np.vstack([vectors.eta, np.zeros((1, vectors.size))])
-    tail, first = vectors.rows % count, vectors.rows // count
+    position = np.full(n * count, len(rows))
+    position[rows] = np.arange(len(rows))
+    eta = np.vstack([eta, np.zeros((1, partition.size))])
+    tail, first = rows % count, rows // count
     blocks = np.zeros((count, n, n))
     for j in range(n):
-        blocks[tail, first, j] = np.einsum("rk,rk->r", vectors.xi,
-                                           eta[position[j * count + tail]])
+        blocks[tail, first, j] = np.einsum("rk,rk->r", xi, eta[position[j * count + tail]])
     reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
     return reconstructed.subtract(mult_op(ifs, a_ref))
+
+
+def whole_depth_average_points(ifs, depth):
+    """The averaging points of every depth-m cell in one offset-major
+    (s T, d) array."""
+    from ifslab.measure import cell_grid
+    from ifslab.operators import _offset_points
+
+    return _offset_points(ifs, cell_grid(ifs, depth).boxes)
+
+
+def whole_depth_branch_points(ifs, depth):
+    """The n branch images of the depth-m averaging points in one (s n T, d)
+    array ordered by offset, then branch, then cell, each branch applied to
+    one offset's T points at a time."""
+    from ifslab.operators import DEFAULT_AVERAGE_POINTS
+
+    averaging = whole_depth_average_points(ifs, depth)
+    n = ifs.n_branches
+    count = len(averaging) // DEFAULT_AVERAGE_POINTS
+    images = np.empty((n * len(averaging), ifs.dimension))
+    for s in range(DEFAULT_AVERAGE_POINTS):
+        points = averaging[s * count:(s + 1) * count]
+        for i, gamma in enumerate(ifs.branches):
+            row = (s * n + i) * count
+            images[row:row + count] = gamma(points)
+    return images
+
+
+def whole_depth_transfer(ifs, evaluator, depth):
+    """The averaging rule applied to L a = (1/n) sum_i a o gamma_i on every
+    depth-m cell: the whole-depth branch images evaluated in calls of at
+    most 2^15 rows, branches summed in order and divided by n, offsets
+    summed in order from 0.0."""
+    from ifslab.operators import DEFAULT_AVERAGE_POINTS, _blocks
+
+    n = ifs.n_branches
+    points = whole_depth_branch_points(ifs, depth)
+    count = len(points) // (DEFAULT_AVERAGE_POINTS * n)
+    blocks = _blocks(evaluator, points, count)
+    total = np.zeros(count)
+    for _ in range(DEFAULT_AVERAGE_POINTS):
+        branch_sum = np.zeros(count)
+        for _ in range(n):
+            branch_sum += next(blocks)
+        total = total + branch_sum / n
+    return total / DEFAULT_AVERAGE_POINTS
+
+
+def whole_depth_covariance_residual(ifs, symbol, depth):
+    """max_w |sum_i p_i a(i.w) - (La)(w)| from whole-depth arrays: a sampled
+    on every depth-(m+1) cell at once, La on every depth-m cell at once, and
+    the sum over i the row-times-column np.matmul product.  Kept as the
+    reference that the tail-block `cli.covariance_residual` must equal bit
+    for bit."""
+    from ifslab.operators import sample_to_cells
+
+    n = ifs.n_branches
+    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
+    products = np.ascontiguousarray(a_fine.values.reshape(n, -1).T) * ifs.weights
+    lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
+    return float(np.abs(lhs - whole_depth_transfer(ifs, symbol.evaluator, depth)).max())
 
 
 def assembled_covariant_rep_check(ifs, depth, trials, seed=0):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
-                      dense_gram_adjoint, per_piece_box_distances, random_ifs,
-                      reference_box_piece_distance)
+                      dense_gram_adjoint, dense_reconstruction_pairs, per_piece_box_distances,
+                      random_ifs, reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
                              admissible_symbol, bimodule_action, build_bump_partition,
@@ -18,7 +18,8 @@ from ifslab.geometry import (box_corners, box_distances_to_pieces, box_intersect
                              boxes_overlap_openly, branch_membership, branch_value_set)
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
-                              composition_op, mult_op, operator_norm, sample_to_cells)
+                              composition_op, max_spectral_norm, mult_op, operator_norm,
+                              sample_to_cells)
 from ifslab.sampling import uniform_doubles, window_symbol, zero_symbol
 
 
@@ -555,18 +556,27 @@ def test_admissible_symbol_vanishes_near_value_set(tent_square):
 
 def dense_columns(vectors, n_cells):
     """Full-length (cells, M) copies of xi and eta, zero off the support rows."""
+    stored = np.arange(len(vectors.rows))
     xi = np.zeros((n_cells, vectors.size))
     eta = np.zeros((n_cells, vectors.size))
-    xi[vectors.rows] = vectors.xi
-    eta[vectors.rows] = vectors.eta
+    xi[vectors.rows] = vectors.dense(vectors.xi, stored)
+    eta[vectors.rows] = vectors.dense(vectors.eta, stored)
     return xi, eta
+
+
+def full_blocks(residual, n):
+    """The residual's blocks with the omitted, exactly zero, ones put back."""
+    count = n ** (residual.depth - 1)
+    blocks = np.zeros((count, n, n))
+    blocks[residual.tails] = residual.matrix
+    return blocks
 
 
 def test_vectors_zero_symbol(tent_square):
     symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
     partition = build_bump_partition(tent_square.system, symbol)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
-    assert vectors.xi.shape[1] == 0 and vectors.eta.shape[1] == 0
+    assert vectors.size == 0 and len(vectors.rows) == 0
     residual = reconstruction_residual(tent_square.system, symbol, vectors)
     assert verify_operator_reconstruction(residual) == 0.0
     assert verify_theta_reconstruction(tent_square.system, residual) == 0.0
@@ -634,9 +644,11 @@ def test_broken_partition_detected(tent_square):
 
 @pytest.mark.parametrize("pair_rows", [None, 1, 7])
 def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_rows):
-    # the in-place blocks against the copying form: stacked eta,
-    # full-row gathers, blocks * weights and the subtraction of M_a through
-    # the operator algebra; also with einsum calls of one and of seven rows
+    # the in-place blocks against the copying form on every tail: dense
+    # pairs, stacked eta, full-row gathers, blocks * weights and the
+    # subtraction of M_a through the operator algebra; also with einsum
+    # calls of one and of seven rows.  The omitted tails' blocks are zero,
+    # and both norms equal the full operator's
     from ifslab import catalog
 
     if pair_rows is not None:
@@ -652,11 +664,40 @@ def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_
         for level in levels:
             vectors = reconstruction_vectors(ifs, symbol, partition, level)
             got = reconstruction_residual(ifs, symbol, vectors)
-            expected = assembled_reconstruction_residual(ifs, symbol, vectors)
-            assert (got.dom_depth, got.cod_depth) == (expected.dom_depth, expected.cod_depth)
-            assert got.matrix.shape == expected.matrix.shape
-            assert np.all(got.matrix == expected.matrix), (name, level)
-            assert got.matrix.tobytes() == expected.matrix.tobytes(), (name, level)
+            expected = assembled_reconstruction_residual(ifs, symbol, partition, level)
+            assert got.depth == expected.dom_depth == expected.cod_depth
+            assert 0 < len(got.tails) < len(expected.matrix)
+            assert got.matrix.tobytes() == expected.matrix[got.tails].tobytes(), (name, level)
+            assert full_blocks(got, ifs.n_branches).tobytes() == expected.matrix.tobytes()
+            norm = operator_norm(expected)
+            assert verify_operator_reconstruction(got) == norm, (name, level)
+            assert verify_theta_reconstruction(ifs, got) == max_spectral_norm(expected.matrix)
+
+
+def test_sparse_pairs_scatter_to_dense_pairs():
+    # each support row keeps its at most 3^d tents with their columns; put
+    # back in their columns they are the dense pairs, byte for byte
+    from ifslab import catalog
+
+    for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
+        entry = catalog.get(name)
+        ifs = entry.system
+        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
+        partition = build_bump_partition(ifs, symbol)
+        for level in range(2, 7):
+            vectors = reconstruction_vectors(ifs, symbol, partition, level)
+            rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
+            assert vectors.rows.tobytes() == rows.tobytes()
+            assert vectors.size == partition.size
+            assert vectors.columns.shape == vectors.xi.shape == vectors.eta.shape \
+                == (len(rows), 3**ifs.dimension)
+            stored = np.arange(len(rows))
+            assert vectors.dense(vectors.xi, stored).tobytes() == xi.tobytes(), (name, level)
+            assert vectors.dense(vectors.eta, stored).tobytes() == eta.tobytes(), (name, level)
+            # a column appears at most once per row; empty slots hold 0.0
+            columns = np.sort(vectors.columns, axis=1)
+            assert not np.any((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] >= 0))
+            assert not vectors.eta[vectors.columns < 0].any()
 
 
 def test_operator_reconstruction_rates_second_system(tent_sigma):
@@ -747,7 +788,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
         np.testing.assert_array_equal(stored_eta, eta_cols)
         residual = reconstruction_residual(ifs, symbol, vectors)
         reference = dense_reconstruction(ifs, symbol, partition, depth + 1)
-        np.testing.assert_array_equal(residual.matrix, reference.matrix)
+        np.testing.assert_array_equal(full_blocks(residual, ifs.n_branches), reference.matrix)
         op = verify_operator_reconstruction(residual)
         assert op == operator_norm(reference)
         # uniform weights: the module norm and the operator norm coincide
@@ -975,8 +1016,9 @@ def test_bump_values_refuse_nodes_off_the_lattice():
 
 
 def test_reconstruction_vectors_peak_memory(tent_sigma):
-    # level 6: 2550 support rows and 196 bumps; the (rows, M, d) temporaries
-    # of the dense tent formula peaked at 20.2 MiB
+    # level 6: 2550 support rows and 196 bumps, at most 9 tents per row.  The
+    # sparse pairs peak at 3.2 MiB; dense (rows, M) pairs took 8.8 MiB, and
+    # the (rows, M, d) temporaries of the dense tent formula 20.2 MiB
     import tracemalloc
 
     ifs = tent_sigma.system
@@ -989,8 +1031,9 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vectors.xi.shape == (2550, 196)
-    assert peak < 12 * 2**20, peak / 2**20
+    assert vectors.size == 196
+    assert vectors.xi.shape == vectors.eta.shape == vectors.columns.shape == (2550, 9)
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("name,support,amplitude", [

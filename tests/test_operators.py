@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import dense_gram_adjoint, random_ifs
+from conftest import (dense_gram_adjoint, random_ifs, whole_depth_average_points,
+                      whole_depth_covariance_residual, whole_depth_transfer)
 from ifslab import catalog, cli
 from ifslab import measure as mea
 from ifslab import operators as op
@@ -11,7 +12,7 @@ from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op
                               composition_op, inner_product, mult_op, operator_norm,
                               pullback, refine, sample_to_cells, transfer_op,
                               transfer_values)
-from ifslab.sampling import halton_points, random_trig_symbol, window_symbol
+from ifslab.sampling import LipschitzSymbol, halton_points, random_trig_symbol, window_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def test_covariance_residual_bound_and_rate(tent_square):
     ifs = tent_square.system
     for k in range(3):
         symbol = random_trig_symbol((99, k), 2)
-        residuals = [cli.covariance_residual(ifs, symbol, m) for m in range(2, 6)]
+        residuals = [cli.covariance_residual(ifs, [symbol], m)[0] for m in range(2, 6)]
         for m, res in zip(range(2, 6), residuals):
             assert res <= 3.0 * symbol.lip_bound * 0.5**m
         for r0, r1 in zip(residuals, residuals[1:]):
@@ -285,7 +286,7 @@ def test_covariance_rate_tent_sigma(tent_sigma):
     # mixed ratios 1/2 and 1/3: per-step factor within [c2/2, 2 c2]
     ifs = tent_sigma.system
     symbol = random_trig_symbol(17, 2)
-    residuals = [cli.covariance_residual(ifs, symbol, m) for m in range(2, 5)]
+    residuals = [cli.covariance_residual(ifs, [symbol], m)[0] for m in range(2, 5)]
     for r0, r1 in zip(residuals, residuals[1:]):
         assert 0.25 <= r1 / r0 <= 1.0
 
@@ -477,7 +478,7 @@ def test_covariance_residual_on_shared_points_is_bit_identical():
         for k in range(3):
             symbol = random_trig_symbol((7, 101, k), ifs.dimension)
             for depth in (2, 3, 4):
-                assert cli.covariance_residual(ifs, symbol, depth) \
+                assert cli.covariance_residual(ifs, [symbol], depth)[0] \
                     == rebuilt_covariance_residual(ifs, symbol, depth), (ifs.name, k, depth)
 
 
@@ -527,7 +528,7 @@ def four_operator_covariance_residual(ifs, symbol, depth):
     a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
     lhs = adjoint_composition_op(ifs, depth).compose(mult_op(ifs, a_fine)).compose(
         composition_op(ifs, depth))
-    rhs = mult_op(ifs, op.transfer_to_cells(ifs, symbol.evaluator, depth))
+    rhs = mult_op(ifs, CellFunction(depth, whole_depth_transfer(ifs, symbol.evaluator, depth)))
     return operator_norm(lhs.subtract(rhs))
 
 
@@ -563,7 +564,7 @@ def test_covariance_residual_equals_four_operator_expression():
             for k in range(5):
                 symbol = random_trig_symbol((seed, 101, k), ifs.dimension)
                 for depth in depths:
-                    got = cli.covariance_residual(ifs, symbol, depth)
+                    got = cli.covariance_residual(ifs, [symbol], depth)[0]
                     assert got == four_operator_covariance_residual(ifs, symbol, depth), \
                         (ifs.name, seed, k, depth)
                     checked += 1
@@ -584,7 +585,7 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
             return field(points)
         return evaluate
 
-    # depth 6: 5 x 6^6 averaging points and 5 x 6 x 6^5 branch images
+    # depth 6: 5 x 6^6 averaging points
     got = sample_to_cells(ifs, recording(symbol.evaluator), 6, rule="average")
     assert sum(rows) == 5 * 6**6 and max(rows) <= 2**15
     assert got.values.tobytes() == per_offset_average(ifs, symbol.evaluator, 6).tobytes()
@@ -595,11 +596,13 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
     assert sum(rows) > 2**15 and max(rows) <= 2**15
     assert got.values.tobytes() == per_offset_average(ifs, window, 6).tobytes()
 
+    # covariance at depth 5: 5 x 6^6 averaging points and 5 x 6 x 6^5 branch
+    # images, in blocks of 2^15 // 30 tails; only the first symbol records
     rows.clear()
-    got = op.transfer_to_cells(ifs, recording(symbol.evaluator), 5)
-    assert sum(rows) == 5 * 6 * 6**5 and max(rows) <= 2**15
-    expected = per_offset_average(ifs, transferred(ifs, symbol.evaluator), 5)
-    assert got.values.tobytes() == expected.tobytes()
+    recorded = LipschitzSymbol(recording(symbol.evaluator), symbol.lip_bound)
+    got = cli.covariance_residual(ifs, [recorded, symbol], 5)
+    assert sum(rows) == 5 * 6**6 + 5 * 6 * 6**5 and max(rows) <= 2**15
+    assert got == [whole_depth_covariance_residual(ifs, symbol, 5)] * 2
 
 
 def test_support_averaging_points_equal_gathered_rows():
@@ -615,7 +618,7 @@ def test_support_averaging_points_equal_gathered_rows():
         for depth in depths:
             boxes = cell_grid(ifs, depth).boxes
             lo, sizes = boxes[:, :, 0], boxes[:, :, 1] - boxes[:, :, 0]
-            full = op._average_points(ifs, depth)
+            full = whole_depth_average_points(ifs, depth)
             assert full.tobytes() == (lo + offsets[:, None, :] * sizes).reshape(
                 -1, ifs.dimension).tobytes()
             cells = op._support_cells(boxes, support)
@@ -643,39 +646,56 @@ def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkey
         assert built == [len(cells)] and len(cells) < 6**depth / 4
 
 
-def test_averaging_working_sets_hold_one_depth(monkeypatch):
-    ifs = catalog.get("tent_sigma").system
-    symbols = [random_trig_symbol((7, 101, k), 2) for k in range(3)]
-    builds = []
-    original = op._offset_points
+# ---------------------------------------------------------------------------
+# The covariance residuals in tail blocks, against whole-depth arrays
+# ---------------------------------------------------------------------------
 
-    def counted(ifs, boxes):
-        builds.append(len(boxes))
-        return original(ifs, boxes)
+def covariance_systems():
+    """(system, depths): the separated catalog systems, seeded random_ifs
+    systems of every kind, and 1-D systems of 2..16 branches, each at the
+    depths 0..5 whose fine level stays within 6^6 cells."""
+    rng = np.random.default_rng(14)
+    systems = [catalog.get(name).system
+               for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d")]
+    systems += [random_ifs(rng, kind) for kind in ("1d", "2d-diagonal", "2d-rotated", "3d")]
+    systems += [interval_ifs(rng, n) for n in range(2, 17)]
+    return [(ifs, [m for m in range(6) if ifs.n_branches ** (m + 1) <= 6**6])
+            for ifs in systems]
 
-    def held(ifs):
-        return {key for key in ifs._cell_cache
-                if isinstance(key, tuple) and key[0] in ("average", "branch-average")}
 
-    expected = {(k, m): cli.covariance_residual(ifs, symbol, m)
-                for k, symbol in enumerate(symbols) for m in (2, 3, 4)}
-    assert held(ifs) == set()
-    monkeypatch.setattr(op, "_offset_points", counted)
-    for m in op.averaging_working_sets(ifs, [2, 3, 4]):
-        assert held(ifs) == {("average", m + 1), ("branch-average", m)}
-        assert op._average_points(ifs, m + 1).tobytes() == \
-            original(ifs, cell_grid(ifs, m + 1).boxes).tobytes()
-        for k, symbol in enumerate(symbols):
-            assert cli.covariance_residual(ifs, symbol, m) == expected[k, m]
-    # the points of depths 2..5, each once: depth m's serve depth m - 1 and
-    # then give the branch images of depth m
-    assert builds == [6**2, 6**3, 6**4, 6**5]
-    assert held(ifs) == set()
+@pytest.mark.parametrize("tail_block", [None, 1, 7])
+def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
+    # every residual of the streamed loop equals the one from whole-depth
+    # arrays, whether a block holds one tail, seven or the default; the
+    # recorded evaluator calls never exceed 2^15 rows
+    if tail_block is not None:
+        monkeypatch.setattr(op, "_tail_block", lambda n_branches: tail_block)
+    rows = []
 
-    for m in op.averaging_working_sets(ifs, [2, 3]):
-        break
-    assert held(ifs) == set()
-    with pytest.raises(RuntimeError):
-        for m in op.averaging_working_sets(ifs, [2, 3]):
-            raise RuntimeError("stop")
-    assert held(ifs) == set()
+    def recording(symbol):
+        def evaluate(points):
+            rows.append(len(points))
+            return symbol.evaluator(points)
+        return LipschitzSymbol(evaluate, symbol.lip_bound)
+
+    checked = 0
+    for ifs, depths in covariance_systems():
+        symbols = [random_trig_symbol((7, 101, k), ifs.dimension) for k in range(2)]
+        if tail_block is not None:  # the small blocks loop in Python: fewer depths
+            depths = [m for m in depths if ifs.n_branches**m <= 500]
+        aligned = all(gamma.is_axis_aligned() for gamma in ifs.branches)
+        for depth in depths:
+            got = cli.covariance_residual(ifs, [recording(s) for s in symbols], depth)
+            expected = [whole_depth_covariance_residual(ifs, s, depth) for s in symbols]
+            if depth == 0 and not aligned:
+                # the whole-depth pass maps depth 0's one point per offset
+                # alone, and numpy's one-row matmul (gemv) rounds a dense
+                # linear part differently from the many-row one (gemm): a
+                # last-bit difference in sample values of size about 1
+                assert np.allclose(got, expected, rtol=0.0, atol=4e-16), \
+                    (ifs.name, got, expected)
+                continue
+            assert got == expected, (ifs.name, depth)
+            checked += 1
+    assert max(rows) <= 2**15
+    assert checked >= 60
