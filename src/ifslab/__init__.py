@@ -11,14 +11,12 @@ from .catalog import CatalogEntry
 from .errors import (ConfigError, CoverFailure, DegenerateCandidate, DepthMismatch,
                      DepthOverflow, IfsLabError, NoConvergence, NotAContraction)
 from .geometry import (AffineContraction, AmbientBox, IfsSystem, branch_coincidence_set,
-                       branch_index_set, branch_value_set, check_open_set_condition,
-                       contraction_bounds, is_finite_branch, self_similarity_defect,
-                       verify_inverse_branches)
-from .measure import (CellMeasure, chaos_game, exact_cell_masses, markov_fixpoint,
-                      measure_separation_estimate, self_similarity_residual)
+                       branch_value_set, check_open_set_condition, contraction_bounds,
+                       is_finite_branch, self_similarity_defect, verify_inverse_branches)
+from .measure import CellMeasure, chaos_game, exact_cell_masses, markov_fixpoint
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
-                        composition_op, inner_product, mult_op, operator_norm,
-                        refine, sample_to_cells, transfer_op)
+                        composition_op, mult_op, operator_norm, sample_to_cells,
+                        transfer_op)
 
 __version__ = "0.1.0"
 

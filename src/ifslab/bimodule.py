@@ -1,8 +1,7 @@
-"""The C(K)-bimodule structure and the partition-of-unity reconstruction.
+"""The partition-of-unity reconstruction in the C(K)-bimodule X = C(K).
 
-X = C(K) carries the A-valued inner product <xi, eta>_A = L(conj(xi) eta)
-(one letter shallower at cell resolution), the two-sided module action
-(a . xi . b)(x) = a(x) xi(x) b(phi(x)), and the rank-one operators
+X carries the A-valued inner product <xi, eta>_A = L(conj(xi) eta)
+(one letter shallower at cell resolution) and the rank-one operators
 theta_{xi,eta} zeta = xi <eta, zeta>_A.  For a symbol vanishing near the
 two-branch value set, finitely many bump pairs reconstruct multiplication
 by the symbol; the residual checks here measure that reconstruction
@@ -29,98 +28,31 @@ from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
 from .measure import cell_grid, check_depth
-from .operators import (CellFunction, CellOperator, adjoint_composition_op,
-                        composition_op, max_spectral_norm, mult_op, operator_norm,
-                        pullback, sample_to_cells, transfer_values)
+from .operators import (CellFunction, CellOperator, max_spectral_norm, operator_norm,
+                        sample_to_cells, transfer_values)
 from .sampling import LipschitzSymbol, uniform_doubles
 
 
 # ---------------------------------------------------------------------------
-# Bimodule algebra at cell level
+# Rank-one module operators
 # ---------------------------------------------------------------------------
 
-def a_valued_inner(ifs: IfsSystem, xi: CellFunction, eta: CellFunction) -> CellFunction:
-    """<xi, eta>_A = transfer of conj(xi) eta; result one letter shallower."""
-    if xi.depth != eta.depth:
-        raise DepthMismatch("module elements must share a depth")
+def theta_apply(ifs: IfsSystem, xi: CellFunction, eta: CellFunction,
+                zeta: CellFunction) -> CellFunction:
+    """theta_{xi,eta} zeta = xi . <eta, zeta>_A at cell i.w: xi(i.w) L(conj(eta) zeta)(w).
+
+    The A-valued inner product <eta, zeta>_A = L(conj(eta) zeta) is one
+    letter shallower and uses uniform weights; the right action reads it
+    through phi, which maps the cell i.w onto w.
+    """
+    if not (xi.depth == eta.depth == zeta.depth):
+        raise DepthMismatch("theta needs equal depths")
     if xi.depth < 1:
         raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
     if not ifs.is_hutchinson():
         raise ValueError("the A-valued inner product uses uniform weights")
-    return CellFunction(xi.depth - 1, transfer_values(ifs, np.conj(xi.values) * eta.values))
-
-
-def bimodule_action(ifs: IfsSystem, a: CellFunction, xi: CellFunction,
-                    b: CellFunction) -> CellFunction:
-    """(a . xi . b) at cell i.w: a(i.w) xi(i.w) b(w)."""
-    if a.depth != xi.depth or b.depth != xi.depth - 1:
-        raise DepthMismatch("need a, xi at depth m+1 and b at depth m")
-    lifted = pullback(ifs, b)
-    return CellFunction(xi.depth, a.values * xi.values * lifted.values)
-
-
-@dataclass(frozen=True)
-class CographFunction:
-    """A function on the union of cographs: one cell function per branch."""
-
-    components: tuple
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("need at least one component")
-        depths = {f.depth for f in self.components}
-        if len(depths) != 1:
-            raise DepthMismatch("cograph components must share a depth")
-
-    @property
-    def depth(self) -> int:
-        return self.components[0].depth
-
-
-def cograph_inner(f: CographFunction, g: CographFunction) -> CellFunction:
-    """The cograph-side A-valued inner product: sum_i conj(f_i) g_i."""
-    if len(f.components) != len(g.components) or f.depth != g.depth:
-        raise DepthMismatch("cograph functions must match in shape")
-    total = sum(np.conj(fi.values) * gi.values
-                for fi, gi in zip(f.components, g.components))
-    return CellFunction(f.depth, total)
-
-
-def cograph_iso(ifs: IfsSystem, f: CographFunction) -> CellFunction:
-    """Phi: the i-th sheet value at base w becomes sqrt(n) times cell i.w."""
-    if len(f.components) != ifs.n_branches:
-        raise DepthMismatch("need one component per branch")
-    root = np.sqrt(ifs.n_branches)
-    values = np.concatenate([root * fi.values for fi in f.components])
-    return CellFunction(f.depth + 1, values)
-
-
-def cograph_iso_inverse(ifs: IfsSystem, xi: CellFunction) -> CographFunction:
-    """Recover the sheets: f_i(w) = xi(i.w) / sqrt(n); exact round trip."""
-    if xi.depth < 1:
-        raise DepthMismatch("need depth >= 1 to split off the first letter")
-    root = np.sqrt(ifs.n_branches)
-    sheets = xi.values.reshape(ifs.n_branches, -1) / root
-    return CographFunction(tuple(CellFunction(xi.depth - 1, row) for row in sheets))
-
-
-def theta_apply(ifs: IfsSystem, xi: CellFunction, eta: CellFunction,
-                zeta: CellFunction) -> CellFunction:
-    """theta_{xi,eta} zeta = xi . <eta, zeta>_A (right action through phi)."""
-    if not (xi.depth == eta.depth == zeta.depth):
-        raise DepthMismatch("theta needs equal depths")
-    inner = a_valued_inner(ifs, eta, zeta)
-    return CellFunction(xi.depth, xi.values * pullback(ifs, inner).values)
-
-
-def theta_matrix(ifs: IfsSystem, xi: CellFunction, eta: CellFunction) -> CellOperator:
-    """theta_{xi,eta} as the matrix D_xi (C C*) D_conj(eta) on V_{m+1}."""
-    if xi.depth != eta.depth or xi.depth < 1:
-        raise DepthMismatch("theta needs equal depths >= 1")
-    comp = composition_op(ifs, xi.depth - 1)
-    proj = comp.compose(adjoint_composition_op(ifs, xi.depth - 1))
-    return mult_op(ifs, xi).compose(proj).compose(
-        mult_op(ifs, eta.map_values(np.conj)))
+    inner = transfer_values(ifs, np.conj(eta.values) * zeta.values)
+    return CellFunction(xi.depth, xi.values * np.tile(inner, ifs.n_branches))
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +87,6 @@ class AdmissibleSymbol:
 
     def __call__(self, points):
         return self.field(points)
-
-    def validate(self, ifs: IfsSystem, samples: int = 200, seed: int = 0) -> float:
-        """Largest |a| found on the delta/2-neighborhood of the value set."""
-        pieces = branch_value_set(ifs)
-        worst = 0.0
-        for piece in pieces:
-            anchors = piece.sample(samples)
-            jitter = uniform_doubles((seed, piece.pair[0], piece.pair[1]),
-                                     anchors.size).reshape(anchors.shape)
-            shifted = anchors + (jitter - 0.5) * self.delta
-            shifted = np.clip(shifted, ifs.box.lo, ifs.box.hi)
-            worst = max(worst, float(np.abs(self(shifted)).max()))
-        return worst
 
 
 def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05,
@@ -244,15 +163,6 @@ class BumpPartition:
             columns[rows, slot] = cols
             values[rows, slot] = tent
         return columns, values
-
-    def bump_values(self, points: np.ndarray) -> np.ndarray:
-        """(len(points), M) tent values: `tent_slots` scattered into their
-        columns; every other entry is 0.0."""
-        columns, tents = self.tent_slots(points)
-        values = np.zeros((len(columns), self.size))
-        rows, slots = np.nonzero(columns >= 0)
-        values[rows, columns[rows, slots]] = tents[rows, slots]
-        return values
 
     def support_rows(self, points: np.ndarray) -> np.ndarray:
         """Ascending indices of the points within one pitch of a node coordinate
@@ -415,10 +325,7 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
     tests run as arrays, `_NODE_BLOCK` nodes at a time in lattice order,
     and stop at the first block that holds a failure.
     """
-    support = symbol.support_box
-    if support is None:
-        return BumpPartition(np.zeros((0, ifs.dimension)), 1.0, symbol.delta / 2.0)
-    support = np.asarray(support, dtype=float)
+    support = np.asarray(symbol.support_box, dtype=float)
     gap = support_distance_to_value_set(ifs, support)
     if gap < symbol.delta:
         raise ValueError("symbol support is closer than delta to the value set")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -132,6 +133,7 @@ def transfer_equality_residual(ifs, depth: int) -> float:
 
 
 def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
+    """One row per pair of consecutive depths: the residual ratio, within [lo, hi]."""
     rows = []
     for (m0, r0), (m1, r1) in zip(list(zip(depths, residuals))[:-1],
                                   list(zip(depths, residuals))[1:]):
@@ -139,6 +141,12 @@ def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
         rows.append(CheckRow(suite, name, f"{detail_prefix} depth {m0}->{m1}",
                              ratio, hi, lo <= ratio <= hi))
     return rows
+
+
+def _needs_two_depths(suite: str, check: str, depth: int) -> CheckRow:
+    """The failing row of a rate check over the one-depth range depth..depth."""
+    return CheckRow(suite, check, f"needs two depths; got only depth {depth}",
+                    1.0, 0.0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +292,8 @@ def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool,
                                      f"symbol {k} depth {m}", res, limit, res <= limit))
             rows.extend(_ratio_rows("operators", "covariance-ratio", f"symbol {k}",
                                     residuals, suite.depths, lo, hi))
+        if len(suite.depths) < 2:
+            rows.append(_needs_two_depths("operators", "covariance-ratio", suite.depths[0]))
     else:
         rows.append(CheckRow("operators", "covariance-bound",
                              "requires uniform weights", 1.0, 0.0, False))
@@ -354,6 +364,9 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> Re
         theta_residuals.append(bimodule.verify_theta_reconstruction(ifs, residual))
         op_residuals.append(bimodule.verify_operator_reconstruction(residual))
     lo, hi = cfg.tol("reconstruction_ratio_lo"), cfg.tol("reconstruction_ratio_hi")
+    if len(depths) < 2:
+        rows += [_needs_two_depths("reconstruction", check, depths[0])
+                 for check in ("theta-ratio", "operator-ratio")]
     rows.extend(_ratio_rows("reconstruction", "theta-ratio", "module norm",
                             theta_residuals, depths, lo, hi))
     rows.extend(_ratio_rows("reconstruction", "operator-ratio", f"{partition.size} bumps",
@@ -523,10 +536,23 @@ def _parse_depths(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _config_number(kind, section: str, key: str, raw: str, path: str):
+    """`raw` converted by `kind` (int or float), or ConfigError naming the key."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key} in [{section}] of {path!r} must be "
+                          f"{'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+
+
 def _config_from_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    if not parser.read(path):
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+    if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
     for section, known in (("run", RUN_KEYS), ("tolerances", DEFAULT_TOLERANCES)):
@@ -542,13 +568,14 @@ def _config_from_file(path: str) -> dict:
             values["depths"] = _parse_depths(run["depths"])
         for key in ("samples", "seed"):
             if key in run:
-                values[key] = int(run[key])
+                values[key] = _config_number(int, "run", key, run[key], path)
         if "out" in run:
             values["out_dir"] = run["out"]
         if "delta" in run:
-            values["delta"] = float(run["delta"])
+            values["delta"] = _config_number(float, "run", "delta", run["delta"], path)
     if "tolerances" in parser:
-        values["tolerances"] = {key: float(val) for key, val in parser["tolerances"].items()}
+        values["tolerances"] = {key: _config_number(float, "tolerances", key, val, path)
+                                for key, val in parser["tolerances"].items()}
     return values
 
 
@@ -581,7 +608,12 @@ def build_config(args) -> RunConfig:
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}")
     overrides["tolerances"] = tolerances
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    if not (math.isfinite(cfg.delta) and cfg.delta > 0):
+        raise ConfigError(f"delta must be finite and > 0, got {cfg.delta!r}")
+    if cfg.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {cfg.samples!r}")
+    return cfg
 
 
 @cache

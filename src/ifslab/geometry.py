@@ -244,10 +244,6 @@ class IfsSystem:
     def c2(self) -> float:
         return max(g.c2 for g in self.branches)
 
-    @property
-    def c1(self) -> float:
-        return min(g.c1 for g in self.branches)
-
     def is_hutchinson(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.weights - 1.0 / self.n_branches)) <= tol)
 
@@ -270,11 +266,12 @@ class IfsSystem:
 
 
 def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """(len(points), n) flags: column i - 1 says whether the point lies in g_i(K).
+    """(len(points), n) flags: column i - 1 says whether the point lies in g_i(K),
+    so row k marks the branch index set I(x_k).
 
     Decided through the inverse map, one linear solve per point: a solve
     with one right-hand side rounds differently from a solve with many, so
-    each flag is the one `branch_index_set` gives for that point alone.
+    each flag is the one a solve for that point alone gives.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     flags = np.empty((len(points), ifs.n_branches), dtype=bool)
@@ -282,12 +279,6 @@ def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) ->
         pre = np.linalg.solve(gamma.linear, (points - gamma.translation)[:, :, None])[:, :, 0]
         flags[:, i] = ifs.box.contains(pre, tol=tol)
     return flags
-
-
-def branch_index_set(ifs: IfsSystem, x: np.ndarray, tol: float = 1e-12) -> frozenset[int]:
-    """I(x): 1-based indices i with x in g_i(K), decided via the inverse map."""
-    hits = branch_membership(ifs, x, tol)[0]
-    return frozenset(int(i) + 1 for i in np.flatnonzero(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +569,6 @@ class OscResult:
     failed_condition: str | None = None  # "containment" | "overlap"
     violating: tuple | None = None
     witness: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _separating_axis_disjoint(verts_a: np.ndarray, verts_b: np.ndarray,

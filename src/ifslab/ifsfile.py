@@ -154,8 +154,12 @@ def parse_ifs(text: str) -> IfsSystem:
 
 
 def load_ifs(path) -> IfsSystem:
-    with open(path, "r") as handle:
-        return parse_ifs(handle.read())
+    try:
+        with open(path, "r") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read definition file {path!r}: {exc.strerror}") from None
+    return parse_ifs(text)
 
 
 def _fmt(x: float) -> str:

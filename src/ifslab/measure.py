@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DepthMismatch, DepthOverflow, NoConvergence
+from .errors import DepthOverflow, NoConvergence
 from .geometry import IfsSystem, check_open_set_condition
 from .sampling import uniform_blocks
 
@@ -43,13 +43,6 @@ def check_depth(n_branches: int, depth: int, budget: int | None = None) -> int:
         raise DepthOverflow(
             f"{n_branches}^{depth} = {count} cells reaches the cell budget {budget}")
     return count
-
-
-def word_index(word: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for letter in word:
-        idx = idx * n + (letter - 1)
-    return idx
 
 
 def index_word(idx: int, n: int, depth: int) -> tuple[int, ...]:
@@ -162,10 +155,6 @@ class CellMeasure:
             raise ValueError("masses must sum to 1 within 1e-12")
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-
-    @property
-    def n_cells(self) -> int:
-        return self.masses.size
 
 
 def total_variation(a: np.ndarray, b: np.ndarray) -> float:
@@ -379,80 +368,6 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     assert counts.sum() == n_samples
     return CellMeasure(depth, counts / n_samples, "empirical",
                        sample_count=n_samples, seed=int(seed))
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point identity and separation estimates
-# ---------------------------------------------------------------------------
-
-def cell_mass(mu: CellMeasure, word: tuple[int, ...], n: int) -> float:
-    """mu of the cylinder cell of `word`, summing the depth-m block."""
-    if len(word) > mu.depth:
-        raise DepthMismatch("test cell deeper than the measure")
-    block = n ** (mu.depth - len(word))
-    start = word_index(word, n) * block
-    return float(mu.masses[start:start + block].sum())
-
-
-def self_similarity_residual(ifs: IfsSystem, mu: CellMeasure,
-                             test_cells: list[tuple[int, ...]]) -> float:
-    """max over test cells E of |mu(E) - sum_i p_i mu(g_i^{-1}(E))|.
-
-    mu(g_i^{-1}(E)) is resolved by summing masses of depth-m cells whose
-    g_i-image lies in E; only the branch matching E's first letter
-    contributes, the rest meet E in a null set.
-    """
-    n = ifs.n_branches
-    worst = 0.0
-    for word in test_cells:
-        if len(word) > mu.depth - 1:
-            raise DepthMismatch("test cells must be at most depth m-1")
-        lhs = cell_mass(mu, word, n)
-        if word:
-            pulled = ifs.weights[word[0] - 1] * cell_mass(mu, word[1:], n)
-        else:
-            pulled = float(ifs.weights.sum())
-        worst = max(worst, abs(lhs - pulled))
-    return worst
-
-
-def overlap_boxes(ifs: IfsSystem) -> list[np.ndarray]:
-    """Pairwise intersections of the branch-image boxes."""
-    from itertools import combinations
-
-    from .geometry import box_intersection
-
-    boxes = ifs.image_boxes()
-    found = []
-    for a, b in combinations(range(ifs.n_branches), 2):
-        overlap = box_intersection(boxes[a], boxes[b])
-        if overlap is not None:
-            found.append(overlap)
-    return found
-
-
-def measure_separation_estimate(ifs: IfsSystem, eps_list, mu: CellMeasure) -> list[float]:
-    """mu-mass of eps-neighborhoods of the branch-image overlaps.
-
-    For each eps, sums the masses of depth-m cells whose box hull comes
-    within eps of some pairwise overlap; decay as eps -> 0 indicates the
-    measure separation condition, a plateau flags genuine overlap mass.
-    """
-    overlaps = overlap_boxes(ifs)
-    grid = cell_grid(ifs, mu.depth)
-    estimates = []
-    for eps in eps_list:
-        if not overlaps:
-            estimates.append(0.0)
-            continue
-        near = np.zeros(mu.n_cells, dtype=bool)
-        for overlap in overlaps:
-            gap = np.maximum(overlap[:, 0] - grid.boxes[:, :, 1],
-                             grid.boxes[:, :, 0] - overlap[:, 1])
-            dist = np.linalg.norm(np.maximum(gap, 0.0), axis=1)
-            near |= dist <= eps
-        estimates.append(float(mu.masses[near].sum()))
-    return estimates
 
 
 # ---------------------------------------------------------------------------

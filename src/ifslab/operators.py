@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import CellMeasure, cell_grid, check_depth
+from .measure import cell_grid, check_depth
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -41,13 +41,6 @@ class CellFunction:
             values = values.astype(np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.size
-
-    def map_values(self, fn) -> "CellFunction":
-        return CellFunction(self.depth, fn(self.values))
 
 
 def _letter_masses(weights: np.ndarray, count: int) -> np.ndarray:
@@ -104,14 +97,6 @@ class CellOperator:
         tails = min(len(self.matrix), len(other.matrix))
         return self._grouped(tails), other._grouped(tails)
 
-    def apply(self, f: CellFunction) -> CellFunction:
-        if f.depth != self.dom_depth:
-            raise DepthMismatch(
-                f"operator domain depth {self.dom_depth}, argument depth {f.depth}")
-        tails, _, cols = self.matrix.shape
-        out = np.einsum("wkl,lw->kw", self.matrix, f.values.reshape(cols, tails))
-        return CellFunction(self.cod_depth, out.reshape(-1))
-
     def compose(self, other: "CellOperator") -> "CellOperator":
         """self after other."""
         if other.cod_depth != self.dom_depth:
@@ -133,9 +118,6 @@ class CellOperator:
             raise DepthMismatch("operators act between different spaces")
         left, right = self._pair(other)
         return CellOperator(self.dom_depth, self.cod_depth, left - right, self.weights)
-
-    def to_dense(self) -> np.ndarray:
-        return self._grouped(1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +276,6 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
     out = np.zeros(count, dtype=total.dtype)
     out[cells] = total / DEFAULT_AVERAGE_POINTS
     return CellFunction(depth, out)
-
-
-def refine(ifs: IfsSystem, f: CellFunction, new_depth: int) -> CellFunction:
-    """Copy each cell value to all its depth-m' descendants (append letters)."""
-    if new_depth < f.depth:
-        raise DepthMismatch("refine cannot decrease depth")
-    check_depth(ifs.n_branches, new_depth)
-    reps = ifs.n_branches ** (new_depth - f.depth)
-    return CellFunction(new_depth, np.repeat(f.values, reps))
-
-
-def pullback(ifs: IfsSystem, f: CellFunction) -> CellFunction:
-    """f o phi on cells: copy the value of w to every preimage cell i.w."""
-    return CellFunction(f.depth + 1, np.tile(f.values, ifs.n_branches))
-
-
-def inner_product(f: CellFunction, g: CellFunction, mu: CellMeasure) -> complex:
-    """<f, g> = sum_w conj(f_w) g_w mass_w."""
-    if not (f.depth == g.depth == mu.depth):
-        raise DepthMismatch("inner product needs equal depths for f, g and the measure")
-    value = np.sum(np.conj(f.values) * g.values * mu.masses)
-    return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 # ---------------------------------------------------------------------------

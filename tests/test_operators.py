@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import (dense_gram_adjoint, random_ifs, whole_depth_average_points,
-                      whole_depth_covariance_residual, whole_depth_transfer)
+from conftest import (dense_gram_adjoint, dense_operator, random_ifs,
+                      whole_depth_average_points, whole_depth_covariance_residual,
+                      whole_depth_transfer)
 from ifslab import catalog, cli
 from ifslab import measure as mea
 from ifslab import operators as op
 from ifslab.errors import DepthMismatch
-from ifslab.measure import cell_grid, chaos_game, exact_cell_masses
+from ifslab.measure import cell_grid, chaos_game, exact_cell_masses, index_word
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
-                              composition_op, inner_product, mult_op, operator_norm,
-                              pullback, refine, sample_to_cells, transfer_op,
-                              transfer_values)
+                              composition_op, mult_op, operator_norm, sample_to_cells,
+                              transfer_op, transfer_values)
 from ifslab.sampling import LipschitzSymbol, halton_points, random_trig_symbol, window_symbol
 
 
@@ -36,7 +36,7 @@ def test_sample_refinement_lipschitz_bound(tent_square):
     for m in (2, 3, 4):
         coarse = sample_to_cells(ifs, symbol.evaluator, m)
         fine = sample_to_cells(ifs, symbol.evaluator, m + 1)
-        gap = np.abs(fine.values - refine(ifs, coarse, m + 1).values).max()
+        gap = np.abs(fine.values - np.repeat(coarse.values, ifs.n_branches)).max()
         assert gap <= symbol.lip_bound * ifs.c2**m * ifs.box.diameter
 
 
@@ -50,21 +50,14 @@ def test_average_rule_close_to_center(tent_square):
 
 
 # ---------------------------------------------------------------------------
-# refine
+# refinement and the weighted inner product
 # ---------------------------------------------------------------------------
 
-def test_refine_constant(tent_square):
-    f = CellFunction(0, np.array([1.0]))
-    assert np.all(refine(tent_square.system, f, 3).values == 1.0)
-
-
 def test_refine_indicator_children(tent_square):
-    # indicator of cell "1" splits into cells {11, 12, 13, 14}; verify the
-    # containment g_1(g_i(K)) inside g_1(K) by interval arithmetic
+    # cell "1" splits into cells {11, 12, 13, 14}, the first four of depth 2;
+    # verify the containment g_1(g_i(K)) inside g_1(K) by interval arithmetic
     ifs = tent_square.system
-    f = CellFunction(1, np.array([1.0, 0.0, 0.0, 0.0]))
-    fine = refine(ifs, f, 2)
-    np.testing.assert_array_equal(fine.values, np.repeat([1.0, 0, 0, 0], 4))
+    assert [index_word(k, 4, 2) for k in range(4)] == [(1, 1), (1, 2), (1, 3), (1, 4)]
     parent = ifs.branches[0].image_box(ifs.box.intervals)
     for i in range(4):
         child = ifs.branches[0].image_box(ifs.branches[i].image_box(ifs.box.intervals))
@@ -72,63 +65,41 @@ def test_refine_indicator_children(tent_square):
 
 
 def test_refine_preserves_inner_products(tent_sigma):
+    # a cell's exact mass is the sum of its descendants' masses, so copying
+    # each value to the descendants keeps the weighted inner product
     ifs = tent_sigma.system
     rng = np.random.default_rng(2)
-    f = CellFunction(2, rng.normal(size=36))
-    g = CellFunction(2, rng.normal(size=36))
-    coarse = inner_product(f, g, exact_cell_masses(ifs, 2))
-    fine = inner_product(refine(ifs, f, 4), refine(ifs, g, 4), exact_cell_masses(ifs, 4))
+    f, g = rng.normal(size=36), rng.normal(size=36)
+    coarse = np.sum(f * g * exact_cell_masses(ifs, 2).masses)
+    fine = np.sum(np.repeat(f, 36) * np.repeat(g, 36) * exact_cell_masses(ifs, 4).masses)
     assert abs(coarse - fine) <= 1e-14
-
-
-def test_refine_rejects_coarsening(tent_square):
-    with pytest.raises(DepthMismatch):
-        refine(tent_square.system, CellFunction(2, np.zeros(16)), 1)
 
 
 def test_refine_commutes_with_composition(tent_square):
     # commuting square: refine after C equals C after refine
     ifs = tent_square.system
     rng = np.random.default_rng(3)
-    f = CellFunction(2, rng.normal(size=16))
-    via_c = refine(ifs, composition_op(ifs, 2).apply(f), 5)
-    via_refine = composition_op(ifs, 4).apply(refine(ifs, f, 4))
-    assert np.abs(via_c.values - via_refine.values).max() <= 1e-14
+    f = rng.normal(size=16)
+    via_c = np.repeat(dense_operator(composition_op(ifs, 2)) @ f, 16)
+    via_refine = dense_operator(composition_op(ifs, 4)) @ np.repeat(f, 16)
+    assert np.abs(via_c - via_refine).max() <= 1e-14
 
-
-# ---------------------------------------------------------------------------
-# inner product
-# ---------------------------------------------------------------------------
 
 def test_inner_product_of_ones_is_total_mass(tent_square):
-    ones = CellFunction(2, np.ones(16))
-    assert abs(inner_product(ones, ones, exact_cell_masses(tent_square.system, 2)) - 1.0) <= 1e-15
-
-
-def test_indicator_mass_quarter(tent_square):
-    f = CellFunction(1, np.array([1.0, 0, 0, 0]))
-    assert inner_product(f, f, exact_cell_masses(tent_square.system, 1)) == 0.25
+    assert abs(exact_cell_masses(tent_square.system, 2).masses.sum() - 1.0) <= 1e-15
 
 
 def test_inner_product_against_monte_carlo(tent_square):
     # chaos-game quadrature oracle for the weighted inner product
     ifs = tent_square.system
     rng = np.random.default_rng(8)
-    f = CellFunction(3, rng.normal(size=64))
-    g = CellFunction(3, rng.normal(size=64))
-    exact = inner_product(f, g, exact_cell_masses(ifs, 3))
+    product = rng.normal(size=64) * rng.normal(size=64)
+    exact = np.sum(product * exact_cell_masses(ifs, 3).masses)
     n_samples = 10**6
     emp = chaos_game(ifs, 3, n_samples, seed=21)
-    estimate = float(np.sum(f.values * g.values * emp.masses))
-    product = f.values * g.values
+    estimate = float(np.sum(product * emp.masses))
     sigma = np.sqrt(np.sum(product**2 * exact_cell_masses(ifs, 3).masses) / n_samples)
     assert abs(estimate - exact) <= 4.0 * sigma
-
-
-def test_inner_product_depth_mismatch(tent_square):
-    with pytest.raises(DepthMismatch):
-        inner_product(CellFunction(1, np.ones(4)), CellFunction(2, np.ones(16)),
-                      exact_cell_masses(tent_square.system, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +108,7 @@ def test_inner_product_depth_mismatch(tent_square):
 
 def test_mult_identity(tent_square):
     m_one = mult_op(tent_square.system, CellFunction(2, np.ones(16)))
-    np.testing.assert_array_equal(m_one.to_dense(), np.eye(16))
+    np.testing.assert_array_equal(dense_operator(m_one), np.eye(16))
 
 
 def test_mult_norm_is_sup(tent_square):
@@ -151,10 +122,10 @@ def test_mult_algebra(tent_square):
     b = rng.normal(size=16) + 1j * rng.normal(size=16)
     ifs = tent_square.system
     prod = mult_op(ifs, CellFunction(2, a)).compose(mult_op(ifs, CellFunction(2, b)))
-    np.testing.assert_allclose(prod.to_dense(), np.diag(a * b), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dense_operator(prod), np.diag(a * b), rtol=1e-15, atol=0)
     # adjoint of multiplication is multiplication by the conjugate
     adj = mult_op(ifs, CellFunction(2, a)).adjoint()
-    np.testing.assert_allclose(adj.to_dense(), np.diag(np.conj(a)), atol=1e-17)
+    np.testing.assert_allclose(dense_operator(adj), np.diag(np.conj(a)), atol=1e-17)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +134,8 @@ def test_mult_algebra(tent_square):
 
 def test_composition_fixes_constants(tent_square):
     comp = composition_op(tent_square.system, 0)
-    out = comp.apply(CellFunction(0, np.array([1.0])))
-    np.testing.assert_array_equal(out.values, np.ones(4))
+    out = dense_operator(comp) @ np.array([1.0])
+    np.testing.assert_array_equal(out, np.ones(4))
 
 
 def test_composition_support_by_point_sampling(tent_square):
@@ -174,10 +145,9 @@ def test_composition_support_by_point_sampling(tent_square):
     rng = np.random.default_rng(6)
     grid = cell_grid(ifs, 2)
     for w in range(4):
-        f = CellFunction(1, np.eye(4)[w])
-        lifted = comp.apply(f)
+        lifted = dense_operator(comp) @ np.eye(4)[w]
         expected_support = {i * 4 + w for i in range(4)}
-        assert set(np.nonzero(lifted.values)[0]) == expected_support
+        assert set(np.nonzero(lifted)[0]) == expected_support
         for cell in expected_support:
             lo, hi = grid.boxes[cell, :, 0], grid.boxes[cell, :, 1]
             pts = lo + rng.uniform(0.02, 0.98, size=(100, 2)) * (hi - lo)
@@ -188,12 +158,15 @@ def test_composition_support_by_point_sampling(tent_square):
 def test_composition_is_isometry(tent_sigma):
     ifs = tent_sigma.system
     comp = composition_op(ifs, 3)
-    mu3, mu4 = exact_cell_masses(ifs, 3), exact_cell_masses(ifs, 4)
+    mass3, mass4 = exact_cell_masses(ifs, 3).masses, exact_cell_masses(ifs, 4).masses
+    dense = dense_operator(comp)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        f = CellFunction(3, rng.normal(size=216) + 1j * rng.normal(size=216))
-        lifted = comp.apply(f)
-        assert abs(inner_product(lifted, lifted, mu4) - inner_product(f, f, mu3)) <= 1e-12
+        f = rng.normal(size=216) + 1j * rng.normal(size=216)
+        lifted = dense @ f
+        norm4 = np.sum(np.conj(lifted) * lifted * mass4)
+        norm3 = np.sum(np.conj(f) * f * mass3)
+        assert abs(norm4 - norm3) <= 1e-12
 
 
 def test_adjoint_matches_gram_oracle(tent_square):
@@ -201,15 +174,15 @@ def test_adjoint_matches_gram_oracle(tent_square):
     ifs = tent_square.system
     comp = composition_op(ifs, 2)
     explicit = adjoint_composition_op(ifs, 2)
-    gram = dense_gram_adjoint(comp.to_dense(), exact_cell_masses(ifs, 2).masses,
+    gram = dense_gram_adjoint(dense_operator(comp), exact_cell_masses(ifs, 2).masses,
                               exact_cell_masses(ifs, 3).masses)
-    assert np.abs(explicit.to_dense() - gram).max() <= 1e-14
+    assert np.abs(dense_operator(explicit) - gram).max() <= 1e-14
 
 
 def test_cstar_c_is_identity(tent_sigma):
     ifs = tent_sigma.system
     prod = adjoint_composition_op(ifs, 2).compose(composition_op(ifs, 2))
-    assert np.abs(prod.to_dense() - np.eye(36)).max() <= 1e-15
+    assert np.abs(dense_operator(prod) - np.eye(36)).max() <= 1e-15
 
 
 def test_cc_star_is_projection(tent_square):
@@ -221,13 +194,13 @@ def test_cc_star_is_projection(tent_square):
 
 
 def test_transfer_fixes_constants(tent_square):
-    out = transfer_op(tent_square.system, 2).apply(CellFunction(3, np.ones(64)))
-    np.testing.assert_allclose(out.values, 1.0, rtol=0, atol=1e-15)
+    out = dense_operator(transfer_op(tent_square.system, 2)) @ np.ones(64)
+    np.testing.assert_allclose(out, 1.0, rtol=0, atol=1e-15)
 
 
 def test_transfer_equals_adjoint_for_uniform_weights(tent_sigma):
-    diff = (transfer_op(tent_sigma.system, 2).to_dense()
-            - adjoint_composition_op(tent_sigma.system, 2).to_dense())
+    diff = (dense_operator(transfer_op(tent_sigma.system, 2))
+            - dense_operator(adjoint_composition_op(tent_sigma.system, 2)))
     assert np.abs(diff).max() <= 1e-14
 
 
@@ -244,14 +217,14 @@ def test_transfer_against_direct_evaluation(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(31, 2)
     for m in (1, 2, 3):
-        via_matrix = transfer_op(ifs, m).apply(
-            sample_to_cells(ifs, symbol.evaluator, m + 1))
+        via_matrix = dense_operator(transfer_op(ifs, m)) @ sample_to_cells(
+            ifs, symbol.evaluator, m + 1).values
         centers = cell_grid(ifs, m).centers
         direct = np.zeros(len(centers))
         for gamma in ifs.branches:
             direct += np.asarray(symbol.evaluator(gamma(centers)))
         direct /= 4.0
-        assert np.abs(via_matrix.values - direct).max() \
+        assert np.abs(via_matrix - direct).max() \
             <= symbol.lip_bound * ifs.c2**m * ifs.box.diameter
 
 
@@ -314,7 +287,7 @@ def weighted_svd_norm(ifs, op):
     """Largest singular value of the dense matrix for the mass-weighted norms."""
     cod = np.sqrt(exact_cell_masses(ifs, op.cod_depth).masses)
     dom = np.sqrt(exact_cell_masses(ifs, op.dom_depth).masses)
-    return np.linalg.svd(cod[:, None] * op.to_dense() / dom[None, :], compute_uv=False)[0]
+    return np.linalg.svd(cod[:, None] * dense_operator(op) / dom[None, :], compute_uv=False)[0]
 
 
 def skewed(entry):
@@ -339,29 +312,27 @@ def test_norm_against_svd_oracle(tent_square):
 
 
 def test_block_algebra_matches_dense(tent_square):
-    # compose, subtract, adjoint and apply on operators stored with different
-    # tail groupings agree with the dense matrices they stand for
+    # compose, subtract and adjoint on operators stored with different tail
+    # groupings agree with the dense matrices they stand for
     ifs = skewed(tent_square)
     rng = np.random.default_rng(16)
     comp = composition_op(ifs, 2)
     diag = mult_op(ifs, CellFunction(2, rng.normal(size=16)))
     square = CellOperator(3, 3, rng.normal(size=(16, 4, 4)), ifs.weights)
     after = comp.compose(diag)  # (4^2, 4, 1) after (4^2, 1, 1)
-    np.testing.assert_allclose(after.to_dense(), comp.to_dense() @ diag.to_dense(),
-                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dense_operator(after),
+                               dense_operator(comp) @ dense_operator(diag), rtol=1e-15, atol=0)
     after = square.compose(comp).compose(diag)
     np.testing.assert_allclose(
-        after.to_dense(), square.to_dense() @ comp.to_dense() @ diag.to_dense(),
+        dense_operator(after),
+        dense_operator(square) @ dense_operator(comp) @ dense_operator(diag),
         rtol=1e-13, atol=1e-15)
     values = rng.normal(size=64)
     diff = square.subtract(mult_op(ifs, CellFunction(3, values)))
-    np.testing.assert_array_equal(diff.to_dense(), square.to_dense() - np.diag(values))
+    np.testing.assert_array_equal(dense_operator(diff), dense_operator(square) - np.diag(values))
     mass2, mass3 = exact_cell_masses(ifs, 2).masses, exact_cell_masses(ifs, 3).masses
-    adjoint = after.adjoint().to_dense()
-    np.testing.assert_allclose(adjoint, dense_gram_adjoint(after.to_dense(), mass2, mass3),
-                               rtol=1e-13, atol=1e-15)
-    f = CellFunction(2, rng.normal(size=16))
-    np.testing.assert_allclose(after.apply(f).values, after.to_dense() @ f.values,
+    adjoint = dense_operator(after.adjoint())
+    np.testing.assert_allclose(adjoint, dense_gram_adjoint(dense_operator(after), mass2, mass3),
                                rtol=1e-13, atol=1e-15)
     with pytest.raises(DepthMismatch):
         CellOperator(2, 3, np.ones((16, 4, 4)), ifs.weights)
@@ -430,9 +401,9 @@ def test_max_spectral_norm_rejects_nan_blocks():
 
 
 def test_pullback_tiles_values(tent_square):
-    f = CellFunction(1, np.arange(4.0))
-    np.testing.assert_array_equal(pullback(tent_square.system, f).values,
-                                  np.tile(np.arange(4.0), 4))
+    # C f = f o phi copies the value of w to every cell i.w
+    lifted = dense_operator(composition_op(tent_square.system, 1)) @ np.arange(4.0)
+    np.testing.assert_array_equal(lifted, np.tile(np.arange(4.0), 4))
 
 
 def per_offset_average(ifs, evaluator, level):
