@@ -89,8 +89,7 @@ class AdmissibleSymbol:
         return self.field(points)
 
 
-def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05,
-                      amplitude: float = 1.0) -> AdmissibleSymbol:
+def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05) -> AdmissibleSymbol:
     """Smooth window on `support_box`, rejected if it crowds the value set."""
     from .sampling import window_symbol
 
@@ -99,7 +98,7 @@ def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05,
     if gap < delta:
         raise ValueError(
             f"support is {gap:.4g} from the two-branch value set, closer than delta={delta}")
-    return AdmissibleSymbol(window_symbol(support_box, amplitude), delta)
+    return AdmissibleSymbol(window_symbol(support_box), delta)
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,9 @@ class BumpPartition:
             near &= gap < self.pitch
         return np.flatnonzero(near)
 
+
+# The finest pitch the bump-partition search tries.
+MIN_PITCH = 2.0**-12
 
 # Lattice nodes tested per array pass.  The search stops at the first block
 # holding a failure, so an early failure stays cheap and memory stays
@@ -305,15 +307,14 @@ def _first_failure(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
     return None
 
 
-def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
-                         min_pitch: float = 2.0**-12) -> BumpPartition:
+def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartition:
     """Cover the symbol's support by dyadically shrinking lattice tents.
 
     Starts from the largest dyadic pitch compatible with the box and
     halves it until every tent rectangle passes the exact interval tests;
-    underflow of `min_pitch` raises CoverFailure with the obstruction: the
+    underflow of MIN_PITCH raises CoverFailure with the obstruction: the
     first failing node in lattice order at the finest pitch, the last one
-    at least `min_pitch`, with its first failed condition (value-set
+    at least MIN_PITCH, with its first failed condition (value-set
     clearance, then branch-return or foreign-branch for branches 1..n).
 
     Each pitch first clips the rectangles to the box (a rectangle that
@@ -335,7 +336,7 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
     box = ifs.box.intervals
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
     last_obstruction = None
-    while pitch >= min_pitch:
+    while pitch >= MIN_PITCH:
         nodes = _lattice_nodes(ifs, support, pitch)
         # the rectangles (node-h, node+h)^d that meet the box, clipped to it
         lo = np.maximum(nodes - pitch, box[:, 0])
@@ -343,7 +344,7 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
         live = np.flatnonzero(np.all(lo <= hi, axis=1))
         clipped = np.stack([lo[live], hi[live]], axis=2)
         too_close = _clearance_failures(ifs, clipped, value_pieces, clearance, support, gap)
-        finest = pitch / 2.0 < min_pitch
+        finest = pitch / 2.0 < MIN_PITCH
         if finest or not too_close.any():
             failed = _first_failure(ifs, nodes[live], clipped, too_close)
             if failed is None:
@@ -351,10 +352,10 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol,
             last_obstruction = failed
         pitch /= 2.0
     if last_obstruction is None:
-        raise CoverFailure(f"min_pitch {min_pitch} exceeds the starting pitch")
+        raise CoverFailure(f"min_pitch {MIN_PITCH} exceeds the starting pitch")
     node, condition = last_obstruction
     raise CoverFailure(
-        f"no admissible rectangle pitch above {min_pitch} (condition {condition} at {node})",
+        f"no admissible rectangle pitch above {MIN_PITCH} (condition {condition} at {node})",
         obstruction=node, condition=condition)
 
 
@@ -407,15 +408,6 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
                                  partition.size)
 
 
-def reference_symbol(ifs: IfsSystem, symbol, depth: int) -> CellFunction:
-    """Cell-average discretization of the symbol: the comparison target.
-
-    Only the cells whose hull meets the symbol's support box are evaluated
-    (`sample_to_cells`); the others are 0.0 either way.
-    """
-    return sample_to_cells(ifs, symbol, depth, rule="average", support=symbol.support_box)
-
-
 @dataclass(frozen=True)
 class ReconstructionResidual:
     """The blocks of a block-diagonal operator on V_depth that can be nonzero.
@@ -444,20 +436,22 @@ def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
     The covariant representation maps theta_{xi,eta} to M_xi C C* M_eta*,
     so this one operator serves both reconstruction checks.  Entry (i, j)
     of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
-    with a the cell-average reference symbol.  Only the tails that carry a
-    support row or a nonzero reference cell get a block; every other block
-    is exactly zero.  The sum can be non-zero only where both cells are
-    support rows, so it is formed one letter j at a time, for the support
-    rows i.w whose partner j.w is a support row too, `_PAIR_ROWS` rows per
-    call, each call's xi and eta rows scattered into dense (rows, M)
-    arrays; every other entry stays 0.0, which the sum with eta_k read as
-    zero gives too.  The weights and the reference symbol are then applied
+    with a the cell-average reference symbol (`sample_to_cells` on the
+    symbol's support box; the other cells are 0.0).  Only the tails that
+    carry a support row or a nonzero reference cell get a block; every
+    other block is exactly zero.  The sum can be non-zero only where both
+    cells are support rows, so it is formed one letter j at a time, for
+    the support rows i.w whose partner j.w is a support row too,
+    `_PAIR_ROWS` rows per call, each call's xi and eta rows scattered into
+    dense (rows, M) arrays; every other entry stays 0.0, which the sum
+    with eta_k read as zero gives too.  The weights and the reference symbol are then applied
     to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
         raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
-    reference = reference_symbol(ifs, symbol, level).values.reshape(ifs.n_branches, -1)
+    reference = sample_to_cells(ifs, symbol, level, symbol.support_box).values
+    reference = reference.reshape(ifs.n_branches, -1)
     n, count = reference.shape
     # row of each cell in the stored pairs; -1 off the support rows
     position = np.full(n * count, -1)
@@ -505,7 +499,7 @@ def verify_operator_reconstruction(residual: ReconstructionResidual) -> float:
 
 
 def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,
-                        seed: int = 0) -> tuple[float, float]:
+                        seed: int) -> tuple[float, float]:
     """Residuals of the two covariant-representation relations.
 
     Both relations are diagonal identities on cells, so each residual is

@@ -2,7 +2,8 @@
 
 Commands: verify, measure, operators, reconstruct, report (all of them).
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
-configuration error (bad flags, unknown system, cell-budget overflow).
+configuration error (bad flags, unknown system, a bad IFSLAB_CELL_BUDGET,
+cell-budget overflow).
 Outputs are plain CSV with LF line endings and 17-significant-digit
 floats; a rerun with the same configuration is byte-identical.
 """
@@ -167,9 +168,9 @@ def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
 def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
     rows = []
     tol = cfg.tol("inverse_branch")
-    residual = geometry.verify_inverse_branches(ifs, 64)
-    rows.append(CheckRow("geometry", "inverse-branch", "grid 64", residual, tol,
-                         residual <= tol))
+    residual = geometry.verify_inverse_branches(ifs)
+    rows.append(CheckRow("geometry", "inverse-branch", f"grid {geometry.INVERSE_GRID}",
+                         residual, tol, residual <= tol))
 
     rows.append(self_similarity_row(cfg, ifs))
 
@@ -187,7 +188,7 @@ def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
     c_res = geometry.coincidence_residual(ifs, pieces)
     rows.append(CheckRow("geometry", "coincidence-set", f"{len(pieces)} pieces",
                          c_res, piece_tol, c_res <= piece_tol))
-    values = geometry.branch_value_set(ifs, pieces)
+    values = geometry.branch_value_set(ifs)
     b_res = geometry.value_residual(ifs, pieces, values)
     rows.append(CheckRow("geometry", "value-set", f"{len(values)} pieces",
                          b_res, piece_tol, b_res <= piece_tol))
@@ -259,10 +260,11 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
 
 
 def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool,
-                  suite: OperatorSuite | None = None) -> list[CheckRow]:
+                  suite: OperatorSuite | None) -> list[CheckRow]:
+    """The operator suite's check rows; `suite` is read, and needed, only
+    when the attractor is the box."""
     if not attractor_ok:
         return _refused("operators", "attractor is not the ambient box")
-    suite = suite if suite is not None else operator_suite(cfg, ifs)
     rows = []
     for j, depth in enumerate(suite.depths):
         residual = suite.isometry[j]
@@ -428,8 +430,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     ifs, expected = _load_system(cfg.system)
     rows = geometry_rows(cfg, ifs, expected)
     attractor_ok = rows[1].passed  # self-similarity defect row
-    return _finish_verify(cfg, rows, measure_rows(cfg, ifs, attractor_ok),
-                          operator_rows(cfg, ifs, attractor_ok),
+    m_rows = measure_rows(cfg, ifs, attractor_ok)
+    suite = operator_suite(cfg, ifs) if attractor_ok else None
+    return _finish_verify(cfg, rows, m_rows, operator_rows(cfg, ifs, attractor_ok, suite),
                           reconstruction_rows(cfg, ifs, expected, attractor_ok).rows)
 
 
@@ -609,6 +612,7 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"unknown tolerance {key!r}")
     overrides["tolerances"] = tolerances
     cfg = replace(cfg, **overrides)
+    measure.cell_budget()  # a bad IFSLAB_CELL_BUDGET is refused before any work
     if not (math.isfinite(cfg.delta) and cfg.delta > 0):
         raise ConfigError(f"delta must be finite and > 0, got {cfg.delta!r}")
     if cfg.samples < 1:

@@ -20,6 +20,15 @@ from .errors import DegenerateCandidate, NotAContraction
 
 _PIVOT_TOL = 1e-12
 
+# Grid subdivisions per axis of the inverse-branch check.
+INVERSE_GRID = 64
+
+# Points sampled along each one-dimensional coincidence or value piece.
+_PIECE_SAMPLES = 65
+
+# Distance within which reported pieces match the expected sets.
+_MATCH_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Ambient box
@@ -66,14 +75,14 @@ class AmbientBox:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.sizes))
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies in the box widened by _PIVOT_TOL per side."""
         points = np.atleast_2d(points)
-        return np.all((points >= self.lo - tol) & (points <= self.hi + tol), axis=1)
+        return np.all((points >= self.lo - _PIVOT_TOL) & (points <= self.hi + _PIVOT_TOL),
+                      axis=1)
 
     def grid(self, resolution: int) -> np.ndarray:
         """Inclusive lattice with `resolution` subdivisions per axis."""
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
         axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
@@ -200,7 +209,7 @@ class IfsSystem:
     A system is immutable, so whatever is derived from its box and branches
     alone is kept in `_cell_cache` and computed once: the image boxes, the
     coincidence and value sets, each support box's distance to the value
-    set, and per depth the cell grid and the averaging points.
+    set, and per depth the cell grid.
     """
 
     def __init__(self, box: AmbientBox, branches, weights=None, phi=None, name: str = ""):
@@ -244,8 +253,9 @@ class IfsSystem:
     def c2(self) -> float:
         return max(g.c2 for g in self.branches)
 
-    def is_hutchinson(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.weights - 1.0 / self.n_branches)) <= tol)
+    def is_hutchinson(self) -> bool:
+        """Whether every weight is within 1e-12 of 1/n."""
+        return bool(np.max(np.abs(self.weights - 1.0 / self.n_branches)) <= 1e-12)
 
     def image_boxes(self) -> list[np.ndarray]:
         """The (d, 2) image box of every branch, computed once per system;
@@ -265,9 +275,10 @@ class IfsSystem:
         return out[0] if squeeze else out
 
 
-def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def branch_membership(ifs: IfsSystem, points: np.ndarray) -> np.ndarray:
     """(len(points), n) flags: column i - 1 says whether the point lies in g_i(K),
-    so row k marks the branch index set I(x_k).
+    so row k marks the branch index set I(x_k).  The pre-image may sit
+    _PIVOT_TOL outside the box (`AmbientBox.contains`).
 
     Decided through the inverse map, one linear solve per point: a solve
     with one right-hand side rounds differently from a solve with many, so
@@ -277,7 +288,7 @@ def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) ->
     flags = np.empty((len(points), ifs.n_branches), dtype=bool)
     for i, gamma in enumerate(ifs.branches):
         pre = np.linalg.solve(gamma.linear, (points - gamma.translation)[:, :, None])[:, :, 0]
-        flags[:, i] = ifs.box.contains(pre, tol=tol)
+        flags[:, i] = ifs.box.contains(pre)
     return flags
 
 
@@ -285,11 +296,10 @@ def branch_membership(ifs: IfsSystem, points: np.ndarray, tol: float = 1e-12) ->
 # Residual scans
 # ---------------------------------------------------------------------------
 
-def verify_inverse_branches(ifs: IfsSystem, grid_resolution: int = 64) -> float:
-    """max over grid x and branches i of |phi(g_i(x)) - x| in sup norm."""
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
-    grid = ifs.box.grid(grid_resolution)
+def verify_inverse_branches(ifs: IfsSystem) -> float:
+    """max over the INVERSE_GRID lattice x and branches i of |phi(g_i(x)) - x|
+    in sup norm."""
+    grid = ifs.box.grid(INVERSE_GRID)
     worst = 0.0
     for gamma in ifs.branches:
         residual = np.abs(ifs.apply_phi(gamma(grid)) - grid).max()
@@ -376,15 +386,17 @@ class AffinePiece:
     endpoints: np.ndarray | None = None  # (2, d)
     box: np.ndarray | None = None  # ambient clip region (d, 2)
 
-    def sample(self, count: int = 33) -> np.ndarray:
+    def sample(self) -> np.ndarray:
+        """Points of the piece: _PIECE_SAMPLES along a segment, a lattice of
+        about as many filtered to the box on a higher-dimensional piece."""
         if self.dimension == 0:
             return self.point[None, :]
         if self.dimension == 1:
-            t = np.linspace(0.0, 1.0, count)[:, None]
+            t = np.linspace(0.0, 1.0, _PIECE_SAMPLES)[:, None]
             return self.endpoints[0] + t * (self.endpoints[1] - self.endpoints[0])
         # Higher-dimensional pieces: lattice in parameter space filtered to the box.
         k = self.basis.shape[1]
-        per_axis = max(2, int(np.ceil(count ** (1.0 / k))))
+        per_axis = max(2, int(np.ceil(_PIECE_SAMPLES ** (1.0 / k))))
         half = np.linalg.norm(self.box[:, 1] - self.box[:, 0])
         axes = [np.linspace(-half, half, per_axis)] * k
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -398,16 +410,16 @@ _CUBE_EDGES = np.array([(c, c | bit) for bit in (1, 2, 4) for c in range(8) if n
 
 
 def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
-                pair: tuple[int, int], pivot_tol: float) -> AffinePiece | None:
+                pair: tuple[int, int]) -> AffinePiece | None:
     """Exactly solve g_i(x) = g_j(x) inside the box; None when empty."""
     d = box.dimension
     diff = gi.linear - gj.linear
     rhs = gj.translation - gi.translation
     u, sv, vt = np.linalg.svd(diff)
-    rank = int(np.sum(sv > pivot_tol))
+    rank = int(np.sum(sv > _PIVOT_TOL))
     # Consistency: the right-hand side must live in the column space.
     tail = u[:, rank:].T @ rhs
-    if tail.size and np.max(np.abs(tail)) > pivot_tol:
+    if tail.size and np.max(np.abs(tail)) > _PIVOT_TOL:
         return None
     if rank > 0:
         particular = vt[:rank].T @ ((u[:, :rank].T @ rhs) / sv[:rank])
@@ -417,7 +429,7 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
     k = kernel.shape[1]
 
     if k == 0:
-        if not bool(box.contains(particular, tol=pivot_tol)[0]):
+        if not bool(box.contains(particular)[0]):
             return None
         p = np.clip(particular, box.lo, box.hi)
         return AffinePiece(pair, p, kernel, 0, point=p, box=box.intervals)
@@ -431,16 +443,17 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
         s_lo, s_hi = -np.inf, np.inf
         for a in range(d):
             da = direction[a]
-            if abs(da) <= pivot_tol:
-                if particular[a] < box.lo[a] - pivot_tol or particular[a] > box.hi[a] + pivot_tol:
+            if abs(da) <= _PIVOT_TOL:
+                if (particular[a] < box.lo[a] - _PIVOT_TOL
+                        or particular[a] > box.hi[a] + _PIVOT_TOL):
                     return None
                 continue
             bounds = sorted(((box.lo[a] - particular[a]) / da,
                              (box.hi[a] - particular[a]) / da))
             s_lo, s_hi = max(s_lo, bounds[0]), min(s_hi, bounds[1])
-        if s_lo > s_hi + pivot_tol:
+        if s_lo > s_hi + _PIVOT_TOL:
             return None
-        if s_hi - s_lo <= pivot_tol:
+        if s_hi - s_lo <= _PIVOT_TOL:
             p = np.clip(particular + 0.5 * (s_lo + s_hi) * direction, box.lo, box.hi)
             return AffinePiece(pair, p, np.zeros((d, 0)), 0, point=p, box=box.intervals)
         ends = np.stack([particular + s_lo * direction, particular + s_hi * direction])
@@ -452,14 +465,14 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
     normal = vt[0]
     corners = box_corners(box.intervals)
     side = corners @ normal - normal @ particular
-    sign = np.where(np.abs(side) <= pivot_tol, 0.0, np.sign(side))
+    sign = np.where(np.abs(side) <= _PIVOT_TOL, 0.0, np.sign(side))
     a, b = _CUBE_EDGES[sign[_CUBE_EDGES[:, 0]] * sign[_CUBE_EDGES[:, 1]] < 0].T
     t = (side[a] / (side[a] - side[b]))[:, None]
     points = np.vstack([corners[sign == 0], corners[a] + t * (corners[b] - corners[a])])
     if not len(points):
         return None
     _, spread, axes = np.linalg.svd(points - points.mean(axis=0))
-    dim = int(np.sum(spread > pivot_tol))
+    dim = int(np.sum(spread > _PIVOT_TOL))
     if dim == 0:
         p = np.clip(points[0], box.lo, box.hi)
         return AffinePiece(pair, p, np.zeros((d, 0)), 0, point=p, box=box.intervals)
@@ -479,54 +492,43 @@ def _frozen_pieces(pieces: list[AffinePiece]) -> tuple[AffinePiece, ...]:
     return tuple(pieces)
 
 
-def branch_coincidence_set(ifs: IfsSystem, pivot_tol: float = _PIVOT_TOL) -> list[AffinePiece]:
+def branch_coincidence_set(ifs: IfsSystem) -> list[AffinePiece]:
     """All nonempty pieces of C: points where two distinct branches agree.
 
-    Solved once per system and `pivot_tol`; each call returns a fresh list
-    of the same (read-only) pieces.
+    Solved once per system; each call returns a fresh list of the same
+    (read-only) pieces.
     """
-    key = ("coincidence", pivot_tol)
-    cached = ifs._cell_cache.get(key)
+    cached = ifs._cell_cache.get("coincidence")
     if cached is None:
         pieces = []
         for i, j in combinations(range(1, ifs.n_branches + 1), 2):
-            piece = _solve_pair(ifs.branches[i - 1], ifs.branches[j - 1], ifs.box,
-                                (i, j), pivot_tol)
+            piece = _solve_pair(ifs.branches[i - 1], ifs.branches[j - 1], ifs.box, (i, j))
             if piece is not None:
                 pieces.append(piece)
-        cached = ifs._cell_cache[key] = _frozen_pieces(pieces)
+        cached = ifs._cell_cache["coincidence"] = _frozen_pieces(pieces)
     return list(cached)
 
 
-def _same_pieces(a, b) -> bool:
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
-def branch_value_set(ifs: IfsSystem, pieces: list[AffinePiece] | None = None) -> list[AffinePiece]:
+def branch_value_set(ifs: IfsSystem) -> list[AffinePiece]:
     """Images g_i(piece) of the coincidence pieces: the two-branch value set.
 
-    Without `pieces`, or given the pieces `branch_coincidence_set(ifs)`
-    returns, the images are mapped once per system; each call returns a
-    fresh list.  Any other pieces are mapped on every call.
+    Mapped once per system, piece k of the value set being the image of
+    piece k of `branch_coincidence_set(ifs)`; each call returns a fresh
+    list of the same (read-only) pieces.
     """
-    if pieces is None:
-        pieces = branch_coincidence_set(ifs)
-    coincidence = ifs._cell_cache.get(("coincidence", _PIVOT_TOL))
-    memoise = coincidence is not None and _same_pieces(pieces, coincidence)
-    if memoise and "value-set" in ifs._cell_cache:
-        return list(ifs._cell_cache["value-set"])
-    images = []
-    for piece in pieces:
-        gamma = ifs.branches[piece.pair[0] - 1]
-        base = gamma(piece.basepoint)
-        basis = gamma.linear @ piece.basis if piece.basis.size else piece.basis
-        point = gamma(piece.point) if piece.point is not None else None
-        endpoints = gamma(piece.endpoints) if piece.endpoints is not None else None
-        images.append(AffinePiece(piece.pair, base, basis, piece.dimension,
-                                  point=point, endpoints=endpoints, box=ifs.box.intervals))
-    if memoise:
-        ifs._cell_cache["value-set"] = _frozen_pieces(images)
-    return images
+    cached = ifs._cell_cache.get("value-set")
+    if cached is None:
+        images = []
+        for piece in branch_coincidence_set(ifs):
+            gamma = ifs.branches[piece.pair[0] - 1]
+            base = gamma(piece.basepoint)
+            basis = gamma.linear @ piece.basis if piece.basis.size else piece.basis
+            point = gamma(piece.point) if piece.point is not None else None
+            endpoints = gamma(piece.endpoints) if piece.endpoints is not None else None
+            images.append(AffinePiece(piece.pair, base, basis, piece.dimension,
+                                      point=point, endpoints=endpoints, box=ifs.box.intervals))
+        cached = ifs._cell_cache["value-set"] = _frozen_pieces(images)
+    return list(cached)
 
 
 def is_finite_branch(ifs: IfsSystem) -> bool:
@@ -534,25 +536,25 @@ def is_finite_branch(ifs: IfsSystem) -> bool:
     return all(piece.dimension <= 0 for piece in branch_coincidence_set(ifs))
 
 
-def coincidence_residual(ifs: IfsSystem, pieces: list[AffinePiece], samples: int = 65) -> float:
+def coincidence_residual(ifs: IfsSystem, pieces: list[AffinePiece]) -> float:
     """max over sampled piece points of |g_i(x) - g_j(x)| in sup norm."""
     worst = 0.0
     for piece in pieces:
         i, j = piece.pair
-        pts = piece.sample(samples)
+        pts = piece.sample()
         res = np.abs(ifs.branches[i - 1](pts) - ifs.branches[j - 1](pts)).max()
         worst = max(worst, float(res))
     return worst
 
 
 def value_residual(ifs: IfsSystem, c_pieces: list[AffinePiece],
-                   b_pieces: list[AffinePiece], samples: int = 65) -> float:
+                   b_pieces: list[AffinePiece]) -> float:
     """max over value-piece points y of |y - g_j(x)| for the paired preimage x."""
     worst = 0.0
     for c_piece, b_piece in zip(c_pieces, b_pieces):
         i, j = c_piece.pair
-        xs = c_piece.sample(samples)
-        ys = b_piece.sample(samples)
+        xs = c_piece.sample()
+        ys = b_piece.sample()
         res = max(np.abs(ys - ifs.branches[i - 1](xs)).max(),
                   np.abs(ys - ifs.branches[j - 1](xs)).max())
         worst = max(worst, float(res))
@@ -572,11 +574,12 @@ class OscResult:
 
 
 def _separating_axis_disjoint(verts_a: np.ndarray, verts_b: np.ndarray,
-                              axes: np.ndarray, tol: float = 1e-12) -> bool:
+                              axes: np.ndarray) -> bool:
+    """Whether an axis separates the two vertex sets to within 1e-12."""
     for u in axes:
         pa = verts_a @ u
         pb = verts_b @ u
-        if pa.max() <= pb.min() + tol or pb.max() <= pa.min() + tol:
+        if pa.max() <= pb.min() + 1e-12 or pb.max() <= pa.min() + 1e-12:
             return True
     return False
 
@@ -781,8 +784,9 @@ def _union_distances(points: np.ndarray, expected_points, expected_segments) -> 
 
 
 def pieces_match_expected(pieces: list[AffinePiece], expected_segments,
-                          expected_points=(), tol: float = 1e-9) -> bool:
-    """Union equality between reported pieces and stated segments/points.
+                          expected_points=()) -> bool:
+    """Union equality, within _MATCH_TOL, between reported pieces and stated
+    segments/points.
 
     Forward inclusion samples every reported piece densely and measures
     the distance from all samples to the expected union in one array.
@@ -798,7 +802,8 @@ def pieces_match_expected(pieces: list[AffinePiece], expected_segments,
 
     if any(piece.dimension > 1 for piece in pieces):
         return False
-    samples = np.vstack([piece.sample(65) for piece in pieces])
+    tol = _MATCH_TOL
+    samples = np.vstack([piece.sample() for piece in pieces])
     if np.any(_union_distances(samples, expected_points, expected_segments) > tol):
         return False
 

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DepthOverflow, NoConvergence
+from .errors import ConfigError, DepthOverflow, NoConvergence
 from .geometry import IfsSystem, check_open_set_condition
 from .sampling import uniform_blocks
 
@@ -28,16 +28,21 @@ DEFAULT_CELL_BUDGET = 2**20
 
 
 def cell_budget() -> int:
-    """Cell cap, overridable through the IFSLAB_CELL_BUDGET env var."""
+    """Cell cap, overridable through the IFSLAB_CELL_BUDGET env var; a value
+    that is not a positive integer is a ConfigError."""
     raw = os.environ.get("IFSLAB_CELL_BUDGET", "")
-    return int(raw) if raw else DEFAULT_CELL_BUDGET
+    if not raw:
+        return DEFAULT_CELL_BUDGET
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"IFSLAB_CELL_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
-def check_depth(n_branches: int, depth: int, budget: int | None = None) -> int:
+def check_depth(n_branches: int, depth: int) -> int:
     """Number of depth-m cells, raising DepthOverflow at or above the budget."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    budget = cell_budget() if budget is None else budget
+    budget = cell_budget()
     count = n_branches**depth
     if count >= budget:
         raise DepthOverflow(
@@ -87,7 +92,7 @@ def _linear_frames(linear: np.ndarray, half: np.ndarray, out: np.ndarray,
         out += term
 
 
-def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid:
+def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     """The depth-m cell grid, built once per system and depth.
 
     Each level applies every branch to the centers and half-frames of the
@@ -103,9 +108,9 @@ def cell_grid(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellGrid
     key = ("grid", depth)
     cached = ifs._cell_cache.get(key)
     if cached is not None:
-        check_depth(ifs.n_branches, depth, budget)
+        check_depth(ifs.n_branches, depth)
         return cached
-    count = check_depth(ifs.n_branches, depth, budget)
+    count = check_depth(ifs.n_branches, depth)
     d = ifs.dimension
     start = max((m for m in range(depth) if ("grid", m) in ifs._cell_cache), default=None)
     if start is None:
@@ -161,14 +166,14 @@ def total_variation(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(a) - np.asarray(b)).sum())
 
 
-def exact_cell_masses(ifs: IfsSystem, depth: int, budget: int | None = None) -> CellMeasure:
+def exact_cell_masses(ifs: IfsSystem, depth: int) -> CellMeasure:
     """Product masses mass(w) = prod_k p_{w_k}.
 
     Valid because branch-image overlaps are assumed null (the measure
     separation condition, certified for the catalog systems); without it
     cylinder masses are not products.
     """
-    check_depth(ifs.n_branches, depth, budget)
+    check_depth(ifs.n_branches, depth)
     if depth == 0:
         return CellMeasure(0, np.ones(1), "exact")
     masses = reduce(np.kron, [ifs.weights] * depth)
@@ -176,14 +181,14 @@ def exact_cell_masses(ifs: IfsSystem, depth: int, budget: int | None = None) -> 
 
 
 def markov_fixpoint(ifs: IfsSystem, depth: int, max_iters: int = 256,
-                    tol: float = 1e-12, budget: int | None = None) -> CellMeasure:
+                    tol: float = 1e-12) -> CellMeasure:
     """Fixed point of the push-forward T(mu)(E) = sum_i p_i mu(g_i^{-1} E).
 
     On depth-m mass vectors T replaces the first letter's marginal with
     the weight vector, so iteration from the uniform start contracts to
     the product masses in at most m steps.
     """
-    count = check_depth(ifs.n_branches, depth, budget)
+    count = check_depth(ifs.n_branches, depth)
     if depth == 0:
         return CellMeasure(0, np.ones(1), "fixpoint")
     n = ifs.n_branches
@@ -308,7 +313,7 @@ _STEP_BLOCK = 64
 
 
 def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
-               burn_in: int = 100, budget: int | None = None) -> CellMeasure:
+               burn_in: int = 100) -> CellMeasure:
     """Empirical depth-m masses from the seeded random-orbit construction.
 
     The orbit x_{k+1} = g_{i_k}(x_k) is run as 1024 parallel sub-chains
@@ -338,7 +343,7 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
         raise ValueError("need at least one sample")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    count = check_depth(ifs.n_branches, depth, budget)
+    count = check_depth(ifs.n_branches, depth)
     chains = min(_CHAIN_COUNT, n_samples)
     base, extra = divmod(n_samples, chains)
     per_chain = np.full(chains, base, dtype=np.int64)

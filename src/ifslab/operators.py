@@ -236,44 +236,31 @@ def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
     return np.flatnonzero(meets.all(axis=1))
 
 
-def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, rule: str = "center",
-                    support=None) -> CellFunction:
-    """Discretize a continuous field on depth-m cells.
+def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, support) -> CellFunction:
+    """Discretize a continuous field on depth-m cells by cell averages.
 
-    rule="center" evaluates at the cell centers (images of the box
-    center, so sampling commutes with the branch maps).  rule="average"
-    takes the mean over DEFAULT_AVERAGE_POINTS Halton points placed in
-    each cell's box hull (`_offset_points`); the Halton set is
-    deliberately flip-asymmetric, so averaged sampling does not commute
-    with orientation-reversing branches and residuals against
-    center-sampled data decay at the contraction rate.  The offset-major
-    points are evaluated in calls of at most _EVAL_ROWS rows (one call
-    when they fit), and each cell sums its offsets in order from 0.0.
+    Each cell gets the mean over DEFAULT_AVERAGE_POINTS Halton points placed
+    in its box hull (`_offset_points`); the Halton set is deliberately
+    flip-asymmetric, so averaged sampling does not commute with
+    orientation-reversing branches.  The offset-major points are evaluated
+    in calls of at most _EVAL_ROWS rows (one call when they fit), and each
+    cell sums its offsets in order from 0.0.
 
-    `support` (rule="average" only) is a closed box (d, 2) outside of
-    which the field is zero.  Only the cells whose hull meets it get
-    averaging points, the same floats as their rows of the full array, and
-    are evaluated; the others get 0.0, the mean the full evaluation gives
-    them (a sum 0.0 + (+-0.0) + ... is +0.0), so the values are the same.
+    `support` is a closed box (d, 2) outside of which the field is zero.
+    Only the cells whose hull meets it get averaging points, the same floats
+    as their rows of the full array, and are evaluated; the others get 0.0,
+    the mean the full evaluation gives them (a sum 0.0 + (+-0.0) + ... is
+    +0.0), so the values are the same.  The ambient box as the support
+    selects every cell.
     """
-    if rule == "center":
-        values = np.asarray(evaluator(cell_grid(ifs, depth).centers))
-        return CellFunction(depth, values)
-    if rule != "average":
-        raise ValueError(f"unknown sampling rule {rule!r}")
     boxes = cell_grid(ifs, depth).boxes
-    count = len(boxes)
-    if support is None:
-        cells = np.arange(count)
-        points = _offset_points(ifs, boxes)
-    else:
-        cells = _support_cells(boxes, support)
-        points = _offset_points(ifs, boxes[cells])
+    cells = _support_cells(boxes, support)
+    points = _offset_points(ifs, boxes[cells])
     total = np.zeros(len(cells))
     if len(cells):  # a support that meets no cell evaluates nothing
         for values in _blocks(evaluator, points, len(cells)):
             total = total + values
-    out = np.zeros(count, dtype=total.dtype)
+    out = np.zeros(len(boxes), dtype=total.dtype)
     out[cells] = total / DEFAULT_AVERAGE_POINTS
     return CellFunction(depth, out)
 

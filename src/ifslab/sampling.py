@@ -133,7 +133,7 @@ def random_trig_symbol(seed, dim: int) -> LipschitzSymbol:
     return LipschitzSymbol(evaluate, lip)
 
 
-def window_symbol(support_box, amplitude: float = 1.0) -> LipschitzSymbol:
+def window_symbol(support_box) -> LipschitzSymbol:
     """Smooth bump: product of sin^2 arches on `support_box`, zero outside.
 
     Continuously differentiable on the whole space (the arch has zero
@@ -150,9 +150,9 @@ def window_symbol(support_box, amplitude: float = 1.0) -> LipschitzSymbol:
         t = (points - lo) / widths
         inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
         arch = np.sin(np.pi * np.clip(t, 0.0, 1.0)) ** 2
-        return amplitude * inside * np.prod(arch, axis=1)
+        return inside * np.prod(arch, axis=1)
 
     # |d/dx sin^2(pi t)| <= pi / width per axis; product of the others <= 1.
-    lip = abs(amplitude) * np.pi * float(np.linalg.norm(1.0 / widths))
+    lip = np.pi * float(np.linalg.norm(1.0 / widths))
     return LipschitzSymbol(evaluate, lip, support_box=box)
 

@@ -280,12 +280,12 @@ def assembled_reconstruction_residual(ifs, symbol, partition, level):
     zero row, every support row's partner row gathered for each letter, the
     blocks scaled into a new array and M_a subtracted through the operator
     algebra.  Kept as the reference that `reconstruction_residual`, which
-    builds the blocks that can be nonzero in place, must equal bit for bit."""
-    from ifslab.bimodule import reference_symbol
-    from ifslab.operators import CellOperator, mult_op
+    builds the blocks that can be nonzero in place, must equal bit for bit.
+    The reference symbol is averaged on every cell."""
+    from ifslab.operators import CellOperator, mult_op, sample_to_cells
 
     rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
-    a_ref = reference_symbol(ifs, symbol, level)
+    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
     n = ifs.n_branches
     count = n ** (level - 1)
     position = np.full(n * count, len(rows))
@@ -306,6 +306,20 @@ def whole_depth_average_points(ifs, depth):
     from ifslab.operators import _offset_points
 
     return _offset_points(ifs, cell_grid(ifs, depth).boxes)
+
+
+def per_offset_average(ifs, evaluator, level):
+    """The averaging rule on every cell, with one evaluator call per Halton offset."""
+    from ifslab.measure import cell_grid
+    from ifslab.sampling import halton_points
+
+    grid = cell_grid(ifs, level)
+    lo = grid.boxes[:, :, 0]
+    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
+    total = 0.0
+    for offset in halton_points(5, ifs.dimension):
+        total = total + np.asarray(evaluator(lo + offset * sizes))
+    return total / 5
 
 
 def whole_depth_branch_points(ifs, depth):
@@ -355,7 +369,7 @@ def whole_depth_covariance_residual(ifs, symbol, depth):
     from ifslab.operators import sample_to_cells
 
     n = ifs.n_branches
-    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
+    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, ifs.box.intervals)
     products = np.ascontiguousarray(a_fine.values.reshape(n, -1).T) * ifs.weights
     lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
     return float(np.abs(lhs - whole_depth_transfer(ifs, symbol.evaluator, depth)).max())

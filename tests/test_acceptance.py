@@ -84,7 +84,7 @@ def test_criterion_4_branch_set_geometry(tent_square, tent_1d):
     assert geo.pieces_match_expected(pieces,
                                      tent_square.expected.coincidence_segments,
                                      tent_square.expected.coincidence_points)
-    values = geo.branch_value_set(tent_square.system, pieces)
+    values = geo.branch_value_set(tent_square.system)
     assert geo.pieces_match_expected(values,
                                      tent_square.expected.value_segments,
                                      tent_square.expected.value_points)

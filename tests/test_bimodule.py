@@ -5,7 +5,8 @@ import pytest
 
 from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
                       bump_values, dense_gram_adjoint, dense_operator, dense_reconstruction_pairs,
-                      per_piece_box_distances, random_ifs, reference_box_piece_distance)
+                      per_offset_average, per_piece_box_distances, random_ifs,
+                      reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, admissible_symbol,
                              build_bump_partition, covariant_rep_check, reconstruction_residual,
@@ -18,7 +19,7 @@ from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, max_spectral_norm, mult_op, operator_norm,
                               sample_to_cells)
-from ifslab.sampling import uniform_doubles, window_symbol
+from ifslab.sampling import LipschitzSymbol, uniform_doubles, window_symbol
 
 
 def random_elements(ifs, depth, seed, count):
@@ -184,13 +185,31 @@ def test_support_touching_value_set_rejected(tent_square):
         admissible_symbol(tent_square.system, [[0.1, 0.48], [0.1, 0.4]], delta=0.05)
 
 
+def build_at(ifs, symbol, min_pitch):
+    """`build_bump_partition` with its finest pitch set to `min_pitch`."""
+    saved = bi.MIN_PITCH
+    bi.MIN_PITCH = min_pitch
+    try:
+        return build_bump_partition(ifs, symbol)
+    finally:
+        bi.MIN_PITCH = saved
+
+
+def scaled_window(support, amplitude):
+    """`amplitude` times the sin^2 window on `support`."""
+    window = window_symbol(support)
+    return LipschitzSymbol(lambda points: amplitude * window(points),
+                           abs(amplitude) * window.lip_bound, support_box=window.support_box)
+
+
 def test_cover_failure_reports_obstruction(tent_square):
     from ifslab.errors import CoverFailure
 
     symbol = admissible_symbol(tent_square.system, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     with pytest.raises(CoverFailure) as excinfo:
-        build_bump_partition(tent_square.system, symbol, min_pitch=0.2)
+        build_at(tent_square.system, symbol, 0.2)
     assert excinfo.value.obstruction is not None
+    assert "pitch above 0.2 " in str(excinfo.value)
 
 
 def reference_image_box(gamma, box):
@@ -212,8 +231,11 @@ def reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance):
     for piece in value_pieces:
         if reference_box_piece_distance(clipped, piece) < clearance:
             return "value-set-clearance"
-    members = {i for i, gamma in enumerate(ifs.branches, start=1)
-               if ifs.box.contains(gamma.inverse(node), tol=1e-12)[0]}
+    members = set()
+    for i, gamma in enumerate(ifs.branches, start=1):
+        pre = gamma.inverse(node)
+        if np.all((pre >= ifs.box.lo - 1e-12) & (pre <= ifs.box.hi + 1e-12)):
+            members.add(i)
     image_boxes = [reference_image_box(gamma, ifs.box.intervals) for gamma in ifs.branches]
     for i in range(1, ifs.n_branches + 1):
         if i in members:
@@ -314,7 +336,7 @@ def oracle_cases():
 def test_batched_partition_matches_node_by_node_search():
     tally = {}
     for label, ifs, symbol, min_pitch in oracle_cases():
-        batched = partition_outcome(build_bump_partition, ifs, symbol, min_pitch)
+        batched = partition_outcome(build_at, ifs, symbol, min_pitch)
         reference = partition_outcome(reference_partition, ifs, symbol, min_pitch)
         assert batched == reference, label
         tally[batched[0]] = tally.get(batched[0], 0) + 1
@@ -328,7 +350,7 @@ def test_partition_failure_past_the_first_node_block(monkeypatch):
     failures = []
     for label, ifs, symbol, min_pitch in oracle_cases()[:40]:
         reference = partition_outcome(reference_partition, ifs, symbol, min_pitch, failures)
-        assert partition_outcome(build_bump_partition, ifs, symbol, min_pitch) == reference, label
+        assert partition_outcome(build_at, ifs, symbol, min_pitch) == reference, label
     assert max(failures) >= 4
 
 
@@ -375,7 +397,7 @@ def exact_outcome(ifs, symbol, min_pitch):
     """The partition's node bytes, pitch and margin, or the failure's
     obstruction bytes and condition."""
     try:
-        result = build_bump_partition(ifs, symbol, min_pitch)
+        result = build_at(ifs, symbol, min_pitch)
     except CoverFailure as exc:
         return CoverFailure, exc.obstruction.tobytes(), exc.condition, str(exc)
     except ValueError as exc:
@@ -444,7 +466,7 @@ def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
     monkeypatch.setattr(bi, "box_distances_to_pieces", kernel)
     monkeypatch.setattr(bi, "_clearance_failures", checked)
     for label, ifs, symbol, min_pitch in cases:
-        partition_outcome(build_bump_partition, ifs, symbol, min_pitch)
+        partition_outcome(build_at, ifs, symbol, min_pitch)
     # the certificate spares most rectangles the kernel, and many fail
     assert seen["failing"] > 0 and seen["kernel rows"] < 0.5 * seen["rectangles"], seen
 
@@ -489,7 +511,7 @@ def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
     catalog_cases = oracle_cases()[:4]
     for label, ifs, symbol, min_pitch in catalog_cases:
         tested.clear()
-        partition = build_bump_partition(ifs, symbol, min_pitch)
+        partition = build_at(ifs, symbol, min_pitch)
         start = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
         assert partition.pitch < start, label  # coarser pitches failed first
         # the branch tests saw the passing pitch's nodes, and no others
@@ -519,7 +541,10 @@ def test_admissible_symbol_vanishes_near_value_set(tent_square):
     ifs = tent_square.system
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     for k, piece in enumerate(branch_value_set(ifs)):
-        anchors = piece.sample(200)
+        anchors = piece.sample()
+        if piece.dimension == 1:  # 200 points along the segment
+            t = np.linspace(0.0, 1.0, 200)[:, None]
+            anchors = piece.endpoints[0] + t * (piece.endpoints[1] - piece.endpoints[0])
         jitter = uniform_doubles((0, k), anchors.size).reshape(anchors.shape) - 0.5
         near = np.clip(anchors + jitter * symbol.delta, ifs.box.lo, ifs.box.hi)
         assert np.abs(symbol(near)).max() <= 1e-12
@@ -549,7 +574,7 @@ def full_blocks(residual, n):
 
 def zero_symbol_case(ifs):
     """The zero field on a support box, and a partition with no bumps."""
-    symbol = AdmissibleSymbol(window_symbol([[0.1, 0.4]] * ifs.dimension, 0.0), 0.05)
+    symbol = AdmissibleSymbol(scaled_window([[0.1, 0.4]] * ifs.dimension, 0.0), 0.05)
     return symbol, BumpPartition(np.zeros((0, ifs.dimension)), 0.125, 0.025)
 
 
@@ -713,7 +738,7 @@ def dense_reconstruction(ifs, symbol, partition, level):
     same sum over pairs as the kernel.
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
-    a_ref = bi.reference_symbol(ifs, symbol, level)
+    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -730,7 +755,7 @@ def dense_operator_residual(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     projection = dense_operator(composition_op(ifs, level - 1).compose(
         adjoint_composition_op(ifs, level - 1)))
-    a_ref = bi.reference_symbol(ifs, symbol, level)
+    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
     dense = (xi_cols @ eta_cols.T) * projection - np.diag(a_ref.values)
     root = np.sqrt(exact_cell_masses(ifs, level).masses)
     return dense, np.linalg.svd(root[:, None] * dense / root[None, :], compute_uv=False)[0]
@@ -788,7 +813,7 @@ def dense_theta_fibres(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
     etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
-    a_ref = bi.reference_symbol(ifs, symbol, level)
+    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -973,7 +998,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
     built = {1: 0, 2: 0, 3: 0}
     for ifs, symbol in cases:
         try:
-            partition = build_bump_partition(ifs, symbol, min_pitch[ifs.dimension])
+            partition = build_at(ifs, symbol, min_pitch[ifs.dimension])
         except (ValueError, CoverFailure):
             continue
         built[ifs.dimension] += 1
@@ -1021,19 +1046,20 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
     ("tent_1d", [[0.6, 0.9]], -2.0),
 ])
 def test_support_sampling_equals_full_sampling(name, support, amplitude):
+    # against the averaging rule on every cell; the box as the support
+    # selects every cell
     from ifslab import catalog
 
     ifs = catalog.get(name).system
-    symbol = window_symbol(support, amplitude)
+    symbol = scaled_window(support, amplitude)
     for depth in range(2, 6):
-        full = sample_to_cells(ifs, symbol, depth, rule="average")
-        restricted = sample_to_cells(ifs, symbol, depth, rule="average",
-                                     support=symbol.support_box)
-        assert restricted.values.tobytes() == full.values.tobytes(), depth
+        full = per_offset_average(ifs, symbol, depth)
+        restricted = sample_to_cells(ifs, symbol, depth, symbol.support_box)
+        assert restricted.values.tobytes() == full.tobytes(), depth
+        whole = sample_to_cells(ifs, symbol, depth, ifs.box.intervals)
+        assert whole.values.tobytes() == full.tobytes(), depth
         # the field is zero off the support; some cells are not
-        assert np.count_nonzero(full.values) > 0
-        reference = bi.reference_symbol(ifs, AdmissibleSymbol(symbol, 0.05), depth)
-        assert reference.values.tobytes() == full.values.tobytes(), depth
+        assert np.count_nonzero(full) > 0
 
 
 def test_support_sampling_evaluates_touching_cells(tent_square):
@@ -1051,7 +1077,7 @@ def test_support_sampling_evaluates_touching_cells(tent_square):
 
     for depth in (2, 3):
         evaluated.clear()
-        sample_to_cells(ifs, recording, depth, rule="average", support=symbol.support_box)
+        sample_to_cells(ifs, recording, depth, symbol.support_box)
         boxes = cell_grid(ifs, depth).boxes
         touching = np.all((boxes[:, :, 1] >= 0.25) & (boxes[:, :, 0] <= 0.5), axis=1)
         assert touching.sum() < len(boxes)

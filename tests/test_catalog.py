@@ -37,7 +37,7 @@ def test_every_expected_fact_is_validated(all_entries):
         assert geo.pieces_match_expected(
             pieces, entry.expected.coincidence_segments,
             entry.expected.coincidence_points), entry.name
-        values = geo.branch_value_set(ifs, pieces)
+        values = geo.branch_value_set(ifs)
         assert geo.pieces_match_expected(
             values, entry.expected.value_segments,
             entry.expected.value_points), entry.name

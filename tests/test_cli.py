@@ -42,6 +42,19 @@ def test_verify_depth_overflow(tmp_path, capsys):
     assert "DepthOverflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["abc", "0", "-5", "1.5"])
+def test_bad_cell_budget_is_config_error(tmp_path, capsys, monkeypatch, budget):
+    # refused before any work, with the variable named
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", budget)
+    code = run(["operators", "--system", "tent_square", "--depths", "2..3",
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: IFSLAB_CELL_BUDGET")
+    assert repr(budget) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_system_is_config_error(tmp_path, capsys):
     code = run(["verify", "--system", "nonesuch", "--out", str(tmp_path)])
     assert code == 2
@@ -158,7 +171,8 @@ def test_transfer_equality_fails_off_uniform_weights():
     for depth in (2, 3):
         assert 3.9e-13 <= cli.transfer_equality_residual(ifs, depth) <= 4.1e-13
     cfg = cli.RunConfig(system="tent_1d", depths=(2, 3))
-    rows = [row for row in cli.operator_rows(cfg, ifs, True) if row.check == "transfer-eq"]
+    rows = [row for row in cli.operator_rows(cfg, ifs, True, cli.operator_suite(cfg, ifs))
+            if row.check == "transfer-eq"]
     assert [row.detail for row in rows] == ["depth 2", "depth 3"]
     assert not any(row.passed for row in rows)
     assert all(row.value > row.threshold == 1e-14 for row in rows)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -69,13 +70,13 @@ def test_inverse_branches_catalog(all_entries):
     for entry in all_entries:
         if entry.name == "overlap_bad":
             continue
-        assert verify_inverse_branches(entry.system, 64) <= 1e-12, entry.name
+        assert verify_inverse_branches(entry.system) <= 1e-12, entry.name
 
 
 def test_inverse_branches_identity_phi_fails(tent_1d):
     broken = IfsSystem(tent_1d.system.box, tent_1d.system.branches,
                        phi=lambda pts: pts, name="identity-phi")
-    assert verify_inverse_branches(broken, 64) >= 0.25
+    assert verify_inverse_branches(broken) >= 0.25
 
 
 def test_self_similarity_defect_tent_square(tent_square):
@@ -351,7 +352,7 @@ def reference_pieces_match_expected(pieces, expected_segments, expected_points=(
     for piece in pieces:
         if piece.dimension > 1:
             return False
-        for x in piece.sample(65):
+        for x in piece.sample():
             if distance(x) > tol:
                 return False
     for point in expected_points:
@@ -406,7 +407,7 @@ def test_pieces_match_expected_equals_sample_loop(all_entries):
     for entry in all_entries:
         facts = entry.expected
         pieces = branch_coincidence_set(entry.system)
-        values = branch_value_set(entry.system, pieces)
+        values = branch_value_set(entry.system)
         for got, segments, points in ((pieces, facts.coincidence_segments,
                                        facts.coincidence_points),
                                       (values, facts.value_segments, facts.value_points)):
@@ -441,46 +442,69 @@ def test_memoised_sets_are_fresh_lists():
     boxes.pop()
     again = branch_coincidence_set(ifs)
     assert ([p.pair for p in again], [p.pair for p in branch_value_set(ifs)]) == expected
-    assert branch_value_set(ifs, again)[0] is branch_value_set(ifs)[0]
+    assert branch_value_set(ifs)[0] is branch_value_set(ifs)[0]
     assert len(ifs.image_boxes()) == ifs.n_branches
     with pytest.raises(ValueError):
         again[0].endpoints[0, 0] = 0.5
     with pytest.raises(ValueError):
+        branch_value_set(ifs)[0].endpoints[0, 0] = 0.5
+    with pytest.raises(ValueError):
         ifs.image_boxes()[0][0, 0] = 0.5
 
 
-def test_value_set_maps_the_pieces_it_is_given():
-    ifs = catalog.get("tent_sigma").system
-    memoised = branch_value_set(ifs)
-    pieces = branch_coincidence_set(ifs)
-    # other pieces: a subset, and pieces of a looser pivot tolerance
-    subset = branch_value_set(ifs, pieces[1:2])
-    assert len(subset) == 1 and subset[0].pair == pieces[1].pair
-    np.testing.assert_array_equal(subset[0].endpoints,
-                                  ifs.branches[pieces[1].pair[0] - 1](pieces[1].endpoints))
-    assert subset[0] is not memoised[1]
-    assert branch_value_set(ifs, []) == []
-    loose = branch_coincidence_set(ifs, pivot_tol=1e-9)
-    assert loose is not pieces and loose[0] is not pieces[0]
-    assert branch_value_set(ifs, loose)[0] is not memoised[0]
-    # and the memo is untouched by them
-    assert [p.pair for p in branch_value_set(ifs)] == [p.pair for p in memoised]
-
-
-def test_value_set_of_given_pieces_before_the_memo():
-    # pieces handed in before the system solved its own coincidence set are
-    # not taken for the memo, even when they are the empty list
-    ifs = catalog.get("tent_1d").system
-    assert branch_value_set(ifs, []) == []
-    assert [p.pair for p in branch_value_set(ifs)] == [(1, 2)]
+def test_value_set_is_the_image_of_the_coincidence_set(all_entries):
+    # piece k of the value set is g_i of piece k of the coincidence set
+    for entry in all_entries:
+        ifs = entry.system
+        pieces, values = branch_coincidence_set(ifs), branch_value_set(ifs)
+        assert [p.pair for p in values] == [p.pair for p in pieces], entry.name
+        for piece, value in zip(pieces, values):
+            gamma = ifs.branches[piece.pair[0] - 1]
+            for got, source in ((value.point, piece.point),
+                                (value.endpoints, piece.endpoints)):
+                if source is not None:
+                    np.testing.assert_array_equal(got, gamma(source))
 
 
 def test_piece_points_satisfy_equation(tent_sigma):
     ifs = tent_sigma.system
     pieces = branch_coincidence_set(ifs)
     assert geo.coincidence_residual(ifs, pieces) <= 1e-12
-    values = branch_value_set(ifs, pieces)
+    values = branch_value_set(ifs)
     assert geo.value_residual(ifs, pieces, values) <= 1e-12
+
+
+def shifted_piece(piece, distance):
+    """The piece moved by `distance` in a direction off its own span."""
+    d = len(piece.basepoint)
+    direction = np.ones(d)
+    if piece.basis.size:
+        direction -= piece.basis @ np.linalg.lstsq(piece.basis, direction, rcond=None)[0]
+    shift = distance * direction / np.linalg.norm(direction)
+    return replace(piece, basepoint=piece.basepoint + shift,
+                   point=None if piece.point is None else piece.point + shift,
+                   endpoints=None if piece.endpoints is None else piece.endpoints + shift)
+
+
+def test_shifted_pieces_fail_the_piece_rows(all_entries):
+    # negative controls of the coincidence-set and value-set rows: pieces
+    # moved 1e-6 off the exact sets exceed the rows' bound
+    bound = DEFAULT_TOLERANCES["piece_residual"]
+    checked = []
+    for entry in all_entries:
+        ifs = entry.system
+        pieces, values = branch_coincidence_set(ifs), branch_value_set(ifs)
+        if not pieces:
+            continue
+        assert geo.coincidence_residual(ifs, pieces) <= bound, entry.name
+        assert geo.value_residual(ifs, pieces, values) <= bound, entry.name
+        moved = [shifted_piece(piece, 1e-6) for piece in pieces]
+        assert geo.coincidence_residual(ifs, moved) > bound, entry.name
+        moved_values = [shifted_piece(value, 1e-6) for value in values]
+        assert geo.value_residual(ifs, pieces, moved_values) > bound, entry.name
+        assert geo.value_residual(ifs, moved, values) > bound, entry.name
+        checked.append(entry.name)
+    assert checked == ["tent_square", "tent_sigma", "tent_1d", "sigma_1d"]
 
 
 def test_off_piece_points_violate_equation(tent_square):

@@ -70,7 +70,7 @@ def test_piecewise_phi_inverts_branches():
     system = parse_ifs(text)
     from ifslab.geometry import verify_inverse_branches
 
-    assert verify_inverse_branches(system, 64) <= 1e-12
+    assert verify_inverse_branches(system) <= 1e-12
 
 
 def test_piecewise_phi_requires_domains():

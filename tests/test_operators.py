@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (dense_gram_adjoint, dense_operator, random_ifs,
+from conftest import (dense_gram_adjoint, dense_operator, per_offset_average, random_ifs,
                       whole_depth_average_points, whole_depth_covariance_residual,
                       whole_depth_transfer)
 from ifslab import catalog, cli
@@ -20,32 +20,33 @@ from ifslab.sampling import LipschitzSymbol, halton_points, random_trig_symbol, 
 # ---------------------------------------------------------------------------
 
 def test_sample_constant(tent_square):
-    f = sample_to_cells(tent_square.system, lambda p: np.ones(len(p)), 3)
+    ifs = tent_square.system
+    f = sample_to_cells(ifs, lambda p: np.ones(len(p)), 3, ifs.box.intervals)
     np.testing.assert_array_equal(f.values, np.ones(64))
 
 
 def test_sample_coordinate_centers(tent_square):
     # cells of g_1..g_4 in display order: x-centers (1/4, 1/4, 3/4, 3/4)
-    f = sample_to_cells(tent_square.system, lambda p: p[:, 0], 1, rule="center")
-    np.testing.assert_allclose(f.values, [0.25, 0.25, 0.75, 0.75], atol=1e-15)
+    centers = cell_grid(tent_square.system, 1).centers
+    np.testing.assert_allclose(centers[:, 0], [0.25, 0.25, 0.75, 0.75], atol=1e-15)
 
 
 def test_sample_refinement_lipschitz_bound(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(123, 2)
     for m in (2, 3, 4):
-        coarse = sample_to_cells(ifs, symbol.evaluator, m)
-        fine = sample_to_cells(ifs, symbol.evaluator, m + 1)
-        gap = np.abs(fine.values - np.repeat(coarse.values, ifs.n_branches)).max()
+        coarse = symbol.evaluator(cell_grid(ifs, m).centers)
+        fine = symbol.evaluator(cell_grid(ifs, m + 1).centers)
+        gap = np.abs(fine - np.repeat(coarse, ifs.n_branches)).max()
         assert gap <= symbol.lip_bound * ifs.c2**m * ifs.box.diameter
 
 
 def test_average_rule_close_to_center(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(5, 2)
-    center = sample_to_cells(ifs, symbol.evaluator, 4, rule="center")
-    average = sample_to_cells(ifs, symbol.evaluator, 4, rule="average")
-    assert np.abs(center.values - average.values).max() \
+    center = symbol.evaluator(cell_grid(ifs, 4).centers)
+    average = sample_to_cells(ifs, symbol.evaluator, 4, ifs.box.intervals)
+    assert np.abs(center - average.values).max() \
         <= symbol.lip_bound * ifs.c2**4 * ifs.box.diameter
 
 
@@ -217,8 +218,8 @@ def test_transfer_against_direct_evaluation(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(31, 2)
     for m in (1, 2, 3):
-        via_matrix = dense_operator(transfer_op(ifs, m)) @ sample_to_cells(
-            ifs, symbol.evaluator, m + 1).values
+        via_matrix = dense_operator(transfer_op(ifs, m)) @ symbol.evaluator(
+            cell_grid(ifs, m + 1).centers)
         centers = cell_grid(ifs, m).centers
         direct = np.zeros(len(centers))
         for gamma in ifs.branches:
@@ -236,7 +237,7 @@ def test_covariance_exact_at_cell_level(tent_square):
     # with center sampling both sides coincide to machine precision
     ifs = tent_square.system
     symbol = random_trig_symbol(12, 2)
-    a_fine = sample_to_cells(ifs, symbol.evaluator, 4, rule="center")
+    a_fine = CellFunction(4, symbol.evaluator(cell_grid(ifs, 4).centers))
     lhs = adjoint_composition_op(ifs, 3).compose(mult_op(ifs, a_fine)).compose(
         composition_op(ifs, 3))
     rhs = mult_op(ifs, CellFunction(3, transfer_values(ifs, a_fine.values)))
@@ -406,17 +407,6 @@ def test_pullback_tiles_values(tent_square):
     np.testing.assert_array_equal(lifted, np.tile(np.arange(4.0), 4))
 
 
-def per_offset_average(ifs, evaluator, level):
-    """The averaging rule with one evaluator call per Halton offset."""
-    grid = cell_grid(ifs, level)
-    lo = grid.boxes[:, :, 0]
-    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
-    total = 0.0
-    for offset in halton_points(5, ifs.dimension):
-        total = total + np.asarray(evaluator(lo + offset * sizes))
-    return total / 5
-
-
 def transferred(ifs, evaluator):
     """The field (1/n) sum_i evaluator o gamma_i, branches summed in order."""
     def evaluate(points):
@@ -496,7 +486,7 @@ def test_letter_masses_equal_kron_products():
 def four_operator_covariance_residual(ifs, symbol, depth):
     """|C* M_a C - M_(La)| through the block operators: compose, subtract
     and operator_norm on the same sampled a and La."""
-    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, rule="average")
+    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, ifs.box.intervals)
     lhs = adjoint_composition_op(ifs, depth).compose(mult_op(ifs, a_fine)).compose(
         composition_op(ifs, depth))
     rhs = mult_op(ifs, CellFunction(depth, whole_depth_transfer(ifs, symbol.evaluator, depth)))
@@ -557,13 +547,12 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
         return evaluate
 
     # depth 6: 5 x 6^6 averaging points
-    got = sample_to_cells(ifs, recording(symbol.evaluator), 6, rule="average")
+    got = sample_to_cells(ifs, recording(symbol.evaluator), 6, ifs.box.intervals)
     assert sum(rows) == 5 * 6**6 and max(rows) <= 2**15
     assert got.values.tobytes() == per_offset_average(ifs, symbol.evaluator, 6).tobytes()
 
     rows.clear()
-    got = sample_to_cells(ifs, recording(window), 6, rule="average",
-                          support=window.support_box)
+    got = sample_to_cells(ifs, recording(window), 6, window.support_box)
     assert sum(rows) > 2**15 and max(rows) <= 2**15
     assert got.values.tobytes() == per_offset_average(ifs, window, 6).tobytes()
 
@@ -612,7 +601,7 @@ def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkey
     monkeypatch.setattr(op, "_offset_points", recording)
     for depth in (4, 6):
         built.clear()
-        sample_to_cells(ifs, window, depth, rule="average", support=window.support_box)
+        sample_to_cells(ifs, window, depth, window.support_box)
         cells = op._support_cells(cell_grid(ifs, depth).boxes, window.support_box)
         assert built == [len(cells)] and len(cells) < 6**depth / 4
 

@@ -1,18 +1,33 @@
-"""Every function of ifslab is reached by a command.
+"""Every function of ifslab is reached by a command, and every defaulted
+parameter is varied by one.
 
-The five commands are the package's interface.  This test runs each of
-them, and their refusal paths, through `cli.main` under `sys.setprofile`
-and asserts that every `def` in the package ran, apart from the few in
-REACHED_ELSEWHERE, each with the caller that keeps it.  A function that
-only tests call fails here: retire it with its tests, or give it a
-command that needs it.
+The five commands are the package's interface.  A module fixture runs
+each of them, and their refusal paths, through `cli.main` under
+`sys.setprofile`, once for both tests.
+
+- Every `def` in the package must run, apart from the few in
+  REACHED_ELSEWHERE, each with the caller that keeps it.  A function that
+  only tests call fails here: retire it with its tests, or give it a
+  command that needs it.
+- Every defaulted parameter of a function that runs must take its default
+  in one call and another value in another, read from the call's
+  `frame.f_locals`.  A parameter that every command leaves at one value is
+  a setting no user can reach and a fork only tests take: make it a module
+  constant or a required argument, or list it in FIXED_PARAMETERS with the
+  caller that needs it.
 """
 
 import ast
 import contextlib
+import importlib
 import io
 import os
 import sys
+from collections import defaultdict
+from typing import NamedTuple
+
+import numpy as np
+import pytest
 
 import ifslab
 from ifslab import catalog, cli, sampling
@@ -28,6 +43,24 @@ REACHED_ELSEWHERE = {
     "ifsfile.export_ifs": "writes definition files; CI and the benchmark make file twins",
     "ifsfile._fmt_nested": "export_ifs",
     "ifsfile._fmt": "export_ifs",
+}
+
+# Defaulted parameters that every command leaves at one value, and who
+# needs the others.
+FIXED_PARAMETERS = {
+    "measure.chaos_game(burn_in)": "the test that checks symbolic against geometric "
+                                   "binning on a separated system runs a short burn-in",
+    "measure.markov_fixpoint(max_iters)": "the NoConvergence test stops the iteration early",
+    "measure.markov_fixpoint(tol)": "the NoConvergence test asks for a tolerance "
+                                    "the iteration cannot reach in one step",
+    "geometry.IfsSystem.__init__(phi)": "library users and random_ifs build systems "
+                                        "without an expanding map",
+    "geometry.IfsSystem.__init__(name)": "library users and random_ifs build unnamed systems",
+    "cli.main(argv)": "the console-script entry point reads sys.argv",
+    "errors.CoverFailure.__init__(obstruction)": "build_bump_partition raises it without one "
+                                                 "on a box side below 2^-10, where no pitch "
+                                                 "is tried",
+    "errors.CoverFailure.__init__(condition)": "as obstruction",
 }
 
 ROTATED_SYSTEM = """
@@ -72,9 +105,12 @@ domain = [[0.7, 1.0]]
 
 
 def defined_functions():
-    """{(file, first line): "module.qualname"} of every def in the package.
+    """{(file, first line): ("module.qualname", ((parameter, default), ...))}
+    of every def in the package.
 
-    The first line is the first decorator's, as in the code object."""
+    The first line is the first decorator's, as in the code object.  Each
+    default is its source expression evaluated in the module's namespace,
+    as the def statement evaluates it."""
     found = {}
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
@@ -82,13 +118,21 @@ def defined_functions():
         path = os.path.join(SRC, name)
         with open(path) as handle:
             tree = ast.parse(handle.read())
+        namespace = vars(importlib.import_module(f"ifslab.{name[:-3]}"))
+
+        def defaults(args):
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            return tuple((arg.arg, eval(compile(ast.Expression(node), path, "eval"), namespace))
+                         for arg, node in pairs)
 
         def walk(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = prefix + child.name
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    found[(path, first)] = f"{name[:-3]}.{qualname}"
+                    found[(path, first)] = (f"{name[:-3]}.{qualname}", defaults(child.args))
                     walk(child, qualname + ".<locals>.")
                 elif isinstance(child, ast.ClassDef):
                     walk(child, prefix + child.name + ".")
@@ -97,6 +141,17 @@ def defined_functions():
 
         walk(tree, "")
     return found
+
+
+def takes_default(value, default) -> bool:
+    if value is default:
+        return True
+    if default is None or isinstance(value, np.ndarray):
+        return False
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):
+        return False
 
 
 def command_runs(tmp_path):
@@ -153,15 +208,31 @@ def command_runs(tmp_path):
     return runs
 
 
-def test_every_function_is_reached_by_a_command(tmp_path):
+class Sweep(NamedTuple):
+    codes: list          # exit code of each run
+    expected: list       # the exit code each run should give
+    defined: dict        # defined_functions()
+    reached: set         # (file, first line) of every def that ran
+    observed: dict       # {(file, first line, parameter): {took the default?}}
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """Every command run of `command_runs`, profiled once for both tests."""
+    tmp_path = tmp_path_factory.mktemp("sweep")
     runs = command_runs(tmp_path)
     defined = defined_functions()
     files = {path for path, _ in defined}
     reached = set()
+    observed = defaultdict(set)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename in files:
-            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+        if event != "call" or frame.f_code.co_filename not in files:
+            return
+        key = (frame.f_code.co_filename, frame.f_code.co_firstlineno)
+        reached.add(key)
+        for param, default in defined.get(key, ("", ()))[1]:
+            observed[(*key, param)].add(takes_default(frame.f_locals[param], default))
 
     # a cached function runs only on its first call in a process
     cli.make_parser.cache_clear()
@@ -174,7 +245,24 @@ def test_every_function_is_reached_by_a_command(tmp_path):
                 codes.append(cli.main([*argv, "--out", str(tmp_path / f"out{k}")]))
     finally:
         sys.setprofile(None)
-    assert codes == [code for _, code in runs]
+    return Sweep(codes, [code for _, code in runs], defined, reached, dict(observed))
 
-    unreached = sorted(name for key, name in defined.items() if key not in reached)
+
+def test_every_function_is_reached_by_a_command(sweep):
+    assert sweep.codes == sweep.expected
+    unreached = sorted(name for key, (name, _) in sweep.defined.items()
+                       if key not in sweep.reached)
     assert sorted(REACHED_ELSEWHERE) == unreached
+
+
+def test_every_defaulted_parameter_is_varied_by_a_command(sweep):
+    """A parameter is fixed when the commands pass only its default, or
+    never pass its default; FIXED_PARAMETERS must list exactly those."""
+    fixed = sorted(f"{sweep.defined[path, first][0]}({param})"
+                   for (path, first, param), took in sweep.observed.items()
+                   if took != {True, False})
+    unlisted = sorted(set(fixed) - set(FIXED_PARAMETERS))
+    stale = sorted(set(FIXED_PARAMETERS) - set(fixed))
+    assert not unlisted, "fixed by every command: " + ", ".join(unlisted)
+    assert not stale, "varied by a command, or gone: " + ", ".join(stale)
+    assert all(reason.strip() for reason in FIXED_PARAMETERS.values())

@@ -20,7 +20,7 @@ def test_plane_coincidence_piece():
     assert len(pieces) == 1
     assert pieces[0].dimension == 2
     assert not is_finite_branch(system)
-    for x in pieces[0].sample(50):
+    for x in pieces[0].sample():
         assert abs(x[2] - 1.0) <= 1e-12
         assert np.abs(g1(x) - g2(x)).max() <= 1e-12
 
@@ -76,7 +76,7 @@ def test_plane_pieces_match_linear_programming():
         low, high = heights.min(), heights.max()
         offset = {"cut": low + rng.uniform(0.1, 0.9) * (high - low),
                   "miss": high + 0.1 * (high - low)}.get(kind, high)
-        piece = _solve_pair(*plane_pair(normal, offset), box, (1, 2), 1e-12)
+        piece = _solve_pair(*plane_pair(normal, offset), box, (1, 2))
         dimension = None if piece is None else piece.dimension
         assert dimension == linprog_plane_dimension(box, normal, offset) == expected[kind]
         top = box_corners(box.intervals)[heights == high]
