@@ -352,7 +352,8 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
             last_obstruction = failed
         pitch /= 2.0
     if last_obstruction is None:
-        raise CoverFailure(f"min_pitch {MIN_PITCH} exceeds the starting pitch")
+        raise CoverFailure(f"shortest box side {ifs.box.sizes.min()} is below "
+                           f"4 * MIN_PITCH = {4 * MIN_PITCH}: no rectangle pitch to try")
     node, condition = last_obstruction
     raise CoverFailure(
         f"no admissible rectangle pitch above {MIN_PITCH} (condition {condition} at {node})",

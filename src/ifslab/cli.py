@@ -1,6 +1,9 @@
 """Batch front end: load a system, run verification suites, emit CSV tables.
 
-Commands: verify, measure, operators, reconstruct, report (all of them).
+Each command loads its system once into a `SuiteRun`, which computes each
+suite at most once, and is a tuple of views of that run (`COMMANDS`): a
+view writes its CSVs and returns the exit status of the rows it writes.
+`report` is the views of measure, operators, reconstruct and verify.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
 configuration error (bad flags, unknown system, a bad IFSLAB_CELL_BUDGET,
 cell-budget overflow).
@@ -16,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,10 +92,6 @@ def _load_system(name: str):
 # Suite helpers
 # ---------------------------------------------------------------------------
 
-def _symbol_seeds(cfg: RunConfig, count: int):
-    return [(cfg.seed, 101, k) for k in range(count)]
-
-
 def covariance_residual(ifs, symbols, depth: int) -> list[float]:
     """|C* M_a C - M_(La)| for each symbol a, cell-averaged at depth+1 and La at depth.
 
@@ -136,23 +135,40 @@ def transfer_equality_residual(ifs, depth: int) -> float:
 def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
     """One row per pair of consecutive depths: the residual ratio, within [lo, hi]."""
     rows = []
-    for (m0, r0), (m1, r1) in zip(list(zip(depths, residuals))[:-1],
-                                  list(zip(depths, residuals))[1:]):
+    for m0, m1, r0, r1 in zip(depths, depths[1:], residuals, residuals[1:]):
         ratio = r1 / r0 if r0 > 0 else float("inf")
         rows.append(CheckRow(suite, name, f"{detail_prefix} depth {m0}->{m1}",
                              ratio, hi, lo <= ratio <= hi))
     return rows
 
 
+def _bound_row(suite: str, check: str, detail: str, value: float, bound: float) -> CheckRow:
+    """A residual check: it passes when value <= bound, so never when value is nan."""
+    return CheckRow(suite, check, detail, value, bound, bool(value <= bound))
+
+
+def _status_row(suite: str, check: str, detail: str, passed: bool) -> CheckRow:
+    """A check without a residual: value 0 when it passes, 1 when it fails, bound 0."""
+    return CheckRow(suite, check, detail, float(not passed), 0.0, passed)
+
+
 def _needs_two_depths(suite: str, check: str, depth: int) -> CheckRow:
     """The failing row of a rate check over the one-depth range depth..depth."""
-    return CheckRow(suite, check, f"needs two depths; got only depth {depth}",
-                    1.0, 0.0, False)
+    return _status_row(suite, check, f"needs two depths; got only depth {depth}", False)
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SuiteResult:
+    """A suite's check rows, and the rows of the table its own command
+    writes: empty for a suite without a table and for a refused one."""
+
+    rows: list[CheckRow]
+    table: list = field(default_factory=list)
+
 
 def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
     """Whether the attractor is the ambient box; the later suites need it.
@@ -160,19 +176,15 @@ def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
     The value is the uncovered volume fraction of the box; nan (a failure)
     when the coverage is undecided."""
     coverage = geometry.self_similarity_defect(ifs)
-    threshold = cfg.tol("defect_slack")
-    return CheckRow("geometry", "self-similarity-defect", coverage.method,
-                    coverage.uncovered, threshold, bool(coverage.uncovered <= threshold))
+    return _bound_row("geometry", "self-similarity-defect", coverage.method,
+                      coverage.uncovered, cfg.tol("defect_slack"))
 
 
-def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
-    rows = []
-    tol = cfg.tol("inverse_branch")
-    residual = geometry.verify_inverse_branches(ifs)
-    rows.append(CheckRow("geometry", "inverse-branch", f"grid {geometry.INVERSE_GRID}",
-                         residual, tol, residual <= tol))
-
-    rows.append(self_similarity_row(cfg, ifs))
+def geometry_rows(cfg: RunConfig, ifs, expected, similarity: CheckRow) -> list[CheckRow]:
+    """The geometry suite, with the run's self-similarity row second."""
+    rows = [_bound_row("geometry", "inverse-branch", f"grid {geometry.INVERSE_GRID}",
+                       geometry.verify_inverse_branches(ifs), cfg.tol("inverse_branch")),
+            similarity]
 
     candidate = expected.osc_candidate if expected is not None else ifs.box.intervals
     osc = geometry.check_open_set_condition(ifs, candidate)
@@ -180,49 +192,65 @@ def geometry_rows(cfg: RunConfig, ifs, expected) -> list[CheckRow]:
     if not osc.passed:
         witness = "none" if osc.witness is None else np.array2string(osc.witness, precision=6)
         detail = f"failed {osc.failed_condition} at pair {osc.violating}, witness {witness}"
-    rows.append(CheckRow("geometry", "open-set-condition", detail,
-                         0.0 if osc.passed else 1.0, 0.0, osc.passed))
+    rows.append(_status_row("geometry", "open-set-condition", detail, osc.passed))
 
     pieces = geometry.branch_coincidence_set(ifs)
     piece_tol = cfg.tol("piece_residual")
-    c_res = geometry.coincidence_residual(ifs, pieces)
-    rows.append(CheckRow("geometry", "coincidence-set", f"{len(pieces)} pieces",
-                         c_res, piece_tol, c_res <= piece_tol))
+    rows.append(_bound_row("geometry", "coincidence-set", f"{len(pieces)} pieces",
+                           geometry.coincidence_residual(ifs, pieces), piece_tol))
     values = geometry.branch_value_set(ifs)
-    b_res = geometry.value_residual(ifs, pieces, values)
-    rows.append(CheckRow("geometry", "value-set", f"{len(values)} pieces",
-                         b_res, piece_tol, b_res <= piece_tol))
+    rows.append(_bound_row("geometry", "value-set", f"{len(values)} pieces",
+                           geometry.value_residual(ifs, pieces, values), piece_tol))
 
     if expected is not None:
         ok_c = geometry.pieces_match_expected(
             pieces, expected.coincidence_segments, expected.coincidence_points)
-        rows.append(CheckRow("geometry", "coincidence-expected", "matches catalog",
-                             0.0 if ok_c else 1.0, 0.0, ok_c))
+        rows.append(_status_row("geometry", "coincidence-expected", "matches catalog", ok_c))
         ok_b = geometry.pieces_match_expected(
             values, expected.value_segments, expected.value_points)
-        rows.append(CheckRow("geometry", "value-expected", "matches catalog",
-                             0.0 if ok_b else 1.0, 0.0, ok_b))
+        rows.append(_status_row("geometry", "value-expected", "matches catalog", ok_b))
         finite = geometry.is_finite_branch(ifs)
-        rows.append(CheckRow("geometry", "finite-branch",
-                             f"got {finite}, expected {expected.finite_branch}",
-                             float(finite != expected.finite_branch), 0.0,
-                             finite == expected.finite_branch))
+        rows.append(_status_row("geometry", "finite-branch",
+                                f"got {finite}, expected {expected.finite_branch}",
+                                finite == expected.finite_branch))
     return rows
 
 
-def _refused(suite: str, reason: str) -> list[CheckRow]:
-    return [CheckRow(suite, "refused", reason, 1.0, 0.0, False)]
+def mass_tables(cfg: RunConfig, ifs, expected) -> SuiteResult:
+    """The measure_*.csv tables at depths[0] and their checks."""
+    separated = cfg.assume_separation and (expected is None or expected.measure_separated)
+    depth = cfg.depths[0]
+    fixpoint = measure.markov_fixpoint(ifs, depth)
+    empirical = measure.chaos_game(ifs, depth, cfg.samples, cfg.seed)
+    table = [("measure_fixpoint.csv", fixpoint), ("measure_empirical.csv", empirical)]
+    if not separated:
+        return SuiteResult([_status_row("measure", "exact-masses",
+                                        "refused: separation assumption disabled", False)],
+                           table)
+    exact = measure.exact_cell_masses(ifs, depth)
+    table.append(("measure_exact.csv", exact))
+    sigma = cfg.tol("chaos_band_sigma")
+    bands = sigma * np.sqrt(exact.masses * (1 - exact.masses) / cfg.samples)
+    fraction = float((np.abs(empirical.masses - exact.masses) <= bands).mean())
+    needed = cfg.tol("chaos_band_fraction")
+    return SuiteResult([
+        _fixpoint_row(cfg, exact, fixpoint, depth),
+        CheckRow("measure", "chaos-binomial-band", f"N {cfg.samples} depth {depth}",
+                 fraction, needed, fraction >= needed),
+    ], table)
 
 
-def measure_rows(cfg: RunConfig, ifs, attractor_ok: bool) -> list[CheckRow]:
-    if not attractor_ok:
-        return _refused("measure", "attractor is not the ambient box")
+def measure_rows(cfg: RunConfig, ifs) -> list[CheckRow]:
+    """verify's measure suite: fixed-point against exact masses at depths[1]."""
     depth = cfg.depths[1]
     exact = measure.exact_cell_masses(ifs, depth)
-    fixpoint = measure.markov_fixpoint(ifs, depth)
-    tv = measure.total_variation(exact.masses, fixpoint.masses)
-    tol = cfg.tol("fixpoint_tv")
-    return [CheckRow("measure", "fixpoint-vs-exact", f"depth {depth}", tv, tol, tv <= tol)]
+    return [_fixpoint_row(cfg, exact, measure.markov_fixpoint(ifs, depth), depth)]
+
+
+def _fixpoint_row(cfg: RunConfig, exact, fixpoint, depth: int) -> CheckRow:
+    return _bound_row("measure", "fixpoint-vs-exact", f"depth {depth}",
+                      measure.total_variation(exact.masses, fixpoint.masses),
+                      cfg.tol("fixpoint_tv"))
 
 
 @dataclass(frozen=True)
@@ -246,8 +274,8 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
     """The operator residuals.  The covariance residuals run once per depth,
     every symbol on each block of tails in turn (`covariance_residual`)."""
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
-    symbols = [random_trig_symbol(seed, ifs.dimension)
-               for seed in _symbol_seeds(cfg, VERIFY_SYMBOLS)]
+    symbols = [random_trig_symbol((cfg.seed, 101, k), ifs.dimension)
+               for k in range(VERIFY_SYMBOLS)]
     uniform = ifs.is_hutchinson()
     isometry = [isometry_residual(ifs, m) for m in depths]
     projection = [projection_residual(ifs, m) for m in depths]
@@ -259,47 +287,54 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
     return OperatorSuite(depths, isometry, projection, transfer, symbols, covariance)
 
 
-def operator_rows(cfg: RunConfig, ifs, attractor_ok: bool,
-                  suite: OperatorSuite | None) -> list[CheckRow]:
-    """The operator suite's check rows; `suite` is read, and needed, only
-    when the attractor is the box."""
-    if not attractor_ok:
-        return _refused("operators", "attractor is not the ambient box")
+def operator_rows(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[CheckRow]:
+    """The operator suite's check rows: the verdict of both `operators` and
+    verify_operators.csv."""
     rows = []
     for j, depth in enumerate(suite.depths):
-        residual = suite.isometry[j]
-        tol = cfg.tol("isometry")
-        rows.append(CheckRow("operators", "isometry", f"depth {depth}",
-                             residual, tol, residual <= tol))
-        residual = suite.projection[j]
-        tol = cfg.tol("projection")
-        rows.append(CheckRow("operators", "projection", f"depth {depth}",
-                             residual, tol, residual <= tol))
+        rows.append(_bound_row("operators", "isometry", f"depth {depth}",
+                               suite.isometry[j], cfg.tol("isometry")))
+        rows.append(_bound_row("operators", "projection", f"depth {depth}",
+                               suite.projection[j], cfg.tol("projection")))
         if suite.transfer is not None:
-            residual = suite.transfer[j]
-            tol = cfg.tol("transfer_eq")
-            rows.append(CheckRow("operators", "transfer-eq", f"depth {depth}",
-                                 residual, tol, residual <= tol))
+            rows.append(_bound_row("operators", "transfer-eq", f"depth {depth}",
+                                   suite.transfer[j], cfg.tol("transfer_eq")))
         else:
-            rows.append(CheckRow("operators", "transfer-eq",
-                                 "requires uniform weights", 1.0, 0.0, False))
+            rows.append(_status_row("operators", "transfer-eq", "requires uniform weights", False))
 
     if suite.covariance:
         lo, hi = cfg.tol("covariance_ratio_lo"), cfg.tol("covariance_ratio_hi")
         for k, (symbol, residuals) in enumerate(zip(suite.symbols, suite.covariance)):
             bound = symbol.lip_bound * ifs.box.diameter
             for m, res in zip(suite.depths, residuals):
-                limit = bound * ifs.c2**m
-                rows.append(CheckRow("operators", "covariance-bound",
-                                     f"symbol {k} depth {m}", res, limit, res <= limit))
+                rows.append(_bound_row("operators", "covariance-bound", f"symbol {k} depth {m}",
+                                       res, bound * ifs.c2**m))
             rows.extend(_ratio_rows("operators", "covariance-ratio", f"symbol {k}",
                                     residuals, suite.depths, lo, hi))
         if len(suite.depths) < 2:
             rows.append(_needs_two_depths("operators", "covariance-ratio", suite.depths[0]))
     else:
-        rows.append(CheckRow("operators", "covariance-bound",
-                             "requires uniform weights", 1.0, 0.0, False))
+        rows.append(_status_row("operators", "covariance-bound", "requires uniform weights",
+                                False))
     return rows
+
+
+def residual_table(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[tuple]:
+    """operator_residuals.csv: per depth, each identity's residual and the
+    worst covariance residual over the trial symbols; nan marks an
+    identity that needs uniform weights."""
+    nan = float("nan")
+    bound_lip = max(s.lip_bound for s in suite.symbols) * ifs.box.diameter
+    table = []
+    for j, depth in enumerate(suite.depths):
+        table.append((depth, "isometry", suite.isometry[j], cfg.tol("isometry")))
+        table.append((depth, "projection", suite.projection[j], cfg.tol("projection")))
+        table.append((depth, "transfer-eq",
+                      suite.transfer[j] if suite.transfer is not None else nan,
+                      cfg.tol("transfer_eq")))
+        cov = max(res[j] for res in suite.covariance) if suite.covariance else nan
+        table.append((depth, "covariance", cov, bound_lip * ifs.c2**depth))
+    return table
 
 
 def _auto_support(ifs, delta: float):
@@ -315,47 +350,33 @@ def _auto_support(ifs, delta: float):
     return None
 
 
-@dataclass(frozen=True)
-class ReconstructionSuite:
-    """Check rows of the reconstruction suite and its per-depth table.
-
-    `table` holds the (example, depth, n_bumps, residual_theta,
-    residual_operator) rows of reconstruction.csv.  It is filled only when
-    the symbol's support comes from the catalog entry, so definition-file
-    systems get an empty table.
-    """
-
-    rows: list[CheckRow]
-    table: list[tuple] = field(default_factory=list)
-
-
-def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> ReconstructionSuite:
-    if not attractor_ok:
-        return ReconstructionSuite(_refused("reconstruction", "attractor is not the ambient box"))
+def reconstruction_rows(cfg: RunConfig, ifs, expected) -> SuiteResult:
+    """The reconstruction suite.  Its table is filled only when the symbol's
+    support comes from the catalog entry, so definition-file systems get
+    an empty reconstruction.csv."""
     if not ifs.is_hutchinson():
-        return ReconstructionSuite(_refused("reconstruction", "requires uniform weights"))
+        return SuiteResult([_status_row("reconstruction", "refused", "requires uniform weights",
+                                        False)])
     rows = []
     declared = expected.admissible_support if expected is not None else None
     support = declared if declared is not None else _auto_support(ifs, cfg.delta)
     if support is None:
-        return ReconstructionSuite([CheckRow("reconstruction", "bump-partition",
-                                             "no admissible support window found",
-                                             1.0, 0.0, False)])
+        return SuiteResult([_status_row("reconstruction", "bump-partition",
+                                        "no admissible support window found", False)])
     try:
         symbol = bimodule.admissible_symbol(ifs, support, delta=cfg.delta)
         partition = bimodule.build_bump_partition(ifs, symbol)
     except (ValueError, IfsLabError) as exc:
-        return ReconstructionSuite([CheckRow("reconstruction", "bump-partition", str(exc),
-                                             1.0, 0.0, False)])
+        return SuiteResult([_status_row("reconstruction", "bump-partition", str(exc), False)])
 
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     rep_depth = depths[0]
     res1, res2 = bimodule.covariant_rep_check(ifs, rep_depth, VERIFY_TRIALS, seed=cfg.seed)
     tol = cfg.tol("covariant_rep")
-    rows.append(CheckRow("reconstruction", "covariant-rep-module",
-                         f"depth {rep_depth}", res1, tol, res1 <= tol))
-    rows.append(CheckRow("reconstruction", "covariant-rep-inner",
-                         f"depth {rep_depth}", res2, tol, res2 <= tol))
+    rows.append(_bound_row("reconstruction", "covariant-rep-module", f"depth {rep_depth}",
+                           res1, tol))
+    rows.append(_bound_row("reconstruction", "covariant-rep-inner", f"depth {rep_depth}",
+                           res2, tol))
 
     # The depth-m experiment runs on level m+1 data throughout: one block
     # operator on V_{m+1} gives both the theta and the operator residual.
@@ -377,12 +398,71 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected, attractor_ok: bool) -> Re
     if declared is not None:
         table = [(ifs.name or cfg.system, depth, partition.size, res_theta, res_op)
                  for depth, res_theta, res_op in zip(depths, theta_residuals, op_residuals)]
-    return ReconstructionSuite(rows, table)
+    return SuiteResult(rows, table)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# One run, and the commands as views of it
 # ---------------------------------------------------------------------------
+
+class SuiteRun:
+    """The suites of one command on one loaded system.
+
+    Each suite is computed on first use and at most once, so every view of
+    the run reads the same rows, and every per-depth cache of the system
+    serves every suite.  The measure check, the operator suite and the
+    reconstruction suite need the attractor to be the ambient box: when
+    the self-similarity row fails, each is one `refused` row and is not
+    computed.  The suite functions are looked up as module globals when
+    they run, so a wrapper put on one after import sees every call.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.ifs, self.expected = _load_system(cfg.system)
+
+    def _gated(self, suite: str, compute) -> SuiteResult:
+        """compute() when the attractor is the ambient box; the refusal otherwise."""
+        if self.similarity.passed:
+            return compute()
+        return SuiteResult([_status_row(suite, "refused", "attractor is not the ambient box",
+                                        False)])
+
+    @cached_property
+    def similarity(self) -> CheckRow:
+        return self_similarity_row(self.cfg, self.ifs)
+
+    @cached_property
+    def geometry_checks(self) -> list[CheckRow]:
+        return geometry_rows(self.cfg, self.ifs, self.expected, self.similarity)
+
+    @cached_property
+    def masses(self) -> SuiteResult:
+        return mass_tables(self.cfg, self.ifs, self.expected)
+
+    @cached_property
+    def measure_checks(self) -> SuiteResult:
+        return self._gated("measure", lambda: SuiteResult(measure_rows(self.cfg, self.ifs)))
+
+    @cached_property
+    def operator_checks(self) -> SuiteResult:
+        def compute():
+            suite = operator_suite(self.cfg, self.ifs)
+            return SuiteResult(operator_rows(self.cfg, self.ifs, suite),
+                               residual_table(self.cfg, self.ifs, suite))
+        return self._gated("operators", compute)
+
+    @cached_property
+    def reconstruction_checks(self) -> SuiteResult:
+        return self._gated("reconstruction",
+                           lambda: reconstruction_rows(self.cfg, self.ifs, self.expected))
+
+
+def _out(cfg: RunConfig, filename: str) -> str:
+    """Path of `filename` in the output directory, made on first write."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, filename)
+
 
 def _write_check_csv(path, rows: list[CheckRow]) -> None:
     with open(path, "w", newline="\n") as handle:
@@ -406,122 +486,46 @@ def _first_failure(rows: list[CheckRow]) -> int:
     return 1
 
 
-def _finish_verify(cfg: RunConfig, g_rows, m_rows, o_rows, r_rows) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+# Each view writes its CSVs from the run and returns the exit status of the
+# rows it writes.
+
+def measure_view(run: SuiteRun) -> int:
+    for filename, masses in run.masses.table:
+        measure.write_mass_csv(masses, run.ifs.n_branches, _out(run.cfg, filename))
+    return _first_failure(run.masses.rows)
+
+
+def operators_view(run: SuiteRun) -> int:
+    result = run.operator_checks
+    operators.write_residual_table(_out(run.cfg, "operator_residuals.csv"), result.table)
+    return _first_failure(result.rows)
+
+
+def reconstruct_view(run: SuiteRun) -> int:
+    result = run.reconstruction_checks
+    bimodule.write_reconstruction_csv(_out(run.cfg, "reconstruction.csv"), result.table)
+    return _first_failure(result.rows)
+
+
+def verify_view(run: SuiteRun) -> int:
     files = {
-        "verify_geometry.csv": g_rows,
-        "verify_measure.csv": m_rows,
-        "verify_operators.csv": o_rows,
-        "verify_reconstruction.csv": r_rows,
+        "verify_geometry.csv": run.geometry_checks,
+        "verify_measure.csv": run.measure_checks.rows,
+        "verify_operators.csv": run.operator_checks.rows,
+        "verify_reconstruction.csv": run.reconstruction_checks.rows,
     }
-    for filename, file_rows in sorted(files.items()):
-        _write_check_csv(os.path.join(cfg.out_dir, filename), file_rows)
-    return _first_failure(g_rows + m_rows + o_rows + r_rows)
+    for filename, rows in files.items():
+        _write_check_csv(_out(run.cfg, filename), rows)
+    return _first_failure([row for rows in files.values() for row in rows])
 
 
-def _finish_reconstruct(cfg: RunConfig, suite: ReconstructionSuite) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    bimodule.write_reconstruction_csv(os.path.join(cfg.out_dir, "reconstruction.csv"),
-                                      suite.table)
-    return _first_failure(suite.rows)
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    ifs, expected = _load_system(cfg.system)
-    rows = geometry_rows(cfg, ifs, expected)
-    attractor_ok = rows[1].passed  # self-similarity defect row
-    m_rows = measure_rows(cfg, ifs, attractor_ok)
-    suite = operator_suite(cfg, ifs) if attractor_ok else None
-    return _finish_verify(cfg, rows, m_rows, operator_rows(cfg, ifs, attractor_ok, suite),
-                          reconstruction_rows(cfg, ifs, expected, attractor_ok).rows)
-
-
-def _finish_measure(cfg: RunConfig, ifs, expected) -> int:
-    """Write the measure_*.csv tables at depths[0] and check them."""
-    separated = cfg.assume_separation and (expected is None or expected.measure_separated)
-    depth = cfg.depths[0]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    rows = []
-    fixpoint = measure.markov_fixpoint(ifs, depth)
-    measure.write_mass_csv(fixpoint, ifs.n_branches, os.path.join(cfg.out_dir, "measure_fixpoint.csv"))
-    empirical = measure.chaos_game(ifs, depth, cfg.samples, cfg.seed)
-    measure.write_mass_csv(empirical, ifs.n_branches, os.path.join(cfg.out_dir, "measure_empirical.csv"))
-    if separated:
-        exact = measure.exact_cell_masses(ifs, depth)
-        measure.write_mass_csv(exact, ifs.n_branches, os.path.join(cfg.out_dir, "measure_exact.csv"))
-        tv = measure.total_variation(exact.masses, fixpoint.masses)
-        tol = cfg.tol("fixpoint_tv")
-        rows.append(CheckRow("measure", "fixpoint-vs-exact", f"depth {depth}", tv, tol, tv <= tol))
-        sigma = cfg.tol("chaos_band_sigma")
-        bands = sigma * np.sqrt(exact.masses * (1 - exact.masses) / cfg.samples)
-        inside = np.abs(empirical.masses - exact.masses) <= bands
-        fraction = float(inside.mean())
-        needed = cfg.tol("chaos_band_fraction")
-        rows.append(CheckRow("measure", "chaos-binomial-band",
-                             f"N {cfg.samples} depth {depth}", fraction, needed,
-                             fraction >= needed))
-    else:
-        rows.append(CheckRow("measure", "exact-masses",
-                             "refused: separation assumption disabled", 1.0, 0.0, False))
-    return _first_failure(rows)
-
-
-def cmd_measure(cfg: RunConfig) -> int:
-    ifs, expected = _load_system(cfg.system)
-    return _finish_measure(cfg, ifs, expected)
-
-
-def _finish_operators(cfg: RunConfig, ifs, suite: OperatorSuite) -> int:
-    """Write operator_residuals.csv: per depth, each identity's residual and
-    the worst covariance residual over the trial symbols."""
-    nan = float("nan")
-    bound_lip = max(s.lip_bound for s in suite.symbols) * ifs.box.diameter
-    table = []
-    for j, depth in enumerate(suite.depths):
-        table.append((depth, "isometry", suite.isometry[j], cfg.tol("isometry")))
-        table.append((depth, "projection", suite.projection[j], cfg.tol("projection")))
-        table.append((depth, "transfer-eq",
-                      suite.transfer[j] if suite.transfer is not None else nan,
-                      cfg.tol("transfer_eq")))
-        cov = max(res[j] for res in suite.covariance) if suite.covariance else nan
-        table.append((depth, "covariance", cov, bound_lip * ifs.c2**depth))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    operators.write_residual_table(os.path.join(cfg.out_dir, "operator_residuals.csv"), table)
-    # NaN marks an identity that needs uniform weights; a skipped check is
-    # a failure, not a silent pass, and NaN <= limit is false.
-    return _first_failure([CheckRow("operators", identity, f"depth {depth}", value, limit,
-                                    bool(value <= limit))
-                           for depth, identity, value, limit in table])
-
-
-def cmd_operators(cfg: RunConfig) -> int:
-    ifs, _ = _load_system(cfg.system)
-    return _finish_operators(cfg, ifs, operator_suite(cfg, ifs))
-
-
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    ifs, expected = _load_system(cfg.system)
-    attractor_ok = self_similarity_row(cfg, ifs).passed
-    return _finish_reconstruct(cfg, reconstruction_rows(cfg, ifs, expected, attractor_ok))
-
-
-def cmd_report(cfg: RunConfig) -> int:
-    """measure, operators, reconstruct and verify on one loaded system, so
-    every per-depth cache serves every suite; one operator suite feeds both
-    operator_residuals.csv and verify_operators.csv, and one reconstruction
-    suite both reconstruction.csv and verify_reconstruction.csv."""
-    ifs, expected = _load_system(cfg.system)
-    g_rows = geometry_rows(cfg, ifs, expected)
-    attractor_ok = g_rows[1].passed
-    measure_code = _finish_measure(cfg, ifs, expected)
-    o_suite = operator_suite(cfg, ifs)
-    m_rows = measure_rows(cfg, ifs, attractor_ok)
-    r_suite = reconstruction_rows(cfg, ifs, expected, attractor_ok)
-    operators_code = _finish_operators(cfg, ifs, o_suite)
-    o_rows = operator_rows(cfg, ifs, attractor_ok, o_suite)
-    reconstruct_code = _finish_reconstruct(cfg, r_suite)
-    verify_code = _finish_verify(cfg, g_rows, m_rows, o_rows, r_suite.rows)
-    return max(measure_code, operators_code, reconstruct_code, verify_code)
+COMMANDS = {
+    "verify": (verify_view,),
+    "measure": (measure_view,),
+    "operators": (operators_view,),
+    "reconstruct": (reconstruct_view,),
+    "report": (measure_view, operators_view, reconstruct_view, verify_view),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -653,20 +657,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "measure": cmd_measure,
-    "operators": cmd_operators,
-    "reconstruct": cmd_reconstruct,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return COMMANDS[args.command](cfg)
+        run = SuiteRun(build_config(args))
+        return max([view(run) for view in COMMANDS[args.command]])
     except DepthOverflow as exc:
         print(f"DepthOverflow: {exc}", file=sys.stderr)
         return 2

@@ -394,15 +394,23 @@ class AffinePiece:
         if self.dimension == 1:
             t = np.linspace(0.0, 1.0, _PIECE_SAMPLES)[:, None]
             return self.endpoints[0] + t * (self.endpoints[1] - self.endpoints[0])
-        # Higher-dimensional pieces: lattice in parameter space filtered to the box.
+        pts = self.lattice()
+        return pts[self.in_box(pts)]
+
+    def lattice(self) -> np.ndarray:
+        """basepoint + basis t over a lattice of about _PIECE_SAMPLES
+        parameters t, unfiltered (dimension >= 2).  The lattice depends only
+        on the box, so a piece and its image share the parameters row by row."""
         k = self.basis.shape[1]
         per_axis = max(2, int(np.ceil(_PIECE_SAMPLES ** (1.0 / k))))
         half = np.linalg.norm(self.box[:, 1] - self.box[:, 0])
         axes = [np.linspace(-half, half, per_axis)] * k
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        pts = self.basepoint + mesh @ self.basis.T
-        keep = np.all((pts >= self.box[:, 0] - 1e-12) & (pts <= self.box[:, 1] + 1e-12), axis=1)
-        return pts[keep]
+        return self.basepoint + mesh @ self.basis.T
+
+    def in_box(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of `pts` lie in the box, to within 1e-12."""
+        return np.all((pts >= self.box[:, 0] - 1e-12) & (pts <= self.box[:, 1] + 1e-12), axis=1)
 
 
 # Corner pairs (in `box_corners` order) that span the 12 edges of a 3-D box.
@@ -549,12 +557,20 @@ def coincidence_residual(ifs: IfsSystem, pieces: list[AffinePiece]) -> float:
 
 def value_residual(ifs: IfsSystem, c_pieces: list[AffinePiece],
                    b_pieces: list[AffinePiece]) -> float:
-    """max over value-piece points y of |y - g_j(x)| for the paired preimage x."""
+    """max over value-piece points y of |y - g_j(x)| for the paired preimage x.
+
+    Points and segments pair their samples by index.  A higher-dimensional
+    piece pairs them by lattice parameter, kept where the preimage x lies
+    in the box: its image y may lie in the box where x does not."""
     worst = 0.0
     for c_piece, b_piece in zip(c_pieces, b_pieces):
         i, j = c_piece.pair
-        xs = c_piece.sample()
-        ys = b_piece.sample()
+        if c_piece.dimension < 2:
+            xs, ys = c_piece.sample(), b_piece.sample()
+        else:
+            xs, ys = c_piece.lattice(), b_piece.lattice()
+            keep = c_piece.in_box(xs)
+            xs, ys = xs[keep], ys[keep]
         res = max(np.abs(ys - ifs.branches[i - 1](xs)).max(),
                   np.abs(ys - ifs.branches[j - 1](xs)).max())
         worst = max(worst, float(res))

@@ -4,6 +4,26 @@ import pytest
 from ifslab import catalog
 
 
+# A definition file whose branches agree on the plane z = 1: a
+# two-dimensional coincidence piece.  The images cover 0.128 of the box.
+PLANE_SYSTEM = """
+[system]
+dimension = 3
+box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+phi = piecewise
+
+[branch.1]
+linear = [[0.4, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.4]]
+translation = [0.0, 0.0, 0.0]
+domain = [[0.0, 0.4], [0.0, 0.4], [0.0, 0.4]]
+
+[branch.2]
+linear = [[0.4, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, -0.4]]
+translation = [0.0, 0.0, 0.8]
+domain = [[0.0, 0.4], [0.0, 0.4], [0.4, 0.8]]
+"""
+
+
 @pytest.fixture(scope="session")
 def tent_square():
     return catalog.get("tent_square")

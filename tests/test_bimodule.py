@@ -288,7 +288,8 @@ def reference_partition(ifs, symbol, min_pitch=2.0**-12, failures=None):
         last = failed
         pitch /= 2.0
     if last is None:
-        raise CoverFailure(f"min_pitch {min_pitch} exceeds the starting pitch")
+        raise CoverFailure(f"shortest box side {ifs.box.sizes.min()} is below "
+                           f"4 * MIN_PITCH = {4 * min_pitch}: no rectangle pitch to try")
     node, condition = last
     raise CoverFailure(
         f"no admissible rectangle pitch above {min_pitch} (condition {condition} at {node})",

@@ -11,6 +11,8 @@ from ifslab.cli import main
 from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
 
+from conftest import PLANE_SYSTEM
+
 
 def run(args):
     return main(args)
@@ -129,20 +131,42 @@ def test_reconstruction_suite_runs_once(tmp_path, monkeypatch):
     assert calls == {"reconstruction_vectors": 2, "build_bump_partition": 1}
 
 
+def written_rows(path):
+    """The (check, detail, value, threshold, status) rows of a check CSV."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def first_failure_line(checks):
+    """The stderr line that names the first failure of (suite, row) pairs, or ""."""
+    failing = [(suite, row) for suite, row in checks if row[4] == "fail"]
+    if not failing:
+        return ""
+    suite, (check, detail, value, threshold, _) = failing[0]
+    return (f"FIRST FAILING CHECK: {check} ({suite}: {detail}; value {float(value):.6g}, "
+            f"bound {float(threshold):.6g}); {len(failing)} of {len(checks)} checks failed\n")
+
+
 @pytest.mark.parametrize("uniform", [True, False])
-def test_operator_suite_runs_once(tmp_path, monkeypatch, uniform):
-    # report computes every operator residual once and writes both
-    # operator_residuals.csv and verify_operators.csv from it, the same
-    # files that separate `operators` and `verify` runs write
-    system = str(tmp_path / "tent.ifs")
-    ifs = catalog.get("tent_1d").system
-    if not uniform:
-        ifs = geometry.IfsSystem(ifs.box, ifs.branches, weights=[0.3, 0.7])
-    with open(system, "w") as handle:
-        handle.write(export_ifs(ifs, "tent_1d"))
-    args = ["--system", system, "--depths", "2..4", "--samples", "5000", "--seed", "3"]
-    assert run(["operators", *args, "--out", str(tmp_path / "alone")]) == int(not uniform)
-    assert run(["verify", *args, "--out", str(tmp_path / "alone")]) == int(not uniform)
+def test_operator_suite_runs_once(tmp_path, monkeypatch, capsys, uniform):
+    # report is the views of measure, operators, reconstruct and verify on
+    # one run: it computes every operator residual once, writes every CSV
+    # those commands write byte for byte, and prints their stderr in that
+    # order.  Each command's verdict is that of the rows it writes:
+    # verify's of its four CSVs, operators' of verify_operators.csv and
+    # reconstruct's of verify_reconstruction.csv.  Uniform weights: every
+    # catalog system and the tent_square file twin; otherwise a tent file
+    # at weights 0.3 and 0.7.
+    if uniform:
+        entry = catalog.get("tent_square")
+        twin = tmp_path / "tent_square.ifs"
+        twin.write_text(export_ifs(entry.system, entry.phi_name))
+        systems = [other.name for other in catalog.catalog()] + [str(twin)]
+    else:
+        tent = catalog.get("tent_1d").system
+        skew = tmp_path / "skew.ifs"
+        skew.write_text(export_ifs(geometry.IfsSystem(tent.box, tent.branches,
+                                                      weights=[0.3, 0.7]), "tent_1d"))
+        systems = [str(skew)]
 
     calls = Counter()
     for name in ("isometry_residual", "projection_residual",
@@ -151,15 +175,98 @@ def test_operator_suite_runs_once(tmp_path, monkeypatch, uniform):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
-    assert run(["report", *args, "--out", str(tmp_path / "report")]) == int(not uniform)
-    if uniform:
-        assert calls == {"isometry_residual": 3, "projection_residual": 3,
-                         "transfer_equality_residual": 3, "covariance_residual": 3}
-    else:
-        assert calls == {"isometry_residual": 3, "projection_residual": 3}
-    for name in ("operator_residuals.csv", "verify_operators.csv"):
-        assert (tmp_path / "alone" / name).read_bytes() == \
-            (tmp_path / "report" / name).read_bytes(), name
+
+    for k, system in enumerate(systems):
+        out = tmp_path / str(k)
+        args = ["--system", system, "--depths", "2..3", "--samples", "5000", "--seed", "3"]
+        codes, errors = {}, {}
+        for command in ("measure", "operators", "reconstruct", "verify"):
+            codes[command] = run([command, *args, "--out", str(out / command)])
+            errors[command] = capsys.readouterr().err
+        calls.clear()
+        code = run(["report", *args, "--out", str(out / "report")])
+        assert capsys.readouterr().err == "".join(errors.values()), system
+        assert code == max(codes.values()), system
+
+        written = set()
+        for command in codes:
+            for name in os.listdir(out / command):
+                assert (out / command / name).read_bytes() == \
+                    (out / "report" / name).read_bytes(), (system, name)
+                written.add(name)
+        assert written == set(os.listdir(out / "report")), system
+
+        checks = {suite: [(suite, row) for row in
+                          written_rows(out / "verify" / f"verify_{suite}.csv")]
+                  for suite in ("geometry", "measure", "operators", "reconstruction")}
+        written_by = {"verify": sum(checks.values(), []), "operators": checks["operators"],
+                      "reconstruct": checks["reconstruction"]}
+        for command, rows in written_by.items():
+            assert errors[command] == first_failure_line(rows), (system, command)
+            assert codes[command] == int(bool(errors[command])), (system, command)
+        assert codes["measure"] == int(bool(errors["measure"])), system
+
+        table = (out / "report" / "operator_residuals.csv").read_text().splitlines()
+        if [row[0] for _, row in checks["operators"]] == ["refused"]:
+            assert calls == {} and len(table) == 1, system
+        elif uniform:
+            assert calls == {"isometry_residual": 2, "projection_residual": 2,
+                             "transfer_equality_residual": 2, "covariance_residual": 2}
+            assert len(table) == 9, system
+        else:
+            assert calls == {"isometry_residual": 2, "projection_residual": 2}
+
+
+@pytest.mark.parametrize("argv,check", [
+    (["--system", "tent_1d", "--tol", "covariance_ratio_hi=0.1"], "covariance-ratio"),
+    (["--system", "tent_square", "--seed", "47"], "covariance-ratio"),
+    (["--system", "overlap_bad"], "refused"),
+], ids=["tight-ratio-band", "tent-square-seed-47", "overlap-bad"])
+def test_operators_verdict_is_its_check_rows(tmp_path, capsys, argv, check):
+    # the exit status and first failing check of `operators` are those of
+    # verify_operators.csv, whose rate and refused rows the residual table
+    # has no room for; overlap_bad's attractor is not the box, so no
+    # operator residual is computed and the table is header-only
+    args = [*argv, "--depths", "2..3"]
+    assert run(["operators", *args, "--out", str(tmp_path / "operators")]) == 1
+    assert capsys.readouterr().err.startswith(f"FIRST FAILING CHECK: {check} (operators: ")
+    assert run(["verify", *args, "--out", str(tmp_path / "verify")]) == 1
+    rows = written_rows(tmp_path / "verify" / "verify_operators.csv")
+    assert next(row for row in rows if row[4] == "fail")[0] == check
+    table = (tmp_path / "operators" / "operator_residuals.csv").read_text().splitlines()
+    assert len(table) == (1 if check == "refused" else 9)
+
+
+def test_plane_piece_value_set(tmp_path, capsys):
+    # a two-dimensional coincidence piece pairs each value point with its
+    # preimage by lattice parameter: the value-set row is computed, not a
+    # broadcast error, and the run fails where it should, at the attractor
+    path = tmp_path / "plane.ifs"
+    path.write_text(PLANE_SYSTEM)
+    assert run(["verify", "--system", str(path), "--depths", "2..3",
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FIRST FAILING CHECK: self-similarity-defect (") and "Traceback" not in err
+    rows = {row[0]: row for row in written_rows(tmp_path / "out" / "verify_geometry.csv")}
+    assert rows["value-set"][1] == "1 pieces" and rows["value-set"][4] == "pass"
+    assert float(rows["value-set"][2]) <= 1e-12
+
+
+def test_box_below_the_finest_pitch_is_named(tmp_path, capsys):
+    # tent_1d on [0, 0.0005]: the starting pitch is already below MIN_PITCH,
+    # so the refusal names the box side and the bound 4 * MIN_PITCH
+    tent = catalog.get("tent_1d").system
+    length = 0.0005
+    box = geometry.AmbientBox(np.array([[0.0, length]]))
+    branches = [geometry.AffineContraction(g.linear, g.translation * length)
+                for g in tent.branches]
+    path = tmp_path / "tiny.ifs"
+    path.write_text(export_ifs(geometry.IfsSystem(box, branches, name="tent"), "piecewise",
+                               [np.array([[0.0, length / 2]]), np.array([[length / 2, length]])]))
+    assert run(["reconstruct", "--system", str(path), "--depths", "2..3", "--delta", "1e-6",
+                "--out", str(tmp_path / "out")]) == 1
+    assert ("bump-partition (reconstruction: shortest box side 0.0005 is below "
+            "4 * MIN_PITCH = 0.0009765625: no rectangle pitch to try;") in capsys.readouterr().err
 
 
 def test_transfer_equality_fails_off_uniform_weights():
@@ -171,7 +278,7 @@ def test_transfer_equality_fails_off_uniform_weights():
     for depth in (2, 3):
         assert 3.9e-13 <= cli.transfer_equality_residual(ifs, depth) <= 4.1e-13
     cfg = cli.RunConfig(system="tent_1d", depths=(2, 3))
-    rows = [row for row in cli.operator_rows(cfg, ifs, True, cli.operator_suite(cfg, ifs))
+    rows = [row for row in cli.operator_rows(cfg, ifs, cli.operator_suite(cfg, ifs))
             if row.check == "transfer-eq"]
     assert [row.detail for row in rows] == ["depth 2", "depth 3"]
     assert not any(row.passed for row in rows)
@@ -388,10 +495,17 @@ def test_one_depth_range_fails_the_rate_checks(tmp_path, capsys):
         for row in rates:
             assert row[1] == "needs two depths; got only depth 3" and row[4] == "fail"
         assert all(row[4] == "pass" for row in rows if row[0] and row not in rates), name
-    # measure and operators tabulate one depth as before
-    for command in ("measure", "operators"):
-        assert run([command, "--system", "tent_sigma", "--depths", "3..3", "--samples", "5000",
-                    "--out", str(tmp_path / command)]) == 0, command
+    # measure tabulates one depth as before; operators writes its one-depth
+    # table and takes its verdict from the rows of verify_operators.csv
+    args = ["--system", "tent_sigma", "--depths", "3..3", "--samples", "5000", "--out"]
+    assert run(["measure", *args, str(tmp_path / "measure")]) == 0
+    capsys.readouterr()
+    assert run(["operators", *args, str(tmp_path / "operators")]) == 1
+    assert "FIRST FAILING CHECK: covariance-ratio (operators: needs two depths" \
+        in capsys.readouterr().err
+    table = (tmp_path / "operators" / "operator_residuals.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in table[1:]] == \
+        [["3", identity] for identity in ("isometry", "projection", "transfer-eq", "covariance")]
 
 
 def test_tolerance_override_changes_exit(tmp_path):

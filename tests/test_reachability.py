@@ -34,6 +34,8 @@ from ifslab import catalog, cli, sampling
 from ifslab.geometry import IfsSystem
 from ifslab.ifsfile import export_ifs
 
+from conftest import PLANE_SYSTEM
+
 SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 
 # Functions that no command calls, and who calls them.
@@ -168,6 +170,8 @@ def command_runs(tmp_path):
     skew = systems / "skew.ifs"
     skew.write_text(export_ifs(IfsSystem(tent.system.box, tent.system.branches,
                                          weights=[0.25, 0.75], name="skew"), "tent_1d"))
+    plane = systems / "plane.ifs"
+    plane.write_text(PLANE_SYSTEM)
     rotated = systems / "rotated.ifs"
     rotated.write_text(ROTATED_SYSTEM)
     uncoverable = systems / "uncoverable.ifs"
@@ -182,11 +186,12 @@ def command_runs(tmp_path):
     runs = []
     for system in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d", "overlap_bad", twin):
         for command in ("verify", "measure", "operators", "reconstruct", "report"):
-            fails = system == "overlap_bad" and command != "operators"
-            runs.append(([command, "--system", str(system), *small], 1 if fails else 0))
+            runs.append(([command, "--system", str(system), *small],
+                         1 if system == "overlap_bad" else 0))
     runs += [
         (["verify", "--config", str(config)], 0),
         (["verify", "--system", str(piecewise), *small], 0),
+        (["verify", "--system", str(plane), *small], 1),         # images miss most of the box
         (["report", "--system", str(rotated), *small], 1),       # fails the open set condition
         (["report", "--system", str(skew), *small], 1),          # needs uniform weights
         (["reconstruct", "--system", str(uncoverable), *small], 1),  # CoverFailure
