@@ -112,9 +112,13 @@ class BumpPartition:
     (q - h, q + h) passed the three neighbourhood conditions.
     """
 
-    nodes: np.ndarray  # (M, d)
+    nodes: np.ndarray  # (M, d), M >= 1
     pitch: float
     margin: float  # certified clearance to the value set
+
+    def __post_init__(self):
+        if len(self.nodes) == 0:
+            raise ValueError("a bump partition needs at least one node")
 
     @property
     def size(self) -> int:
@@ -138,8 +142,6 @@ class BumpPartition:
         slots = 3 ** points.shape[1]
         columns = np.full((len(points), slots), -1, dtype=np.intp)
         values = np.zeros((len(points), slots))
-        if self.size == 0:
-            return columns, values
         base = self.nodes.min(axis=0)
         index = np.rint((self.nodes - base) / self.pitch).astype(np.intp)
         if np.abs(base + index * self.pitch - self.nodes).max() > 0.25 * self.pitch:
@@ -166,8 +168,6 @@ class BumpPartition:
     def support_rows(self, points: np.ndarray) -> np.ndarray:
         """Ascending indices of the points within one pitch of a node coordinate
         on every axis; every tent is exactly zero at the other points."""
-        if self.size == 0:
-            return np.zeros(0, dtype=np.intp)
         near = np.ones(len(points), dtype=bool)
         for axis in range(points.shape[1]):
             coords = np.unique(self.nodes[:, axis])

@@ -97,18 +97,13 @@ def covariance_residual(ifs, symbols, depth: int) -> list[float]:
 
     Both sides are diagonal on V_m: C* M_a C multiplies by
     w -> sum_i p_i a(i.w), so the norm is max_w |sum_i p_i a(i.w) - (La)(w)|.
-    The symbols are sampled one block of tails at a time
-    (`operators.averaged_tail_blocks`), and each keeps its running maximum.
-    The sum over i is the row-times-column product the block operators
-    form, so the value is the one the operator algebra gives, bit for bit.
+    The cell averages come in closed form, one block of tails at a time
+    (`operators.trig_tail_blocks`), and each symbol keeps its running
+    maximum.  The sum over i runs over the branches in order.
     """
-    n = ifs.n_branches
     worst = np.zeros(len(symbols))
-    for fine, transfer in operators.averaged_tail_blocks(
-            ifs, [symbol.evaluator for symbol in symbols], depth):
-        # products[k, w, i] = p_i a_k(i.w), C-contiguous
-        products = np.ascontiguousarray(fine.transpose(0, 2, 1)) * ifs.weights
-        lhs = np.matmul(products[:, :, None, :], np.ones((n, 1)))[:, :, 0, 0]
+    for fine, transfer in operators.trig_tail_blocks(ifs, symbols, depth):
+        lhs = (fine * ifs.weights[:, None]).sum(axis=1)
         worst = np.maximum(worst, np.abs(lhs - transfer).max(axis=1))
     return [float(value) for value in worst]
 

@@ -126,7 +126,9 @@ class CellOperator:
 
 # Rows per evaluator call: a field is evaluated on slices of at most this
 # many points, so its temporaries stay small and one call never grows large
-# enough for a threaded BLAS to split its matrix products across cores.
+# enough for a threaded BLAS to split its matrix products across cores.  A
+# closed-form block of `trig_tail_blocks` holds at most this many
+# (symbol, branch, tail) rows.
 _EVAL_ROWS = 2**15
 
 
@@ -162,62 +164,142 @@ def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
     return points.reshape(-1, ifs.dimension)
 
 
-def _tail_block(n_branches: int) -> int:
-    """Tails per block of `averaged_tail_blocks`: a block's averaging points,
-    and their branch images, fill at most _EVAL_ROWS rows (or one tail's
-    do, if they alone fill more)."""
-    return max(1, _EVAL_ROWS // (DEFAULT_AVERAGE_POINTS * n_branches))
+# ---------------------------------------------------------------------------
+# Cell means of trigonometric symbols, in closed form
+# ---------------------------------------------------------------------------
+
+def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[..., a] points[:, a] for coeffs (..., d) and points (N, d):
+    an (..., N) array summed over the axes in order.  Elementwise products,
+    not a BLAS call, so no thread split can move a bit."""
+    total = coeffs[..., :1] * points[:, 0]
+    for axis in range(1, points.shape[1]):
+        total += coeffs[..., axis:axis + 1] * points[:, axis]
+    return total
 
 
-def averaged_tail_blocks(ifs: IfsSystem, evaluators, depth: int):
-    """The averaging rule applied to each field a and to L a, block of tails by block.
+def _size_classes(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, representatives): the class of each row of sizes (N, d),
+    rows in one class being bitwise equal, and one row per class.
 
-    L a = (1/n) sum_i a o gamma_i.  For each block of `_tail_block(n)`
-    consecutive tails w of length m (the depth), yields `fine`, a
-    (fields, n, W) array with fine[k, i, v] the average of field k on the
-    depth-(m+1) cell i.w of the block's v-th tail w, and `transfer`, a
-    (fields, W) array with the average of L a_k on the depth-m cell w.
-
-    The averaging points of the block's cells are placed in their gathered
-    box hulls (`_offset_points`); the depth-m points are mapped through
-    each branch into one array ordered by offset, then branch, then tail.
-    Each field is evaluated on each array in calls of at most _EVAL_ROWS
-    rows (one call at the default block).  Each cell sums its offsets in
-    order from 0.0; per point the branches are summed in order and divided
-    by n.  Every point depends on its own hull alone and every value on
-    its own point, so a block's values are the same floats as the matching
-    rows of a whole-depth computation, and at most one block's points and
-    values are held at a time.
+    The rows are grouped one column at a time: each column's sorted
+    distinct values give a rank, and the ranks combine into one code per
+    row, an integer below N^d held exactly in a double.  Sorting and
+    binary search only, which is cheaper than sorting the rows whole.
     """
-    n, d, s = ifs.n_branches, ifs.dimension, DEFAULT_AVERAGE_POINTS
+    code = np.zeros(len(sizes))
+    for column in sizes.T:
+        values = np.unique(column)
+        code = code * len(values) + np.searchsorted(values, column)
+    codes = np.unique(code)
+    classes = np.searchsorted(codes, code)
+    first = np.empty(len(codes), dtype=np.intp)
+    first[classes] = np.arange(len(sizes))
+    return classes, sizes[first]
+
+
+def _trig_means(terms, boxes: np.ndarray) -> np.ndarray:
+    """The averaging rule applied to trig terms in closed form: (K, Q, N).
+
+    `terms` is (b0, slope, k, amp, ph) with shapes (K, Q), (K, Q, d),
+    (K, Q, J, d), (K, Q, J) and (K, Q, J): term (k, q) is
+    b0 + slope . x + sum_j amp_j cos(pi k_j . x + ph_j).  Its mean over
+    the Halton points lo + o_s * size of the box hull (lo, lo + size) of
+    each of the N boxes (N, d, 2) is
+
+        b0 + slope . (lo + mean_s o_s * size)
+           + sum_j amp_j Re(e^{i(pi k_j . lo + ph_j)} E_j),
+        E_j = mean_s e^{i pi k_j . (o_s * size)},
+
+    and amp_j Re(e^{i theta} E_j) = amp_j |E_j| cos(theta + arg E_j) costs
+    one cosine per mode and box.  E_j depends on the size alone, so it is
+    formed once per class of bitwise-equal sizes (`_size_classes`).
+    """
+    b0, slope, k, amp, ph = terms
+    offsets = halton_points(DEFAULT_AVERAGE_POINTS, boxes.shape[1])  # (s, d)
+    lo = boxes[:, :, 0]
+    sizes = boxes[:, :, 1] - lo
+    classes, class_sizes = _size_classes(sizes)
+    out = _axis_sum(slope, lo + offsets.mean(axis=0) * sizes)
+    out += b0[..., None]
+    # E per class, from the offsets' phases (K, Q, J, s, C) averaged over s
+    shifts = _axis_sum(k, (offsets[:, None, :] * class_sizes).reshape(-1, boxes.shape[1]))
+    shifts *= np.pi
+    shifts = shifts.reshape(*k.shape[:-1], DEFAULT_AVERAGE_POINTS, len(class_sizes))
+    real = np.cos(shifts).sum(axis=-2) / DEFAULT_AVERAGE_POINTS
+    imag = np.sin(shifts).sum(axis=-2) / DEFAULT_AVERAGE_POINTS
+    # amp Re(e^{i theta} E) = amp |E| cos(theta + arg E), per box
+    theta = _axis_sum(k, lo)
+    theta *= np.pi
+    theta += ph[..., None]
+    theta += np.arctan2(imag, real)[..., classes]
+    np.cos(theta, out=theta)
+    theta *= (amp[..., None] * np.hypot(real, imag))[..., classes]
+    out += theta.sum(axis=-2)
+    return out
+
+
+def _symbol_terms(symbols) -> tuple:
+    """The symbols' parameters stacked as terms of shape (K, 1, ...)."""
+    return (np.array([[s.b0] for s in symbols]),
+            np.stack([s.slope for s in symbols])[:, None],
+            np.stack([s.k for s in symbols])[:, None],
+            np.stack([s.amp for s in symbols])[:, None],
+            np.stack([s.ph for s in symbols])[:, None])
+
+
+def _branch_terms(ifs: IfsSystem, terms) -> tuple:
+    """The terms of a o gamma_i for each term a (K, 1) and branch i: (K, n).
+
+    With gamma_i(x) = A_i x + t_i, a o gamma_i has slope A_i^T slope,
+    frequencies A_i^T k_j, constant b0 + slope . t_i and phases
+    ph_j + pi k_j . t_i.
+    """
+    b0, slope, k, amp, ph = terms
+    linear = np.stack([gamma.linear for gamma in ifs.branches])          # (n, d, d)
+    shift = np.stack([gamma.translation for gamma in ifs.branches])      # (n, d)
+    return (b0 + _axis_sum(slope[:, 0], shift),
+            np.einsum("kd,nde->kne", slope[:, 0], linear),
+            np.einsum("kjd,nde->knje", k[:, 0], linear),
+            np.broadcast_to(amp, (len(amp), ifs.n_branches, amp.shape[-1])),
+            ph + np.pi * np.moveaxis(_axis_sum(k[:, 0], shift), -1, 1))
+
+
+def _block_tails(rows_per_tail: int) -> int:
+    """Tails per block of `trig_tail_blocks`: a block's rows, one per symbol,
+    branch and tail, number at most _EVAL_ROWS (or one tail's do, if they
+    alone number more)."""
+    return max(1, _EVAL_ROWS // rows_per_tail)
+
+
+def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
+    """The averaging rule applied to each trig symbol a and to L a, block of
+    tails by block, in closed form.
+
+    L a = (1/n) sum_i a o gamma_i.  For each block of consecutive tails w
+    of length m (the depth), yields `fine`, a (symbols, n, W) array with
+    fine[k, i, v] the average of symbol k on the depth-(m+1) cell i.w of
+    the block's v-th tail w, and `transfer`, a (symbols, W) array with the
+    average of L a_k on the depth-m cell w.  Both are `_trig_means`: of
+    the symbols on the fine cells' box hulls, and of every a_k o gamma_i
+    (`_branch_terms`) on the depth-m hulls, the branches then summed in
+    order and divided by n.  Each block takes every symbol and branch in
+    one call per side, and holds at most _EVAL_ROWS (symbol, branch, tail)
+    rows.
+    """
+    n, d = ifs.n_branches, ifs.dimension
     count = check_depth(n, depth)
     fine_boxes = cell_grid(ifs, depth + 1).boxes.reshape(n, count, d, 2)
     boxes = cell_grid(ifs, depth).boxes
-    step = _tail_block(n)
+    terms = _symbol_terms(symbols)
+    composed = _branch_terms(ifs, terms)
+    step = _block_tails(len(symbols) * n)
     for start in range(0, count, step):
         tails = slice(start, start + step)
         width = min(step, count - start)
-        fine_points = _offset_points(ifs, fine_boxes[:, tails].reshape(-1, d, 2))
-        points = _offset_points(ifs, boxes[tails])
-        images = np.empty((s, n, width, d))
-        for i, gamma in enumerate(ifs.branches):
-            images[:, i] = gamma(points).reshape(s, width, d)
-        images = images.reshape(-1, d)
-        fine = np.empty((len(evaluators), n, width))
-        transfer = np.empty((len(evaluators), width))
-        for k, evaluator in enumerate(evaluators):
-            total = np.zeros((n, width))
-            for values in _evaluate(evaluator, fine_points).reshape(s, n, width):
-                total = total + values
-            fine[k] = total / s
-            total = np.zeros(width)
-            for values in _evaluate(evaluator, images).reshape(s, n, width):
-                branch_sum = np.zeros(width)
-                for branch in values:
-                    branch_sum += branch
-                total = total + branch_sum / n
-            transfer[k] = total / s
-        yield fine, transfer
+        fine = _trig_means(terms, fine_boxes[:, tails].reshape(-1, d, 2))
+        transfer = _trig_means(composed, boxes[tails]).sum(axis=1) / n
+        yield fine.reshape(len(symbols), n, width), transfer
 
 
 def _support_cells(boxes: np.ndarray, support) -> np.ndarray:

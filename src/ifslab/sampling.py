@@ -10,6 +10,7 @@ reproducible from its integer seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,24 +78,41 @@ def halton_points(count: int, dim: int) -> np.ndarray:
 
 
 class LipschitzSymbol:
-    """A scalar field on a box together with a Lipschitz bound.
+    """A scalar field with compact support, together with a Lipschitz bound.
 
     Evaluators are vectorized: they accept an (N, d) array of points and
     return an (N,) array of values.
     """
 
-    def __init__(self, evaluator, lip_bound: float, support_box=None):
+    def __init__(self, evaluator, lip_bound: float, support_box):
         self.evaluator = evaluator
         self.lip_bound = float(lip_bound)
-        # Closed box (d, 2) outside of which the symbol is exactly zero,
-        # or None when the symbol has full support.
-        self.support_box = None if support_box is None else np.asarray(support_box, dtype=float)
+        # Closed box (d, 2) outside of which the symbol is exactly zero.
+        self.support_box = np.asarray(support_box, dtype=float)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluator(np.atleast_2d(points))
 
 
-def random_trig_symbol(seed, dim: int) -> LipschitzSymbol:
+@dataclass(frozen=True)
+class TrigSymbol:
+    """a(x) = b0 + slope . x + sum_j amp[j] cos(pi k[j] . x + ph[j]), with a
+    Lipschitz bound.
+
+    Only its parameters are kept: the covariance check takes the mean of a
+    over each cell's averaging points in closed form
+    (`operators.trig_tail_blocks`), so nothing evaluates it pointwise.
+    """
+
+    b0: float
+    slope: np.ndarray  # (d,)
+    k: np.ndarray      # (modes, d) frequencies, in units of pi
+    amp: np.ndarray    # (modes,)
+    ph: np.ndarray     # (modes,)
+    lip_bound: float
+
+
+def random_trig_symbol(seed, dim: int) -> TrigSymbol:
     """Seeded Lipschitz symbol: affine part plus two small cosine modes.
 
     The affine part dominates, so the gradient field is nearly constant
@@ -112,25 +130,10 @@ def random_trig_symbol(seed, dim: int) -> LipschitzSymbol:
     amp2 = 0.05 + 0.08 * u[4 * dim + 2]
     ph1 = 2 * np.pi * u[4 * dim + 3]
     ph2 = 2 * np.pi * u[4 * dim + 4]
-
-    def evaluate(points):
-        # b0 + x @ slope + amp1 cos(pi x @ k1 + ph1) + amp2 cos(pi x @ k2 + ph2),
-        # evaluated left to right in two buffers
-        points = np.atleast_2d(points)
-        val = points @ slope
-        val += b0
-        for k, amp, ph in ((k1, amp1, ph1), (k2, amp2, ph2)):
-            wave = points @ k
-            wave *= np.pi
-            wave += ph
-            np.cos(wave, out=wave)
-            wave *= amp
-            val += wave
-        return val
-
     lip = float(np.linalg.norm(slope)) + amp1 * np.pi * float(np.linalg.norm(k1)) \
         + amp2 * np.pi * float(np.linalg.norm(k2))
-    return LipschitzSymbol(evaluate, lip)
+    return TrigSymbol(float(b0), slope, np.stack([k1, k2]), np.array([amp1, amp2]),
+                      np.array([ph1, ph2]), float(lip))
 
 
 def window_symbol(support_box) -> LipschitzSymbol:
@@ -154,5 +157,5 @@ def window_symbol(support_box) -> LipschitzSymbol:
 
     # |d/dx sin^2(pi t)| <= pi / width per axis; product of the others <= 1.
     lip = np.pi * float(np.linalg.norm(1.0 / widths))
-    return LipschitzSymbol(evaluate, lip, support_box=box)
+    return LipschitzSymbol(evaluate, lip, box)
 

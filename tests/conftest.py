@@ -380,19 +380,40 @@ def whole_depth_transfer(ifs, evaluator, depth):
     return total / DEFAULT_AVERAGE_POINTS
 
 
+def trig_field(symbol):
+    """The pointwise evaluator of a `sampling.TrigSymbol`:
+    b0 + x @ slope + sum_j amp_j cos(pi x @ k_j + ph_j), evaluated left to
+    right in two buffers.  No command evaluates a trig symbol pointwise; the
+    oracles below average it on points, as the covariance check once did."""
+    def evaluate(points):
+        points = np.atleast_2d(points)
+        val = points @ symbol.slope
+        val += symbol.b0
+        for k, amp, ph in zip(symbol.k, symbol.amp, symbol.ph):
+            wave = points @ k
+            wave *= np.pi
+            wave += ph
+            np.cos(wave, out=wave)
+            wave *= amp
+            val += wave
+        return val
+    return evaluate
+
+
 def whole_depth_covariance_residual(ifs, symbol, depth):
     """max_w |sum_i p_i a(i.w) - (La)(w)| from whole-depth arrays: a sampled
-    on every depth-(m+1) cell at once, La on every depth-m cell at once, and
-    the sum over i the row-times-column np.matmul product.  Kept as the
-    reference that the tail-block `cli.covariance_residual` must equal bit
-    for bit."""
+    pointwise on every depth-(m+1) cell at once, La on every depth-m cell at
+    once, and the sum over i the row-times-column np.matmul product.  Kept
+    as the pointwise oracle of the closed-form, tail-block
+    `cli.covariance_residual`."""
     from ifslab.operators import sample_to_cells
 
     n = ifs.n_branches
-    a_fine = sample_to_cells(ifs, symbol.evaluator, depth + 1, ifs.box.intervals)
+    field = trig_field(symbol)
+    a_fine = sample_to_cells(ifs, field, depth + 1, ifs.box.intervals)
     products = np.ascontiguousarray(a_fine.values.reshape(n, -1).T) * ifs.weights
     lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
-    return float(np.abs(lhs - whole_depth_transfer(ifs, symbol.evaluator, depth)).max())
+    return float(np.abs(lhs - whole_depth_transfer(ifs, field, depth)).max())
 
 
 def assembled_covariant_rep_check(ifs, depth, trials, seed=0):

@@ -574,18 +574,27 @@ def full_blocks(residual, n):
 
 
 def zero_symbol_case(ifs):
-    """The zero field on a support box, and a partition with no bumps."""
+    """The zero field on a support box, and the pitch-1/8 lattice over it."""
     symbol = AdmissibleSymbol(scaled_window([[0.1, 0.4]] * ifs.dimension, 0.0), 0.05)
-    return symbol, BumpPartition(np.zeros((0, ifs.dimension)), 0.125, 0.025)
+    ticks = np.arange(1, 4) / 8.0
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*[ticks] * ifs.dimension, indexing="ij")],
+                     axis=1)
+    return symbol, BumpPartition(nodes, 0.125, 0.025)
 
 
 def test_vectors_zero_symbol(tent_square):
     symbol, partition = zero_symbol_case(tent_square.system)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
-    assert vectors.size == 0 and len(vectors.rows) == 0
+    assert vectors.size == 9 and len(vectors.rows) > 0 and not vectors.xi.any()
     residual = reconstruction_residual(tent_square.system, symbol, vectors)
     assert verify_operator_reconstruction(residual) == 0.0
     assert verify_theta_reconstruction(tent_square.system, residual) == 0.0
+
+
+def test_bump_partition_refuses_no_nodes():
+    # build_bump_partition always finds a node within one pitch of the support
+    with pytest.raises(ValueError, match="at least one node"):
+        BumpPartition(np.zeros((0, 2)), 0.125, 0.025)
 
 
 def test_vectors_built_from_samples_bit_exactly(tent_square):
