@@ -502,16 +502,17 @@ def interval_ifs(rng, n):
 ORACLE_ATOL = 2e-15
 
 
-def test_covariance_residual_matches_pointwise_oracles():
-    # two sweeps against two pointwise oracles.  The first rebuilds the
-    # averaging points per call; the turned systems' cell box hulls are
-    # larger than their cells.
+def test_covariance_residual_on_shared_points_is_bit_identical():
+    # against the oracle that rebuilds the averaging points per call; the
+    # turned systems' cell box hulls are larger than their cells.  The name
+    # dates from the pointwise rule, whose residuals matched bit for bit;
+    # the closed-form cell means match within ORACLE_ATOL
     rng = np.random.default_rng(2024)
-    rebuilt = [catalog.get(name).system
+    systems = [catalog.get(name).system
                for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d")]
-    rebuilt += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "2d-rotated", "3d")]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "2d-rotated", "3d")]
     checked = 0
-    for ifs in rebuilt:
+    for ifs in systems:
         for k in range(3):
             symbol = random_trig_symbol((7, 101, k), ifs.dimension)
             for depth in (2, 3, 4):
@@ -521,7 +522,10 @@ def test_covariance_residual_matches_pointwise_oracles():
                 checked += 1
     assert checked == 8 * 3 * 3
 
-    # the second goes through the block operators, on skewed weights too
+
+def test_covariance_residual_equals_four_operator_expression():
+    # through the block operators, on skewed weights too; equal within
+    # ORACLE_ATOL
     systems = [(catalog.get(name).system, range(10), (2, 3, 4))
                for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d")]
     systems.append((skewed(catalog.get("tent_square")), range(2), (2, 3)))
