@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cell_grid, check_depth
+from .measure import cells_near, check_depth
 from .operators import (CellFunction, CellOperator, max_spectral_norm, operator_norm,
                         sample_to_cells, transfer_values)
 from .sampling import LipschitzSymbol, uniform_doubles
@@ -397,10 +397,20 @@ class ReconstructionVectors:
 
 def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
                            partition: BumpPartition, depth: int) -> ReconstructionVectors:
-    """Pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k), point-sampled at depth."""
-    centers = cell_grid(ifs, depth).centers
-    rows = partition.support_rows(centers)
-    points = centers[rows]
+    """Pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k), point-sampled at depth.
+
+    A support row's center lies within one pitch of the node coordinates
+    on every axis, so only the cells whose parent meets that box are formed
+    (`measure.cells_near`) and tested; the rows are the ones a test of
+    every cell of the depth selects, and the depth's grid is not built.
+    """
+    nodes = partition.nodes
+    reach = np.stack([nodes.min(axis=0) - partition.pitch,
+                      nodes.max(axis=0) + partition.pitch], axis=1)
+    cells, centers, _ = cells_near(ifs, depth, reach)
+    near = partition.support_rows(centers)
+    rows = cells[near]
+    points = centers[near]
     a_vals = np.asarray(symbol(points), dtype=float)
     columns, roots = partition.tent_slots(points)
     np.sqrt(roots, out=roots)

@@ -92,18 +92,60 @@ def _linear_frames(linear: np.ndarray, half: np.ndarray, out: np.ndarray,
         out += term
 
 
+def child_frames(ifs: IfsSystem, parents, level_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, half_frames) of the cells i.w, branch by branch.
+
+    `parents` holds one (centers, half_frames) pair per branch i: the
+    frames of the cells w that branch i maps, taken from a level of
+    `level_size` cells.  The rows of branch i follow those of branch i - 1.
+    The centers are g_i(centers) and the half frames `_linear_frames` of
+    g_i's linear part, so each row holds the bytes that mapping the whole
+    level gives.  np.matmul sends a product with one row to gemv, which can
+    round a dense linear part differently from the gemm a level of several
+    rows goes through, so one row from such a level is mapped as a pair.
+    This is the only place where cell frames are formed.
+    """
+    d = ifs.dimension
+    total = sum(len(centers) for centers, _ in parents)
+    out_centers = np.empty((total, d))
+    out_half = np.empty((total, d, d))
+    term = np.empty((max(len(centers) for centers, _ in parents), d, d))
+    row = 0
+    for g, (centers, half) in zip(ifs.branches, parents):
+        rows = slice(row, row + len(centers))
+        if len(centers) == 1 < level_size:
+            out_centers[rows] = g(centers[[0, 0]])[:1]
+        else:
+            out_centers[rows] = g(centers)
+        _linear_frames(g.linear, half, out_half[rows], term[:len(centers)])
+        row = rows.stop
+    return out_centers, out_half
+
+
+def frame_boxes(centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The axis-aligned hulls (N, d, 2) of the cells with these frames:
+    center -+ the absolute row sums of the half frame."""
+    extent = np.abs(half).sum(axis=2)
+    boxes = np.empty((*centers.shape, 2))
+    np.subtract(centers, extent, out=boxes[:, :, 0])
+    np.add(centers, extent, out=boxes[:, :, 1])
+    return boxes
+
+
 def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     """The depth-m cell grid, built once per system and depth.
 
-    Each level applies every branch to the centers and half-frames of the
-    level above, so a new depth continues from the deepest grid already
-    built at a smaller depth; the arrays are the ones a build from depth 0
-    gives.  Each level is written branch by branch into its preallocated
-    arrays.  A branch's linear part L acts on the half-frames as the sum
-    over b, in order from 0.0, of L[:, b] times row b of each frame: the
-    steps and rounding of np.einsum("ab,kbc->kac"), signed zeros included,
-    in less than half its time.  (np.matmul is faster still, but rounds
-    differently for dense linear parts.)
+    A command caches the grids of the depths up to its last depth m in
+    `ifs._cell_cache`.  It reads the depth-(m+1) cells only a block of
+    tails at a time or near a support (`child_frames`, `cells_near`), and
+    builds no grid of that depth.  Each level applies every branch to the centers and half-frames of the
+    level above (`child_frames`), so a new depth continues from the deepest
+    grid already built at a smaller depth; the arrays are the ones a build
+    from depth 0 gives.  A branch's linear part L acts on the half-frames as
+    the sum over b, in order from 0.0, of L[:, b] times row b of each frame:
+    the steps and rounding of np.einsum("ab,kbc->kac"), signed zeros
+    included, in less than half its time.  (np.matmul is faster still, but
+    rounds differently for dense linear parts.)
     """
     key = ("grid", depth)
     cached = ifs._cell_cache.get(key)
@@ -111,7 +153,6 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
         check_depth(ifs.n_branches, depth)
         return cached
     count = check_depth(ifs.n_branches, depth)
-    d = ifs.dimension
     start = max((m for m in range(depth) if ("grid", m) in ifs._cell_cache), default=None)
     if start is None:
         start = 0
@@ -121,21 +162,55 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
         shallower = ifs._cell_cache[("grid", start)]
         centers, half = shallower.centers, shallower.half_frames
     for _ in range(depth - start):
-        above = len(centers)
-        level_centers = np.empty((ifs.n_branches * above, d))
-        level_half = np.empty((ifs.n_branches * above, d, d))
-        term = np.empty(half.shape)
-        for i, g in enumerate(ifs.branches):
-            rows = slice(i * above, (i + 1) * above)
-            level_centers[rows] = g(centers)
-            _linear_frames(g.linear, half, level_half[rows], term)
-        centers, half = level_centers, level_half
-    assert centers.shape == (count, d)
-    extent = np.abs(half).sum(axis=2)
-    boxes = np.stack([centers - extent, centers + extent], axis=2)
-    grid = CellGrid(depth, centers, half, boxes)
+        centers, half = child_frames(ifs, [(centers, half)] * ifs.n_branches, len(centers))
+    assert centers.shape == (count, ifs.dimension)
+    grid = CellGrid(depth, centers, half, frame_boxes(centers, half))
     ifs._cell_cache[key] = grid
     return grid
+
+
+# Rounding allowance of `cells_near`, per unit of the box's largest
+# coordinate magnitude plus its longest side.
+_PARENT_SLACK = 1e-9
+
+
+def cells_near(ifs: IfsSystem, depth: int, region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, centers, half_frames) of the depth-m cells whose parent's
+    hull meets the closed box `region` (d, 2) widened by a rounding slack;
+    `cells` are their ascending flat indices.
+
+    The parent of a cell u.j is the depth-(m-1) cell u, and the cells
+    u.j, j < n, are the index block u n ... u n + n - 1.  A cell lies in
+    its parent, so every cell whose hull or center meets `region` is
+    among them: the slack, `_PARENT_SLACK` times the box's largest
+    coordinate magnitude plus its longest side, covers the rounding by
+    which a computed hull can pass its parent's.  The frames come from the
+    cached depth-(m-1) grid through `child_frames`: cell u.j is i.w with i
+    its first letter and w its last m - 1 letters, so the selected cells
+    of one first letter form one run.  They equal the same rows of
+    `cell_grid(ifs, depth)`, which is not built.  At depth 0 the one cell
+    is returned.
+    """
+    n = ifs.n_branches
+    check_depth(n, depth)
+    if depth == 0:
+        grid = cell_grid(ifs, 0)
+        return np.zeros(1, dtype=np.intp), grid.centers, grid.half_frames
+    parent = cell_grid(ifs, depth - 1)
+    box = ifs.box.intervals
+    slack = _PARENT_SLACK * (np.abs(box).max() + ifs.box.sizes.max())
+    region = np.asarray(region, dtype=float)
+    meets = ((parent.boxes[:, :, 1] >= region[:, 0] - slack)
+             & (parent.boxes[:, :, 0] <= region[:, 1] + slack))
+    parents = np.flatnonzero(meets.all(axis=1))
+    cells = (parents[:, None] * n + np.arange(n)).ravel()
+    count = len(parent.centers)
+    first, tails = cells // count, cells % count
+    bounds = np.searchsorted(first, np.arange(n + 1))
+    runs = [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    centers, half = child_frames(
+        ifs, [(parent.centers[run], parent.half_frames[run]) for run in runs], count)
+    return cells, centers, half
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import cell_grid, check_depth
+from .measure import cell_grid, cells_near, check_depth, child_frames, frame_boxes
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -283,22 +283,26 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     average of L a_k on the depth-m cell w.  Both are `_trig_means`: of
     the symbols on the fine cells' box hulls, and of every a_k o gamma_i
     (`_branch_terms`) on the depth-m hulls, the branches then summed in
-    order and divided by n.  Each block takes every symbol and branch in
-    one call per side, and holds at most _EVAL_ROWS (symbol, branch, tail)
-    rows.
+    order and divided by n.  The fine cells of a block are formed from the
+    cached depth-m frames of its tails (`measure.child_frames`), the bytes
+    of the same rows of the depth-(m+1) grid, which is never built.  Each
+    block takes every symbol and branch in one call per side, and holds at
+    most _EVAL_ROWS (symbol, branch, tail) rows.
     """
-    n, d = ifs.n_branches, ifs.dimension
-    count = check_depth(n, depth)
-    fine_boxes = cell_grid(ifs, depth + 1).boxes.reshape(n, count, d, 2)
-    boxes = cell_grid(ifs, depth).boxes
+    n = ifs.n_branches
+    check_depth(n, depth + 1)
+    grid = cell_grid(ifs, depth)
+    count = len(grid.centers)
     terms = _symbol_terms(symbols)
     composed = _branch_terms(ifs, terms)
     step = _block_tails(len(symbols) * n)
     for start in range(0, count, step):
         tails = slice(start, start + step)
         width = min(step, count - start)
-        fine = _trig_means(terms, fine_boxes[:, tails].reshape(-1, d, 2))
-        transfer = _trig_means(composed, boxes[tails]).sum(axis=1) / n
+        fine_frames = child_frames(ifs, [(grid.centers[tails], grid.half_frames[tails])] * n,
+                                   count)
+        fine = _trig_means(terms, frame_boxes(*fine_frames))
+        transfer = _trig_means(composed, grid.boxes[tails]).sum(axis=1) / n
         yield fine.reshape(len(symbols), n, width), transfer
 
 
@@ -332,17 +336,21 @@ def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, support) -> CellFunct
     Only the cells whose hull meets it get averaging points, the same floats
     as their rows of the full array, and are evaluated; the others get 0.0,
     the mean the full evaluation gives them (a sum 0.0 + (+-0.0) + ... is
-    +0.0), so the values are the same.  The ambient box as the support
-    selects every cell.
+    +0.0), so the values are the same.  The hulls are formed only for the
+    cells whose parent meets the support (`measure.cells_near`), and the
+    depth-m grid is not built.  The ambient box as the support selects
+    every cell.
     """
-    boxes = cell_grid(ifs, depth).boxes
-    cells = _support_cells(boxes, support)
-    points = _offset_points(ifs, boxes[cells])
+    candidates, centers, half = cells_near(ifs, depth, support)
+    boxes = frame_boxes(centers, half)
+    inside = _support_cells(boxes, support)
+    cells = candidates[inside]
+    points = _offset_points(ifs, boxes[inside])
     total = np.zeros(len(cells))
     if len(cells):  # a support that meets no cell evaluates nothing
         for values in _blocks(evaluator, points, len(cells)):
             total = total + values
-    out = np.zeros(len(boxes), dtype=total.dtype)
+    out = np.zeros(ifs.n_branches**depth, dtype=total.dtype)
     out[cells] = total / DEFAULT_AVERAGE_POINTS
     return CellFunction(depth, out)
 

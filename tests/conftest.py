@@ -443,3 +443,48 @@ def assembled_covariant_rep_check(ifs, depth, trials, seed=0):
         rhs2 = mult_op(ifs, CellFunction(depth, transfer_values(ifs, inner)))
         worst2 = max(worst2, operator_norm(lhs2.subtract(rhs2)))
     return worst1, worst2
+
+
+def stacked_isometry_residual(ifs, depth):
+    """|C*C - I| on V_m from the whole-depth stacks: C as (n^m, n, 1), the
+    identity as n^m diagonal blocks.  Kept as the oracle of
+    `cli.isometry_residual`, which takes the one block every tail shares."""
+    from ifslab.operators import CellFunction, composition_op, mult_op, operator_norm
+
+    comp = composition_op(ifs, depth)
+    identity = mult_op(ifs, CellFunction(depth, np.ones(ifs.n_branches**depth)))
+    return operator_norm(comp.adjoint().compose(comp).subtract(identity))
+
+
+def stacked_projection_residual(ifs, depth):
+    """|(C C*)^2 - C C*| from the whole-depth (n^m, n, n) stacks: the oracle
+    of `cli.projection_residual`."""
+    from ifslab.operators import composition_op, operator_norm
+
+    comp = composition_op(ifs, depth)
+    proj = comp.compose(comp.adjoint())
+    return operator_norm(proj.compose(proj).subtract(proj))
+
+
+def stacked_transfer_equality_residual(ifs, depth):
+    """max |C* - L| from the whole-depth (n^m, 1, n) stacks: the oracle of
+    `cli.transfer_equality_residual`."""
+    from ifslab.operators import adjoint_composition_op, transfer_op
+
+    cstar = adjoint_composition_op(ifs, depth)
+    transfer = transfer_op(ifs, depth)
+    return float(np.abs(cstar.subtract(transfer).matrix).max())
+
+
+def grid_test_systems():
+    """Fresh copies (empty caches) of the catalog systems and of seeded
+    "2d-rotated" and "3d" random_ifs systems: the systems on which cell
+    frames formed in blocks or near a region are checked against
+    `einsum_cell_grid`."""
+    from ifslab.geometry import IfsSystem
+
+    rng = np.random.default_rng(11)  # two-branch rotated systems, three- and eight-branch 3-D
+    systems = [entry.system for entry in catalog.catalog()]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "3d", "3d")]
+    return [IfsSystem(ifs.box, ifs.branches, weights=ifs.weights, name=ifs.name)
+            for ifs in systems]

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
                       bump_values, dense_gram_adjoint, dense_operator, dense_reconstruction_pairs,
-                      per_offset_average, per_piece_box_distances, random_ifs,
-                      reference_box_piece_distance)
+                      einsum_cell_grid, grid_test_systems, per_offset_average,
+                      per_piece_box_distances, random_ifs, reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, admissible_symbol,
                              build_bump_partition, covariant_rep_check, reconstruction_residual,
@@ -1029,15 +1029,17 @@ def test_bump_values_refuse_nodes_off_the_lattice():
 
 
 def test_reconstruction_vectors_peak_memory(tent_sigma):
-    # level 6: 2550 support rows and 196 bumps, at most 9 tents per row.  The
-    # sparse pairs peak at 3.2 MiB; dense (rows, M) pairs took 8.8 MiB, and
-    # the (rows, M, d) temporaries of the dense tent formula 20.2 MiB
+    # level 6: 2550 support rows and 196 bumps, at most 9 tents per row, with
+    # the level-5 grid cached.  Only the level-6 cells near the support are
+    # formed, and the call peaks near 2.0 MiB; the whole level-6 grid took
+    # it to 6.8 MiB.  Dense (rows, M) pairs took 8.8 MiB more, and the
+    # (rows, M, d) temporaries of the dense tent formula 20.2 MiB
     import tracemalloc
 
     ifs = tent_sigma.system
     symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
     partition = build_bump_partition(ifs, symbol)
-    cell_grid(ifs, 6)
+    cell_grid(ifs, 5)
     tracemalloc.start()
     try:
         vectors = reconstruction_vectors(ifs, symbol, partition, 6)
@@ -1046,7 +1048,42 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
         tracemalloc.stop()
     assert vectors.size == 196
     assert vectors.xi.shape == vectors.eta.shape == vectors.columns.shape == (2550, 9)
-    assert peak < 6 * 2**20, peak / 2**20
+    assert peak < 3 * 2**20, peak / 2**20
+
+
+def test_reconstruction_rows_equal_a_full_scan():
+    # the support rows come from the cells whose parents meet the nodes'
+    # reach: the rows, in order, and the pairs are the ones a scan of every
+    # center of the einsum grid gives, for lattices at the low corner, in the
+    # interior and at the high corner of catalog, rotated and 3-D systems
+    def symbol(points):
+        return 2.0 - points.sum(axis=1)
+
+    selected = 0
+    for ifs in grid_test_systems():
+        n, d = ifs.n_branches, ifs.dimension
+        pitch = float(ifs.box.sizes.min()) / 16
+        for first in (ifs.box.lo, ifs.box.lo + 5 * pitch, ifs.box.hi - 2 * pitch):
+            axes = [first[a] + pitch * np.arange(3) for a in range(d)]
+            nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            partition = BumpPartition(nodes, pitch, 0.0)
+            for depth in range(6):
+                if n**depth > 5_000:
+                    break
+                centers = einsum_cell_grid(ifs, depth)[0]
+                rows = partition.support_rows(centers)
+                vectors = reconstruction_vectors(ifs, symbol, partition, depth)
+                assert np.array_equal(vectors.rows, rows), (ifs.name, depth, first)
+                columns, roots = partition.tent_slots(centers[rows])
+                np.sqrt(roots, out=roots)
+                assert vectors.columns.tobytes() == columns.tobytes()
+                assert vectors.eta.tobytes() == roots.tobytes()
+                xi = (n * symbol(centers[rows]))[:, None] * roots
+                assert vectors.xi.tobytes() == xi.tobytes()
+                selected += 0 < len(rows) < n**depth
+        deepest = max(m for m in range(6) if n**m <= 5_000)
+        assert ("grid", deepest) not in ifs._cell_cache, ifs.name
+    assert selected >= 50, selected
 
 
 @pytest.mark.parametrize("name,support,amplitude", [

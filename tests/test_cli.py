@@ -10,6 +10,7 @@ import pytest
 from ifslab.cli import main
 from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
+from ifslab.errors import DepthOverflow
 
 from conftest import PLANE_SYSTEM
 
@@ -299,7 +300,8 @@ def test_report_byte_identical(tmp_path):
 
 def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
     # the covariance loop holds one block of tails' averaging points at a
-    # time and caches none; the cell grids stay for the later suites
+    # time and caches none; the cell grids of the run's depths stay for the
+    # later suites, and the level below the last depth is never built whole
     loaded = []
     original = cli._load_system
 
@@ -315,16 +317,18 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
     assert len(loaded) == 2
     for ifs in loaded:
         keys = [key for key in ifs._cell_cache if isinstance(key, tuple)]
-        assert ("grid", 5) in keys
+        assert ("grid", 4) in keys
+        assert ("grid", 5) not in keys, keys
         assert not [key for key in keys if key[0] in ("average", "branch-average")], keys
 
 
 def test_report_memory_is_bounded(tmp_path):
-    # the benchmark's configuration (10^6 samples).  The covariance loop and
-    # the level-6 reconstruction each peak near 7.5 MiB, 4.3 MiB of it the
-    # cached cell grids; whole-depth averaging points and branch images
-    # (3.6 MiB each at depth 5) or dense reconstruction pairs (3.8 MiB each
-    # at level 6) took it to 16.8 MiB
+    # the benchmark's configuration (10^6 samples).  The peak is near 3.9
+    # MiB: the grids of depths 2-5 stay cached, and the depth-6 cells are
+    # formed a block of tails at a time or only near the support.  The
+    # whole depth-6 grid (3.6 MiB) and the depth-5 identity stacks (2.1 MiB
+    # each) took it to 7.5 MiB; whole-depth averaging points and branch
+    # images, or dense reconstruction pairs, to 16.8 MiB
     args = ["report", "--system", "tent_sigma", "--depths", "2..5"]
     assert run([*args, "--samples", "1000", "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
@@ -333,7 +337,105 @@ def test_report_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20, peak
+    assert peak < 5 * 2**20, peak
+
+
+def test_deep_operators_memory_is_bounded(tmp_path):
+    # the peak, near 10.9 MiB, is the build of the cached depth-8 grid
+    # (4^8 cells); the whole depth-9 grid (4^9 cells, about 20 MiB) is
+    # never built, and it took the peak to 42.6 MiB
+    args = ["operators", "--system", "tent_square", "--depths", "2..8"]
+    tracemalloc.start()
+    try:
+        assert run([*args, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, peak
+
+
+def _weighted_random_systems():
+    """random_ifs systems of every kind, each with seeded non-uniform weights."""
+    from conftest import random_ifs
+
+    rng = np.random.default_rng(23)
+    systems = []
+    for kind in ("1d", "2d-diagonal", "2d-rotated", "3d", "1d", "2d-rotated", "3d"):
+        ifs = random_ifs(rng, kind)
+        raw = rng.uniform(0.2, 1.0, ifs.n_branches)
+        systems.append(geometry.IfsSystem(ifs.box, ifs.branches, weights=raw / raw.sum(),
+                                          name=f"{kind} weighted"))
+    return systems
+
+
+def test_identity_residuals_equal_the_whole_depth_stacks():
+    # each identity's one shared block gives the residual of the stack of
+    # n^m copies bit for bit, sign included, for uniform and non-uniform
+    # weights; the stacks are capped at 50 000 depth-(m+1) cells
+    from conftest import (stacked_isometry_residual, stacked_projection_residual,
+                          stacked_transfer_equality_residual)
+
+    systems = [entry.system for entry in catalog.catalog()] + _weighted_random_systems()
+    assert not all(ifs.is_hutchinson() for ifs in systems)
+    checked = 0
+    for ifs in systems:
+        for depth in range(6):
+            if ifs.n_branches ** (depth + 1) > 50_000:
+                break
+            pairs = [(cli.isometry_residual, stacked_isometry_residual),
+                     (cli.projection_residual, stacked_projection_residual)]
+            if ifs.is_hutchinson():
+                pairs.append((cli.transfer_equality_residual, stacked_transfer_equality_residual))
+            else:
+                for residual in (cli.transfer_equality_residual,
+                                 stacked_transfer_equality_residual):
+                    with pytest.raises(ValueError, match="uniform weights"):
+                        residual(ifs, depth)
+            for one_block, stacked in pairs:
+                got, want = one_block(ifs, depth), stacked(ifs, depth)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                    (ifs.name, depth, one_block.__name__, got, want)
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("budget", ["4", "64", "256", "1296", "7776"])
+def test_identity_residuals_refuse_the_budget_of_the_stacks(monkeypatch, budget):
+    # each residual still checks the cell budget of depth m + 1, before
+    # anything else, and refuses with the stacks' message
+    from conftest import (stacked_isometry_residual, stacked_projection_residual,
+                          stacked_transfer_equality_residual)
+
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", budget)
+    for name in ("tent_square", "tent_sigma"):
+        ifs = catalog.get(name).system
+        for depth in range(6):
+            for one_block, stacked in ((cli.isometry_residual, stacked_isometry_residual),
+                                       (cli.projection_residual, stacked_projection_residual),
+                                       (cli.transfer_equality_residual,
+                                        stacked_transfer_equality_residual)):
+                try:
+                    want = stacked(ifs, depth)
+                except DepthOverflow as exc:
+                    with pytest.raises(DepthOverflow) as caught:
+                        one_block(ifs, depth)
+                    assert str(caught.value) == str(exc)
+                else:
+                    assert one_block(ifs, depth) == want
+
+
+def test_projection_residual_builds_no_stack(tent_sigma):
+    # the whole-depth form held four (7 776, 6, 6) stacks of 2.1 MiB each
+    # at depth 5 and peaked at 7.1 MiB; the one shared block needs a few KiB
+    ifs = tent_sigma.system
+    cli.projection_residual(ifs, 5)
+    tracemalloc.start()
+    try:
+        cli.projection_residual(ifs, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, peak
 
 
 def test_cell_masses_built_for_measure_suites_only(tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (dense_gram_adjoint, dense_operator, per_offset_average, random_ifs,
-                      trig_field, whole_depth_average_points, whole_depth_covariance_residual,
-                      whole_depth_transfer)
+from conftest import (dense_gram_adjoint, dense_operator, einsum_cell_grid, grid_test_systems,
+                      per_offset_average, random_ifs, trig_field, whole_depth_average_points,
+                      whole_depth_covariance_residual, whole_depth_transfer)
 from ifslab import catalog, cli
 from ifslab import measure as mea
 from ifslab import operators as op
@@ -661,16 +661,101 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
     assert checked >= 60
 
 
+def test_tail_block_fine_boxes_equal_the_einsum_grid(monkeypatch):
+    # the depth-(m+1) boxes a block of tails forms from the cached depth-m
+    # frames are the einsum grid's rows, sign bits included, with blocks of
+    # seven tails, which divide no n^m and leave one-tail blocks (2^3 = 7 + 1
+    # cells, also on the rotated two-branch systems, whose one-row products
+    # np.matmul would round apart), and the depth-(m+1) grid is never built
+    monkeypatch.setattr(op, "_block_tails", lambda rows_per_tail: 7)
+    calls = []
+    original = op._trig_means
+
+    def recording(terms, boxes):
+        calls.append(boxes.copy())
+        return original(terms, boxes)
+
+    monkeypatch.setattr(op, "_trig_means", recording)
+    widths = set()
+    for ifs in grid_test_systems():
+        n, d = ifs.n_branches, ifs.dimension
+        symbols = [random_trig_symbol((7, 101, 0), d)]
+        for depth in range(6):
+            if n ** (depth + 1) > 5_000:
+                break
+            calls.clear()
+            for _ in op.trig_tail_blocks(ifs, symbols, depth):
+                pass
+            fine, coarse = calls[0::2], calls[1::2]
+            widths.update(len(boxes) // n for boxes in fine)
+            blocks = [boxes.reshape(n, -1, d, 2) for boxes in fine]
+            got = np.concatenate(blocks, axis=1).reshape(-1, d, 2)
+            assert got.tobytes() == einsum_cell_grid(ifs, depth + 1)[2].tobytes(), \
+                (ifs.name, depth)
+            assert np.concatenate(coarse).tobytes() == \
+                einsum_cell_grid(ifs, depth)[2].tobytes(), (ifs.name, depth)
+            assert ("grid", depth + 1) not in ifs._cell_cache
+    assert {1, 7} <= widths
+
+
+def support_test_regions(ifs):
+    """Closed boxes (d, 2) to select cells near: a box at the low corner, a
+    point at the high corner, an interior box and the ambient box."""
+    lo, size = ifs.box.lo, ifs.box.sizes
+    return [np.stack([lo, lo + 0.2 * size], axis=1),
+            np.stack([ifs.box.hi, ifs.box.hi], axis=1),
+            np.stack([lo + 0.3 * size, lo + 0.55 * size], axis=1),
+            ifs.box.intervals]
+
+
+def test_support_sampling_selects_the_full_scan_cells():
+    # the cells near a support come from their parents' cached frames: their
+    # frames are the einsum grid's rows, the cells whose hull meets the
+    # support are exactly a scan of every cell's, in order, and the averages
+    # equal the full grid's bytes; the level itself is never built
+    def field(points):
+        return 1.0 + points[:, 0] - 0.5 * points[:, -1]
+
+    selected = pruned = 0
+    for ifs in grid_test_systems():
+        n = ifs.n_branches
+        for depth in range(6):
+            if n**depth > 5_000:
+                break
+            centers, half, boxes = einsum_cell_grid(ifs, depth)
+            for region in support_test_regions(ifs):
+                cells, near_centers, near_half = mea.cells_near(ifs, depth, region)
+                assert near_centers.tobytes() == centers[cells].tobytes()
+                assert near_half.tobytes() == half[cells].tobytes()
+                near_boxes = mea.frame_boxes(near_centers, near_half)
+                assert near_boxes.tobytes() == boxes[cells].tobytes()
+                full = op._support_cells(boxes, region)
+                assert np.array_equal(cells[op._support_cells(near_boxes, region)], full)
+                selected += len(full) > 0
+                pruned += len(cells) < n**depth
+
+                want = np.zeros(n**depth)
+                total = np.zeros(len(full))
+                points = op._offset_points(ifs, boxes[full])
+                for values in op._blocks(field, points, len(full)) if len(full) else ():
+                    total = total + values
+                want[full] = total / op.DEFAULT_AVERAGE_POINTS
+                got = sample_to_cells(ifs, field, depth, region).values
+                assert got.tobytes() == want.tobytes(), (ifs.name, depth, region)
+            assert ("grid", depth) not in ifs._cell_cache or depth == 0
+    assert selected >= 150 and pruned >= 80, (selected, pruned)
+
+
 def test_covariance_residual_peak_memory(tent_sigma):
-    # depth 5 on tent_sigma, five symbols, grids already cached: the
-    # closed-form blocks peak below the 3 385 064 bytes of the pointwise
-    # blocks of 2^15 // 30 tails that they replaced
+    # depth 5 on tent_sigma, five symbols, the depth-5 grid already cached:
+    # the closed-form blocks, each forming its tails' depth-6 cells, peak
+    # below the 3 385 064 bytes of the pointwise blocks of 2^15 // 30 tails
+    # that they replaced
     import tracemalloc
 
     ifs = tent_sigma.system
     symbols = [random_trig_symbol((7, 101, k), 2) for k in range(5)]
     cell_grid(ifs, 5)
-    cell_grid(ifs, 6)
     cli.covariance_residual(ifs, symbols, 5)
     tracemalloc.start()
     try:
