@@ -27,10 +27,10 @@ import numpy as np
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cells_near, check_depth
+from .measure import cells_near, check_depth, frame_boxes
 from .operators import (CellFunction, CellOperator, max_spectral_norm, operator_norm,
                         sample_to_cells, transfer_values)
-from .sampling import LipschitzSymbol, uniform_doubles
+from .sampling import uniform_doubles
 
 
 # ---------------------------------------------------------------------------
@@ -76,107 +76,127 @@ def support_distance_to_value_set(ifs: IfsSystem, support_box: np.ndarray) -> fl
 
 @dataclass(frozen=True)
 class AdmissibleSymbol:
-    """A symbol with declared compact support away from the value set."""
+    """The smooth window on `support_box` (d, 2), declared delta away from
+    the value set: the product over the axes of sin^2(pi t_a), t_a being
+    the point's relative position in the box along axis a.
 
-    field: LipschitzSymbol
+    Continuously differentiable on the whole space (the arch has zero
+    slope at the support edge) and exactly zero off the closed support.
+    Evaluation is vectorized: an (N, d) array of points gives (N,) values.
+    """
+
+    support_box: np.ndarray
     delta: float
 
-    @property
-    def support_box(self):
-        return self.field.support_box
+    def __post_init__(self):
+        box = np.asarray(self.support_box, dtype=float)
+        if np.any(box[:, 1] - box[:, 0] <= 0):
+            raise ValueError("support box must have positive widths")
+        object.__setattr__(self, "support_box", box)
 
-    def __call__(self, points):
-        return self.field(points)
+    def __call__(self, points) -> np.ndarray:
+        points = np.atleast_2d(points)
+        lo = self.support_box[:, 0]
+        t = (points - lo) / (self.support_box[:, 1] - lo)
+        inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
+        arch = np.sin(np.pi * np.clip(t, 0.0, 1.0)) ** 2
+        return inside * np.prod(arch, axis=1)
 
 
 def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05) -> AdmissibleSymbol:
     """Smooth window on `support_box`, rejected if it crowds the value set."""
-    from .sampling import window_symbol
-
-    support_box = np.asarray(support_box, dtype=float)
-    gap = support_distance_to_value_set(ifs, support_box)
+    symbol = AdmissibleSymbol(support_box, delta)
+    gap = support_distance_to_value_set(ifs, symbol.support_box)
     if gap < delta:
         raise ValueError(
             f"support is {gap:.4g} from the two-branch value set, closer than delta={delta}")
-    return AdmissibleSymbol(window_symbol(support_box), delta)
+    return symbol
 
 
 @dataclass(frozen=True)
 class BumpPartition:
     """Lattice tent bumps subordinate to admissible rectangles.
 
-    Nodes sit on a pitch-h lattice anchored at the box corner; the bump
-    at node q is the product tent prod_a max(0, 1 - |x_a - q_a| / h).
-    All lattice tents sum to one everywhere, so the selected family sums
-    to one on the symbol's support and each support rectangle
-    (q - h, q + h) passed the three neighbourhood conditions.
+    The nodes are the full lattice box origin + pitch k, k integer with
+    first <= k <= last on every axis; node q carries the product tent
+    prod_a max(0, 1 - |x_a - q_a| / h), h the pitch.  The origin is the
+    ambient box's low corner.  All lattice tents sum to one everywhere, so
+    the family sums to one on the symbol's support, and each support
+    rectangle (q - h, q + h) passed the three neighbourhood conditions.
+    Bump k is the k-th node in lattice (C) order.
     """
 
-    nodes: np.ndarray  # (M, d), M >= 1
+    origin: np.ndarray  # (d,)
+    first: np.ndarray   # (d,) lowest node index per axis
+    last: np.ndarray    # (d,) highest node index per axis
     pitch: float
     margin: float  # certified clearance to the value set
 
     def __post_init__(self):
-        if len(self.nodes) == 0:
+        if np.any(self.last < self.first):
             raise ValueError("a bump partition needs at least one node")
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return int(np.prod(self.last - self.first + 1))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The (M, d) node coordinates in lattice order."""
+        mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(self.first, self.last)],
+                           indexing="ij")
+        return self.origin + self.pitch * np.stack([m.ravel() for m in mesh], axis=1)
+
+    def _node(self, index) -> np.ndarray:
+        """The node coordinates of the per-axis lattice indices `index`."""
+        return self.origin + self.pitch * index
 
     def tent_slots(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The tents that can be nonzero at each point: (columns, values),
         both (len(points), 3^d).
 
         A tent is nonzero only within one pitch of its node on every axis,
-        so each point is evaluated at the at most 3^d lattice nodes whose
-        index is within one of its nearest lattice index
-        round((x - base) / h), base being the lowest node coordinate per
-        axis.  Slot o of a point holds the o-th of those index offsets in
-        (-1, 0, 1)^d order: its bump column and the product over the axes,
-        in order, of max(0, 1 - |x_a - q_a| / h); a slot with no node there
-        has column -1 and value 0.0.  The nodes must sit on the pitch
-        lattice (a node may be missing) to within a quarter pitch.
+        so each point is evaluated at the at most 3^d nodes whose index is
+        within one of its nearest lattice index round((x - base) / h), base
+        being the lowest node per axis.  Slot o of a point holds the o-th of
+        those index offsets in (-1, 0, 1)^d order: its bump column and the
+        product over the axes, in order, of max(0, 1 - |x_a - q_a| / h); a
+        slot outside the node box has column -1 and value 0.0.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         slots = 3 ** points.shape[1]
         columns = np.full((len(points), slots), -1, dtype=np.intp)
         values = np.zeros((len(points), slots))
-        base = self.nodes.min(axis=0)
-        index = np.rint((self.nodes - base) / self.pitch).astype(np.intp)
-        if np.abs(base + index * self.pitch - self.nodes).max() > 0.25 * self.pitch:
-            raise ValueError("bump nodes do not sit on a lattice of the partition's pitch")
-        shape = index.max(axis=0) + 1
-        column = np.full(shape, -1, dtype=np.intp)
-        column[tuple(index.T)] = np.arange(self.size)
-        if np.count_nonzero(column >= 0) < self.size:
-            raise ValueError("two bump nodes share a lattice point")
-        nearest = np.rint((points - base) / self.pitch)
+        shape = self.last - self.first + 1
+        nearest = np.rint((points - self._node(self.first)) / self.pitch)
         for slot, offset in enumerate(product((-1, 0, 1), repeat=points.shape[1])):
             near = nearest + offset
             rows = np.flatnonzero(np.all((near >= 0) & (near < shape), axis=1))
-            cols = column[tuple(near[rows].astype(np.intp).T)]
-            rows, cols = rows[cols >= 0], cols[cols >= 0]
-            rel = np.maximum(1.0 - np.abs(points[rows] - self.nodes[cols]) / self.pitch, 0.0)
+            index = near[rows]
+            rel = np.maximum(
+                1.0 - np.abs(points[rows] - self._node(self.first + index)) / self.pitch, 0.0)
             tent = rel[:, 0]
             for axis in range(1, rel.shape[1]):
                 tent = tent * rel[:, axis]
-            columns[rows, slot] = cols
+            columns[rows, slot] = np.ravel_multi_index(tuple(index.astype(np.intp).T), shape)
             values[rows, slot] = tent
         return columns, values
 
+    def reach(self) -> np.ndarray:
+        """The box (d, 2) within one pitch of the nodes; every tent is zero
+        off its interior."""
+        return np.stack([self._node(self.first) - self.pitch,
+                         self._node(self.last) + self.pitch], axis=1)
+
     def support_rows(self, points: np.ndarray) -> np.ndarray:
-        """Ascending indices of the points within one pitch of a node coordinate
-        on every axis; every tent is exactly zero at the other points."""
-        near = np.ones(len(points), dtype=bool)
-        for axis in range(points.shape[1]):
-            coords = np.unique(self.nodes[:, axis])
-            x = points[:, axis]
-            right = np.minimum(np.searchsorted(coords, x), len(coords) - 1)
-            left = np.maximum(right - 1, 0)
-            gap = np.minimum(np.abs(x - coords[left]), np.abs(x - coords[right]))
-            near &= gap < self.pitch
-        return np.flatnonzero(near)
+        """Ascending indices of the points within one pitch of a node
+        coordinate on every axis; every tent is exactly zero at the other
+        points.  Between the lowest and the highest node of an axis a point
+        is at most half a pitch from a node, so only its gap to those two is
+        tested."""
+        low, high = self._node(self.first), self._node(self.last)
+        gap = np.maximum(low - points, points - high)
+        return np.flatnonzero(np.all(gap < self.pitch, axis=1))
 
 
 # The finest pitch the bump-partition search tries.
@@ -192,17 +212,14 @@ _NODE_BLOCK = 2048
 _GAP_SLACK = 1e-12
 
 
-def _lattice_nodes(ifs: IfsSystem, support: np.ndarray, pitch: float) -> np.ndarray:
-    """The pitch-h lattice nodes, anchored at the box corner, within one
-    pitch of the support on every axis, in lattice (C) order."""
+def _lattice(ifs: IfsSystem, support: np.ndarray, pitch: float,
+             margin: float) -> BumpPartition:
+    """The pitch-h lattice, anchored at the box corner, of the nodes within
+    one pitch of the support on every axis."""
     lo = ifs.box.lo
-    ranges = []
-    for a in range(ifs.dimension):
-        first = int(np.floor((support[a, 0] - pitch - lo[a]) / pitch)) + 1
-        last = int(np.ceil((support[a, 1] + pitch - lo[a]) / pitch)) - 1
-        ranges.append(np.arange(first, last + 1))
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    return lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
+    first = np.floor((support[:, 0] - pitch - lo) / pitch).astype(np.intp) + 1
+    last = np.ceil((support[:, 1] + pitch - lo) / pitch).astype(np.intp) - 1
+    return BumpPartition(lo, first, last, float(pitch), margin)
 
 
 def _clearance_failures(ifs: IfsSystem, clipped: np.ndarray, value_pieces: list[AffinePiece],
@@ -337,7 +354,8 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
     last_obstruction = None
     while pitch >= MIN_PITCH:
-        nodes = _lattice_nodes(ifs, support, pitch)
+        lattice = _lattice(ifs, support, pitch, clearance)
+        nodes = lattice.nodes
         # the rectangles (node-h, node+h)^d that meet the box, clipped to it
         lo = np.maximum(nodes - pitch, box[:, 0])
         hi = np.minimum(nodes + pitch, box[:, 1])
@@ -348,7 +366,7 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
         if finest or not too_close.any():
             failed = _first_failure(ifs, nodes[live], clipped, too_close)
             if failed is None:
-                return BumpPartition(nodes, float(pitch), clearance)
+                return lattice
             last_obstruction = failed
         pitch /= 2.0
     if last_obstruction is None:
@@ -366,7 +384,8 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
 
 @dataclass(frozen=True)
 class ReconstructionVectors:
-    """The pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k) on the support rows.
+    """The pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k) on the support
+    rows, and the reference symbol's cell means, at one depth.
 
     `rows` are the ascending flat indices of the depth-m cells whose center
     lies within one pitch of a node coordinate on every axis.  The pairs
@@ -375,7 +394,11 @@ class ReconstructionVectors:
     `columns[r, o]` being the pair index of slot o (-1 for an empty slot,
     whose values are 0.0).  Every other entry of xi_k and eta_k, on these
     rows or on any other cell, is exactly zero.  `size` is the number of
-    pairs M.
+    pairs M.  `reference` holds the cell averages of the symbol
+    (`sample_to_cells`) on the cells `reference_cells`, ascending: those
+    whose hull meets the symbol's support box.  On every other cell the
+    symbol reads +-0.0 at each averaging point, so the average is +0.0
+    (a sum 0.0 + (+-0.0) + ... is +0.0).
     """
 
     depth: int
@@ -384,6 +407,8 @@ class ReconstructionVectors:
     xi: np.ndarray
     eta: np.ndarray
     size: int
+    reference_cells: np.ndarray
+    reference: np.ndarray
 
     def dense(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Stored rows `rows` (indices into `self.rows`) of `values`, `xi` or
@@ -395,28 +420,52 @@ class ReconstructionVectors:
         return out
 
 
+def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
+    """Ascending indices of the cells whose box hull (N, d, 2) meets the
+    closed box `support` (d, 2) widened by a rounding margin.
+
+    The margin, 1e-12 of the support's size and position per axis, covers
+    the averaging points' rounding past their hull and a field that rounds
+    to a tiny nonzero value just past its support face: the sin^2 window
+    reads t = 1, where sin(pi)^2 ~ 1.5e-32, a few ulps outside it.
+    """
+    support = np.asarray(support, dtype=float)
+    margin = 1e-12 * (np.abs(support).max(axis=1) + (support[:, 1] - support[:, 0]))
+    meets = ((boxes[:, :, 1] >= support[:, 0] - margin)
+             & (boxes[:, :, 0] <= support[:, 1] + margin))
+    return np.flatnonzero(meets.all(axis=1))
+
+
 def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
                            partition: BumpPartition, depth: int) -> ReconstructionVectors:
-    """Pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k), point-sampled at depth.
+    """Pairs xi_k = n a sqrt(f_k), eta_k = sqrt(f_k), point-sampled at
+    depth, and the reference symbol's cell averages, from one set of cells.
 
     A support row's center lies within one pitch of the node coordinates
-    on every axis, so only the cells whose parent meets that box are formed
-    (`measure.cells_near`) and tested; the rows are the ones a test of
-    every cell of the depth selects, and the depth's grid is not built.
+    on every axis (the nodes' reach), and a cell with a nonzero average
+    meets the symbol's support box, which the reach contains.  So only the
+    cells whose parent meets the hull of the two boxes (the reach, unless
+    rounding puts the support past it) are formed (`measure.cells_near`,
+    one call) and tested; the rows and the averaged cells are the ones a
+    test of every cell of the depth selects, and the depth's grid is not
+    built.
     """
-    nodes = partition.nodes
-    reach = np.stack([nodes.min(axis=0) - partition.pitch,
-                      nodes.max(axis=0) + partition.pitch], axis=1)
-    cells, centers, _ = cells_near(ifs, depth, reach)
+    support = symbol.support_box
+    reach = partition.reach()
+    region = np.stack([np.minimum(reach[:, 0], support[:, 0]),
+                       np.maximum(reach[:, 1], support[:, 1])], axis=1)
+    cells, centers, half = cells_near(ifs, depth, region)
     near = partition.support_rows(centers)
-    rows = cells[near]
     points = centers[near]
     a_vals = np.asarray(symbol(points), dtype=float)
     columns, roots = partition.tent_slots(points)
     np.sqrt(roots, out=roots)
-    return ReconstructionVectors(depth, rows, columns,
+    boxes = frame_boxes(centers, half)
+    inside = _support_cells(boxes, support)
+    return ReconstructionVectors(depth, cells[near], columns,
                                  (ifs.n_branches * a_vals)[:, None] * roots, roots,
-                                 partition.size)
+                                 partition.size, cells[inside],
+                                 sample_to_cells(symbol, boxes[inside]))
 
 
 @dataclass(frozen=True)
@@ -440,52 +489,54 @@ class ReconstructionResidual:
 _PAIR_ROWS = 256
 
 
-def reconstruction_residual(ifs: IfsSystem, symbol: AdmissibleSymbol,
+def reconstruction_residual(ifs: IfsSystem,
                             vectors: ReconstructionVectors) -> ReconstructionResidual:
     """sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}, as its blocks.
 
     The covariant representation maps theta_{xi,eta} to M_xi C C* M_eta*,
     so this one operator serves both reconstruction checks.  Entry (i, j)
     of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
-    with a the cell-average reference symbol (`sample_to_cells` on the
-    symbol's support box; the other cells are 0.0).  Only the tails that
-    carry a support row or a nonzero reference cell get a block; every
-    other block is exactly zero.  The sum can be non-zero only where both
-    cells are support rows, so it is formed one letter j at a time, for
-    the support rows i.w whose partner j.w is a support row too,
-    `_PAIR_ROWS` rows per call, each call's xi and eta rows scattered into
-    dense (rows, M) arrays; every other entry stays 0.0, which the sum
-    with eta_k read as zero gives too.  The weights and the reference symbol are then applied
-    to the blocks in place.
+    with a the reference symbol's cell averages (`vectors.reference`; 0.0
+    on the other cells).  Only the tails that carry a support row or a
+    nonzero reference cell get a block; every other block is exactly zero.
+    The sum can be non-zero only where both cells are support rows, so it
+    is formed one letter j at a time, for the support rows i.w whose
+    partner j.w is a support row too (found by binary search in the
+    ascending rows), `_PAIR_ROWS` rows per call, each call's xi and eta
+    rows scattered into dense (rows, M) arrays; every other entry stays
+    0.0, which the sum with eta_k read as zero gives too.  The weights and
+    the reference symbol are then applied to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
         raise DepthMismatch("the inner product drops one letter; depth must be >= 1")
-    reference = sample_to_cells(ifs, symbol, level, symbol.support_box).values
-    reference = reference.reshape(ifs.n_branches, -1)
-    n, count = reference.shape
-    # row of each cell in the stored pairs; -1 off the support rows
-    position = np.full(n * count, -1)
-    position[vectors.rows] = np.arange(len(vectors.rows))
-    tail, first = vectors.rows % count, vectors.rows // count
-    kept = (reference != 0).any(axis=0)
-    kept[tail] = True
-    tails = np.flatnonzero(kept)
-    block = np.full(count, -1)
-    block[tails] = np.arange(len(tails))
+    n = ifs.n_branches
+    count = n ** (level - 1)
+    rows = vectors.rows
+    tail, first = rows % count, rows // count
+    nonzero = vectors.reference != 0
+    reference_cells = vectors.reference_cells[nonzero]
+    # the distinct tails, ascending; sorting and dropping repeats is several
+    # times faster than np.union1d's hash-based unique on arrays this small
+    tails = np.sort(np.concatenate([tail, reference_cells % count]))
+    tails = tails[np.diff(tails, prepend=-1) != 0]
+    block = np.searchsorted(tails, tail)
     blocks = np.zeros((len(tails), n, n))
     for j in range(n):
-        partner = position[j * count + tail]
-        paired = np.flatnonzero(partner >= 0)
+        wanted = j * count + tail
+        partner = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
+        paired = np.flatnonzero(rows[partner] == wanted)
         for start in range(0, len(paired), _PAIR_ROWS):
             chunk = paired[start:start + _PAIR_ROWS]
-            blocks[block[tail[chunk]], first[chunk], j] = np.einsum(
+            blocks[block[chunk], first[chunk], j] = np.einsum(
                 "rk,rk->r", vectors.dense(vectors.xi, chunk),
                 vectors.dense(vectors.eta, partner[chunk]))
     blocks *= ifs.weights
-    # cell i.w is entry (i, i) of block w; off the diagonals x - 0.0 == x
-    letters = np.arange(n)
-    blocks[:, letters, letters] -= reference[:, tails].T
+    # cell i.w is entry (i, i) of block w; subtracting a zero average would
+    # leave an entry as it is
+    letters = reference_cells // count
+    blocks[np.searchsorted(tails, reference_cells % count), letters, letters] -= \
+        vectors.reference[nonzero]
     return ReconstructionResidual(level, tails, blocks, ifs.weights)
 
 

@@ -5,8 +5,9 @@ suite at most once, and is a tuple of views of that run (`COMMANDS`): a
 view writes its CSVs and returns the exit status of the rows it writes.
 `report` is the views of measure, operators, reconstruct and verify.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
-configuration error (bad flags, unknown system, a bad IFSLAB_CELL_BUDGET,
-cell-budget overflow).
+configuration error (bad flags, unknown system, a negative seed, a
+tolerance that is not finite, a bad IFSLAB_CELL_BUDGET, cell-budget
+overflow).
 Outputs are plain CSV with LF line endings and 17-significant-digit
 floats; a rerun with the same configuration is byte-identical.
 """
@@ -391,7 +392,7 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected) -> SuiteResult:
     theta_residuals, op_residuals = [], []
     for depth in depths:
         vectors = bimodule.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-        residual = bimodule.reconstruction_residual(ifs, symbol, vectors)
+        residual = bimodule.reconstruction_residual(ifs, vectors)
         theta_residuals.append(bimodule.verify_theta_reconstruction(ifs, residual))
         op_residuals.append(bimodule.verify_operator_reconstruction(residual))
     lo, hi = cfg.tol("reconstruction_ratio_lo"), cfg.tol("reconstruction_ratio_hi")
@@ -627,8 +628,13 @@ def build_config(args) -> RunConfig:
     measure.cell_budget()  # a bad IFSLAB_CELL_BUDGET is refused before any work
     if not (math.isfinite(cfg.delta) and cfg.delta > 0):
         raise ConfigError(f"delta must be finite and > 0, got {cfg.delta!r}")
+    for key, value in cfg.tolerances.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"tolerance {key} must be finite, got {value!r}")
     if cfg.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg.samples!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
     return cfg
 
 

@@ -76,7 +76,6 @@ class CellGrid:
     (equal to the cell for axis-aligned branches).
     """
 
-    depth: int
     centers: np.ndarray      # (count, d)
     half_frames: np.ndarray  # (count, d, d)
     boxes: np.ndarray        # (count, d, 2)
@@ -164,7 +163,7 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     for _ in range(depth - start):
         centers, half = child_frames(ifs, [(centers, half)] * ifs.n_branches, len(centers))
     assert centers.shape == (count, ifs.dimension)
-    grid = CellGrid(depth, centers, half, frame_boxes(centers, half))
+    grid = CellGrid(centers, half, frame_boxes(centers, half))
     ifs._cell_cache[key] = grid
     return grid
 
@@ -223,9 +222,6 @@ class CellMeasure:
 
     depth: int
     masses: np.ndarray
-    kind: str  # "exact" | "fixpoint" | "empirical"
-    sample_count: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         masses = np.asarray(self.masses, dtype=float)
@@ -250,9 +246,9 @@ def exact_cell_masses(ifs: IfsSystem, depth: int) -> CellMeasure:
     """
     check_depth(ifs.n_branches, depth)
     if depth == 0:
-        return CellMeasure(0, np.ones(1), "exact")
+        return CellMeasure(0, np.ones(1))
     masses = reduce(np.kron, [ifs.weights] * depth)
-    return CellMeasure(depth, masses, "exact")
+    return CellMeasure(depth, masses)
 
 
 def markov_fixpoint(ifs: IfsSystem, depth: int, max_iters: int = 256,
@@ -265,7 +261,7 @@ def markov_fixpoint(ifs: IfsSystem, depth: int, max_iters: int = 256,
     """
     count = check_depth(ifs.n_branches, depth)
     if depth == 0:
-        return CellMeasure(0, np.ones(1), "fixpoint")
+        return CellMeasure(0, np.ones(1))
     n = ifs.n_branches
     current = np.full(count, 1.0 / count)
     for _ in range(max_iters):
@@ -274,7 +270,7 @@ def markov_fixpoint(ifs: IfsSystem, depth: int, max_iters: int = 256,
         parents = current.reshape(-1, n).sum(axis=1)
         updated = np.kron(ifs.weights, parents)
         if total_variation(updated, current) < tol:
-            return CellMeasure(depth, updated, "fixpoint")
+            return CellMeasure(depth, updated)
         current = updated
     raise NoConvergence(f"push-forward iteration did not reach {tol} in {max_iters} steps")
 
@@ -446,8 +442,7 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
             cells = bin_points(ifs, _orbit_points(ifs, x, letters, emitting), depth)
         counts += np.bincount(cells, minlength=count)
     assert counts.sum() == n_samples
-    return CellMeasure(depth, counts / n_samples, "empirical",
-                       sample_count=n_samples, seed=int(seed))
+    return CellMeasure(depth, counts / n_samples)
 
 
 # ---------------------------------------------------------------------------

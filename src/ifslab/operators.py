@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import cell_grid, cells_near, check_depth, child_frames, frame_boxes
+from .measure import cell_grid, check_depth, child_frames, frame_boxes
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -150,7 +150,7 @@ def _blocks(evaluator, points: np.ndarray, count: int):
         yield from _evaluate(evaluator, points[start:start + per_call]).reshape(-1, count)
 
 
-def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
+def _offset_points(boxes: np.ndarray) -> np.ndarray:
     """The Halton points of the averaging rule in the box hulls (T, d, 2).
 
     One offset-major (s T, d) array: rows s T ... (s + 1) T - 1 are
@@ -158,10 +158,11 @@ def _offset_points(ifs: IfsSystem, boxes: np.ndarray) -> np.ndarray:
     Halton offsets in order.  Each point depends on its own hull only, so
     the points of a subset of cells equal the same rows of all cells'.
     """
-    offsets = halton_points(DEFAULT_AVERAGE_POINTS, ifs.dimension)  # (s, d) in [0,1)^d
+    d = boxes.shape[1]
+    offsets = halton_points(DEFAULT_AVERAGE_POINTS, d)  # (s, d) in [0,1)^d
     points = offsets[:, None, :] * (boxes[:, :, 1] - boxes[:, :, 0])
     points += boxes[:, :, 0]  # lo + offset * size, added in place
-    return points.reshape(-1, ifs.dimension)
+    return points.reshape(-1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -306,53 +307,24 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
         yield fine.reshape(len(symbols), n, width), transfer
 
 
-def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
-    """Ascending indices of the cells whose box hull (N, d, 2) meets the
-    closed box `support` (d, 2) widened by a rounding margin.
-
-    The margin, 1e-12 of the support's size and position per axis, covers
-    the averaging points' rounding past their hull and a field that rounds
-    to a tiny nonzero value just past its support face: the sin^2 window
-    reads t = 1, where sin(pi)^2 ~ 1.5e-32, a few ulps outside it.
-    """
-    support = np.asarray(support, dtype=float)
-    margin = 1e-12 * (np.abs(support).max(axis=1) + (support[:, 1] - support[:, 0]))
-    meets = ((boxes[:, :, 1] >= support[:, 0] - margin)
-             & (boxes[:, :, 0] <= support[:, 1] + margin))
-    return np.flatnonzero(meets.all(axis=1))
-
-
-def sample_to_cells(ifs: IfsSystem, evaluator, depth: int, support) -> CellFunction:
-    """Discretize a continuous field on depth-m cells by cell averages.
+def sample_to_cells(evaluator, boxes: np.ndarray) -> np.ndarray:
+    """Discretize a continuous field by cell averages: one mean per box hull
+    (N, d, 2).
 
     Each cell gets the mean over DEFAULT_AVERAGE_POINTS Halton points placed
     in its box hull (`_offset_points`); the Halton set is deliberately
     flip-asymmetric, so averaged sampling does not commute with
     orientation-reversing branches.  The offset-major points are evaluated
     in calls of at most _EVAL_ROWS rows (one call when they fit), and each
-    cell sums its offsets in order from 0.0.
-
-    `support` is a closed box (d, 2) outside of which the field is zero.
-    Only the cells whose hull meets it get averaging points, the same floats
-    as their rows of the full array, and are evaluated; the others get 0.0,
-    the mean the full evaluation gives them (a sum 0.0 + (+-0.0) + ... is
-    +0.0), so the values are the same.  The hulls are formed only for the
-    cells whose parent meets the support (`measure.cells_near`), and the
-    depth-m grid is not built.  The ambient box as the support selects
-    every cell.
+    cell sums its offsets in order from 0.0.  Each mean depends on its own
+    hull only, so the means of a subset of cells are the same floats as
+    their entries of a whole level's.
     """
-    candidates, centers, half = cells_near(ifs, depth, support)
-    boxes = frame_boxes(centers, half)
-    inside = _support_cells(boxes, support)
-    cells = candidates[inside]
-    points = _offset_points(ifs, boxes[inside])
-    total = np.zeros(len(cells))
-    if len(cells):  # a support that meets no cell evaluates nothing
-        for values in _blocks(evaluator, points, len(cells)):
+    total = np.zeros(len(boxes))
+    if len(boxes):  # no boxes, no evaluator call
+        for values in _blocks(evaluator, _offset_points(boxes), len(boxes)):
             total = total + values
-    out = np.zeros(ifs.n_branches**depth, dtype=total.dtype)
-    out[cells] = total / DEFAULT_AVERAGE_POINTS
-    return CellFunction(depth, out)
+    return total / DEFAULT_AVERAGE_POINTS
 
 
 # ---------------------------------------------------------------------------

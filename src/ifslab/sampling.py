@@ -77,23 +77,6 @@ def halton_points(count: int, dim: int) -> np.ndarray:
     return pts
 
 
-class LipschitzSymbol:
-    """A scalar field with compact support, together with a Lipschitz bound.
-
-    Evaluators are vectorized: they accept an (N, d) array of points and
-    return an (N,) array of values.
-    """
-
-    def __init__(self, evaluator, lip_bound: float, support_box):
-        self.evaluator = evaluator
-        self.lip_bound = float(lip_bound)
-        # Closed box (d, 2) outside of which the symbol is exactly zero.
-        self.support_box = np.asarray(support_box, dtype=float)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.atleast_2d(points))
-
-
 @dataclass(frozen=True)
 class TrigSymbol:
     """a(x) = b0 + slope . x + sum_j amp[j] cos(pi k[j] . x + ph[j]), with a
@@ -134,28 +117,3 @@ def random_trig_symbol(seed, dim: int) -> TrigSymbol:
         + amp2 * np.pi * float(np.linalg.norm(k2))
     return TrigSymbol(float(b0), slope, np.stack([k1, k2]), np.array([amp1, amp2]),
                       np.array([ph1, ph2]), float(lip))
-
-
-def window_symbol(support_box) -> LipschitzSymbol:
-    """Smooth bump: product of sin^2 arches on `support_box`, zero outside.
-
-    Continuously differentiable on the whole space (the arch has zero
-    slope at the support edge) and exactly zero off the closed support.
-    """
-    box = np.asarray(support_box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    widths = hi - lo
-    if np.any(widths <= 0):
-        raise ValueError("support box must have positive widths")
-
-    def evaluate(points):
-        points = np.atleast_2d(points)
-        t = (points - lo) / widths
-        inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
-        arch = np.sin(np.pi * np.clip(t, 0.0, 1.0)) ** 2
-        return inside * np.prod(arch, axis=1)
-
-    # |d/dx sin^2(pi t)| <= pi / width per axis; product of the others <= 1.
-    lip = np.pi * float(np.linalg.norm(1.0 / widths))
-    return LipschitzSymbol(evaluate, lip, box)
-

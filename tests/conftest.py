@@ -302,10 +302,11 @@ def assembled_reconstruction_residual(ifs, symbol, partition, level):
     algebra.  Kept as the reference that `reconstruction_residual`, which
     builds the blocks that can be nonzero in place, must equal bit for bit.
     The reference symbol is averaged on every cell."""
-    from ifslab.operators import CellOperator, mult_op, sample_to_cells
+    from ifslab.measure import cell_grid
+    from ifslab.operators import CellFunction, CellOperator, mult_op, sample_to_cells
 
     rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
-    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
     n = ifs.n_branches
     count = n ** (level - 1)
     position = np.full(n * count, len(rows))
@@ -325,7 +326,7 @@ def whole_depth_average_points(ifs, depth):
     from ifslab.measure import cell_grid
     from ifslab.operators import _offset_points
 
-    return _offset_points(ifs, cell_grid(ifs, depth).boxes)
+    return _offset_points(cell_grid(ifs, depth).boxes)
 
 
 def per_offset_average(ifs, evaluator, level):
@@ -406,12 +407,13 @@ def whole_depth_covariance_residual(ifs, symbol, depth):
     once, and the sum over i the row-times-column np.matmul product.  Kept
     as the pointwise oracle of the closed-form, tail-block
     `cli.covariance_residual`."""
+    from ifslab.measure import cell_grid
     from ifslab.operators import sample_to_cells
 
     n = ifs.n_branches
     field = trig_field(symbol)
-    a_fine = sample_to_cells(ifs, field, depth + 1, ifs.box.intervals)
-    products = np.ascontiguousarray(a_fine.values.reshape(n, -1).T) * ifs.weights
+    a_fine = sample_to_cells(field, cell_grid(ifs, depth + 1).boxes)
+    products = np.ascontiguousarray(a_fine.reshape(n, -1).T) * ifs.weights
     lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
     return float(np.abs(lhs - whole_depth_transfer(ifs, field, depth)).max())
 

@@ -118,7 +118,7 @@ def test_criterion_6_reconstruction(tent_square, tent_sigma):
         theta_res, op_res = [], []
         for depth in depths:
             vectors = bi.reconstruction_vectors(ifs, symbol, partition, depth + 1)
-            residual = bi.reconstruction_residual(ifs, symbol, vectors)
+            residual = bi.reconstruction_residual(ifs, vectors)
             theta_res.append(bi.verify_theta_reconstruction(ifs, residual))
             op_res.append(bi.verify_operator_reconstruction(residual))
         for series in (theta_res, op_res):

@@ -1,3 +1,4 @@
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,7 @@ from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, max_spectral_norm, mult_op, operator_norm,
                               sample_to_cells)
-from ifslab.sampling import LipschitzSymbol, uniform_doubles, window_symbol
+from ifslab.sampling import uniform_doubles
 
 
 def random_elements(ifs, depth, seed, count):
@@ -195,11 +196,18 @@ def build_at(ifs, symbol, min_pitch):
         bi.MIN_PITCH = saved
 
 
+@dataclass(frozen=True)
+class ScaledWindow(AdmissibleSymbol):
+    """`amplitude` times the sin^2 window on `support_box`."""
+
+    amplitude: float = 1.0
+
+    def __call__(self, points):
+        return self.amplitude * super().__call__(points)
+
+
 def scaled_window(support, amplitude):
-    """`amplitude` times the sin^2 window on `support`."""
-    window = window_symbol(support)
-    return LipschitzSymbol(lambda points: amplitude * window(points),
-                           abs(amplitude) * window.lip_bound, support_box=window.support_box)
+    return ScaledWindow(support, 0.05, amplitude)
 
 
 def test_cover_failure_reports_obstruction(tent_square):
@@ -284,7 +292,8 @@ def reference_partition(ifs, symbol, min_pitch=2.0**-12, failures=None):
                     failures.append(index)
                 break
         if failed is None:
-            return BumpPartition(nodes, float(pitch), clearance)
+            return BumpPartition(lo, np.array([r[0] for r in ranges]),
+                                 np.array([r[-1] for r in ranges]), float(pitch), clearance)
         last = failed
         pitch /= 2.0
     if last is None:
@@ -328,7 +337,7 @@ def oracle_cases():
                 half = rng.uniform(0.03, 0.15, ifs.dimension)
                 support = np.stack([np.maximum(center - half, 0.0),
                                     np.minimum(center + half, 1.0)], axis=1)
-                symbol = AdmissibleSymbol(window_symbol(support), delta)
+                symbol = AdmissibleSymbol(support, delta)
                 cases.append((f"{kind} draw {draw} delta {delta}", ifs, symbol,
                               min_pitch[ifs.dimension]))
     return cases
@@ -436,7 +445,7 @@ def moved_case(ifs, symbol, min_pitch, scale, shift):
     moved = IfsSystem(AmbientBox(scale * ifs.box.intervals + shift), branches,
                       name=ifs.name)
     support = scale * np.asarray(symbol.support_box, dtype=float) + shift
-    return moved, AdmissibleSymbol(window_symbol(support), scale * symbol.delta), scale * min_pitch
+    return moved, AdmissibleSymbol(support, scale * symbol.delta), scale * min_pitch
 
 
 def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
@@ -478,7 +487,7 @@ def test_clearance_certificate_at_its_edge(tent_square):
     # them, so the certificate must leave them to the kernel
     from ifslab.geometry import AffinePiece
 
-    symbol = AdmissibleSymbol(window_symbol([[0.2, 0.3], [0.2, 0.3]]), 0.05)
+    symbol = AdmissibleSymbol([[0.2, 0.3], [0.2, 0.3]], 0.05)
     for shift in (0.0, 1000.0):
         ifs, moved, _ = moved_case(tent_square.system, symbol, 2.0**-12, 1.0, shift)
         support = np.asarray(moved.support_box)
@@ -530,7 +539,7 @@ def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
         pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
         while pitch / 2.0 >= 0.1:
             pitch /= 2.0
-        nodes = bi._lattice_nodes(ifs, np.asarray(symbol.support_box, dtype=float), pitch)
+        nodes = bi._lattice(ifs, symbol.support_box, pitch, 0.0).nodes
         assert tested, label
         seen = np.concatenate(tested)
         assert seen.tobytes() == nodes[:len(seen)].tobytes(), label
@@ -574,19 +583,18 @@ def full_blocks(residual, n):
 
 
 def zero_symbol_case(ifs):
-    """The zero field on a support box, and the pitch-1/8 lattice over it."""
-    symbol = AdmissibleSymbol(scaled_window([[0.1, 0.4]] * ifs.dimension, 0.0), 0.05)
-    ticks = np.arange(1, 4) / 8.0
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*[ticks] * ifs.dimension, indexing="ij")],
-                     axis=1)
-    return symbol, BumpPartition(nodes, 0.125, 0.025)
+    """The zero field on a support box, and the pitch-1/8 lattice over it:
+    nodes k/8, k = 1..3, on every axis."""
+    d = ifs.dimension
+    symbol = scaled_window([[0.1, 0.4]] * d, 0.0)
+    return symbol, BumpPartition(ifs.box.lo, np.full(d, 1), np.full(d, 3), 0.125, 0.025)
 
 
 def test_vectors_zero_symbol(tent_square):
     symbol, partition = zero_symbol_case(tent_square.system)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
     assert vectors.size == 9 and len(vectors.rows) > 0 and not vectors.xi.any()
-    residual = reconstruction_residual(tent_square.system, symbol, vectors)
+    residual = reconstruction_residual(tent_square.system, vectors)
     assert verify_operator_reconstruction(residual) == 0.0
     assert verify_theta_reconstruction(tent_square.system, residual) == 0.0
 
@@ -594,7 +602,7 @@ def test_vectors_zero_symbol(tent_square):
 def test_bump_partition_refuses_no_nodes():
     # build_bump_partition always finds a node within one pitch of the support
     with pytest.raises(ValueError, match="at least one node"):
-        BumpPartition(np.zeros((0, 2)), 0.125, 0.025)
+        BumpPartition(np.zeros(2), np.array([1, 1]), np.array([3, 0]), 0.125, 0.025)
 
 
 def test_vectors_built_from_samples_bit_exactly(tent_square):
@@ -626,7 +634,7 @@ def test_vectors_reproduce_symbol_pointwise(tent_square):
 
 def theta_residual(ifs, symbol, partition, level):
     vectors = reconstruction_vectors(ifs, symbol, partition, level)
-    return verify_theta_reconstruction(ifs, reconstruction_residual(ifs, symbol, vectors))
+    return verify_theta_reconstruction(ifs, reconstruction_residual(ifs, vectors))
 
 
 def test_theta_reconstruction_rates(tent_square):
@@ -639,7 +647,7 @@ def test_theta_reconstruction_rates(tent_square):
 
 
 def test_broken_partition_detected(tent_square):
-    # dropping one bump leaves a hole of size max |a f_dropped|
+    # dropping one pair leaves a hole of size max |a f_dropped|
     ifs = tent_square.system
     symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
     partition = build_bump_partition(ifs, symbol)
@@ -650,10 +658,13 @@ def test_broken_partition_detected(tent_square):
     drop = int(np.argmax(bumps[drop]))
     hole = np.abs(np.asarray(symbol(centers)) * bumps[:, drop]).max()
     assert hole > 0.05
-    holed = BumpPartition(np.delete(partition.nodes, drop, axis=0), partition.pitch,
-                          partition.margin)
-    broken = theta_residual(ifs, symbol, holed, level)
-    intact = theta_residual(ifs, symbol, partition, level)
+    vectors = reconstruction_vectors(ifs, symbol, partition, level)
+    dropped = vectors.columns == drop
+    assert dropped.any()
+    holed = replace(vectors, columns=np.where(dropped, -1, vectors.columns),
+                    xi=np.where(dropped, 0.0, vectors.xi), eta=np.where(dropped, 0.0, vectors.eta))
+    broken = verify_theta_reconstruction(ifs, reconstruction_residual(ifs, holed))
+    intact = verify_theta_reconstruction(ifs, reconstruction_residual(ifs, vectors))
     assert broken >= hole - intact - 0.02
 
 
@@ -678,7 +689,7 @@ def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_
         partition = build_bump_partition(ifs, symbol)
         for level in levels:
             vectors = reconstruction_vectors(ifs, symbol, partition, level)
-            got = reconstruction_residual(ifs, symbol, vectors)
+            got = reconstruction_residual(ifs, vectors)
             expected = assembled_reconstruction_residual(ifs, symbol, partition, level)
             assert got.depth == expected.dom_depth == expected.cod_depth
             assert 0 < len(got.tails) < len(expected.matrix)
@@ -723,7 +734,7 @@ def test_operator_reconstruction_rates_second_system(tent_sigma):
     for depth in (2, 3, 4):
         vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
         residuals.append(verify_operator_reconstruction(
-            reconstruction_residual(ifs, symbol, vectors)))
+            reconstruction_residual(ifs, vectors)))
     for r0, r1 in zip(residuals, residuals[1:]):
         assert r1 / r0 <= 0.5  # contracts at least at the dominant ratio
 
@@ -748,7 +759,7 @@ def dense_reconstruction(ifs, symbol, partition, level):
     same sum over pairs as the kernel.
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
-    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -765,7 +776,7 @@ def dense_operator_residual(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     projection = dense_operator(composition_op(ifs, level - 1).compose(
         adjoint_composition_op(ifs, level - 1)))
-    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
     dense = (xi_cols @ eta_cols.T) * projection - np.diag(a_ref.values)
     root = np.sqrt(exact_cell_masses(ifs, level).masses)
     return dense, np.linalg.svd(root[:, None] * dense / root[None, :], compute_uv=False)[0]
@@ -776,10 +787,8 @@ def straddling_case(ifs):
     lattice on the whole box.  Not an admissible cover, but the kernels'
     sums must still equal the dense ones, here with several first letters
     per support tail."""
-    symbol = AdmissibleSymbol(window_symbol([[0.0, 0.7], [0.2, 0.6]]), 0.05)
-    ticks = np.arange(1, 8) / 8.0
-    nodes = np.stack([g.ravel() for g in np.meshgrid(ticks, ticks, indexing="ij")], axis=1)
-    return symbol, BumpPartition(nodes, 0.125, 0.025)
+    symbol = AdmissibleSymbol([[0.0, 0.7], [0.2, 0.6]], 0.05)
+    return symbol, BumpPartition(ifs.box.lo, np.array([1, 1]), np.array([7, 7]), 0.125, 0.025)
 
 
 @pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "zero_symbol", "straddling"])
@@ -799,7 +808,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
         stored_xi, stored_eta = dense_columns(vectors, len(xi_cols))
         np.testing.assert_array_equal(stored_xi, xi_cols)
         np.testing.assert_array_equal(stored_eta, eta_cols)
-        residual = reconstruction_residual(ifs, symbol, vectors)
+        residual = reconstruction_residual(ifs, vectors)
         reference = dense_reconstruction(ifs, symbol, partition, depth + 1)
         np.testing.assert_array_equal(full_blocks(residual, ifs.n_branches), reference.matrix)
         op = verify_operator_reconstruction(residual)
@@ -823,7 +832,7 @@ def dense_theta_fibres(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
     etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
-    a_ref = sample_to_cells(ifs, symbol, level, ifs.box.intervals)
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -865,9 +874,9 @@ def test_theta_residual_requires_uniform_weights(tent_1d):
     symbol = admissible_symbol(ifs, tent_1d.expected.admissible_support, delta=0.05)
     vectors = reconstruction_vectors(skew, symbol, build_bump_partition(ifs, symbol), 3)
     with pytest.raises(ValueError):
-        verify_theta_reconstruction(skew, reconstruction_residual(skew, symbol, vectors))
+        verify_theta_reconstruction(skew, reconstruction_residual(skew, vectors))
     with pytest.raises(DepthMismatch):
-        reconstruction_residual(ifs, symbol, reconstruction_vectors(
+        reconstruction_residual(ifs, reconstruction_vectors(
             ifs, symbol, build_bump_partition(ifs, symbol), 0))
 
 
@@ -996,7 +1005,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
     shifted = IfsSystem(AmbientBox(np.array([[0.1, 1.1]])),
                         [AffineContraction(np.array([[0.5]]), np.array([0.05])),
                          AffineContraction(np.array([[-0.5]]), np.array([1.15]))])
-    cases = [(shifted, AdmissibleSymbol(window_symbol([[0.7, 1.0]]), 0.05))]
+    cases = [(shifted, AdmissibleSymbol([[0.7, 1.0]], 0.05))]
     for _ in range(12):
         for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
             ifs = random_ifs(rng, kind)
@@ -1004,7 +1013,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
             half = rng.uniform(0.03, 0.15, ifs.dimension)
             support = np.stack([np.maximum(center - half, 0.0),
                                 np.minimum(center + half, 1.0)], axis=1)
-            cases.append((ifs, AdmissibleSymbol(window_symbol(support), 0.01)))
+            cases.append((ifs, AdmissibleSymbol(support, 0.01)))
     built = {1: 0, 2: 0, 3: 0}
     for ifs, symbol in cases:
         try:
@@ -1017,15 +1026,6 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
         got = bump_values(partition, probes)
         assert got.tobytes() == dense_bump_values(partition, probes).tobytes()
     assert all(count >= 2 for count in built.values()), built
-
-
-def test_bump_values_refuse_nodes_off_the_lattice():
-    nodes = np.array([[0.0, 0.0], [0.125, 0.0], [0.3, 0.125]])
-    with pytest.raises(ValueError, match="lattice"):
-        BumpPartition(nodes, 0.125, 0.025).tent_slots(np.zeros((1, 2)))
-    twice = np.array([[0.0], [0.125], [0.125]])
-    with pytest.raises(ValueError, match="share"):
-        BumpPartition(twice, 0.125, 0.025).tent_slots(np.zeros((1, 1)))
 
 
 def test_reconstruction_vectors_peak_memory(tent_sigma):
@@ -1051,26 +1051,64 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
     assert peak < 3 * 2**20, peak / 2**20
 
 
-def test_reconstruction_rows_equal_a_full_scan():
-    # the support rows come from the cells whose parents meet the nodes'
-    # reach: the rows, in order, and the pairs are the ones a scan of every
-    # center of the einsum grid gives, for lattices at the low corner, in the
-    # interior and at the high corner of catalog, rotated and 3-D systems
-    def symbol(points):
-        return 2.0 - points.sum(axis=1)
+def test_reconstruction_residual_peak_memory(tent_sigma):
+    # level 6 with the level-5 grid cached, after a warm-up call: the pairs
+    # and the reference averages come from one set of near cells, and the
+    # residual finds partners and tails in the sorted rows.  The dense
+    # level-6 reference and the whole-level position, block and kept
+    # arrays they replaced peaked at 3 128 800 bytes
+    import tracemalloc
 
+    ifs = tent_sigma.system
+    symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
+    partition = build_bump_partition(ifs, symbol)
+    cell_grid(ifs, 5)
+    reconstruction_residual(ifs, reconstruction_vectors(ifs, symbol, partition, 6))
+    tracemalloc.start()
+    try:
+        residual = reconstruction_residual(ifs, reconstruction_vectors(ifs, symbol, partition, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual.matrix.shape == (2550, 6, 6)
+    assert peak < 3_128_800, peak
+
+
+def test_one_cell_pass_per_reconstruction_level(monkeypatch, tmp_path):
+    # the pairs and the reference averages of a level share one cells_near call
+    from ifslab import cli
+
+    original = bi.cells_near
+    depths = []
+
+    def spy(ifs, depth, region):
+        depths.append(depth)
+        return original(ifs, depth, region)
+
+    monkeypatch.setattr(bi, "cells_near", spy)
+    code = cli.main(["reconstruct", "--system", "tent_sigma", "--depths", "2..4",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert depths == [3, 4, 5]
+
+
+def test_reconstruction_rows_equal_a_full_scan():
+    # the support rows and the averaged cells come from the cells whose
+    # parents meet the hull of the nodes' reach and the support: the rows, in
+    # order, the pairs and the reference averages are the ones a scan of
+    # every cell of the einsum grid gives, for lattices at the low corner, in
+    # the interior and at the high corner of catalog, rotated and 3-D systems
     selected = 0
     for ifs in grid_test_systems():
         n, d = ifs.n_branches, ifs.dimension
         pitch = float(ifs.box.sizes.min()) / 16
         for first in (ifs.box.lo, ifs.box.lo + 5 * pitch, ifs.box.hi - 2 * pitch):
-            axes = [first[a] + pitch * np.arange(3) for a in range(d)]
-            nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-            partition = BumpPartition(nodes, pitch, 0.0)
+            partition = BumpPartition(first, np.zeros(d, dtype=int), np.full(d, 2), pitch, 0.0)
+            symbol = scaled_window(np.stack([first, first + 2 * pitch], axis=1), 1.0)
             for depth in range(6):
                 if n**depth > 5_000:
                     break
-                centers = einsum_cell_grid(ifs, depth)[0]
+                centers, _, boxes = einsum_cell_grid(ifs, depth)
                 rows = partition.support_rows(centers)
                 vectors = reconstruction_vectors(ifs, symbol, partition, depth)
                 assert np.array_equal(vectors.rows, rows), (ifs.name, depth, first)
@@ -1080,6 +1118,10 @@ def test_reconstruction_rows_equal_a_full_scan():
                 assert vectors.eta.tobytes() == roots.tobytes()
                 xi = (n * symbol(centers[rows]))[:, None] * roots
                 assert vectors.xi.tobytes() == xi.tobytes()
+                cells = bi._support_cells(boxes, symbol.support_box)
+                assert np.array_equal(vectors.reference_cells, cells)
+                assert vectors.reference.tobytes() == \
+                    sample_to_cells(symbol, boxes[cells]).tobytes()
                 selected += 0 < len(rows) < n**depth
         deepest = max(m for m in range(6) if n**m <= 5_000)
         assert ("grid", deepest) not in ifs._cell_cache, ifs.name
@@ -1093,38 +1135,49 @@ def test_reconstruction_rows_equal_a_full_scan():
     ("tent_1d", [[0.6, 0.9]], -2.0),
 ])
 def test_support_sampling_equals_full_sampling(name, support, amplitude):
-    # against the averaging rule on every cell; the box as the support
-    # selects every cell
+    # the reference averages on the cells near the support, 0.0 elsewhere,
+    # against the averaging rule on every cell; averaging every cell's box
+    # gives the same bytes
     from ifslab import catalog
 
     ifs = catalog.get(name).system
     symbol = scaled_window(support, amplitude)
+    partition = bi._lattice(ifs, symbol.support_box, 2.0**-4, 0.0)
     for depth in range(2, 6):
         full = per_offset_average(ifs, symbol, depth)
-        restricted = sample_to_cells(ifs, symbol, depth, symbol.support_box)
-        assert restricted.values.tobytes() == full.tobytes(), depth
-        whole = sample_to_cells(ifs, symbol, depth, ifs.box.intervals)
-        assert whole.values.tobytes() == full.tobytes(), depth
+        vectors = reconstruction_vectors(ifs, symbol, partition, depth)
+        restricted = np.zeros(len(full))
+        restricted[vectors.reference_cells] = vectors.reference
+        assert restricted.tobytes() == full.tobytes(), depth
+        whole = sample_to_cells(symbol, cell_grid(ifs, depth).boxes)
+        assert whole.tobytes() == full.tobytes(), depth
         # the field is zero off the support; some cells are not
         assert np.count_nonzero(full) > 0
+        assert len(vectors.reference_cells) < len(full)
 
 
-def test_support_sampling_evaluates_touching_cells(tent_square):
+def test_support_sampling_evaluates_touching_cells(tent_square, monkeypatch):
     # [0.25, 0.5]^2 has its faces on cell faces from depth 2; the cells that
     # only touch it read t = 0 or t = 1 at their shared face, and the window
     # is sin(pi)^2 ~ 1.5e-32, not 0, at t = 1
+    from ifslab import operators
+
     ifs = tent_square.system
-    symbol = window_symbol([[0.25, 0.5], [0.25, 0.5]])
+    symbol = AdmissibleSymbol([[0.25, 0.5], [0.25, 0.5]], 0.05)
     assert symbol(np.array([[0.5, 0.375]]))[0] != 0.0
+    partition = bi._lattice(ifs, symbol.support_box, 2.0**-4, 0.0)
     evaluated = []
 
-    def recording(points):
-        evaluated.append(points.copy())
-        return symbol(points)
+    def averaging(evaluator, boxes):
+        def recording(points):
+            evaluated.append(points.copy())
+            return evaluator(points)
+        return operators.sample_to_cells(recording, boxes)
 
+    monkeypatch.setattr(bi, "sample_to_cells", averaging)
     for depth in (2, 3):
         evaluated.clear()
-        sample_to_cells(ifs, recording, depth, symbol.support_box)
+        reconstruction_vectors(ifs, symbol, partition, depth)
         boxes = cell_grid(ifs, depth).boxes
         touching = np.all((boxes[:, :, 1] >= 0.25) & (boxes[:, :, 0] <= 0.5), axis=1)
         assert touching.sum() < len(boxes)

@@ -555,6 +555,27 @@ def test_samples_flag_must_be_positive(tmp_path, capsys, value):
     assert "configuration error: samples must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["isometry=nan", "covariance_ratio_hi=inf",
+                                   "chaos_band_fraction=-inf"])
+def test_tolerance_flag_must_be_finite(tmp_path, capsys, value):
+    # a nan bound fails every row it judges and an infinite one passes it
+    key = value.split("=")[0]
+    code = run(["verify", "--system", "tent_1d", "--depths", "2..3", "--tol", value,
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"configuration error: tolerance {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # PCG64 takes no negative seed: refused before any work, with the seed named
+    code = run(["verify", "--system", "tent_1d", "--depths", "2..3", "--seed", "-1",
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("lines,message", [
     ("[run]\ndelta = 0", "delta must be finite and > 0"),
     ("[run]\ndelta = -0.05", "delta must be finite and > 0"),
@@ -565,8 +586,12 @@ def test_samples_flag_must_be_positive(tmp_path, capsys, value):
     ("[run]\nseed = 1.5", "seed in [run] of"),
     ("[tolerances]\nisometry = tight", "isometry in [tolerances] of"),
     ("delta = 0.05", "malformed config file"),
+    ("[run]\nseed = -1", "seed must be >= 0"),
+    ("[tolerances]\nisometry = nan", "tolerance isometry must be finite"),
+    ("[tolerances]\ncovariance_ratio_hi = inf", "tolerance covariance_ratio_hi must be finite"),
 ], ids=["delta-zero", "delta-negative", "delta-nan", "delta-text", "samples-zero",
-        "samples-text", "seed-fraction", "tolerance-text", "no-section"])
+        "samples-text", "seed-fraction", "tolerance-text", "no-section", "seed-negative",
+        "tolerance-nan", "tolerance-inf"])
 def test_config_file_values_are_checked(tmp_path, capsys, lines, message):
     config = tmp_path / "run.cfg"
     config.write_text(f"{lines}\n")

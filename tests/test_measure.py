@@ -375,9 +375,9 @@ def test_mass_vectors_are_probability_vectors(tent_sigma):
 
 def test_cell_measure_rejects_bad_vectors():
     with pytest.raises(ValueError):
-        CellMeasure(1, np.array([0.5, 0.4]), "exact")
+        CellMeasure(1, np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
-        CellMeasure(1, np.array([-0.1, 1.1]), "exact")
+        CellMeasure(1, np.array([-0.1, 1.1]))
 
 
 def test_grid_half_frames_equal_einsum():

@@ -4,15 +4,17 @@ import pytest
 from conftest import (dense_gram_adjoint, dense_operator, einsum_cell_grid, grid_test_systems,
                       per_offset_average, random_ifs, trig_field, whole_depth_average_points,
                       whole_depth_covariance_residual, whole_depth_transfer)
+from ifslab import bimodule as bi
 from ifslab import catalog, cli
 from ifslab import measure as mea
 from ifslab import operators as op
+from ifslab.bimodule import AdmissibleSymbol
 from ifslab.errors import DepthMismatch
 from ifslab.measure import cell_grid, chaos_game, exact_cell_masses, index_word
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, mult_op, operator_norm, sample_to_cells,
                               transfer_op, transfer_values)
-from ifslab.sampling import halton_points, random_trig_symbol, window_symbol
+from ifslab.sampling import halton_points, random_trig_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -21,8 +23,8 @@ from ifslab.sampling import halton_points, random_trig_symbol, window_symbol
 
 def test_sample_constant(tent_square):
     ifs = tent_square.system
-    f = sample_to_cells(ifs, lambda p: np.ones(len(p)), 3, ifs.box.intervals)
-    np.testing.assert_array_equal(f.values, np.ones(64))
+    f = sample_to_cells(lambda p: np.ones(len(p)), cell_grid(ifs, 3).boxes)
+    np.testing.assert_array_equal(f, np.ones(64))
 
 
 def test_sample_coordinate_centers(tent_square):
@@ -46,8 +48,8 @@ def test_average_rule_close_to_center(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(5, 2)
     center = trig_field(symbol)(cell_grid(ifs, 4).centers)
-    average = sample_to_cells(ifs, trig_field(symbol), 4, ifs.box.intervals)
-    assert np.abs(center - average.values).max() \
+    average = sample_to_cells(trig_field(symbol), cell_grid(ifs, 4).boxes)
+    assert np.abs(center - average).max() \
         <= symbol.lip_bound * ifs.c2**4 * ifs.box.diameter
 
 
@@ -475,7 +477,7 @@ def four_operator_covariance_residual(ifs, symbol, depth):
     """|C* M_a C - M_(La)| through the block operators: compose, subtract
     and operator_norm on the same pointwise sampled a and La."""
     field = trig_field(symbol)
-    a_fine = sample_to_cells(ifs, field, depth + 1, ifs.box.intervals)
+    a_fine = CellFunction(depth + 1, sample_to_cells(field, cell_grid(ifs, depth + 1).boxes))
     lhs = adjoint_composition_op(ifs, depth).compose(mult_op(ifs, a_fine)).compose(
         composition_op(ifs, depth))
     rhs = mult_op(ifs, CellFunction(depth, whole_depth_transfer(ifs, field, depth)))
@@ -549,11 +551,9 @@ def test_covariance_residual_equals_four_operator_expression():
 
 
 def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
-    from ifslab.sampling import window_symbol
-
     ifs = tent_sigma.system
     field = trig_field(random_trig_symbol((7, 101, 0), 2))
-    window = window_symbol([[0.05, 0.95], [0.05, 0.95]])
+    window = AdmissibleSymbol([[0.05, 0.95], [0.05, 0.95]], 0.05)
     rows = []
 
     def recording(field):
@@ -563,14 +563,16 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
         return evaluate
 
     # depth 6: 5 x 6^6 averaging points
-    got = sample_to_cells(ifs, recording(field), 6, ifs.box.intervals)
+    boxes = cell_grid(ifs, 6).boxes
+    got = sample_to_cells(recording(field), boxes)
     assert sum(rows) == 5 * 6**6 and max(rows) <= 2**15
-    assert got.values.tobytes() == per_offset_average(ifs, field, 6).tobytes()
+    assert got.tobytes() == per_offset_average(ifs, field, 6).tobytes()
 
     rows.clear()
-    got = sample_to_cells(ifs, recording(window), 6, window.support_box)
+    cells = bi._support_cells(boxes, window.support_box)
+    got = sample_to_cells(recording(window), boxes[cells])
     assert sum(rows) > 2**15 and max(rows) <= 2**15
-    assert got.values.tobytes() == per_offset_average(ifs, window, 6).tobytes()
+    assert got.tobytes() == per_offset_average(ifs, window, 6)[cells].tobytes()
 
 
 def test_support_averaging_points_equal_gathered_rows():
@@ -589,28 +591,31 @@ def test_support_averaging_points_equal_gathered_rows():
             full = whole_depth_average_points(ifs, depth)
             assert full.tobytes() == (lo + offsets[:, None, :] * sizes).reshape(
                 -1, ifs.dimension).tobytes()
-            cells = op._support_cells(boxes, support)
+            cells = bi._support_cells(boxes, support)
             assert 0 < len(cells) < len(boxes)
             gathered = full.reshape(len(offsets), len(boxes), -1)[:, cells].reshape(
                 -1, ifs.dimension)
-            assert op._offset_points(ifs, boxes[cells]).tobytes() == gathered.tobytes()
+            assert op._offset_points(boxes[cells]).tobytes() == gathered.tobytes()
 
 
 def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkeypatch):
+    # the reference symbol of a reconstruction level places averaging points
+    # in the cells that meet its support, and in no others
     ifs = tent_sigma.system
-    window = window_symbol(tent_sigma.expected.admissible_support)
+    window = bi.admissible_symbol(ifs, tent_sigma.expected.admissible_support)
+    partition = bi.build_bump_partition(ifs, window)
     built = []
     original = op._offset_points
 
-    def recording(ifs, boxes):
+    def recording(boxes):
         built.append(len(boxes))
-        return original(ifs, boxes)
+        return original(boxes)
 
     monkeypatch.setattr(op, "_offset_points", recording)
     for depth in (4, 6):
         built.clear()
-        sample_to_cells(ifs, window, depth, window.support_box)
-        cells = op._support_cells(cell_grid(ifs, depth).boxes, window.support_box)
+        bi.reconstruction_vectors(ifs, window, partition, depth)
+        cells = bi._support_cells(cell_grid(ifs, depth).boxes, window.support_box)
         assert built == [len(cells)] and len(cells) < 6**depth / 4
 
 
@@ -729,18 +734,18 @@ def test_support_sampling_selects_the_full_scan_cells():
                 assert near_half.tobytes() == half[cells].tobytes()
                 near_boxes = mea.frame_boxes(near_centers, near_half)
                 assert near_boxes.tobytes() == boxes[cells].tobytes()
-                full = op._support_cells(boxes, region)
-                assert np.array_equal(cells[op._support_cells(near_boxes, region)], full)
+                full = bi._support_cells(boxes, region)
+                inside = bi._support_cells(near_boxes, region)
+                assert np.array_equal(cells[inside], full)
                 selected += len(full) > 0
                 pruned += len(cells) < n**depth
 
-                want = np.zeros(n**depth)
                 total = np.zeros(len(full))
-                points = op._offset_points(ifs, boxes[full])
+                points = op._offset_points(boxes[full])
                 for values in op._blocks(field, points, len(full)) if len(full) else ():
                     total = total + values
-                want[full] = total / op.DEFAULT_AVERAGE_POINTS
-                got = sample_to_cells(ifs, field, depth, region).values
+                want = total / op.DEFAULT_AVERAGE_POINTS
+                got = sample_to_cells(field, near_boxes[inside])
                 assert got.tobytes() == want.tobytes(), (ifs.name, depth, region)
             assert ("grid", depth) not in ifs._cell_cache or depth == 0
     assert selected >= 150 and pruned >= 80, (selected, pruned)

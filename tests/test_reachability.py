@@ -205,6 +205,8 @@ def command_runs(tmp_path):
         (["verify", "--depths", "3..2"], 2),
         (["verify", "--tol", "bogus=1"], 2),
         (["verify", "--tol", "isometry"], 2),
+        (["verify", "--tol", "isometry=nan"], 2),
+        (["verify", "--system", "tent_1d", "--depths", "2..3", "--seed", "-1"], 2),
         (["verify", "--config", str(unknown_key)], 2),
         (["verify", "--config", str(tmp_path / "missing.cfg")], 2),
         (["reconstruct", "--delta", "0"], 2),
