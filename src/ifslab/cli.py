@@ -98,14 +98,15 @@ def covariance_residual(ifs, symbols, depth: int) -> list[float]:
 
     Both sides are diagonal on V_m: C* M_a C multiplies by
     w -> sum_i p_i a(i.w), so the norm is max_w |sum_i p_i a(i.w) - (La)(w)|.
-    The cell averages come in closed form, one block of tails at a time
-    (`operators.trig_tail_blocks`), and each symbol keeps its running
-    maximum.  The sum over i runs over the branches in order.
+    The gaps come in closed form, one block of tails at a time
+    (`operators.trig_tail_blocks`): per symbol, branch, mode and tail one
+    cosine of the fine-minus-transfer difference, whose magnitude and
+    angle are formed once per class of equal tail half frames.  Each
+    symbol keeps its running maximum.
     """
     worst = np.zeros(len(symbols))
-    for fine, transfer in operators.trig_tail_blocks(ifs, symbols, depth):
-        lhs = (fine * ifs.weights[:, None]).sum(axis=1)
-        worst = np.maximum(worst, np.abs(lhs - transfer).max(axis=1))
+    for gap in operators.trig_tail_blocks(ifs, symbols, depth):
+        worst = np.maximum(worst, np.abs(gap).max(axis=1))
     return [float(value) for value in worst]
 
 

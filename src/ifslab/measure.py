@@ -135,10 +135,10 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     """The depth-m cell grid, built once per system and depth.
 
     A command caches the grids of the depths up to its last depth m in
-    `ifs._cell_cache`.  It reads the depth-(m+1) cells only a block of
-    tails at a time or near a support (`child_frames`, `cells_near`), and
-    builds no grid of that depth.  Each level applies every branch to the centers and half-frames of the
-    level above (`child_frames`), so a new depth continues from the deepest
+    `ifs._cell_cache`.  It reads the depth-(m+1) cells only near a support
+    (`cells_near`), and builds no grid of that depth.  Each level applies
+    every branch to the centers and half-frames of the level above
+    (`child_frames`), so a new depth continues from the deepest
     grid already built at a smaller depth; the arrays are the ones a build
     from depth 0 gives.  A branch's linear part L acts on the half-frames as
     the sum over b, in order from 0.0, of L[:, b] times row b of each frame:

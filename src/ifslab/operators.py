@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import cell_grid, check_depth, child_frames, frame_boxes
+from .measure import cell_grid, check_depth
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -166,7 +166,7 @@ def _offset_points(boxes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cell means of trigonometric symbols, in closed form
+# The covariance gap of trigonometric symbols, in closed form
 # ---------------------------------------------------------------------------
 
 def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -179,65 +179,30 @@ def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return total
 
 
-def _size_classes(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, representatives): the class of each row of sizes (N, d),
-    rows in one class being bitwise equal, and one row per class.
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, representatives): the class of each row of rows (N, c),
+    rows in one class being equal entry by entry, and one row per class.
 
     The rows are grouped one column at a time: each column's sorted
-    distinct values give a rank, and the ranks combine into one code per
-    row, an integer below N^d held exactly in a double.  Sorting and
+    distinct values give a rank, and the ranks combine into one integer
+    code per row.  Before a column could carry a code past 2^62 the codes
+    are renumbered by their rank, so every code stays exact.  Sorting and
     binary search only, which is cheaper than sorting the rows whole.
     """
-    code = np.zeros(len(sizes))
-    for column in sizes.T:
+    code = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every code is below bound
+    for column in rows.T:
         values = np.unique(column)
+        if bound * len(values) > 2**62:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
         code = code * len(values) + np.searchsorted(values, column)
+        bound *= len(values)
     codes = np.unique(code)
     classes = np.searchsorted(codes, code)
     first = np.empty(len(codes), dtype=np.intp)
-    first[classes] = np.arange(len(sizes))
-    return classes, sizes[first]
-
-
-def _trig_means(terms, boxes: np.ndarray) -> np.ndarray:
-    """The averaging rule applied to trig terms in closed form: (K, Q, N).
-
-    `terms` is (b0, slope, k, amp, ph) with shapes (K, Q), (K, Q, d),
-    (K, Q, J, d), (K, Q, J) and (K, Q, J): term (k, q) is
-    b0 + slope . x + sum_j amp_j cos(pi k_j . x + ph_j).  Its mean over
-    the Halton points lo + o_s * size of the box hull (lo, lo + size) of
-    each of the N boxes (N, d, 2) is
-
-        b0 + slope . (lo + mean_s o_s * size)
-           + sum_j amp_j Re(e^{i(pi k_j . lo + ph_j)} E_j),
-        E_j = mean_s e^{i pi k_j . (o_s * size)},
-
-    and amp_j Re(e^{i theta} E_j) = amp_j |E_j| cos(theta + arg E_j) costs
-    one cosine per mode and box.  E_j depends on the size alone, so it is
-    formed once per class of bitwise-equal sizes (`_size_classes`).
-    """
-    b0, slope, k, amp, ph = terms
-    offsets = halton_points(DEFAULT_AVERAGE_POINTS, boxes.shape[1])  # (s, d)
-    lo = boxes[:, :, 0]
-    sizes = boxes[:, :, 1] - lo
-    classes, class_sizes = _size_classes(sizes)
-    out = _axis_sum(slope, lo + offsets.mean(axis=0) * sizes)
-    out += b0[..., None]
-    # E per class, from the offsets' phases (K, Q, J, s, C) averaged over s
-    shifts = _axis_sum(k, (offsets[:, None, :] * class_sizes).reshape(-1, boxes.shape[1]))
-    shifts *= np.pi
-    shifts = shifts.reshape(*k.shape[:-1], DEFAULT_AVERAGE_POINTS, len(class_sizes))
-    real = np.cos(shifts).sum(axis=-2) / DEFAULT_AVERAGE_POINTS
-    imag = np.sin(shifts).sum(axis=-2) / DEFAULT_AVERAGE_POINTS
-    # amp Re(e^{i theta} E) = amp |E| cos(theta + arg E), per box
-    theta = _axis_sum(k, lo)
-    theta *= np.pi
-    theta += ph[..., None]
-    theta += np.arctan2(imag, real)[..., classes]
-    np.cos(theta, out=theta)
-    theta *= (amp[..., None] * np.hypot(real, imag))[..., classes]
-    out += theta.sum(axis=-2)
-    return out
+    first[classes] = np.arange(len(rows))
+    return classes, rows[first]
 
 
 def _symbol_terms(symbols) -> tuple:
@@ -266,6 +231,75 @@ def _branch_terms(ifs: IfsSystem, terms) -> tuple:
             ph + np.pi * np.moveaxis(_axis_sum(k[:, 0], shift), -1, 1))
 
 
+def _phasor_means(k: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """mean_s e^{i pi k . x_s} for frequencies k (*F, d) and points x
+    (*P, s, C, d): a complex (*F, *P, C) array."""
+    phase = _axis_sum(k, points.reshape(-1, points.shape[-1]))
+    phase *= np.pi
+    return np.exp(1j * phase).reshape(*k.shape[:-1], *points.shape[:-1]).mean(axis=-2)
+
+
+def _class_terms(ifs: IfsSystem, slope: np.ndarray, k: np.ndarray, branch_k: np.ndarray,
+                 half: np.ndarray) -> tuple:
+    """(shift, fine - coarse, coarse): what the fine-minus-transfer difference
+    reads of the tail frames, for the C half frames half (C, d, d), one per
+    class.
+
+    Branch i maps a tail w of half frame H to the cell i.w of half frame
+    A_i H.  With ext and ext_i the row sums of |H| and of |A_i H|, the
+    hulls of w and i.w have the sizes 2 ext and 2 ext_i, and the hull of
+    i.w starts at A_i lo_w + t_i + delta_i, delta_i = A_i ext - ext_i.  So,
+    per symbol, branch i, mode j and class, with the symbols' slopes
+    (K, d), frequencies k (K, J, d) and those of a o gamma_i, branch_k =
+    A_i^T k (K, n, J, d), the Halton offsets o_s and their mean ō:
+
+        shift = slope . (delta_i + ō⊙2ext_i - A_i (ō⊙2ext))      (K, n, C)
+        fine = mean_s e^{i pi k_j . (delta_i + o_s⊙2ext_i)}       (K, n, J, C)
+        coarse = mean_s e^{i pi branch_k_j . (o_s⊙2ext)}           (K, n, J, C)
+
+    None of them depends on where the tail sits.  Every product over the d
+    axes is an elementwise sum in axis order (`_axis_sum`).
+    """
+    n, d, count = ifs.n_branches, ifs.dimension, len(half)
+    offsets = halton_points(DEFAULT_AVERAGE_POINTS, d)[:, None, :]  # (s, 1, d)
+    linear = np.stack([gamma.linear for gamma in ifs.branches])     # (n, d, d)
+    ext = np.abs(half).sum(axis=2)                                  # (C, d)
+    # A_i H column by column: entry (i, r, c d + col) is (A_i H_c)[r, col]
+    fine_half = _axis_sum(linear, np.swapaxes(half, 1, 2).reshape(-1, d))
+    ext_fine = np.abs(fine_half).reshape(n, d, count, d).sum(axis=3).transpose(0, 2, 1)
+    delta = np.swapaxes(_axis_sum(linear, ext), 1, 2) - ext_fine  # (n, C, d)
+    size, size_fine = 2.0 * ext, 2.0 * ext_fine
+    mid = offsets.mean(axis=0)
+    drift = delta + mid * size_fine - np.swapaxes(_axis_sum(linear, mid * size), 1, 2)
+    shift = _axis_sum(slope, drift.reshape(-1, d)).reshape(len(slope), n, count)
+    fine = np.swapaxes(_phasor_means(k, delta[:, None] + offsets * size_fine[:, None]), 1, 2)
+    coarse = _phasor_means(branch_k, offsets * size)
+    return shift, fine - coarse, coarse
+
+
+def _mode_sum(wavenumbers: np.ndarray, lo: np.ndarray, ph: np.ndarray, amp: np.ndarray,
+              phasors: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """sum_j amp_j Re(e^{i theta_j} X_j) = sum_j amp_j |X_j| cos(theta_j + arg X_j),
+    theta = wavenumbers . lo + ph, for wavenumbers (K, n, J, d), ph and amp
+    (K, n, J), the W points lo (W, d) and the phasors X (K, n, J, C) of
+    each point's class: a (K, n, W) array, one cosine per symbol, branch,
+    mode and point.  The angle is ph + arg X, taken into [-pi, pi], then
+    the products over the axes added in order."""
+    offset = ph[..., None] + np.angle(phasors)
+    offset -= 2 * np.pi * np.round(offset / (2 * np.pi))  # np.cos is faster near 0
+    wave = offset[..., classes]
+    term = np.empty_like(wave)
+    for axis in range(lo.shape[1]):
+        np.multiply(wavenumbers[..., axis:axis + 1], lo[:, axis], out=term)
+        wave += term
+    np.cos(wave, out=wave)
+    wave *= (amp[..., None] * np.abs(phasors))[..., classes]
+    total = wave[..., 0, :]
+    for mode in range(1, wave.shape[-2]):
+        total += wave[..., mode, :]
+    return total
+
+
 def _block_tails(rows_per_tail: int) -> int:
     """Tails per block of `trig_tail_blocks`: a block's rows, one per symbol,
     branch and tail, number at most _EVAL_ROWS (or one tail's do, if they
@@ -274,37 +308,61 @@ def _block_tails(rows_per_tail: int) -> int:
 
 
 def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
-    """The averaging rule applied to each trig symbol a and to L a, block of
-    tails by block, in closed form.
+    """The covariance gap sum_i p_i a(i.w) - (L a)(w) of each trig symbol a,
+    block of tails by block, in closed form.
 
-    L a = (1/n) sum_i a o gamma_i.  For each block of consecutive tails w
-    of length m (the depth), yields `fine`, a (symbols, n, W) array with
-    fine[k, i, v] the average of symbol k on the depth-(m+1) cell i.w of
-    the block's v-th tail w, and `transfer`, a (symbols, W) array with the
-    average of L a_k on the depth-m cell w.  Both are `_trig_means`: of
-    the symbols on the fine cells' box hulls, and of every a_k o gamma_i
-    (`_branch_terms`) on the depth-m hulls, the branches then summed in
-    order and divided by n.  The fine cells of a block are formed from the
-    cached depth-m frames of its tails (`measure.child_frames`), the bytes
-    of the same rows of the depth-(m+1) grid, which is never built.  Each
-    block takes every symbol and branch in one call per side, and holds at
-    most _EVAL_ROWS (symbol, branch, tail) rows.
+    a(i.w) is the averaging rule's mean of a on the hull of the
+    depth-(m+1) cell i.w, (L a)(w) = (1/n) sum_i of the mean of a o gamma_i
+    (`_branch_terms`) on the hull of the depth-m cell w, and the depth m
+    is `depth`.  For each block of consecutive tails w, yields a
+    (symbols, W) array of the gaps of the block's W tails.
+
+    The two means of one symbol k, branch i and tail w differ only through
+    the tail's half frame H_w, not through where w sits: with the phase
+    theta_j = pi (A_i^T k_j) . lo_w + ph_j + pi k_j . t_i of a o gamma_i
+    on the hull of w, the fine mean minus the transfer mean is
+
+        shift + sum_j amp_j |F_j - G_j| cos(theta_j + arg(F_j - G_j)),
+
+    with shift, F = fine and G = coarse from `_class_terms`.  Those are
+    formed once per class of equal H_w among the block's tails
+    (`_row_classes`), and a block whose classes are the last block's
+    reuses them, so each (symbol, branch, mode, tail) costs one cosine, and
+    no depth-(m+1) frame, hull or size is formed.  The differences are
+    weighted by p_i and summed over the branches in order.  Unless every
+    weight is 1/n exactly, sum_i (p_i - 1/n) times the mean of a o gamma_i
+    on the hull of w is added, which makes the gap exact for any weights.
+    A block holds at most _EVAL_ROWS (symbol, branch, tail) rows.
     """
-    n = ifs.n_branches
+    n, d = ifs.n_branches, ifs.dimension
     check_depth(n, depth + 1)
     grid = cell_grid(ifs, depth)
     count = len(grid.centers)
     terms = _symbol_terms(symbols)
-    composed = _branch_terms(ifs, terms)
+    symbol_slope, symbol_k = terms[1][:, 0], terms[2][:, 0]
+    b0, slope, k, amp, ph = _branch_terms(ifs, terms)
+    wavenumbers = np.pi * k
+    skew = ifs.weights - 1.0 / n
+    mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
     step = _block_tails(len(symbols) * n)
+    last_frames = None
     for start in range(0, count, step):
         tails = slice(start, start + step)
-        width = min(step, count - start)
-        fine_frames = child_frames(ifs, [(grid.centers[tails], grid.half_frames[tails])] * n,
-                                   count)
-        fine = _trig_means(terms, frame_boxes(*fine_frames))
-        transfer = _trig_means(composed, grid.boxes[tails]).sum(axis=1) / n
-        yield fine.reshape(len(symbols), n, width), transfer
+        classes, frames = _row_classes(grid.half_frames[tails].reshape(-1, d * d))
+        if not np.array_equal(frames, last_frames):  # else the last block's terms hold
+            last_frames = frames
+            shift, phasors, coarse = _class_terms(ifs, symbol_slope, symbol_k, k,
+                                                  frames.reshape(-1, d, d))
+        lo = grid.boxes[tails, :, 0]
+        difference = _mode_sum(wavenumbers, lo, ph, amp, phasors, classes)
+        difference += shift[..., classes]
+        gap = (difference * ifs.weights[:, None]).sum(axis=1)
+        if skew.any():
+            size = grid.boxes[tails, :, 1] - lo
+            transfer = _axis_sum(slope, lo + mid * size) + b0[..., None]
+            transfer += _mode_sum(wavenumbers, lo, ph, amp, coarse, classes)
+            gap += (transfer * skew[:, None]).sum(axis=1)
+        yield gap
 
 
 def sample_to_cells(evaluator, boxes: np.ndarray) -> np.ndarray:
@@ -373,22 +431,24 @@ def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
 # Operator norm
 # ---------------------------------------------------------------------------
 
-def max_spectral_norm(blocks: np.ndarray) -> float:
-    """max_w |blocks[w]|_2 over a (T, r, c) stack, with one SVD per block
-    whose norm the stack does not already fix.
+def max_spectral_norm(blocks: np.ndarray, scale=1.0) -> float:
+    """max_w |blocks[w] * scale|_2 over a (T, r, c) stack, with one SVD per
+    block whose norm the stack does not already fix; `scale` is a factor
+    (r, c) applied entrywise to every block.
 
     If every block equals the first (an all-zero stack among them), that
     block's norm is the answer.  Otherwise the all-zero blocks, whose norm
-    0 is never the maximum, are dropped before the batched SVD.  The value
-    is the one the batched norm of the whole stack gives.  An empty stack
-    has norm 0.
+    0 is never the maximum, are dropped, and only the kept blocks are
+    scaled, before the batched SVD.  The value is the one the batched norm
+    of the whole scaled stack gives.  An empty stack has norm 0.
     """
     if len(blocks) == 0:
         return 0.0
     first = blocks[0]
     if (blocks == first).all():
-        return float(np.linalg.norm(first, ord=2))
-    nonzero = blocks[blocks.any(axis=(1, 2))]
+        return float(np.linalg.norm(first * scale, ord=2))
+    nonzero = blocks[blocks.any(axis=(1, 2))]  # a copy, scaled in place
+    nonzero *= scale
     return float(np.linalg.norm(nonzero, ord=2, axis=(1, 2)).max())
 
 
@@ -401,18 +461,17 @@ def operator_norm(op: CellOperator) -> float:
     a diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
     max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
     underflow).  Larger blocks take one SVD per nonzero block
-    (`max_spectral_norm`): zero blocks count as 0, and when all blocks are
-    equal they share one SVD.  `op` may also hold only the blocks that can
-    be nonzero (`bimodule.ReconstructionResidual`): the omitted ones have
-    norm 0.
+    (`max_spectral_norm`): zero blocks count as 0 and are never rescaled,
+    and when all blocks are equal they share one SVD.  `op` may also hold
+    only the blocks that can be nonzero (`bimodule.ReconstructionResidual`):
+    the omitted ones have norm 0.
     """
     _, rows, cols = op.matrix.shape
     scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]
                     / _letter_masses(op.weights, cols)[None, :])
-    blocks = op.matrix * scale
     if min(rows, cols) > 1:
-        return max_spectral_norm(blocks)
-    return float(np.linalg.norm(blocks, axis=(1, 2)).max())
+        return max_spectral_norm(op.matrix, scale)
+    return float(np.linalg.norm(op.matrix * scale, axis=(1, 2)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ class TrigSymbol:
     """a(x) = b0 + slope . x + sum_j amp[j] cos(pi k[j] . x + ph[j]), with a
     Lipschitz bound.
 
-    Only its parameters are kept: the covariance check takes the mean of a
-    over each cell's averaging points in closed form
+    Only its parameters are kept: the covariance check takes the difference
+    of a's means over the cells' averaging points in closed form
     (`operators.trig_tail_blocks`), so nothing evaluates it pointwise.
     """
 

@@ -481,8 +481,8 @@ def stacked_transfer_equality_residual(ifs, depth):
 def grid_test_systems():
     """Fresh copies (empty caches) of the catalog systems and of seeded
     "2d-rotated" and "3d" random_ifs systems: the systems on which cell
-    frames formed in blocks or near a region are checked against
-    `einsum_cell_grid`."""
+    frames formed near a region are checked against `einsum_cell_grid`,
+    and on which the covariance gap must form no finer frame."""
     from ifslab.geometry import IfsSystem
 
     rng = np.random.default_rng(11)  # two-branch rotated systems, three- and eight-branch 3-D

@@ -473,6 +473,29 @@ def test_letter_masses_equal_kron_products():
                 assert (got == expected).all(), (n, power)
 
 
+def test_row_classes_group_equal_rows():
+    # the classes are the distinct rows, also when the per-column ranks
+    # multiply past 2^64: with nine columns of 256 values, rows that differ
+    # only in the first column would share a wrapped code unless the codes
+    # are renumbered on the way
+    rng = np.random.default_rng(31)
+    cases = []
+    for count, columns, values in ((1, 4, 3), (500, 4, 3), (3000, 9, 2), (3000, 9, 256)):
+        rows = rng.integers(values, size=(count, columns)) * 0.1
+        rows[rng.integers(count, size=count // 2)] = rows[0]
+        cases.append(rows)
+    rows[:256] = np.arange(256)[:, None] * 0.1
+    rows[256:512] = rows[:256]
+    rows[256:512, 0] = np.roll(rows[:256, 0], 1)
+    for rows in cases:
+        classes, representatives = op._row_classes(rows)
+        # every row equals its class's row, and there are as many classes
+        # as distinct rows, each holding a row
+        assert (representatives[classes] == rows).all()
+        assert len(representatives) == len(np.unique(rows, axis=0))
+        assert np.array_equal(np.unique(classes), np.arange(len(representatives)))
+
+
 def four_operator_covariance_residual(ifs, symbol, depth):
     """|C* M_a C - M_(La)| through the block operators: compose, subtract
     and operator_norm on the same pointwise sampled a and La."""
@@ -548,6 +571,29 @@ def test_covariance_residual_equals_four_operator_expression():
                         <= ORACLE_ATOL, (ifs.name, seed, k, depth)
                     checked += 1
     assert checked == 600 + 20 + 12 * 20 + 150
+
+
+def test_covariance_residual_on_near_uniform_weights():
+    # weights within 1e-12 of 1/n pass is_hutchinson without being 1/n, so
+    # the gap adds sum_i (p_i - 1/n) times the transfer side's means; equal
+    # to the block operators' value within ORACLE_ATOL
+    from ifslab.geometry import IfsSystem
+
+    cases = [("tent_1d", [0.5 + 1e-13, 0.5 - 1e-13]),
+             ("tent_square", [0.25 + 3e-13, 0.25 - 1e-13, 0.25 - 2e-13, 0.25])]
+    checked = 0
+    for name, weights in cases:
+        system = catalog.get(name).system
+        ifs = IfsSystem(system.box, system.branches, weights=weights)
+        assert ifs.is_hutchinson() and (ifs.weights != 1.0 / ifs.n_branches).any()
+        for k in range(5):
+            symbol = random_trig_symbol((7, 101, k), ifs.dimension)
+            for depth in (2, 3, 4):
+                got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                assert abs(got - four_operator_covariance_residual(ifs, symbol, depth)) \
+                    <= ORACLE_ATOL, (name, k, depth)
+                checked += 1
+    assert checked == 2 * 5 * 3
 
 
 def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
@@ -645,13 +691,13 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
     if tail_block is not None:
         monkeypatch.setattr(op, "_block_tails", lambda rows_per_tail: tail_block)
     rows = []
-    original = op._trig_means
+    original = op._mode_sum
 
-    def recording(terms, boxes):
-        rows.append(terms[0].size * len(boxes))
-        return original(terms, boxes)
+    def recording(wavenumbers, lo, ph, amp, phasors, classes):
+        rows.append(amp.shape[0] * amp.shape[1] * len(lo))
+        return original(wavenumbers, lo, ph, amp, phasors, classes)
 
-    monkeypatch.setattr(op, "_trig_means", recording)
+    monkeypatch.setattr(op, "_mode_sum", recording)
     checked = 0
     for ifs, depths in covariance_systems():
         symbols = [random_trig_symbol((7, 101, k), ifs.dimension) for k in range(2)]
@@ -666,41 +712,33 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
     assert checked >= 60
 
 
-def test_tail_block_fine_boxes_equal_the_einsum_grid(monkeypatch):
-    # the depth-(m+1) boxes a block of tails forms from the cached depth-m
-    # frames are the einsum grid's rows, sign bits included, with blocks of
-    # seven tails, which divide no n^m and leave one-tail blocks (2^3 = 7 + 1
-    # cells, also on the rotated two-branch systems, whose one-row products
-    # np.matmul would round apart), and the depth-(m+1) grid is never built
-    monkeypatch.setattr(op, "_block_tails", lambda rows_per_tail: 7)
-    calls = []
-    original = op._trig_means
+def test_covariance_residual_forms_no_finer_frames(monkeypatch):
+    # the covariance gap reads the cached depth-m grid alone: no depth-(m+1)
+    # frame or hull is formed and the depth-(m+1) grid is never built, at
+    # the default block size and with blocks of seven tails, which divide no
+    # n^m and leave one-tail blocks
+    def refuse(*args):
+        raise AssertionError("a depth-(m+1) frame or hull was formed")
 
-    def recording(terms, boxes):
-        calls.append(boxes.copy())
-        return original(terms, boxes)
-
-    monkeypatch.setattr(op, "_trig_means", recording)
-    widths = set()
-    for ifs in grid_test_systems():
-        n, d = ifs.n_branches, ifs.dimension
-        symbols = [random_trig_symbol((7, 101, 0), d)]
-        for depth in range(6):
-            if n ** (depth + 1) > 5_000:
-                break
-            calls.clear()
-            for _ in op.trig_tail_blocks(ifs, symbols, depth):
-                pass
-            fine, coarse = calls[0::2], calls[1::2]
-            widths.update(len(boxes) // n for boxes in fine)
-            blocks = [boxes.reshape(n, -1, d, 2) for boxes in fine]
-            got = np.concatenate(blocks, axis=1).reshape(-1, d, 2)
-            assert got.tobytes() == einsum_cell_grid(ifs, depth + 1)[2].tobytes(), \
-                (ifs.name, depth)
-            assert np.concatenate(coarse).tobytes() == \
-                einsum_cell_grid(ifs, depth)[2].tobytes(), (ifs.name, depth)
-            assert ("grid", depth + 1) not in ifs._cell_cache
-    assert {1, 7} <= widths
+    checked = 0
+    for tail_block in (None, 7):
+        for ifs in grid_test_systems():
+            n, d = ifs.n_branches, ifs.dimension
+            symbols = [random_trig_symbol((7, 101, k), d) for k in range(2)]
+            for depth in range(6):
+                if n ** (depth + 1) > 5_000:
+                    break
+                cell_grid(ifs, depth)
+                with monkeypatch.context() as patch:
+                    for module in (mea, op):
+                        patch.setattr(module, "child_frames", refuse, raising=False)
+                        patch.setattr(module, "frame_boxes", refuse, raising=False)
+                    if tail_block is not None:
+                        patch.setattr(op, "_block_tails", lambda rows_per_tail: tail_block)
+                    cli.covariance_residual(ifs, symbols, depth)
+                assert ("grid", depth + 1) not in ifs._cell_cache, (ifs.name, depth)
+                checked += 1
+    assert checked >= 60
 
 
 def support_test_regions(ifs):
@@ -753,9 +791,9 @@ def test_support_sampling_selects_the_full_scan_cells():
 
 def test_covariance_residual_peak_memory(tent_sigma):
     # depth 5 on tent_sigma, five symbols, the depth-5 grid already cached:
-    # the closed-form blocks, each forming its tails' depth-6 cells, peak
-    # below the 3 385 064 bytes of the pointwise blocks of 2^15 // 30 tails
-    # that they replaced
+    # the fine-minus-transfer blocks, which form no depth-6 frame, peak at
+    # most at the 2 423 148 bytes of the closed-form blocks that formed
+    # their tails' depth-6 frames and hulls
     import tracemalloc
 
     ifs = tent_sigma.system
@@ -768,4 +806,4 @@ def test_covariance_residual_peak_memory(tent_sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3_385_064
+    assert peak <= 2_423_148
