@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cells_near, check_depth, frame_boxes
+from .measure import cells_near, check_depth
 from .operators import (CellFunction, CellOperator, max_spectral_norm, operator_norm,
                         sample_to_cells, transfer_values)
 from .sampling import uniform_doubles
@@ -454,15 +454,15 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
     reach = partition.reach()
     region = np.stack([np.minimum(reach[:, 0], support[:, 0]),
                        np.maximum(reach[:, 1], support[:, 1])], axis=1)
-    cells, centers, half = cells_near(ifs, depth, region)
-    near = partition.support_rows(centers)
-    points = centers[near]
+    cells, near = cells_near(ifs, depth, region)
+    rows = partition.support_rows(near.centers)
+    points = near.centers[rows]
     a_vals = np.asarray(symbol(points), dtype=float)
     columns, roots = partition.tent_slots(points)
     np.sqrt(roots, out=roots)
-    boxes = frame_boxes(centers, half)
+    boxes = near.hulls()
     inside = _support_cells(boxes, support)
-    return ReconstructionVectors(depth, cells[near], columns,
+    return ReconstructionVectors(depth, cells[rows], columns,
                                  (ifs.n_branches * a_vals)[:, None] * roots, roots,
                                  partition.size, cells[inside],
                                  sample_to_cells(symbol, boxes[inside]))
@@ -574,8 +574,8 @@ def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,
     elementwise one, so only multiply rounding remains.  The blocks are
     C's: one column of n rows per tail w.
     residual_2: V_xi* V_eta - rho(<xi, eta>_A) on V_m.  The left side
-    multiplies by sum_i p_i conj(xi) eta (i.w), formed as the
-    row-times-column np.matmul product `cli.covariance_residual` uses; the
+    multiplies by sum_i p_i conj(xi) eta (i.w), formed as the np.matmul
+    product of each tail's row of n terms with a column of ones; the
     right side by the transfer L(conj(xi) eta)(w).  Exact at cell level up
     to summation rounding.
     """

@@ -68,67 +68,76 @@ def word_string(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Frames of every depth-m cell: center, linear half-frame, and box hull.
+    """Frames of cells: a center per cell and a half frame per class.
 
-    centers[k] is the image of the box center under the word map, and
-    half_frames[k] the image of the box's half-size diagonal matrix, so
-    affine images of cells stay exact.  boxes[k] is the axis-aligned hull
-    (equal to the cell for axis-aligned branches).
+    centers[k] is the image of the box center under the word map of cell
+    k, and frames[classes[k]] the image of the box's half-size diagonal
+    matrix, so affine images of cells stay exact.  The word maps of an
+    affine system take few distinct linear parts, so the cells share few
+    half frames: each distinct one is stored once, as a class, with the
+    absolute row sums of its entries (`extents`, (C, d)).
     """
 
-    centers: np.ndarray      # (count, d)
-    half_frames: np.ndarray  # (count, d, d)
-    boxes: np.ndarray        # (count, d, 2)
+    centers: np.ndarray  # (count, d)
+    classes: np.ndarray  # (count,), indices into frames
+    frames: np.ndarray   # (C, d, d)
+    extents: np.ndarray  # (C, d)
+
+    def hulls(self, rows=slice(None)) -> np.ndarray:
+        """The axis-aligned hulls (N, d, 2) of the cells `rows`: center -+
+        the extent of the cell's class (the cell itself, for axis-aligned
+        branches)."""
+        centers = self.centers[rows]
+        extent = self.extents[self.classes[rows]]
+        boxes = np.empty((*centers.shape, 2))
+        np.subtract(centers, extent, out=boxes[:, :, 0])
+        np.add(centers, extent, out=boxes[:, :, 1])
+        return boxes
 
 
-def _linear_frames(linear: np.ndarray, half: np.ndarray, out: np.ndarray,
-                   term: np.ndarray) -> None:
-    """out[k] = linear @ half[k] for every frame k, summed over the inner
-    axis in order from 0.0; `term` is scratch of out's shape."""
-    out[...] = 0.0
-    for b in range(linear.shape[1]):
-        np.multiply(linear[:, b, None], half[:, None, b, :], out=term)
-        out += term
+def _grid(centers: np.ndarray, classes: np.ndarray, frames: np.ndarray) -> CellGrid:
+    return CellGrid(centers, classes, frames, np.abs(frames).sum(axis=2))
 
 
-def child_frames(ifs: IfsSystem, parents, level_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(centers, half_frames) of the cells i.w, branch by branch.
+def child_frames(ifs: IfsSystem, parent: CellGrid, runs) -> CellGrid:
+    """The cells i.w for the cells w of `parent` that runs[i] selects,
+    branch by branch: the rows of branch i follow those of branch i - 1.
 
-    `parents` holds one (centers, half_frames) pair per branch i: the
-    frames of the cells w that branch i maps, taken from a level of
-    `level_size` cells.  The rows of branch i follow those of branch i - 1.
-    The centers are g_i(centers) and the half frames `_linear_frames` of
-    g_i's linear part, so each row holds the bytes that mapping the whole
-    level gives.  np.matmul sends a product with one row to gemv, which can
-    round a dense linear part differently from the gemm a level of several
-    rows goes through, so one row from such a level is mapped as a pair.
+    The centers are g_i(centers).  np.matmul sends a product with one row
+    to gemv, which can round a dense linear part differently from the gemm
+    a level of several rows goes through, so one row from a level of
+    several is mapped as a pair.  The half frame of i.w is A_i H_w, the
+    sum over b, in order from 0.0, of A_i[:, b] times row b of H_w: the
+    steps and rounding of np.einsum("ab,kbc->kac"), signed zeros included,
+    in less than half its time (np.matmul is faster still, but rounds
+    differently for dense linear parts).  Each product depends on its own
+    frame only, so only the parent's C classes are mapped, n C products in
+    all.  The products are keyed by their bytes, and cell i.w gets the
+    class of A_i times the class of w; frames[classes] is therefore, byte
+    for byte, the per-cell array that mapping every cell's frame gives.
     This is the only place where cell frames are formed.
     """
-    d = ifs.dimension
-    total = sum(len(centers) for centers, _ in parents)
-    out_centers = np.empty((total, d))
-    out_half = np.empty((total, d, d))
-    term = np.empty((max(len(centers) for centers, _ in parents), d, d))
+    d, half = ifs.dimension, parent.frames
+    linear = np.stack([g.linear for g in ifs.branches])
+    mapped = np.zeros((len(linear), *half.shape))  # A_i H_c at [i, c]
+    for b in range(d):
+        mapped += linear[:, None, :, b, None] * half[None, :, None, b, :]
+    index = {}  # the bytes of each distinct product, in order of appearance
+    table = np.array([index.setdefault(frame.tobytes(), len(index))
+                      for frame in mapped.reshape(-1, d, d)]).reshape(len(linear), -1)
+    parents = [parent.centers[run] for run in runs]
+    centers = np.empty((sum(map(len, parents)), d))
+    classes = np.empty(len(centers), dtype=np.intp)
     row = 0
-    for g, (centers, half) in zip(ifs.branches, parents):
-        rows = slice(row, row + len(centers))
-        if len(centers) == 1 < level_size:
-            out_centers[rows] = g(centers[[0, 0]])[:1]
+    for g, selected, run, branch_table in zip(ifs.branches, parents, runs, table):
+        rows = slice(row, row + len(selected))
+        if len(selected) == 1 < len(parent.centers):
+            centers[rows] = g(selected[[0, 0]])[:1]
         else:
-            out_centers[rows] = g(centers)
-        _linear_frames(g.linear, half, out_half[rows], term[:len(centers)])
+            centers[rows] = g(selected)
+        classes[rows] = branch_table[parent.classes[run]]
         row = rows.stop
-    return out_centers, out_half
-
-
-def frame_boxes(centers: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """The axis-aligned hulls (N, d, 2) of the cells with these frames:
-    center -+ the absolute row sums of the half frame."""
-    extent = np.abs(half).sum(axis=2)
-    boxes = np.empty((*centers.shape, 2))
-    np.subtract(centers, extent, out=boxes[:, :, 0])
-    np.add(centers, extent, out=boxes[:, :, 1])
-    return boxes
+    return _grid(centers, classes, np.frombuffer(b"".join(index)).reshape(-1, d, d))
 
 
 def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
@@ -137,14 +146,10 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     A command caches the grids of the depths up to its last depth m in
     `ifs._cell_cache`.  It reads the depth-(m+1) cells only near a support
     (`cells_near`), and builds no grid of that depth.  Each level applies
-    every branch to the centers and half-frames of the level above
-    (`child_frames`), so a new depth continues from the deepest
-    grid already built at a smaller depth; the arrays are the ones a build
-    from depth 0 gives.  A branch's linear part L acts on the half-frames as
-    the sum over b, in order from 0.0, of L[:, b] times row b of each frame:
-    the steps and rounding of np.einsum("ab,kbc->kac"), signed zeros
-    included, in less than half its time.  (np.matmul is faster still, but
-    rounds differently for dense linear parts.)
+    every branch to the cells of the level above (`child_frames`), so a
+    new depth continues from the deepest grid already built at a smaller
+    depth; the centers, and the frames of the cells, are the ones a build
+    from depth 0 gives.
     """
     key = ("grid", depth)
     cached = ifs._cell_cache.get(key)
@@ -155,15 +160,13 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     start = max((m for m in range(depth) if ("grid", m) in ifs._cell_cache), default=None)
     if start is None:
         start = 0
-        centers = ifs.box.center[None, :].copy()
-        half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
+        grid = _grid(ifs.box.center[None, :].copy(), np.zeros(1, dtype=np.intp),
+                     np.diag(0.5 * ifs.box.sizes)[None, :, :].copy())
     else:
-        shallower = ifs._cell_cache[("grid", start)]
-        centers, half = shallower.centers, shallower.half_frames
+        grid = ifs._cell_cache[("grid", start)]
     for _ in range(depth - start):
-        centers, half = child_frames(ifs, [(centers, half)] * ifs.n_branches, len(centers))
-    assert centers.shape == (count, ifs.dimension)
-    grid = CellGrid(centers, half, frame_boxes(centers, half))
+        grid = child_frames(ifs, grid, [slice(None)] * ifs.n_branches)
+    assert grid.centers.shape == (count, ifs.dimension)
     ifs._cell_cache[key] = grid
     return grid
 
@@ -173,10 +176,10 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
 _PARENT_SLACK = 1e-9
 
 
-def cells_near(ifs: IfsSystem, depth: int, region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cells, centers, half_frames) of the depth-m cells whose parent's
-    hull meets the closed box `region` (d, 2) widened by a rounding slack;
-    `cells` are their ascending flat indices.
+def cells_near(ifs: IfsSystem, depth: int, region) -> tuple[np.ndarray, CellGrid]:
+    """(cells, near): the ascending flat indices of the depth-m cells whose
+    parent's hull meets the closed box `region` (d, 2) widened by a
+    rounding slack, and their frames, row k of `near` for cell cells[k].
 
     The parent of a cell u.j is the depth-(m-1) cell u, and the cells
     u.j, j < n, are the index block u n ... u n + n - 1.  A cell lies in
@@ -186,30 +189,28 @@ def cells_near(ifs: IfsSystem, depth: int, region) -> tuple[np.ndarray, np.ndarr
     which a computed hull can pass its parent's.  The frames come from the
     cached depth-(m-1) grid through `child_frames`: cell u.j is i.w with i
     its first letter and w its last m - 1 letters, so the selected cells
-    of one first letter form one run.  They equal the same rows of
-    `cell_grid(ifs, depth)`, which is not built.  At depth 0 the one cell
-    is returned.
+    of one first letter form one run.  Their centers, and their classes
+    and frames, equal the same rows of `cell_grid(ifs, depth)`, which is
+    not built.  At depth 0 the one cell is returned.
     """
     n = ifs.n_branches
     check_depth(n, depth)
     if depth == 0:
-        grid = cell_grid(ifs, 0)
-        return np.zeros(1, dtype=np.intp), grid.centers, grid.half_frames
+        return np.zeros(1, dtype=np.intp), cell_grid(ifs, 0)
     parent = cell_grid(ifs, depth - 1)
+    hulls = parent.hulls()
     box = ifs.box.intervals
     slack = _PARENT_SLACK * (np.abs(box).max() + ifs.box.sizes.max())
     region = np.asarray(region, dtype=float)
-    meets = ((parent.boxes[:, :, 1] >= region[:, 0] - slack)
-             & (parent.boxes[:, :, 0] <= region[:, 1] + slack))
+    meets = ((hulls[:, :, 1] >= region[:, 0] - slack)
+             & (hulls[:, :, 0] <= region[:, 1] + slack))
     parents = np.flatnonzero(meets.all(axis=1))
     cells = (parents[:, None] * n + np.arange(n)).ravel()
     count = len(parent.centers)
     first, tails = cells // count, cells % count
     bounds = np.searchsorted(first, np.arange(n + 1))
     runs = [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    centers, half = child_frames(
-        ifs, [(parent.centers[run], parent.half_frames[run]) for run in runs], count)
-    return cells, centers, half
+    return cells, child_frames(ifs, parent, runs)
 
 
 # ---------------------------------------------------------------------------

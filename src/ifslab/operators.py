@@ -179,32 +179,6 @@ def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, representatives): the class of each row of rows (N, c),
-    rows in one class being equal entry by entry, and one row per class.
-
-    The rows are grouped one column at a time: each column's sorted
-    distinct values give a rank, and the ranks combine into one integer
-    code per row.  Before a column could carry a code past 2^62 the codes
-    are renumbered by their rank, so every code stays exact.  Sorting and
-    binary search only, which is cheaper than sorting the rows whole.
-    """
-    code = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # every code is below bound
-    for column in rows.T:
-        values = np.unique(column)
-        if bound * len(values) > 2**62:
-            distinct, code = np.unique(code, return_inverse=True)
-            bound = len(distinct)
-        code = code * len(values) + np.searchsorted(values, column)
-        bound *= len(values)
-    codes = np.unique(code)
-    classes = np.searchsorted(codes, code)
-    first = np.empty(len(codes), dtype=np.intp)
-    first[classes] = np.arange(len(rows))
-    return classes, rows[first]
-
-
 def _symbol_terms(symbols) -> tuple:
     """The symbols' parameters stacked as terms of shape (K, 1, ...)."""
     return (np.array([[s.b0] for s in symbols]),
@@ -325,13 +299,15 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
         shift + sum_j amp_j |F_j - G_j| cos(theta_j + arg(F_j - G_j)),
 
     with shift, F = fine and G = coarse from `_class_terms`.  Those are
-    formed once per class of equal H_w among the block's tails
-    (`_row_classes`), and a block whose classes are the last block's
-    reuses them, so each (symbol, branch, mode, tail) costs one cosine, and
-    no depth-(m+1) frame, hull or size is formed.  The differences are
-    weighted by p_i and summed over the branches in order.  Unless every
-    weight is 1/n exactly, sum_i (p_i - 1/n) times the mean of a o gamma_i
-    on the hull of w is added, which makes the gap exact for any weights.
+    formed once for each of the grid's half-frame classes that the block's
+    tails hold (`CellGrid.classes`), and a block that holds the last
+    block's classes reuses them, so each (symbol, branch, mode, tail)
+    costs one cosine, and no depth-(m+1) frame, hull or size is formed.
+    The tails' hulls are formed a block at a time, from their centers and
+    class extents.  The differences are weighted by p_i and summed over
+    the branches in order.  Unless every weight is 1/n exactly, sum_i (p_i
+    - 1/n) times the mean of a o gamma_i on the hull of w is added, which
+    makes the gap exact for any weights.
     A block holds at most _EVAL_ROWS (symbol, branch, tail) rows.
     """
     n, d = ifs.n_branches, ifs.dimension
@@ -345,20 +321,22 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     skew = ifs.weights - 1.0 / n
     mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
     step = _block_tails(len(symbols) * n)
-    last_frames = None
+    last_ids = None
     for start in range(0, count, step):
         tails = slice(start, start + step)
-        classes, frames = _row_classes(grid.half_frames[tails].reshape(-1, d * d))
-        if not np.array_equal(frames, last_frames):  # else the last block's terms hold
-            last_frames = frames
+        ids = np.unique(grid.classes[tails])
+        classes = np.searchsorted(ids, grid.classes[tails])
+        if not np.array_equal(ids, last_ids):  # else the last block's terms hold
+            last_ids = ids
             shift, phasors, coarse = _class_terms(ifs, symbol_slope, symbol_k, k,
-                                                  frames.reshape(-1, d, d))
-        lo = grid.boxes[tails, :, 0]
+                                                  grid.frames[ids])
+        hulls = grid.hulls(tails)
+        lo = hulls[:, :, 0]
         difference = _mode_sum(wavenumbers, lo, ph, amp, phasors, classes)
         difference += shift[..., classes]
         gap = (difference * ifs.weights[:, None]).sum(axis=1)
         if skew.any():
-            size = grid.boxes[tails, :, 1] - lo
+            size = hulls[:, :, 1] - lo
             transfer = _axis_sum(slope, lo + mid * size) + b0[..., None]
             transfer += _mode_sum(wavenumbers, lo, ph, amp, coarse, classes)
             gap += (transfer * skew[:, None]).sum(axis=1)

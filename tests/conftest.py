@@ -225,10 +225,11 @@ def per_piece_box_distances(boxes, pieces):
 
 
 def einsum_cell_grid(ifs, depth):
-    """(centers, half_frames, boxes) of the depth-m cells built from depth 0
-    with each branch's half frames formed by np.einsum("ab,kbc->kac"): the
-    product `measure.cell_grid` writes as an ordered sum, kept as its
-    bit-for-bit reference."""
+    """(centers, half frames, hulls) of the depth-m cells, one row per cell,
+    built from depth 0 with each branch's half frames formed by
+    np.einsum("ab,kbc->kac"): the product `measure.child_frames` writes as
+    an ordered sum, kept as the bit-for-bit reference of a grid's centers,
+    frames[classes] and hulls()."""
     centers = ifs.box.center[None, :].copy()
     half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
     for _ in range(depth):
@@ -306,7 +307,7 @@ def assembled_reconstruction_residual(ifs, symbol, partition, level):
     from ifslab.operators import CellFunction, CellOperator, mult_op, sample_to_cells
 
     rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
-    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).hulls()))
     n = ifs.n_branches
     count = n ** (level - 1)
     position = np.full(n * count, len(rows))
@@ -326,7 +327,7 @@ def whole_depth_average_points(ifs, depth):
     from ifslab.measure import cell_grid
     from ifslab.operators import _offset_points
 
-    return _offset_points(cell_grid(ifs, depth).boxes)
+    return _offset_points(cell_grid(ifs, depth).hulls())
 
 
 def per_offset_average(ifs, evaluator, level):
@@ -334,9 +335,9 @@ def per_offset_average(ifs, evaluator, level):
     from ifslab.measure import cell_grid
     from ifslab.sampling import halton_points
 
-    grid = cell_grid(ifs, level)
-    lo = grid.boxes[:, :, 0]
-    sizes = grid.boxes[:, :, 1] - grid.boxes[:, :, 0]
+    hulls = cell_grid(ifs, level).hulls()
+    lo = hulls[:, :, 0]
+    sizes = hulls[:, :, 1] - hulls[:, :, 0]
     total = 0.0
     for offset in halton_points(5, ifs.dimension):
         total = total + np.asarray(evaluator(lo + offset * sizes))
@@ -412,7 +413,7 @@ def whole_depth_covariance_residual(ifs, symbol, depth):
 
     n = ifs.n_branches
     field = trig_field(symbol)
-    a_fine = sample_to_cells(field, cell_grid(ifs, depth + 1).boxes)
+    a_fine = sample_to_cells(field, cell_grid(ifs, depth + 1).hulls())
     products = np.ascontiguousarray(a_fine.reshape(n, -1).T) * ifs.weights
     lhs = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
     return float(np.abs(lhs - whole_depth_transfer(ifs, field, depth)).max())

@@ -759,7 +759,7 @@ def dense_reconstruction(ifs, symbol, partition, level):
     same sum over pairs as the kernel.
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
-    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).hulls()))
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -776,7 +776,7 @@ def dense_operator_residual(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     projection = dense_operator(composition_op(ifs, level - 1).compose(
         adjoint_composition_op(ifs, level - 1)))
-    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).hulls()))
     dense = (xi_cols @ eta_cols.T) * projection - np.diag(a_ref.values)
     root = np.sqrt(exact_cell_masses(ifs, level).masses)
     return dense, np.linalg.svd(root[:, None] * dense / root[None, :], compute_uv=False)[0]
@@ -832,7 +832,7 @@ def dense_theta_fibres(ifs, symbol, partition, level):
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     xis = [CellFunction(level, xi_cols[:, k]) for k in range(partition.size)]
     etas = [CellFunction(level, eta_cols[:, k]) for k in range(partition.size)]
-    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).boxes))
+    a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).hulls()))
     n = ifs.n_branches
     count = n ** (level - 1)
     cells = np.arange(n * count)
@@ -1149,7 +1149,7 @@ def test_support_sampling_equals_full_sampling(name, support, amplitude):
         restricted = np.zeros(len(full))
         restricted[vectors.reference_cells] = vectors.reference
         assert restricted.tobytes() == full.tobytes(), depth
-        whole = sample_to_cells(symbol, cell_grid(ifs, depth).boxes)
+        whole = sample_to_cells(symbol, cell_grid(ifs, depth).hulls())
         assert whole.tobytes() == full.tobytes(), depth
         # the field is zero off the support; some cells are not
         assert np.count_nonzero(full) > 0
@@ -1178,7 +1178,7 @@ def test_support_sampling_evaluates_touching_cells(tent_square, monkeypatch):
     for depth in (2, 3):
         evaluated.clear()
         reconstruction_vectors(ifs, symbol, partition, depth)
-        boxes = cell_grid(ifs, depth).boxes
+        boxes = cell_grid(ifs, depth).hulls()
         touching = np.all((boxes[:, :, 1] >= 0.25) & (boxes[:, :, 0] <= 0.5), axis=1)
         assert touching.sum() < len(boxes)
         points = np.concatenate(evaluated)

@@ -57,8 +57,8 @@ def test_hutchinson_lebesgue_flags(all_entries):
             continue
         ifs = entry.system
         mu = exact_cell_masses(ifs, 2)
-        grid = cell_grid(ifs, 2)
-        volumes = np.prod(grid.boxes[:, :, 1] - grid.boxes[:, :, 0], axis=1)
+        hulls = cell_grid(ifs, 2).hulls()
+        volumes = np.prod(hulls[:, :, 1] - hulls[:, :, 0], axis=1)
         np.testing.assert_allclose(mu.masses, volumes / volumes.sum(), atol=1e-14)
 
 

@@ -323,12 +323,14 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
 
 
 def test_report_memory_is_bounded(tmp_path):
-    # the benchmark's configuration (10^6 samples).  The peak is near 3.9
-    # MiB: the grids of depths 2-5 stay cached, and the depth-6 cells are
-    # formed a block of tails at a time or only near the support.  The
-    # whole depth-6 grid (3.6 MiB) and the depth-5 identity stacks (2.1 MiB
-    # each) took it to 7.5 MiB; whole-depth averaging points and branch
-    # images, or dense reconstruction pairs, to 16.8 MiB
+    # the benchmark's configuration (10^6 samples).  The peak, near 3.2
+    # MiB, is the chaos game's step blocks.  The grids of depths 2-5 stay
+    # cached as centers and half-frame classes (0.2 MiB; 0.7 MiB with a
+    # frame and a hull per cell), the covariance loop forms no depth-6
+    # cell, and the reconstruction forms the depth-6 cells only near the
+    # support.  The whole depth-6 grid (3.6 MiB) and the depth-5 identity
+    # stacks (2.1 MiB each) took it to 7.5 MiB; whole-depth averaging
+    # points and branch images, or dense reconstruction pairs, to 16.8 MiB
     args = ["report", "--system", "tent_sigma", "--depths", "2..5"]
     assert run([*args, "--samples", "1000", "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
@@ -341,9 +343,12 @@ def test_report_memory_is_bounded(tmp_path):
 
 
 def test_deep_operators_memory_is_bounded(tmp_path):
-    # the peak, near 10.9 MiB, is the build of the cached depth-8 grid
-    # (4^8 cells); the whole depth-9 grid (4^9 cells, about 20 MiB) is
-    # never built, and it took the peak to 42.6 MiB
+    # the peak, near 6.1 MiB, is the depth-8 covariance pass, which builds
+    # the cached depth-8 grid (4^8 centers and class indices, 1.5 MiB) and
+    # walks it in blocks of tails.  A half frame and a hull stored per
+    # cell (5.3 MiB over depths 0-8) took the peak to 10.7 MiB; the whole
+    # depth-9 grid (4^9 cells, about 20 MiB) is never built, and it took
+    # the peak to 42.6 MiB
     args = ["operators", "--system", "tent_square", "--depths", "2..8"]
     tracemalloc.start()
     try:
@@ -351,7 +356,7 @@ def test_deep_operators_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20, peak
+    assert peak < 9.4 * 2**20, peak
 
 
 def _weighted_random_systems():

@@ -381,8 +381,9 @@ def test_cell_measure_rejects_bad_vectors():
 
 
 def test_grid_half_frames_equal_einsum():
-    # the ordered-sum half frames equal np.einsum's bytes, signed zeros
-    # included, on the catalog and on rotated 2-D and random 3-D systems
+    # each cell's half frame, read through its class, and its hull equal
+    # np.einsum's bytes, signed zeros included, on the catalog and on
+    # rotated 2-D and random 3-D systems
     from conftest import einsum_cell_grid, random_ifs
 
     rng = np.random.default_rng(17)
@@ -394,15 +395,16 @@ def test_grid_half_frames_equal_einsum():
             if system.n_branches**depth > 300_000:
                 break
             grid = cell_grid(fresh, depth)
-            for got, want in zip((grid.centers, grid.half_frames, grid.boxes),
-                                 einsum_cell_grid(system, depth)):
+            arrays = (grid.centers, grid.frames[grid.classes], grid.hulls())
+            for got, want in zip(arrays, einsum_cell_grid(system, depth)):
                 assert got.tobytes() == want.tobytes(), (system.name, depth)
 
 
 def test_grid_extended_from_shallower_equals_fresh_build():
-    # a build that continues from a cached shallower grid gives the arrays
-    # of a build from depth 0, on axis-aligned and rotated branches
-    from conftest import random_ifs
+    # a build that continues from a cached shallower grid gives the centers,
+    # classes and frames of a build from depth 0, on axis-aligned and
+    # rotated branches, and so the einsum grid's frames and hulls
+    from conftest import einsum_cell_grid, random_ifs
 
     rng = np.random.default_rng(3)
     systems = [catalog.get("tent_sigma").system]
@@ -411,6 +413,34 @@ def test_grid_extended_from_shallower_equals_fresh_build():
         for depth in (1, 3, 4, 2, 5):
             extended = cell_grid(system, depth)
             reference = cell_grid(IfsSystem(system.box, system.branches), depth)
-            for name in ("centers", "half_frames", "boxes"):
+            for name in ("centers", "classes", "frames", "extents"):
                 got, want = getattr(extended, name), getattr(reference, name)
                 assert got.tobytes() == want.tobytes(), (system.name, depth, name)
+            _, half, boxes = einsum_cell_grid(system, depth)
+            assert extended.frames[extended.classes].tobytes() == half.tobytes()
+            assert extended.hulls().tobytes() == boxes.tobytes()
+
+
+def test_grid_classes_are_the_distinct_frames():
+    # a grid stores each distinct half frame once: at most 4 per depth on
+    # the catalog systems, and on the rotated and 3-D draws one class per
+    # distinct einsum frame (by bytes), a count that grows with the depth;
+    # every class holds a cell
+    from conftest import einsum_cell_grid, grid_test_systems
+
+    catalog_names = {entry.name for entry in catalog.catalog()}
+    counts = []
+    for ifs in grid_test_systems():
+        for depth in range(6):
+            if ifs.n_branches**depth > 5_000:
+                break
+            grid = cell_grid(ifs, depth)
+            half = einsum_cell_grid(ifs, depth)[1]
+            distinct = np.unique(half.reshape(len(half), -1).view(np.int64), axis=0)
+            assert len(grid.frames) == len(distinct), (ifs.name, depth)
+            assert np.array_equal(np.unique(grid.classes), np.arange(len(grid.frames)))
+            if ifs.name in catalog_names:
+                assert len(grid.frames) <= 4, (ifs.name, depth)
+            counts.append((ifs.name, ifs.n_branches, len(grid.centers), len(grid.frames)))
+    assert ("2d-rotated", 2, 16, 9) in counts
+    assert ("3d", 8, 4096, 866) in counts

@@ -23,7 +23,7 @@ from ifslab.sampling import halton_points, random_trig_symbol
 
 def test_sample_constant(tent_square):
     ifs = tent_square.system
-    f = sample_to_cells(lambda p: np.ones(len(p)), cell_grid(ifs, 3).boxes)
+    f = sample_to_cells(lambda p: np.ones(len(p)), cell_grid(ifs, 3).hulls())
     np.testing.assert_array_equal(f, np.ones(64))
 
 
@@ -48,7 +48,7 @@ def test_average_rule_close_to_center(tent_square):
     ifs = tent_square.system
     symbol = random_trig_symbol(5, 2)
     center = trig_field(symbol)(cell_grid(ifs, 4).centers)
-    average = sample_to_cells(trig_field(symbol), cell_grid(ifs, 4).boxes)
+    average = sample_to_cells(trig_field(symbol), cell_grid(ifs, 4).hulls())
     assert np.abs(center - average).max() \
         <= symbol.lip_bound * ifs.c2**4 * ifs.box.diameter
 
@@ -147,13 +147,13 @@ def test_composition_support_by_point_sampling(tent_square):
     ifs = tent_square.system
     comp = composition_op(ifs, 1)
     rng = np.random.default_rng(6)
-    grid = cell_grid(ifs, 2)
+    hulls = cell_grid(ifs, 2).hulls()
     for w in range(4):
         lifted = dense_operator(comp) @ np.eye(4)[w]
         expected_support = {i * 4 + w for i in range(4)}
         assert set(np.nonzero(lifted)[0]) == expected_support
         for cell in expected_support:
-            lo, hi = grid.boxes[cell, :, 0], grid.boxes[cell, :, 1]
+            lo, hi = hulls[cell, :, 0], hulls[cell, :, 1]
             pts = lo + rng.uniform(0.02, 0.98, size=(100, 2)) * (hi - lo)
             binned = mea.bin_points(ifs, ifs.apply_phi(pts), 1)
             assert np.all(binned == w)
@@ -473,34 +473,11 @@ def test_letter_masses_equal_kron_products():
                 assert (got == expected).all(), (n, power)
 
 
-def test_row_classes_group_equal_rows():
-    # the classes are the distinct rows, also when the per-column ranks
-    # multiply past 2^64: with nine columns of 256 values, rows that differ
-    # only in the first column would share a wrapped code unless the codes
-    # are renumbered on the way
-    rng = np.random.default_rng(31)
-    cases = []
-    for count, columns, values in ((1, 4, 3), (500, 4, 3), (3000, 9, 2), (3000, 9, 256)):
-        rows = rng.integers(values, size=(count, columns)) * 0.1
-        rows[rng.integers(count, size=count // 2)] = rows[0]
-        cases.append(rows)
-    rows[:256] = np.arange(256)[:, None] * 0.1
-    rows[256:512] = rows[:256]
-    rows[256:512, 0] = np.roll(rows[:256, 0], 1)
-    for rows in cases:
-        classes, representatives = op._row_classes(rows)
-        # every row equals its class's row, and there are as many classes
-        # as distinct rows, each holding a row
-        assert (representatives[classes] == rows).all()
-        assert len(representatives) == len(np.unique(rows, axis=0))
-        assert np.array_equal(np.unique(classes), np.arange(len(representatives)))
-
-
 def four_operator_covariance_residual(ifs, symbol, depth):
     """|C* M_a C - M_(La)| through the block operators: compose, subtract
     and operator_norm on the same pointwise sampled a and La."""
     field = trig_field(symbol)
-    a_fine = CellFunction(depth + 1, sample_to_cells(field, cell_grid(ifs, depth + 1).boxes))
+    a_fine = CellFunction(depth + 1, sample_to_cells(field, cell_grid(ifs, depth + 1).hulls()))
     lhs = adjoint_composition_op(ifs, depth).compose(mult_op(ifs, a_fine)).compose(
         composition_op(ifs, depth))
     rhs = mult_op(ifs, CellFunction(depth, whole_depth_transfer(ifs, field, depth)))
@@ -609,7 +586,7 @@ def test_evaluator_calls_stay_under_the_row_cap(tent_sigma):
         return evaluate
 
     # depth 6: 5 x 6^6 averaging points
-    boxes = cell_grid(ifs, 6).boxes
+    boxes = cell_grid(ifs, 6).hulls()
     got = sample_to_cells(recording(field), boxes)
     assert sum(rows) == 5 * 6**6 and max(rows) <= 2**15
     assert got.tobytes() == per_offset_average(ifs, field, 6).tobytes()
@@ -632,7 +609,7 @@ def test_support_averaging_points_equal_gathered_rows():
     for ifs, support, depths in cases:
         offsets = halton_points(op.DEFAULT_AVERAGE_POINTS, ifs.dimension)
         for depth in depths:
-            boxes = cell_grid(ifs, depth).boxes
+            boxes = cell_grid(ifs, depth).hulls()
             lo, sizes = boxes[:, :, 0], boxes[:, :, 1] - boxes[:, :, 0]
             full = whole_depth_average_points(ifs, depth)
             assert full.tobytes() == (lo + offsets[:, None, :] * sizes).reshape(
@@ -661,7 +638,7 @@ def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkey
     for depth in (4, 6):
         built.clear()
         bi.reconstruction_vectors(ifs, window, partition, depth)
-        cells = bi._support_cells(cell_grid(ifs, depth).boxes, window.support_box)
+        cells = bi._support_cells(cell_grid(ifs, depth).hulls(), window.support_box)
         assert built == [len(cells)] and len(cells) < 6**depth / 4
 
 
@@ -714,12 +691,13 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
 
 def test_covariance_residual_forms_no_finer_frames(monkeypatch):
     # the covariance gap reads the cached depth-m grid alone: no depth-(m+1)
-    # frame or hull is formed and the depth-(m+1) grid is never built, at
-    # the default block size and with blocks of seven tails, which divide no
-    # n^m and leave one-tail blocks
+    # frame is formed, every hull is taken from the depth-m grid, and the
+    # depth-(m+1) grid is never built, at the default block size and with
+    # blocks of seven tails, which divide no n^m and leave one-tail blocks
     def refuse(*args):
-        raise AssertionError("a depth-(m+1) frame or hull was formed")
+        raise AssertionError("a depth-(m+1) frame was formed")
 
+    hulls = mea.CellGrid.hulls
     checked = 0
     for tail_block in (None, 7):
         for ifs in grid_test_systems():
@@ -732,7 +710,12 @@ def test_covariance_residual_forms_no_finer_frames(monkeypatch):
                 with monkeypatch.context() as patch:
                     for module in (mea, op):
                         patch.setattr(module, "child_frames", refuse, raising=False)
-                        patch.setattr(module, "frame_boxes", refuse, raising=False)
+
+                    def depth_m_hulls(grid, rows):
+                        assert len(grid.centers) == n**depth, "a hull off the depth-m grid"
+                        return hulls(grid, rows)
+
+                    patch.setattr(mea.CellGrid, "hulls", depth_m_hulls)
                     if tail_block is not None:
                         patch.setattr(op, "_block_tails", lambda rows_per_tail: tail_block)
                     cli.covariance_residual(ifs, symbols, depth)
@@ -767,10 +750,10 @@ def test_support_sampling_selects_the_full_scan_cells():
                 break
             centers, half, boxes = einsum_cell_grid(ifs, depth)
             for region in support_test_regions(ifs):
-                cells, near_centers, near_half = mea.cells_near(ifs, depth, region)
-                assert near_centers.tobytes() == centers[cells].tobytes()
-                assert near_half.tobytes() == half[cells].tobytes()
-                near_boxes = mea.frame_boxes(near_centers, near_half)
+                cells, near = mea.cells_near(ifs, depth, region)
+                assert near.centers.tobytes() == centers[cells].tobytes()
+                assert near.frames[near.classes].tobytes() == half[cells].tobytes()
+                near_boxes = near.hulls()
                 assert near_boxes.tobytes() == boxes[cells].tobytes()
                 full = bi._support_cells(boxes, region)
                 inside = bi._support_cells(near_boxes, region)
