@@ -20,7 +20,7 @@ depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -161,26 +161,27 @@ class BumpPartition:
         being the lowest node per axis.  Slot o of a point holds the o-th of
         those index offsets in (-1, 0, 1)^d order: its bump column and the
         product over the axes, in order, of max(0, 1 - |x_a - q_a| / h); a
-        slot outside the node box has column -1 and value 0.0.
+        slot outside the node box has column -1 and value 0.0.  Each axis's
+        three offsets and their factors are formed once, then combined.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        slots = 3 ** points.shape[1]
-        columns = np.full((len(points), slots), -1, dtype=np.intp)
-        values = np.zeros((len(points), slots))
         shape = self.last - self.first + 1
         nearest = np.rint((points - self._node(self.first)) / self.pitch)
-        for slot, offset in enumerate(product((-1, 0, 1), repeat=points.shape[1])):
-            near = nearest + offset
-            rows = np.flatnonzero(np.all((near >= 0) & (near < shape), axis=1))
-            index = near[rows]
-            rel = np.maximum(
-                1.0 - np.abs(points[rows] - self._node(self.first + index)) / self.pitch, 0.0)
-            tent = rel[:, 0]
-            for axis in range(1, rel.shape[1]):
-                tent = tent * rel[:, axis]
-            columns[rows, slot] = np.ravel_multi_index(tuple(index.astype(np.intp).T), shape)
-            values[rows, slot] = tent
-        return columns, values
+        count = len(points)
+        values, columns = np.ones((count, 1)), np.zeros((count, 1), dtype=np.intp)
+        valid = np.ones((count, 1), dtype=bool)
+        for axis in range(points.shape[1]):
+            near = nearest[:, axis, None] + (-1.0, 0.0, 1.0)  # (N, 3)
+            node = self.origin[axis] + self.pitch * (self.first[axis] + near)
+            factor = np.maximum(1.0 - np.abs(points[:, axis, None] - node) / self.pitch, 0.0)
+            inside = (near >= 0) & (near < shape[axis])
+            # slot s of the axes before and offset o of this one become slot 3 s + o
+            slots = (count, 3 ** (axis + 1))
+            values = (values[:, :, None] * factor[:, None, :]).reshape(slots)
+            columns = (columns[:, :, None] * shape[axis]
+                       + near.astype(np.intp)[:, None, :]).reshape(slots)
+            valid = (valid[:, :, None] & inside[:, None, :]).reshape(slots)
+        return np.where(valid, columns, -1), np.where(valid, values, 0.0)
 
     def reach(self) -> np.ndarray:
         """The box (d, 2) within one pitch of the nodes; every tent is zero
@@ -483,6 +484,12 @@ class ReconstructionResidual:
     matrix: np.ndarray
     weights: np.ndarray
 
+    @cached_property
+    def spectral_norm(self) -> float:
+        """max_w |matrix[w]|_2, the unweighted block norm; one batched SVD,
+        taken at the first read."""
+        return max_spectral_norm(self.matrix)
+
 
 # Support rows per einsum call of `reconstruction_residual`: one call's
 # scattered xi and eta rows stay small whatever the depth.
@@ -551,12 +558,17 @@ def verify_theta_reconstruction(ifs: IfsSystem, residual: ReconstructionResidual
     """
     if not ifs.is_hutchinson():
         raise ValueError("the A-valued inner product uses uniform weights")
-    return max_spectral_norm(residual.matrix)
+    return residual.spectral_norm
 
 
 def verify_operator_reconstruction(residual: ReconstructionResidual) -> float:
     """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a for the mass-weighted
-    inner product on V_m; equal to the theta residual under uniform weights."""
+    inner product on V_m.  When the weights are bit-equal, operator_norm's
+    factors sqrt(p_i / p_j) are exactly 1.0: it is the theta residual's SVD.
+    """
+    weights = residual.weights
+    if (weights == weights[0]).all():
+        return residual.spectral_norm
     return operator_norm(residual)
 
 

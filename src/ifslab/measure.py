@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DepthOverflow, NoConvergence
 from .geometry import IfsSystem, check_open_set_condition
-from .sampling import uniform_blocks
+from .sampling import raw_blocks
 
 DEFAULT_CELL_BUDGET = 2**20
 
@@ -330,13 +330,28 @@ def bin_points(ifs: IfsSystem, points: np.ndarray, depth: int) -> np.ndarray:
     return idx
 
 
-def _draw_letters(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The 0-based letter of each uniform: the number of cumulative weights
-    <= u, which is searchsorted(cumulative, u, side="right") as an integer,
-    counted with one comparison pass per weight instead of a binary search."""
-    letters = np.zeros(uniforms.shape, dtype=np.intp)
-    for edge in cumulative:
-        letters += uniforms >= edge
+def _letter_thresholds(weights: np.ndarray) -> np.ndarray:
+    """The uint64 thresholds t_k of the letter draw, one per cumulative
+    weight e_k below 1.0, ascending.
+
+    A word w stands for the uniform u = (w >> 11) 2^-53, whose letter is
+    the number of cumulative weights e_k <= u (the last one read as 1.0),
+    searchsorted(cumulative, u, side="right").  Scaling by 2^53 is exact
+    and w >> 11 is an integer below 2^53, so u >= e_k exactly when
+    w >> 11 >= ceil(2^53 e_k), that is when w >= t_k = ceil(2^53 e_k) << 11.
+    An edge at or above 1.0 exceeds every u, so it has no threshold.
+    """
+    edges = np.cumsum(weights)[:-1]
+    edges = edges[edges < 1.0]
+    return np.ceil(edges * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def _draw_letters(thresholds: np.ndarray, words: np.ndarray, dtype) -> np.ndarray:
+    """The 0-based letter of each raw word: the number of thresholds <= w,
+    counted with one comparison pass per threshold, as `dtype`."""
+    letters = np.zeros(words.shape, dtype=dtype)
+    for threshold in thresholds:
+        letters += words >= threshold
     return letters
 
 
@@ -348,14 +363,15 @@ def _window_cells(window: np.ndarray, emitting: np.ndarray, depth: int,
     in the cell of the word (l_k, l_{k-1}, ..., l_{k-m+1}); the newest letter
     is the most significant digit.  `emitting` (rows, chains) marks the
     samples of the last `rows` letter rows of `window`, which must hold at
-    least depth - 1 letter rows before them.
+    least depth - 1 letter rows before them.  At depth 0 every sample is
+    in the one cell 0.
     """
     rows, end = len(emitting), len(window)
-    idx = np.zeros(emitting.shape, dtype=np.int64)
-    for back in range(depth):
+    idx = window[end - rows:end].astype(np.intp) if depth else np.zeros(emitting.shape, np.intp)
+    for back in range(1, depth):
         idx *= n
         idx += window[end - rows - back:end - back]
-    return idx[emitting]
+    return idx.ravel() if emitting.all() else idx[emitting]
 
 
 def _orbit_points(ifs: IfsSystem, x: np.ndarray, letters: np.ndarray,
@@ -379,8 +395,8 @@ def _orbit_points(ifs: IfsSystem, x: np.ndarray, letters: np.ndarray,
     return out
 
 
-# Step rows per block of the chaos game: one block's words, uniforms,
-# letters and cell indices (or orbit points) are held at a time.
+# Step rows per block of the chaos game: one block's words, letters and
+# cell indices (or orbit points) are held at a time.
 _STEP_BLOCK = 64
 
 
@@ -391,11 +407,12 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     The orbit x_{k+1} = g_{i_k}(x_k) is run as 1024 parallel sub-chains
     (fewer when n_samples is small), each burned in independently; letter
     draws come from a single PCG64 stream consumed column-wise, so the
-    output is a bit-exact function of (seed, n_samples, burn_in).  The
-    stream is drawn in blocks of `_STEP_BLOCK` steps of every chain, in the
-    order of one draw of all steps, and each block's samples are counted
-    before the next is drawn.  Counts merge by integer addition, which
-    makes the merge order irrelevant.
+    output is a bit-exact function of (seed, n_samples, burn_in).  Raw
+    words are compared with `_letter_thresholds` into one-byte letters
+    (the smallest type that holds n).  The stream is drawn in blocks of
+    `_STEP_BLOCK` steps of every chain, in the order of one draw of all
+    steps, and each block's samples are counted before the next is drawn.
+    Counts merge by integer addition, which makes the merge order irrelevant.
 
     Masses are symbolic when the ambient box satisfies the open set
     condition and burn_in >= depth - 1: each sample is counted in the cell
@@ -415,29 +432,30 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
         raise ValueError("need at least one sample")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    count = check_depth(ifs.n_branches, depth)
+    n = ifs.n_branches
+    count = check_depth(n, depth)
     chains = min(_CHAIN_COUNT, n_samples)
     base, extra = divmod(n_samples, chains)
     per_chain = np.full(chains, base, dtype=np.int64)
     per_chain[:extra] += 1
     steps = int(per_chain.max()) + burn_in
 
-    cumulative = np.cumsum(ifs.weights)
-    cumulative[-1] = 1.0
+    thresholds = _letter_thresholds(ifs.weights)
+    letter_type = np.min_scalar_type(n)
     symbolic = burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed
     # the block stream bounds the peak memory: no array spans all the steps
-    uniforms = uniform_blocks(int(seed), steps * chains, _STEP_BLOCK * chains)
-    carry = np.zeros((0, chains), dtype=np.intp)  # up to depth - 1 previous letter rows
-    x = np.tile(ifs.box.center, (chains, 1))      # the orbit, on the geometric path
+    words = raw_blocks(int(seed), steps * chains, _STEP_BLOCK * chains)
+    carry = np.zeros((0, chains), dtype=letter_type)  # up to depth - 1 previous letter rows
+    x = np.tile(ifs.box.center, (chains, 1))          # the orbit, on the geometric path
     counts = np.zeros(count, dtype=np.int64)
     for start in range(0, steps, _STEP_BLOCK):
-        letters = _draw_letters(cumulative, next(uniforms).reshape(-1, chains))
+        letters = _draw_letters(thresholds, next(words).reshape(-1, chains), letter_type)
         # emitting[e, c]: chain c emits a sample after step burn_in + e
         emitted = np.arange(max(start, burn_in), start + len(letters)) - burn_in
         emitting = per_chain[None, :] > emitted[:, None]
         if symbolic:
             window = np.concatenate([carry, letters])
-            cells = _window_cells(window, emitting, depth, ifs.n_branches)
+            cells = _window_cells(window, emitting, depth, n)
             carry = window[max(0, len(window) - (depth - 1)):]
         else:
             cells = bin_points(ifs, _orbit_points(ifs, x, letters, emitting), depth)

@@ -1,11 +1,12 @@
 """Deterministic randomness and quasi-random point rules.
 
-All random draws in the package go through :func:`uniform_doubles`, or
-:func:`uniform_blocks` for the same doubles drawn a block at a time, which
-map the raw PCG64 bit stream to doubles by the 53-bit shift rule
-``(word >> 11) * 2**-53``.  The bit stream of a seeded PCG64 instance is
-fixed across platforms and numpy versions, so every consumer is bit-exact
-reproducible from its integer seed.
+All random draws in the package go through :func:`uniform_doubles`, which
+maps the raw PCG64 bit stream to doubles by the 53-bit shift rule
+``(word >> 11) * 2**-53``, or through :func:`raw_blocks`, which yields the
+raw words themselves a block at a time (the chaos game compares them with
+integer thresholds that give the same letters as those doubles).  The bit
+stream of a seeded PCG64 instance is fixed across platforms and numpy
+versions, so every consumer is bit-exact reproducible from its integer seed.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ def _generator(seed) -> np.random.PCG64:
     return np.random.PCG64(np.random.SeedSequence(seed if isinstance(seed, int) else list(seed)))
 
 
-def _to_doubles(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
 def bit_stream(seed, count: int) -> np.ndarray:
     """Raw uint64 words from PCG64 seeded with `seed` (int or tuple)."""
     return _generator(seed).random_raw(count)
@@ -34,19 +31,19 @@ def bit_stream(seed, count: int) -> np.ndarray:
 
 def uniform_doubles(seed, count: int) -> np.ndarray:
     """`count` doubles in [0, 1), bit-exact for a given seed."""
-    return _to_doubles(bit_stream(seed, count))
+    return (bit_stream(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
-def uniform_blocks(seed, count: int, block: int):
-    """The doubles of uniform_doubles(seed, count), `block` at a time.
+def raw_blocks(seed, count: int, block: int):
+    """The words of bit_stream(seed, count), `block` at a time.
 
     One generator is drawn from in order, so the blocks concatenate to the
-    same `count` doubles; only one block's words and doubles are held at a
-    time.  The last block is shorter when `block` does not divide `count`.
+    same `count` words; only one block is held at a time.  The last block
+    is shorter when `block` does not divide `count`.
     """
     bits = _generator(seed)
     for start in range(0, count, block):
-        yield _to_doubles(bits.random_raw(min(block, count - start)))
+        yield bits.random_raw(min(block, count - start))
 
 
 def _radical_inverse(base: int, k: int) -> float:

@@ -243,9 +243,11 @@ def einsum_cell_grid(ifs, depth):
 def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
     """Chaos-game masses with every step drawn at once: the one-shot form
     that `measure.chaos_game` streams in step blocks, kept as its
-    bit-for-bit reference."""
+    bit-for-bit reference.  The letters come from the doubles of the
+    stream by binary search, not from the integer thresholds the streamed
+    form compares raw words with."""
     from ifslab.geometry import check_open_set_condition
-    from ifslab.measure import _draw_letters, bin_points
+    from ifslab.measure import bin_points
     from ifslab.sampling import uniform_doubles
 
     n = ifs.n_branches
@@ -256,8 +258,8 @@ def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
     steps = int(per_chain.max()) + burn_in
     cumulative = np.cumsum(ifs.weights)
     cumulative[-1] = 1.0
-    letters = _draw_letters(cumulative, uniform_doubles(int(seed), steps * chains)
-                            .reshape(steps, chains))
+    letters = np.searchsorted(cumulative, uniform_doubles(int(seed), steps * chains),
+                              side="right").reshape(steps, chains)
     emitting = per_chain[None, :] >= np.arange(1, steps - burn_in + 1)[:, None]
     if burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed:
         idx = np.zeros((steps - burn_in, chains), dtype=np.int64)

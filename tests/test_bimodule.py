@@ -880,6 +880,31 @@ def test_theta_residual_requires_uniform_weights(tent_1d):
             ifs, symbol, build_bump_partition(ifs, symbol), 0))
 
 
+def test_nearly_uniform_weights_keep_the_scaled_operator_norm():
+    # weights within is_hutchinson's 1e-12 of 1/3 but not bit-equal: the
+    # theta row is the unweighted block norm, and the operator row rescales
+    # the blocks by sqrt(p_i / p_j) and takes its own SVD.  The window runs
+    # across the value set (as in `straddling_case`), so a tail's block
+    # couples several first letters and the rescaling moves the norm
+    from ifslab import catalog
+    from ifslab.geometry import IfsSystem
+
+    ifs = catalog.get("sigma_1d").system
+    near = IfsSystem(ifs.box, ifs.branches, weights=[1 / 3 + 3e-14, 1 / 3 - 3e-14, 1 / 3],
+                     phi=ifs.phi)
+    assert near.is_hutchinson() and len(set(near.weights)) == 3
+    symbol = AdmissibleSymbol([[0.0, 0.7]], 0.05)
+    partition = BumpPartition(ifs.box.lo, np.array([1]), np.array([7]), 0.125, 0.025)
+    for level in (2, 3, 4, 5):
+        residual = reconstruction_residual(near, reconstruction_vectors(near, symbol,
+                                                                        partition, level))
+        theta = verify_theta_reconstruction(near, residual)
+        op = verify_operator_reconstruction(residual)
+        assert theta == max_spectral_norm(residual.matrix), level
+        assert op == operator_norm(residual), level
+        assert op != theta, level
+
+
 # ---------------------------------------------------------------------------
 # covariant representation
 # ---------------------------------------------------------------------------

@@ -80,6 +80,16 @@ def test_measure_outputs_exact_masses(tmp_path):
     assert all(line.endswith(",0.0625") for line in lines[1:])
 
 
+def test_measure_depth_zero_is_the_one_cell(tmp_path):
+    # at depth 0 every chaos-game sample falls in the one cell, whose word
+    # is empty
+    code = run(["measure", "--system", "tent_1d", "--depths", "0..1",
+                "--samples", "1000", "--out", str(tmp_path)])
+    assert code == 0
+    for name in ("measure_empirical.csv", "measure_exact.csv", "measure_fixpoint.csv"):
+        assert (tmp_path / name).read_text() == "word,mass\n,1\n", name
+
+
 def test_measure_refuses_exact_without_separation(tmp_path, capsys):
     code = run(["measure", "--system", "tent_square", "--depths", "2..2",
                 "--samples", "1000", "--no-separation", "--out", str(tmp_path)])
@@ -323,14 +333,17 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
 
 
 def test_report_memory_is_bounded(tmp_path):
-    # the benchmark's configuration (10^6 samples).  The peak, near 3.2
-    # MiB, is the chaos game's step blocks.  The grids of depths 2-5 stay
-    # cached as centers and half-frame classes (0.2 MiB; 0.7 MiB with a
-    # frame and a hull per cell), the covariance loop forms no depth-6
-    # cell, and the reconstruction forms the depth-6 cells only near the
-    # support.  The whole depth-6 grid (3.6 MiB) and the depth-5 identity
-    # stacks (2.1 MiB each) took it to 7.5 MiB; whole-depth averaging
-    # points and branch images, or dense reconstruction pairs, to 16.8 MiB
+    # the benchmark's configuration (10^6 samples).  The peak, near 2.7
+    # MiB, is the level-6 reconstruction residual; the chaos game's step
+    # blocks of words, one-byte letters and cell indices peak near 1.6 MiB
+    # (3.2 MiB with double uniforms and intp letters).  The grids of depths
+    # 2-5 stay cached as centers and half-frame classes (0.2 MiB; 0.7 MiB
+    # with a frame and a hull per cell), the covariance loop forms no
+    # depth-6 cell, and the reconstruction forms the depth-6 cells only
+    # near the support.  The whole depth-6 grid (3.6 MiB) and the depth-5
+    # identity stacks (2.1 MiB each) took it to 7.5 MiB; whole-depth
+    # averaging points and branch images, or dense reconstruction pairs,
+    # to 16.8 MiB
     args = ["report", "--system", "tent_sigma", "--depths", "2..5"]
     assert run([*args, "--samples", "1000", "--out", str(tmp_path / "warm")]) == 0
     tracemalloc.start()

@@ -12,7 +12,7 @@ from ifslab.geometry import IfsSystem, box_intersection, boxes_overlap_openly
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             total_variation)
-from ifslab.sampling import bit_stream, uniform_blocks, uniform_doubles
+from ifslab.sampling import bit_stream, raw_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +136,49 @@ def test_chaos_game_tv_halves_with_4x_samples(tent_square):
 
 
 def test_threshold_letter_draw_matches_binary_search():
+    # a raw word's letter counted against the integer thresholds is the
+    # letter a binary search gives its double (w >> 11) 2^-53: at every
+    # threshold t, at t - 1, at t | 0x7ff (the last word of t's double) and
+    # at t - 2^11 (the double below), on seeded and random words; edges
+    # such as 1/3 and 0.1 are not multiples of 2^-53, so 2^53 e rounds up;
+    # 300 weights take two-byte letters
     rng = np.random.default_rng(19)
-    seeded = uniform_doubles(23, 64 * 1024).reshape(64, 1024)
+    seeded = bit_stream(23, 64 * 1024).reshape(64, 1024)
     for weights in ([0.25, 0.25, 0.5], [0.5, 0.25, 0.125, 0.125], [0.25] * 4,
-                    rng.dirichlet(np.ones(6)), rng.dirichlet(np.full(3, 0.3))):
+                    [1 / 3] * 3, [0.1, 0.2, 0.3, 0.4], rng.dirichlet(np.ones(6)),
+                    rng.dirichlet(np.full(3, 0.3)), rng.dirichlet(np.ones(300))):
         cumulative = np.cumsum(weights)
         cumulative[-1] = 1.0
-        # every cumulative edge exactly, and its two floating-point neighbours
-        edges = np.concatenate([[0.0], cumulative, np.nextafter(cumulative, 0.0),
-                                np.nextafter(cumulative, 2.0)])
-        for uniforms in (seeded, edges, rng.random(5000)):
-            expected = np.searchsorted(cumulative, uniforms, side="right")
-            letters = mea._draw_letters(cumulative, uniforms)
-            assert letters.dtype == expected.dtype
+        thresholds = mea._letter_thresholds(np.asarray(weights))
+        dtype = np.min_scalar_type(len(weights))
+        edges = np.concatenate([thresholds - np.uint64(1), thresholds,
+                                thresholds | np.uint64(0x7ff), thresholds - np.uint64(2**11),
+                                np.array([0, 2**64 - 1], dtype=np.uint64)])
+        random = rng.integers(0, 2**64, 5000, dtype=np.uint64)
+        for words in (seeded, edges, random):
+            expected = np.searchsorted(cumulative, (words >> np.uint64(11)) * 2.0**-53,
+                                       side="right")
+            letters = mea._draw_letters(thresholds, words, dtype)
+            assert letters.dtype == dtype
             np.testing.assert_array_equal(letters, expected)
+    assert dtype == np.uint16
+    # the first edges, 1/3 and 0.1, are off the 2^-53 grid: their threshold
+    # stands for the next double on it
+    for weights in ([1 / 3] * 3, [0.1, 0.2, 0.3, 0.4]):
+        first = mea._letter_thresholds(np.asarray(weights))[0]
+        assert (first >> np.uint64(11)) * 2.0**-53 > weights[0]
 
 
-def test_uniform_blocks_continue_one_stream():
-    # the blocks are the doubles of one draw, in order, for int and tuple
+def test_raw_blocks_continue_one_stream():
+    # the blocks are the words of one draw, in order, for int and tuple
     # seeds and for blocks that do and do not divide the count
     for seed in (0, 7, (7, 101, 3)):
         for count, block in ((1, 1), (1_000, 64), (1_000, 1_000), (1_000, 3_000),
                              (3 * 65_536 + 5, 65_536)):
-            blocks = list(uniform_blocks(seed, count, block))
+            blocks = list(raw_blocks(seed, count, block))
             assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
             assert 0 < len(blocks[-1]) <= block
-            assert np.array_equal(np.concatenate(blocks), uniform_doubles(seed, count))
+            assert np.array_equal(np.concatenate(blocks), bit_stream(seed, count))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +289,12 @@ def test_overlapping_images_bin_the_orbit(overlap_bad):
 def test_streamed_chaos_game_equals_one_shot(name):
     # overlap_bad takes the geometric path (orbit carried across blocks);
     # sample counts below 1024 chains and not divisible by 1024; burn-ins
-    # of 100 and of exactly depth - 1 (the shortest symbolic window)
+    # of 100 and of exactly depth - 1 (the shortest symbolic window); at
+    # depth 0 every sample falls in the one cell
     ifs = catalog.get(name).system
-    for depth in range(1, 6):
+    for depth in range(0, 6):
         for n_samples in (700, 5_001, 66_667):
-            for burn_in in (100, depth - 1):
+            for burn_in in (100, max(depth - 1, 0)):
                 expected = one_shot_chaos_game(ifs, depth, n_samples, 13, burn_in)
                 mu = chaos_game(ifs, depth, n_samples, seed=13, burn_in=burn_in)
                 assert np.array_equal(mu.masses, expected), (depth, n_samples, burn_in)
@@ -285,11 +303,12 @@ def test_streamed_chaos_game_equals_one_shot(name):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_streamed_chaos_game_blocks_shorter_than_window(monkeypatch, rows):
     # a block of fewer step rows than the depth - 1 letters a window
-    # carries: the carry then spans several blocks
+    # carries: the carry then spans several blocks; depth 0 carries none
     monkeypatch.setattr(mea, "_STEP_BLOCK", rows)
     for name, depth, burn_in in (("tent_sigma", 5, 4), ("tent_1d", 5, 100),
                                  ("tent_square", 4, 3), ("overlap_bad", 4, 3),
-                                 ("tent_sigma", 4, 1)):
+                                 ("tent_sigma", 4, 1), ("tent_1d", 0, 0),
+                                 ("overlap_bad", 0, 2)):
         ifs = catalog.get(name).system
         for n_samples in (1, 1_000, 4_097):
             expected = one_shot_chaos_game(ifs, depth, n_samples, 5, burn_in)
@@ -299,8 +318,11 @@ def test_streamed_chaos_game_blocks_shorter_than_window(monkeypatch, rows):
 
 def test_chaos_game_memory_is_bounded(tent_sigma):
     # a draw of every step at once holds 25 MiB of words, uniforms, letters
-    # and windows for 10^6 samples; the step blocks hold one block's worth
-    # (depth 1 carries no letter rows between blocks)
+    # and windows for 10^6 samples; the step blocks hold one block's words,
+    # one-byte letters and cell indices, a traced peak of 1.57 MiB (depth 1
+    # carries no letter rows between blocks).  The bound keeps the 2.5x
+    # headroom that 8 MiB gave over the 3.16 MiB of double uniforms and
+    # intp letters.
     ifs = tent_sigma.system
     chaos_game(ifs, 2, 1_000, seed=7)  # memoised geometry outside the trace
     for depth in (1, 2):
@@ -310,7 +332,7 @@ def test_chaos_game_memory_is_bounded(tent_sigma):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, (depth, peak)
+        assert peak < 4 * 2**20, (depth, peak)
 
 
 def test_bin_points_lexicographic_on_boundary(tent_1d):
