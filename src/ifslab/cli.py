@@ -46,9 +46,6 @@ DEFAULT_TOLERANCES = {
     "chaos_band_fraction": 0.95,
 }
 
-# Keys a config file may set in its [run] section.
-RUN_KEYS = ("system", "depths", "samples", "seed", "out", "delta")
-
 VERIFY_SYMBOLS = 5
 VERIFY_TRIALS = 5
 
@@ -553,8 +550,21 @@ def _parse_depths(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _config_number(kind, section: str, key: str, raw: str, path: str):
-    """`raw` converted by `kind` (int or float), or ConfigError naming the key."""
+# The settings of a config file's [run] section: key -> (RunConfig field,
+# type).  The command-line flag of the same name overrides each; the type
+# converts the text of either, and the settings are read in this order.
+RUN_SETTINGS = {
+    "system": ("system", str),
+    "depths": ("depths", _parse_depths),
+    "samples": ("samples", int),
+    "seed": ("seed", int),
+    "out": ("out_dir", str),
+    "delta": ("delta", float),
+}
+
+
+def _config_value(kind, section: str, key: str, raw: str, path: str):
+    """`raw` converted by `kind`; a ValueError becomes a ConfigError naming the key."""
     try:
         return kind(raw)
     except ValueError:
@@ -572,26 +582,18 @@ def _config_from_file(path: str) -> dict:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
-    for section, known in (("run", RUN_KEYS), ("tolerances", DEFAULT_TOLERANCES)):
+    for section, known in (("run", RUN_SETTINGS), ("tolerances", DEFAULT_TOLERANCES)):
         if section in parser:
             unknown = sorted(set(parser[section]) - set(known))
             if unknown:
                 raise ConfigError(f"unknown key {unknown[0]!r} in [{section}] of {path!r}")
     if "run" in parser:
         run = parser["run"]
-        if "system" in run:
-            values["system"] = run["system"]
-        if "depths" in run:
-            values["depths"] = _parse_depths(run["depths"])
-        for key in ("samples", "seed"):
+        for key, (name, kind) in RUN_SETTINGS.items():
             if key in run:
-                values[key] = _config_number(int, "run", key, run[key], path)
-        if "out" in run:
-            values["out_dir"] = run["out"]
-        if "delta" in run:
-            values["delta"] = _config_number(float, "run", "delta", run["delta"], path)
+                values[name] = _config_value(kind, "run", key, run[key], path)
     if "tolerances" in parser:
-        values["tolerances"] = {key: _config_number(float, "tolerances", key, val, path)
+        values["tolerances"] = {key: _config_value(float, "tolerances", key, val, path)
                                 for key, val in parser["tolerances"].items()}
     return values
 
@@ -600,19 +602,8 @@ def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg = replace(cfg, **_config_from_file(args.config))
-    overrides: dict = {}
-    if args.system is not None:
-        overrides["system"] = args.system
-    if args.depths is not None:
-        overrides["depths"] = _parse_depths(args.depths)
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.delta is not None:
-        overrides["delta"] = args.delta
+    overrides = {name: kind(getattr(args, key)) for key, (name, kind) in RUN_SETTINGS.items()
+                 if getattr(args, key) is not None}
     if args.no_separation:
         overrides["assume_separation"] = False
     tolerances = dict(cfg.tolerances)

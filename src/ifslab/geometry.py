@@ -688,6 +688,24 @@ def _clamp_gaps(lo: np.ndarray, hi: np.ndarray, points: np.ndarray) -> np.ndarra
     return np.maximum(np.maximum(lo - points, points - hi), 0.0)
 
 
+def first_box(points: np.ndarray, boxes: np.ndarray, slack: float) -> np.ndarray:
+    """For each point (P, d), the index of the first closed box (N, d, 2)
+    that holds it when every box is widened by `slack` on each side.
+
+    A point in no box gets the box at the smallest Euclidean gap
+    (`_clamp_gaps`, without the slack), the first of equally near ones.
+    """
+    points = points[:, None, :]
+    inside = np.all((points >= boxes[:, :, 0] - slack) & (points <= boxes[:, :, 1] + slack),
+                    axis=2)
+    first = inside.argmax(axis=1)
+    missing = ~inside.any(axis=1)
+    if missing.any():
+        gaps = _clamp_gaps(boxes[:, :, 0], boxes[:, :, 1], points[missing])
+        first[missing] = np.linalg.norm(gaps, axis=2).argmin(axis=1)
+    return first
+
+
 def _box_segment_distances(boxes: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     """Exact distance from each closed box (N, d, 2) to each segment [a, b]
     of `endpoints` (P, 2, d), as a (P, N) array.

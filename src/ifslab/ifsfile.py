@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import AffineContraction, AmbientBox, IfsSystem
+from .geometry import AffineContraction, AmbientBox, IfsSystem, first_box
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -42,35 +42,21 @@ def _parse_value(section: str, key: str, raw: str):
 def piecewise_phi(branches, domains, box: AmbientBox):
     """First-match piecewise inverse over the per-branch domain boxes.
 
-    Points outside every domain are routed through the branch with the
-    nearest domain box and the result is clipped into the ambient box, so
-    the evaluator stays total.
+    Each point goes through the inverse of the first branch whose domain
+    box holds it (`first_box` with no slack).  Points outside every domain
+    are routed through the branch with the nearest domain box and the
+    result is clipped into the ambient box, so the evaluator stays total.
     """
-    domains = [np.asarray(dom, dtype=float) for dom in domains]
+    domains = np.array(domains, dtype=float)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
+        first = first_box(points, domains, 0.0)
         out = np.empty_like(points)
-        assigned = np.zeros(len(points), dtype=bool)
-        for gamma, dom in zip(branches, domains):
-            free = ~assigned
-            if not free.any():
-                break
-            inside = np.all((points[free] >= dom[:, 0]) & (points[free] <= dom[:, 1]), axis=1)
-            rows = np.where(free)[0][inside]
-            out[rows] = gamma.inverse(points[rows])
-            assigned[rows] = True
-        if not assigned.all():
-            rows = np.where(~assigned)[0]
-            gaps = np.stack([
-                np.linalg.norm(np.maximum(
-                    np.maximum(dom[:, 0] - points[rows], points[rows] - dom[:, 1]), 0.0), axis=1)
-                for dom in domains], axis=1)
-            nearest = np.argmin(gaps, axis=1)
-            for b, gamma in enumerate(branches):
-                sel = rows[nearest == b]
-                if sel.size:
-                    out[sel] = gamma.inverse(points[sel])
+        for b, gamma in enumerate(branches):
+            rows = first == b
+            if rows.any():
+                out[rows] = gamma.inverse(points[rows])
         return np.clip(out, box.lo, box.hi)
 
     return evaluate
@@ -115,7 +101,10 @@ def parse_ifs(text: str) -> IfsSystem:
         except Exception as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
         if "domain" in sec:
-            domains.append(np.asarray(_parse_value(name, "domain", sec["domain"]), dtype=float))
+            domain = np.asarray(_parse_value(name, "domain", sec["domain"]), dtype=float)
+            if domain.shape != (dimension, 2):
+                raise ConfigError(f"[{name}] domain must list one [lo, hi] pair per dimension")
+            domains.append(domain)
         else:
             domains.append(None)
 

@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, DepthOverflow, NoConvergence
-from .geometry import IfsSystem, check_open_set_condition
+from .geometry import IfsSystem, check_open_set_condition, first_box
 from .sampling import raw_blocks
 
 DEFAULT_CELL_BUDGET = 2**20
@@ -289,39 +289,22 @@ def bin_points(ifs: IfsSystem, points: np.ndarray, depth: int) -> np.ndarray:
     This is the geometric binning behind :func:`chaos_game` on systems
     whose box fails the open set condition.  At every level the point is
     assigned to the first branch (in index order) whose image box contains
-    it within a slack of 1e-9 times the box diameter, which realizes the
-    convention that shared-boundary points belong to the lexicographically
-    smallest word.  When the box is the attractor the greedy descent never
-    dead ends, and under measure separation the word is exact off a null
-    set.  Points in no image box (possible on non-self-similar fixtures)
-    fall to the branch with the nearest image box, so masses binned on
-    such systems are outer estimates only.
+    it within a slack of 1e-9 times the box diameter (`first_box`), which
+    realizes the convention that shared-boundary points belong to the
+    lexicographically smallest word.  When the box is the attractor the
+    greedy descent never dead ends, and under measure separation the word
+    is exact off a null set.  Points in no image box (possible on
+    non-self-similar fixtures) fall to the branch with the nearest image
+    box, so masses binned on such systems are outer estimates only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = ifs.n_branches
-    boxes = ifs.image_boxes()
+    boxes = np.stack(ifs.image_boxes())
     idx = np.zeros(len(points), dtype=np.int64)
     current = points.copy()
-    tol = 1e-9 * max(1.0, ifs.box.diameter)
+    slack = 1e-9 * max(1.0, ifs.box.diameter)
     for _ in range(depth):
-        letter = np.full(len(points), -1, dtype=np.int64)
-        for i, box in enumerate(boxes):
-            free = letter < 0
-            if not free.any():
-                break
-            inside = np.all((current[free] >= box[:, 0] - tol)
-                            & (current[free] <= box[:, 1] + tol), axis=1)
-            hit = np.where(free)[0][inside]
-            letter[hit] = i
-        missing = letter < 0
-        if missing.any():
-            gaps = np.stack([
-                np.linalg.norm(
-                    np.maximum(np.maximum(box[:, 0] - current[missing],
-                                          current[missing] - box[:, 1]), 0.0),
-                    axis=1)
-                for box in boxes], axis=1)
-            letter[missing] = np.argmin(gaps, axis=1)
+        letter = first_box(current, boxes, slack)
         idx = idx * n + letter
         for i, gamma in enumerate(ifs.branches):
             sel = letter == i
@@ -355,44 +338,40 @@ def _draw_letters(thresholds: np.ndarray, words: np.ndarray, dtype) -> np.ndarra
     return letters
 
 
-def _window_cells(window: np.ndarray, emitting: np.ndarray, depth: int,
-                  n: int) -> np.ndarray:
-    """Flat cell index of every sample one block emits, from its last `depth` letters.
+def _window_cells(window: np.ndarray, rows: int, depth: int, n: int) -> np.ndarray:
+    """Flat cell index of every chain's sample after each of the last `rows`
+    letter rows of `window`, step-major, from its last `depth` letters.
 
     The sample after step k is g_{l_k} o g_{l_{k-1}} o ... (x_0), so it lies
     in the cell of the word (l_k, l_{k-1}, ..., l_{k-m+1}); the newest letter
-    is the most significant digit.  `emitting` (rows, chains) marks the
-    samples of the last `rows` letter rows of `window`, which must hold at
-    least depth - 1 letter rows before them.  At depth 0 every sample is
-    in the one cell 0.
+    is the most significant digit.  `window` must hold at least depth - 1
+    letter rows before its last `rows`.  At depth 0 every sample is in the
+    one cell 0.
     """
-    rows, end = len(emitting), len(window)
-    idx = window[end - rows:end].astype(np.intp) if depth else np.zeros(emitting.shape, np.intp)
+    end = len(window)
+    if not depth:
+        return np.zeros(rows * window.shape[1], np.intp)
+    idx = window[end - rows:].astype(np.intp)
     for back in range(1, depth):
         idx *= n
         idx += window[end - rows - back:end - back]
-    return idx.ravel() if emitting.all() else idx[emitting]
+    return idx.ravel()
 
 
-def _orbit_points(ifs: IfsSystem, x: np.ndarray, letters: np.ndarray,
-                  emitting: np.ndarray) -> np.ndarray:
+def _orbit_points(ifs: IfsSystem, x: np.ndarray, letters: np.ndarray, rows: int) -> np.ndarray:
     """Advance the orbit `x` (chains, d) in place through one block's letter
-    rows and return the coordinates of the samples `emitting` marks in the
-    block's last len(emitting) rows, in step order."""
-    out = np.empty((int(emitting.sum()), ifs.dimension))
-    cursor = 0
-    skip = len(letters) - len(emitting)
+    rows and return every chain's point after each of the block's last
+    `rows` rows, step-major."""
+    out = np.empty((rows, *x.shape))
+    skip = len(letters) - rows
     for k, step_letters in enumerate(letters):
         for i, gamma in enumerate(ifs.branches):
             sel = step_letters == i
             if sel.any():
                 x[sel] = gamma(x[sel])
         if k >= skip:
-            active = emitting[k - skip]
-            took = int(active.sum())
-            out[cursor:cursor + took] = x[active]
-            cursor += took
-    return out
+            out[k - skip] = x
+    return out.reshape(-1, ifs.dimension)
 
 
 # Step rows per block of the chaos game: one block's words, letters and
@@ -407,8 +386,12 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     The orbit x_{k+1} = g_{i_k}(x_k) is run as 1024 parallel sub-chains
     (fewer when n_samples is small), each burned in independently; letter
     draws come from a single PCG64 stream consumed column-wise, so the
-    output is a bit-exact function of (seed, n_samples, burn_in).  Raw
-    words are compared with `_letter_thresholds` into one-byte letters
+    output is a bit-exact function of (seed, n_samples, burn_in).  The
+    samples after the burn-in are taken step-major, every chain's sample
+    after one step before any after the next, and the first n_samples of
+    them are counted: each chain gives ceil or floor of n_samples / chains,
+    and only the last step row can be partial, its first chains counted.
+    Raw words are compared with `_letter_thresholds` into one-byte letters
     (the smallest type that holds n).  The stream is drawn in blocks of
     `_STEP_BLOCK` steps of every chain, in the order of one draw of all
     steps, and each block's samples are counted before the next is drawn.
@@ -435,10 +418,7 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     n = ifs.n_branches
     count = check_depth(n, depth)
     chains = min(_CHAIN_COUNT, n_samples)
-    base, extra = divmod(n_samples, chains)
-    per_chain = np.full(chains, base, dtype=np.int64)
-    per_chain[:extra] += 1
-    steps = int(per_chain.max()) + burn_in
+    steps = burn_in + -(-n_samples // chains)  # ceil(n_samples / chains) emitting rows
 
     thresholds = _letter_thresholds(ifs.weights)
     letter_type = np.min_scalar_type(n)
@@ -448,17 +428,18 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     carry = np.zeros((0, chains), dtype=letter_type)  # up to depth - 1 previous letter rows
     x = np.tile(ifs.box.center, (chains, 1))          # the orbit, on the geometric path
     counts = np.zeros(count, dtype=np.int64)
+    left = n_samples
     for start in range(0, steps, _STEP_BLOCK):
         letters = _draw_letters(thresholds, next(words).reshape(-1, chains), letter_type)
-        # emitting[e, c]: chain c emits a sample after step burn_in + e
-        emitted = np.arange(max(start, burn_in), start + len(letters)) - burn_in
-        emitting = per_chain[None, :] > emitted[:, None]
+        rows = max(0, start + len(letters) - max(start, burn_in))  # rows after the burn-in
+        take = min(left, rows * chains)
+        left -= take
         if symbolic:
             window = np.concatenate([carry, letters])
-            cells = _window_cells(window, emitting, depth, n)
+            cells = _window_cells(window, rows, depth, n)[:take]
             carry = window[max(0, len(window) - (depth - 1)):]
         else:
-            cells = bin_points(ifs, _orbit_points(ifs, x, letters, emitting), depth)
+            cells = bin_points(ifs, _orbit_points(ifs, x, letters, rows)[:take], depth)
         counts += np.bincount(cells, minlength=count)
     assert counts.sum() == n_samples
     return CellMeasure(depth, counts / n_samples)

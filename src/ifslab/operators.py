@@ -138,18 +138,6 @@ def _evaluate(evaluator, points: np.ndarray) -> np.ndarray:
                            for k in range(0, len(points), _EVAL_ROWS)])
 
 
-def _blocks(evaluator, points: np.ndarray, count: int):
-    """The evaluator's values on `points`, one block of `count` rows at a time.
-
-    Each call takes as many whole blocks as fit in _EVAL_ROWS rows, so a
-    small array is one call; a block longer than that is evaluated in
-    slices of _EVAL_ROWS rows.  Only one call's values are held at a time.
-    """
-    per_call = max(1, _EVAL_ROWS // count) * count
-    for start in range(0, len(points), per_call):
-        yield from _evaluate(evaluator, points[start:start + per_call]).reshape(-1, count)
-
-
 def _offset_points(boxes: np.ndarray) -> np.ndarray:
     """The Halton points of the averaging rule in the box hulls (T, d, 2).
 
@@ -351,15 +339,17 @@ def sample_to_cells(evaluator, boxes: np.ndarray) -> np.ndarray:
     in its box hull (`_offset_points`); the Halton set is deliberately
     flip-asymmetric, so averaged sampling does not commute with
     orientation-reversing branches.  The offset-major points are evaluated
-    in calls of at most _EVAL_ROWS rows (one call when they fit), and each
-    cell sums its offsets in order from 0.0.  Each mean depends on its own
-    hull only, so the means of a subset of cells are the same floats as
-    their entries of a whole level's.
+    in one pass (`_evaluate`, calls of at most _EVAL_ROWS rows, which need
+    not end at an offset's last row), and each cell sums its offsets in
+    order from 0.0.  Each mean depends on its own hull only, so the means
+    of a subset of cells are the same floats as their entries of a whole
+    level's.
     """
     total = np.zeros(len(boxes))
     if len(boxes):  # no boxes, no evaluator call
-        for values in _blocks(evaluator, _offset_points(boxes), len(boxes)):
-            total = total + values
+        values = _evaluate(evaluator, _offset_points(boxes))
+        for row in values.reshape(DEFAULT_AVERAGE_POINTS, len(boxes)):
+            total = total + row
     return total / DEFAULT_AVERAGE_POINTS
 
 

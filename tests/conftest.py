@@ -245,7 +245,9 @@ def one_shot_chaos_game(ifs, depth, n_samples, seed, burn_in=100):
     that `measure.chaos_game` streams in step blocks, kept as its
     bit-for-bit reference.  The letters come from the doubles of the
     stream by binary search, not from the integer thresholds the streamed
-    form compares raw words with."""
+    form compares raw words with.  Which samples count is stated per
+    chain, chain c emitting after its first base + (c < extra) steps past
+    the burn-in, not as the step-major prefix the streamed form takes."""
     from ifslab.geometry import check_open_set_condition
     from ifslab.measure import bin_points
     from ifslab.sampling import uniform_doubles
@@ -364,17 +366,29 @@ def whole_depth_branch_points(ifs, depth):
     return images
 
 
+def blockwise_values(evaluator, points, count):
+    """The evaluator's values on `points`, one block of `count` rows at a
+    time: each call takes as many whole blocks as fit in 2^15 rows, and a
+    block longer than that is evaluated in slices of 2^15 rows."""
+    per_call = max(1, 2**15 // count) * count
+    for start in range(0, len(points), per_call):
+        chunk = points[start:start + per_call]
+        values = np.concatenate([np.asarray(evaluator(chunk[k:k + 2**15]))
+                                 for k in range(0, len(chunk), 2**15)])
+        yield from values.reshape(-1, count)
+
+
 def whole_depth_transfer(ifs, evaluator, depth):
     """The averaging rule applied to L a = (1/n) sum_i a o gamma_i on every
-    depth-m cell: the whole-depth branch images evaluated in calls of at
-    most 2^15 rows, branches summed in order and divided by n, offsets
-    summed in order from 0.0."""
-    from ifslab.operators import DEFAULT_AVERAGE_POINTS, _blocks
+    depth-m cell: the whole-depth branch images evaluated in calls of whole
+    blocks of at most 2^15 rows, branches summed in order and divided by n,
+    offsets summed in order from 0.0."""
+    from ifslab.operators import DEFAULT_AVERAGE_POINTS
 
     n = ifs.n_branches
     points = whole_depth_branch_points(ifs, depth)
     count = len(points) // (DEFAULT_AVERAGE_POINTS * n)
-    blocks = _blocks(evaluator, points, count)
+    blocks = blockwise_values(evaluator, points, count)
     total = np.zeros(count)
     for _ in range(DEFAULT_AVERAGE_POINTS):
         branch_sum = np.zeros(count)

@@ -318,6 +318,42 @@ def test_box_distances_peak_memory_stays_at_per_piece_passes(tent_sigma):
     assert peaks[0] <= peaks[1], peaks
 
 
+def test_first_box_takes_the_first_holder_else_the_nearest():
+    boxes = np.array([[[0.0, 1.0], [0.0, 1.0]],
+                      [[1.0, 2.0], [0.0, 1.0]],
+                      [[-2.0, -1.1], [1.0, 2.0]]])
+    points = np.array([[1.0, 0.5],          # on the face boxes 0 and 1 share
+                       [1.5, 0.5],          # in box 1 only
+                       [1.0 + 1e-10, 0.5],  # in box 1, and in box 0 within 1e-9
+                       [-0.5, 1.5],         # gaps (0.5, 0.5) to box 0 and (0.6, 0) to box 2
+                       [1.0, 1.5],          # 0.5 from boxes 0 and 1
+                       [2.5, 0.5]])         # 0.5 from box 1
+    assert geo.first_box(points, boxes, 0.0).tolist() == [0, 1, 1, 2, 0, 1]
+    assert geo.first_box(points, boxes, 1e-9).tolist() == [0, 1, 0, 2, 0, 1]
+    # wide enough, the slack puts every point in box 0
+    assert geo.first_box(points, boxes, 4.0).tolist() == [0] * len(points)
+
+
+def test_first_box_equals_a_per_point_scan():
+    # boxes and points on a half-integer lattice, so that points sit on
+    # faces and equal gaps tie exactly
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        low = rng.integers(0, 6, (7, d)) / 2
+        boxes = np.stack([low, low + rng.integers(0, 3, (7, d)) / 2], axis=2)
+        points = rng.integers(-2, 10, (400, d)) / 2
+        for slack in (0.0, 0.5):
+            want = []
+            for point in points:
+                inside = [np.all((point >= box[:, 0] - slack) & (point <= box[:, 1] + slack))
+                          for box in boxes]
+                gaps = [np.linalg.norm(np.maximum(np.maximum(box[:, 0] - point,
+                                                             point - box[:, 1]), 0.0))
+                        for box in boxes]
+                want.append(inside.index(True) if any(inside) else int(np.argmin(gaps)))
+            assert geo.first_box(points, boxes, slack).tolist() == want, (d, slack)
+
+
 # ---------------------------------------------------------------------------
 # coincidence and value sets
 # ---------------------------------------------------------------------------

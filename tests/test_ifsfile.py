@@ -73,9 +73,33 @@ def test_piecewise_phi_inverts_branches():
     assert verify_inverse_branches(system) <= 1e-12
 
 
+def test_piecewise_phi_outside_every_domain_takes_the_nearest_branch():
+    # domains [0, 0.4] and [0.6, 1]: a point outside both goes through the
+    # inverse of the nearer domain's branch (the first at equal gaps), and
+    # the value is clipped into the box
+    text = MINIMAL.replace("phi = tent_1d", "phi = piecewise")
+    text = text.replace("translation = [0.0]", "translation = [0.0]\ndomain = [[0.0, 0.4]]")
+    text = text.replace("translation = [1.0]", "translation = [1.0]\ndomain = [[0.6, 1.0]]")
+    system = parse_ifs(text)
+    points = np.array([[0.4], [0.45], [0.5], [0.55], [-0.2], [1.3]])
+    np.testing.assert_allclose(system.apply_phi(points)[:, 0],
+                               [0.8, 0.9, 1.0, 0.9, 0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
 def test_piecewise_phi_requires_domains():
     with pytest.raises(ConfigError):
         parse_ifs(MINIMAL.replace("phi = tent_1d", "phi = piecewise"))
+
+
+@pytest.mark.parametrize("domain", ["[0.0, 0.5]", "[[0.0, 0.5], [0.0, 1.0]]", "[[0.0, 0.5, 1.0]]"])
+def test_domain_must_be_a_box_of_the_dimension(domain):
+    # the domains are stacked into one (n, d, 2) array of boxes, so a domain
+    # of another shape is refused at load
+    text = MINIMAL.replace("phi = tent_1d", "phi = piecewise")
+    text = text.replace("translation = [0.0]", f"translation = [0.0]\ndomain = {domain}")
+    text = text.replace("translation = [1.0]", "translation = [1.0]\ndomain = [[0.5, 1.0]]")
+    with pytest.raises(ConfigError, match=r"\[branch.1\] domain must list one"):
+        parse_ifs(text)
 
 
 def test_catalog_phi_matches_exported_reference(tent_square):

@@ -288,12 +288,14 @@ def test_overlapping_images_bin_the_orbit(overlap_bad):
                                   "overlap_bad"])
 def test_streamed_chaos_game_equals_one_shot(name):
     # overlap_bad takes the geometric path (orbit carried across blocks);
-    # sample counts below 1024 chains and not divisible by 1024; burn-ins
-    # of 100 and of exactly depth - 1 (the shortest symbolic window); at
-    # depth 0 every sample falls in the one cell
+    # sample counts below 1024 chains and not divisible by 1024, among them
+    # a last step row in which only the first chain (1 025) or all but the
+    # last (2 047) is counted; burn-ins of 100 and of exactly depth - 1
+    # (the shortest symbolic window); at depth 0 every sample falls in the
+    # one cell
     ifs = catalog.get(name).system
     for depth in range(0, 6):
-        for n_samples in (700, 5_001, 66_667):
+        for n_samples in (700, 1_025, 2_047, 5_001, 66_667):
             for burn_in in (100, max(depth - 1, 0)):
                 expected = one_shot_chaos_game(ifs, depth, n_samples, 13, burn_in)
                 mu = chaos_game(ifs, depth, n_samples, seed=13, burn_in=burn_in)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (dense_gram_adjoint, dense_operator, einsum_cell_grid, grid_test_systems,
-                      per_offset_average, random_ifs, trig_field, whole_depth_average_points,
-                      whole_depth_covariance_residual, whole_depth_transfer)
+from conftest import (blockwise_values, dense_gram_adjoint, dense_operator, einsum_cell_grid,
+                      grid_test_systems, per_offset_average, random_ifs, trig_field,
+                      whole_depth_average_points, whole_depth_covariance_residual,
+                      whole_depth_transfer)
 from ifslab import bimodule as bi
 from ifslab import catalog, cli
 from ifslab import measure as mea
@@ -763,7 +764,7 @@ def test_support_sampling_selects_the_full_scan_cells():
 
                 total = np.zeros(len(full))
                 points = op._offset_points(boxes[full])
-                for values in op._blocks(field, points, len(full)) if len(full) else ():
+                for values in blockwise_values(field, points, len(full)) if len(full) else ():
                     total = total + values
                 want = total / op.DEFAULT_AVERAGE_POINTS
                 got = sample_to_cells(field, near_boxes[inside])
