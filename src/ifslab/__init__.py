@@ -8,8 +8,8 @@ composition-operator algebra, at desk scale.
 """
 
 from .catalog import CatalogEntry
-from .errors import (ConfigError, CoverFailure, DegenerateCandidate, DepthMismatch,
-                     DepthOverflow, IfsLabError, NoConvergence, NotAContraction)
+from .errors import (ConfigError, CoverFailure, DepthMismatch, DepthOverflow, IfsLabError,
+                     NoConvergence, NotAContraction)
 from .geometry import (AffineContraction, AmbientBox, IfsSystem, branch_coincidence_set,
                        branch_value_set, check_open_set_condition, contraction_bounds,
                        is_finite_branch, self_similarity_defect, verify_inverse_branches)

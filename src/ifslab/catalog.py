@@ -2,8 +2,8 @@
 
 Each entry carries the machine-checkable facts the test suites validate:
 coincidence and value sets as unions of points/segments, the finite
-branch flag, an open-set candidate and whether it should pass, and
-whether the uniform-weight invariant measure is Lebesgue on the box.
+branch flag, whether the open box should pass the open set condition,
+and whether the uniform-weight invariant measure is Lebesgue on the box.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class ExpectedFacts:
     value_segments: tuple = ()
     value_points: tuple = ()
     finite_branch: bool = True
-    osc_candidate: np.ndarray | None = None
     osc_should_pass: bool = True
     hutchinson_is_lebesgue: bool = True
     measure_separated: bool = True
@@ -102,7 +101,6 @@ def _tent_square() -> CatalogEntry:
         coincidence_segments=(_seg([0.0, 1.0], [1.0, 1.0]), _seg([1.0, 0.0], [1.0, 1.0])),
         value_segments=(_seg([0.0, 0.5], [1.0, 0.5]), _seg([0.5, 0.0], [0.5, 1.0])),
         finite_branch=False,
-        osc_candidate=np.array([[0.0, 1.0], [0.0, 1.0]]),
         admissible_support=np.array([[0.1, 0.4], [0.1, 0.4]]),
     )
     return CatalogEntry("tent_square", system, expected, phi_name="tent_square")
@@ -131,7 +129,6 @@ def _tent_sigma() -> CatalogEntry:
             _seg([0.5, 0.0], [0.5, 1.0]),
         ),
         finite_branch=False,
-        osc_candidate=np.array([[0.0, 1.0], [0.0, 1.0]]),
         admissible_support=np.array([[0.08, 0.27], [0.08, 0.27]]),
     )
     return CatalogEntry("tent_sigma", system, expected, phi_name="tent_sigma")
@@ -144,7 +141,6 @@ def _tent_1d() -> CatalogEntry:
         coincidence_points=(np.array([1.0]),),
         value_points=(np.array([0.5]),),
         finite_branch=True,
-        osc_candidate=np.array([[0.0, 1.0]]),
         admissible_support=np.array([[0.6, 0.9]]),
     )
     return CatalogEntry("tent_1d", system, expected, phi_name="tent_1d")
@@ -158,7 +154,6 @@ def _sigma_1d() -> CatalogEntry:
         coincidence_points=(np.array([1.0]), np.array([0.0])),
         value_points=(np.array([third]), np.array([2 * third])),
         finite_branch=True,
-        osc_candidate=np.array([[0.0, 1.0]]),
         admissible_support=np.array([[0.05, 0.25]]),
     )
     return CatalogEntry("sigma_1d", system, expected, phi_name="sigma_1d")
@@ -169,7 +164,6 @@ def _overlap_bad() -> CatalogEntry:
     system = IfsSystem(UNIT_INTERVAL, branches, phi=_phi_overlap_bad, name="overlap_bad")
     expected = ExpectedFacts(
         finite_branch=True,
-        osc_candidate=np.array([[0.0, 1.0]]),
         osc_should_pass=False,
         hutchinson_is_lebesgue=False,
         measure_separated=False,

@@ -110,33 +110,23 @@ def covariance_residual(ifs, symbols, depth: int) -> list[float]:
 # C, C*, C C* and L carry the same block on every tail w, and so does each
 # identity below: its operator on V_m is block diagonal with one block
 # repeated n^m times, and its norm is that block's norm.  So each residual
-# is computed from the depth-0 operators, which map V_0 to V_1 and hold
-# the one block; the stack of n^m copies gives the same value, bit for bit.
-# Each still checks the cell budget of the depth-(m+1) space it stands for.
+# is computed once per run, from the depth-0 operators, which map V_0 to
+# V_1 and hold the one block; the stack of n^m copies at any depth m gives
+# the same value, bit for bit.
 
-def isometry_residual(ifs, depth: int) -> float:
-    """|C*C - I| on V_depth, from the one block every tail shares."""
-    measure.check_depth(ifs.n_branches, depth + 1)
+def identity_residuals(ifs) -> tuple[float, float, float | None]:
+    """|C*C - I|, |(C C*)^2 - C C*| and max |C* - L| entrywise, from one
+    depth-0 block of C; the last is None without uniform weights."""
     comp = operators.composition_op(ifs, 0)
     identity = operators.mult_op(ifs, operators.CellFunction(0, np.ones(1)))
-    return operators.operator_norm(comp.adjoint().compose(comp).subtract(identity))
-
-
-def projection_residual(ifs, depth: int) -> float:
-    """|(C C*)^2 - C C*| on V_(depth+1), from the one block every tail shares."""
-    measure.check_depth(ifs.n_branches, depth + 1)
-    comp = operators.composition_op(ifs, 0)
+    isometry = operators.operator_norm(comp.adjoint().compose(comp).subtract(identity))
     proj = comp.compose(comp.adjoint())
-    return operators.operator_norm(proj.compose(proj).subtract(proj))
-
-
-def transfer_equality_residual(ifs, depth: int) -> float:
-    """max |C* - L| entrywise, V_(depth+1) -> V_depth, from the one block
-    every tail shares."""
-    measure.check_depth(ifs.n_branches, depth + 1)
-    cstar = operators.adjoint_composition_op(ifs, 0)
-    transfer = operators.transfer_op(ifs, 0)
-    return float(np.abs(cstar.subtract(transfer).matrix).max())
+    projection = operators.operator_norm(proj.compose(proj).subtract(proj))
+    transfer = None
+    if ifs.is_hutchinson():
+        cstar = operators.adjoint_composition_op(ifs, 0)
+        transfer = float(np.abs(cstar.subtract(operators.transfer_op(ifs, 0)).matrix).max())
+    return isometry, projection, transfer
 
 
 def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
@@ -193,12 +183,11 @@ def geometry_rows(cfg: RunConfig, ifs, expected, similarity: CheckRow) -> list[C
                        geometry.verify_inverse_branches(ifs), cfg.tol("inverse_branch")),
             similarity]
 
-    candidate = expected.osc_candidate if expected is not None else ifs.box.intervals
-    osc = geometry.check_open_set_condition(ifs, candidate)
+    osc = geometry.check_open_set_condition(ifs)
     detail = "candidate open box"
     if not osc.passed:
         witness = "none" if osc.witness is None else np.array2string(osc.witness, precision=6)
-        detail = f"failed {osc.failed_condition} at pair {osc.violating}, witness {witness}"
+        detail = f"failed overlap at pair {osc.violating}, witness {witness}"
     rows.append(_status_row("geometry", "open-set-condition", detail, osc.passed))
 
     pieces = geometry.branch_coincidence_set(ifs)
@@ -264,48 +253,49 @@ def _fixpoint_row(cfg: RunConfig, exact, fixpoint, depth: int) -> CheckRow:
 class OperatorSuite:
     """Residuals of every operator identity, computed once per run.
 
-    Index j of each list is depth depths[j].  `transfer` is None and
-    `covariance` empty without uniform weights; covariance[k][j] is trial
-    symbol k's residual at depths[j].
+    Each identity's one residual stands for every depth.  `transfer` is
+    None and `covariance` empty without uniform weights; covariance[k][j]
+    is trial symbol k's residual at depths[j].
     """
 
     depths: list[int]
-    isometry: list[float]
-    projection: list[float]
-    transfer: list[float] | None
+    isometry: float
+    projection: float
+    transfer: float | None
     symbols: list
     covariance: list[list[float]]
 
 
 def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
-    """The operator residuals.  The covariance residuals run once per depth,
-    every symbol on each block of tails in turn (`covariance_residual`)."""
+    """The operator residuals.  The identity residuals stand for the
+    depth-(m+1) spaces of every depth m, whose cell budget is checked
+    first, in ascending order; the covariance residuals run once per
+    depth, every symbol on each block of tails in turn
+    (`covariance_residual`)."""
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
+    for m in depths:
+        measure.check_depth(ifs.n_branches, m + 1)
     symbols = [random_trig_symbol((cfg.seed, 101, k), ifs.dimension)
                for k in range(VERIFY_SYMBOLS)]
-    uniform = ifs.is_hutchinson()
-    isometry = [isometry_residual(ifs, m) for m in depths]
-    projection = [projection_residual(ifs, m) for m in depths]
-    transfer = [transfer_equality_residual(ifs, m) for m in depths] if uniform else None
     covariance = []
-    if uniform:
+    if ifs.is_hutchinson():
         per_depth = [covariance_residual(ifs, symbols, m) for m in depths]
         covariance = [list(residuals) for residuals in zip(*per_depth)]
-    return OperatorSuite(depths, isometry, projection, transfer, symbols, covariance)
+    return OperatorSuite(depths, *identity_residuals(ifs), symbols, covariance)
 
 
 def operator_rows(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[CheckRow]:
     """The operator suite's check rows: the verdict of both `operators` and
     verify_operators.csv."""
     rows = []
-    for j, depth in enumerate(suite.depths):
+    for depth in suite.depths:
         rows.append(_bound_row("operators", "isometry", f"depth {depth}",
-                               suite.isometry[j], cfg.tol("isometry")))
+                               suite.isometry, cfg.tol("isometry")))
         rows.append(_bound_row("operators", "projection", f"depth {depth}",
-                               suite.projection[j], cfg.tol("projection")))
+                               suite.projection, cfg.tol("projection")))
         if suite.transfer is not None:
             rows.append(_bound_row("operators", "transfer-eq", f"depth {depth}",
-                                   suite.transfer[j], cfg.tol("transfer_eq")))
+                                   suite.transfer, cfg.tol("transfer_eq")))
         else:
             rows.append(_status_row("operators", "transfer-eq", "requires uniform weights", False))
 
@@ -332,13 +322,12 @@ def residual_table(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[tuple]:
     identity that needs uniform weights."""
     nan = float("nan")
     bound_lip = max(s.lip_bound for s in suite.symbols) * ifs.box.diameter
+    transfer = suite.transfer if suite.transfer is not None else nan
     table = []
     for j, depth in enumerate(suite.depths):
-        table.append((depth, "isometry", suite.isometry[j], cfg.tol("isometry")))
-        table.append((depth, "projection", suite.projection[j], cfg.tol("projection")))
-        table.append((depth, "transfer-eq",
-                      suite.transfer[j] if suite.transfer is not None else nan,
-                      cfg.tol("transfer_eq")))
+        table.append((depth, "isometry", suite.isometry, cfg.tol("isometry")))
+        table.append((depth, "projection", suite.projection, cfg.tol("projection")))
+        table.append((depth, "transfer-eq", transfer, cfg.tol("transfer_eq")))
         cov = max(res[j] for res in suite.covariance) if suite.covariance else nan
         table.append((depth, "covariance", cov, bound_lip * ifs.c2**depth))
     return table

@@ -25,10 +25,6 @@ class NoConvergence(IfsLabError):
     """
 
 
-class DegenerateCandidate(IfsLabError):
-    """Open-set candidate has empty interior."""
-
-
 class CoverFailure(IfsLabError):
     """Bump-partition rectangles underflowed the minimum pitch.
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCandidate, NotAContraction
+from .errors import NotAContraction
 
 _PIVOT_TOL = 1e-12
 
@@ -208,8 +208,8 @@ class IfsSystem:
 
     A system is immutable, so whatever is derived from its box and branches
     alone is kept in `_cell_cache` and computed once: the image boxes, the
-    coincidence and value sets, each support box's distance to the value
-    set, and per depth the cell grid.
+    open set condition, the coincidence and value sets, each support box's
+    distance to the value set, and per depth the cell grid.
     """
 
     def __init__(self, box: AmbientBox, branches, weights=None, phi=None, name: str = ""):
@@ -355,13 +355,13 @@ def self_similarity_defect(ifs: IfsSystem) -> Coverage:
     """
     if all(g.is_axis_aligned() for g in ifs.branches):
         return Coverage(_uncovered_box_fraction(ifs), "box arrangement")
-    osc = check_open_set_condition(ifs, ifs.box.intervals)
+    osc = check_open_set_condition(ifs)
     if osc.passed:
         covered = sum(abs(float(np.linalg.det(g.linear))) for g in ifs.branches)
         return Coverage(abs(1.0 - covered), "volume identity (open set condition)")
     return Coverage(float("nan"),
                     "coverage undecided: branches not axis-aligned and open set condition "
-                    f"failed ({osc.failed_condition} at branches {osc.violating})")
+                    f"failed (overlap at branches {osc.violating})")
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +584,7 @@ def value_residual(ifs: IfsSystem, c_pieces: list[AffinePiece],
 @dataclass(frozen=True)
 class OscResult:
     passed: bool
-    failed_condition: str | None = None  # "containment" | "overlap"
-    violating: tuple | None = None
+    violating: tuple | None = None  # the overlapping branch pair
     witness: np.ndarray | None = None
 
 
@@ -600,46 +599,40 @@ def _separating_axis_disjoint(verts_a: np.ndarray, verts_b: np.ndarray,
     return False
 
 
-def check_open_set_condition(ifs: IfsSystem, candidate: np.ndarray) -> OscResult:
-    """Decide g_i(V) subset V and pairwise disjointness for an open box V.
+def check_open_set_condition(ifs: IfsSystem) -> OscResult:
+    """Decide the open set condition for V the open ambient box, once per
+    system: every call returns the same result.
 
-    Box images are exact for axis-aligned branches.  For general affine
-    branches containment uses the vertex bounding box (exact for
-    invertible linear parts, since open images avoid the boundary) and
-    disjointness a separating-axis test over the parallelotope normals.
+    g_i(V) subset V holds for every system, since `IfsSystem` refuses a
+    branch whose image box leaves the box, so what is decided is the
+    pairwise disjointness of the open images.
     """
-    candidate = np.asarray(candidate, dtype=float)
-    if candidate.shape != (ifs.dimension, 2):
-        raise ValueError("candidate must be a (d, 2) box")
-    if np.any(candidate[:, 0] >= candidate[:, 1]):
-        raise DegenerateCandidate("candidate box has empty interior")
-    if np.any(candidate[:, 0] < ifs.box.lo - 1e-12) or np.any(candidate[:, 1] > ifs.box.hi + 1e-12):
-        raise ValueError("candidate must sit inside the ambient box")
+    cached = ifs._cell_cache.get("open-set-condition")
+    if cached is None:
+        cached = ifs._cell_cache["open-set-condition"] = _disjoint_images(ifs)
+    return cached
 
-    center = 0.5 * (candidate[:, 0] + candidate[:, 1])
-    image_boxes = [g.image_box(candidate) for g in ifs.branches]
 
-    # (a) containment of every open image in the open candidate
-    for i, (gamma, img) in enumerate(zip(ifs.branches, image_boxes), start=1):
-        if np.any(img[:, 0] < candidate[:, 0] - 1e-12) or np.any(img[:, 1] > candidate[:, 1] + 1e-12):
-            corners = np.array(list(product(*candidate)), dtype=float)
-            outside = ~np.all((gamma(corners) >= candidate[:, 0] - 1e-12)
-                              & (gamma(corners) <= candidate[:, 1] + 1e-12), axis=1)
-            bad = corners[outside][0] if outside.any() else center
-            witness = gamma(bad + 1e-9 * (center - bad))
-            return OscResult(False, "containment", (i,), witness)
+def _disjoint_images(ifs: IfsSystem) -> OscResult:
+    """Pairwise disjointness of the open images g_i(V) of the open box V.
 
-    # (b) pairwise disjointness of the open images
+    Box images are exact for axis-aligned branches, and two of them
+    overlap when their intersection is wider than 1e-12 on every axis.
+    For general affine branches disjointness is a separating-axis test
+    over the parallelotope normals, with the same 1e-12.  So images that
+    meet on a face that rounding has moved stay disjoint.
+    """
+    image_boxes = ifs.image_boxes()
     all_axis_aligned = all(g.is_axis_aligned() for g in ifs.branches)
     for (i, box_i), (j, box_j) in combinations(enumerate(image_boxes, start=1), 2):
         if all_axis_aligned:
-            if boxes_overlap_openly(box_i, box_j):
-                overlap = box_intersection(box_i, box_j)
+            overlap = box_intersection(box_i, box_j)
+            if overlap is not None and np.all(overlap[:, 1] - overlap[:, 0] > 1e-12):
                 witness = 0.5 * (overlap[:, 0] + overlap[:, 1])
-                return OscResult(False, "overlap", (i, j), witness)
+                return OscResult(False, (i, j), _read_only(witness))
             continue
         gi, gj = ifs.branches[i - 1], ifs.branches[j - 1]
-        corners = np.array(list(product(*candidate)), dtype=float)
+        corners = box_corners(ifs.box.intervals)
         verts_i, verts_j = gi(corners), gj(corners)
         axes = [np.linalg.inv(gi.linear)[a] for a in range(ifs.dimension)]
         axes += [np.linalg.inv(gj.linear)[a] for a in range(ifs.dimension)]
@@ -650,22 +643,22 @@ def check_open_set_condition(ifs: IfsSystem, candidate: np.ndarray) -> OscResult
                     axes.append(cross)
         axes = np.array([u / np.linalg.norm(u) for u in axes])
         if not _separating_axis_disjoint(verts_i, verts_j, axes):
-            witness = _overlap_witness(ifs, candidate, i, j)
-            return OscResult(False, "overlap", (i, j), witness)
+            return OscResult(False, (i, j), _overlap_witness(ifs, i, j))
     return OscResult(True)
 
 
-def _overlap_witness(ifs: IfsSystem, candidate: np.ndarray, i: int, j: int) -> np.ndarray | None:
+def _overlap_witness(ifs: IfsSystem, i: int, j: int) -> np.ndarray | None:
     """Grid search for a point of g_i(V) that also lies in open g_j(V)."""
     gi, gj = ifs.branches[i - 1], ifs.branches[j - 1]
+    box = ifs.box.intervals
     for resolution in (33, 129, 513):
-        axes = [np.linspace(lo, hi, resolution + 1)[1:-1] for lo, hi in candidate]
+        axes = [np.linspace(lo, hi, resolution + 1)[1:-1] for lo, hi in box]
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         images = gi(mesh)
         pre = gj.inverse(images)
-        strict = np.all((pre > candidate[:, 0] + 1e-15) & (pre < candidate[:, 1] - 1e-15), axis=1)
+        strict = np.all((pre > box[:, 0] + 1e-15) & (pre < box[:, 1] - 1e-15), axis=1)
         if strict.any():
-            return images[strict][0]
+            return _read_only(images[strict][0])
     return None
 
 

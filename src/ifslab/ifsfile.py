@@ -17,7 +17,10 @@ Branch sections are numbered from 1 in display order.  `phi` names a
 catalog evaluator, or `piecewise` with a `domain` box in every branch
 section, in which case the expanding map applies the first branch inverse
 whose domain contains the point.  `weights` is optional (uniform when
-absent) and must sum to 1 within 1e-12.
+absent) and must sum to 1 within 1e-12, and `name` is optional.  Every
+number is finite.  A key that is missing, unknown to its section or not
+readable is a ConfigError that names the section and the key, and so is
+a section other than these.
 """
 
 from __future__ import annotations
@@ -32,11 +35,30 @@ from .errors import ConfigError
 from .geometry import AffineContraction, AmbientBox, IfsSystem, first_box
 
 
-def _parse_value(section: str, key: str, raw: str):
+# The keys each section may hold; any other key is refused.
+SYSTEM_KEYS = ("name", "dimension", "box", "weights", "phi")
+BRANCH_KEYS = ("linear", "translation", "domain")
+
+
+def _numbers(raw: str) -> np.ndarray:
+    """A JSON number or rectangular array of numbers, all finite, as floats."""
+    value = np.asarray(json.loads(raw))
+    if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+        raise ValueError("not an array of finite numbers")
+    return value.astype(float)
+
+
+def _read(section, key: str, convert):
+    """`key` of the configparser section, converted; a missing key or a value
+    that `convert` rejects is a ConfigError naming the section and the key."""
+    if key not in section:
+        raise ConfigError(f"[{section.name}] is missing {key!r}")
+    raw = section[key]
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"[{section}] {key}: not a JSON value: {raw!r}") from exc
+        return convert(raw)
+    except ValueError:
+        kind = "an integer" if convert is int else "finite numbers in a rectangular JSON array"
+        raise ConfigError(f"[{section.name}] {key} must be {kind}, got {raw!r}") from None
 
 
 def piecewise_phi(branches, domains, box: AmbientBox):
@@ -71,37 +93,41 @@ def parse_ifs(text: str) -> IfsSystem:
         raise ConfigError(f"malformed definition file: {exc}") from exc
     if "system" not in parser:
         raise ConfigError("missing [system] section")
-    sys_sec = parser["system"]
-
-    try:
-        dimension = int(sys_sec["dimension"])
-        box_iv = np.asarray(_parse_value("system", "box", sys_sec["box"]), dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"[system] is missing {exc}") from exc
-    if box_iv.shape != (dimension, 2):
-        raise ConfigError("box must list one [lo, hi] pair per dimension")
-    box = AmbientBox(box_iv)
-
-    branch_names = sorted((s for s in parser.sections() if s.startswith("branch.")),
-                          key=lambda s: int(s.split(".", 1)[1]))
-    expected = [f"branch.{k}" for k in range(1, len(branch_names) + 1)]
-    if branch_names != expected:
+    found = {s for s in parser.sections() if s.startswith("branch.")}
+    branch_names = [f"branch.{k}" for k in range(1, len(found) + 1)]
+    if found != set(branch_names):
         raise ConfigError("branch sections must be numbered branch.1, branch.2, ...")
+    unknown = sorted(set(parser.sections()) - found - {"system"})
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}]")
     if len(branch_names) < 2:
         raise ConfigError("need at least two branch sections")
+    for name, known in (("system", SYSTEM_KEYS), *((b, BRANCH_KEYS) for b in branch_names)):
+        unknown = sorted(set(parser[name]) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+
+    sys_sec = parser["system"]
+    dimension = _read(sys_sec, "dimension", int)
+    box_iv = _read(sys_sec, "box", _numbers)
+    if box_iv.shape != (dimension, 2):
+        raise ConfigError("box must list one [lo, hi] pair per dimension")
+    try:
+        box = AmbientBox(box_iv)
+    except ValueError as exc:
+        raise ConfigError(f"[system] box: {exc}") from None
 
     branches, domains = [], []
     for name in branch_names:
         sec = parser[name]
-        linear = np.asarray(_parse_value(name, "linear", sec["linear"]), dtype=float)
-        translation = np.asarray(
-            _parse_value(name, "translation", sec["translation"]), dtype=float)
+        linear = _read(sec, "linear", _numbers)
+        translation = _read(sec, "translation", _numbers)
         try:
             branches.append(AffineContraction(linear, translation))
         except Exception as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
         if "domain" in sec:
-            domain = np.asarray(_parse_value(name, "domain", sec["domain"]), dtype=float)
+            domain = _read(sec, "domain", _numbers)
             if domain.shape != (dimension, 2):
                 raise ConfigError(f"[{name}] domain must list one [lo, hi] pair per dimension")
             domains.append(domain)
@@ -110,7 +136,7 @@ def parse_ifs(text: str) -> IfsSystem:
 
     n = len(branches)
     if "weights" in sys_sec:
-        weights = np.asarray(_parse_value("system", "weights", sys_sec["weights"]), dtype=float)
+        weights = _read(sys_sec, "weights", _numbers)
         if weights.shape != (n,):
             raise ConfigError("weights must list one value per branch")
         if abs(weights.sum() - 1.0) > 1e-12:

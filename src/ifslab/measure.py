@@ -422,7 +422,7 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
 
     thresholds = _letter_thresholds(ifs.weights)
     letter_type = np.min_scalar_type(n)
-    symbolic = burn_in >= depth - 1 and check_open_set_condition(ifs, ifs.box.intervals).passed
+    symbolic = burn_in >= depth - 1 and check_open_set_condition(ifs).passed
     # the block stream bounds the peak memory: no array spans all the steps
     words = raw_blocks(int(seed), steps * chains, _STEP_BLOCK * chains)
     carry = np.zeros((0, chains), dtype=letter_type)  # up to depth - 1 previous letter rows

@@ -22,20 +22,18 @@ def _report(criterion: str, detail: str = ""):
 
 
 def test_criterion_1_exact_operator_identities(tent_square, tent_sigma):
-    # |C*C - I| <= 1e-12, |(CC*)^2 - CC*| <= 1e-12, C* = L entrywise 1e-14
+    # |C*C - I| <= 1e-12, |(CC*)^2 - CC*| <= 1e-12, C* = L entrywise 1e-14;
+    # each residual is one block's, the same at every depth of the range
     worst = {"isometry": 0.0, "projection": 0.0, "transfer": 0.0}
     for entry in (tent_square, tent_sigma):
         ifs = entry.system
-        for depth in range(2, 6):
-            iso = cli.isometry_residual(ifs, depth)
-            proj = cli.projection_residual(ifs, depth)
-            tra = cli.transfer_equality_residual(ifs, depth)
-            assert iso <= 1e-12, (entry.name, depth, iso)
-            assert proj <= 1e-12, (entry.name, depth, proj)
-            assert tra <= 1e-14, (entry.name, depth, tra)
-            worst["isometry"] = max(worst["isometry"], iso)
-            worst["projection"] = max(worst["projection"], proj)
-            worst["transfer"] = max(worst["transfer"], tra)
+        suite = cli.operator_suite(cli.RunConfig(system=entry.name, depths=(2, 5)), ifs)
+        assert suite.isometry <= 1e-12, (entry.name, suite.isometry)
+        assert suite.projection <= 1e-12, (entry.name, suite.projection)
+        assert suite.transfer <= 1e-14, (entry.name, suite.transfer)
+        worst["isometry"] = max(worst["isometry"], suite.isometry)
+        worst["projection"] = max(worst["projection"], suite.projection)
+        worst["transfer"] = max(worst["transfer"], suite.transfer)
     _report("criterion 1: exact operator identities (depths 2..5, both systems)",
             f"worst residuals {worst}")
 
@@ -95,11 +93,9 @@ def test_criterion_4_branch_set_geometry(tent_square, tent_1d):
 
 def test_criterion_5_open_set_condition(tent_square, tent_sigma, overlap_bad):
     for entry in (tent_square, tent_sigma):
-        assert geo.check_open_set_condition(entry.system,
-                                            entry.expected.osc_candidate).passed
-    result = geo.check_open_set_condition(overlap_bad.system,
-                                          overlap_bad.expected.osc_candidate)
-    assert not result.passed and result.failed_condition == "overlap"
+        assert geo.check_open_set_condition(entry.system).passed
+    result = geo.check_open_set_condition(overlap_bad.system)
+    assert not result.passed and result.violating == (1, 2)
     witness = float(result.witness[0])
     assert 0.3 < witness < 0.5
     for gamma in overlap_bad.system.branches:

@@ -42,7 +42,7 @@ def test_every_expected_fact_is_validated(all_entries):
             values, entry.expected.value_segments,
             entry.expected.value_points), entry.name
         assert geo.is_finite_branch(ifs) == entry.expected.finite_branch, entry.name
-        osc = geo.check_open_set_condition(ifs, entry.expected.osc_candidate)
+        osc = geo.check_open_set_condition(ifs)
         assert osc.passed == entry.expected.osc_should_pass, entry.name
         covered = geo.self_similarity_defect(ifs).uncovered <= DEFAULT_TOLERANCES["defect_slack"]
         assert covered == entry.expected.is_attractor, entry.name

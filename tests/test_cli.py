@@ -12,7 +12,7 @@ from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
 from ifslab.errors import DepthOverflow
 
-from conftest import PLANE_SYSTEM
+from conftest import PLANE_SYSTEM, ROTATED_SYSTEM
 
 
 def run(args):
@@ -160,18 +160,22 @@ def first_failure_line(checks):
 @pytest.mark.parametrize("uniform", [True, False])
 def test_operator_suite_runs_once(tmp_path, monkeypatch, capsys, uniform):
     # report is the views of measure, operators, reconstruct and verify on
-    # one run: it computes every operator residual once, writes every CSV
-    # those commands write byte for byte, and prints their stderr in that
-    # order.  Each command's verdict is that of the rows it writes:
-    # verify's of its four CSVs, operators' of verify_operators.csv and
-    # reconstruct's of verify_reconstruction.csv.  Uniform weights: every
-    # catalog system and the tent_square file twin; otherwise a tent file
-    # at weights 0.3 and 0.7.
+    # one run: it decides the open set condition once, forms the identity
+    # block once and runs each depth's covariance residual once, writes
+    # every CSV those commands write byte for byte, and prints their
+    # stderr in that order.  Each command's verdict is that of the rows it
+    # writes: verify's of its four CSVs, operators' of verify_operators.csv
+    # and reconstruct's of verify_reconstruction.csv.  Uniform weights:
+    # every catalog system, the tent_square file twin and a rotated file
+    # that fails the open set condition; otherwise a tent file at weights
+    # 0.3 and 0.7.
     if uniform:
         entry = catalog.get("tent_square")
         twin = tmp_path / "tent_square.ifs"
         twin.write_text(export_ifs(entry.system, entry.phi_name))
-        systems = [other.name for other in catalog.catalog()] + [str(twin)]
+        rotated = tmp_path / "rotated.ifs"
+        rotated.write_text(ROTATED_SYSTEM)
+        systems = [other.name for other in catalog.catalog()] + [str(twin), str(rotated)]
     else:
         tent = catalog.get("tent_1d").system
         skew = tmp_path / "skew.ifs"
@@ -180,12 +184,12 @@ def test_operator_suite_runs_once(tmp_path, monkeypatch, capsys, uniform):
         systems = [str(skew)]
 
     calls = Counter()
-    for name in ("isometry_residual", "projection_residual",
-                 "transfer_equality_residual", "covariance_residual"):
-        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+    for owner, name in ((cli, "identity_residuals"), (cli, "covariance_residual"),
+                        (geometry, "_disjoint_images")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     for k, system in enumerate(systems):
         out = tmp_path / str(k)
@@ -218,14 +222,17 @@ def test_operator_suite_runs_once(tmp_path, monkeypatch, capsys, uniform):
         assert codes["measure"] == int(bool(errors["measure"])), system
 
         table = (out / "report" / "operator_residuals.csv").read_text().splitlines()
+        decided = {"_disjoint_images": 1}
         if [row[0] for _, row in checks["operators"]] == ["refused"]:
-            assert calls == {} and len(table) == 1, system
+            assert calls == decided and len(table) == 1, system
         elif uniform:
-            assert calls == {"isometry_residual": 2, "projection_residual": 2,
-                             "transfer_equality_residual": 2, "covariance_residual": 2}
+            assert calls == {**decided, "identity_residuals": 1, "covariance_residual": 2}
             assert len(table) == 9, system
         else:
-            assert calls == {"isometry_residual": 2, "projection_residual": 2}
+            assert calls == {**decided, "identity_residuals": 1}
+    if uniform:
+        assert "refused" in (tmp_path / str(len(systems) - 1) / "verify" /
+                             "verify_operators.csv").read_text()
 
 
 @pytest.mark.parametrize("argv,check", [
@@ -286,8 +293,7 @@ def test_transfer_equality_fails_off_uniform_weights():
     tent = catalog.get("tent_1d").system
     ifs = geometry.IfsSystem(tent.box, tent.branches, weights=[0.5 + 4e-13, 0.5 - 4e-13])
     assert ifs.is_hutchinson()
-    for depth in (2, 3):
-        assert 3.9e-13 <= cli.transfer_equality_residual(ifs, depth) <= 4.1e-13
+    assert 3.9e-13 <= cli.identity_residuals(ifs)[2] <= 4.1e-13
     cfg = cli.RunConfig(system="tent_1d", depths=(2, 3))
     rows = [row for row in cli.operator_rows(cfg, ifs, cli.operator_suite(cfg, ifs))
             if row.check == "transfer-eq"]
@@ -387,9 +393,10 @@ def _weighted_random_systems():
 
 
 def test_identity_residuals_equal_the_whole_depth_stacks():
-    # each identity's one shared block gives the residual of the stack of
-    # n^m copies bit for bit, sign included, for uniform and non-uniform
-    # weights; the stacks are capped at 50 000 depth-(m+1) cells
+    # the one shared block gives each identity's residual of the stack of
+    # n^m copies at every depth m bit for bit, sign included, for uniform
+    # and non-uniform weights; the stacks are capped at 50 000 depth-(m+1)
+    # cells
     from conftest import (stacked_isometry_residual, stacked_projection_residual,
                           stacked_transfer_equality_residual)
 
@@ -397,59 +404,72 @@ def test_identity_residuals_equal_the_whole_depth_stacks():
     assert not all(ifs.is_hutchinson() for ifs in systems)
     checked = 0
     for ifs in systems:
+        isometry, projection, transfer = cli.identity_residuals(ifs)
+        pairs = [(isometry, stacked_isometry_residual),
+                 (projection, stacked_projection_residual)]
+        if ifs.is_hutchinson():
+            pairs.append((transfer, stacked_transfer_equality_residual))
+        else:
+            assert transfer is None
         for depth in range(6):
             if ifs.n_branches ** (depth + 1) > 50_000:
                 break
-            pairs = [(cli.isometry_residual, stacked_isometry_residual),
-                     (cli.projection_residual, stacked_projection_residual)]
-            if ifs.is_hutchinson():
-                pairs.append((cli.transfer_equality_residual, stacked_transfer_equality_residual))
-            else:
-                for residual in (cli.transfer_equality_residual,
-                                 stacked_transfer_equality_residual):
-                    with pytest.raises(ValueError, match="uniform weights"):
-                        residual(ifs, depth)
-            for one_block, stacked in pairs:
-                got, want = one_block(ifs, depth), stacked(ifs, depth)
+            if not ifs.is_hutchinson():
+                with pytest.raises(ValueError, match="uniform weights"):
+                    stacked_transfer_equality_residual(ifs, depth)
+            for got, stacked in pairs:
+                want = stacked(ifs, depth)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
-                    (ifs.name, depth, one_block.__name__, got, want)
+                    (ifs.name, depth, stacked.__name__, got, want)
                 checked += 1
     assert checked >= 100
 
 
 @pytest.mark.parametrize("budget", ["4", "64", "256", "1296", "7776"])
 def test_identity_residuals_refuse_the_budget_of_the_stacks(monkeypatch, budget):
-    # each residual still checks the cell budget of depth m + 1, before
-    # anything else, and refuses with the stacks' message
+    # the operator suite checks the cell budget of depth m + 1 for each
+    # depth m of its range in ascending order, before anything else, and
+    # refuses with the message of the first stack that overflows
     from conftest import (stacked_isometry_residual, stacked_projection_residual,
                           stacked_transfer_equality_residual)
 
     monkeypatch.setenv("IFSLAB_CELL_BUDGET", budget)
+    stacks = (stacked_isometry_residual, stacked_projection_residual,
+              stacked_transfer_equality_residual)
+
+    def first_overflow(ifs, depths):
+        for depth in depths:
+            for stacked in stacks:
+                try:
+                    stacked(ifs, depth)
+                except DepthOverflow as exc:
+                    return str(exc)
+        return None
+
     for name in ("tent_square", "tent_sigma"):
         ifs = catalog.get(name).system
-        for depth in range(6):
-            for one_block, stacked in ((cli.isometry_residual, stacked_isometry_residual),
-                                       (cli.projection_residual, stacked_projection_residual),
-                                       (cli.transfer_equality_residual,
-                                        stacked_transfer_equality_residual)):
-                try:
-                    want = stacked(ifs, depth)
-                except DepthOverflow as exc:
-                    with pytest.raises(DepthOverflow) as caught:
-                        one_block(ifs, depth)
-                    assert str(caught.value) == str(exc)
-                else:
-                    assert one_block(ifs, depth) == want
+        for lo in range(6):
+            for hi in range(lo, 6):
+                cfg = cli.RunConfig(system=name, depths=(lo, hi))
+                want = first_overflow(ifs, range(lo, hi + 1))
+                if want is None:
+                    suite = cli.operator_suite(cfg, ifs)
+                    assert suite.isometry == stacked_isometry_residual(ifs, hi)
+                    continue
+                with pytest.raises(DepthOverflow) as caught:
+                    cli.operator_suite(cfg, ifs)
+                assert str(caught.value) == want, (name, lo, hi)
 
 
 def test_projection_residual_builds_no_stack(tent_sigma):
     # the whole-depth form held four (7 776, 6, 6) stacks of 2.1 MiB each
-    # at depth 5 and peaked at 7.1 MiB; the one shared block needs a few KiB
+    # at depth 5 and peaked at 7.1 MiB; the one shared block of every
+    # identity residual needs a few KiB
     ifs = tent_sigma.system
-    cli.projection_residual(ifs, 5)
+    cli.identity_residuals(ifs)
     tracemalloc.start()
     try:
-        cli.projection_residual(ifs, 5)
+        cli.identity_residuals(ifs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -107,3 +107,51 @@ def test_catalog_phi_matches_exported_reference(tent_square):
     parsed = parse_ifs(export_ifs(tent_square.system, "tent_square"))
     pts = np.array([[0.2, 0.7], [0.6, 0.1], [0.5, 0.5]])
     np.testing.assert_array_equal(parsed.apply_phi(pts), tent_square.system.apply_phi(pts))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("linear = [[0.5]]", "linear = [[0.5], [0.1, 0.2]]",
+     r"\[branch.1\] linear must be finite numbers in a rectangular JSON array"),
+    ("linear = [[0.5]]", 'linear = "half"', r"\[branch.1\] linear must be finite numbers"),
+    ("dimension = 1", "dimension = one", r"\[system\] dimension must be an integer, got 'one'"),
+    ("linear = [[-0.5]]\n", "", r"\[branch.2\] is missing 'linear'"),
+    ("phi = tent_1d", "phi = tent_1d\nweights = [NaN, NaN]",
+     r"\[system\] weights must be finite numbers"),
+    ("box = [[0.0, 1.0]]", "box = [[1.0, 0.0]]", r"\[system\] box: each interval"),
+    ("[branch.2]", "[branch.two]", "branch sections must be numbered"),
+], ids=["ragged", "string", "dimension-word", "missing-linear", "nan-weights", "empty-box",
+        "branch-word"])
+def test_malformed_values_name_the_section_and_key(old, new, message):
+    # each of these escaped as a numpy or Python exception (a traceback and
+    # exit 1 from the command line); the NaN weights passed every weight
+    # check and stopped the fixed-point iteration
+    assert old in MINIMAL
+    with pytest.raises(ConfigError, match=message):
+        parse_ifs(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("phi = tent_1d", "phi = tent_1d\nweigths = [0.9, 0.1]", r"unknown key 'weigths' in \[system\]"),
+    ("translation = [1.0]", "translation = [1.0]\ntranslaton = [2.0]",
+     r"unknown key 'translaton' in \[branch.2\]"),
+    ("[branch.2]", "[brnach.3]\nlinear = [[0.5]]\n\n[branch.2]", r"unknown section \[brnach.3\]"),
+], ids=["system", "branch", "section"])
+def test_unknown_keys_are_refused(old, new, message):
+    # a misspelt key or section was ignored: the misspelt weights gave
+    # uniform weights
+    with pytest.raises(ConfigError, match=message):
+        parse_ifs(MINIMAL.replace(old, new))
+
+
+def test_malformed_definition_files_exit_2(tmp_path, capsys):
+    from ifslab.cli import main
+
+    for name, text in (("ragged", MINIMAL.replace("linear = [[0.5]]",
+                                                  "linear = [[0.5], [0.1, 0.2]]")),
+                       ("weigths", MINIMAL.replace("phi = tent_1d",
+                                                   "phi = tent_1d\nweigths = [0.9, 0.1]"))):
+        path = tmp_path / f"{name}.ifs"
+        path.write_text(text)
+        assert main(["verify", "--system", str(path), "--depths", "2..3",
+                     "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")

@@ -34,7 +34,7 @@ from ifslab import catalog, cli, sampling
 from ifslab.geometry import IfsSystem
 from ifslab.ifsfile import export_ifs
 
-from conftest import PLANE_SYSTEM
+from conftest import PLANE_SYSTEM, ROTATED_SYSTEM
 
 SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 
@@ -64,21 +64,6 @@ FIXED_PARAMETERS = {
                                                  "is tried",
     "errors.CoverFailure.__init__(condition)": "as obstruction",
 }
-
-ROTATED_SYSTEM = """
-[system]
-dimension = 2
-box = [[0.0, 1.0], [0.0, 1.0]]
-phi = tent_square
-
-[branch.1]
-linear = [[0.4, -0.3], [0.3, 0.4]]
-translation = [0.3, 0.1]
-
-[branch.2]
-linear = [[0.4, 0.3], [-0.3, 0.4]]
-translation = [0.1, 0.3]
-"""
 
 # Image boundaries at 0.4 and 0.7 and no coincidence set: the support
 # window [0.35, 0.65] clears the empty value set, but the rectangles of the

@@ -95,7 +95,7 @@ def test_three_dim_osc():
         branches.append(AffineContraction(np.diag([0.5] * 3),
                                           0.5 * np.array(corner, dtype=float)))
     system = IfsSystem(box, branches)
-    assert check_open_set_condition(system, box.intervals).passed
+    assert check_open_set_condition(system).passed
 
 
 @settings(max_examples=100, deadline=None)
