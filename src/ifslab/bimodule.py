@@ -103,16 +103,6 @@ class AdmissibleSymbol:
         return inside * np.prod(arch, axis=1)
 
 
-def admissible_symbol(ifs: IfsSystem, support_box, delta: float = 0.05) -> AdmissibleSymbol:
-    """Smooth window on `support_box`, rejected if it crowds the value set."""
-    symbol = AdmissibleSymbol(support_box, delta)
-    gap = support_distance_to_value_set(ifs, symbol.support_box)
-    if gap < delta:
-        raise ValueError(
-            f"support is {gap:.4g} from the two-branch value set, closer than delta={delta}")
-    return symbol
-
-
 @dataclass(frozen=True)
 class BumpPartition:
     """Lattice tent bumps subordinate to admissible rectangles.
@@ -347,7 +337,8 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
     support = np.asarray(symbol.support_box, dtype=float)
     gap = support_distance_to_value_set(ifs, support)
     if gap < symbol.delta:
-        raise ValueError("symbol support is closer than delta to the value set")
+        raise ValueError(f"support is {gap:.4g} from the two-branch value set, "
+                         f"closer than delta={symbol.delta}")
 
     value_pieces = branch_value_set(ifs)
     clearance = symbol.delta / 2.0
@@ -377,6 +368,33 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
     raise CoverFailure(
         f"no admissible rectangle pitch above {MIN_PITCH} (condition {condition} at {node})",
         obstruction=node, condition=condition)
+
+
+def reconstruction_symbol(ifs: IfsSystem,
+                          delta: float) -> tuple[AdmissibleSymbol, BumpPartition]:
+    """The reconstruction's symbol and its bump partition, by one rule for
+    every system.
+
+    The window is the first branch image box, in branch order, that is
+    still a box after shrinking it by 2 delta on every side, that keeps
+    delta from the value set once shrunk, and whose symbol admits a bump
+    partition (`build_bump_partition` tests the clearance).  When no image
+    does, the last image's failure is raised: a ValueError for a window
+    with no width or too close to the value set, a CoverFailure for one
+    without a partition.
+    """
+    failure = None
+    for image in ifs.image_boxes():
+        window = image + [2 * delta, -2 * delta]
+        try:
+            if np.any(window[:, 1] <= window[:, 0]):
+                raise ValueError(f"branch image {image.tolist()} shrunk by 2*delta="
+                                 f"{2 * delta:.4g} on every side has no width; lower delta")
+            symbol = AdmissibleSymbol(window, delta)
+            return symbol, build_bump_partition(ifs, symbol)
+        except (ValueError, CoverFailure) as exc:
+            failure = exc
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +522,18 @@ def reconstruction_residual(ifs: IfsSystem,
     so this one operator serves both reconstruction checks.  Entry (i, j)
     of the block of tail w is sum_k xi_k(i.w) eta_k(j.w) p_j - a(i.w) delta_ij,
     with a the reference symbol's cell averages (`vectors.reference`; 0.0
-    on the other cells).  Only the tails that carry a support row or a
+    on the other cells).  The sum can be non-zero only where the cell i.w
+    is a support row with a nonzero xi entry (a live row) and its partner
+    j.w is a support row, so only the tails that carry a live row or a
     nonzero reference cell get a block; every other block is exactly zero.
-    The sum can be non-zero only where both cells are support rows, so it
-    is formed one letter j at a time, for the support rows i.w whose
-    partner j.w is a support row too (found by binary search in the
-    ascending rows), `_PAIR_ROWS` rows per call, each call's xi and eta
-    rows scattered into dense (rows, M) arrays; every other entry stays
-    0.0, which the sum with eta_k read as zero gives too.  The weights and
-    the reference symbol are then applied to the blocks in place.
+    Support rows in the nodes' reach but off the symbol's support have xi
+    = 0, and there are often more of them than live rows.  The sum is
+    formed one letter j at a time, for the live rows i.w whose partner j.w
+    is a support row (found by binary search in the ascending rows),
+    `_PAIR_ROWS` rows per call, each call's xi and eta rows scattered into
+    dense (rows, M) arrays; every other entry stays 0.0, which the sum
+    with xi_k or eta_k read as zero gives too.  The weights and the
+    reference symbol are then applied to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
@@ -521,21 +542,21 @@ def reconstruction_residual(ifs: IfsSystem,
     count = n ** (level - 1)
     rows = vectors.rows
     tail, first = rows % count, rows // count
+    live = vectors.xi.any(axis=1)
     nonzero = vectors.reference != 0
     reference_cells = vectors.reference_cells[nonzero]
     # the distinct tails, ascending; sorting and dropping repeats is several
     # times faster than np.union1d's hash-based unique on arrays this small
-    tails = np.sort(np.concatenate([tail, reference_cells % count]))
+    tails = np.sort(np.concatenate([tail[live], reference_cells % count]))
     tails = tails[np.diff(tails, prepend=-1) != 0]
-    block = np.searchsorted(tails, tail)
     blocks = np.zeros((len(tails), n, n))
     for j in range(n):
         wanted = j * count + tail
         partner = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
-        paired = np.flatnonzero(rows[partner] == wanted)
+        paired = np.flatnonzero(live & (rows[partner] == wanted))
         for start in range(0, len(paired), _PAIR_ROWS):
             chunk = paired[start:start + _PAIR_ROWS]
-            blocks[block[chunk], first[chunk], j] = np.einsum(
+            blocks[np.searchsorted(tails, tail[chunk]), first[chunk], j] = np.einsum(
                 "rk,rk->r", vectors.dense(vectors.xi, chunk),
                 vectors.dense(vectors.eta, partner[chunk]))
     blocks *= ifs.weights
@@ -618,8 +639,11 @@ def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,
 # ---------------------------------------------------------------------------
 
 def write_reconstruction_csv(path, rows) -> None:
-    """Rows (example, depth, n_bumps, residual_theta, residual_operator)."""
+    """Rows (example, depth, n_bumps, residual_theta, residual_operator); a
+    comma in the example name, which a definition file may hold, is written
+    as a semicolon, as in the check CSVs' details."""
     with open(path, "w", newline="\n") as handle:
         handle.write("example,depth,n_bumps,residual_theta,residual_operator\n")
         for example, depth, n_bumps, res_theta, res_op in rows:
+            example = example.replace(",", ";")
             handle.write(f"{example},{depth},{n_bumps},{res_theta:.17g},{res_op:.17g}\n")

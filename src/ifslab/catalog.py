@@ -73,8 +73,6 @@ class ExpectedFacts:
     hutchinson_is_lebesgue: bool = True
     measure_separated: bool = True
     is_attractor: bool = True
-    # Support box for a reconstruction test symbol, clear of the value set.
-    admissible_support: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ def _tent_square() -> CatalogEntry:
         coincidence_segments=(_seg([0.0, 1.0], [1.0, 1.0]), _seg([1.0, 0.0], [1.0, 1.0])),
         value_segments=(_seg([0.0, 0.5], [1.0, 0.5]), _seg([0.5, 0.0], [0.5, 1.0])),
         finite_branch=False,
-        admissible_support=np.array([[0.1, 0.4], [0.1, 0.4]]),
     )
     return CatalogEntry("tent_square", system, expected, phi_name="tent_square")
 
@@ -129,7 +126,6 @@ def _tent_sigma() -> CatalogEntry:
             _seg([0.5, 0.0], [0.5, 1.0]),
         ),
         finite_branch=False,
-        admissible_support=np.array([[0.08, 0.27], [0.08, 0.27]]),
     )
     return CatalogEntry("tent_sigma", system, expected, phi_name="tent_sigma")
 
@@ -141,7 +137,6 @@ def _tent_1d() -> CatalogEntry:
         coincidence_points=(np.array([1.0]),),
         value_points=(np.array([0.5]),),
         finite_branch=True,
-        admissible_support=np.array([[0.6, 0.9]]),
     )
     return CatalogEntry("tent_1d", system, expected, phi_name="tent_1d")
 
@@ -154,7 +149,6 @@ def _sigma_1d() -> CatalogEntry:
         coincidence_points=(np.array([1.0]), np.array([0.0])),
         value_points=(np.array([third]), np.array([2 * third])),
         finite_branch=True,
-        admissible_support=np.array([[0.05, 0.25]]),
     )
     return CatalogEntry("sigma_1d", system, expected, phi_name="sigma_1d")
 

@@ -333,35 +333,16 @@ def residual_table(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[tuple]:
     return table
 
 
-def _auto_support(ifs, delta: float):
-    """First window among a fixed candidate family that clears the value set."""
-    from itertools import product
-
-    for fractions in product((0.5, 0.25, 0.75), repeat=ifs.dimension):
-        center = ifs.box.lo + np.asarray(fractions) * ifs.box.sizes
-        half = 0.15 * ifs.box.sizes
-        box = np.stack([center - half, center + half], axis=1)
-        if bimodule.support_distance_to_value_set(ifs, box) >= delta:
-            return box
-    return None
-
-
-def reconstruction_rows(cfg: RunConfig, ifs, expected) -> SuiteResult:
-    """The reconstruction suite.  Its table is filled only when the symbol's
-    support comes from the catalog entry, so definition-file systems get
-    an empty reconstruction.csv."""
+def reconstruction_rows(cfg: RunConfig, ifs) -> SuiteResult:
+    """The reconstruction suite and its table, on the symbol and partition
+    of `bimodule.reconstruction_symbol`; `cfg.delta` is a fraction of the
+    box's shortest side."""
     if not ifs.is_hutchinson():
         return SuiteResult([_status_row("reconstruction", "refused", "requires uniform weights",
                                         False)])
-    rows = []
-    declared = expected.admissible_support if expected is not None else None
-    support = declared if declared is not None else _auto_support(ifs, cfg.delta)
-    if support is None:
-        return SuiteResult([_status_row("reconstruction", "bump-partition",
-                                        "no admissible support window found", False)])
     try:
-        symbol = bimodule.admissible_symbol(ifs, support, delta=cfg.delta)
-        partition = bimodule.build_bump_partition(ifs, symbol)
+        symbol, partition = bimodule.reconstruction_symbol(
+            ifs, float(cfg.delta * ifs.box.sizes.min()))
     except (ValueError, IfsLabError) as exc:
         return SuiteResult([_status_row("reconstruction", "bump-partition", str(exc), False)])
 
@@ -369,10 +350,8 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected) -> SuiteResult:
     rep_depth = depths[0]
     res1, res2 = bimodule.covariant_rep_check(ifs, rep_depth, VERIFY_TRIALS, seed=cfg.seed)
     tol = cfg.tol("covariant_rep")
-    rows.append(_bound_row("reconstruction", "covariant-rep-module", f"depth {rep_depth}",
-                           res1, tol))
-    rows.append(_bound_row("reconstruction", "covariant-rep-inner", f"depth {rep_depth}",
-                           res2, tol))
+    rows = [_bound_row("reconstruction", "covariant-rep-module", f"depth {rep_depth}", res1, tol),
+            _bound_row("reconstruction", "covariant-rep-inner", f"depth {rep_depth}", res2, tol)]
 
     # The depth-m experiment runs on level m+1 data throughout: one block
     # operator on V_{m+1} gives both the theta and the operator residual.
@@ -390,10 +369,8 @@ def reconstruction_rows(cfg: RunConfig, ifs, expected) -> SuiteResult:
                             theta_residuals, depths, lo, hi))
     rows.extend(_ratio_rows("reconstruction", "operator-ratio", f"{partition.size} bumps",
                             op_residuals, depths, lo, hi))
-    table = []
-    if declared is not None:
-        table = [(ifs.name or cfg.system, depth, partition.size, res_theta, res_op)
-                 for depth, res_theta, res_op in zip(depths, theta_residuals, op_residuals)]
+    table = [(ifs.name or cfg.system, depth, partition.size, res_theta, res_op)
+             for depth, res_theta, res_op in zip(depths, theta_residuals, op_residuals)]
     return SuiteResult(rows, table)
 
 
@@ -451,7 +428,7 @@ class SuiteRun:
     @cached_property
     def reconstruction_checks(self) -> SuiteResult:
         return self._gated("reconstruction",
-                           lambda: reconstruction_rows(self.cfg, self.ifs, self.expected))
+                           lambda: reconstruction_rows(self.cfg, self.ifs))
 
 
 def _out(cfg: RunConfig, filename: str) -> str:
@@ -571,6 +548,9 @@ def _config_from_file(path: str) -> dict:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
+    unknown = sorted(set(parser.sections()) - {"run", "tolerances"})
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}] in {path!r}")
     for section, known in (("run", RUN_SETTINGS), ("tolerances", DEFAULT_TOLERANCES)):
         if section in parser:
             unknown = sorted(set(parser[section]) - set(known))
@@ -644,7 +624,8 @@ def make_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="master seed")
         cmd.add_argument("--out", help="output directory for CSV reports")
         cmd.add_argument("--config", help="config file with [run] and [tolerances]")
-        cmd.add_argument("--delta", type=float, help="clearance to the value set")
+        cmd.add_argument("--delta", type=float,
+                         help="clearance to the value set, a fraction of the shortest box side")
         cmd.add_argument("--no-separation", action="store_true",
                          help="drop the measure-separation assumption (refuses exact masses)")
         cmd.add_argument("--tol", action="append", metavar="KEY=VALUE",

@@ -109,8 +109,7 @@ def test_criterion_6_reconstruction(tent_square, tent_sigma):
     summary = {}
     for entry, depths in ((tent_square, range(3, 7)), (tent_sigma, range(2, 5))):
         ifs = entry.system
-        symbol = bi.admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
-        partition = bi.build_bump_partition(ifs, symbol)
+        symbol, partition = bi.reconstruction_symbol(ifs, 0.05)
         theta_res, op_res = [], []
         for depth in depths:
             vectors = bi.reconstruction_vectors(ifs, symbol, partition, depth + 1)

@@ -9,10 +9,10 @@ from conftest import (assembled_covariant_rep_check, assembled_reconstruction_re
                       einsum_cell_grid, grid_test_systems, per_offset_average,
                       per_piece_box_distances, random_ifs, reference_box_piece_distance)
 from ifslab import bimodule as bi
-from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, admissible_symbol,
-                             build_bump_partition, covariant_rep_check, reconstruction_residual,
-                             reconstruction_vectors, theta_apply, verify_operator_reconstruction,
-                             verify_theta_reconstruction)
+from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, build_bump_partition,
+                             covariant_rep_check, reconstruction_residual,
+                             reconstruction_symbol, reconstruction_vectors, theta_apply,
+                             verify_operator_reconstruction, verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
 from ifslab.geometry import (box_corners, box_distances_to_pieces, box_intersection,
                              boxes_overlap_openly, branch_membership, branch_value_set)
@@ -161,7 +161,7 @@ def test_theta_depth_checks(tent_square, tent_1d):
 # ---------------------------------------------------------------------------
 
 def test_partition_exists_for_clear_support(tent_square):
-    symbol = admissible_symbol(tent_square.system, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(tent_square.system, symbol)
     assert partition.size > 0
     assert 2 * partition.pitch <= 0.1  # rectangle side
@@ -172,7 +172,7 @@ def test_partition_exists_for_clear_support(tent_square):
 
 
 def test_partition_rectangles_clear_value_set(tent_square):
-    symbol = admissible_symbol(tent_square.system, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(tent_square.system, symbol)
     # every rectangle avoids the delta/2 neighborhood of the cross lines
     for node in partition.nodes:
@@ -182,8 +182,9 @@ def test_partition_rectangles_clear_value_set(tent_square):
 
 
 def test_support_touching_value_set_rejected(tent_square):
-    with pytest.raises(ValueError):
-        admissible_symbol(tent_square.system, [[0.1, 0.48], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.48], [0.1, 0.4]], 0.05)
+    with pytest.raises(ValueError, match="support is 0.02 from the two-branch value set"):
+        build_bump_partition(tent_square.system, symbol)
 
 
 def build_at(ifs, symbol, min_pitch):
@@ -213,7 +214,7 @@ def scaled_window(support, amplitude):
 def test_cover_failure_reports_obstruction(tent_square):
     from ifslab.errors import CoverFailure
 
-    symbol = admissible_symbol(tent_square.system, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     with pytest.raises(CoverFailure) as excinfo:
         build_at(tent_square.system, symbol, 0.2)
     assert excinfo.value.obstruction is not None
@@ -270,7 +271,8 @@ def reference_partition(ifs, symbol, min_pitch=2.0**-12, failures=None):
     value_pieces = branch_value_set(ifs)
     gaps = [reference_box_piece_distance(support, piece) for piece in value_pieces]
     if gaps and min(gaps) < symbol.delta:
-        raise ValueError("symbol support is closer than delta to the value set")
+        raise ValueError(f"support is {min(gaps):.4g} from the two-branch value set, "
+                         f"closer than delta={symbol.delta}")
     clearance = symbol.delta / 2.0
     lo = ifs.box.lo
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
@@ -315,15 +317,15 @@ def partition_outcome(build, *args):
 
 
 def oracle_cases():
-    """(label, ifs, symbol, min_pitch): the declared catalog supports and
-    seeded random supports on random 1-D, 2-D and 3-D systems."""
+    """(label, ifs, symbol, min_pitch): the reconstruction symbols of the
+    separated catalog systems and seeded random supports on random 1-D, 2-D
+    and 3-D systems."""
     from ifslab import catalog
 
     cases = []
-    for entry in catalog.catalog():
-        if entry.expected.admissible_support is not None:
-            symbol = admissible_symbol(entry.system, entry.expected.admissible_support, 0.05)
-            cases.append((entry.name, entry.system, symbol, 2.0**-12))
+    for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
+        ifs = catalog.get(name).system
+        cases.append((name, ifs, reconstruction_symbol(ifs, 0.05)[0], 2.0**-12))
     square = catalog.get("tent_square")
     cases.append(("tent_square min_pitch 0.2", square.system, cases[0][2], 0.2))
     # the node-by-node search visits up to (support / pitch)^d nodes per pitch
@@ -481,11 +483,29 @@ def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
     assert seen["failing"] > 0 and seen["kernel rows"] < 0.5 * seen["rectangles"], seen
 
 
-def test_clearance_certificate_at_its_edge(tent_square):
+def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch):
     # rectangles overhanging a support corner straight towards a value
     # point are exactly gap - e from it: a clearance just above that fails
     # them, so the certificate must leave them to the kernel
     from ifslab.geometry import AffinePiece
+
+    # the window [0.08, 0.27]^2 is 0.063 from tent_sigma's value line
+    # y = 1/3, so at delta 0.06 the cover's rectangles sit at the
+    # certificate's edge; its flags are the kernel's at every pitch
+    original = bi._clearance_failures
+    flagged = []
+
+    def checked(ifs, clipped, value_pieces, clearance, support, gap):
+        flags = original(ifs, clipped, value_pieces, clearance, support, gap)
+        want = box_distances_to_pieces(clipped, value_pieces) < clearance
+        assert flags.tobytes() == want.tobytes()
+        flagged.append(int(flags.sum()))
+        return flags
+
+    monkeypatch.setattr(bi, "_clearance_failures", checked)
+    edge = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.06)
+    assert build_bump_partition(tent_sigma.system, edge).size == 196
+    assert flagged[0] > 0 and flagged[-1] == 0, flagged
 
     symbol = AdmissibleSymbol([[0.2, 0.3], [0.2, 0.3]], 0.05)
     for shift in (0.0, 1000.0):
@@ -549,7 +569,7 @@ def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
 def test_admissible_symbol_vanishes_near_value_set(tent_square):
     # points of the value set, each moved by at most delta/2 per axis
     ifs = tent_square.system
-    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     for k, piece in enumerate(branch_value_set(ifs)):
         anchors = piece.sample()
         if piece.dimension == 1:  # 200 points along the segment
@@ -607,7 +627,7 @@ def test_bump_partition_refuses_no_nodes():
 
 def test_vectors_built_from_samples_bit_exactly(tent_square):
     ifs = tent_square.system
-    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     depth = 3
     vectors = reconstruction_vectors(ifs, symbol, partition, depth)
@@ -623,7 +643,7 @@ def test_vectors_built_from_samples_bit_exactly(tent_square):
 def test_vectors_reproduce_symbol_pointwise(tent_square):
     # sum_k xi_k conj(eta_k) / n = a sum f_k = a on the support
     ifs = tent_square.system
-    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     vectors = reconstruction_vectors(ifs, symbol, partition, 4)
     centers = cell_grid(ifs, 4).centers
@@ -639,7 +659,7 @@ def theta_residual(ifs, symbol, partition, level):
 
 def test_theta_reconstruction_rates(tent_square):
     ifs = tent_square.system
-    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     residuals = [theta_residual(ifs, symbol, partition, level) for level in (4, 5, 6)]
     for r0, r1 in zip(residuals, residuals[1:]):
@@ -649,7 +669,7 @@ def test_theta_reconstruction_rates(tent_square):
 def test_broken_partition_detected(tent_square):
     # dropping one pair leaves a hole of size max |a f_dropped|
     ifs = tent_square.system
-    symbol = admissible_symbol(ifs, [[0.1, 0.4], [0.1, 0.4]], delta=0.05)
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     level = 5
     centers = cell_grid(ifs, level).centers
@@ -685,8 +705,7 @@ def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_
             levels = levels[:2]
         entry = catalog.get(name)
         ifs = entry.system
-        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
-        partition = build_bump_partition(ifs, symbol)
+        symbol, partition = reconstruction_symbol(ifs, 0.05)
         for level in levels:
             vectors = reconstruction_vectors(ifs, symbol, partition, level)
             got = reconstruction_residual(ifs, vectors)
@@ -708,8 +727,7 @@ def test_sparse_pairs_scatter_to_dense_pairs():
     for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
         entry = catalog.get(name)
         ifs = entry.system
-        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
-        partition = build_bump_partition(ifs, symbol)
+        symbol, partition = reconstruction_symbol(ifs, 0.05)
         for level in range(2, 7):
             vectors = reconstruction_vectors(ifs, symbol, partition, level)
             rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
@@ -728,8 +746,7 @@ def test_sparse_pairs_scatter_to_dense_pairs():
 
 def test_operator_reconstruction_rates_second_system(tent_sigma):
     ifs = tent_sigma.system
-    symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
-    partition = build_bump_partition(ifs, symbol)
+    symbol, partition = reconstruction_symbol(ifs, 0.05)
     residuals = []
     for depth in (2, 3, 4):
         vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
@@ -800,8 +817,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
     elif name == "straddling":
         symbol, partition = straddling_case(ifs)
     else:
-        symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
-        partition = build_bump_partition(ifs, symbol)
+        symbol, partition = reconstruction_symbol(ifs, 0.05)
     for depth in (2, 3):
         vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
         xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, depth + 1)
@@ -856,8 +872,7 @@ def test_theta_residual_is_the_dense_module_norm(name, levels, tent_1d, tent_squ
     # fibrewise operator is the largest spectral norm of its fibre blocks
     entry = {"tent_1d": tent_1d, "tent_square": tent_square, "tent_sigma": tent_sigma}[name]
     ifs = entry.system
-    symbol = admissible_symbol(ifs, entry.expected.admissible_support, delta=0.05)
-    partition = build_bump_partition(ifs, symbol)
+    symbol, partition = reconstruction_symbol(ifs, 0.05)
     for level in levels:
         blocks = dense_theta_fibres(ifs, symbol, partition, level)
         oracle = float(np.linalg.norm(blocks, ord=2, axis=(1, 2)).max())
@@ -871,13 +886,12 @@ def test_theta_residual_requires_uniform_weights(tent_1d):
 
     ifs = tent_1d.system
     skew = IfsSystem(ifs.box, ifs.branches, weights=[0.25, 0.75])
-    symbol = admissible_symbol(ifs, tent_1d.expected.admissible_support, delta=0.05)
-    vectors = reconstruction_vectors(skew, symbol, build_bump_partition(ifs, symbol), 3)
+    symbol, partition = reconstruction_symbol(ifs, 0.05)
+    vectors = reconstruction_vectors(skew, symbol, partition, 3)
     with pytest.raises(ValueError):
         verify_theta_reconstruction(skew, reconstruction_residual(skew, vectors))
     with pytest.raises(DepthMismatch):
-        reconstruction_residual(ifs, reconstruction_vectors(
-            ifs, symbol, build_bump_partition(ifs, symbol), 0))
+        reconstruction_residual(ifs, reconstruction_vectors(ifs, symbol, partition, 0))
 
 
 def test_nearly_uniform_weights_keep_the_scaled_operator_norm():
@@ -999,11 +1013,9 @@ def lattice_probe_points(partition, rng):
 def catalog_partitions():
     from ifslab import catalog
 
-    for entry in catalog.catalog():
-        support = entry.expected.admissible_support
-        if support is not None:
-            symbol = admissible_symbol(entry.system, support, delta=0.05)
-            yield entry.name, entry.system, build_bump_partition(entry.system, symbol)
+    for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
+        ifs = catalog.get(name).system
+        yield name, ifs, reconstruction_symbol(ifs, 0.05)[1]
 
 
 def test_lattice_bump_values_equal_dense_formula_on_catalog():
@@ -1062,7 +1074,7 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
     import tracemalloc
 
     ifs = tent_sigma.system
-    symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
+    symbol = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     cell_grid(ifs, 5)
     tracemalloc.start()
@@ -1081,11 +1093,13 @@ def test_reconstruction_residual_peak_memory(tent_sigma):
     # and the reference averages come from one set of near cells, and the
     # residual finds partners and tails in the sorted rows.  The dense
     # level-6 reference and the whole-level position, block and kept
-    # arrays they replaced peaked at 3 128 800 bytes
+    # arrays they replaced peaked at 3 128 800 bytes.  Only the 1 807 tails
+    # of the 2 550 support rows whose xi is nonzero, or of a nonzero
+    # reference cell, get a block
     import tracemalloc
 
     ifs = tent_sigma.system
-    symbol = admissible_symbol(ifs, tent_sigma.expected.admissible_support, delta=0.05)
+    symbol = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.05)
     partition = build_bump_partition(ifs, symbol)
     cell_grid(ifs, 5)
     reconstruction_residual(ifs, reconstruction_vectors(ifs, symbol, partition, 6))
@@ -1095,7 +1109,7 @@ def test_reconstruction_residual_peak_memory(tent_sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual.matrix.shape == (2550, 6, 6)
+    assert residual.matrix.shape == (1807, 6, 6)
     assert peak < 3_128_800, peak
 
 

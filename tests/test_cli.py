@@ -514,24 +514,31 @@ def test_reconstruction_residuals_do_not_depend_on_seed(tmp_path):
 
 
 def test_reconstruction_ratios_do_not_depend_on_box_scale(tmp_path):
-    # the tent as a piecewise file on [0, 1] and on [0, 1000]; seeded trial
-    # fields in absolute coordinates once failed theta-ratio at 0.94 on the
-    # larger box
+    # the tent as a piecewise file on [0, 1], [0, 1000], [0, 0.25] and
+    # [5, 6]; seeded trial fields in absolute coordinates once failed
+    # theta-ratio at 0.94 on [0, 1000], and an absolute delta found no
+    # support window on [0, 0.25].  The scaled boxes write the same ratio
+    # rows; the translated box rounds its cell coordinates, so its values
+    # agree to rounding and its other columns exactly
     tent = catalog.get("tent_1d").system
     ratios = []
-    for length in (1.0, 1000.0):
-        box = geometry.AmbientBox(np.array([[0.0, length]]))
-        branches = [geometry.AffineContraction(g.linear, g.translation * length)
-                    for g in tent.branches]
+    for lo, hi in ((0.0, 1.0), (0.0, 1000.0), (0.0, 0.25), (5.0, 6.0)):
+        length = hi - lo
+        box = geometry.AmbientBox(np.array([[lo, hi]]))
+        branches = [geometry.AffineContraction(g.linear, lo + length * g.translation
+                                               - g.linear @ [lo]) for g in tent.branches]
         system = geometry.IfsSystem(box, branches, name="tent")
-        domains = [np.array([[0.0, length / 2]]), np.array([[length / 2, length]])]
-        path = tmp_path / f"tent_{length:g}.ifs"
+        domains = [np.array([[lo, lo + length / 2]]), np.array([[lo + length / 2, hi]])]
+        path = tmp_path / f"tent_{lo:g}_{hi:g}.ifs"
         path.write_text(export_ifs(system, "piecewise", domains))
-        out = tmp_path / f"out_{length:g}"
+        out = tmp_path / f"out_{lo:g}_{hi:g}"
         assert run(["verify", "--system", str(path), "--depths", "2..3", "--out", str(out)]) == 0
         lines = (out / "verify_reconstruction.csv").read_text().splitlines()
-        ratios.append([line for line in lines if "-ratio," in line])
-    assert len(ratios[0]) == 2 and ratios[1] == ratios[0]
+        ratios.append([line.split(",") for line in lines if "-ratio," in line])
+    assert len(ratios[0]) == 2 and ratios[1] == ratios[0] and ratios[2] == ratios[0]
+    for translated, unit in zip(ratios[3], ratios[0]):
+        assert translated[:2] + translated[3:] == unit[:2] + unit[3:]
+        assert float(translated[2]) == pytest.approx(float(unit[2]), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("system,seed", [("tent_sigma", 6), ("tent_1d", 22),
@@ -543,12 +550,36 @@ def test_verify_reaches_verdict_on_round_off_residuals(tmp_path, system, seed):
 
 
 def test_file_system_source(tmp_path):
+    # a file's name may hold a comma; its table rows keep five fields
     entry = catalog.get("tent_1d")
     path = tmp_path / "tent.ifs"
-    path.write_text(export_ifs(entry.system, "tent_1d"))
+    path.write_text(export_ifs(entry.system, "tent_1d").replace("name = tent_1d",
+                                                                "name = tent,1d"))
     code = run(["verify", "--system", str(path), "--depths", "2..3",
                 "--out", str(tmp_path / "out")])
     assert code == 0
+    assert run(["reconstruct", "--system", str(path), "--depths", "2..3",
+                "--out", str(tmp_path / "table")]) == 0
+    rows = (tmp_path / "table" / "reconstruction.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["tent;1d", "2", "11"], ["tent;1d", "3", "11"]]
+
+
+@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d"])
+def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, name):
+    # one support rule for every system: a definition file and its catalog
+    # entry choose the same window, so they write the same reconstruction
+    # rows and table
+    entry = catalog.get(name)
+    path = tmp_path / f"{name}.ifs"
+    path.write_text(export_ifs(entry.system, entry.phi_name))
+    written = []
+    for system, out in ((name, tmp_path / "catalog"), (str(path), tmp_path / "file")):
+        assert run(["report", "--system", system, "--depths", "2..3", "--samples", "1000",
+                    "--out", str(out)]) == 0
+        written.append([(out / f).read_bytes()
+                        for f in ("verify_reconstruction.csv", "reconstruction.csv")])
+    assert written[1] == written[0]
+    assert written[0][1].count(b"\n") == 3
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -566,13 +597,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section,key", [("run", "seeds"), ("run", "parallel"),
-                                         ("tolerances", "isometery")])
+                                         ("tolerances", "isometery"), ("rnu", "samples"),
+                                         ("tolerance", "isometry")])
 def test_config_file_unknown_key_is_config_error(tmp_path, capsys, section, key):
+    # a misspelt key or section would drop its setting silently
     config = tmp_path / "run.cfg"
     config.write_text(f"[{section}]\n{key} = 1\n")
     assert run(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and f"{key!r} in [{section}]" in err
+    unknown = (f"key {key!r} in [{section}]" if section in ("run", "tolerances")
+               else f"section [{section}]")
+    assert f"configuration error: unknown {unknown} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

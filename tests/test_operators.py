@@ -604,7 +604,8 @@ def test_support_averaging_points_equal_gathered_rows():
     # the same floats as their rows of the full array, which in turn are
     # lo + offset * sizes as one expression
     rng = np.random.default_rng(12)
-    cases = [(catalog.get(name).system, catalog.get(name).expected.admissible_support, depths)
+    cases = [(catalog.get(name).system,
+              bi.reconstruction_symbol(catalog.get(name).system, 0.05)[0].support_box, depths)
              for name, depths in (("tent_sigma", (3, 4, 5, 6)), ("tent_square", (2, 3, 4, 5)))]
     cases.append((random_ifs(rng, "2d-rotated"), [[0.2, 0.7], [0.1, 0.5]], (2, 3, 4)))
     for ifs, support, depths in cases:
@@ -626,8 +627,7 @@ def test_support_sampling_places_points_in_support_cells_only(tent_sigma, monkey
     # the reference symbol of a reconstruction level places averaging points
     # in the cells that meet its support, and in no others
     ifs = tent_sigma.system
-    window = bi.admissible_symbol(ifs, tent_sigma.expected.admissible_support)
-    partition = bi.build_bump_partition(ifs, window)
+    window, partition = bi.reconstruction_symbol(ifs, 0.05)
     built = []
     original = op._offset_points
 

@@ -65,9 +65,10 @@ FIXED_PARAMETERS = {
     "errors.CoverFailure.__init__(condition)": "as obstruction",
 }
 
-# Image boundaries at 0.4 and 0.7 and no coincidence set: the support
-# window [0.35, 0.65] clears the empty value set, but the rectangles of the
-# nodes just below 0.4 reach into g_2(K) at every pitch (CoverFailure).
+# Branches 0.6x and 0.6x + 0.4: the images [0, 0.6] and [0.4, 1] cover the
+# box and overlap, and the value set is empty.  Both shrunk images clear it,
+# but at every pitch some rectangle of each window meets the other branch's
+# image (CoverFailure, foreign-branch).
 UNCOVERABLE_SYSTEM = """
 [system]
 dimension = 1
@@ -75,19 +76,14 @@ box = [[0.0, 1.0]]
 phi = piecewise
 
 [branch.1]
-linear = [[0.4]]
+linear = [[0.6]]
 translation = [0.0]
-domain = [[0.0, 0.4]]
+domain = [[0.0, 0.6]]
 
 [branch.2]
-linear = [[0.3]]
+linear = [[0.6]]
 translation = [0.4]
-domain = [[0.4, 0.7]]
-
-[branch.3]
-linear = [[0.3]]
-translation = [0.7]
-domain = [[0.7, 1.0]]
+domain = [[0.6, 1.0]]
 """
 
 
