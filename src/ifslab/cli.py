@@ -95,11 +95,10 @@ def covariance_residual(ifs, symbols, depth: int) -> list[float]:
 
     Both sides are diagonal on V_m: C* M_a C multiplies by
     w -> sum_i p_i a(i.w), so the norm is max_w |sum_i p_i a(i.w) - (La)(w)|.
-    The gaps come in closed form, one block of tails at a time
-    (`operators.trig_tail_blocks`): per symbol, branch, mode and tail one
-    cosine of the fine-minus-transfer difference, whose magnitude and
-    angle are formed once per class of equal tail half frames.  Each
-    symbol keeps its running maximum.
+    The gaps come in closed form, a block of tails at a time
+    (`operators.trig_tail_blocks`): each tail's gap is one dot product of
+    prefix and suffix phasors, read off the grids of depths ceil(m/2) and
+    floor(m/2), with no cosine per tail.  Each symbol keeps its maximum.
     """
     worst = np.zeros(len(symbols))
     for gap in operators.trig_tail_blocks(ifs, symbols, depth):

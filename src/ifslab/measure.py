@@ -83,20 +83,37 @@ class CellGrid:
     frames: np.ndarray   # (C, d, d)
     extents: np.ndarray  # (C, d)
 
-    def hulls(self, rows=slice(None)) -> np.ndarray:
-        """The axis-aligned hulls (N, d, 2) of the cells `rows`: center -+
-        the extent of the cell's class (the cell itself, for axis-aligned
+    def hulls(self) -> np.ndarray:
+        """The axis-aligned hulls (N, d, 2) of the cells: center -+ the
+        extent of the cell's class (the cell itself, for axis-aligned
         branches)."""
-        centers = self.centers[rows]
-        extent = self.extents[self.classes[rows]]
-        boxes = np.empty((*centers.shape, 2))
-        np.subtract(centers, extent, out=boxes[:, :, 0])
-        np.add(centers, extent, out=boxes[:, :, 1])
+        extent = self.extents[self.classes]
+        boxes = np.empty((*self.centers.shape, 2))
+        np.subtract(self.centers, extent, out=boxes[:, :, 0])
+        np.add(self.centers, extent, out=boxes[:, :, 1])
         return boxes
 
 
 def _grid(centers: np.ndarray, classes: np.ndarray, frames: np.ndarray) -> CellGrid:
     return CellGrid(centers, classes, frames, np.abs(frames).sum(axis=2))
+
+
+def frame_products(linear: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, frames): the distinct products A_i H_c of linear parts (n, d, d)
+    and half frames (C, d, d), keyed by their bytes in order of appearance,
+    and the index of each, table[i, c].  Each is the sum over b, in order
+    from 0.0, of A_i[:, b] times row b of H_c: np.einsum("ab,kbc->kac")'s
+    rounding, signed zeros included, in under half its time (np.matmul
+    rounds dense linear parts differently).  Cell frames are formed here
+    alone."""
+    d = half.shape[-1]
+    mapped = np.zeros((len(linear), *half.shape))
+    for b in range(d):
+        mapped += linear[:, None, :, b, None] * half[None, :, None, b, :]
+    index = {}
+    table = np.array([index.setdefault(frame.tobytes(), len(index))
+                      for frame in mapped.reshape(-1, d, d)]).reshape(len(linear), -1)
+    return table, np.frombuffer(b"".join(index)).reshape(-1, d, d)
 
 
 def child_frames(ifs: IfsSystem, parent: CellGrid, runs) -> CellGrid:
@@ -106,27 +123,16 @@ def child_frames(ifs: IfsSystem, parent: CellGrid, runs) -> CellGrid:
     The centers are g_i(centers).  np.matmul sends a product with one row
     to gemv, which can round a dense linear part differently from the gemm
     a level of several rows goes through, so one row from a level of
-    several is mapped as a pair.  The half frame of i.w is A_i H_w, the
-    sum over b, in order from 0.0, of A_i[:, b] times row b of H_w: the
-    steps and rounding of np.einsum("ab,kbc->kac"), signed zeros included,
-    in less than half its time (np.matmul is faster still, but rounds
-    differently for dense linear parts).  Each product depends on its own
-    frame only, so only the parent's C classes are mapped, n C products in
-    all.  The products are keyed by their bytes, and cell i.w gets the
-    class of A_i times the class of w; frames[classes] is therefore, byte
-    for byte, the per-cell array that mapping every cell's frame gives.
-    This is the only place where cell frames are formed.
+    several is mapped as a pair.  The half frame of i.w is A_i H_w
+    (`frame_products`).  Each product depends on its own frame only, so
+    only the parent's C classes are mapped, n C products in all, and cell
+    i.w gets the class of A_i times the class of w; frames[classes] is
+    therefore, byte for byte, the per-cell array that mapping every cell's
+    frame gives.
     """
-    d, half = ifs.dimension, parent.frames
-    linear = np.stack([g.linear for g in ifs.branches])
-    mapped = np.zeros((len(linear), *half.shape))  # A_i H_c at [i, c]
-    for b in range(d):
-        mapped += linear[:, None, :, b, None] * half[None, :, None, b, :]
-    index = {}  # the bytes of each distinct product, in order of appearance
-    table = np.array([index.setdefault(frame.tobytes(), len(index))
-                      for frame in mapped.reshape(-1, d, d)]).reshape(len(linear), -1)
+    table, frames = frame_products(np.stack([g.linear for g in ifs.branches]), parent.frames)
     parents = [parent.centers[run] for run in runs]
-    centers = np.empty((sum(map(len, parents)), d))
+    centers = np.empty((sum(map(len, parents)), ifs.dimension))
     classes = np.empty(len(centers), dtype=np.intp)
     row = 0
     for g, selected, run, branch_table in zip(ifs.branches, parents, runs, table):
@@ -137,7 +143,7 @@ def child_frames(ifs: IfsSystem, parent: CellGrid, runs) -> CellGrid:
             centers[rows] = g(selected)
         classes[rows] = branch_table[parent.classes[run]]
         row = rows.stop
-    return _grid(centers, classes, np.frombuffer(b"".join(index)).reshape(-1, d, d))
+    return _grid(centers, classes, frames)
 
 
 def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import cell_grid, check_depth
+from .measure import cell_grid, check_depth, frame_products
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -170,26 +170,25 @@ def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _symbol_terms(symbols) -> tuple:
     """The symbols' parameters stacked as terms of shape (K, 1, ...)."""
     return (np.array([[s.b0] for s in symbols]),
-            np.stack([s.slope for s in symbols])[:, None],
-            np.stack([s.k for s in symbols])[:, None],
-            np.stack([s.amp for s in symbols])[:, None],
-            np.stack([s.ph for s in symbols])[:, None])
+            np.array([s.slope for s in symbols])[:, None],
+            np.array([s.k for s in symbols])[:, None],
+            np.array([s.amp for s in symbols])[:, None],
+            np.array([s.ph for s in symbols])[:, None])
 
 
-def _branch_terms(ifs: IfsSystem, terms) -> tuple:
-    """The terms of a o gamma_i for each term a (K, 1) and branch i: (K, n).
+def _branch_terms(linear: np.ndarray, shift: np.ndarray, terms) -> tuple:
+    """The terms of a o gamma_i for each term a (K, 1) and branch i: (K, n),
+    for the branches' linear parts A_i (n, d, d) and translations t_i (n, d).
 
     With gamma_i(x) = A_i x + t_i, a o gamma_i has slope A_i^T slope,
     frequencies A_i^T k_j, constant b0 + slope . t_i and phases
     ph_j + pi k_j . t_i.
     """
     b0, slope, k, amp, ph = terms
-    linear = np.stack([gamma.linear for gamma in ifs.branches])          # (n, d, d)
-    shift = np.stack([gamma.translation for gamma in ifs.branches])      # (n, d)
     return (b0 + _axis_sum(slope[:, 0], shift),
             np.einsum("kd,nde->kne", slope[:, 0], linear),
             np.einsum("kjd,nde->knje", k[:, 0], linear),
-            np.broadcast_to(amp, (len(amp), ifs.n_branches, amp.shape[-1])),
+            np.broadcast_to(amp, (len(amp), len(linear), amp.shape[-1])),
             ph + np.pi * np.moveaxis(_axis_sum(k[:, 0], shift), -1, 1))
 
 
@@ -198,10 +197,11 @@ def _phasor_means(k: np.ndarray, points: np.ndarray) -> np.ndarray:
     (*P, s, C, d): a complex (*F, *P, C) array."""
     phase = _axis_sum(k, points.reshape(-1, points.shape[-1]))
     phase *= np.pi
-    return np.exp(1j * phase).reshape(*k.shape[:-1], *points.shape[:-1]).mean(axis=-2)
+    phasors = np.exp(1j * phase).reshape(*k.shape[:-1], *points.shape[:-1])
+    return phasors.sum(axis=-2) / points.shape[-3]
 
 
-def _class_terms(ifs: IfsSystem, slope: np.ndarray, k: np.ndarray, branch_k: np.ndarray,
+def _class_terms(linear: np.ndarray, slope: np.ndarray, k: np.ndarray, branch_k: np.ndarray,
                  half: np.ndarray) -> tuple:
     """(shift, fine - coarse, coarse): what the fine-minus-transfer difference
     reads of the tail frames, for the C half frames half (C, d, d), one per
@@ -222,16 +222,15 @@ def _class_terms(ifs: IfsSystem, slope: np.ndarray, k: np.ndarray, branch_k: np.
     None of them depends on where the tail sits.  Every product over the d
     axes is an elementwise sum in axis order (`_axis_sum`).
     """
-    n, d, count = ifs.n_branches, ifs.dimension, len(half)
+    (n, d, _), count = linear.shape, len(half)
     offsets = halton_points(DEFAULT_AVERAGE_POINTS, d)[:, None, :]  # (s, 1, d)
-    linear = np.stack([gamma.linear for gamma in ifs.branches])     # (n, d, d)
     ext = np.abs(half).sum(axis=2)                                  # (C, d)
     # A_i H column by column: entry (i, r, c d + col) is (A_i H_c)[r, col]
     fine_half = _axis_sum(linear, np.swapaxes(half, 1, 2).reshape(-1, d))
     ext_fine = np.abs(fine_half).reshape(n, d, count, d).sum(axis=3).transpose(0, 2, 1)
     delta = np.swapaxes(_axis_sum(linear, ext), 1, 2) - ext_fine  # (n, C, d)
     size, size_fine = 2.0 * ext, 2.0 * ext_fine
-    mid = offsets.mean(axis=0)
+    mid = offsets.sum(axis=0) / len(offsets)
     drift = delta + mid * size_fine - np.swapaxes(_axis_sum(linear, mid * size), 1, 2)
     shift = _axis_sum(slope, drift.reshape(-1, d)).reshape(len(slope), n, count)
     fine = np.swapaxes(_phasor_means(k, delta[:, None] + offsets * size_fine[:, None]), 1, 2)
@@ -239,96 +238,87 @@ def _class_terms(ifs: IfsSystem, slope: np.ndarray, k: np.ndarray, branch_k: np.
     return shift, fine - coarse, coarse
 
 
-def _mode_sum(wavenumbers: np.ndarray, lo: np.ndarray, ph: np.ndarray, amp: np.ndarray,
-              phasors: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """sum_j amp_j Re(e^{i theta_j} X_j) = sum_j amp_j |X_j| cos(theta_j + arg X_j),
-    theta = wavenumbers . lo + ph, for wavenumbers (K, n, J, d), ph and amp
-    (K, n, J), the W points lo (W, d) and the phasors X (K, n, J, C) of
-    each point's class: a (K, n, W) array, one cosine per symbol, branch,
-    mode and point.  The angle is ph + arg X, taken into [-pi, pi], then
-    the products over the axes added in order."""
-    offset = ph[..., None] + np.angle(phasors)
-    offset -= 2 * np.pi * np.round(offset / (2 * np.pi))  # np.cos is faster near 0
-    wave = offset[..., classes]
-    term = np.empty_like(wave)
-    for axis in range(lo.shape[1]):
-        np.multiply(wavenumbers[..., axis:axis + 1], lo[:, axis], out=term)
-        wave += term
-    np.cos(wave, out=wave)
-    wave *= (amp[..., None] * np.abs(phasors))[..., classes]
-    total = wave[..., 0, :]
-    for mode in range(1, wave.shape[-2]):
-        total += wave[..., mode, :]
-    return total
-
-
-def _block_tails(rows_per_tail: int) -> int:
-    """Tails per block of `trig_tail_blocks`: a block's rows, one per symbol,
-    branch and tail, number at most _EVAL_ROWS (or one tail's do, if they
-    alone number more)."""
-    return max(1, _EVAL_ROWS // rows_per_tail)
-
-
 def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
-    """The covariance gap sum_i p_i a(i.w) - (L a)(w) of each trig symbol a,
-    block of tails by block, in closed form.
-
-    a(i.w) is the averaging rule's mean of a on the hull of the
-    depth-(m+1) cell i.w, (L a)(w) = (1/n) sum_i of the mean of a o gamma_i
-    (`_branch_terms`) on the hull of the depth-m cell w, and the depth m
-    is `depth`.  For each block of consecutive tails w, yields a
-    (symbols, W) array of the gaps of the block's W tails.
-
-    The two means of one symbol k, branch i and tail w differ only through
-    the tail's half frame H_w, not through where w sits: with the phase
-    theta_j = pi (A_i^T k_j) . lo_w + ph_j + pi k_j . t_i of a o gamma_i
-    on the hull of w, the fine mean minus the transfer mean is
-
-        shift + sum_j amp_j |F_j - G_j| cos(theta_j + arg(F_j - G_j)),
-
-    with shift, F = fine and G = coarse from `_class_terms`.  Those are
-    formed once for each of the grid's half-frame classes that the block's
-    tails hold (`CellGrid.classes`), and a block that holds the last
-    block's classes reuses them, so each (symbol, branch, mode, tail)
-    costs one cosine, and no depth-(m+1) frame, hull or size is formed.
-    The tails' hulls are formed a block at a time, from their centers and
-    class extents.  The differences are weighted by p_i and summed over
-    the branches in order.  Unless every weight is 1/n exactly, sum_i (p_i
-    - 1/n) times the mean of a o gamma_i on the hull of w is added, which
-    makes the gap exact for any weights.
-    A block holds at most _EVAL_ROWS (symbol, branch, tail) rows.
+    """The covariance gap sum_i p_i a(i.w) - (L a)(w) of each trig symbol a
+    in closed form: a (symbols, W) array per block of W tails, every tail
+    once, m = `depth`.  a(i.w) is the averaging rule's mean of a on the
+    hull of the cell i.w, (L a)(w) the mean of (1/n) sum_i a o gamma_i
+    (`_branch_terms`) on the hull of w.  Their difference for branch i is
+    shift + sum_j amp_j Re(X_j e^{i (kappa_j . lo_w + ph_j)}), kappa_j =
+    pi A_i^T k_j, with shift and X = fine - coarse per class of tail half
+    frames (`_class_terms`).  A tail w = u.v, |u| = ceil(m/2), has the
+    center center_u + L_u (center_v - c) and the half frame L_u frame_v (c
+    the box center, L_u = frame_u H^-1, H the box's half frame), so its
+    class is the pair of classes, and each term is Re(P E_u F) with P =
+    amp X e^{i (ph - kappa . ext_w)} per class, E_u = e^{i kappa .
+    center_u} and F = e^{i kappa . L_u (center_v - c)} per prefix class
+    and suffix.  No grid deeper than ceil(m/2) is read, and each tail's
+    gap is one np.einsum dot product (no BLAS call) over the (real or
+    imaginary part, branch, mode) rows and its class shift.  Prefixes go
+    in class order, as many per block as keep its (symbol, branch, tail)
+    rows within _EVAL_ROWS (or one); a tail's gap does not depend on its
+    block.  Unless every weight is 1/n exactly, sum_i (p_i - 1/n) times
+    the mean of a o gamma_i on w is added, so the gap is exact for any
+    weights: its modes add (p_i - 1/n) coarse to p_i X, and its affine
+    part sigma . center_w, sigma = sum_i (p_i - 1/n) A_i^T slope, is
+    sigma . center_u + sigma . L_u (center_v - c).
     """
     n, d = ifs.n_branches, ifs.dimension
     check_depth(n, depth + 1)
-    grid = cell_grid(ifs, depth)
-    count = len(grid.centers)
+    prefix, suffix = cell_grid(ifs, (depth + 1) // 2), cell_grid(ifs, depth // 2)
     terms = _symbol_terms(symbols)
-    symbol_slope, symbol_k = terms[1][:, 0], terms[2][:, 0]
-    b0, slope, k, amp, ph = _branch_terms(ifs, terms)
-    wavenumbers = np.pi * k
+    branch_linear = np.array([gamma.linear for gamma in ifs.branches])    # (n, d, d)
+    b0, slope, k, amp, ph = _branch_terms(
+        branch_linear, np.array([gamma.translation for gamma in ifs.branches]), terms)
+    symbols, prefixes = len(symbols), len(prefix.centers)
+    linear = prefix.frames / (0.5 * ifs.box.sizes)                        # (Cu, d, d)
+    pair_class, frames = frame_products(linear, suffix.frames)
+    tail_class = pair_class[:, suffix.classes]                            # (Cu, V)
+    ext = np.abs(frames).sum(axis=2)                                      # (C, d)
+    shift, phasors, coarse = _class_terms(branch_linear, terms[1][:, 0], terms[2][:, 0], k,
+                                          frames)
+    moved = np.swapaxes(_axis_sum(linear, suffix.centers - ifs.box.center), 1, 2).reshape(-1, d)
+
+    # e^{i kappa . x} at the prefix centers and the moved suffix centers, and
+    # e^{i (ph - kappa . ext)} per class: (points, K, M), M = n J
+    points = np.concatenate([prefix.centers, moved, -ext])
+    kappa = np.pi * k.reshape(symbols, -1, d)
+    angle = points[:, None, None, 0] * kappa[..., 0]
+    for axis in range(1, d):
+        angle += points[:, None, None, axis] * kappa[..., axis]
+    angle[-len(ext):] += ph.reshape(symbols, -1)
+    waves = np.exp(1j * angle)
     skew = ifs.weights - 1.0 / n
-    mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
-    step = _block_tails(len(symbols) * n)
-    last_ids = None
-    for start in range(0, count, step):
-        tails = slice(start, start + step)
-        ids = np.unique(grid.classes[tails])
-        classes = np.searchsorted(ids, grid.classes[tails])
-        if not np.array_equal(ids, last_ids):  # else the last block's terms hold
-            last_ids = ids
-            shift, phasors, coarse = _class_terms(ifs, symbol_slope, symbol_k, k,
-                                                  grid.frames[ids])
-        hulls = grid.hulls(tails)
-        lo = hulls[:, :, 0]
-        difference = _mode_sum(wavenumbers, lo, ph, amp, phasors, classes)
-        difference += shift[..., classes]
-        gap = (difference * ifs.weights[:, None]).sum(axis=1)
-        if skew.any():
-            size = hulls[:, :, 1] - lo
-            transfer = _axis_sum(slope, lo + mid * size) + b0[..., None]
-            transfer += _mode_sum(wavenumbers, lo, ph, amp, coarse, classes)
-            gap += (transfer * skew[:, None]).sum(axis=1)
-        yield gap
+    mix = ifs.weights[:, None, None] * phasors
+    level = (shift * ifs.weights[:, None]).sum(axis=1)                    # (K, C)
+    start, lift = np.zeros((prefixes, symbols)), np.zeros((len(moved), symbols))
+    if skew.any():
+        mix += skew[:, None, None] * coarse
+        mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
+        level += (skew[:, None] * (b0[..., None] + _axis_sum(slope, (2.0 * mid - 1.0) * ext))
+                  ).sum(axis=1)
+        sigma = (skew[:, None] * slope).sum(axis=1)                       # (K, d)
+        start += _axis_sum(prefix.centers, sigma)
+        lift += _axis_sum(moved, sigma)
+    mix *= amp[..., None]
+    classes = waves[-len(ext):] * np.moveaxis(mix, -1, 0).reshape(len(ext), symbols, -1)
+    suffix_terms = waves[prefixes:-len(ext)].reshape(*tail_class.shape, *kappa.shape[:2])
+    suffix_terms *= classes[tail_class]                                   # P F: (Cu, V, K, M)
+    table = level.T[tail_class] + lift.reshape(*tail_class.shape, symbols)  # (Cu, V, K)
+    # Re(E G) = E.real G.real - E.imag G.imag, plus 1 x shift and start x 1
+    left = np.concatenate([waves[:prefixes].real, waves[:prefixes].imag,
+                           np.ones((prefixes, symbols, 1)), start[..., None]], axis=-1)
+    right = np.concatenate([suffix_terms.real, -suffix_terms.imag, table[..., None],
+                            np.ones((*table.shape, 1))], axis=-1)        # (Cu, V, K, R)
+
+    order = np.argsort(prefix.classes, kind="stable")
+    step = max(1, _EVAL_ROWS // (symbols * n * len(suffix.centers)))
+    for first in range(0, prefixes, step):
+        block = order[first:first + step]
+        owner = prefix.classes[block]
+        if (owner == owner[0]).all():  # one class: its suffix row serves every prefix
+            owner = owner[:1]
+        yield np.einsum("bkr,bvkr->kbv", left[block], right[owner]).reshape(symbols, -1)
 
 
 def sample_to_cells(evaluator, boxes: np.ndarray) -> np.ndarray:
@@ -400,24 +390,26 @@ def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def max_spectral_norm(blocks: np.ndarray, scale=1.0) -> float:
-    """max_w |blocks[w] * scale|_2 over a (T, r, c) stack, with one SVD per
-    block whose norm the stack does not already fix; `scale` is a factor
-    (r, c) applied entrywise to every block.
+    """max_w |blocks[w] * scale|_2 over a (T, r, c) stack, `scale` (r, c)
+    applied entrywise to every block; an empty stack has norm 0.
 
-    If every block equals the first (an all-zero stack among them), that
-    block's norm is the answer.  Otherwise the all-zero blocks, whose norm
-    0 is never the maximum, are dropped, and only the kept blocks are
-    scaled, before the batched SVD.  The value is the one the batched norm
-    of the whole scaled stack gives.  An empty stack has norm 0.
+    The blocks kept are the first, if every block equals it, or else the
+    nonzero ones (norm 0 is never the maximum).  Rows and columns zero in
+    every kept block hold no singular value: they are dropped, and the
+    rest is scaled.  One row or one column left has its Euclidean length
+    as its norm; larger blocks take one batched SVD.  A block that is not
+    finite raises LinAlgError, as the SVD does.
     """
     if len(blocks) == 0:
         return 0.0
-    first = blocks[0]
-    if (blocks == first).all():
-        return float(np.linalg.norm(first * scale, ord=2))
-    nonzero = blocks[blocks.any(axis=(1, 2))]  # a copy, scaled in place
-    nonzero *= scale
-    return float(np.linalg.norm(nonzero, ord=2, axis=(1, 2)).max())
+    kept = blocks[:1] if (blocks == blocks[0]).all() else blocks[blocks.any(axis=(1, 2))]
+    rows, cols = kept.any(axis=(0, 2)), kept.any(axis=(0, 1))
+    kept = kept[:, rows][:, :, cols] * np.broadcast_to(scale, blocks.shape[1:])[rows][:, cols]
+    if min(kept.shape[1:]) > 1:
+        return float(np.linalg.norm(kept, ord=2, axis=(1, 2)).max())
+    if not np.isfinite(kept).all():
+        raise np.linalg.LinAlgError("a block is not finite")
+    return float(np.linalg.norm(kept, axis=(1, 2)).max())
 
 
 def operator_norm(op: CellOperator) -> float:
@@ -428,11 +420,11 @@ def operator_norm(op: CellOperator) -> float:
     of one row or one column has one singular value, its Euclidean length;
     a diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
     max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
-    underflow).  Larger blocks take one SVD per nonzero block
-    (`max_spectral_norm`): zero blocks count as 0 and are never rescaled,
-    and when all blocks are equal they share one SVD.  `op` may also hold
-    only the blocks that can be nonzero (`bimodule.ReconstructionResidual`):
-    the omitted ones have norm 0.
+    underflow).  Larger blocks go to `max_spectral_norm`: zero blocks
+    count as 0 and are never rescaled, nor are the rows and columns that
+    are zero in every block, and when all blocks are equal they share one
+    norm.  `op` may also hold only the blocks that can be nonzero
+    (`bimodule.ReconstructionResidual`): the omitted ones have norm 0.
     """
     _, rows, cols = op.matrix.shape
     scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]

@@ -405,6 +405,51 @@ def test_max_spectral_norm_rejects_nan_blocks():
         op.max_spectral_norm(np.full((8, 3, 3), np.nan))
 
 
+def test_max_spectral_norm_drops_rows_and_columns_zero_in_every_block():
+    # planted zero rows and columns, among all-zero blocks and beside a row
+    # and a column zero in one block only: the norm is the batched norm of
+    # the nonzero blocks without the rows and columns zero in all of them,
+    # byte for byte (the Euclidean length when one row or one column is
+    # left), with and without a scale.  The full blocks' SVD can round the
+    # same singular value an ulp apart, so against it the norm is equal
+    # within 4 ulp; on the reconstruction residuals of the catalog systems,
+    # nonzero at entry (0, 0) alone, it is the full blocks' bytes
+    rng = np.random.default_rng(83)
+    compacted = 0
+    for dtype in (float, complex):
+        for shape in ((16, 4, 4), (9, 3, 5), (5, 6, 2), (7, 6, 6)):
+            for _ in range(20):
+                blocks = block_stacks(rng, shape, dtype)[-1]
+                blocks[rng.random(shape[0]) < 0.3] = 0.0
+                rows, cols = rng.random(shape[1]) < 0.5, rng.random(shape[2]) < 0.5
+                rows[rng.integers(shape[1])] = cols[rng.integers(shape[2])] = True
+                blocks[:, ~rows] = 0.0
+                blocks[:, :, ~cols] = 0.0
+                live = np.flatnonzero(blocks.any(axis=(1, 2)))
+                if len(live) > 1:  # a row and a column zero in one block only are kept
+                    blocks[live[0], rng.choice(np.flatnonzero(rows))] = 0.0
+                    blocks[live[0], :, rng.choice(np.flatnonzero(cols))] = 0.0
+                scale = rng.uniform(0.5, 2.0, shape[1:])
+                for factor in (1.0, scale):
+                    kept = blocks[blocks.any(axis=(1, 2))]
+                    kept = (kept * factor)[:, rows][:, :, cols]
+                    got = op.max_spectral_norm(blocks, factor)
+                    assert got == batched_block_norm(kept)
+                    np.testing.assert_allclose(got, batched_block_norm(blocks * factor),
+                                               rtol=4 * np.finfo(float).eps, atol=0.0)
+                compacted += not (rows.all() and cols.all())
+    assert compacted >= 100
+    for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
+        ifs = catalog.get(name).system
+        symbol, partition = bi.reconstruction_symbol(ifs, 0.05)
+        for level in (3, 4, 5):
+            residual = bi.reconstruction_residual(
+                ifs, bi.reconstruction_vectors(ifs, symbol, partition, level))
+            assert not residual.matrix[:, 1:].any() and not residual.matrix[:, :, 1:].any()
+            assert op.max_spectral_norm(residual.matrix) == \
+                batched_block_norm(residual.matrix), (name, level)
+
+
 def test_pullback_tiles_values(tent_square):
     # C f = f o phi copies the value of w to every cell i.w
     lifted = dense_operator(composition_op(tent_square.system, 1)) @ np.arange(4.0)
@@ -660,69 +705,101 @@ def covariance_systems():
             for ifs in systems]
 
 
-@pytest.mark.parametrize("tail_block", [None, 1, 7])
-def test_tail_block_covariance_equals_whole_depth(monkeypatch, tail_block):
+def prefix_blocks(monkeypatch, ifs, symbols, depth, prefixes):
+    """The blocks of `trig_tail_blocks`, with `prefixes` prefixes per block
+    (the row cap set to that many prefixes' rows), or the default cap."""
+    with monkeypatch.context() as patch:
+        if prefixes is not None:
+            rows = len(symbols) * ifs.n_branches ** (depth // 2 + 1)
+            patch.setattr(op, "_EVAL_ROWS", prefixes * rows)
+        return list(op.trig_tail_blocks(ifs, symbols, depth))
+
+
+@pytest.mark.parametrize("prefix_block", [None, 1, 7])
+def test_tail_block_covariance_equals_whole_depth(monkeypatch, prefix_block):
     # every residual of the closed-form block loop is within ORACLE_ATOL of
     # the pointwise one from whole-depth arrays, whether a block holds one
-    # tail, seven or the default; at the default, a block's rows (one per
-    # symbol, branch and tail) never exceed 2^15
-    if tail_block is not None:
-        monkeypatch.setattr(op, "_block_tails", lambda rows_per_tail: tail_block)
-    rows = []
-    original = op._mode_sum
-
-    def recording(wavenumbers, lo, ph, amp, phasors, classes):
-        rows.append(amp.shape[0] * amp.shape[1] * len(lo))
-        return original(wavenumbers, lo, ph, amp, phasors, classes)
-
-    monkeypatch.setattr(op, "_mode_sum", recording)
+    # prefix, seven or the default number; every gap is the same float at
+    # any block size, and at the default a block's rows (one per symbol,
+    # branch and tail) never exceed 2^15 unless one prefix's rows alone do
     checked = 0
     for ifs, depths in covariance_systems():
+        n = ifs.n_branches
         symbols = [random_trig_symbol((7, 101, k), ifs.dimension) for k in range(2)]
-        if tail_block is not None:  # the small blocks loop in Python: fewer depths
-            depths = [m for m in depths if ifs.n_branches**m <= 500]
+        if prefix_block is not None:  # the small blocks loop in Python: fewer depths
+            depths = [m for m in depths if n**m <= 500]
         for depth in depths:
+            blocks = prefix_blocks(monkeypatch, ifs, symbols, depth, prefix_block)
+            suffixes = n ** (depth // 2)
+            for gap in blocks:
+                assert len(symbols) * n * gap.shape[1] <= 2**15 or gap.shape[1] == suffixes
+                if prefix_block is not None:
+                    assert gap.shape[1] <= prefix_block * suffixes
+            gaps = np.concatenate(blocks, axis=1)
+            assert gaps.shape == (len(symbols), n**depth)
+            if prefix_block is not None:
+                default = np.concatenate(list(op.trig_tail_blocks(ifs, symbols, depth)), axis=1)
+                assert gaps.tobytes() == default.tobytes(), (ifs.name, depth)
             got = cli.covariance_residual(ifs, symbols, depth)
+            assert got == np.abs(gaps).max(axis=1).tolist()
             expected = [whole_depth_covariance_residual(ifs, s, depth) for s in symbols]
             assert np.allclose(got, expected, rtol=0.0, atol=ORACLE_ATOL), (ifs.name, depth)
             checked += 1
-    assert max(rows) <= 2**15
     assert checked >= 60
 
 
 def test_covariance_residual_forms_no_finer_frames(monkeypatch):
-    # the covariance gap reads the cached depth-m grid alone: no depth-(m+1)
-    # frame is formed, every hull is taken from the depth-m grid, and the
-    # depth-(m+1) grid is never built, at the default block size and with
-    # blocks of seven tails, which divide no n^m and leave one-tail blocks
-    def refuse(*args):
-        raise AssertionError("a depth-(m+1) frame was formed")
+    # the covariance gap at depth m reads the grids of depths ceil(m/2) and
+    # floor(m/2) alone: on systems with empty caches, `child_frames` maps no
+    # level deeper than ceil(m/2) (a depth-(m+1) one least of all) and no
+    # deeper grid is built, at the default block size and with blocks of
+    # seven prefixes, which divide no n^k and leave short blocks
+    formed = []
+    original = mea.child_frames
 
-    hulls = mea.CellGrid.hulls
+    def recording(ifs, parent, runs):
+        child = original(ifs, parent, runs)
+        formed.append(len(child.centers))
+        return child
+
+    monkeypatch.setattr(mea, "child_frames", recording)
     checked = 0
-    for tail_block in (None, 7):
+    for prefix_block in (None, 7):
         for ifs in grid_test_systems():
             n, d = ifs.n_branches, ifs.dimension
             symbols = [random_trig_symbol((7, 101, k), d) for k in range(2)]
             for depth in range(6):
                 if n ** (depth + 1) > 5_000:
                     break
-                cell_grid(ifs, depth)
-                with monkeypatch.context() as patch:
-                    for module in (mea, op):
-                        patch.setattr(module, "child_frames", refuse, raising=False)
-
-                    def depth_m_hulls(grid, rows):
-                        assert len(grid.centers) == n**depth, "a hull off the depth-m grid"
-                        return hulls(grid, rows)
-
-                    patch.setattr(mea.CellGrid, "hulls", depth_m_hulls)
-                    if tail_block is not None:
-                        patch.setattr(op, "_block_tails", lambda rows_per_tail: tail_block)
-                    cli.covariance_residual(ifs, symbols, depth)
-                assert ("grid", depth + 1) not in ifs._cell_cache, (ifs.name, depth)
+                half = (depth + 1) // 2
+                formed.clear()
+                prefix_blocks(monkeypatch, ifs, symbols, depth, prefix_block)
+                assert max(formed, default=1) <= n**half, (ifs.name, depth)
+                built = [key[1] for key in ifs._cell_cache if key[0] == "grid"]
+                assert max(built) == half, (ifs.name, depth)
                 checked += 1
     assert checked >= 60
+
+
+def test_covariance_residual_at_shallow_and_odd_depths():
+    # depth 0 (one tail), depth 1 (an empty suffix: each tail is its own
+    # prefix) and the odd depths 3 and 5 (a prefix one letter longer than
+    # its suffix), on one system of each random_ifs kind: equal to the
+    # block operators' value within ORACLE_ATOL
+    rng = np.random.default_rng(27)
+    checked = 0
+    for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
+        ifs = random_ifs(rng, kind)
+        for depth in (0, 1, 3, 5):
+            if ifs.n_branches ** (depth + 1) > 6**6:
+                continue
+            for k in range(3):
+                symbol = random_trig_symbol((27, 101, k), ifs.dimension)
+                got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                assert abs(got - four_operator_covariance_residual(ifs, symbol, depth)) \
+                    <= ORACLE_ATOL, (kind, depth, k)
+                checked += 1
+    assert checked >= 36
 
 
 def support_test_regions(ifs):
@@ -774,10 +851,10 @@ def test_support_sampling_selects_the_full_scan_cells():
 
 
 def test_covariance_residual_peak_memory(tent_sigma):
-    # depth 5 on tent_sigma, five symbols, the depth-5 grid already cached:
-    # the fine-minus-transfer blocks, which form no depth-6 frame, peak at
-    # most at the 2 423 148 bytes of the closed-form blocks that formed
-    # their tails' depth-6 frames and hulls
+    # depth 5 on tent_sigma, five symbols, the grids already cached: the
+    # prefix x suffix phasor blocks, which read the depth-3 and depth-2
+    # grids, peak at most at the 2 423 148 bytes of the closed-form blocks
+    # that formed their tails' depth-6 frames and hulls
     import tracemalloc
 
     ifs = tent_sigma.system
