@@ -60,18 +60,9 @@ def theta_apply(ifs: IfsSystem, xi: CellFunction, eta: CellFunction,
 # ---------------------------------------------------------------------------
 
 def support_distance_to_value_set(ifs: IfsSystem, support_box: np.ndarray) -> float:
-    """Exact distance from the closed support box to the two-branch value set.
-
-    Kept in `ifs._cell_cache` per support box, so the symbol's admission
-    and its bump partition share one computation.
-    """
+    """Exact distance from the closed support box to the two-branch value set."""
     boxes = np.asarray(support_box, dtype=float)[None]
-    key = ("support-gap", boxes.shape, boxes.tobytes())
-    gap = ifs._cell_cache.get(key)
-    if gap is None:
-        gap = ifs._cell_cache[key] = float(
-            box_distances_to_pieces(boxes, branch_value_set(ifs))[0])
-    return gap
+    return float(box_distances_to_pieces(boxes, branch_value_set(ifs))[0])
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,90 @@ class CheckRow:
     passed: bool
 
 
+@dataclass(frozen=True)
+class Check:
+    """A check's suite, its pass rule, and the DEFAULT_TOLERANCES keys it
+    reads, the last of which is its threshold (a check without keys takes
+    its bound from the caller).  The rules: "at_most" value <= threshold
+    (nan fails), "at_least" value >= threshold, "within" the first key's
+    tolerance <= value <= the second's, and "status" no residual (value 0
+    on a pass, 1 on a failure, threshold 0)."""
+
+    name: str
+    suite: str
+    rule: str
+    keys: tuple[str, ...] = ()
+
+
+# Every check, in the order `verify` writes the rows; the rows that only
+# `measure` reports close its suite.  A suite that is refused writes one
+# `refused` row in place of its checks.
+CHECKS = (
+    Check("inverse-branch", "geometry", "at_most", ("inverse_branch",)),
+    Check("self-similarity-defect", "geometry", "at_most", ("defect_slack",)),
+    Check("open-set-condition", "geometry", "status"),
+    Check("coincidence-set", "geometry", "at_most", ("piece_residual",)),
+    Check("value-set", "geometry", "at_most", ("piece_residual",)),
+    Check("coincidence-expected", "geometry", "status"),
+    Check("value-expected", "geometry", "status"),
+    Check("finite-branch", "geometry", "status"),
+    Check("refused", "measure", "status"),
+    Check("fixpoint-vs-exact", "measure", "at_most", ("fixpoint_tv",)),
+    Check("exact-masses", "measure", "status"),
+    Check("chaos-binomial-band", "measure", "at_least",
+          ("chaos_band_sigma", "chaos_band_fraction")),
+    Check("refused", "operators", "status"),
+    Check("isometry", "operators", "at_most", ("isometry",)),
+    Check("projection", "operators", "at_most", ("projection",)),
+    Check("transfer-eq", "operators", "at_most", ("transfer_eq",)),
+    Check("covariance-bound", "operators", "at_most"),
+    Check("covariance-ratio", "operators", "within",
+          ("covariance_ratio_lo", "covariance_ratio_hi")),
+    Check("refused", "reconstruction", "status"),
+    Check("bump-partition", "reconstruction", "status"),
+    Check("covariant-rep-module", "reconstruction", "at_most", ("covariant_rep",)),
+    Check("covariant-rep-inner", "reconstruction", "at_most", ("covariant_rep",)),
+    Check("theta-ratio", "reconstruction", "within",
+          ("reconstruction_ratio_lo", "reconstruction_ratio_hi")),
+    Check("operator-ratio", "reconstruction", "within",
+          ("reconstruction_ratio_lo", "reconstruction_ratio_hi")),
+)
+
+
+def check_entry(name: str, suite: str | None = None) -> Check:
+    """The CHECKS entry of `name`; `suite` picks among the `refused` rows."""
+    found = [entry for entry in CHECKS if entry.name == name and suite in (None, entry.suite)]
+    if len(found) != 1:
+        raise KeyError(f"CHECKS holds {len(found)} entries for check {name!r}, suite {suite!r}")
+    return found[0]
+
+
+def threshold(cfg: RunConfig, name: str) -> float:
+    """The threshold column of check `name`: the tolerance of its last key."""
+    return cfg.tol(check_entry(name).keys[-1])
+
+
+def check_row(cfg: RunConfig, name: str, detail: str, value: float | None = None, *,
+              passed: bool = False, bound: float | None = None,
+              suite: str | None = None) -> CheckRow:
+    """The row of check `name`, judged by its CHECKS entry.
+
+    A status check reads `passed`.  A check that could not be measured
+    (no `value`: refused, an unmet requirement, one depth for a rate)
+    fails as a failed status check does.  `bound` is the threshold of a
+    check without keys, and `suite` that of a `refused` row.
+    """
+    entry = check_entry(name, suite)
+    if entry.rule == "status" or value is None:
+        return CheckRow(entry.suite, name, detail, float(not passed), 0.0, bool(passed))
+    if entry.rule == "within":
+        lo, hi = (cfg.tol(key) for key in entry.keys)
+        return CheckRow(entry.suite, name, detail, value, hi, bool(lo <= value <= hi))
+    limit = cfg.tol(entry.keys[-1]) if entry.keys else bound
+    ok = value <= limit if entry.rule == "at_most" else value >= limit
+    return CheckRow(entry.suite, name, detail, value, limit, bool(ok))
+
+
 def _load_system(name: str):
     """Return (system, expected-facts-or-None) from catalog name or file path."""
     if os.path.exists(name) or name.endswith((".ifs", ".ini", ".cfg")):
@@ -128,29 +212,11 @@ def identity_residuals(ifs) -> tuple[float, float, float | None]:
     return isometry, projection, transfer
 
 
-def _ratio_rows(suite, name, detail_prefix, residuals, depths, lo, hi):
-    """One row per pair of consecutive depths: the residual ratio, within [lo, hi]."""
-    rows = []
-    for m0, m1, r0, r1 in zip(depths, depths[1:], residuals, residuals[1:]):
-        ratio = r1 / r0 if r0 > 0 else float("inf")
-        rows.append(CheckRow(suite, name, f"{detail_prefix} depth {m0}->{m1}",
-                             ratio, hi, lo <= ratio <= hi))
-    return rows
-
-
-def _bound_row(suite: str, check: str, detail: str, value: float, bound: float) -> CheckRow:
-    """A residual check: it passes when value <= bound, so never when value is nan."""
-    return CheckRow(suite, check, detail, value, bound, bool(value <= bound))
-
-
-def _status_row(suite: str, check: str, detail: str, passed: bool) -> CheckRow:
-    """A check without a residual: value 0 when it passes, 1 when it fails, bound 0."""
-    return CheckRow(suite, check, detail, float(not passed), 0.0, passed)
-
-
-def _needs_two_depths(suite: str, check: str, depth: int) -> CheckRow:
-    """The failing row of a rate check over the one-depth range depth..depth."""
-    return _status_row(suite, check, f"needs two depths; got only depth {depth}", False)
+def _ratio_rows(cfg: RunConfig, name: str, detail_prefix: str, residuals, depths):
+    """One row per pair of consecutive depths: the residual ratio."""
+    return [check_row(cfg, name, f"{detail_prefix} depth {m0}->{m1}",
+                      r1 / r0 if r0 > 0 else float("inf"))
+            for m0, m1, r0, r1 in zip(depths, depths[1:], residuals, residuals[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +238,13 @@ def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
     The value is the uncovered volume fraction of the box; nan (a failure)
     when the coverage is undecided."""
     coverage = geometry.self_similarity_defect(ifs)
-    return _bound_row("geometry", "self-similarity-defect", coverage.method,
-                      coverage.uncovered, cfg.tol("defect_slack"))
+    return check_row(cfg, "self-similarity-defect", coverage.method, coverage.uncovered)
 
 
 def geometry_rows(cfg: RunConfig, ifs, expected, similarity: CheckRow) -> list[CheckRow]:
     """The geometry suite, with the run's self-similarity row second."""
-    rows = [_bound_row("geometry", "inverse-branch", f"grid {geometry.INVERSE_GRID}",
-                       geometry.verify_inverse_branches(ifs), cfg.tol("inverse_branch")),
+    rows = [check_row(cfg, "inverse-branch", f"grid {geometry.INVERSE_GRID}",
+                      geometry.verify_inverse_branches(ifs)),
             similarity]
 
     osc = geometry.check_open_set_condition(ifs)
@@ -187,27 +252,26 @@ def geometry_rows(cfg: RunConfig, ifs, expected, similarity: CheckRow) -> list[C
     if not osc.passed:
         witness = "none" if osc.witness is None else np.array2string(osc.witness, precision=6)
         detail = f"failed overlap at pair {osc.violating}, witness {witness}"
-    rows.append(_status_row("geometry", "open-set-condition", detail, osc.passed))
+    rows.append(check_row(cfg, "open-set-condition", detail, passed=osc.passed))
 
     pieces = geometry.branch_coincidence_set(ifs)
-    piece_tol = cfg.tol("piece_residual")
-    rows.append(_bound_row("geometry", "coincidence-set", f"{len(pieces)} pieces",
-                           geometry.coincidence_residual(ifs, pieces), piece_tol))
+    rows.append(check_row(cfg, "coincidence-set", f"{len(pieces)} pieces",
+                          geometry.coincidence_residual(ifs, pieces)))
     values = geometry.branch_value_set(ifs)
-    rows.append(_bound_row("geometry", "value-set", f"{len(values)} pieces",
-                           geometry.value_residual(ifs, pieces, values), piece_tol))
+    rows.append(check_row(cfg, "value-set", f"{len(values)} pieces",
+                          geometry.value_residual(ifs, pieces, values)))
 
     if expected is not None:
         ok_c = geometry.pieces_match_expected(
             pieces, expected.coincidence_segments, expected.coincidence_points)
-        rows.append(_status_row("geometry", "coincidence-expected", "matches catalog", ok_c))
+        rows.append(check_row(cfg, "coincidence-expected", "matches catalog", passed=ok_c))
         ok_b = geometry.pieces_match_expected(
             values, expected.value_segments, expected.value_points)
-        rows.append(_status_row("geometry", "value-expected", "matches catalog", ok_b))
+        rows.append(check_row(cfg, "value-expected", "matches catalog", passed=ok_b))
         finite = geometry.is_finite_branch(ifs)
-        rows.append(_status_row("geometry", "finite-branch",
-                                f"got {finite}, expected {expected.finite_branch}",
-                                finite == expected.finite_branch))
+        rows.append(check_row(cfg, "finite-branch",
+                              f"got {finite}, expected {expected.finite_branch}",
+                              passed=finite == expected.finite_branch))
     return rows
 
 
@@ -219,19 +283,16 @@ def mass_tables(cfg: RunConfig, ifs, expected) -> SuiteResult:
     empirical = measure.chaos_game(ifs, depth, cfg.samples, cfg.seed)
     table = [("measure_fixpoint.csv", fixpoint), ("measure_empirical.csv", empirical)]
     if not separated:
-        return SuiteResult([_status_row("measure", "exact-masses",
-                                        "refused: separation assumption disabled", False)],
-                           table)
+        return SuiteResult([check_row(cfg, "exact-masses",
+                                      "refused: separation assumption disabled")], table)
     exact = measure.exact_cell_masses(ifs, depth)
     table.append(("measure_exact.csv", exact))
     sigma = cfg.tol("chaos_band_sigma")
     bands = sigma * np.sqrt(exact.masses * (1 - exact.masses) / cfg.samples)
     fraction = float((np.abs(empirical.masses - exact.masses) <= bands).mean())
-    needed = cfg.tol("chaos_band_fraction")
     return SuiteResult([
         _fixpoint_row(cfg, exact, fixpoint, depth),
-        CheckRow("measure", "chaos-binomial-band", f"N {cfg.samples} depth {depth}",
-                 fraction, needed, fraction >= needed),
+        check_row(cfg, "chaos-binomial-band", f"N {cfg.samples} depth {depth}", fraction),
     ], table)
 
 
@@ -243,9 +304,8 @@ def measure_rows(cfg: RunConfig, ifs) -> list[CheckRow]:
 
 
 def _fixpoint_row(cfg: RunConfig, exact, fixpoint, depth: int) -> CheckRow:
-    return _bound_row("measure", "fixpoint-vs-exact", f"depth {depth}",
-                      measure.total_variation(exact.masses, fixpoint.masses),
-                      cfg.tol("fixpoint_tv"))
+    return check_row(cfg, "fixpoint-vs-exact", f"depth {depth}",
+                     measure.total_variation(exact.masses, fixpoint.masses))
 
 
 @dataclass(frozen=True)
@@ -288,30 +348,24 @@ def operator_rows(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[CheckRow]:
     verify_operators.csv."""
     rows = []
     for depth in suite.depths:
-        rows.append(_bound_row("operators", "isometry", f"depth {depth}",
-                               suite.isometry, cfg.tol("isometry")))
-        rows.append(_bound_row("operators", "projection", f"depth {depth}",
-                               suite.projection, cfg.tol("projection")))
-        if suite.transfer is not None:
-            rows.append(_bound_row("operators", "transfer-eq", f"depth {depth}",
-                                   suite.transfer, cfg.tol("transfer_eq")))
-        else:
-            rows.append(_status_row("operators", "transfer-eq", "requires uniform weights", False))
+        rows.append(check_row(cfg, "isometry", f"depth {depth}", suite.isometry))
+        rows.append(check_row(cfg, "projection", f"depth {depth}", suite.projection))
+        detail = f"depth {depth}" if suite.transfer is not None else "requires uniform weights"
+        rows.append(check_row(cfg, "transfer-eq", detail, suite.transfer))
 
     if suite.covariance:
-        lo, hi = cfg.tol("covariance_ratio_lo"), cfg.tol("covariance_ratio_hi")
         for k, (symbol, residuals) in enumerate(zip(suite.symbols, suite.covariance)):
             bound = symbol.lip_bound * ifs.box.diameter
             for m, res in zip(suite.depths, residuals):
-                rows.append(_bound_row("operators", "covariance-bound", f"symbol {k} depth {m}",
-                                       res, bound * ifs.c2**m))
-            rows.extend(_ratio_rows("operators", "covariance-ratio", f"symbol {k}",
-                                    residuals, suite.depths, lo, hi))
+                rows.append(check_row(cfg, "covariance-bound", f"symbol {k} depth {m}", res,
+                                      bound=bound * ifs.c2**m))
+            rows.extend(_ratio_rows(cfg, "covariance-ratio", f"symbol {k}",
+                                    residuals, suite.depths))
         if len(suite.depths) < 2:
-            rows.append(_needs_two_depths("operators", "covariance-ratio", suite.depths[0]))
+            rows.append(check_row(cfg, "covariance-ratio",
+                                  f"needs two depths; got only depth {suite.depths[0]}"))
     else:
-        rows.append(_status_row("operators", "covariance-bound", "requires uniform weights",
-                                False))
+        rows.append(check_row(cfg, "covariance-bound", "requires uniform weights"))
     return rows
 
 
@@ -324,9 +378,9 @@ def residual_table(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[tuple]:
     transfer = suite.transfer if suite.transfer is not None else nan
     table = []
     for j, depth in enumerate(suite.depths):
-        table.append((depth, "isometry", suite.isometry, cfg.tol("isometry")))
-        table.append((depth, "projection", suite.projection, cfg.tol("projection")))
-        table.append((depth, "transfer-eq", transfer, cfg.tol("transfer_eq")))
+        table.append((depth, "isometry", suite.isometry, threshold(cfg, "isometry")))
+        table.append((depth, "projection", suite.projection, threshold(cfg, "projection")))
+        table.append((depth, "transfer-eq", transfer, threshold(cfg, "transfer-eq")))
         cov = max(res[j] for res in suite.covariance) if suite.covariance else nan
         table.append((depth, "covariance", cov, bound_lip * ifs.c2**depth))
     return table
@@ -335,22 +389,19 @@ def residual_table(cfg: RunConfig, ifs, suite: OperatorSuite) -> list[tuple]:
 def reconstruction_rows(cfg: RunConfig, ifs) -> SuiteResult:
     """The reconstruction suite and its table, on the symbol and partition
     of `bimodule.reconstruction_symbol`; `cfg.delta` is a fraction of the
-    box's shortest side."""
-    if not ifs.is_hutchinson():
-        return SuiteResult([_status_row("reconstruction", "refused", "requires uniform weights",
-                                        False)])
+    box's shortest side.  The weights must be uniform (`SuiteRun` refuses
+    the suite otherwise)."""
     try:
         symbol, partition = bimodule.reconstruction_symbol(
             ifs, float(cfg.delta * ifs.box.sizes.min()))
     except (ValueError, IfsLabError) as exc:
-        return SuiteResult([_status_row("reconstruction", "bump-partition", str(exc), False)])
+        return SuiteResult([check_row(cfg, "bump-partition", str(exc))])
 
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     rep_depth = depths[0]
     res1, res2 = bimodule.covariant_rep_check(ifs, rep_depth, VERIFY_TRIALS, seed=cfg.seed)
-    tol = cfg.tol("covariant_rep")
-    rows = [_bound_row("reconstruction", "covariant-rep-module", f"depth {rep_depth}", res1, tol),
-            _bound_row("reconstruction", "covariant-rep-inner", f"depth {rep_depth}", res2, tol)]
+    rows = [check_row(cfg, "covariant-rep-module", f"depth {rep_depth}", res1),
+            check_row(cfg, "covariant-rep-inner", f"depth {rep_depth}", res2)]
 
     # The depth-m experiment runs on level m+1 data throughout: one block
     # operator on V_{m+1} gives both the theta and the operator residual.
@@ -360,14 +411,12 @@ def reconstruction_rows(cfg: RunConfig, ifs) -> SuiteResult:
         residual = bimodule.reconstruction_residual(ifs, vectors)
         theta_residuals.append(bimodule.verify_theta_reconstruction(ifs, residual))
         op_residuals.append(bimodule.verify_operator_reconstruction(residual))
-    lo, hi = cfg.tol("reconstruction_ratio_lo"), cfg.tol("reconstruction_ratio_hi")
     if len(depths) < 2:
-        rows += [_needs_two_depths("reconstruction", check, depths[0])
-                 for check in ("theta-ratio", "operator-ratio")]
-    rows.extend(_ratio_rows("reconstruction", "theta-ratio", "module norm",
-                            theta_residuals, depths, lo, hi))
-    rows.extend(_ratio_rows("reconstruction", "operator-ratio", f"{partition.size} bumps",
-                            op_residuals, depths, lo, hi))
+        rows += [check_row(cfg, name, f"needs two depths; got only depth {depths[0]}")
+                 for name in ("theta-ratio", "operator-ratio")]
+    rows.extend(_ratio_rows(cfg, "theta-ratio", "module norm", theta_residuals, depths))
+    rows.extend(_ratio_rows(cfg, "operator-ratio", f"{partition.size} bumps",
+                            op_residuals, depths))
     table = [(ifs.name or cfg.system, depth, partition.size, res_theta, res_op)
              for depth, res_theta, res_op in zip(depths, theta_residuals, op_residuals)]
     return SuiteResult(rows, table)
@@ -385,20 +434,25 @@ class SuiteRun:
     serves every suite.  The measure check, the operator suite and the
     reconstruction suite need the attractor to be the ambient box: when
     the self-similarity row fails, each is one `refused` row and is not
-    computed.  The suite functions are looked up as module globals when
-    they run, so a wrapper put on one after import sees every call.
+    computed, and so is the reconstruction suite without uniform weights.
+    The suite functions are looked up as module globals when they run, so
+    a wrapper put on one after import sees every call.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.ifs, self.expected = _load_system(cfg.system)
 
-    def _gated(self, suite: str, compute) -> SuiteResult:
-        """compute() when the attractor is the ambient box; the refusal otherwise."""
-        if self.similarity.passed:
+    def _gated(self, suite: str, compute, uniform: bool = False) -> SuiteResult:
+        """compute() when the attractor is the ambient box and, for a
+        `uniform` suite, the weights are uniform; the refusal otherwise."""
+        if not self.similarity.passed:
+            detail = "attractor is not the ambient box"
+        elif uniform and not self.ifs.is_hutchinson():
+            detail = "requires uniform weights"
+        else:
             return compute()
-        return SuiteResult([_status_row(suite, "refused", "attractor is not the ambient box",
-                                        False)])
+        return SuiteResult([check_row(self.cfg, "refused", detail, suite=suite)])
 
     @cached_property
     def similarity(self) -> CheckRow:
@@ -427,7 +481,7 @@ class SuiteRun:
     @cached_property
     def reconstruction_checks(self) -> SuiteResult:
         return self._gated("reconstruction",
-                           lambda: reconstruction_rows(self.cfg, self.ifs))
+                           lambda: reconstruction_rows(self.cfg, self.ifs), uniform=True)
 
 
 def _out(cfg: RunConfig, filename: str) -> str:

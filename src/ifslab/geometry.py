@@ -208,8 +208,8 @@ class IfsSystem:
 
     A system is immutable, so whatever is derived from its box and branches
     alone is kept in `_cell_cache` and computed once: the image boxes, the
-    open set condition, the coincidence and value sets, each support box's
-    distance to the value set, and per depth the cell grid.
+    open set condition, the coincidence and value sets, and per depth the
+    cell grid.
     """
 
     def __init__(self, box: AmbientBox, branches, weights=None, phi=None, name: str = ""):

@@ -68,6 +68,30 @@ def test_bad_tolerance_is_config_error(tmp_path, capsys):
     code = run(["verify", "--system", "tent_square", "--out", str(tmp_path),
                 "--tol", "bogus=1"])
     assert code == 2
+    # the known keys are exactly the ones the checks read
+    assert {key for entry in cli.CHECKS for key in entry.keys} == set(cli.DEFAULT_TOLERANCES)
+
+
+def test_readme_check_table_is_the_cli_table():
+    # README's table of checks is cli.CHECKS, entry for entry and in order
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("| check | suite | rule | tolerance keys |") + 2
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, suite, rule, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table.append((name.strip("`"), suite, rule,
+                      tuple(key.strip("`") for key in keys.split(", ") if key)))
+    assert table == [(entry.name, entry.suite, entry.rule, entry.keys) for entry in cli.CHECKS]
+    # a row is built only for a check of the table, and `refused` names its suite
+    cfg = cli.RunConfig()
+    with pytest.raises(KeyError, match="no-such-check"):
+        cli.check_row(cfg, "no-such-check", "detail", 0.0)
+    with pytest.raises(KeyError, match="3 entries"):
+        cli.check_row(cfg, "refused", "detail")
+    assert cli.check_row(cfg, "refused", "detail", suite="operators").suite == "operators"
 
 
 def test_measure_outputs_exact_masses(tmp_path):

@@ -1,9 +1,9 @@
-"""Every function of ifslab is reached by a command, and every defaulted
-parameter is varied by one.
+"""Every function of ifslab is reached by a command, every defaulted
+parameter is varied by one, and every check of `cli.CHECKS` is built by one.
 
 The five commands are the package's interface.  A module fixture runs
 each of them, and their refusal paths, through `cli.main` under
-`sys.setprofile`, once for both tests.
+`sys.setprofile`, once for all three tests.
 
 - Every `def` in the package must run, apart from the few in
   REACHED_ELSEWHERE, each with the caller that keeps it.  A function that
@@ -15,6 +15,9 @@ each of them, and their refusal paths, through `cli.main` under
   a setting no user can reach and a fork only tests take: make it a module
   constant or a required argument, or list it in FIXED_PARAMETERS with the
   caller that needs it.
+- Every (suite, check) pair of `cli.CHECKS` must be a row that some run
+  builds, through `cli.check_row`, whether a CSV or only stderr reports it.
+  A pair that no run reaches is a check no command makes: give it a run.
 """
 
 import ast
@@ -202,19 +205,23 @@ class Sweep(NamedTuple):
     defined: dict        # defined_functions()
     reached: set         # (file, first line) of every def that ran
     observed: dict       # {(file, first line, parameter): {took the default?}}
+    rows: set            # (suite, check) of every row a run built
 
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    """Every command run of `command_runs`, profiled once for both tests."""
+    """Every command run of `command_runs`, profiled once for all tests."""
     tmp_path = tmp_path_factory.mktemp("sweep")
     runs = command_runs(tmp_path)
     defined = defined_functions()
     files = {path for path, _ in defined}
     reached = set()
     observed = defaultdict(set)
+    rows = set()
 
     def profile(frame, event, arg):
+        if event == "return" and frame.f_code is cli.check_row.__code__ and arg is not None:
+            rows.add((arg.suite, arg.check))
         if event != "call" or frame.f_code.co_filename not in files:
             return
         key = (frame.f_code.co_filename, frame.f_code.co_firstlineno)
@@ -233,7 +240,7 @@ def sweep(tmp_path_factory):
                 codes.append(cli.main([*argv, "--out", str(tmp_path / f"out{k}")]))
     finally:
         sys.setprofile(None)
-    return Sweep(codes, [code for _, code in runs], defined, reached, dict(observed))
+    return Sweep(codes, [code for _, code in runs], defined, reached, dict(observed), rows)
 
 
 def test_every_function_is_reached_by_a_command(sweep):
@@ -254,3 +261,10 @@ def test_every_defaulted_parameter_is_varied_by_a_command(sweep):
     assert not unlisted, "fixed by every command: " + ", ".join(unlisted)
     assert not stale, "varied by a command, or gone: " + ", ".join(stale)
     assert all(reason.strip() for reason in FIXED_PARAMETERS.values())
+
+
+def test_every_check_is_built_by_a_command(sweep):
+    """The rows the commands build are the table's pairs, no more and no fewer."""
+    pairs = [(entry.suite, entry.name) for entry in cli.CHECKS]
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(sweep.rows) == sorted(pairs)
