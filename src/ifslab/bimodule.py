@@ -454,7 +454,7 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
     A support row's center lies within one pitch of the node coordinates
     on every axis (the nodes' reach), and a cell with a nonzero average
     meets the symbol's support box, which the reach contains.  So only the
-    cells whose parent meets the hull of the two boxes (the reach, unless
+    cells whose prefix meets the hull of the two boxes (the reach, unless
     rounding puts the support past it) are formed (`measure.cells_near`,
     one call) and tested; the rows and the averaged cells are the ones a
     test of every cell of the depth selects, and the depth's grid is not

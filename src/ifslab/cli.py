@@ -595,9 +595,12 @@ def _config_from_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: not UTF-8 text "
+                          f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}

@@ -17,10 +17,10 @@ Branch sections are numbered from 1 in display order.  `phi` names a
 catalog evaluator, or `piecewise` with a `domain` box in every branch
 section, in which case the expanding map applies the first branch inverse
 whose domain contains the point.  `weights` is optional (uniform when
-absent) and must sum to 1 within 1e-12, and `name` is optional.  Every
-number is finite.  A key that is missing, unknown to its section or not
-readable is a ConfigError that names the section and the key, and so is
-a section other than these.
+absent) and must sum to 1 within 1e-12, and `name` is optional and one
+line.  The file is UTF-8 text, and every number is finite.  A key that
+is missing, unknown to its section or not readable is a ConfigError that
+names the section and the key, and so is a section other than these.
 """
 
 from __future__ import annotations
@@ -134,17 +134,7 @@ def parse_ifs(text: str) -> IfsSystem:
         else:
             domains.append(None)
 
-    n = len(branches)
-    if "weights" in sys_sec:
-        weights = _read(sys_sec, "weights", _numbers)
-        if weights.shape != (n,):
-            raise ConfigError("weights must list one value per branch")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ConfigError(f"weights sum to {weights.sum()!r}, not 1 within 1e-12")
-        if np.any(weights <= 0.0):
-            raise ConfigError("weights must be positive")
-    else:
-        weights = None
+    weights = _read(sys_sec, "weights", _numbers) if "weights" in sys_sec else None
 
     phi_name = sys_sec.get("phi", "").strip()
     if not phi_name:
@@ -162,6 +152,8 @@ def parse_ifs(text: str) -> IfsSystem:
             raise ConfigError(f"unknown phi evaluator {phi_name!r}") from None
 
     name = sys_sec.get("name", phi_name)
+    if "\n" in name or "\r" in name:
+        raise ConfigError(f"[system] name must be one line, got {name!r}")
     try:
         return IfsSystem(box, branches, weights=weights, phi=phi, name=name)
     except ValueError as exc:
@@ -170,10 +162,13 @@ def parse_ifs(text: str) -> IfsSystem:
 
 def load_ifs(path) -> IfsSystem:
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read definition file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read definition file {path!r}: not UTF-8 text "
+                          f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
     return parse_ifs(text)
 
 

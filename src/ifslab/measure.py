@@ -116,62 +116,66 @@ def frame_products(linear: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np
     return table, np.frombuffer(b"".join(index)).reshape(-1, d, d)
 
 
-def child_frames(ifs: IfsSystem, parent: CellGrid, runs) -> CellGrid:
-    """The cells i.w for the cells w of `parent` that runs[i] selects,
-    branch by branch: the rows of branch i follow those of branch i - 1.
+def axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_a coeffs[..., a] points[:, a] for coeffs (..., d) and points (N, d):
+    an (..., N) array summed over the axes in order.  Elementwise products,
+    not a BLAS call, so no thread split can move a bit."""
+    total = coeffs[..., :1] * points[:, 0]
+    for axis in range(1, points.shape[1]):
+        total += coeffs[..., axis:axis + 1] * points[:, axis]
+    return total
 
-    The centers are g_i(centers).  np.matmul sends a product with one row
-    to gemv, which can round a dense linear part differently from the gemm
-    a level of several rows goes through, so one row from a level of
-    several is mapped as a pair.  The half frame of i.w is A_i H_w
-    (`frame_products`).  Each product depends on its own frame only, so
-    only the parent's C classes are mapped, n C products in all, and cell
-    i.w gets the class of A_i times the class of w; frames[classes] is
-    therefore, byte for byte, the per-cell array that mapping every cell's
-    frame gives.
+
+def word_products(ifs: IfsSystem, prefix: CellGrid,
+                  suffix: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table, frames, moved): the pieces of the cells u.v of the prefixes u
+    of `prefix` and the suffixes v of `suffix`.
+
+    gamma_{u.v} = gamma_u o gamma_v, and gamma_u has the linear part L_u =
+    F_u H^-1 (F_u the half frame of u, H the box's), so the cell u.v has
+    the center center_u + L_u (center_v - c), c the box center, and the
+    half frame L_u F_v.  Both depend on u through its class alone:
+    table[cu, cv] is the class of L_cu F_cv among the distinct `frames`
+    (`frame_products`), and moved[cu, v] = L_cu (center_v - c), (Cu, V, d),
+    summed over the axes in order (`axis_sum`).
     """
-    table, frames = frame_products(np.stack([g.linear for g in ifs.branches]), parent.frames)
-    parents = [parent.centers[run] for run in runs]
-    centers = np.empty((sum(map(len, parents)), ifs.dimension))
-    classes = np.empty(len(centers), dtype=np.intp)
-    row = 0
-    for g, selected, run, branch_table in zip(ifs.branches, parents, runs, table):
-        rows = slice(row, row + len(selected))
-        if len(selected) == 1 < len(parent.centers):
-            centers[rows] = g(selected[[0, 0]])[:1]
-        else:
-            centers[rows] = g(selected)
-        classes[rows] = branch_table[parent.classes[run]]
-        row = rows.stop
-    return _grid(centers, classes, frames)
+    linear = prefix.frames / (0.5 * ifs.box.sizes)
+    table, frames = frame_products(linear, suffix.frames)
+    moved = np.swapaxes(axis_sum(linear, suffix.centers - ifs.box.center), 1, 2)
+    return table, frames, moved
+
+
+def _product_grid(ifs: IfsSystem, prefix: CellGrid, suffix: CellGrid) -> CellGrid:
+    """The cells u.v (`word_products`), prefix-major: row u V + v for the
+    u-th prefix and the v-th of the V suffixes."""
+    table, frames, moved = word_products(ifs, prefix, suffix)
+    centers = prefix.centers[:, None, :] + moved[prefix.classes]
+    classes = table[prefix.classes][:, suffix.classes]
+    return _grid(centers.reshape(-1, ifs.dimension), classes.ravel(), frames)
 
 
 def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
     """The depth-m cell grid, built once per system and depth.
 
-    A command caches the grids of the depths up to its last depth m in
-    `ifs._cell_cache`.  It reads the depth-(m+1) cells only near a support
-    (`cells_near`), and builds no grid of that depth.  Each level applies
-    every branch to the cells of the level above (`child_frames`), so a
-    new depth continues from the deepest grid already built at a smaller
-    depth; the centers, and the frames of the cells, are the ones a build
-    from depth 0 gives.
+    Depth 0 is the box and depth 1 its branch images.  A deeper grid is the
+    product (`word_products`) of the grids of depths ceil(m/2) and
+    floor(m/2), so it reads no grid deeper than ceil(m/2).  Every grid
+    built stays in `ifs._cell_cache` to the end of the command.
     """
-    key = ("grid", depth)
-    cached = ifs._cell_cache.get(key)
-    if cached is not None:
-        check_depth(ifs.n_branches, depth)
-        return cached
     count = check_depth(ifs.n_branches, depth)
-    start = max((m for m in range(depth) if ("grid", m) in ifs._cell_cache), default=None)
-    if start is None:
-        start = 0
+    key = ("grid", depth)
+    grid = ifs._cell_cache.get(key)
+    if grid is not None:
+        return grid
+    if depth == 0:
         grid = _grid(ifs.box.center[None, :].copy(), np.zeros(1, dtype=np.intp),
                      np.diag(0.5 * ifs.box.sizes)[None, :, :].copy())
+    elif depth == 1:
+        table, frames = frame_products(np.stack([g.linear for g in ifs.branches]),
+                                       cell_grid(ifs, 0).frames)
+        grid = _grid(np.stack([g(ifs.box.center) for g in ifs.branches]), table[:, 0], frames)
     else:
-        grid = ifs._cell_cache[("grid", start)]
-    for _ in range(depth - start):
-        grid = child_frames(ifs, grid, [slice(None)] * ifs.n_branches)
+        grid = _product_grid(ifs, cell_grid(ifs, (depth + 1) // 2), cell_grid(ifs, depth // 2))
     assert grid.centers.shape == (count, ifs.dimension)
     ifs._cell_cache[key] = grid
     return grid
@@ -179,44 +183,41 @@ def cell_grid(ifs: IfsSystem, depth: int) -> CellGrid:
 
 # Rounding allowance of `cells_near`, per unit of the box's largest
 # coordinate magnitude plus its longest side.
-_PARENT_SLACK = 1e-9
+_PREFIX_SLACK = 1e-9
 
 
 def cells_near(ifs: IfsSystem, depth: int, region) -> tuple[np.ndarray, CellGrid]:
     """(cells, near): the ascending flat indices of the depth-m cells whose
-    parent's hull meets the closed box `region` (d, 2) widened by a
+    prefix's hull meets the closed box `region` (d, 2) widened by a
     rounding slack, and their frames, row k of `near` for cell cells[k].
 
-    The parent of a cell u.j is the depth-(m-1) cell u, and the cells
-    u.j, j < n, are the index block u n ... u n + n - 1.  A cell lies in
-    its parent, so every cell whose hull or center meets `region` is
-    among them: the slack, `_PARENT_SLACK` times the box's largest
-    coordinate magnitude plus its longest side, covers the rounding by
-    which a computed hull can pass its parent's.  The frames come from the
-    cached depth-(m-1) grid through `child_frames`: cell u.j is i.w with i
-    its first letter and w its last m - 1 letters, so the selected cells
-    of one first letter form one run.  Their centers, and their classes
-    and frames, equal the same rows of `cell_grid(ifs, depth)`, which is
-    not built.  At depth 0 the one cell is returned.
+    The prefix of a cell u.v is its first ceil(m/2) letters u, and the
+    cells u.v form the index block u V ... u V + V - 1, V = n^floor(m/2).
+    A cell lies in its prefix cell, so every cell whose hull or center
+    meets `region` is among them: the slack, `_PREFIX_SLACK` times the
+    box's largest coordinate magnitude plus its longest side, covers the
+    rounding by which a computed hull can pass its prefix's.  The kept
+    prefixes are multiplied with every suffix (`word_products`), so the
+    centers, classes and frames equal the same rows of `cell_grid(ifs,
+    depth)`, which is not built.  At depths 0 and 1 the suffix is empty
+    and the prefix grid is the level itself.
     """
-    n = ifs.n_branches
-    check_depth(n, depth)
-    if depth == 0:
-        return np.zeros(1, dtype=np.intp), cell_grid(ifs, 0)
-    parent = cell_grid(ifs, depth - 1)
-    hulls = parent.hulls()
+    check_depth(ifs.n_branches, depth)
+    prefix = cell_grid(ifs, (depth + 1) // 2)
+    hulls = prefix.hulls()
     box = ifs.box.intervals
-    slack = _PARENT_SLACK * (np.abs(box).max() + ifs.box.sizes.max())
+    slack = _PREFIX_SLACK * (np.abs(box).max() + ifs.box.sizes.max())
     region = np.asarray(region, dtype=float)
     meets = ((hulls[:, :, 1] >= region[:, 0] - slack)
              & (hulls[:, :, 0] <= region[:, 1] + slack))
-    parents = np.flatnonzero(meets.all(axis=1))
-    cells = (parents[:, None] * n + np.arange(n)).ravel()
-    count = len(parent.centers)
-    first, tails = cells // count, cells % count
-    bounds = np.searchsorted(first, np.arange(n + 1))
-    runs = [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return cells, child_frames(ifs, parent, runs)
+    kept = np.flatnonzero(meets.all(axis=1))
+    near = CellGrid(prefix.centers[kept], prefix.classes[kept], prefix.frames, prefix.extents)
+    if depth < 2:
+        return kept, near
+    suffix = cell_grid(ifs, depth // 2)
+    count = len(suffix.centers)
+    cells = (kept[:, None] * count + np.arange(count)).ravel()
+    return cells, _product_grid(ifs, near, suffix)
 
 
 # ---------------------------------------------------------------------------

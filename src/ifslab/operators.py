@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthMismatch
 from .geometry import IfsSystem
-from .measure import cell_grid, check_depth, frame_products
+from .measure import axis_sum, cell_grid, check_depth, word_products
 from .sampling import halton_points
 
 DEFAULT_AVERAGE_POINTS = 5
@@ -157,16 +157,6 @@ def _offset_points(boxes: np.ndarray) -> np.ndarray:
 # The covariance gap of trigonometric symbols, in closed form
 # ---------------------------------------------------------------------------
 
-def _axis_sum(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_a coeffs[..., a] points[:, a] for coeffs (..., d) and points (N, d):
-    an (..., N) array summed over the axes in order.  Elementwise products,
-    not a BLAS call, so no thread split can move a bit."""
-    total = coeffs[..., :1] * points[:, 0]
-    for axis in range(1, points.shape[1]):
-        total += coeffs[..., axis:axis + 1] * points[:, axis]
-    return total
-
-
 def _symbol_terms(symbols) -> tuple:
     """The symbols' parameters stacked as terms of shape (K, 1, ...)."""
     return (np.array([[s.b0] for s in symbols]),
@@ -185,17 +175,17 @@ def _branch_terms(linear: np.ndarray, shift: np.ndarray, terms) -> tuple:
     ph_j + pi k_j . t_i.
     """
     b0, slope, k, amp, ph = terms
-    return (b0 + _axis_sum(slope[:, 0], shift),
+    return (b0 + axis_sum(slope[:, 0], shift),
             np.einsum("kd,nde->kne", slope[:, 0], linear),
             np.einsum("kjd,nde->knje", k[:, 0], linear),
             np.broadcast_to(amp, (len(amp), len(linear), amp.shape[-1])),
-            ph + np.pi * np.moveaxis(_axis_sum(k[:, 0], shift), -1, 1))
+            ph + np.pi * np.moveaxis(axis_sum(k[:, 0], shift), -1, 1))
 
 
 def _phasor_means(k: np.ndarray, points: np.ndarray) -> np.ndarray:
     """mean_s e^{i pi k . x_s} for frequencies k (*F, d) and points x
     (*P, s, C, d): a complex (*F, *P, C) array."""
-    phase = _axis_sum(k, points.reshape(-1, points.shape[-1]))
+    phase = axis_sum(k, points.reshape(-1, points.shape[-1]))
     phase *= np.pi
     phasors = np.exp(1j * phase).reshape(*k.shape[:-1], *points.shape[:-1])
     return phasors.sum(axis=-2) / points.shape[-3]
@@ -220,19 +210,19 @@ def _class_terms(linear: np.ndarray, slope: np.ndarray, k: np.ndarray, branch_k:
         coarse = mean_s e^{i pi branch_k_j . (o_s⊙2ext)}           (K, n, J, C)
 
     None of them depends on where the tail sits.  Every product over the d
-    axes is an elementwise sum in axis order (`_axis_sum`).
+    axes is an elementwise sum in axis order (`axis_sum`).
     """
     (n, d, _), count = linear.shape, len(half)
     offsets = halton_points(DEFAULT_AVERAGE_POINTS, d)[:, None, :]  # (s, 1, d)
     ext = np.abs(half).sum(axis=2)                                  # (C, d)
     # A_i H column by column: entry (i, r, c d + col) is (A_i H_c)[r, col]
-    fine_half = _axis_sum(linear, np.swapaxes(half, 1, 2).reshape(-1, d))
+    fine_half = axis_sum(linear, np.swapaxes(half, 1, 2).reshape(-1, d))
     ext_fine = np.abs(fine_half).reshape(n, d, count, d).sum(axis=3).transpose(0, 2, 1)
-    delta = np.swapaxes(_axis_sum(linear, ext), 1, 2) - ext_fine  # (n, C, d)
+    delta = np.swapaxes(axis_sum(linear, ext), 1, 2) - ext_fine  # (n, C, d)
     size, size_fine = 2.0 * ext, 2.0 * ext_fine
     mid = offsets.sum(axis=0) / len(offsets)
-    drift = delta + mid * size_fine - np.swapaxes(_axis_sum(linear, mid * size), 1, 2)
-    shift = _axis_sum(slope, drift.reshape(-1, d)).reshape(len(slope), n, count)
+    drift = delta + mid * size_fine - np.swapaxes(axis_sum(linear, mid * size), 1, 2)
+    shift = axis_sum(slope, drift.reshape(-1, d)).reshape(len(slope), n, count)
     fine = np.swapaxes(_phasor_means(k, delta[:, None] + offsets * size_fine[:, None]), 1, 2)
     coarse = _phasor_means(branch_k, offsets * size)
     return shift, fine - coarse, coarse
@@ -248,11 +238,11 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     pi A_i^T k_j, with shift and X = fine - coarse per class of tail half
     frames (`_class_terms`).  A tail w = u.v, |u| = ceil(m/2), has the
     center center_u + L_u (center_v - c) and the half frame L_u frame_v (c
-    the box center, L_u = frame_u H^-1, H the box's half frame), so its
-    class is the pair of classes, and each term is Re(P E_u F) with P =
-    amp X e^{i (ph - kappa . ext_w)} per class, E_u = e^{i kappa .
-    center_u} and F = e^{i kappa . L_u (center_v - c)} per prefix class
-    and suffix.  No grid deeper than ceil(m/2) is read, and each tail's
+    the box center, L_u = frame_u H^-1, H the box's half frame;
+    `measure.word_products`), so its class is the pair of classes, and
+    each term is Re(P E_u F) with P = amp X e^{i (ph - kappa . ext_w)} per
+    class, E_u = e^{i kappa . center_u} and F = e^{i kappa . L_u (center_v
+    - c)} per prefix class and suffix.  No grid deeper than ceil(m/2) is read, and each tail's
     gap is one np.einsum dot product (no BLAS call) over the (real or
     imaginary part, branch, mode) rows and its class shift.  Prefixes go
     in class order, as many per block as keep its (symbol, branch, tail)
@@ -271,13 +261,12 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     b0, slope, k, amp, ph = _branch_terms(
         branch_linear, np.array([gamma.translation for gamma in ifs.branches]), terms)
     symbols, prefixes = len(symbols), len(prefix.centers)
-    linear = prefix.frames / (0.5 * ifs.box.sizes)                        # (Cu, d, d)
-    pair_class, frames = frame_products(linear, suffix.frames)
+    pair_class, frames, moved = word_products(ifs, prefix, suffix)
     tail_class = pair_class[:, suffix.classes]                            # (Cu, V)
+    moved = moved.reshape(-1, d)
     ext = np.abs(frames).sum(axis=2)                                      # (C, d)
     shift, phasors, coarse = _class_terms(branch_linear, terms[1][:, 0], terms[2][:, 0], k,
                                           frames)
-    moved = np.swapaxes(_axis_sum(linear, suffix.centers - ifs.box.center), 1, 2).reshape(-1, d)
 
     # e^{i kappa . x} at the prefix centers and the moved suffix centers, and
     # e^{i (ph - kappa . ext)} per class: (points, K, M), M = n J
@@ -295,11 +284,11 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     if skew.any():
         mix += skew[:, None, None] * coarse
         mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
-        level += (skew[:, None] * (b0[..., None] + _axis_sum(slope, (2.0 * mid - 1.0) * ext))
+        level += (skew[:, None] * (b0[..., None] + axis_sum(slope, (2.0 * mid - 1.0) * ext))
                   ).sum(axis=1)
         sigma = (skew[:, None] * slope).sum(axis=1)                       # (K, d)
-        start += _axis_sum(prefix.centers, sigma)
-        lift += _axis_sum(moved, sigma)
+        start += axis_sum(prefix.centers, sigma)
+        lift += axis_sum(moved, sigma)
     mix *= amp[..., None]
     classes = waves[-len(ext):] * np.moveaxis(mix, -1, 0).reshape(len(ext), symbols, -1)
     suffix_terms = waves[prefixes:-len(ext)].reshape(*tail_class.shape, *kappa.shape[:2])

@@ -243,17 +243,28 @@ def per_piece_box_distances(boxes, pieces):
 
 
 def einsum_cell_grid(ifs, depth):
-    """(centers, half frames, hulls) of the depth-m cells, one row per cell,
-    built from depth 0 with each branch's half frames formed by
-    np.einsum("ab,kbc->kac"): the product `measure.child_frames` writes as
-    an ordered sum, kept as the bit-for-bit reference of a grid's centers,
-    frames[classes] and hulls()."""
+    """(centers, half frames, hulls) of the depth-m cells, one row per cell:
+    the box at depth 0, its branch images at depth 1 (half frames by
+    np.einsum("ab,kbc->kac")), and deeper the cells u.v of this grid's
+    depth-ceil(m/2) prefixes u and depth-floor(m/2) suffixes v, with L_u =
+    F_u H^-1 per cell, the moved centers by np.einsum("uab,vb->uva") and
+    the frames by np.einsum("uab,vbc->uvac"): the products
+    `measure.word_products` writes as ordered sums, kept as the bit-for-bit
+    reference of a grid's centers, frames[classes] and hulls()."""
+    d = ifs.dimension
     centers = ifs.box.center[None, :].copy()
     half = np.diag(0.5 * ifs.box.sizes)[None, :, :].copy()
-    for _ in range(depth):
+    if depth == 1:
         centers = np.concatenate([g(centers) for g in ifs.branches], axis=0)
         half = np.concatenate([np.einsum("ab,kbc->kac", g.linear, half)
                                for g in ifs.branches], axis=0)
+    elif depth > 1:
+        prefix_centers, prefix_half, _ = einsum_cell_grid(ifs, (depth + 1) // 2)
+        suffix_centers, suffix_half, _ = einsum_cell_grid(ifs, depth // 2)
+        linear = prefix_half / (0.5 * ifs.box.sizes)
+        moved = np.einsum("uab,vb->uva", linear, suffix_centers - ifs.box.center)
+        centers = (prefix_centers[:, None, :] + moved).reshape(-1, d)
+        half = np.einsum("uab,vbc->uvac", linear, suffix_half).reshape(-1, d, d)
     extent = np.abs(half).sum(axis=2)
     return centers, half, np.stack([centers - extent, centers + extent], axis=2)
 

@@ -1067,16 +1067,17 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
 
 def test_reconstruction_vectors_peak_memory(tent_sigma):
     # level 6: 2550 support rows and 196 bumps, at most 9 tents per row, with
-    # the level-5 grid cached.  Only the level-6 cells near the support are
-    # formed, and the call peaks near 2.0 MiB; the whole level-6 grid took
-    # it to 6.8 MiB.  Dense (rows, M) pairs took 8.8 MiB more, and the
-    # (rows, M, d) temporaries of the dense tent formula 20.2 MiB
+    # the depth-3 grid it reads cached.  Only the level-6 cells whose prefix
+    # meets the support's region are formed, and the call peaks near 2.0
+    # MiB; the whole level-6 grid took it to 6.8 MiB.  Dense (rows, M) pairs
+    # took 8.8 MiB more, and the (rows, M, d) temporaries of the dense tent
+    # formula 20.2 MiB
     import tracemalloc
 
     ifs = tent_sigma.system
     symbol = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.05)
     partition = build_bump_partition(ifs, symbol)
-    cell_grid(ifs, 5)
+    cell_grid(ifs, 3)
     tracemalloc.start()
     try:
         vectors = reconstruction_vectors(ifs, symbol, partition, 6)
@@ -1089,7 +1090,7 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
 
 
 def test_reconstruction_residual_peak_memory(tent_sigma):
-    # level 6 with the level-5 grid cached, after a warm-up call: the pairs
+    # level 6 with the depth-3 grid cached, after a warm-up call: the pairs
     # and the reference averages come from one set of near cells, and the
     # residual finds partners and tails in the sorted rows.  The dense
     # level-6 reference and the whole-level position, block and kept
@@ -1101,7 +1102,7 @@ def test_reconstruction_residual_peak_memory(tent_sigma):
     ifs = tent_sigma.system
     symbol = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.05)
     partition = build_bump_partition(ifs, symbol)
-    cell_grid(ifs, 5)
+    cell_grid(ifs, 3)
     reconstruction_residual(ifs, reconstruction_vectors(ifs, symbol, partition, 6))
     tracemalloc.start()
     try:
@@ -1133,7 +1134,7 @@ def test_one_cell_pass_per_reconstruction_level(monkeypatch, tmp_path):
 
 def test_reconstruction_rows_equal_a_full_scan():
     # the support rows and the averaged cells come from the cells whose
-    # parents meet the hull of the nodes' reach and the support: the rows, in
+    # prefixes meet the hull of the nodes' reach and the support: the rows, in
     # order, the pairs and the reference averages are the ones a scan of
     # every cell of the einsum grid gives, for lattices at the low corner, in
     # the interior and at the high corner of catalog, rotated and 3-D systems

@@ -340,8 +340,7 @@ def test_report_byte_identical(tmp_path):
 
 def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
     # the covariance loop holds one block of tails' averaging points at a
-    # time and caches none; the cell grids of the run's depths stay for the
-    # later suites, and the level below the last depth is never built whole
+    # time and caches none
     loaded = []
     original = cli._load_system
 
@@ -357,18 +356,45 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
     assert len(loaded) == 2
     for ifs in loaded:
         keys = [key for key in ifs._cell_cache if isinstance(key, tuple)]
-        assert ("grid", 4) in keys
-        assert ("grid", 5) not in keys, keys
         assert not [key for key in keys if key[0] in ("average", "branch-average")], keys
 
 
+def test_report_caches_no_grid_deeper_than_half_the_last_level(tmp_path, monkeypatch):
+    # a depth-m cell is formed as a prefix of ceil(m/2) letters times a
+    # suffix of floor(m/2), and the deepest cells a report reads are the
+    # reconstruction's at depth b + 1: after `report --depths a..b` the cell
+    # cache holds no grid deeper than ceil((b + 1)/2), on every catalog
+    # system, and the run reaches that depth unless its suites are refused
+    loaded = []
+    original = cli._load_system
+
+    def capture(name):
+        ifs, expected = original(name)
+        loaded.append(ifs)
+        return ifs, expected
+
+    monkeypatch.setattr(cli, "_load_system", capture)
+    reached = 0
+    for entry in catalog.catalog():
+        for last in (3, 4, 5):
+            code = run(["report", "--system", entry.name, "--depths", f"2..{last}",
+                        "--samples", "20000", "--out", str(tmp_path / f"{entry.name}-{last}")])
+            assert code in (0, 1)
+            grids = [key[1] for key in loaded[-1]._cell_cache
+                     if isinstance(key, tuple) and key[0] == "grid"]
+            bound = (last + 2) // 2
+            assert max(grids, default=0) <= bound, (entry.name, last, grids)
+            reached += bound in grids
+    assert reached >= 12, reached
+
+
 def test_report_memory_is_bounded(tmp_path):
-    # the benchmark's configuration (10^6 samples).  The peak, near 2.7
+    # the benchmark's configuration (10^6 samples).  The peak, near 2.4
     # MiB, is the level-6 reconstruction residual; the chaos game's step
     # blocks of words, one-byte letters and cell indices peak near 1.6 MiB
-    # (3.2 MiB with double uniforms and intp letters).  The grids of depths
-    # 2-5 stay cached as centers and half-frame classes (0.2 MiB; 0.7 MiB
-    # with a frame and a hull per cell), the covariance loop forms no
+    # (3.2 MiB with double uniforms and intp letters).  Only the grids of
+    # depths 1-3 are built (216 cells at depth 3; caching the grids of
+    # depths 2-5 took the peak to 2.6 MiB), the covariance loop forms no
     # depth-6 cell, and the reconstruction forms the depth-6 cells only
     # near the support.  The whole depth-6 grid (3.6 MiB) and the depth-5
     # identity stacks (2.1 MiB each) took it to 7.5 MiB; whole-depth
@@ -693,6 +719,16 @@ def test_config_file_values_are_checked(tmp_path, capsys, lines, message):
     config.write_text(f"{lines}\n")
     assert run(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a 0xff byte ended in a UnicodeDecodeError traceback from configparser
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(b"[run]\nsamples = 5\xff\n")
+    assert run(["report", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file") and "latin.cfg" in err
     assert not (tmp_path / "out").exists()
 
 

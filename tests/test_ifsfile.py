@@ -119,12 +119,14 @@ def test_catalog_phi_matches_exported_reference(tent_square):
      r"\[system\] weights must be finite numbers"),
     ("box = [[0.0, 1.0]]", "box = [[1.0, 0.0]]", r"\[system\] box: each interval"),
     ("[branch.2]", "[branch.two]", "branch sections must be numbered"),
+    ("phi = tent_1d", "phi = tent_1d\nname = tent\n  one", r"\[system\] name must be one line"),
 ], ids=["ragged", "string", "dimension-word", "missing-linear", "nan-weights", "empty-box",
-        "branch-word"])
+        "branch-word", "multi-line-name"])
 def test_malformed_values_name_the_section_and_key(old, new, message):
     # each of these escaped as a numpy or Python exception (a traceback and
     # exit 1 from the command line); the NaN weights passed every weight
-    # check and stopped the fixed-point iteration
+    # check and stopped the fixed-point iteration, and a name continued on
+    # an indented line wrote every reconstruction.csv row across two lines
     assert old in MINIMAL
     with pytest.raises(ConfigError, match=message):
         parse_ifs(MINIMAL.replace(old, new))
@@ -143,15 +145,27 @@ def test_unknown_keys_are_refused(old, new, message):
         parse_ifs(MINIMAL.replace(old, new))
 
 
+def test_multi_line_arrays_stay_legal():
+    # configparser continues a value on indented lines: a JSON array may span them
+    text = MINIMAL.replace("box = [[0.0, 1.0]]", "box = [[0.0,\n  1.0]]")
+    assert parse_ifs(text).box.intervals.tolist() == [[0.0, 1.0]]
+
+
 def test_malformed_definition_files_exit_2(tmp_path, capsys):
+    # a file that is not UTF-8 text ended in a UnicodeDecodeError traceback
     from ifslab.cli import main
 
-    for name, text in (("ragged", MINIMAL.replace("linear = [[0.5]]",
-                                                  "linear = [[0.5], [0.1, 0.2]]")),
-                       ("weigths", MINIMAL.replace("phi = tent_1d",
-                                                   "phi = tent_1d\nweigths = [0.9, 0.1]"))):
+    system = "phi = tent_1d"
+    for name, text, message in (
+            ("ragged", MINIMAL.replace("linear = [[0.5]]", "linear = [[0.5], [0.1, 0.2]]"),
+             "[branch.1] linear"),
+            ("weigths", MINIMAL.replace(system, f"{system}\nweigths = [0.9, 0.1]"), "'weigths'"),
+            ("multi-line-name", MINIMAL.replace(system, f"{system}\nname = tent\n one"),
+             "[system] name"),
+            ("latin-1", MINIMAL.replace(system, f"{system}\nname = t\xe9nt"), "latin-1.ifs")):
         path = tmp_path / f"{name}.ifs"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))
         assert main(["verify", "--system", str(path), "--depths", "2..3",
                      "--out", str(tmp_path / name)]) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err, err

@@ -748,39 +748,6 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, prefix_block):
     assert checked >= 60
 
 
-def test_covariance_residual_forms_no_finer_frames(monkeypatch):
-    # the covariance gap at depth m reads the grids of depths ceil(m/2) and
-    # floor(m/2) alone: on systems with empty caches, `child_frames` maps no
-    # level deeper than ceil(m/2) (a depth-(m+1) one least of all) and no
-    # deeper grid is built, at the default block size and with blocks of
-    # seven prefixes, which divide no n^k and leave short blocks
-    formed = []
-    original = mea.child_frames
-
-    def recording(ifs, parent, runs):
-        child = original(ifs, parent, runs)
-        formed.append(len(child.centers))
-        return child
-
-    monkeypatch.setattr(mea, "child_frames", recording)
-    checked = 0
-    for prefix_block in (None, 7):
-        for ifs in grid_test_systems():
-            n, d = ifs.n_branches, ifs.dimension
-            symbols = [random_trig_symbol((7, 101, k), d) for k in range(2)]
-            for depth in range(6):
-                if n ** (depth + 1) > 5_000:
-                    break
-                half = (depth + 1) // 2
-                formed.clear()
-                prefix_blocks(monkeypatch, ifs, symbols, depth, prefix_block)
-                assert max(formed, default=1) <= n**half, (ifs.name, depth)
-                built = [key[1] for key in ifs._cell_cache if key[0] == "grid"]
-                assert max(built) == half, (ifs.name, depth)
-                checked += 1
-    assert checked >= 60
-
-
 def test_covariance_residual_at_shallow_and_odd_depths():
     # depth 0 (one tail), depth 1 (an empty suffix: each tail is its own
     # prefix) and the odd depths 3 and 5 (a prefix one letter longer than
@@ -813,10 +780,10 @@ def support_test_regions(ifs):
 
 
 def test_support_sampling_selects_the_full_scan_cells():
-    # the cells near a support come from their parents' cached frames: their
-    # frames are the einsum grid's rows, the cells whose hull meets the
-    # support are exactly a scan of every cell's, in order, and the averages
-    # equal the full grid's bytes; the level itself is never built
+    # the cells near a support are the products of the prefixes whose hull
+    # meets it with every suffix: their centers and frames are the einsum
+    # grid's rows, the cells whose hull meets the support are exactly a scan
+    # of every cell's, in order, and the averages equal the full grid's bytes
     def field(points):
         return 1.0 + points[:, 0] - 0.5 * points[:, -1]
 
@@ -846,7 +813,6 @@ def test_support_sampling_selects_the_full_scan_cells():
                 want = total / op.DEFAULT_AVERAGE_POINTS
                 got = sample_to_cells(field, near_boxes[inside])
                 assert got.tobytes() == want.tobytes(), (ifs.name, depth, region)
-            assert ("grid", depth) not in ifs._cell_cache or depth == 0
     assert selected >= 150 and pruned >= 80, (selected, pruned)
 
 
