@@ -28,7 +28,7 @@ from .errors import CoverFailure, DepthMismatch
 from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
                        boxes_overlap_openly, branch_membership, branch_value_set)
 from .measure import cells_near, check_depth
-from .operators import (CellFunction, CellOperator, max_spectral_norm, operator_norm,
+from .operators import (CellFunction, block_norm, max_spectral_norm, operator_norm,
                         sample_to_cells, transfer_values)
 from .sampling import uniform_doubles
 
@@ -189,7 +189,7 @@ MIN_PITCH = 2.0**-12
 # bounded at fine pitches.
 _NODE_BLOCK = 2048
 
-# Rounding allowance of the gap certificate in `_clearance_failures`, per
+# Rounding allowance of the clearance and branch decisions (`_slack`), per
 # unit of the coordinates' magnitude plus the box's longest side.
 _GAP_SLACK = 1e-12
 
@@ -204,6 +204,22 @@ def _lattice(ifs: IfsSystem, support: np.ndarray, pitch: float,
     return BumpPartition(lo, first, last, float(pitch), margin)
 
 
+def _slack(ifs: IfsSystem, support: np.ndarray) -> float:
+    """`_GAP_SLACK` times the largest coordinate magnitude of the box and
+    the support plus the box's longest side.
+
+    Every candidate the distance kernel evaluates is a point of a piece,
+    and a rounding slip in its knots or vertex changes the squared
+    distance by at most a squared rounding error, so a computed distance
+    lies within a few units in the last place of the coordinates, plus a
+    few of the distance itself, of the exact one; so do the support's gap,
+    a rectangle's overhang and a mapped corner.  The slack exceeds those
+    errors by a factor of hundreds.
+    """
+    box = ifs.box.intervals
+    return _GAP_SLACK * (np.abs(np.concatenate([box, support])).max() + ifs.box.sizes.max())
+
+
 def _clearance_failures(ifs: IfsSystem, clipped: np.ndarray, value_pieces: list[AffinePiece],
                         clearance: float, support: np.ndarray, gap: float) -> np.ndarray:
     """box_distances_to_pieces(clipped, value_pieces) < clearance, per rectangle.
@@ -212,26 +228,15 @@ def _clearance_failures(ifs: IfsSystem, clipped: np.ndarray, value_pieces: list[
     reaches past the support by e, the Euclidean length of its per-axis
     overhang, so each of its points lies within e of the support and
     dist(R, V) >= gap - e exactly.  A rectangle with
-    gap - e >= clearance + slack therefore cannot fail, and only the
+    gap - e >= clearance + `_slack` therefore cannot fail, and only the
     others go through the kernel, gathered into one array: each box's
     distance takes the same steps alone or in any chunk, so the flags are
     the kernel's.
-
-    The slack covers rounding.  Every candidate the kernel evaluates is a
-    point of a piece, and a rounding slip in its knots or vertex changes
-    the squared distance by at most a squared rounding error, so the computed gap
-    and distances lie within a few units in the last place of the
-    coordinates, plus a few of the distance itself, of the exact ones; so
-    does e.  The slack, `_GAP_SLACK` times the largest coordinate magnitude
-    of the box and support plus the box's longest side, exceeds those
-    errors by a factor of hundreds.
     """
-    box = ifs.box.intervals
-    scale = np.abs(np.concatenate([box, support])).max() + ifs.box.sizes.max()
     overhang = np.maximum(np.maximum(support[:, 0] - clipped[:, :, 0],
                                      clipped[:, :, 1] - support[:, 1]), 0.0)
     reach = np.sqrt((overhang * overhang).sum(axis=1))
-    doubtful = np.flatnonzero(gap - reach < clearance + _GAP_SLACK * scale)
+    doubtful = np.flatnonzero(gap - reach < clearance + _slack(ifs, support))
     too_close = np.zeros(len(clipped), dtype=bool)
     too_close[doubtful] = box_distances_to_pieces(clipped[doubtful], value_pieces) < clearance
     return too_close
@@ -306,6 +311,28 @@ def _first_failure(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
     return None
 
 
+def _branches_clear(ifs: IfsSystem, nodes: np.ndarray, union: np.ndarray,
+                    slack: float) -> bool:
+    """Whether no rectangle inside the box `union` can fail a branch test,
+    decided for all of them at once.
+
+    It holds when every node of `nodes` lies in the image of one branch i
+    and of no other, and `union` keeps more than `slack` from the image box
+    of every other branch j on some axis.  Then the foreign-branch test
+    of j finds no rectangle meeting that image's interior, and the
+    branch-return test of i maps each pre-image box, which lies in the
+    box, by g_j into g_j's image box up to a few units in the last place,
+    which `slack` exceeds, so no return meets a rectangle either.
+    """
+    members = branch_membership(ifs, nodes)
+    own = members.all(axis=0)
+    if own.sum() != 1 or members.sum() != len(nodes):
+        return False
+    others = np.stack(ifs.image_boxes())[~own]  # (n - 1, d, 2)
+    apart = (union[:, 0] > others[:, :, 1] + slack) | (union[:, 1] < others[:, :, 0] - slack)
+    return bool(apart.any(axis=1).all())
+
+
 def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartition:
     """Cover the symbol's support by dyadically shrinking lattice tents.
 
@@ -316,14 +343,22 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
     at least MIN_PITCH, with its first failed condition (value-set
     clearance, then branch-return or foreign-branch for branches 1..n).
 
-    Each pitch first clips the rectangles to the box (a rectangle that
-    misses the box passes) and flags the ones within delta/2 of the value
-    set (`_clearance_failures`: the kernel runs only on the rectangles
-    that the support's gap cannot certify).  Only the finest pitch's
-    obstruction is ever reported, so at any coarser pitch one clearance
-    failure fails the pitch and no branch test runs.  Otherwise the branch
-    tests run as arrays, `_NODE_BLOCK` nodes at a time in lattice order,
-    and stop at the first block that holds a failure.
+    The rectangles (q - h, q + h) of a pitch, clipped to the box (a
+    rectangle that misses the box passes), cover one box, their union
+    U_h = reach() clipped to the box, and the exact distance from U_h to
+    the value set is the least of theirs.  One kernel call takes the
+    distance of every pitch's U_h.  A pitch whose U_h lies below
+    delta/2 - `_slack` has a rectangle closer than delta/2, so it fails
+    without forming its nodes, unless it is the finest (only the finest
+    pitch's obstruction is reported, and it names the first failing node).
+    At delta/2 + `_slack` or above, no rectangle fails clearance.  Only a
+    U_h within the slack of delta/2, or the finest pitch's below it, has
+    each rectangle flagged (`_clearance_failures`), and a clearance
+    failure there fails any but the finest pitch.  A pitch that clears the
+    value set is accepted when `_branches_clear` says that no rectangle
+    can fail a branch test; otherwise the branch tests run as arrays,
+    `_NODE_BLOCK` nodes at a time in lattice order, and stop at the first
+    block that holds a failure.
     """
     support = np.asarray(symbol.support_box, dtype=float)
     gap = support_distance_to_value_set(ifs, support)
@@ -333,25 +368,44 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
 
     value_pieces = branch_value_set(ifs)
     clearance = symbol.delta / 2.0
+    slack = _slack(ifs, support)
     box = ifs.box.intervals
+    lattices = []
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
-    last_obstruction = None
     while pitch >= MIN_PITCH:
-        lattice = _lattice(ifs, support, pitch, clearance)
+        lattices.append(_lattice(ifs, support, pitch, clearance))
+        pitch /= 2.0
+    # each pitch's U_h: its rectangles' bounds are those of its first and last node
+    unions = np.array([lattice.reach() for lattice in lattices]).reshape(-1, ifs.dimension, 2)
+    unions[:, :, 0] = np.maximum(unions[:, :, 0], box[:, 0])
+    unions[:, :, 1] = np.minimum(unions[:, :, 1], box[:, 1])
+    meets = np.flatnonzero(np.all(unions[:, :, 0] <= unions[:, :, 1], axis=1))
+    distances = np.full(len(unions), np.inf)  # no rectangle meets the box: none fails
+    distances[meets] = box_distances_to_pieces(unions[meets], value_pieces)
+
+    last_obstruction = None
+    for k, lattice in enumerate(lattices):
+        finest = k == len(lattices) - 1
+        if distances[k] < clearance - slack and not finest:
+            continue
         nodes = lattice.nodes
+        pitch = lattice.pitch
         # the rectangles (node-h, node+h)^d that meet the box, clipped to it
         lo = np.maximum(nodes - pitch, box[:, 0])
         hi = np.minimum(nodes + pitch, box[:, 1])
         live = np.flatnonzero(np.all(lo <= hi, axis=1))
         clipped = np.stack([lo[live], hi[live]], axis=2)
-        too_close = _clearance_failures(ifs, clipped, value_pieces, clearance, support, gap)
-        finest = pitch / 2.0 < MIN_PITCH
-        if finest or not too_close.any():
-            failed = _first_failure(ifs, nodes[live], clipped, too_close)
-            if failed is None:
-                return lattice
-            last_obstruction = failed
-        pitch /= 2.0
+        too_close = np.zeros(len(live), dtype=bool)
+        if distances[k] < clearance + slack:
+            too_close = _clearance_failures(ifs, clipped, value_pieces, clearance, support, gap)
+            if too_close.any() and not finest:
+                continue
+        if not too_close.any() and _branches_clear(ifs, nodes[live], unions[k], slack):
+            return lattice
+        failed = _first_failure(ifs, nodes[live], clipped, too_close)
+        if failed is None:
+            return lattice
+        last_obstruction = failed
     if last_obstruction is None:
         raise CoverFailure(f"shortest box side {ifs.box.sizes.min()} is below "
                            f"4 * MIN_PITCH = {4 * MIN_PITCH}: no rectangle pitch to try")
@@ -602,26 +656,32 @@ def covariant_rep_check(ifs: IfsSystem, depth: int, trials: int,
     product of each tail's row of n terms with a column of ones; the
     right side by the transfer L(conj(xi) eta)(w).  Exact at cell level up
     to summation rounding.
+
+    Each trial t draws its three fields from one stream seeded (seed, t).
+    Every trial's blocks are formed in one array pass, and each relation
+    takes one norm of the stacked blocks (`block_norm`): a block's norm
+    does not depend on the blocks beside it, so the residual is the
+    largest of the trials' residuals, bit for bit.
     """
     n = ifs.n_branches
     count = check_depth(n, depth + 1)
-    worst1 = worst2 = 0.0
-    for t in range(trials):
-        u = uniform_doubles((seed, t), 6 * count).reshape(6, count)
-        a = (2 * u[0] - 1) + 1j * (2 * u[1] - 1)
-        xi = (2 * u[2] - 1) + 1j * (2 * u[3] - 1)
-        eta = (2 * u[4] - 1) + 1j * (2 * u[5] - 1)
+    draws = np.array([uniform_doubles((seed, t), 6 * count) for t in range(trials)])
+    u = draws.reshape(trials, 6, count).transpose(1, 0, 2)  # (6, trials, cells)
+    a = (2 * u[0] - 1) + 1j * (2 * u[1] - 1)
+    xi = (2 * u[2] - 1) + 1j * (2 * u[3] - 1)
+    eta = (2 * u[4] - 1) + 1j * (2 * u[5] - 1)
 
-        module = np.matmul(a[:, None, None], xi[:, None, None])[:, 0, 0] - a * xi
-        # cell i.w is row i of the block of tail w
-        blocks = np.ascontiguousarray(module.reshape(n, -1).T)[:, :, None]
-        worst1 = max(worst1, operator_norm(CellOperator(depth, depth + 1, blocks, ifs.weights)))
+    def by_tail(values):  # cell i.w of a trial is entry i of its tail w: (trials T, n)
+        return values.reshape(trials, n, count // n).transpose(0, 2, 1).reshape(-1, n)
 
-        inner = np.conj(xi) * eta
-        products = np.ascontiguousarray(inner.reshape(n, -1).T) * ifs.weights
-        branch_sum = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
-        diagonal = (branch_sum - transfer_values(ifs, inner))[:, None, None]
-        worst2 = max(worst2, operator_norm(CellOperator(depth, depth, diagonal, ifs.weights)))
+    module = np.matmul(a[..., None, None], xi[..., None, None])[..., 0, 0] - a * xi
+    worst1 = block_norm(by_tail(module)[:, :, None], ifs.weights)
+
+    inner = np.conj(xi) * eta
+    products = by_tail(inner) * ifs.weights
+    branch_sum = np.matmul(products[:, None, :], np.ones((n, 1)))[:, 0, 0]
+    diagonal = branch_sum - transfer_values(ifs, inner).ravel()
+    worst2 = block_norm(diagonal[:, None, None], ifs.weights)
     return worst1, worst2
 
 

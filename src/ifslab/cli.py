@@ -175,7 +175,8 @@ def _load_system(name: str):
 # ---------------------------------------------------------------------------
 
 def covariance_residual(ifs, symbols, depth: int) -> list[float]:
-    """|C* M_a C - M_(La)| for each symbol a, cell-averaged at depth+1 and La at depth.
+    """|C* M_a C - M_(La)| for each symbol a, cell-averaged at depth+1 and La at depth;
+    `symbols` are the trig symbols' terms on `ifs` (`operators.trig_terms`).
 
     Both sides are diagonal on V_m: C* M_a C multiplies by
     w -> sum_i p_i a(i.w), so the norm is max_w |sum_i p_i a(i.w) - (La)(w)|.
@@ -184,7 +185,7 @@ def covariance_residual(ifs, symbols, depth: int) -> list[float]:
     prefix and suffix phasors, read off the grids of depths ceil(m/2) and
     floor(m/2), with no cosine per tail.  Each symbol keeps its maximum.
     """
-    worst = np.zeros(len(symbols))
+    worst = np.zeros(len(symbols.slope))
     for gap in operators.trig_tail_blocks(ifs, symbols, depth):
         worst = np.maximum(worst, np.abs(gap).max(axis=1))
     return [float(value) for value in worst]
@@ -330,7 +331,7 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
     depth-(m+1) spaces of every depth m, whose cell budget is checked
     first, in ascending order; the covariance residuals run once per
     depth, every symbol on each block of tails in turn
-    (`covariance_residual`)."""
+    (`covariance_residual`), from the symbols' terms formed once."""
     depths = list(range(cfg.depths[0], cfg.depths[1] + 1))
     for m in depths:
         measure.check_depth(ifs.n_branches, m + 1)
@@ -338,7 +339,8 @@ def operator_suite(cfg: RunConfig, ifs) -> OperatorSuite:
                for k in range(VERIFY_SYMBOLS)]
     covariance = []
     if ifs.is_hutchinson():
-        per_depth = [covariance_residual(ifs, symbols, m) for m in depths]
+        terms = operators.trig_terms(ifs, symbols)
+        per_depth = [covariance_residual(ifs, terms, m) for m in depths]
         covariance = [list(residuals) for residuals in zip(*per_depth)]
     return OperatorSuite(depths, *identity_residuals(ifs), symbols, covariance)
 

@@ -408,7 +408,10 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     condition and burn_in >= depth - 1: each sample is counted in the cell
     of its last `depth` letters, which is exact for every sample, and no
     coordinates are computed; the last depth - 1 letter rows of a block
-    are carried into the next for the windows that straddle it.  Otherwise
+    are carried into the next for the windows that straddle it.  No window
+    reads the first burn_in - (depth - 1) letter rows, so the stream is
+    advanced past their words without drawing them, and the blocks start
+    at the first row read.  Otherwise
     (overlapping branch images, or a burn-in shorter than the window) the
     orbit is carried across blocks and each block's points are binned
     geometrically by :func:`bin_points`, whose shared-face convention then
@@ -430,13 +433,16 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
     thresholds = _letter_thresholds(ifs.weights)
     letter_type = np.min_scalar_type(n)
     symbolic = burn_in >= depth - 1 and check_open_set_condition(ifs).passed
+    # a window reads the depth - 1 letter rows before its sample at most, so
+    # the symbolic path skips the burn-in rows before those
+    first = burn_in - max(depth - 1, 0) if symbolic else 0
     # the block stream bounds the peak memory: no array spans all the steps
-    words = raw_blocks(int(seed), steps * chains, _STEP_BLOCK * chains)
+    words = raw_blocks(int(seed), steps * chains, _STEP_BLOCK * chains, first * chains)
     carry = np.zeros((0, chains), dtype=letter_type)  # up to depth - 1 previous letter rows
     x = np.tile(ifs.box.center, (chains, 1))          # the orbit, on the geometric path
     counts = np.zeros(count, dtype=np.int64)
     left = n_samples
-    for start in range(0, steps, _STEP_BLOCK):
+    for start in range(first, steps, _STEP_BLOCK):
         letters = _draw_letters(thresholds, next(words).reshape(-1, chains), letter_type)
         rows = max(0, start + len(letters) - max(start, burn_in))  # rows after the burn-in
         take = min(left, rows * chains)

@@ -157,29 +157,41 @@ def _offset_points(boxes: np.ndarray) -> np.ndarray:
 # The covariance gap of trigonometric symbols, in closed form
 # ---------------------------------------------------------------------------
 
-def _symbol_terms(symbols) -> tuple:
-    """The symbols' parameters stacked as terms of shape (K, 1, ...)."""
-    return (np.array([[s.b0] for s in symbols]),
-            np.array([s.slope for s in symbols])[:, None],
-            np.array([s.k for s in symbols])[:, None],
-            np.array([s.amp for s in symbols])[:, None],
-            np.array([s.ph for s in symbols])[:, None])
+@dataclass(frozen=True)
+class TrigTerms:
+    """K trig symbols stacked for one system: their slopes and frequencies,
+    and the terms of each a o gamma_i (`trig_terms`).  Every depth's
+    covariance gap reads the same terms, so a command forms them once."""
+
+    slope: np.ndarray         # (K, d)
+    k: np.ndarray             # (K, J, d)
+    branch_b0: np.ndarray     # (K, n)
+    branch_slope: np.ndarray  # (K, n, d)
+    branch_k: np.ndarray      # (K, n, J, d)
+    amp: np.ndarray           # (K, n, J)
+    ph: np.ndarray            # (K, n, J)
 
 
-def _branch_terms(linear: np.ndarray, shift: np.ndarray, terms) -> tuple:
-    """The terms of a o gamma_i for each term a (K, 1) and branch i: (K, n),
-    for the branches' linear parts A_i (n, d, d) and translations t_i (n, d).
+def trig_terms(ifs: IfsSystem, symbols) -> TrigTerms:
+    """The symbols' terms, and those of a o gamma_i for each symbol a and
+    branch i.
 
     With gamma_i(x) = A_i x + t_i, a o gamma_i has slope A_i^T slope,
     frequencies A_i^T k_j, constant b0 + slope . t_i and phases
     ph_j + pi k_j . t_i.
     """
-    b0, slope, k, amp, ph = terms
-    return (b0 + axis_sum(slope[:, 0], shift),
-            np.einsum("kd,nde->kne", slope[:, 0], linear),
-            np.einsum("kjd,nde->knje", k[:, 0], linear),
-            np.broadcast_to(amp, (len(amp), len(linear), amp.shape[-1])),
-            ph + np.pi * np.moveaxis(axis_sum(k[:, 0], shift), -1, 1))
+    linear = np.array([gamma.linear for gamma in ifs.branches])  # (n, d, d)
+    shift = np.array([gamma.translation for gamma in ifs.branches])
+    b0 = np.array([[s.b0] for s in symbols])
+    slope = np.array([s.slope for s in symbols])
+    k = np.array([s.k for s in symbols])
+    amp = np.array([s.amp for s in symbols])[:, None]
+    ph = np.array([s.ph for s in symbols])[:, None]
+    return TrigTerms(slope, k, b0 + axis_sum(slope, shift),
+                     np.einsum("kd,nde->kne", slope, linear),
+                     np.einsum("kjd,nde->knje", k, linear),
+                     np.broadcast_to(amp, (len(amp), len(linear), amp.shape[-1])),
+                     ph + np.pi * np.moveaxis(axis_sum(k, shift), -1, 1))
 
 
 def _phasor_means(k: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -228,12 +240,13 @@ def _class_terms(linear: np.ndarray, slope: np.ndarray, k: np.ndarray, branch_k:
     return shift, fine - coarse, coarse
 
 
-def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
+def trig_tail_blocks(ifs: IfsSystem, terms: TrigTerms, depth: int):
     """The covariance gap sum_i p_i a(i.w) - (L a)(w) of each trig symbol a
-    in closed form: a (symbols, W) array per block of W tails, every tail
-    once, m = `depth`.  a(i.w) is the averaging rule's mean of a on the
-    hull of the cell i.w, (L a)(w) the mean of (1/n) sum_i a o gamma_i
-    (`_branch_terms`) on the hull of w.  Their difference for branch i is
+    of `terms` (`trig_terms`) in closed form: a (symbols, W) array per
+    block of W tails, every tail once, m = `depth`.  a(i.w) is the
+    averaging rule's mean of a on the hull of the cell i.w, (L a)(w) the
+    mean of (1/n) sum_i a o gamma_i on the hull of w.  Their difference
+    for branch i is
     shift + sum_j amp_j Re(X_j e^{i (kappa_j . lo_w + ph_j)}), kappa_j =
     pi A_i^T k_j, with shift and X = fine - coarse per class of tail half
     frames (`_class_terms`).  A tail w = u.v, |u| = ceil(m/2), has the
@@ -256,17 +269,15 @@ def trig_tail_blocks(ifs: IfsSystem, symbols, depth: int):
     n, d = ifs.n_branches, ifs.dimension
     check_depth(n, depth + 1)
     prefix, suffix = cell_grid(ifs, (depth + 1) // 2), cell_grid(ifs, depth // 2)
-    terms = _symbol_terms(symbols)
     branch_linear = np.array([gamma.linear for gamma in ifs.branches])    # (n, d, d)
-    b0, slope, k, amp, ph = _branch_terms(
-        branch_linear, np.array([gamma.translation for gamma in ifs.branches]), terms)
-    symbols, prefixes = len(symbols), len(prefix.centers)
+    b0, slope, k = terms.branch_b0, terms.branch_slope, terms.branch_k  # of a o gamma_i
+    amp, ph = terms.amp, terms.ph
+    symbols, prefixes = len(terms.slope), len(prefix.centers)
     pair_class, frames, moved = word_products(ifs, prefix, suffix)
     tail_class = pair_class[:, suffix.classes]                            # (Cu, V)
     moved = moved.reshape(-1, d)
     ext = np.abs(frames).sum(axis=2)                                      # (C, d)
-    shift, phasors, coarse = _class_terms(branch_linear, terms[1][:, 0], terms[2][:, 0], k,
-                                          frames)
+    shift, phasors, coarse = _class_terms(branch_linear, terms.slope, terms.k, k, frames)
 
     # e^{i kappa . x} at the prefix centers and the moved suffix centers, and
     # e^{i (ph - kappa . ext)} per class: (points, K, M), M = n J
@@ -369,9 +380,10 @@ def transfer_op(ifs: IfsSystem, depth: int) -> CellOperator:
 
 
 def transfer_values(ifs: IfsSystem, values: np.ndarray) -> np.ndarray:
-    """(1/n) sum over the first letter: the cell-level transfer."""
+    """(1/n) sum over the first letter: the cell-level transfer, along the
+    last axis of `values`."""
     n = ifs.n_branches
-    return values.reshape(n, -1).mean(axis=0)
+    return values.reshape(*values.shape[:-1], n, values.shape[-1] // n).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +413,37 @@ def max_spectral_norm(blocks: np.ndarray, scale=1.0) -> float:
     return float(np.linalg.norm(kept, axis=(1, 2)).max())
 
 
+def block_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
+    """Largest mass-weighted 2-norm of a stack of blocks (T, r, c), any T;
+    an empty stack has norm 0.
+
+    Block w is rescaled by sqrt(mass(k) / mass(l)), the masses of the
+    letters in front of the tail.  A block of one row or one column has
+    one singular value, its Euclidean length; a 1 x 1 block has a scale
+    of 1, so it gets |entry| exactly (sqrt(x * x) == |x| in floating
+    point, barring underflow).  Larger blocks go to `max_spectral_norm`:
+    zero blocks count as 0 and are never rescaled, nor are the rows and
+    columns that are zero in every block, and when all blocks are equal
+    they share one norm.  Each block's norm takes the same steps in any
+    stack, so the norm of stacked blocks is the maximum of their stacks'.
+    """
+    _, rows, cols = blocks.shape
+    scale = np.sqrt(_letter_masses(weights, rows)[:, None]
+                    / _letter_masses(weights, cols)[None, :])
+    if min(rows, cols) > 1:
+        return max_spectral_norm(blocks, scale)
+    return float(np.linalg.norm(blocks * scale, axis=(1, 2)).max(initial=0.0))
+
+
 def operator_norm(op: CellOperator) -> float:
     """Largest singular value for the mass-weighted norms, exactly.
 
     The operator is block diagonal over the tails, so its norm is the
-    largest 2-norm of a block rescaled by sqrt(mass(k) / mass(l)).  A block
-    of one row or one column has one singular value, its Euclidean length;
-    a diagonal operator has 1 x 1 blocks and a scale of 1, so it gets
-    max |entry| exactly (sqrt(x * x) == |x| in floating point, barring
-    underflow).  Larger blocks go to `max_spectral_norm`: zero blocks
-    count as 0 and are never rescaled, nor are the rows and columns that
-    are zero in every block, and when all blocks are equal they share one
-    norm.  `op` may also hold only the blocks that can be nonzero
-    (`bimodule.ReconstructionResidual`): the omitted ones have norm 0.
+    largest 2-norm of a rescaled block (`block_norm`).  `op` may also hold
+    only the blocks that can be nonzero (`bimodule.ReconstructionResidual`):
+    the omitted ones have norm 0.
     """
-    _, rows, cols = op.matrix.shape
-    scale = np.sqrt(_letter_masses(op.weights, rows)[:, None]
-                    / _letter_masses(op.weights, cols)[None, :])
-    if min(rows, cols) > 1:
-        return max_spectral_norm(op.matrix, scale)
-    return float(np.linalg.norm(op.matrix * scale, axis=(1, 2)).max())
+    return block_norm(op.matrix, op.weights)
 
 
 # ---------------------------------------------------------------------------

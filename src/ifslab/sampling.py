@@ -34,16 +34,20 @@ def uniform_doubles(seed, count: int) -> np.ndarray:
     return (bit_stream(seed, count) >> np.uint64(11)) * 2.0**-53
 
 
-def raw_blocks(seed, count: int, block: int):
-    """The words of bit_stream(seed, count), `block` at a time.
+def raw_blocks(seed, count: int, block: int, start: int):
+    """The words start .. count - 1 of bit_stream(seed, count), `block` at
+    a time.
 
-    One generator is drawn from in order, so the blocks concatenate to the
-    same `count` words; only one block is held at a time.  The last block
-    is shorter when `block` does not divide `count`.
+    The generator is advanced past the first `start` words without drawing
+    them (PCG64 draws one step per word) and then drawn from in order, so
+    the blocks concatenate to the same words; only one block is held at a
+    time.  The last block is shorter when `block` does not divide
+    count - start.
     """
     bits = _generator(seed)
-    for start in range(0, count, block):
-        yield bits.random_raw(min(block, count - start))
+    bits.advance(start)
+    for first in range(start, count, block):
+        yield bits.random_raw(min(block, count - first))
 
 
 def _radical_inverse(base: int, k: int) -> float:

@@ -45,7 +45,7 @@ def test_criterion_2_covariance_convergence(tent_square):
     worst_lo, worst_hi = 1.0, 0.0
     for k in range(20):
         symbol = random_trig_symbol((7, 101, k), 2)
-        residuals = [cli.covariance_residual(ifs, [symbol], m)[0] for m in depths]
+        residuals = [cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), m)[0] for m in depths]
         assert all(r > 0 for r in residuals)
         for r0, r1 in zip(residuals, residuals[1:]):
             ratio = r1 / r0

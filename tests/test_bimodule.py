@@ -342,7 +342,70 @@ def oracle_cases():
                 symbol = AdmissibleSymbol(support, delta)
                 cases.append((f"{kind} draw {draw} delta {delta}", ifs, symbol,
                               min_pitch[ifs.dimension]))
+    return cases + ulp_cases() + straddle_cases() + rotated_face_cases()
+
+
+def union_box(ifs, support, pitch):
+    """U_h: the union of the pitch's rectangles, clipped to the box."""
+    reach = bi._lattice(ifs, np.asarray(support, dtype=float), pitch, 0.0).reach()
+    box = ifs.box.intervals
+    return np.stack([np.maximum(reach[:, 0], box[:, 0]), np.minimum(reach[:, 1], box[:, 1])],
+                    axis=1)
+
+
+def ulp_cases():
+    """Symbols whose U_h at pitch 1/16 lies one ulp below, at and one ulp
+    above delta/2 from the value set: the union decides nothing there, and
+    the rectangles' own flags pass or fail the pitch."""
+    from ifslab import catalog
+
+    cases = []
+    for name, support in (("tent_sigma", [[0.1, 0.3], [0.1, 0.2]]),
+                          ("tent_square", [[0.05, 0.33], [0.1, 0.31]])):
+        ifs = catalog.get(name).system
+        pieces = branch_value_set(ifs)
+        distance = box_distances_to_pieces(union_box(ifs, support, 1 / 16)[None], pieces)[0]
+        for clearance in (np.nextafter(distance, 0.0), distance, np.nextafter(distance, 1.0)):
+            cases.append((f"{name} union {clearance - distance:+.2g} from delta/2", ifs,
+                          AdmissibleSymbol(support, 2.0 * clearance), 2.0**-7))
     return cases
+
+
+def straddle_cases():
+    """Windows whose rectangles straddle the face between two branch
+    images, on systems whose branches share one linear part (so the value
+    set is empty): the branch tests, not the union, decide each pitch."""
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    halves = IfsSystem(AmbientBox(np.array([[0.0, 1.0]])),
+                       [AffineContraction(np.array([[0.5]]), np.array([shift]))
+                        for shift in (0.0, 0.5)], name="halves")
+    quarters = IfsSystem(AmbientBox(np.array([[0.0, 1.0]] * 2)),
+                         [AffineContraction(0.5 * np.eye(2), np.array(shift))
+                          for shift in product((0.0, 0.5), repeat=2)], name="quarters")
+    supports = ((halves, [[0.3, 0.45]]), (halves, [[0.4, 0.6]]),
+                (quarters, [[0.3, 0.45], [0.1, 0.3]]), (quarters, [[0.3, 0.6], [0.2, 0.3]]))
+    return [(f"{ifs.name} straddling {support}", ifs, AdmissibleSymbol(support, 0.05), 2.0**-7)
+            for ifs, support in supports]
+
+
+def rotated_face_cases():
+    """Windows near a face of a turned branch's image box, the images
+    apart: the shortcut must check each node's branch through the inverse
+    map, not the image box."""
+    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
+
+    def turn(angle):
+        return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+    ifs = IfsSystem(AmbientBox(np.array([[0.0, 1.0]] * 2)),
+                    [AffineContraction(0.4 * turn(0.3), np.array([0.15, 0.02])),
+                     AffineContraction(0.35 * turn(-0.4), np.array([0.45, 0.55]))],
+                    name="2d-rotated")
+    supports = ([[0.3, 0.45], [0.2, 0.35]], [[0.42, 0.5], [0.2, 0.4]],
+                [[0.2, 0.3], [0.35, 0.45]])
+    return [(f"rotated near a face {support}", ifs, AdmissibleSymbol(support, 0.02), 2.0**-7)
+            for support in supports]
 
 
 def test_batched_partition_matches_node_by_node_search():
@@ -451,8 +514,10 @@ def moved_case(ifs, symbol, min_pitch, scale, shift):
 
 
 def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
-    # every rectangle of every pitch the search visits: the oracle cases,
-    # and the catalog cases moved to the box [1000, 1001]^d and shrunk 1000-fold
+    # every rectangle of every pitch from the first down to the one that
+    # ends the search, certified whether or not the search needs its flags:
+    # the oracle cases, and the catalog cases moved to the box
+    # [1000, 1001]^d and shrunk 1000-fold
     from ifslab import geometry
 
     cases = oracle_cases()
@@ -460,52 +525,66 @@ def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
               for label, ifs, symbol, min_pitch in cases[:4]]
     cases += [(label + " shrunk", *moved_case(ifs, symbol, min_pitch, 1e-3, 0.0))
               for label, ifs, symbol, min_pitch in cases[:4]]
-    original = bi._clearance_failures
     seen = {"rectangles": 0, "kernel rows": 0, "failing": 0}
 
     def kernel(boxes, pieces):
         seen["kernel rows"] += len(boxes)
         return geometry.box_distances_to_pieces(boxes, pieces)
 
-    def checked(ifs, clipped, value_pieces, clearance, support, gap):
-        flags = original(ifs, clipped, value_pieces, clearance, support, gap)
-        want = geometry.box_distances_to_pieces(clipped, value_pieces) < clearance
-        assert flags.tobytes() == want.tobytes(), label
-        seen["rectangles"] += len(clipped)
-        seen["failing"] += int(want.sum())
-        return flags
-
-    monkeypatch.setattr(bi, "box_distances_to_pieces", kernel)
-    monkeypatch.setattr(bi, "_clearance_failures", checked)
     for label, ifs, symbol, min_pitch in cases:
-        partition_outcome(build_at, ifs, symbol, min_pitch)
+        outcome = partition_outcome(build_at, ifs, symbol, min_pitch)
+        if outcome[0] is ValueError:
+            continue
+        last = outcome[2] if outcome[0] == "partition" else min_pitch
+        support = np.asarray(symbol.support_box)
+        gap = bi.support_distance_to_value_set(ifs, support)
+        pieces, box = branch_value_set(ifs), ifs.box.intervals
+        pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+        while pitch >= last:
+            nodes = bi._lattice(ifs, support, pitch, 0.0).nodes
+            lo, hi = np.maximum(nodes - pitch, box[:, 0]), np.minimum(nodes + pitch, box[:, 1])
+            live = np.all(lo <= hi, axis=1)
+            clipped = np.stack([lo[live], hi[live]], axis=2)
+            with monkeypatch.context() as patch:
+                patch.setattr(bi, "box_distances_to_pieces", kernel)
+                flags = bi._clearance_failures(ifs, clipped, pieces, symbol.delta / 2, support,
+                                               gap)
+            want = geometry.box_distances_to_pieces(clipped, pieces) < symbol.delta / 2
+            assert flags.tobytes() == want.tobytes(), (label, pitch)
+            seen["rectangles"] += len(clipped)
+            seen["failing"] += int(want.sum())
+            pitch /= 2.0
     # the certificate spares most rectangles the kernel, and many fail
     assert seen["failing"] > 0 and seen["kernel rows"] < 0.5 * seen["rectangles"], seen
 
 
 def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch):
-    # rectangles overhanging a support corner straight towards a value
-    # point are exactly gap - e from it: a clearance just above that fails
-    # them, so the certificate must leave them to the kernel
-    from ifslab.geometry import AffinePiece
-
     # the window [0.08, 0.27]^2 is 0.063 from tent_sigma's value line
     # y = 1/3, so at delta 0.06 the cover's rectangles sit at the
-    # certificate's edge; its flags are the kernel's at every pitch
-    original = bi._clearance_failures
-    flagged = []
+    # certificate's edge: at every pitch down to the passing one, U_h's
+    # distance is the least of the rectangles' distances, bit for bit, and
+    # its decision is theirs
+    from ifslab.geometry import AffinePiece
 
-    def checked(ifs, clipped, value_pieces, clearance, support, gap):
-        flags = original(ifs, clipped, value_pieces, clearance, support, gap)
-        want = box_distances_to_pieces(clipped, value_pieces) < clearance
-        assert flags.tobytes() == want.tobytes()
-        flagged.append(int(flags.sum()))
-        return flags
-
-    monkeypatch.setattr(bi, "_clearance_failures", checked)
+    ifs = tent_sigma.system
+    pieces = branch_value_set(ifs)
     edge = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.06)
-    assert build_bump_partition(tent_sigma.system, edge).size == 196
-    assert flagged[0] > 0 and flagged[-1] == 0, flagged
+    partition = build_bump_partition(ifs, edge)
+    assert partition.size == 196
+    box = ifs.box.intervals
+    decisions = []
+    pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+    while pitch >= partition.pitch:
+        nodes = bi._lattice(ifs, edge.support_box, pitch, 0.0).nodes
+        rects = np.stack([np.maximum(nodes - pitch, box[:, 0]),
+                          np.minimum(nodes + pitch, box[:, 1])], axis=2)
+        distances = box_distances_to_pieces(rects, pieces)
+        union = box_distances_to_pieces(union_box(ifs, edge.support_box, pitch)[None], pieces)
+        assert union[0] == distances.min(), pitch
+        decisions.append(bool(union[0] < edge.delta / 2))
+        assert decisions[-1] == bool((distances < edge.delta / 2).any()), pitch
+        pitch /= 2.0
+    assert decisions[0] and not decisions[-1], decisions
 
     symbol = AdmissibleSymbol([[0.2, 0.3], [0.2, 0.3]], 0.05)
     for shift in (0.0, 1000.0):
@@ -530,22 +609,49 @@ def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch)
 
 
 def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
-    original = bi._first_failure_in_block
-    tested = []
+    from ifslab import geometry
 
-    def spy(ifs, nodes, clipped, too_close):
-        tested.append(nodes.copy())
-        return original(ifs, nodes, clipped, too_close)
+    calls, kernel_rows, shortcuts = [], [], []
+    for name in ("_clearance_failures", "_first_failure"):
+        def spy(*args, _original=getattr(bi, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(bi, name, spy)
 
-    monkeypatch.setattr(bi, "_first_failure_in_block", spy)
+    def kernel(boxes, pieces):
+        kernel_rows.append(len(boxes))
+        return geometry.box_distances_to_pieces(boxes, pieces)
+
+    def shortcut(*args, _original=bi._branches_clear):
+        shortcuts.append(_original(*args))
+        return shortcuts[-1]
+
+    monkeypatch.setattr(bi, "box_distances_to_pieces", kernel)
+    monkeypatch.setattr(bi, "_branches_clear", shortcut)
     catalog_cases = oracle_cases()[:4]
     for label, ifs, symbol, min_pitch in catalog_cases:
-        tested.clear()
+        for log in (calls, kernel_rows, shortcuts):
+            log.clear()
         partition = build_at(ifs, symbol, min_pitch)
         start = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
         assert partition.pitch < start, label  # coarser pitches failed first
-        # the branch tests saw the passing pitch's nodes, and no others
-        assert np.concatenate(tested).tobytes() == partition.nodes.tobytes(), label
+        # the support's gap, then one row per pitch: the unions decide every
+        # pitch, and the passing one needs no branch test
+        pitches = int(np.log2(start / min_pitch)) + 1
+        assert kernel_rows == [1, pitches] and calls == [] and shortcuts == [True], label
+    for label, ifs, symbol, min_pitch in straddle_cases():
+        for log in (calls, shortcuts):
+            log.clear()
+        partition_outcome(build_at, ifs, symbol, min_pitch)
+        # nodes on the shared face lie in both images: the branch tests decide
+        assert shortcuts and not any(shortcuts) and "_first_failure" in calls, label
+    tested = []
+
+    def block_spy(ifs, nodes, clipped, too_close, _original=bi._first_failure_in_block):
+        tested.append(nodes.copy())
+        return _original(ifs, nodes, clipped, too_close)
+
+    monkeypatch.setattr(bi, "_first_failure_in_block", block_spy)
     for label, ifs, symbol, _ in catalog_cases:
         tested.clear()
         outcome = exact_outcome(ifs, symbol, 0.1)
@@ -564,6 +670,19 @@ def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
         seen = np.concatenate(tested)
         assert seen.tobytes() == nodes[:len(seen)].tobytes(), label
         assert len(seen) > failures[-1], label
+
+
+def test_branch_shortcut_keeps_the_slack_from_other_images():
+    # a node in branch 1's image alone: a union that touches branch 2's
+    # image, or comes within the slack of it, leaves the pitch to the
+    # branch tests, and so does a node on the face the images share
+    halves = straddle_cases()[0][1]
+    slack = bi._slack(halves, np.array([[0.3, 0.45]]))
+    node = np.array([[0.375]])
+    for high, clear in ((0.5, False), (0.5 - slack / 2, False), (0.5 - 2 * slack, True),
+                        (0.45, True)):
+        assert bi._branches_clear(halves, node, np.array([[0.25, high]]), slack) == clear, high
+    assert not bi._branches_clear(halves, np.array([[0.5]]), np.array([[0.25, 0.45]]), slack)
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):

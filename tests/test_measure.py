@@ -171,14 +171,19 @@ def test_threshold_letter_draw_matches_binary_search():
 
 def test_raw_blocks_continue_one_stream():
     # the blocks are the words of one draw, in order, for int and tuple
-    # seeds and for blocks that do and do not divide the count
+    # seeds and for blocks that do and do not divide the count; a start
+    # advances the generator past the words before it: inside the first
+    # block, at a block's end, past the 96 burn-in rows of 10 chains that a
+    # depth-5 chaos game skips, and to the last word
     for seed in (0, 7, (7, 101, 3)):
-        for count, block in ((1, 1), (1_000, 64), (1_000, 1_000), (1_000, 3_000),
-                             (3 * 65_536 + 5, 65_536)):
-            blocks = list(raw_blocks(seed, count, block))
+        for count, block, start in ((1, 1, 0), (1_000, 64, 0), (1_000, 1_000, 0),
+                                    (1_000, 3_000, 0), (3 * 65_536 + 5, 65_536, 0),
+                                    (1_000, 64, 1), (1_000, 64, 128), (1_000, 30, 960),
+                                    (1_000, 64, 999)):
+            blocks = list(raw_blocks(seed, count, block, start))
             assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
             assert 0 < len(blocks[-1]) <= block
-            assert np.array_equal(np.concatenate(blocks), bit_stream(seed, count))
+            assert np.array_equal(np.concatenate(blocks), bit_stream(seed, count)[start:])
 
 
 # ---------------------------------------------------------------------------

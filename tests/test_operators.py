@@ -253,7 +253,7 @@ def test_covariance_residual_bound_and_rate(tent_square):
     ifs = tent_square.system
     for k in range(3):
         symbol = random_trig_symbol((99, k), 2)
-        residuals = [cli.covariance_residual(ifs, [symbol], m)[0] for m in range(2, 6)]
+        residuals = [cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), m)[0] for m in range(2, 6)]
         for m, res in zip(range(2, 6), residuals):
             assert res <= 3.0 * symbol.lip_bound * 0.5**m
         for r0, r1 in zip(residuals, residuals[1:]):
@@ -264,7 +264,7 @@ def test_covariance_rate_tent_sigma(tent_sigma):
     # mixed ratios 1/2 and 1/3: per-step factor within [c2/2, 2 c2]
     ifs = tent_sigma.system
     symbol = random_trig_symbol(17, 2)
-    residuals = [cli.covariance_residual(ifs, [symbol], m)[0] for m in range(2, 5)]
+    residuals = [cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), m)[0] for m in range(2, 5)]
     for r0, r1 in zip(residuals, residuals[1:]):
         assert 0.25 <= r1 / r0 <= 1.0
 
@@ -564,7 +564,7 @@ def test_covariance_residual_on_shared_points_is_bit_identical():
         for k in range(3):
             symbol = random_trig_symbol((7, 101, k), ifs.dimension)
             for depth in (2, 3, 4):
-                got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                got = cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), depth)[0]
                 assert abs(got - rebuilt_covariance_residual(ifs, symbol, depth)) \
                     <= ORACLE_ATOL, (ifs.name, k, depth)
                 checked += 1
@@ -589,7 +589,7 @@ def test_covariance_residual_equals_four_operator_expression():
             for k in range(5):
                 symbol = random_trig_symbol((seed, 101, k), ifs.dimension)
                 for depth in depths:
-                    got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                    got = cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), depth)[0]
                     assert abs(got - four_operator_covariance_residual(ifs, symbol, depth)) \
                         <= ORACLE_ATOL, (ifs.name, seed, k, depth)
                     checked += 1
@@ -612,7 +612,7 @@ def test_covariance_residual_on_near_uniform_weights():
         for k in range(5):
             symbol = random_trig_symbol((7, 101, k), ifs.dimension)
             for depth in (2, 3, 4):
-                got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                got = cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), depth)[0]
                 assert abs(got - four_operator_covariance_residual(ifs, symbol, depth)) \
                     <= ORACLE_ATOL, (name, k, depth)
                 checked += 1
@@ -705,14 +705,14 @@ def covariance_systems():
             for ifs in systems]
 
 
-def prefix_blocks(monkeypatch, ifs, symbols, depth, prefixes):
+def prefix_blocks(monkeypatch, ifs, terms, depth, prefixes):
     """The blocks of `trig_tail_blocks`, with `prefixes` prefixes per block
     (the row cap set to that many prefixes' rows), or the default cap."""
     with monkeypatch.context() as patch:
         if prefixes is not None:
-            rows = len(symbols) * ifs.n_branches ** (depth // 2 + 1)
+            rows = len(terms.slope) * ifs.n_branches ** (depth // 2 + 1)
             patch.setattr(op, "_EVAL_ROWS", prefixes * rows)
-        return list(op.trig_tail_blocks(ifs, symbols, depth))
+        return list(op.trig_tail_blocks(ifs, terms, depth))
 
 
 @pytest.mark.parametrize("prefix_block", [None, 1, 7])
@@ -726,10 +726,11 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, prefix_block):
     for ifs, depths in covariance_systems():
         n = ifs.n_branches
         symbols = [random_trig_symbol((7, 101, k), ifs.dimension) for k in range(2)]
+        terms = op.trig_terms(ifs, symbols)
         if prefix_block is not None:  # the small blocks loop in Python: fewer depths
             depths = [m for m in depths if n**m <= 500]
         for depth in depths:
-            blocks = prefix_blocks(monkeypatch, ifs, symbols, depth, prefix_block)
+            blocks = prefix_blocks(monkeypatch, ifs, terms, depth, prefix_block)
             suffixes = n ** (depth // 2)
             for gap in blocks:
                 assert len(symbols) * n * gap.shape[1] <= 2**15 or gap.shape[1] == suffixes
@@ -738,9 +739,9 @@ def test_tail_block_covariance_equals_whole_depth(monkeypatch, prefix_block):
             gaps = np.concatenate(blocks, axis=1)
             assert gaps.shape == (len(symbols), n**depth)
             if prefix_block is not None:
-                default = np.concatenate(list(op.trig_tail_blocks(ifs, symbols, depth)), axis=1)
+                default = np.concatenate(list(op.trig_tail_blocks(ifs, terms, depth)), axis=1)
                 assert gaps.tobytes() == default.tobytes(), (ifs.name, depth)
-            got = cli.covariance_residual(ifs, symbols, depth)
+            got = cli.covariance_residual(ifs, terms, depth)
             assert got == np.abs(gaps).max(axis=1).tolist()
             expected = [whole_depth_covariance_residual(ifs, s, depth) for s in symbols]
             assert np.allclose(got, expected, rtol=0.0, atol=ORACLE_ATOL), (ifs.name, depth)
@@ -762,7 +763,7 @@ def test_covariance_residual_at_shallow_and_odd_depths():
                 continue
             for k in range(3):
                 symbol = random_trig_symbol((27, 101, k), ifs.dimension)
-                got = cli.covariance_residual(ifs, [symbol], depth)[0]
+                got = cli.covariance_residual(ifs, op.trig_terms(ifs, [symbol]), depth)[0]
                 assert abs(got - four_operator_covariance_residual(ifs, symbol, depth)) \
                     <= ORACLE_ATOL, (kind, depth, k)
                 checked += 1
@@ -824,12 +825,12 @@ def test_covariance_residual_peak_memory(tent_sigma):
     import tracemalloc
 
     ifs = tent_sigma.system
-    symbols = [random_trig_symbol((7, 101, k), 2) for k in range(5)]
+    terms = op.trig_terms(ifs, [random_trig_symbol((7, 101, k), 2) for k in range(5)])
     cell_grid(ifs, 5)
-    cli.covariance_residual(ifs, symbols, 5)
+    cli.covariance_residual(ifs, terms, 5)
     tracemalloc.start()
     try:
-        cli.covariance_residual(ifs, symbols, 5)
+        cli.covariance_residual(ifs, terms, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -179,6 +179,8 @@ def command_runs(tmp_path):
         (["report", "--system", str(rotated), *small], 1),       # fails the open set condition
         (["report", "--system", str(skew), *small], 1),          # needs uniform weights
         (["reconstruct", "--system", str(uncoverable), *small], 1),  # CoverFailure
+        # rectangles closer than delta/2 at the finest pitch: flagged one by one
+        (["reconstruct", "--system", "tent_1d", *small, "--delta", "0.0002"], 1),
         (["reconstruct", "--system", "tent_square", *small, "--delta", "0.3"], 1),
         (["measure", "--system", "tent_1d", *small, "--no-separation"], 1),
         (["verify", "--system", "tent_sigma", "--depths", "3..3"], 1),
