@@ -19,15 +19,16 @@ depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CoverFailure, DepthMismatch
-from .geometry import (AffinePiece, IfsSystem, box_corners, box_distances_to_pieces,
-                       boxes_overlap_openly, branch_membership, branch_value_set)
-from .measure import cells_near, check_depth
+from .geometry import (IfsSystem, box_corners, box_distances_to_pieces, branch_membership,
+                       branch_value_set)
+from .measure import cell_budget, cells_near, check_depth
 from .operators import (CellFunction, block_norm, max_spectral_norm, operator_norm,
                         sample_to_cells, transfer_values)
 from .sampling import uniform_doubles
@@ -119,14 +120,8 @@ class BumpPartition:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.last - self.first + 1))
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """The (M, d) node coordinates in lattice order."""
-        mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(self.first, self.last)],
-                           indexing="ij")
-        return self.origin + self.pitch * np.stack([m.ravel() for m in mesh], axis=1)
+        # Python ints: an intp product wraps silently on a fine lattice
+        return math.prod(int(n) for n in self.last - self.first + 1)
 
     def _node(self, index) -> np.ndarray:
         """The node coordinates of the per-axis lattice indices `index`."""
@@ -181,14 +176,6 @@ class BumpPartition:
         return np.flatnonzero(np.all(gap < self.pitch, axis=1))
 
 
-# The finest pitch the bump-partition search tries.
-MIN_PITCH = 2.0**-12
-
-# Lattice nodes tested per array pass.  The search stops at the first block
-# holding a failure, so an early failure stays cheap and memory stays
-# bounded at fine pitches.
-_NODE_BLOCK = 2048
-
 # Rounding allowance of the clearance and branch decisions (`_slack`), per
 # unit of the coordinates' magnitude plus the box's longest side.
 _GAP_SLACK = 1e-12
@@ -212,153 +199,72 @@ def _slack(ifs: IfsSystem, support: np.ndarray) -> float:
     and a rounding slip in its knots or vertex changes the squared
     distance by at most a squared rounding error, so a computed distance
     lies within a few units in the last place of the coordinates, plus a
-    few of the distance itself, of the exact one; so do the support's gap,
-    a rectangle's overhang and a mapped corner.  The slack exceeds those
-    errors by a factor of hundreds.
+    few of the distance itself, of the exact one; so does a mapped corner.
+    The slack exceeds those errors by a factor of hundreds.
     """
     box = ifs.box.intervals
     return _GAP_SLACK * (np.abs(np.concatenate([box, support])).max() + ifs.box.sizes.max())
 
 
-def _clearance_failures(ifs: IfsSystem, clipped: np.ndarray, value_pieces: list[AffinePiece],
-                        clearance: float, support: np.ndarray, gap: float) -> np.ndarray:
-    """box_distances_to_pieces(clipped, value_pieces) < clearance, per rectangle.
+def _blocking_branch(ifs: IfsSystem, lattice: BumpPartition, union: np.ndarray,
+                     slack: float) -> int | None:
+    """The first branch (1-based) whose image a rectangle of `lattice` may
+    meet, or None when no rectangle inside the box `union` can fail a
+    branch test.
 
-    `gap` is the support box's distance to the value set.  A rectangle
-    reaches past the support by e, the Euclidean length of its per-axis
-    overhang, so each of its points lies within e of the support and
-    dist(R, V) >= gap - e exactly.  A rectangle with
-    gap - e >= clearance + `_slack` therefore cannot fail, and only the
-    others go through the kernel, gathered into one array: each box's
-    distance takes the same steps alone or in any chunk, so the flags are
-    the kernel's.
+    The nodes fill the box between the lowest and the highest node, and a
+    branch image is convex, so every node lies in the image of branch i
+    when that box's corners do; the first such branch is the home branch.
+    Every other branch j must keep `union` more than `slack` from its image
+    box on some axis.  Then no node lies in g_j's image (such a node would
+    lie in `union`), the foreign-branch test of j finds no rectangle
+    meeting that image's interior, and the branch-return test of i maps
+    each pre-image box, which lies in the box, by g_j into g_j's image box
+    up to a few units in the last place, which `slack` exceeds, so no
+    return meets a rectangle either.  For a turned
+    branch the image box is the image's hull, so a union that misses the
+    image but meets its hull is refused: conservative, never a false pass.
     """
-    overhang = np.maximum(np.maximum(support[:, 0] - clipped[:, :, 0],
-                                     clipped[:, :, 1] - support[:, 1]), 0.0)
-    reach = np.sqrt((overhang * overhang).sum(axis=1))
-    doubtful = np.flatnonzero(gap - reach < clearance + _slack(ifs, support))
-    too_close = np.zeros(len(clipped), dtype=bool)
-    too_close[doubtful] = box_distances_to_pieces(clipped[doubtful], value_pieces) < clearance
-    return too_close
-
-
-def _first_failure_in_block(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
-                            too_close: np.ndarray):
-    """(index, condition) of the first node whose rectangle fails, or None.
-
-    `nodes` are live nodes, `clipped` their rectangles clipped to the box
-    and `too_close` their value-set clearance flags.  Adds the branch tests,
-    conditions (2) and (3), and names the first failed condition of the
-    first failing node: value-set clearance, then branches i = 1..n in
-    order.  Box images are exact for axis-aligned branches; for general
-    affine branches the vertex hulls overestimate the sets, so a failure
-    here can only be conservative, never a false pass.  For each branch i
-    the pre-image boxes are mapped by every branch j in one product and
-    tested against the rectangles as one (n, nodes) overlap array, with
-    row i masked out.
-    """
-    box = ifs.box.intervals
-    members = branch_membership(ifs, nodes)
-    corners = box_corners(clipped)
-
-    # every branch's x -> x L^T + t at once: the transposed views multiply as
-    # each branch's own map does
-    n, d = ifs.n_branches, ifs.dimension
-    linear_t = np.stack([g.linear for g in ifs.branches]).transpose(0, 2, 1)  # (n, d, d)
-    translations = np.stack([g.translation for g in ifs.branches])[:, None, :]
-
-    # row 0: clearance; row i: branch i (branch-return for members, else foreign-branch)
-    fails = np.zeros((1 + n, len(nodes)), dtype=bool)
-    fails[0] = too_close
-    for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
-        own = members[:, i - 1]
-        fails[i] = ~own & boxes_overlap_openly(clipped, image)
-        own_corners = corners[own]
-        pre = gamma.inverse(own_corners.reshape(-1, d)).reshape(own_corners.shape)
-        pre_lo = np.maximum(pre.min(axis=1), box[:, 0])
-        pre_hi = np.minimum(pre.max(axis=1), box[:, 1])
-        pre_box = np.stack([pre_lo, pre_hi], axis=2)
-        # image boxes of the pre-boxes under every branch j: (n, own, d, 2)
-        pre_corners = box_corners(pre_box)  # (own, 2^d, d)
-        images = (pre_corners.reshape(-1, d) @ linear_t + translations).reshape(
-            (n, *pre_corners.shape))
-        image_boxes = np.stack([images.min(axis=2), images.max(axis=2)], axis=-1)
-        overlaps = boxes_overlap_openly(image_boxes, clipped[own])  # (n, own)
-        overlaps[i - 1] = False  # a return through another branch only
-        fails[i, own] = overlaps.any(axis=0) & np.all(pre_lo <= pre_hi, axis=1)
-
-    hits = np.flatnonzero(fails.any(axis=0))
-    if len(hits) == 0:
-        return None
-    k = hits[0]
-    first = int(np.argmax(fails[:, k]))
-    if first == 0:
-        condition = "value-set-clearance"
-    else:
-        condition = "branch-return" if members[k, first - 1] else "foreign-branch"
-    return int(k), condition
-
-
-def _first_failure(ifs: IfsSystem, nodes: np.ndarray, clipped: np.ndarray,
-                   too_close: np.ndarray):
-    """(node, condition) of the first failing live node in lattice order, or None."""
-    for start in range(0, len(nodes), _NODE_BLOCK):
-        block = slice(start, start + _NODE_BLOCK)
-        found = _first_failure_in_block(ifs, nodes[block], clipped[block], too_close[block])
-        if found is not None:
-            index, condition = found
-            return nodes[start + index], condition
-    return None
-
-
-def _branches_clear(ifs: IfsSystem, nodes: np.ndarray, union: np.ndarray,
-                    slack: float) -> bool:
-    """Whether no rectangle inside the box `union` can fail a branch test,
-    decided for all of them at once.
-
-    It holds when every node of `nodes` lies in the image of one branch i
-    and of no other, and `union` keeps more than `slack` from the image box
-    of every other branch j on some axis.  Then the foreign-branch test
-    of j finds no rectangle meeting that image's interior, and the
-    branch-return test of i maps each pre-image box, which lies in the
-    box, by g_j into g_j's image box up to a few units in the last place,
-    which `slack` exceeds, so no return meets a rectangle either.
-    """
-    members = branch_membership(ifs, nodes)
-    own = members.all(axis=0)
-    if own.sum() != 1 or members.sum() != len(nodes):
-        return False
-    others = np.stack(ifs.image_boxes())[~own]  # (n - 1, d, 2)
-    apart = (union[:, 0] > others[:, :, 1] + slack) | (union[:, 1] < others[:, :, 0] - slack)
-    return bool(apart.any(axis=1).all())
+    span = np.stack([lattice._node(lattice.first), lattice._node(lattice.last)], axis=1)
+    home = branch_membership(ifs, box_corners(span)).all(axis=0)
+    images = np.stack(ifs.image_boxes())  # (n, d, 2)
+    apart = (union[:, 0] > images[:, :, 1] + slack) | (union[:, 1] < images[:, :, 0] - slack)
+    near = ~apart.any(axis=1)
+    if home.any():
+        near[np.argmax(home)] = False
+    blocking = np.flatnonzero(near)
+    return int(blocking[0]) + 1 if len(blocking) else None
 
 
 def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartition:
-    """Cover the symbol's support by dyadically shrinking lattice tents.
+    """Cover the symbol's support by lattice tents at the coarsest dyadic
+    pitch whose union box certifies every rectangle.
 
-    Starts from the largest dyadic pitch compatible with the box and
-    halves it until every tent rectangle passes the exact interval tests;
-    underflow of MIN_PITCH raises CoverFailure with the obstruction: the
-    first failing node in lattice order at the finest pitch, the last one
-    at least MIN_PITCH, with its first failed condition (value-set
-    clearance, then branch-return or foreign-branch for branches 1..n).
-
-    The rectangles (q - h, q + h) of a pitch, clipped to the box (a
+    The pitches run from the largest dyadic one at most a quarter of the
+    shortest box side down to the first at or below delta/(8 sqrt(d)), the
+    floor.  The rectangles (q - h, q + h) of a pitch, clipped to the box (a
     rectangle that misses the box passes), cover one box, their union
     U_h = reach() clipped to the box, and the exact distance from U_h to
     the value set is the least of theirs.  One kernel call takes the
-    distance of every pitch's U_h.  A pitch whose U_h lies below
-    delta/2 - `_slack` has a rectangle closer than delta/2, so it fails
-    without forming its nodes, unless it is the finest (only the finest
-    pitch's obstruction is reported, and it names the first failing node).
-    At delta/2 + `_slack` or above, no rectangle fails clearance.  Only a
-    U_h within the slack of delta/2, or the finest pitch's below it, has
-    each rectangle flagged (`_clearance_failures`), and a clearance
-    failure there fails any but the finest pitch.  A pitch that clears the
-    value set is accepted when `_branches_clear` says that no rectangle
-    can fail a branch test; otherwise the branch tests run as arrays,
-    `_NODE_BLOCK` nodes at a time in lattice order, and stop at the first
-    block that holds a failure.
+    distance of every pitch's U_h.  The first pitch is accepted whose U_h
+    keeps delta/2 + `_slack` from the value set and in which
+    `_blocking_branch` finds no rectangle that may meet a foreign image;
+    then every rectangle passes the three conditions.  No lattice's nodes
+    are formed.
+
+    On an axis-aligned system that passes the open set condition, a
+    support that keeps delta from the value set inside a branch image
+    shrunk by 2 delta (every window `reconstruction_symbol` tries) passes
+    at the floor: U_h lies within 2 h sqrt(d) <= delta/4 of the support,
+    so 3 delta/4 from the value set, and inside the image shrunk by
+    2 delta - 2 h > delta, so apart from every other image.
+
+    The pitch loop stops at the first lattice holding more bumps than
+    `measure.cell_budget()`: halving the pitch at most doubles each axis's
+    node count plus one, so no index reaches the intp limit.  That lattice
+    is never accepted, and when every coarser pitch fails, CoverFailure
+    names its bump count and the bound.  Otherwise CoverFailure names the
+    floor's failed condition and its U_h when no pitch passes.
     """
     support = np.asarray(symbol.support_box, dtype=float)
     gap = support_distance_to_value_set(ifs, support)
@@ -366,53 +272,38 @@ def build_bump_partition(ifs: IfsSystem, symbol: AdmissibleSymbol) -> BumpPartit
         raise ValueError(f"support is {gap:.4g} from the two-branch value set, "
                          f"closer than delta={symbol.delta}")
 
-    value_pieces = branch_value_set(ifs)
     clearance = symbol.delta / 2.0
-    slack = _slack(ifs, support)
-    box = ifs.box.intervals
-    lattices = []
+    floor = clearance / (4.0 * np.sqrt(ifs.dimension))
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
-    while pitch >= MIN_PITCH:
-        lattices.append(_lattice(ifs, support, pitch, clearance))
-        pitch /= 2.0
+    budget = cell_budget()
+    lattices = [_lattice(ifs, support, pitch, clearance)]
+    while lattices[-1].pitch > floor and lattices[-1].size <= budget:
+        lattices.append(_lattice(ifs, support, lattices[-1].pitch / 2.0, clearance))
     # each pitch's U_h: its rectangles' bounds are those of its first and last node
+    box = ifs.box.intervals
     unions = np.array([lattice.reach() for lattice in lattices]).reshape(-1, ifs.dimension, 2)
     unions[:, :, 0] = np.maximum(unions[:, :, 0], box[:, 0])
     unions[:, :, 1] = np.minimum(unions[:, :, 1], box[:, 1])
     meets = np.flatnonzero(np.all(unions[:, :, 0] <= unions[:, :, 1], axis=1))
     distances = np.full(len(unions), np.inf)  # no rectangle meets the box: none fails
-    distances[meets] = box_distances_to_pieces(unions[meets], value_pieces)
+    distances[meets] = box_distances_to_pieces(unions[meets], branch_value_set(ifs))
 
-    last_obstruction = None
-    for k, lattice in enumerate(lattices):
-        finest = k == len(lattices) - 1
-        if distances[k] < clearance - slack and not finest:
+    slack = _slack(ifs, support)
+    for lattice, union, distance in zip(lattices, unions, distances):
+        if lattice.size > budget:
+            raise CoverFailure(f"{lattice.size} bumps at pitch {lattice.pitch} exceed "
+                               f"the cell budget {budget}", "bump-budget", union)
+        if distance < clearance + slack:
+            condition = "value-set-clearance"
             continue
-        nodes = lattice.nodes
-        pitch = lattice.pitch
-        # the rectangles (node-h, node+h)^d that meet the box, clipped to it
-        lo = np.maximum(nodes - pitch, box[:, 0])
-        hi = np.minimum(nodes + pitch, box[:, 1])
-        live = np.flatnonzero(np.all(lo <= hi, axis=1))
-        clipped = np.stack([lo[live], hi[live]], axis=2)
-        too_close = np.zeros(len(live), dtype=bool)
-        if distances[k] < clearance + slack:
-            too_close = _clearance_failures(ifs, clipped, value_pieces, clearance, support, gap)
-            if too_close.any() and not finest:
-                continue
-        if not too_close.any() and _branches_clear(ifs, nodes[live], unions[k], slack):
-            return lattice
-        failed = _first_failure(ifs, nodes[live], clipped, too_close)
-        if failed is None:
-            return lattice
-        last_obstruction = failed
-    if last_obstruction is None:
-        raise CoverFailure(f"shortest box side {ifs.box.sizes.min()} is below "
-                           f"4 * MIN_PITCH = {4 * MIN_PITCH}: no rectangle pitch to try")
-    node, condition = last_obstruction
-    raise CoverFailure(
-        f"no admissible rectangle pitch above {MIN_PITCH} (condition {condition} at {node})",
-        obstruction=node, condition=condition)
+        branch = _blocking_branch(ifs, lattice, union, slack)
+        if branch is not None:
+            condition = f"foreign-branch {branch}"
+            continue
+        return lattice
+    raise CoverFailure(f"no admissible rectangle pitch down to {lattice.pitch} "
+                       f"(condition {condition} on the union box {union.tolist()})",
+                       condition, union)
 
 
 def reconstruction_symbol(ifs: IfsSystem,

@@ -26,15 +26,16 @@ class NoConvergence(IfsLabError):
 
 
 class CoverFailure(IfsLabError):
-    """Bump-partition rectangles underflowed the minimum pitch.
+    """No bump-partition pitch down to the floor passed, or every pitch
+    failed before the first lattice with more bumps than the cell budget.
 
-    Carries the obstruction point and the condition that failed there.
+    Carries the failed condition and the union box (d, 2) it failed on.
     """
 
-    def __init__(self, message, obstruction=None, condition=None):
+    def __init__(self, message, condition, box):
         super().__init__(message)
-        self.obstruction = obstruction
         self.condition = condition
+        self.box = box
 
 
 class ConfigError(IfsLabError):

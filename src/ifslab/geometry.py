@@ -88,15 +88,6 @@ class AmbientBox:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def boxes_overlap_openly(a: np.ndarray, b: np.ndarray):
-    """True iff the open interiors of boxes a, b (shape (d,2)) intersect.
-
-    Stacks of boxes (..., d, 2) broadcast and give one flag per box.
-    """
-    return np.all(np.maximum(a[..., 0], b[..., 0]) < np.minimum(a[..., 1], b[..., 1]),
-                  axis=-1)
-
-
 def box_corners(boxes: np.ndarray) -> np.ndarray:
     """(..., 2^d, d) vertices of the boxes (..., d, 2), in `product` order."""
     d = boxes.shape[-2]

@@ -28,8 +28,10 @@ DEFAULT_CELL_BUDGET = 2**20
 
 
 def cell_budget() -> int:
-    """Cell cap, overridable through the IFSLAB_CELL_BUDGET env var; a value
-    that is not a positive integer is a ConfigError."""
+    """The cap on the depth cells (`check_depth`) and on the bumps of a
+    bump-partition lattice (`bimodule.build_bump_partition`), overridable
+    through the IFSLAB_CELL_BUDGET env var; a value that is not a positive
+    integer is a ConfigError."""
     raw = os.environ.get("IFSLAB_CELL_BUDGET", "")
     if not raw:
         return DEFAULT_CELL_BUDGET

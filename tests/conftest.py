@@ -95,6 +95,14 @@ def bump_values(partition, points):
     return values
 
 
+def lattice_nodes(partition):
+    """The (M, d) node coordinates of a bump partition, bump k the k-th
+    node in lattice (C) order."""
+    mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(partition.first, partition.last)],
+                       indexing="ij")
+    return partition.origin + partition.pitch * np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def word_index(word, n):
     """Flat index of a 1-based letter word, first letter most significant:
     the inverse of `measure.index_word`."""
@@ -158,6 +166,12 @@ def reference_box_piece_distance(box, piece):
     if piece.dimension == 1:
         return reference_box_segment_distance(box, piece.endpoints)
     raise ValueError("bump partitions support value sets of dimension <= 1")
+
+
+def overlap_openly(a, b):
+    """Whether the open interiors of the boxes a and b (d, 2) meet; stacks
+    of boxes (..., d, 2) broadcast and give one flag per box."""
+    return np.all(np.maximum(a[..., 0], b[..., 0]) < np.minimum(a[..., 1], b[..., 1]), axis=-1)
 
 
 def random_ifs(rng, kind):

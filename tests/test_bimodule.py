@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -6,16 +7,16 @@ import pytest
 
 from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
                       bump_values, dense_gram_adjoint, dense_operator, dense_reconstruction_pairs,
-                      einsum_cell_grid, grid_test_systems, per_offset_average,
-                      per_piece_box_distances, random_ifs, reference_box_piece_distance)
+                      einsum_cell_grid, grid_test_systems, lattice_nodes, overlap_openly,
+                      per_offset_average, per_piece_box_distances, random_ifs,
+                      reference_box_piece_distance)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, build_bump_partition,
                              covariant_rep_check, reconstruction_residual,
                              reconstruction_symbol, reconstruction_vectors, theta_apply,
                              verify_operator_reconstruction, verify_theta_reconstruction)
 from ifslab.errors import CoverFailure, DepthMismatch
-from ifslab.geometry import (box_corners, box_distances_to_pieces, box_intersection,
-                             boxes_overlap_openly, branch_membership, branch_value_set)
+from ifslab.geometry import box_distances_to_pieces, box_intersection, branch_value_set
 from ifslab.measure import cell_grid, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, max_spectral_norm, mult_op, operator_norm,
@@ -175,7 +176,7 @@ def test_partition_rectangles_clear_value_set(tent_square):
     symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
     partition = build_bump_partition(tent_square.system, symbol)
     # every rectangle avoids the delta/2 neighborhood of the cross lines
-    for node in partition.nodes:
+    for node in lattice_nodes(partition):
         hull = np.stack([node - partition.pitch, node + partition.pitch], axis=1)
         assert hull[0, 1] <= 0.5 - 0.025 or hull[0, 0] >= 0.5 + 0.025
         assert hull[1, 1] <= 0.5 - 0.025 or hull[1, 0] >= 0.5 + 0.025
@@ -185,16 +186,6 @@ def test_support_touching_value_set_rejected(tent_square):
     symbol = AdmissibleSymbol([[0.1, 0.48], [0.1, 0.4]], 0.05)
     with pytest.raises(ValueError, match="support is 0.02 from the two-branch value set"):
         build_bump_partition(tent_square.system, symbol)
-
-
-def build_at(ifs, symbol, min_pitch):
-    """`build_bump_partition` with its finest pitch set to `min_pitch`."""
-    saved = bi.MIN_PITCH
-    bi.MIN_PITCH = min_pitch
-    try:
-        return build_bump_partition(ifs, symbol)
-    finally:
-        bi.MIN_PITCH = saved
 
 
 @dataclass(frozen=True)
@@ -211,24 +202,36 @@ def scaled_window(support, amplitude):
     return ScaledWindow(support, 0.05, amplitude)
 
 
-def test_cover_failure_reports_obstruction(tent_square):
-    from ifslab.errors import CoverFailure
+def pitch_floor(ifs, delta):
+    """The first dyadic pitch, from a quarter of the shortest box side
+    down, at or below delta / (8 sqrt(d))."""
+    pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
+    while pitch > delta / (8.0 * np.sqrt(ifs.dimension)):
+        pitch /= 2.0
+    return pitch
 
-    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
+
+def test_cover_failure_reports_obstruction():
+    # a window across the face x = 1/2 of two quarter images, the value set
+    # empty: every pitch's union meets both images, and the refusal names
+    # the first branch it meets and the union box at the floor
+    quarters = straddle_cases()[3][1]
+    support = [[0.3, 0.6], [0.2, 0.3]]
     with pytest.raises(CoverFailure) as excinfo:
-        build_at(tent_square.system, symbol, 0.2)
-    assert excinfo.value.obstruction is not None
-    assert "pitch above 0.2 " in str(excinfo.value)
+        build_bump_partition(quarters, AdmissibleSymbol(support, 0.05))
+    failure = excinfo.value
+    floor = pitch_floor(quarters, 0.05)
+    assert floor == 2.0**-8
+    assert failure.condition == "foreign-branch 1"
+    assert failure.box.tobytes() == union_box(quarters, support, floor).tobytes()
+    assert str(failure).startswith(f"no admissible rectangle pitch down to {floor} "
+                                   "(condition foreign-branch 1 on the union box [[")
 
 
 def reference_image_box(gamma, box):
     """Bounding box of the images of the vertices of one box."""
     images = gamma(np.array(list(product(*box))))
     return np.stack([images.min(axis=0), images.max(axis=0)], axis=1)
-
-
-def overlap_openly(a, b):
-    return bool(np.all(np.maximum(a[:, 0], b[:, 0]) < np.minimum(a[:, 1], b[:, 1])))
 
 
 def reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance):
@@ -263,73 +266,72 @@ def reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance):
     return None
 
 
-def reference_partition(ifs, symbol, min_pitch=2.0**-12, failures=None):
-    """The node-by-node bump partition search: (nodes, pitch, margin), or
-    raises as `build_bump_partition` must.  Appends the lattice index of
-    each pitch's first failing node to `failures`."""
+def lattice_failures(ifs, nodes, pitch, clearance):
+    """Per node, whether its rectangle fails one of conditions (1)-(3):
+    `reference_rectangle_conditions` for every node at once, the clearance
+    from `per_piece_box_distances`."""
+    box = ifs.box.intervals
+    d = ifs.dimension
+    pick = np.array(list(product((0, 1), repeat=d)))
+
+    def corners(boxes):  # (N, d, 2) -> (N, 2^d, d)
+        return boxes[:, np.arange(d), pick]
+
+    def hull(points):  # (N, 2^d, d) -> (N, d, 2)
+        return np.stack([points.min(axis=1), points.max(axis=1)], axis=2)
+
+    clipped = np.stack([np.maximum(nodes - pitch, box[:, 0]),
+                        np.minimum(nodes + pitch, box[:, 1])], axis=2)
+    live = np.all(clipped[:, :, 0] <= clipped[:, :, 1], axis=1)
+    fails = np.zeros(len(nodes), dtype=bool)
+    fails[live] = per_piece_box_distances(clipped[live], branch_value_set(ifs)) < clearance
+    for i, gamma in enumerate(ifs.branches):
+        pre = gamma.inverse(nodes)
+        own = np.all((pre >= ifs.box.lo - 1e-12) & (pre <= ifs.box.hi + 1e-12), axis=1)
+        fails |= live & ~own & overlap_openly(clipped, reference_image_box(gamma, box))
+        # branch-return, for the live nodes in gamma's image
+        rows = np.flatnonzero(live & own)
+        shape = (len(rows), 2**d, d)
+        pre_hull = hull(gamma.inverse(corners(clipped[rows]).reshape(-1, d)).reshape(shape))
+        pre_box = np.stack([np.maximum(pre_hull[:, :, 0], box[:, 0]),
+                            np.minimum(pre_hull[:, :, 1], box[:, 1])], axis=2)
+        kept = np.all(pre_box[:, :, 0] <= pre_box[:, :, 1], axis=1)
+        rows, pre_box = rows[kept], pre_box[kept]
+        shape = (len(rows), 2**d, d)
+        for j, other in enumerate(ifs.branches):
+            if j != i:
+                returned = hull(other(corners(pre_box).reshape(-1, d)).reshape(shape))
+                fails[rows] |= overlap_openly(returned, clipped[rows])
+    return fails
+
+
+def reference_partition(ifs, symbol):
+    """The node-by-node bump partition search down to the pitch floor: the
+    lattice of the first pitch whose every rectangle passes conditions
+    (1)-(3) (`lattice_failures`), or None."""
     support = np.asarray(symbol.support_box, dtype=float)
-    value_pieces = branch_value_set(ifs)
-    gaps = [reference_box_piece_distance(support, piece) for piece in value_pieces]
-    if gaps and min(gaps) < symbol.delta:
-        raise ValueError(f"support is {min(gaps):.4g} from the two-branch value set, "
-                         f"closer than delta={symbol.delta}")
-    clearance = symbol.delta / 2.0
     lo = ifs.box.lo
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
-    last = None
-    while pitch >= min_pitch:
-        ranges = []
-        for a in range(ifs.dimension):
-            first = int(np.floor((support[a, 0] - pitch - lo[a]) / pitch)) + 1
-            final = int(np.ceil((support[a, 1] + pitch - lo[a]) / pitch)) - 1
-            ranges.append(np.arange(first, final + 1))
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        nodes = lo + pitch * np.stack([m.ravel() for m in mesh], axis=1)
-        failed = None
-        for index, node in enumerate(nodes):
-            condition = reference_rectangle_conditions(ifs, node, pitch, value_pieces, clearance)
-            if condition is not None:
-                failed = (node, condition)
-                if failures is not None:
-                    failures.append(index)
-                break
-        if failed is None:
-            return BumpPartition(lo, np.array([r[0] for r in ranges]),
-                                 np.array([r[-1] for r in ranges]), float(pitch), clearance)
-        last = failed
+    while pitch >= pitch_floor(ifs, symbol.delta):
+        first = np.floor((support[:, 0] - pitch - lo) / pitch).astype(int) + 1
+        last = np.ceil((support[:, 1] + pitch - lo) / pitch).astype(int) - 1
+        lattice = BumpPartition(lo, first, last, float(pitch), symbol.delta / 2.0)
+        if not lattice_failures(ifs, lattice_nodes(lattice), pitch, lattice.margin).any():
+            return lattice
         pitch /= 2.0
-    if last is None:
-        raise CoverFailure(f"shortest box side {ifs.box.sizes.min()} is below "
-                           f"4 * MIN_PITCH = {4 * min_pitch}: no rectangle pitch to try")
-    node, condition = last
-    raise CoverFailure(
-        f"no admissible rectangle pitch above {min_pitch} (condition {condition} at {node})",
-        obstruction=node, condition=condition)
-
-
-def partition_outcome(build, *args):
-    """("partition", nodes, pitch, margin) or (exception type, text)."""
-    try:
-        result = build(*args)
-    except (ValueError, CoverFailure) as exc:
-        return type(exc), str(exc)
-    return "partition", result.nodes.tolist(), result.pitch, result.margin
+    return None
 
 
 def oracle_cases():
-    """(label, ifs, symbol, min_pitch): the reconstruction symbols of the
-    separated catalog systems and seeded random supports on random 1-D, 2-D
-    and 3-D systems."""
+    """(label, ifs, symbol): the reconstruction symbols of the separated
+    catalog systems and seeded random supports on random 1-D, 2-D and 3-D
+    systems."""
     from ifslab import catalog
 
     cases = []
     for name in ("tent_square", "tent_sigma", "tent_1d", "sigma_1d"):
         ifs = catalog.get(name).system
-        cases.append((name, ifs, reconstruction_symbol(ifs, 0.05)[0], 2.0**-12))
-    square = catalog.get("tent_square")
-    cases.append(("tent_square min_pitch 0.2", square.system, cases[0][2], 0.2))
-    # the node-by-node search visits up to (support / pitch)^d nodes per pitch
-    min_pitch = {1: 2.0**-10, 2: 2.0**-7, 3: 2.0**-5}
+        cases.append((name, ifs, reconstruction_symbol(ifs, 0.05)[0]))
     rng = np.random.default_rng(2024)
     for draw in range(25):
         for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
@@ -340,8 +342,7 @@ def oracle_cases():
                 support = np.stack([np.maximum(center - half, 0.0),
                                     np.minimum(center + half, 1.0)], axis=1)
                 symbol = AdmissibleSymbol(support, delta)
-                cases.append((f"{kind} draw {draw} delta {delta}", ifs, symbol,
-                              min_pitch[ifs.dimension]))
+                cases.append((f"{kind} draw {draw} delta {delta}", ifs, symbol))
     return cases + ulp_cases() + straddle_cases() + rotated_face_cases()
 
 
@@ -355,8 +356,8 @@ def union_box(ifs, support, pitch):
 
 def ulp_cases():
     """Symbols whose U_h at pitch 1/16 lies one ulp below, at and one ulp
-    above delta/2 from the value set: the union decides nothing there, and
-    the rectangles' own flags pass or fail the pitch."""
+    above delta/2 from the value set: the rounding slack, not the exact
+    distance, decides that pitch."""
     from ifslab import catalog
 
     cases = []
@@ -367,14 +368,15 @@ def ulp_cases():
         distance = box_distances_to_pieces(union_box(ifs, support, 1 / 16)[None], pieces)[0]
         for clearance in (np.nextafter(distance, 0.0), distance, np.nextafter(distance, 1.0)):
             cases.append((f"{name} union {clearance - distance:+.2g} from delta/2", ifs,
-                          AdmissibleSymbol(support, 2.0 * clearance), 2.0**-7))
+                          AdmissibleSymbol(support, 2.0 * clearance)))
     return cases
 
 
 def straddle_cases():
     """Windows whose rectangles straddle the face between two branch
     images, on systems whose branches share one linear part (so the value
-    set is empty): the branch tests, not the union, decide each pitch."""
+    set is empty): the branch test, not the union's distance, decides
+    each pitch."""
     from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
 
     halves = IfsSystem(AmbientBox(np.array([[0.0, 1.0]])),
@@ -385,14 +387,14 @@ def straddle_cases():
                           for shift in product((0.0, 0.5), repeat=2)], name="quarters")
     supports = ((halves, [[0.3, 0.45]]), (halves, [[0.4, 0.6]]),
                 (quarters, [[0.3, 0.45], [0.1, 0.3]]), (quarters, [[0.3, 0.6], [0.2, 0.3]]))
-    return [(f"{ifs.name} straddling {support}", ifs, AdmissibleSymbol(support, 0.05), 2.0**-7)
+    return [(f"{ifs.name} straddling {support}", ifs, AdmissibleSymbol(support, 0.05))
             for ifs, support in supports]
 
 
 def rotated_face_cases():
     """Windows near a face of a turned branch's image box, the images
-    apart: the shortcut must check each node's branch through the inverse
-    map, not the image box."""
+    apart: the branch test must check the nodes' branch through the
+    inverse map, not the image box."""
     from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
 
     def turn(angle):
@@ -404,168 +406,127 @@ def rotated_face_cases():
                     name="2d-rotated")
     supports = ([[0.3, 0.45], [0.2, 0.35]], [[0.42, 0.5], [0.2, 0.4]],
                 [[0.2, 0.3], [0.35, 0.45]])
-    return [(f"rotated near a face {support}", ifs, AdmissibleSymbol(support, 0.02), 2.0**-7)
+    return [(f"rotated near a face {support}", ifs, AdmissibleSymbol(support, 0.02))
             for support in supports]
 
 
-def test_batched_partition_matches_node_by_node_search():
+def test_accepted_lattices_pass_every_rectangle_condition():
+    # soundness: the rectangle of every node of an accepted lattice passes
+    # conditions (1)-(3) as the node-by-node oracle tests them
     tally = {}
-    for label, ifs, symbol, min_pitch in oracle_cases():
-        batched = partition_outcome(build_at, ifs, symbol, min_pitch)
-        reference = partition_outcome(reference_partition, ifs, symbol, min_pitch)
-        assert batched == reference, label
-        tally[batched[0]] = tally.get(batched[0], 0) + 1
-    # the cases reach all three outcomes
-    assert set(tally) == {"partition", CoverFailure, ValueError}, tally
-
-
-def test_partition_failure_past_the_first_node_block(monkeypatch):
-    # with blocks of 4 nodes, the first failure at some pitch sits in a later block
-    monkeypatch.setattr(bi, "_NODE_BLOCK", 4)
-    failures = []
-    for label, ifs, symbol, min_pitch in oracle_cases()[:40]:
-        reference = partition_outcome(reference_partition, ifs, symbol, min_pitch, failures)
-        assert partition_outcome(build_at, ifs, symbol, min_pitch) == reference, label
-    assert max(failures) >= 4
-
-
-def per_piece_clearance_failures(ifs, clipped, value_pieces, clearance, support, gap):
-    """`bimodule._clearance_failures` with no gap certificate and one
-    distance pass per value piece over every rectangle."""
-    return per_piece_box_distances(clipped, value_pieces) < clearance
-
-
-def per_pair_first_failure_in_block(ifs, nodes, clipped, too_close):
-    """`bimodule._first_failure_in_block` with one image-box pass per branch
-    pair (i, j): the loop the batched return test replaces."""
-    box = ifs.box.intervals
-    members = branch_membership(ifs, nodes)
-    corners = box_corners(clipped)
-    fails = np.zeros((1 + ifs.n_branches, len(nodes)), dtype=bool)
-    fails[0] = too_close
-    for i, (gamma, image) in enumerate(zip(ifs.branches, ifs.image_boxes()), start=1):
-        own = members[:, i - 1]
-        fails[i] = ~own & boxes_overlap_openly(clipped, image)
-        own_corners = corners[own]
-        pre = gamma.inverse(own_corners.reshape(-1, ifs.dimension)).reshape(own_corners.shape)
-        pre_lo = np.maximum(pre.min(axis=1), box[:, 0])
-        pre_hi = np.minimum(pre.max(axis=1), box[:, 1])
-        pre_box = np.stack([pre_lo, pre_hi], axis=2)
-        returns = np.zeros(len(pre_box), dtype=bool)
-        for j, gamma_j in enumerate(ifs.branches, start=1):
-            if j != i:
-                returns |= boxes_overlap_openly(gamma_j.image_box(pre_box), clipped[own])
-        fails[i, own] = returns & np.all(pre_lo <= pre_hi, axis=1)
-    hits = np.flatnonzero(fails.any(axis=0))
-    if len(hits) == 0:
-        return None
-    k = hits[0]
-    first = int(np.argmax(fails[:, k]))
-    if first == 0:
-        condition = "value-set-clearance"
-    else:
-        condition = "branch-return" if members[k, first - 1] else "foreign-branch"
-    return int(k), condition
-
-
-def exact_outcome(ifs, symbol, min_pitch):
-    """The partition's node bytes, pitch and margin, or the failure's
-    obstruction bytes and condition."""
-    try:
-        result = build_at(ifs, symbol, min_pitch)
-    except CoverFailure as exc:
-        return CoverFailure, exc.obstruction.tobytes(), exc.condition, str(exc)
-    except ValueError as exc:
-        return ValueError, str(exc)
-    return "partition", result.nodes.shape, result.nodes.tobytes(), result.pitch, result.margin
-
-
-def test_partition_equals_per_pair_return_test(monkeypatch):
-    cases = oracle_cases()
-    # a large min_pitch ends every catalog search in a CoverFailure
-    cases += [(label + " min_pitch 0.1", ifs, symbol, 0.1)
-              for label, ifs, symbol, _ in cases[:4]]
-    tally = {}
-    for label, ifs, symbol, min_pitch in cases:
-        batched = exact_outcome(ifs, symbol, min_pitch)
-        with monkeypatch.context() as patch:
-            patch.setattr(bi, "_first_failure_in_block", per_pair_first_failure_in_block)
-            patch.setattr(bi, "_clearance_failures", per_piece_clearance_failures)
-            assert exact_outcome(ifs, symbol, min_pitch) == batched, label
-        tally[batched[0]] = tally.get(batched[0], 0) + 1
-        if ifs.name in ("2d-rotated", "3d"):
-            tally[ifs.name] = tally.get(ifs.name, 0) + 1
-    assert tally[CoverFailure] >= 5 and tally["partition"] >= 5, tally
-    assert tally["2d-rotated"] and tally["3d"], tally
-
-
-def moved_case(ifs, symbol, min_pitch, scale, shift):
-    """The partition problem in other units: every coordinate x becomes
-    scale * x + shift (box, branches, support, delta and min_pitch)."""
-    from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
-
-    offset = np.full(ifs.dimension, shift)
-    branches = [AffineContraction(g.linear, scale * g.translation + offset - g.linear @ offset)
-                for g in ifs.branches]
-    moved = IfsSystem(AmbientBox(scale * ifs.box.intervals + shift), branches,
-                      name=ifs.name)
-    support = scale * np.asarray(symbol.support_box, dtype=float) + shift
-    return moved, AdmissibleSymbol(support, scale * symbol.delta), scale * min_pitch
-
-
-def test_clearance_certificate_equals_kernel_on_visited_rectangles(monkeypatch):
-    # every rectangle of every pitch from the first down to the one that
-    # ends the search, certified whether or not the search needs its flags:
-    # the oracle cases, and the catalog cases moved to the box
-    # [1000, 1001]^d and shrunk 1000-fold
-    from ifslab import geometry
-
-    cases = oracle_cases()
-    cases += [(label + " translated", *moved_case(ifs, symbol, min_pitch, 1.0, 1000.0))
-              for label, ifs, symbol, min_pitch in cases[:4]]
-    cases += [(label + " shrunk", *moved_case(ifs, symbol, min_pitch, 1e-3, 0.0))
-              for label, ifs, symbol, min_pitch in cases[:4]]
-    seen = {"rectangles": 0, "kernel rows": 0, "failing": 0}
-
-    def kernel(boxes, pieces):
-        seen["kernel rows"] += len(boxes)
-        return geometry.box_distances_to_pieces(boxes, pieces)
-
-    for label, ifs, symbol, min_pitch in cases:
-        outcome = partition_outcome(build_at, ifs, symbol, min_pitch)
-        if outcome[0] is ValueError:
+    for label, ifs, symbol in oracle_cases():
+        try:
+            partition = build_bump_partition(ifs, symbol)
+        except (ValueError, CoverFailure) as exc:
+            tally[type(exc)] = tally.get(type(exc), 0) + 1
             continue
-        last = outcome[2] if outcome[0] == "partition" else min_pitch
-        support = np.asarray(symbol.support_box)
-        gap = bi.support_distance_to_value_set(ifs, support)
-        pieces, box = branch_value_set(ifs), ifs.box.intervals
-        pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
-        while pitch >= last:
-            nodes = bi._lattice(ifs, support, pitch, 0.0).nodes
-            lo, hi = np.maximum(nodes - pitch, box[:, 0]), np.minimum(nodes + pitch, box[:, 1])
-            live = np.all(lo <= hi, axis=1)
-            clipped = np.stack([lo[live], hi[live]], axis=2)
-            with monkeypatch.context() as patch:
-                patch.setattr(bi, "box_distances_to_pieces", kernel)
-                flags = bi._clearance_failures(ifs, clipped, pieces, symbol.delta / 2, support,
-                                               gap)
-            want = geometry.box_distances_to_pieces(clipped, pieces) < symbol.delta / 2
-            assert flags.tobytes() == want.tobytes(), (label, pitch)
-            seen["rectangles"] += len(clipped)
-            seen["failing"] += int(want.sum())
-            pitch /= 2.0
-    # the certificate spares most rectangles the kernel, and many fail
-    assert seen["failing"] > 0 and seen["kernel rows"] < 0.5 * seen["rectangles"], seen
+        nodes = lattice_nodes(partition)
+        failures = lattice_failures(ifs, nodes, partition.pitch, partition.margin)
+        assert not failures.any(), (label, nodes[failures])
+        tally[ifs.name] = tally.get(ifs.name, 0) + 1
+    # the cases reach both refusals and partitions on every kind of system
+    assert tally[ValueError] and tally[CoverFailure] >= 5, tally
+    assert all(tally.get(kind) for kind in ("1d", "2d-diagonal", "2d-rotated", "3d")), tally
 
 
-def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch):
+def test_lattice_failures_equal_the_per_node_conditions():
+    # the array oracle flags exactly the rectangles that the per-node
+    # conditions fail, on the small coarse lattices of half the oracle
+    # cases, where rectangles fail each condition
+    names = {}
+    for label, ifs, symbol in oracle_cases()[::2]:
+        pieces = branch_value_set(ifs)
+        if any(piece.dimension > 1 for piece in pieces):
+            continue  # the distance kernel refuses plane pieces
+        for pitch in (2.0**-3, 2.0**-4, 2.0**-5):
+            nodes = lattice_nodes(bi._lattice(ifs, symbol.support_box, pitch, 0.0))
+            if len(nodes) > 24:
+                continue
+            want = [reference_rectangle_conditions(ifs, node, pitch, pieces, symbol.delta / 2)
+                    for node in nodes]
+            got = lattice_failures(ifs, nodes, pitch, symbol.delta / 2)
+            assert got.tolist() == [name is not None for name in want], (label, pitch)
+            for name in want:
+                names[name] = names.get(name, 0) + 1
+    assert all(names.get(name, 0) >= 20 for name in
+               (None, "value-set-clearance", "branch-return", "foreign-branch")), names
+
+
+def test_partition_equals_node_search_on_catalog_windows():
+    from ifslab import catalog
+
+    for name, delta in product(("tent_square", "tent_sigma", "tent_1d", "sigma_1d"),
+                               (0.01, 0.02, 0.05, 0.06)):
+        ifs = catalog.get(name).system
+        symbol, partition = reconstruction_symbol(ifs, delta)
+        reference = reference_partition(ifs, symbol)
+        assert reference is not None, (name, delta)
+        assert lattice_nodes(partition).tobytes() == lattice_nodes(reference).tobytes(), \
+            (name, delta)
+        assert (partition.pitch, partition.margin) == (reference.pitch, reference.margin), \
+            (name, delta)
+
+
+def test_separated_axis_aligned_windows_are_never_refused(monkeypatch):
+    # the floor theorem: on an axis-aligned system that passes the open set
+    # condition, every branch image shrunk by 2 delta that keeps delta from
+    # the value set gets a partition no finer than the floor, whatever its
+    # bump count (the lattices' nodes are never formed)
+    from ifslab.geometry import check_open_set_condition
+
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", str(2**62))
+    covered = 0
+    for seed in range(60):
+        for kind in ("1d", "2d-diagonal", "3d"):
+            ifs = random_ifs(np.random.default_rng(seed), kind)
+            if not check_open_set_condition(ifs).passed:
+                continue
+            for delta in (0.02, 0.05):
+                for image in ifs.image_boxes():
+                    window = image + [2 * delta, -2 * delta]
+                    if np.any(window[:, 1] <= window[:, 0]):
+                        continue
+                    try:
+                        gap = bi.support_distance_to_value_set(ifs, window)
+                    except ValueError:  # a plane piece in the value set
+                        continue
+                    if gap < delta:
+                        continue
+                    partition = build_bump_partition(ifs, AdmissibleSymbol(window, delta))
+                    assert partition.pitch >= pitch_floor(ifs, delta), (seed, kind, delta)
+                    covered += 1
+    assert covered == 408, covered  # the windows README counts
+
+
+def test_bump_budget_refuses_a_larger_lattice(tent_square, monkeypatch):
+    # the [0.1, 0.4]^2 window at delta 0.05 takes 121 bumps
+    symbol = AdmissibleSymbol([[0.1, 0.4], [0.1, 0.4]], 0.05)
+    assert build_bump_partition(tent_square.system, symbol).size == 121
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", "120")
+    with pytest.raises(CoverFailure, match="121 bumps at pitch 0.03125 exceed the cell "
+                                           "budget 120") as excinfo:
+        build_bump_partition(tent_square.system, symbol)
+    assert excinfo.value.condition == "bump-budget"
+    # the pitch loop forms no lattice finer than the first over the budget
+    formed = []
+    lattice = bi._lattice
+
+    def recorded(*args):
+        formed.append(lattice(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(bi, "_lattice", recorded)
+    with pytest.raises(CoverFailure, match="121 bumps"):
+        build_bump_partition(tent_square.system, symbol)
+    assert [part.size for part in formed] == [9, 25, 49, 121]
+
+
+def test_clearance_certificate_at_its_edge(tent_sigma):
     # the window [0.08, 0.27]^2 is 0.063 from tent_sigma's value line
     # y = 1/3, so at delta 0.06 the cover's rectangles sit at the
     # certificate's edge: at every pitch down to the passing one, U_h's
     # distance is the least of the rectangles' distances, bit for bit, and
     # its decision is theirs
-    from ifslab.geometry import AffinePiece
-
     ifs = tent_sigma.system
     pieces = branch_value_set(ifs)
     edge = AdmissibleSymbol([[0.08, 0.27], [0.08, 0.27]], 0.06)
@@ -575,7 +536,7 @@ def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch)
     decisions = []
     pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
     while pitch >= partition.pitch:
-        nodes = bi._lattice(ifs, edge.support_box, pitch, 0.0).nodes
+        nodes = lattice_nodes(bi._lattice(ifs, edge.support_box, pitch, 0.0))
         rects = np.stack([np.maximum(nodes - pitch, box[:, 0]),
                           np.minimum(nodes + pitch, box[:, 1])], axis=2)
         distances = box_distances_to_pieces(rects, pieces)
@@ -586,103 +547,56 @@ def test_clearance_certificate_at_its_edge(tent_square, tent_sigma, monkeypatch)
         pitch /= 2.0
     assert decisions[0] and not decisions[-1], decisions
 
-    symbol = AdmissibleSymbol([[0.2, 0.3], [0.2, 0.3]], 0.05)
-    for shift in (0.0, 1000.0):
-        ifs, moved, _ = moved_case(tent_square.system, symbol, 2.0**-12, 1.0, shift)
-        support = np.asarray(moved.support_box)
-        point = np.array([0.4, 0.4]) + shift
-        pieces = [AffinePiece((1, 2), point, np.zeros((2, 0)), 0, point=point)]
-        gap = float(box_distances_to_pieces(support[None], pieces)[0])
-        # corner overhangs interleaved with rectangles inside the support
-        rects = []
-        for eps in (1e-3, 1e-2, 3e-2, 5e-2):
-            rects.append(np.array([[0.2, 0.3 + eps], [0.2, 0.3 + eps]]) + shift)
-            rects.append(np.array([[0.2, 0.25], [0.22, 0.3]]) + shift)
-        rects = np.array(rects)
-        distances = box_distances_to_pieces(rects, pieces)
-        for k in range(0, len(rects), 2):
-            for clearance in (distances[k] * (1 + 1e-14), distances[k], distances[k] * (1 - 1e-14)):
-                flags = bi._clearance_failures(ifs, rects, pieces, clearance, support, gap)
-                want = distances < clearance
-                assert flags.tobytes() == want.tobytes(), (shift, k, clearance)
-                assert want[k] == (clearance > distances[k])
-
 
 def test_branch_tests_run_only_at_the_deciding_pitch(monkeypatch):
     from ifslab import geometry
 
-    calls, kernel_rows, shortcuts = [], [], []
-    for name in ("_clearance_failures", "_first_failure"):
-        def spy(*args, _original=getattr(bi, name), _name=name):
-            calls.append(_name)
-            return _original(*args)
-        monkeypatch.setattr(bi, name, spy)
+    kernel_rows, verdicts = [], []
 
     def kernel(boxes, pieces):
         kernel_rows.append(len(boxes))
         return geometry.box_distances_to_pieces(boxes, pieces)
 
-    def shortcut(*args, _original=bi._branches_clear):
-        shortcuts.append(_original(*args))
-        return shortcuts[-1]
+    def blocking(*args, _original=bi._blocking_branch):
+        verdicts.append(_original(*args))
+        return verdicts[-1]
 
     monkeypatch.setattr(bi, "box_distances_to_pieces", kernel)
-    monkeypatch.setattr(bi, "_branches_clear", shortcut)
-    catalog_cases = oracle_cases()[:4]
-    for label, ifs, symbol, min_pitch in catalog_cases:
-        for log in (calls, kernel_rows, shortcuts):
+    monkeypatch.setattr(bi, "_blocking_branch", blocking)
+    for label, ifs, symbol in oracle_cases()[:4]:
+        for log in (kernel_rows, verdicts):
             log.clear()
-        partition = build_at(ifs, symbol, min_pitch)
+        partition = build_bump_partition(ifs, symbol)
         start = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
         assert partition.pitch < start, label  # coarser pitches failed first
         # the support's gap, then one row per pitch: the unions decide every
-        # pitch, and the passing one needs no branch test
-        pitches = int(np.log2(start / min_pitch)) + 1
-        assert kernel_rows == [1, pitches] and calls == [] and shortcuts == [True], label
-    for label, ifs, symbol, min_pitch in straddle_cases():
-        for log in (calls, shortcuts):
-            log.clear()
-        partition_outcome(build_at, ifs, symbol, min_pitch)
-        # nodes on the shared face lie in both images: the branch tests decide
-        assert shortcuts and not any(shortcuts) and "_first_failure" in calls, label
-    tested = []
-
-    def block_spy(ifs, nodes, clipped, too_close, _original=bi._first_failure_in_block):
-        tested.append(nodes.copy())
-        return _original(ifs, nodes, clipped, too_close)
-
-    monkeypatch.setattr(bi, "_first_failure_in_block", block_spy)
-    for label, ifs, symbol, _ in catalog_cases:
-        tested.clear()
-        outcome = exact_outcome(ifs, symbol, 0.1)
-        failures = []
-        with pytest.raises(CoverFailure) as excinfo:
-            reference_partition(ifs, symbol, 0.1, failures)
-        reference = excinfo.value
-        assert outcome == (CoverFailure, reference.obstruction.tobytes(), reference.condition,
-                           str(reference)), label
-        # the finest pitch at least 0.1 ran the branch tests up to its obstruction
-        pitch = 2.0 ** np.floor(np.log2(ifs.box.sizes.min() / 4.0))
-        while pitch / 2.0 >= 0.1:
-            pitch /= 2.0
-        nodes = bi._lattice(ifs, symbol.support_box, pitch, 0.0).nodes
-        assert tested, label
-        seen = np.concatenate(tested)
-        assert seen.tobytes() == nodes[:len(seen)].tobytes(), label
-        assert len(seen) > failures[-1], label
+        # pitch's clearance, and the passing one is the only one whose
+        # branches are tested
+        pitches = int(np.log2(start / pitch_floor(ifs, symbol.delta))) + 1
+        assert kernel_rows == [1, pitches] and verdicts == [None], label
+    for label, ifs, symbol in straddle_cases():
+        verdicts.clear()
+        with contextlib.suppress(CoverFailure):
+            build_bump_partition(ifs, symbol)
+        # the union meets the neighbouring image at some pitch that clears
+        assert verdicts and verdicts[0] is not None, label
 
 
 def test_branch_shortcut_keeps_the_slack_from_other_images():
     # a node in branch 1's image alone: a union that touches branch 2's
-    # image, or comes within the slack of it, leaves the pitch to the
-    # branch tests, and so does a node on the face the images share
+    # image, or comes within the slack of it, is blocked by branch 2, and
+    # so is the union of a node on the face the images share
     halves = straddle_cases()[0][1]
     slack = bi._slack(halves, np.array([[0.3, 0.45]]))
-    node = np.array([[0.375]])
-    for high, clear in ((0.5, False), (0.5 - slack / 2, False), (0.5 - 2 * slack, True),
-                        (0.45, True)):
-        assert bi._branches_clear(halves, node, np.array([[0.25, high]]), slack) == clear, high
-    assert not bi._branches_clear(halves, np.array([[0.5]]), np.array([[0.25, 0.45]]), slack)
+
+    def lattice(k):  # the one node 0.125 k
+        return BumpPartition(np.zeros(1), np.array([k]), np.array([k]), 0.125, 0.0)
+
+    for high, blocked in ((0.5, 2), (0.5 - slack / 2, 2), (0.5 - 2 * slack, None),
+                          (0.45, None)):
+        assert bi._blocking_branch(halves, lattice(3), np.array([[0.25, high]]),
+                                   slack) == blocked, high
+    assert bi._blocking_branch(halves, lattice(4), np.array([[0.375, 0.625]]), slack) == 2
 
 
 def test_admissible_symbol_vanishes_near_value_set(tent_square):
@@ -1102,10 +1016,11 @@ def dense_bump_values(partition, points, chunk=1024):
     """The (points, M) tent values from every (point, node) pair, as
     prod_a max(0, 1 - |x_a - q_a| / h) over a (points, M, d) array."""
     points = np.atleast_2d(points)
+    nodes = lattice_nodes(partition)
     blocks = []
     for start in range(0, len(points), chunk):
         part = points[start:start + chunk]
-        rel = 1.0 - np.abs(part[:, None, :] - partition.nodes[None, :, :]) / partition.pitch
+        rel = 1.0 - np.abs(part[:, None, :] - nodes[None, :, :]) / partition.pitch
         blocks.append(np.prod(np.maximum(rel, 0.0), axis=2))
     return np.concatenate(blocks) if blocks else np.zeros((0, partition.size))
 
@@ -1113,7 +1028,7 @@ def dense_bump_values(partition, points, chunk=1024):
 def lattice_probe_points(partition, rng):
     """Nodes, points on lattice lines and halfway between them, and points
     beyond the node range on every side."""
-    nodes, h = partition.nodes, partition.pitch
+    nodes, h = lattice_nodes(partition), partition.pitch
     d = nodes.shape[1]
     probes = [nodes, nodes + h, nodes - h, nodes + 0.5 * h, nodes + 2 * h,
               nodes.min(axis=0) - 3 * h + np.zeros((1, d)),
@@ -1152,11 +1067,13 @@ def test_lattice_bump_values_equal_dense_formula_on_catalog():
     assert seen == 4
 
 
-def test_lattice_bump_values_equal_dense_formula_on_random_systems():
+def test_lattice_bump_values_equal_dense_formula_on_random_systems(monkeypatch):
     from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
 
     rng = np.random.default_rng(5)
-    min_pitch = {1: 2.0**-10, 2: 2.0**-7, 3: 2.0**-5}
+    # the dense formula visits every node for every point: the budget
+    # refuses the lattices too large for it
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", "1024")
     # the tent on [0.1, 1.1]: nodes 0.1 + h k carry rounding off the lattice
     shifted = IfsSystem(AmbientBox(np.array([[0.1, 1.1]])),
                         [AffineContraction(np.array([[0.5]]), np.array([0.05])),
@@ -1173,7 +1090,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems():
     built = {1: 0, 2: 0, 3: 0}
     for ifs, symbol in cases:
         try:
-            partition = build_at(ifs, symbol, min_pitch[ifs.dimension])
+            partition = build_bump_partition(ifs, symbol)
         except (ValueError, CoverFailure):
             continue
         built[ifs.dimension] += 1

@@ -294,21 +294,43 @@ def test_plane_piece_value_set(tmp_path, capsys):
     assert float(rows["value-set"][2]) <= 1e-12
 
 
-def test_box_below_the_finest_pitch_is_named(tmp_path, capsys):
-    # tent_1d on [0, 0.0005]: the starting pitch is already below MIN_PITCH,
-    # so the refusal names the box side and the bound 4 * MIN_PITCH
+def tent_file(path, length):
+    """The tent as a piecewise definition file on [0, length]."""
     tent = catalog.get("tent_1d").system
-    length = 0.0005
     box = geometry.AmbientBox(np.array([[0.0, length]]))
     branches = [geometry.AffineContraction(g.linear, g.translation * length)
                 for g in tent.branches]
-    path = tmp_path / "tiny.ifs"
+    domains = [np.array([[0.0, length / 2]]), np.array([[length / 2, length]])]
     path.write_text(export_ifs(geometry.IfsSystem(box, branches, name="tent"), "piecewise",
-                               [np.array([[0.0, length / 2]]), np.array([[length / 2, length]])]))
-    assert run(["reconstruct", "--system", str(path), "--depths", "2..3", "--delta", "1e-6",
-                "--out", str(tmp_path / "out")]) == 1
-    assert ("bump-partition (reconstruction: shortest box side 0.0005 is below "
-            "4 * MIN_PITCH = 0.0009765625: no rectangle pitch to try;") in capsys.readouterr().err
+                               domains))
+    return path
+
+
+def test_box_below_the_finest_pitch_is_named(tmp_path, capsys, monkeypatch):
+    # tent_1d on [0, 0.0005] at delta 5e-10: the pitch floor delta/8 scales
+    # with delta, so the window gets a partition of 536 868 bumps; with a
+    # budget below that count the refusal names the count and the bound
+    path = tent_file(tmp_path / "tiny.ifs", 0.0005)
+    argv = ["reconstruct", "--system", str(path), "--depths", "2..3", "--delta", "1e-6"]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    rows = written_rows(tmp_path / "out" / "reconstruction.csv")
+    assert [row[2] for row in rows] == ["536868", "536868"]
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", str(2**19))
+    assert run([*argv, "--out", str(tmp_path / "refused")]) == 1
+    assert ("bump-partition (reconstruction: 536868 bumps at pitch 4.656612873077393e-10 "
+            "exceed the cell budget 524288;") in capsys.readouterr().err
+
+
+def test_tiny_delta_stops_at_the_bump_budget(tmp_path, capsys):
+    # tent_square at delta 1e-9: every pitch's union box meets a foreign
+    # image until the lattice outgrows the cell budget, and the pitch loop
+    # stops there, long before the floor delta/(8 sqrt 2), where each axis
+    # would hold 2^33 nodes and their product would wrap around in intp
+    assert run(["reconstruct", "--system", "tent_square", "--depths", "2..3",
+                "--delta", "1e-9", "--out", str(tmp_path / "out")]) == 1
+    assert ("bump-partition (reconstruction: 1050625 bumps at pitch 0.00048828125 exceed "
+            "the cell budget 1048576;") in capsys.readouterr().err
+    assert len(written_rows(tmp_path / "out" / "reconstruction.csv")) == 0
 
 
 def test_transfer_equality_fails_off_uniform_weights():
@@ -564,15 +586,17 @@ def test_reconstruction_residuals_do_not_depend_on_seed(tmp_path):
 
 
 def test_reconstruction_ratios_do_not_depend_on_box_scale(tmp_path):
-    # the tent as a piecewise file on [0, 1], [0, 1000], [0, 0.25] and
-    # [5, 6]; seeded trial fields in absolute coordinates once failed
-    # theta-ratio at 0.94 on [0, 1000], and an absolute delta found no
-    # support window on [0, 0.25].  The scaled boxes write the same ratio
-    # rows; the translated box rounds its cell coordinates, so its values
-    # agree to rounding and its other columns exactly
+    # the tent as a piecewise file on [0, 1], [0, 1000], [0, 0.25], [5, 6]
+    # and [0, 0.001]; seeded trial fields in absolute coordinates once
+    # failed theta-ratio at 0.94 on [0, 1000], an absolute delta found no
+    # support window on [0, 0.25] and an absolute finest pitch of 2^-12 no
+    # bump partition on [0, 0.001].  The scaled boxes [0, 1000] and
+    # [0, 0.25] write the same ratio rows; [5, 6] and [0, 0.001] round
+    # their cell coordinates, so their ratios agree to rounding, and the
+    # translated box's other columns exactly
     tent = catalog.get("tent_1d").system
     ratios = []
-    for lo, hi in ((0.0, 1.0), (0.0, 1000.0), (0.0, 0.25), (5.0, 6.0)):
+    for lo, hi in ((0.0, 1.0), (0.0, 1000.0), (0.0, 0.25), (5.0, 6.0), (0.0, 0.001)):
         length = hi - lo
         box = geometry.AmbientBox(np.array([[lo, hi]]))
         branches = [geometry.AffineContraction(g.linear, lo + length * g.translation
@@ -589,6 +613,9 @@ def test_reconstruction_ratios_do_not_depend_on_box_scale(tmp_path):
     for translated, unit in zip(ratios[3], ratios[0]):
         assert translated[:2] + translated[3:] == unit[:2] + unit[3:]
         assert float(translated[2]) == pytest.approx(float(unit[2]), rel=1e-12, abs=0)
+    for small, unit in zip(ratios[4], ratios[0]):
+        assert small[0] == unit[0] and small[4] == "pass"
+        assert float(small[2]) == pytest.approx(float(unit[2]), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("system,seed", [("tent_sigma", 6), ("tent_1d", 22),

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import one_shot_chaos_game
+from conftest import one_shot_chaos_game, overlap_openly
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthOverflow, NoConvergence
-from ifslab.geometry import IfsSystem, box_intersection, boxes_overlap_openly
+from ifslab.geometry import IfsSystem, box_intersection
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             total_variation)
@@ -242,7 +242,7 @@ def _assert_symbolic_matches_geometric(ifs, depth, n_samples, seed):
             current = ifs.branches[letter - 1].inverse(current)
         a, b = boxes[sym[level] - 1], boxes[geo[level] - 1]
         face = box_intersection(a, b)
-        assert face is not None and not boxes_overlap_openly(a, b)
+        assert face is not None and not overlap_openly(a, b)
         assert np.all((current >= face[:, 0] - tol) & (current <= face[:, 1] + tol)), \
             (sample, current, sym, geo)
     return len(moved)
