@@ -12,7 +12,7 @@ from .errors import (ConfigError, CoverFailure, DepthMismatch, DepthOverflow, If
                      NoConvergence, NotAContraction)
 from .geometry import (AffineContraction, AmbientBox, IfsSystem, branch_coincidence_set,
                        branch_value_set, check_open_set_condition, contraction_bounds,
-                       is_finite_branch, self_similarity_defect, verify_inverse_branches)
+                       self_similarity_defect, verify_inverse_branches)
 from .measure import CellMeasure, chaos_game, exact_cell_masses, markov_fixpoint
 from .operators import (CellFunction, CellOperator, adjoint_composition_op,
                         composition_op, mult_op, operator_norm, sample_to_cells,

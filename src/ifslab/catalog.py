@@ -1,14 +1,15 @@
-"""Built-in example systems with their expected analytic facts.
+"""Built-in example systems.
 
-Each entry carries the machine-checkable facts the test suites validate:
-coincidence and value sets as unions of points/segments, the finite
-branch flag, whether the open box should pass the open set condition,
-and whether the uniform-weight invariant measure is Lebesgue on the box.
+Each entry is an affine system, the name of its expanding map, and
+whether its invariant measure is taken to be separated.  The systems'
+geometric facts (coincidence and value sets, the open set condition, the
+attractor) are worked out by hand in the test suite and asserted there;
+`verify` treats a catalog entry and a definition file alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,28 +64,11 @@ def _phi_overlap_bad(points: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExpectedFacts:
-    coincidence_segments: tuple = ()
-    coincidence_points: tuple = ()
-    value_segments: tuple = ()
-    value_points: tuple = ()
-    finite_branch: bool = True
-    osc_should_pass: bool = True
-    hutchinson_is_lebesgue: bool = True
-    measure_separated: bool = True
-    is_attractor: bool = True
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     system: IfsSystem
-    expected: ExpectedFacts
-    phi_name: str = ""
-
-
-def _seg(a, b) -> np.ndarray:
-    return np.array([a, b], dtype=float)
+    phi_name: str
+    measure_separated: bool = True
 
 
 def _tent_square() -> CatalogEntry:
@@ -95,12 +79,7 @@ def _tent_square() -> CatalogEntry:
         _branch_2d(-0.5, 1.0, -0.5, 1.0),
     )
     system = IfsSystem(UNIT_SQUARE, branches, phi=_phi_tent_square, name="tent_square")
-    expected = ExpectedFacts(
-        coincidence_segments=(_seg([0.0, 1.0], [1.0, 1.0]), _seg([1.0, 0.0], [1.0, 1.0])),
-        value_segments=(_seg([0.0, 0.5], [1.0, 0.5]), _seg([0.5, 0.0], [0.5, 1.0])),
-        finite_branch=False,
-    )
-    return CatalogEntry("tent_square", system, expected, phi_name="tent_square")
+    return CatalogEntry("tent_square", system, "tent_square")
 
 
 def _tent_sigma() -> CatalogEntry:
@@ -114,56 +93,26 @@ def _tent_sigma() -> CatalogEntry:
         _branch_2d(-0.5, 1.0, third, 2 * third),
     )
     system = IfsSystem(UNIT_SQUARE, branches, phi=_phi_tent_sigma, name="tent_sigma")
-    expected = ExpectedFacts(
-        coincidence_segments=(
-            _seg([0.0, 1.0], [1.0, 1.0]),   # vertical fold of the y-zigzag
-            _seg([0.0, 0.0], [1.0, 0.0]),   # second fold
-            _seg([1.0, 0.0], [1.0, 1.0]),   # fold of the x-tent
-        ),
-        value_segments=(
-            _seg([0.0, third], [1.0, third]),
-            _seg([0.0, 2 * third], [1.0, 2 * third]),
-            _seg([0.5, 0.0], [0.5, 1.0]),
-        ),
-        finite_branch=False,
-    )
-    return CatalogEntry("tent_sigma", system, expected, phi_name="tent_sigma")
+    return CatalogEntry("tent_sigma", system, "tent_sigma")
 
 
 def _tent_1d() -> CatalogEntry:
     branches = (_branch_1d(0.5, 0.0), _branch_1d(-0.5, 1.0))
     system = IfsSystem(UNIT_INTERVAL, branches, phi=_phi_tent_1d, name="tent_1d")
-    expected = ExpectedFacts(
-        coincidence_points=(np.array([1.0]),),
-        value_points=(np.array([0.5]),),
-        finite_branch=True,
-    )
-    return CatalogEntry("tent_1d", system, expected, phi_name="tent_1d")
+    return CatalogEntry("tent_1d", system, "tent_1d")
 
 
 def _sigma_1d() -> CatalogEntry:
     third = 1.0 / 3.0
     branches = (_branch_1d(third, 0.0), _branch_1d(-third, 2 * third), _branch_1d(third, 2 * third))
     system = IfsSystem(UNIT_INTERVAL, branches, phi=_phi_sigma_1d, name="sigma_1d")
-    expected = ExpectedFacts(
-        coincidence_points=(np.array([1.0]), np.array([0.0])),
-        value_points=(np.array([third]), np.array([2 * third])),
-        finite_branch=True,
-    )
-    return CatalogEntry("sigma_1d", system, expected, phi_name="sigma_1d")
+    return CatalogEntry("sigma_1d", system, "sigma_1d")
 
 
 def _overlap_bad() -> CatalogEntry:
     branches = (_branch_1d(0.5, 0.0), _branch_1d(0.5, 0.3))
     system = IfsSystem(UNIT_INTERVAL, branches, phi=_phi_overlap_bad, name="overlap_bad")
-    expected = ExpectedFacts(
-        finite_branch=True,
-        osc_should_pass=False,
-        hutchinson_is_lebesgue=False,
-        measure_separated=False,
-        is_attractor=False,
-    )
-    return CatalogEntry("overlap_bad", system, expected, phi_name="overlap_bad")
+    return CatalogEntry("overlap_bad", system, "overlap_bad", measure_separated=False)
 
 
 _BUILDERS = {

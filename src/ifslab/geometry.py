@@ -26,9 +26,6 @@ INVERSE_GRID = 64
 # Points sampled along each one-dimensional coincidence or value piece.
 _PIECE_SAMPLES = 65
 
-# Distance within which reported pieces match the expected sets.
-_MATCH_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Ambient box
@@ -530,11 +527,6 @@ def branch_value_set(ifs: IfsSystem) -> list[AffinePiece]:
     return list(cached)
 
 
-def is_finite_branch(ifs: IfsSystem) -> bool:
-    """True iff every coincidence piece is a single point (dimension <= 0)."""
-    return all(piece.dimension <= 0 for piece in branch_coincidence_set(ifs))
-
-
 def coincidence_residual(ifs: IfsSystem, pieces: list[AffinePiece]) -> float:
     """max over sampled piece points of |g_i(x) - g_j(x)| in sup norm."""
     worst = 0.0
@@ -769,92 +761,3 @@ def box_distances_to_pieces(boxes: np.ndarray, pieces: list[AffinePiece]) -> np.
             nearest = np.minimum(nearest, _box_segment_distances(chunk, segments).min(axis=0))
         best[start:start + step] = nearest
     return best
-
-
-# ---------------------------------------------------------------------------
-# Expected-set comparison (exact union equality for points and segments)
-# ---------------------------------------------------------------------------
-
-def _point_segment_distance(point: np.ndarray, endpoints: np.ndarray) -> float:
-    a, b = endpoints
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(point - (a + t * ab)))
-
-
-def _union_distances(points: np.ndarray, expected_points, expected_segments) -> np.ndarray:
-    """Distance from each point (N, d) to a union of points and segments; inf when empty."""
-    best = np.full(len(points), np.inf)
-    if expected_points:
-        gaps = points[:, None, :] - np.array(expected_points)
-        best = np.minimum(best, np.linalg.norm(gaps, axis=2).min(axis=1))
-    if expected_segments:
-        segments = np.array(expected_segments)  # (S, 2, d)
-        a, ab = segments[:, 0], segments[:, 1] - segments[:, 0]
-        denom = _rowdot(ab, ab)
-        rel = points[:, None, :] - a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(_rowdot(rel, ab) / denom, 0.0, 1.0)
-        t = np.where(denom == 0.0, 0.0, t)
-        best = np.minimum(best, np.linalg.norm(rel - t[..., None] * ab, axis=2).min(axis=1))
-    return best
-
-
-def pieces_match_expected(pieces: list[AffinePiece], expected_segments,
-                          expected_points=()) -> bool:
-    """Union equality, within _MATCH_TOL, between reported pieces and stated
-    segments/points.
-
-    Forward inclusion samples every reported piece densely and measures
-    the distance from all samples to the expected union in one array.
-    Reverse inclusion covers each expected segment by the parameter
-    intervals of collinear reported pieces (an exact 1-D interval-union
-    argument) and requires each expected point to be hit.
-    """
-    expected_segments = [np.asarray(seg, dtype=float) for seg in expected_segments]
-    expected_points = [np.asarray(p, dtype=float) for p in expected_points]
-
-    if not pieces:
-        return not (expected_segments or expected_points)
-
-    if any(piece.dimension > 1 for piece in pieces):
-        return False
-    tol = _MATCH_TOL
-    samples = np.vstack([piece.sample() for piece in pieces])
-    if np.any(_union_distances(samples, expected_points, expected_segments) > tol):
-        return False
-
-    for point in expected_points:
-        hit = any(
-            (p.dimension == 0 and np.linalg.norm(p.point - point) <= tol)
-            or (p.dimension == 1 and _point_segment_distance(point, p.endpoints) <= tol)
-            for p in pieces
-        )
-        if not hit:
-            return False
-
-    for seg in expected_segments:
-        a, b = seg
-        length = float(np.linalg.norm(b - a))
-        intervals = []
-        for piece in pieces:
-            if piece.dimension != 1:
-                continue
-            e0, e1 = piece.endpoints
-            if _point_segment_distance(e0, seg) > tol or _point_segment_distance(e1, seg) > tol:
-                continue
-            t0 = float((e0 - a) @ (b - a)) / length**2
-            t1 = float((e1 - a) @ (b - a)) / length**2
-            intervals.append(tuple(sorted((t0, t1))))
-        if not intervals:
-            return False
-        intervals.sort()
-        covered = 0.0
-        for lo, hi in intervals:
-            if lo > covered + tol / length:
-                return False
-            covered = max(covered, hi)
-        if covered < 1.0 - tol / length:
-            return False
-    return True

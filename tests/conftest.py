@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from ifslab import catalog
+from ifslab.geometry import branch_coincidence_set, branch_value_set
 
 
 # A definition file whose branches agree on the plane z = 1: a
@@ -70,6 +73,134 @@ def overlap_bad():
 @pytest.fixture(scope="session")
 def all_entries():
     return catalog.catalog()
+
+
+@dataclass(frozen=True)
+class CatalogFacts:
+    """A catalog system's facts, worked out by hand: its coincidence and
+    value sets as unions of segments and points; whether it meets the
+    finite branch condition (every coincidence piece a point); whether the
+    open box passes the open set condition; whether the box is the
+    attractor; and whether the uniform-weight measure is Lebesgue."""
+
+    coincidence_segments: tuple = ()
+    coincidence_points: tuple = ()
+    value_segments: tuple = ()
+    value_points: tuple = ()
+    finite_branch: bool = True
+    osc_should_pass: bool = True
+    is_attractor: bool = True
+    hutchinson_is_lebesgue: bool = True
+
+
+def _seg(a, b):
+    return np.array([a, b], dtype=float)
+
+
+_THIRD = 1.0 / 3.0
+
+CATALOG_FACTS = {
+    "tent_square": CatalogFacts(
+        coincidence_segments=(_seg([0.0, 1.0], [1.0, 1.0]), _seg([1.0, 0.0], [1.0, 1.0])),
+        value_segments=(_seg([0.0, 0.5], [1.0, 0.5]), _seg([0.5, 0.0], [0.5, 1.0])),
+        finite_branch=False),
+    "tent_sigma": CatalogFacts(
+        coincidence_segments=(
+            _seg([0.0, 1.0], [1.0, 1.0]),   # vertical fold of the y-zigzag
+            _seg([0.0, 0.0], [1.0, 0.0]),   # second fold
+            _seg([1.0, 0.0], [1.0, 1.0]),   # fold of the x-tent
+        ),
+        value_segments=(
+            _seg([0.0, _THIRD], [1.0, _THIRD]),
+            _seg([0.0, 2 * _THIRD], [1.0, 2 * _THIRD]),
+            _seg([0.5, 0.0], [0.5, 1.0]),
+        ),
+        finite_branch=False),
+    "tent_1d": CatalogFacts(coincidence_points=(np.array([1.0]),),
+                            value_points=(np.array([0.5]),)),
+    "sigma_1d": CatalogFacts(coincidence_points=(np.array([1.0]), np.array([0.0])),
+                             value_points=(np.array([_THIRD]), np.array([2 * _THIRD]))),
+    "overlap_bad": CatalogFacts(osc_should_pass=False, is_attractor=False,
+                                hutchinson_is_lebesgue=False),
+}
+
+
+def point_segment_distance(point, endpoints):
+    """Distance from a point to the closed segment between two endpoints."""
+    a, b = endpoints
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0.0 else float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(point - (a + t * ab)))
+
+
+def is_finite_branch(ifs):
+    """The finite branch condition: every coincidence piece is a point."""
+    return all(piece.dimension <= 0 for piece in branch_coincidence_set(ifs))
+
+
+def reference_pieces_match_expected(pieces, expected_segments, expected_points=(),
+                                    tol=1e-9):
+    """Union equality, within `tol`, of reported pieces and stated segments
+    and points.  Every sample of every piece lies within `tol` of the
+    stated union, every stated point is hit by a piece, and the collinear
+    pieces cover every stated segment (a 1-D interval-union argument)."""
+    expected_segments = [np.asarray(seg, dtype=float) for seg in expected_segments]
+    expected_points = [np.asarray(p, dtype=float) for p in expected_points]
+    union = expected_segments + expected_points
+
+    def distance(point):
+        return min((float(np.linalg.norm(point - piece)) if piece.ndim == 1
+                    else point_segment_distance(point, piece) for piece in union),
+                   default=np.inf)
+
+    if not pieces:
+        return not union
+    for piece in pieces:
+        if piece.dimension > 1:
+            return False
+        for x in piece.sample():
+            if distance(x) > tol:
+                return False
+    for point in expected_points:
+        if not any((p.dimension == 0 and np.linalg.norm(p.point - point) <= tol)
+                   or (p.dimension == 1 and point_segment_distance(point, p.endpoints) <= tol)
+                   for p in pieces):
+            return False
+    for seg in expected_segments:
+        a, b = seg
+        length = float(np.linalg.norm(b - a))
+        intervals = []
+        for piece in pieces:
+            if piece.dimension != 1:
+                continue
+            e0, e1 = piece.endpoints
+            if point_segment_distance(e0, seg) > tol or point_segment_distance(e1, seg) > tol:
+                continue
+            t0 = float((e0 - a) @ (b - a)) / length**2
+            t1 = float((e1 - a) @ (b - a)) / length**2
+            intervals.append(tuple(sorted((t0, t1))))
+        if not intervals:
+            return False
+        intervals.sort()
+        covered = 0.0
+        for lo, hi in intervals:
+            if lo > covered + tol / length:
+                return False
+            covered = max(covered, hi)
+        if covered < 1.0 - tol / length:
+            return False
+    return True
+
+
+def pieces_match_facts(ifs, facts):
+    """Whether the computed coincidence and value sets of `ifs` are the
+    stated ones of `facts`, each matched by `reference_pieces_match_expected`."""
+    coincidence = reference_pieces_match_expected(
+        branch_coincidence_set(ifs), facts.coincidence_segments, facts.coincidence_points)
+    values = reference_pieces_match_expected(
+        branch_value_set(ifs), facts.value_segments, facts.value_points)
+    return coincidence and values
 
 
 def dense_operator(op):

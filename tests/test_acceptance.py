@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 
+from conftest import CATALOG_FACTS, is_finite_branch, pieces_match_facts
+
 from ifslab import bimodule as bi
 from ifslab import catalog
 from ifslab import cli
@@ -78,16 +80,10 @@ def test_criterion_3_measure_fixed_point(tent_square, tent_sigma):
 
 
 def test_criterion_4_branch_set_geometry(tent_square, tent_1d):
-    pieces = geo.branch_coincidence_set(tent_square.system)
-    assert geo.pieces_match_expected(pieces,
-                                     tent_square.expected.coincidence_segments,
-                                     tent_square.expected.coincidence_points)
-    values = geo.branch_value_set(tent_square.system)
-    assert geo.pieces_match_expected(values,
-                                     tent_square.expected.value_segments,
-                                     tent_square.expected.value_points)
-    assert geo.is_finite_branch(tent_square.system) is False
-    assert geo.is_finite_branch(tent_1d.system) is True
+    assert pieces_match_facts(tent_square.system, CATALOG_FACTS["tent_square"])
+    assert pieces_match_facts(tent_1d.system, CATALOG_FACTS["tent_1d"])
+    assert is_finite_branch(tent_square.system) is CATALOG_FACTS["tent_square"].finite_branch
+    assert is_finite_branch(tent_1d.system) is CATALOG_FACTS["tent_1d"].finite_branch
     _report("criterion 4: coincidence and value sets match the stated segments")
 
 

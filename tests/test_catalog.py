@@ -1,5 +1,7 @@
 import numpy as np
 
+from conftest import CATALOG_FACTS, is_finite_branch, pieces_match_facts
+
 from ifslab import catalog, geometry as geo
 from ifslab.cli import DEFAULT_TOLERANCES
 from ifslab.ifsfile import export_ifs, parse_ifs
@@ -30,36 +32,33 @@ def test_tent_square_branch_formulas(tent_square):
 
 
 def test_every_expected_fact_is_validated(all_entries):
-    # a catalog entry with a failing fact is a build-breaking error
+    # every catalog system has a row of facts, and each fact holds
+    assert sorted(CATALOG_FACTS) == sorted(entry.name for entry in all_entries)
     for entry in all_entries:
-        ifs = entry.system
-        pieces = geo.branch_coincidence_set(ifs)
-        assert geo.pieces_match_expected(
-            pieces, entry.expected.coincidence_segments,
-            entry.expected.coincidence_points), entry.name
-        values = geo.branch_value_set(ifs)
-        assert geo.pieces_match_expected(
-            values, entry.expected.value_segments,
-            entry.expected.value_points), entry.name
-        assert geo.is_finite_branch(ifs) == entry.expected.finite_branch, entry.name
+        ifs, facts = entry.system, CATALOG_FACTS[entry.name]
+        assert pieces_match_facts(ifs, facts), entry.name
+        assert is_finite_branch(ifs) == facts.finite_branch, entry.name
         osc = geo.check_open_set_condition(ifs)
-        assert osc.passed == entry.expected.osc_should_pass, entry.name
+        assert osc.passed == facts.osc_should_pass, entry.name
         covered = geo.self_similarity_defect(ifs).uncovered <= DEFAULT_TOLERANCES["defect_slack"]
-        assert covered == entry.expected.is_attractor, entry.name
+        assert covered == facts.is_attractor, entry.name
 
 
 def test_hutchinson_lebesgue_flags(all_entries):
-    # uniform-weight cylinder masses match the Lebesgue volume of the cells
+    # the uniform-weight measure is Lebesgue on the box when the branch
+    # images cover the box and each depth-2 cell's mass is its share of
+    # the box volume: the cell volumes then sum to the box's, so the cells
+    # overlap only on null sets
     from ifslab.measure import cell_grid, exact_cell_masses
 
     for entry in all_entries:
-        if not entry.expected.hutchinson_is_lebesgue:
-            continue
         ifs = entry.system
         mu = exact_cell_masses(ifs, 2)
         hulls = cell_grid(ifs, 2).hulls()
-        volumes = np.prod(hulls[:, :, 1] - hulls[:, :, 0], axis=1)
-        np.testing.assert_allclose(mu.masses, volumes / volumes.sum(), atol=1e-14)
+        shares = np.prod(hulls[:, :, 1] - hulls[:, :, 0], axis=1) / np.prod(ifs.box.sizes)
+        covered = geo.self_similarity_defect(ifs).uncovered <= DEFAULT_TOLERANCES["defect_slack"]
+        lebesgue = covered and np.allclose(mu.masses, shares, rtol=0.0, atol=1e-14)
+        assert lebesgue == CATALOG_FACTS[entry.name].hutchinson_is_lebesgue, entry.name
 
 
 def test_export_parse_round_trip_is_exact(all_entries):

@@ -367,9 +367,9 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
     original = cli._load_system
 
     def capture(name):
-        ifs, expected = original(name)
+        ifs, separated = original(name)
         loaded.append(ifs)
-        return ifs, expected
+        return ifs, separated
 
     monkeypatch.setattr(cli, "_load_system", capture)
     for command in ("verify", "report"):
@@ -391,9 +391,9 @@ def test_report_caches_no_grid_deeper_than_half_the_last_level(tmp_path, monkeyp
     original = cli._load_system
 
     def capture(name):
-        ifs, expected = original(name)
+        ifs, separated = original(name)
         loaded.append(ifs)
-        return ifs, expected
+        return ifs, separated
 
     monkeypatch.setattr(cli, "_load_system", capture)
     reached = 0
@@ -641,22 +641,73 @@ def test_file_system_source(tmp_path):
     assert [row.split(",")[:3] for row in rows] == [["tent;1d", "2", "11"], ["tent;1d", "3", "11"]]
 
 
-@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d"])
+@pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d",
+                                  "overlap_bad"])
 def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, name):
-    # one support rule for every system: a definition file and its catalog
-    # entry choose the same window, so they write the same reconstruction
-    # rows and table
+    # one verdict table and one support rule for every source: a definition
+    # file and its catalog entry write the same check rows, residuals and
+    # reconstruction table, and exit alike.  overlap_bad's mass tables still
+    # differ, because its catalog entry refuses the exact masses
     entry = catalog.get(name)
     path = tmp_path / f"{name}.ifs"
     path.write_text(export_ifs(entry.system, entry.phi_name))
     written = []
     for system, out in ((name, tmp_path / "catalog"), (str(path), tmp_path / "file")):
-        assert run(["report", "--system", system, "--depths", "2..3", "--samples", "1000",
-                    "--out", str(out)]) == 0
-        written.append([(out / f).read_bytes()
-                        for f in ("verify_reconstruction.csv", "reconstruction.csv")])
+        code = run(["report", "--system", system, "--depths", "2..3", "--samples", "1000",
+                    "--out", str(out)])
+        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))
+                 if name != "overlap_bad" or not f.startswith("measure_")}
+        written.append((code, files))
     assert written[1] == written[0]
-    assert written[0][1].count(b"\n") == 3
+    code, files = written[0]
+    assert code == (1 if name == "overlap_bad" else 0)
+    assert {"verify_geometry.csv", "verify_measure.csv", "verify_operators.csv",
+            "verify_reconstruction.csv", "reconstruction.csv"} <= set(files)
+    if name != "overlap_bad":
+        assert files["reconstruction.csv"].count(b"\n") == 3
+
+
+def split_file(path, n):
+    """x/n + k/n for k = 0..n-1 on [0, 1], as a piecewise definition file."""
+    box = geometry.AmbientBox(np.array([[0.0, 1.0]]))
+    branches = [geometry.AffineContraction(np.array([[1.0 / n]]), np.array([k / n]))
+                for k in range(n)]
+    domains = [np.array([[k / n, (k + 1) / n]]) for k in range(n)]
+    path.write_text(export_ifs(geometry.IfsSystem(box, branches, name=f"split{n}"),
+                               "piecewise", domains))
+    return path
+
+
+def test_measure_refuses_more_than_nine_branches(tmp_path, capsys, monkeypatch):
+    # the word column writes one digit per letter, so with 11 branches the
+    # words (1, 11) and (11, 1) would both read 111.  measure and report
+    # refuse 10 or more branches before the chaos game runs; 9 branches
+    # still give 81 distinct words, and the commands without mass tables
+    # take 11
+    nine = split_file(tmp_path / "nine.ifs", 9)
+    assert run(["measure", "--system", str(nine), "--depths", "2..2", "--samples", "2000",
+                "--out", str(tmp_path / "nine")]) == 0
+    words = [line.split(",")[0] for line in
+             (tmp_path / "nine" / "measure_empirical.csv").read_text().splitlines()[1:]]
+    assert len(set(words)) == len(words) == 81
+
+    monkeypatch.setattr(measure, "chaos_game", None)  # a call would raise
+    capsys.readouterr()
+    for n in (10, 11):
+        path = split_file(tmp_path / f"split{n}.ifs", n)
+        for command in ("measure", "report"):
+            out = tmp_path / f"{command}{n}"
+            assert run([command, "--system", str(path), "--depths", "2..2",
+                        "--samples", "100000", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: the mass tables write one digit per letter, so measure "
+                f"takes at most 9 branches; the system has {n}\n")
+            assert not out.exists()
+    for command in ("verify", "operators", "reconstruct"):
+        out = tmp_path / command
+        assert run([command, "--system", str(tmp_path / "split11.ifs"), "--depths", "2..3",
+                    "--out", str(out)]) in (0, 1), command
+        assert os.listdir(out), command
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_piece_box_distances, random_ifs, reference_box_piece_distance
+from conftest import (CATALOG_FACTS, is_finite_branch, per_piece_box_distances,
+                      point_segment_distance, random_ifs, reference_box_piece_distance,
+                      reference_pieces_match_expected)
 
 from ifslab import catalog
 from ifslab import geometry as geo
@@ -18,7 +20,6 @@ from ifslab.geometry import (AffineContraction, AffinePiece, AmbientBox, IfsSyst
                              box_distances_to_pieces, branch_coincidence_set,
                              branch_membership, branch_value_set,
                              check_open_set_condition, contraction_bounds,
-                             is_finite_branch, pieces_match_expected,
                              self_similarity_defect, verify_inverse_branches)
 
 
@@ -361,66 +362,15 @@ def test_first_box_equals_a_per_point_scan():
 
 def test_coincidence_set_matches_paper(tent_square):
     pieces = branch_coincidence_set(tent_square.system)
-    assert pieces_match_expected(pieces, tent_square.expected.coincidence_segments,
-                                 tent_square.expected.coincidence_points)
+    facts = CATALOG_FACTS["tent_square"]
+    assert reference_pieces_match_expected(pieces, facts.coincidence_segments,
+                                           facts.coincidence_points)
 
 
 def test_value_set_matches_paper(tent_square):
     values = branch_value_set(tent_square.system)
-    assert pieces_match_expected(values, tent_square.expected.value_segments,
-                                 tent_square.expected.value_points)
-
-
-def reference_pieces_match_expected(pieces, expected_segments, expected_points=(),
-                                    tol=1e-9):
-    """Union equality with the forward inclusion tested one sample at a time."""
-    expected_segments = [np.asarray(seg, dtype=float) for seg in expected_segments]
-    expected_points = [np.asarray(p, dtype=float) for p in expected_points]
-    union = expected_segments + expected_points
-    segment_distance = geo._point_segment_distance
-
-    def distance(point):
-        return min((float(np.linalg.norm(point - piece)) if piece.ndim == 1
-                    else segment_distance(point, piece) for piece in union),
-                   default=np.inf)
-
-    if not pieces:
-        return not union
-    for piece in pieces:
-        if piece.dimension > 1:
-            return False
-        for x in piece.sample():
-            if distance(x) > tol:
-                return False
-    for point in expected_points:
-        if not any((p.dimension == 0 and np.linalg.norm(p.point - point) <= tol)
-                   or (p.dimension == 1 and segment_distance(point, p.endpoints) <= tol)
-                   for p in pieces):
-            return False
-    for seg in expected_segments:
-        a, b = seg
-        length = float(np.linalg.norm(b - a))
-        intervals = []
-        for piece in pieces:
-            if piece.dimension != 1:
-                continue
-            e0, e1 = piece.endpoints
-            if segment_distance(e0, seg) > tol or segment_distance(e1, seg) > tol:
-                continue
-            t0 = float((e0 - a) @ (b - a)) / length**2
-            t1 = float((e1 - a) @ (b - a)) / length**2
-            intervals.append(tuple(sorted((t0, t1))))
-        if not intervals:
-            return False
-        intervals.sort()
-        covered = 0.0
-        for lo, hi in intervals:
-            if lo > covered + tol / length:
-                return False
-            covered = max(covered, hi)
-        if covered < 1.0 - tol / length:
-            return False
-    return True
+    facts = CATALOG_FACTS["tent_square"]
+    assert reference_pieces_match_expected(values, facts.value_segments, facts.value_points)
 
 
 def perturbed_expectations(segments, points, d, rng):
@@ -439,22 +389,21 @@ def perturbed_expectations(segments, points, d, rng):
     yield segments, points + [np.full(d, 0.123)]
 
 
-def test_pieces_match_expected_equals_sample_loop(all_entries):
+def test_matcher_rejects_every_perturbed_fact(all_entries):
+    # the matcher accepts each catalog system's stated sets, and rejects
+    # them with one piece dropped, moved or added
     rng = np.random.default_rng(3)
     for entry in all_entries:
-        facts = entry.expected
+        facts = CATALOG_FACTS[entry.name]
         pieces = branch_coincidence_set(entry.system)
         values = branch_value_set(entry.system)
         for got, segments, points in ((pieces, facts.coincidence_segments,
                                        facts.coincidence_points),
                                       (values, facts.value_segments, facts.value_points)):
-            assert pieces_match_expected(got, segments, points), entry.name
             assert reference_pieces_match_expected(got, segments, points), entry.name
             for seg_set, point_set in perturbed_expectations(
                     segments, points, entry.system.dimension, rng):
-                verdict = pieces_match_expected(got, seg_set, point_set)
-                assert verdict == reference_pieces_match_expected(got, seg_set, point_set)
-                assert not verdict, entry.name
+                assert not reference_pieces_match_expected(got, seg_set, point_set), entry.name
 
 
 def test_parallel_branches_give_empty_set():
@@ -561,14 +510,15 @@ def test_off_piece_points_violate_equation(tent_square):
             elif piece.dimension == 0:
                 far = np.linalg.norm(points - piece.point, axis=1) >= 1e-3
             else:
-                far = np.array([geo._point_segment_distance(x, piece.endpoints) >= 1e-3
+                far = np.array([point_segment_distance(x, piece.endpoints) >= 1e-3
                                 for x in points])
             assert np.all(residual[far] >= 1e-6)
 
 
 def test_finite_branch_flags(all_entries):
     for entry in all_entries:
-        assert is_finite_branch(entry.system) == entry.expected.finite_branch, entry.name
+        facts = CATALOG_FACTS[entry.name]
+        assert is_finite_branch(entry.system) == facts.finite_branch, entry.name
 
 
 def test_tent_1d_coincidence_is_single_point(tent_1d):
@@ -588,7 +538,7 @@ def test_osc_passes_on_catalog(all_entries):
     # decided once per system: every call returns the first result
     for entry in all_entries:
         result = check_open_set_condition(entry.system)
-        assert result.passed == entry.expected.osc_should_pass, entry.name
+        assert result.passed == CATALOG_FACTS[entry.name].osc_should_pass, entry.name
         assert check_open_set_condition(entry.system) is result, entry.name
 
 

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import word_index
+from conftest import is_finite_branch, word_index
 from ifslab.geometry import (AffineContraction, AmbientBox, IfsSystem, _solve_pair,
-                             box_corners, branch_coincidence_set, check_open_set_condition,
-                             is_finite_branch)
+                             box_corners, branch_coincidence_set, check_open_set_condition)
 from ifslab.measure import index_word
 
 
