@@ -1,7 +1,6 @@
 """Built-in example systems.
 
-Each entry is an affine system, the name of its expanding map, and
-whether its invariant measure is taken to be separated.  The systems'
+Each entry is an affine system and the name of its expanding map.  Their
 geometric facts (coincidence and value sets, the open set condition, the
 attractor) are worked out by hand in the test suite and asserted there;
 `verify` treats a catalog entry and a definition file alike.
@@ -55,9 +54,9 @@ def _phi_sigma_1d(points: np.ndarray) -> np.ndarray:
 
 
 def _phi_overlap_bad(points: np.ndarray) -> np.ndarray:
-    # First-match piecewise inverse; no true inverse exists on the
-    # positive-measure overlap [0.3, 0.5], and images only cover [0, 0.8],
-    # so the tail is clipped back into the box to keep the map total.
+    # First-match piecewise inverse; none exists where the box images
+    # [0, 0.5] and [0.3, 0.8] overlap (those of K = [0, 0.6] meet at 0.3
+    # alone), and the tail past 0.8 is clipped back to keep the map total.
     x = points[:, 0]
     out = np.where(x <= 0.5, 2.0 * x, np.clip(2.0 * x - 0.6, 0.0, 1.0))
     return out[:, None]
@@ -68,7 +67,6 @@ class CatalogEntry:
     name: str
     system: IfsSystem
     phi_name: str
-    measure_separated: bool = True
 
 
 def _tent_square() -> CatalogEntry:
@@ -112,7 +110,7 @@ def _sigma_1d() -> CatalogEntry:
 def _overlap_bad() -> CatalogEntry:
     branches = (_branch_1d(0.5, 0.0), _branch_1d(0.5, 0.3))
     system = IfsSystem(UNIT_INTERVAL, branches, phi=_phi_overlap_bad, name="overlap_bad")
-    return CatalogEntry("overlap_bad", system, "overlap_bad", measure_separated=False)
+    return CatalogEntry("overlap_bad", system, "overlap_bad")
 
 
 _BUILDERS = {

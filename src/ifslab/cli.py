@@ -58,7 +58,6 @@ class RunConfig:
     seed: int = 7
     out_dir: str = "reports"
     delta: float = 0.05
-    assume_separation: bool = True
     tolerances: dict = field(default_factory=dict)
 
     def tol(self, key: str) -> float:
@@ -157,15 +156,13 @@ def check_row(cfg: RunConfig, name: str, detail: str, value: float | None = None
 
 
 def _load_system(name: str):
-    """Return (system, measure separated?) from catalog name or file path;
-    a definition file's measure is taken to be separated."""
+    """The system of a catalog name or a definition file path."""
     if os.path.exists(name) or name.endswith((".ifs", ".ini", ".cfg")):
-        return load_ifs(name), True
+        return load_ifs(name)
     try:
-        entry = catalog.get(name)
+        return catalog.get(name).system
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
-    return entry.system, entry.measure_separated
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +259,10 @@ def geometry_rows(cfg: RunConfig, ifs, similarity: CheckRow) -> list[CheckRow]:
     return rows
 
 
-def mass_tables(cfg: RunConfig, ifs, separated: bool) -> SuiteResult:
+def mass_tables(cfg: RunConfig, ifs, unseparated: str | None) -> SuiteResult:
     """The measure_*.csv tables at depths[0] and their checks; the exact
-    masses need a separated measure.  The word column writes one digit per
-    letter, so a system of more than 9 branches is refused before any work."""
+    masses are refused for `unseparated`.  The word column writes one digit
+    per letter, so a system of more than 9 branches is refused before any work."""
     if ifs.n_branches > 9:
         raise ConfigError(f"the mass tables write one digit per letter, so measure takes "
                           f"at most 9 branches; the system has {ifs.n_branches}")
@@ -273,9 +270,8 @@ def mass_tables(cfg: RunConfig, ifs, separated: bool) -> SuiteResult:
     fixpoint = measure.markov_fixpoint(ifs, depth)
     empirical = measure.chaos_game(ifs, depth, cfg.samples, cfg.seed)
     table = [("measure_fixpoint.csv", fixpoint), ("measure_empirical.csv", empirical)]
-    if not (cfg.assume_separation and separated):
-        return SuiteResult([check_row(cfg, "exact-masses",
-                                      "refused: separation assumption disabled")], table)
+    if unseparated is not None:
+        return SuiteResult([check_row(cfg, "exact-masses", f"refused: {unseparated}")], table)
     exact = measure.exact_cell_masses(ifs, depth)
     table.append(("measure_exact.csv", exact))
     sigma = cfg.tol("chaos_band_sigma")
@@ -423,26 +419,25 @@ class SuiteRun:
 
     Each suite is computed on first use and at most once, so every view of
     the run reads the same rows, and every per-depth cache of the system
-    serves every suite.  The measure check, the operator suite and the
-    reconstruction suite need the attractor to be the ambient box: when
-    the self-similarity row fails, each is one `refused` row and is not
-    computed, and so is the reconstruction suite without uniform weights.
+    serves every suite.  The measure check needs a separated measure
+    (`separation`), the operator and reconstruction suites K = B, and the
+    reconstruction suite uniform weights: else each is one `refused` row.
     The suite functions are looked up as module globals when they run, so
     a wrapper put on one after import sees every call.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.ifs, self.separated = _load_system(cfg.system)
+        self.ifs = _load_system(cfg.system)
 
     def _gated(self, suite: str, compute, uniform: bool = False) -> SuiteResult:
-        """compute() when the attractor is the ambient box and, for a
-        `uniform` suite, the weights are uniform; the refusal otherwise."""
-        if not self.similarity.passed:
-            detail = "attractor is not the ambient box"
+        """compute(), or the one `refused` row of a suite that lacks what it needs."""
+        detail = None
+        if suite == "measure" or not self.similarity.passed:
+            detail = self.separation  # names a failed attractor check too
         elif uniform and not self.ifs.is_hutchinson():
             detail = "requires uniform weights"
-        else:
+        if detail is None:
             return compute()
         return SuiteResult([check_row(self.cfg, "refused", detail, suite=suite)])
 
@@ -451,12 +446,22 @@ class SuiteRun:
         return self_similarity_row(self.cfg, self.ifs)
 
     @cached_property
+    def separation(self) -> str | None:
+        """Why the measure is not separated, or None (README, Measure separation)."""
+        if not self.similarity.passed:
+            return "attractor is not the ambient box"
+        osc = geometry.check_open_set_condition(self.ifs)
+        if osc.passed:
+            return None
+        return "measure not separated: branch images ({}; {}) overlap".format(*osc.violating)
+
+    @cached_property
     def geometry_checks(self) -> list[CheckRow]:
         return geometry_rows(self.cfg, self.ifs, self.similarity)
 
     @cached_property
     def masses(self) -> SuiteResult:
-        return mass_tables(self.cfg, self.ifs, self.separated)
+        return mass_tables(self.cfg, self.ifs, self.separation)
 
     @cached_property
     def measure_checks(self) -> SuiteResult:
@@ -621,8 +626,6 @@ def build_config(args) -> RunConfig:
         cfg = replace(cfg, **_config_from_file(args.config))
     overrides = {name: kind(getattr(args, key)) for key, (name, kind) in RUN_SETTINGS.items()
                  if getattr(args, key) is not None}
-    if args.no_separation:
-        overrides["assume_separation"] = False
     tolerances = dict(cfg.tolerances)
     for item in args.tol or []:
         try:
@@ -674,8 +677,6 @@ def make_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="config file with [run] and [tolerances]")
         cmd.add_argument("--delta", type=float,
                          help="clearance to the value set, a fraction of the shortest box side")
-        cmd.add_argument("--no-separation", action="store_true",
-                         help="drop the measure-separation assumption (refuses exact masses)")
         cmd.add_argument("--tol", action="append", metavar="KEY=VALUE",
                          help="override a tolerance (repeatable)")
     return parser

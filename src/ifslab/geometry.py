@@ -430,10 +430,6 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
         p = np.clip(particular, box.lo, box.hi)
         return AffinePiece(pair, p, kernel, 0, point=p, box=box.intervals)
 
-    if k == d:
-        # The branches coincide identically; the piece is the whole box.
-        return AffinePiece(pair, box.center, np.eye(d), d, box=box.intervals)
-
     if k == 1:
         direction = kernel[:, 0]
         s_lo, s_hi = -np.inf, np.inf
@@ -455,6 +451,10 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
         ends = np.stack([particular + s_lo * direction, particular + s_hi * direction])
         ends = np.clip(ends, box.lo, box.hi)
         return AffinePiece(pair, particular, kernel, 1, endpoints=ends, box=box.intervals)
+
+    if k == d:
+        # The branches coincide identically; the piece is the whole box.
+        return AffinePiece(pair, box.center, np.eye(d), d, box=box.intervals)
 
     # k == 2 in a 3-D box: the plane meets the box in the convex hull of the
     # box corners on it and the crossings of the box edges through it.

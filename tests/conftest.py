@@ -44,6 +44,55 @@ linear = [[0.4, 0.3], [-0.3, 0.4]]
 translation = [0.1, 0.3]
 """
 
+# x/2, x/2 + 1/4 and x/2 + 1/2 on [0, 1]: the images cover the box and the
+# first two overlap on the open (1/4, 1/2), which holds positive mass, so
+# the invariant measure is not separated.
+THREE_BRANCH_SYSTEM = """
+[system]
+dimension = 1
+box = [[0, 1]]
+phi = piecewise
+
+[branch.1]
+linear = [[0.5]]
+translation = [0]
+domain = [[0, 0.25]]
+
+[branch.2]
+linear = [[0.5]]
+translation = [0.25]
+domain = [[0.25, 0.75]]
+
+[branch.3]
+linear = [[0.5]]
+translation = [0.5]
+domain = [[0.75, 1]]
+"""
+
+# x/2 twice and x/2 + 1/2 on [0, 1]: branches 1 and 2 coincide on the
+# whole interval, and their images overlap on all of [0, 1/2].
+IDENTICAL_BRANCH_SYSTEM = """
+[system]
+dimension = 1
+box = [[0, 1]]
+phi = piecewise
+
+[branch.1]
+linear = [[0.5]]
+translation = [0]
+domain = [[0, 0.5]]
+
+[branch.2]
+linear = [[0.5]]
+translation = [0]
+domain = [[0, 0.5]]
+
+[branch.3]
+linear = [[0.5]]
+translation = [0.5]
+domain = [[0.5, 1]]
+"""
+
 
 @pytest.fixture(scope="session")
 def tent_square():

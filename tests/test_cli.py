@@ -12,7 +12,7 @@ from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
 from ifslab.errors import DepthOverflow
 
-from conftest import PLANE_SYSTEM, ROTATED_SYSTEM
+from conftest import IDENTICAL_BRANCH_SYSTEM, PLANE_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
 
 
 def run(args):
@@ -115,11 +115,21 @@ def test_measure_depth_zero_is_the_one_cell(tmp_path):
 
 
 def test_measure_refuses_exact_without_separation(tmp_path, capsys):
-    code = run(["measure", "--system", "tent_square", "--depths", "2..2",
-                "--samples", "1000", "--no-separation", "--out", str(tmp_path)])
+    # K = [0, 1] and the images of x/2 and x/2 + 1/4 overlap on an open
+    # interval: the measure is not separated, so `measure` writes no exact
+    # masses and verify's measure suite is one refused row, each naming the pair
+    path = tmp_path / "three.ifs"
+    path.write_text(THREE_BRANCH_SYSTEM)
+    code = run(["measure", "--system", str(path), "--depths", "2..2",
+                "--samples", "1000", "--out", str(tmp_path / "measure")])
     assert code == 1
-    assert not (tmp_path / "measure_exact.csv").exists()
-    assert (tmp_path / "measure_fixpoint.csv").exists()
+    assert "measure not separated: branch images (1; 2) overlap" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "measure")) == ["measure_empirical.csv",
+                                                        "measure_fixpoint.csv"]
+    assert run(["verify", "--system", str(path), "--depths", "2..3",
+                "--out", str(tmp_path / "verify")]) == 1
+    assert written_rows(tmp_path / "verify" / "verify_measure.csv") == [
+        ["refused", "measure not separated: branch images (1; 2) overlap", "1", "0", "fail"]]
 
 
 def test_operators_residual_table(tmp_path):
@@ -143,10 +153,13 @@ def test_operators_failure_names_check(tmp_path, capsys):
 
 
 def test_measure_failure_names_suite(tmp_path, capsys):
-    code = run(["measure", "--system", "tent_square", "--depths", "2..2",
-                "--samples", "1000", "--no-separation", "--out", str(tmp_path)])
+    # off K = B separation is undecided, and the refusal names the attractor
+    code = run(["measure", "--system", "overlap_bad", "--depths", "2..2",
+                "--samples", "1000", "--out", str(tmp_path)])
     assert code == 1
-    assert "FIRST FAILING CHECK: exact-masses (measure: " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "FIRST FAILING CHECK: exact-masses (measure: refused: attractor is not the ambient box; ")
+    assert not (tmp_path / "measure_exact.csv").exists()
 
 
 def test_reconstruction_suite_runs_once(tmp_path, monkeypatch):
@@ -279,6 +292,20 @@ def test_operators_verdict_is_its_check_rows(tmp_path, capsys, argv, check):
     assert len(table) == (1 if check == "refused" else 9)
 
 
+def test_identical_branches_coincide_on_the_whole_interval(tmp_path):
+    # two equal branches of a 1-D system agree on the whole box, one segment
+    # piece with endpoints: verify fails at the hypotheses, not in a traceback
+    path = tmp_path / "identical.ifs"
+    path.write_text(IDENTICAL_BRANCH_SYSTEM)
+    assert run(["verify", "--system", str(path), "--depths", "2..3",
+                "--out", str(tmp_path / "out")]) == 1
+    rows = {row[0]: row for row in written_rows(tmp_path / "out" / "verify_geometry.csv")}
+    assert [rows["coincidence-set"][k] for k in (1, 2, 4)] == ["1 pieces", "0", "pass"]
+    assert rows["open-set-condition"][4] == "fail"
+    assert written_rows(tmp_path / "out" / "verify_measure.csv") == [
+        ["refused", "measure not separated: branch images (1; 2) overlap", "1", "0", "fail"]]
+
+
 def test_plane_piece_value_set(tmp_path, capsys):
     # a two-dimensional coincidence piece pairs each value point with its
     # preimage by lattice parameter: the value-set row is computed, not a
@@ -360,18 +387,23 @@ def test_report_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
-    # the covariance loop holds one block of tails' averaging points at a
-    # time and caches none
-    loaded = []
+@pytest.fixture
+def loaded(monkeypatch):
+    """The systems the commands of a test load, in order."""
+    systems = []
     original = cli._load_system
 
-    def capture(name):
-        ifs, separated = original(name)
-        loaded.append(ifs)
-        return ifs, separated
+    def load(name):
+        systems.append(original(name))
+        return systems[-1]
 
-    monkeypatch.setattr(cli, "_load_system", capture)
+    monkeypatch.setattr(cli, "_load_system", load)
+    return systems
+
+
+def test_averaging_arrays_do_not_outlive_the_command(tmp_path, loaded):
+    # the covariance loop holds one block of tails' averaging points at a
+    # time and caches none
     for command in ("verify", "report"):
         assert run([command, "--system", "tent_sigma", "--depths", "2..4", "--samples",
                     "20000", "--out", str(tmp_path / command)]) == 0
@@ -381,21 +413,12 @@ def test_averaging_arrays_do_not_outlive_the_command(tmp_path, monkeypatch):
         assert not [key for key in keys if key[0] in ("average", "branch-average")], keys
 
 
-def test_report_caches_no_grid_deeper_than_half_the_last_level(tmp_path, monkeypatch):
+def test_report_caches_no_grid_deeper_than_half_the_last_level(tmp_path, loaded):
     # a depth-m cell is formed as a prefix of ceil(m/2) letters times a
     # suffix of floor(m/2), and the deepest cells a report reads are the
     # reconstruction's at depth b + 1: after `report --depths a..b` the cell
     # cache holds no grid deeper than ceil((b + 1)/2), on every catalog
     # system, and the run reaches that depth unless its suites are refused
-    loaded = []
-    original = cli._load_system
-
-    def capture(name):
-        ifs, separated = original(name)
-        loaded.append(ifs)
-        return ifs, separated
-
-    monkeypatch.setattr(cli, "_load_system", capture)
     reached = 0
     for entry in catalog.catalog():
         for last in (3, 4, 5):
@@ -643,11 +666,11 @@ def test_file_system_source(tmp_path):
 
 @pytest.mark.parametrize("name", ["tent_square", "tent_sigma", "tent_1d", "sigma_1d",
                                   "overlap_bad"])
-def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, name):
-    # one verdict table and one support rule for every source: a definition
-    # file and its catalog entry write the same check rows, residuals and
-    # reconstruction table, and exit alike.  overlap_bad's mass tables still
-    # differ, because its catalog entry refuses the exact masses
+def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, capsys, name):
+    # one verdict table, one support rule and one separation rule for every
+    # source: a definition file and its catalog entry write the same files,
+    # byte for byte, and the same stderr, and exit alike; the exact masses
+    # are written on the four separated systems and refused on overlap_bad
     entry = catalog.get(name)
     path = tmp_path / f"{name}.ifs"
     path.write_text(export_ifs(entry.system, entry.phi_name))
@@ -655,14 +678,15 @@ def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, name):
     for system, out in ((name, tmp_path / "catalog"), (str(path), tmp_path / "file")):
         code = run(["report", "--system", system, "--depths", "2..3", "--samples", "1000",
                     "--out", str(out)])
-        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))
-                 if name != "overlap_bad" or not f.startswith("measure_")}
-        written.append((code, files))
+        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        written.append((code, files, capsys.readouterr().err))
     assert written[1] == written[0]
-    code, files = written[0]
+    code, files, _ = written[0]
     assert code == (1 if name == "overlap_bad" else 0)
     assert {"verify_geometry.csv", "verify_measure.csv", "verify_operators.csv",
-            "verify_reconstruction.csv", "reconstruction.csv"} <= set(files)
+            "verify_reconstruction.csv", "reconstruction.csv", "measure_fixpoint.csv",
+            "measure_empirical.csv"} <= set(files)
+    assert ("measure_exact.csv" in files) == (name != "overlap_bad")
     if name != "overlap_bad":
         assert files["reconstruction.csv"].count(b"\n") == 3
 
@@ -934,7 +958,7 @@ def test_shared_parser_leaks_no_state(tmp_path):
     # must not reach the next
     assert cli.make_parser() is cli.make_parser()
     common = ["verify", "--system", "tent_square", "--depths", "2..3", "--seed", "4"]
-    first = run(common + ["--tol", "isometry=1e-3", "--no-separation",
+    first = run(common + ["--tol", "isometry=1e-3", "--delta", "0.04",
                           "--out", str(tmp_path / "first")])
     assert first == 0
     assert run(common + ["--out", str(tmp_path / "second")]) == 0
@@ -949,6 +973,8 @@ def test_shared_parser_leaks_no_state(tmp_path):
     for name in names:
         assert ((tmp_path / "second" / name).read_bytes()
                 == (tmp_path / "fresh" / name).read_bytes()), name
-    # the first call did see its override
+    # the first call did see its overrides
     first_rows = (tmp_path / "first" / "verify_operators.csv").read_text()
     assert "isometry,depth 2,0,0.001,pass" in first_rows
+    assert ((tmp_path / "first" / "verify_reconstruction.csv").read_bytes()
+            != (tmp_path / "second" / "verify_reconstruction.csv").read_bytes())

@@ -416,6 +416,26 @@ def test_parallel_branches_give_empty_set():
     assert is_finite_branch(system)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_identical_branches_coincide_on_the_whole_box(dimension):
+    # g_1 = g_2: the coincidence piece is the whole box.  On an interval it
+    # is the segment between the box's ends, which `sample` walks; in the
+    # plane it is the box itself, sampled on a lattice filtered to the box
+    box = AmbientBox(np.array([[0.0, 1.0]] * dimension))
+    half = AffineContraction(0.5 * np.eye(dimension), np.zeros(dimension))
+    other = AffineContraction(0.5 * np.eye(dimension), np.full(dimension, 0.5))
+    system = IfsSystem(box, (half, half, other))
+    [piece] = branch_coincidence_set(system)
+    assert piece.pair == (1, 2) and piece.dimension == dimension
+    if dimension == 1:
+        assert piece.endpoints.tolist() == [[0.0], [1.0]]
+    points = piece.sample()
+    assert len(points) > 1 and bool(box.contains(points).all())
+    assert geo.coincidence_residual(system, [piece]) == 0.0
+    [value] = branch_value_set(system)
+    assert value.dimension == dimension
+
+
 def test_memoised_sets_are_fresh_lists():
     # a caller that edits a returned list must not change the next result
     ifs = catalog.get("tent_sigma").system

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import one_shot_chaos_game, overlap_openly
+from conftest import THREE_BRANCH_SYSTEM, one_shot_chaos_game, overlap_openly
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthOverflow, NoConvergence
 from ifslab.geometry import IfsSystem, box_intersection
+from ifslab.ifsfile import parse_ifs
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             total_variation)
@@ -120,6 +121,20 @@ def test_chaos_game_binomial_band(tent_square):
     band = 4.0 * np.sqrt(exact.masses * (1 - exact.masses) / n_samples)
     inside = np.abs(mu.masses - exact.masses) <= band
     assert inside.mean() >= 0.95
+
+
+def test_unseparated_chaos_game_leaves_the_product_band():
+    # negative control of the separation rule: on x/2, x/2 + 1/4, x/2 + 1/2
+    # the images overlap on an open interval of K = [0, 1], and the
+    # chaos-game masses leave the band of the product masses that a
+    # separated measure would give (1 cell of 9 inside at seed 7)
+    ifs = parse_ifs(THREE_BRANCH_SYSTEM)
+    n_samples = 10**5
+    mu = chaos_game(ifs, 2, n_samples, seed=7)
+    exact = exact_cell_masses(ifs, 2)
+    band = 4.0 * np.sqrt(exact.masses * (1 - exact.masses) / n_samples)
+    inside = np.abs(mu.masses - exact.masses) <= band
+    assert inside.mean() < 0.5
 
 
 def test_chaos_game_tv_halves_with_4x_samples(tent_square):

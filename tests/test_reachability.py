@@ -37,7 +37,7 @@ from ifslab import catalog, cli, sampling
 from ifslab.geometry import IfsSystem
 from ifslab.ifsfile import export_ifs
 
-from conftest import PLANE_SYSTEM, ROTATED_SYSTEM
+from conftest import IDENTICAL_BRANCH_SYSTEM, PLANE_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
 
 SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 
@@ -156,6 +156,10 @@ def command_runs(tmp_path):
     rotated.write_text(ROTATED_SYSTEM)
     uncoverable = systems / "uncoverable.ifs"
     uncoverable.write_text(UNCOVERABLE_SYSTEM)
+    three = systems / "three.ifs"
+    three.write_text(THREE_BRANCH_SYSTEM)
+    identical = systems / "identical.ifs"
+    identical.write_text(IDENTICAL_BRANCH_SYSTEM)
     config = tmp_path / "run.cfg"
     config.write_text("[run]\nsystem = tent_1d\ndepths = 2..3\nsamples = 500\nseed = 3\n"
                       "delta = 0.05\n[tolerances]\nisometry = 1e-12\n")
@@ -177,7 +181,8 @@ def command_runs(tmp_path):
         (["reconstruct", "--system", str(uncoverable), *small], 1),  # CoverFailure
         (["reconstruct", "--system", "tent_1d", *small, "--delta", "0.0002"], 0),
         (["reconstruct", "--system", "tent_square", *small, "--delta", "0.3"], 1),
-        (["measure", "--system", "tent_1d", *small, "--no-separation"], 1),
+        (["measure", "--system", str(three), *small], 1),     # measure not separated
+        (["verify", "--system", str(identical), *small], 1),  # branches 1 and 2 are equal
         (["verify", "--system", "tent_sigma", "--depths", "3..3"], 1),
         (["operators", "--system", "tent_square", "--depths", "9..9"], 2),
         (["verify", "--system", "nonesuch"], 2),
