@@ -1,6 +1,6 @@
 """Affine iterated function systems and exact branch-set geometry.
 
-The ambient space is a closed box in R^d (d = 1, 2, 3) with the Euclidean
+The ambient space is a closed box in R^d (d = 1, 2) with the Euclidean
 metric.  Branches are affine proper contractions: two-sided Lipschitz
 bounds 0 < c1 <= c2 < 1, read off the singular values of the linear part.
 For affine branches the coincidence set {x : g_i(x) = g_j(x)} and its
@@ -41,8 +41,8 @@ class AmbientBox:
         iv = np.asarray(self.intervals, dtype=float)
         if iv.ndim != 2 or iv.shape[1] != 2:
             raise ValueError("intervals must have shape (d, 2)")
-        if iv.shape[0] not in (1, 2, 3):
-            raise ValueError("supported dimensions are 1, 2, 3")
+        if iv.shape[0] not in (1, 2):
+            raise ValueError("supported dimensions are 1, 2")
         if np.any(iv[:, 0] >= iv[:, 1]):
             raise ValueError("each interval must satisfy lo < hi")
         iv.setflags(write=False)
@@ -363,7 +363,9 @@ class AffinePiece:
     The solution set of g_i = g_j is an affine subspace; clipped to the
     ambient box it is stored as basepoint + kernel basis together with a
     canonical description: `point` for dimension 0, `endpoints` for
-    dimension 1.  `dimension` is the dimension of the clipped piece.
+    dimension 1.  `dimension` is the dimension of the clipped piece.  In
+    a box of dimension d <= 2 a piece of dimension >= 2 is the whole box,
+    where the two branches are equal (or its image under one of them).
     """
 
     pair: tuple[int, int]
@@ -375,34 +377,19 @@ class AffinePiece:
     box: np.ndarray | None = None  # ambient clip region (d, 2)
 
     def sample(self) -> np.ndarray:
-        """Points of the piece: _PIECE_SAMPLES along a segment, a lattice of
-        about as many filtered to the box on a higher-dimensional piece."""
+        """Points of the piece: _PIECE_SAMPLES along a segment, and on the
+        whole-box piece basepoint + (corner - box centre) @ basis.T for the
+        2^d box corners in `box_corners` order.
+
+        |g_i - g_j| is convex, so its maximum over the box is at a corner,
+        and the corners of a whole-box piece and of its image are paired
+        row by row."""
         if self.dimension == 0:
             return self.point[None, :]
         if self.dimension == 1:
             t = np.linspace(0.0, 1.0, _PIECE_SAMPLES)[:, None]
             return self.endpoints[0] + t * (self.endpoints[1] - self.endpoints[0])
-        pts = self.lattice()
-        return pts[self.in_box(pts)]
-
-    def lattice(self) -> np.ndarray:
-        """basepoint + basis t over a lattice of about _PIECE_SAMPLES
-        parameters t, unfiltered (dimension >= 2).  The lattice depends only
-        on the box, so a piece and its image share the parameters row by row."""
-        k = self.basis.shape[1]
-        per_axis = max(2, int(np.ceil(_PIECE_SAMPLES ** (1.0 / k))))
-        half = np.linalg.norm(self.box[:, 1] - self.box[:, 0])
-        axes = [np.linspace(-half, half, per_axis)] * k
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        return self.basepoint + mesh @ self.basis.T
-
-    def in_box(self, pts: np.ndarray) -> np.ndarray:
-        """Which rows of `pts` lie in the box, to within 1e-12."""
-        return np.all((pts >= self.box[:, 0] - 1e-12) & (pts <= self.box[:, 1] + 1e-12), axis=1)
-
-
-# Corner pairs (in `box_corners` order) that span the 12 edges of a 3-D box.
-_CUBE_EDGES = np.array([(c, c | bit) for bit in (1, 2, 4) for c in range(8) if not c & bit])
+        return self.basepoint + (box_corners(self.box) - self.box.mean(axis=1)) @ self.basis.T
 
 
 def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
@@ -452,31 +439,8 @@ def _solve_pair(gi: AffineContraction, gj: AffineContraction, box: AmbientBox,
         ends = np.clip(ends, box.lo, box.hi)
         return AffinePiece(pair, particular, kernel, 1, endpoints=ends, box=box.intervals)
 
-    if k == d:
-        # The branches coincide identically; the piece is the whole box.
-        return AffinePiece(pair, box.center, np.eye(d), d, box=box.intervals)
-
-    # k == 2 in a 3-D box: the plane meets the box in the convex hull of the
-    # box corners on it and the crossings of the box edges through it.
-    normal = vt[0]
-    corners = box_corners(box.intervals)
-    side = corners @ normal - normal @ particular
-    sign = np.where(np.abs(side) <= _PIVOT_TOL, 0.0, np.sign(side))
-    a, b = _CUBE_EDGES[sign[_CUBE_EDGES[:, 0]] * sign[_CUBE_EDGES[:, 1]] < 0].T
-    t = (side[a] / (side[a] - side[b]))[:, None]
-    points = np.vstack([corners[sign == 0], corners[a] + t * (corners[b] - corners[a])])
-    if not len(points):
-        return None
-    _, spread, axes = np.linalg.svd(points - points.mean(axis=0))
-    dim = int(np.sum(spread > _PIVOT_TOL))
-    if dim == 0:
-        p = np.clip(points[0], box.lo, box.hi)
-        return AffinePiece(pair, p, np.zeros((d, 0)), 0, point=p, box=box.intervals)
-    if dim == 1:
-        along = points @ axes[0]
-        ends = np.clip(points[[along.argmin(), along.argmax()]], box.lo, box.hi)
-        return AffinePiece(pair, ends[0], axes[:1].T, 1, endpoints=ends, box=box.intervals)
-    return AffinePiece(pair, particular, kernel, 2, box=box.intervals)
+    # k == d == 2: the branches coincide identically; the piece is the whole box.
+    return AffinePiece(pair, box.center, np.eye(d), d, box=box.intervals)
 
 
 def _frozen_pieces(pieces: list[AffinePiece]) -> tuple[AffinePiece, ...]:
@@ -540,20 +504,12 @@ def coincidence_residual(ifs: IfsSystem, pieces: list[AffinePiece]) -> float:
 
 def value_residual(ifs: IfsSystem, c_pieces: list[AffinePiece],
                    b_pieces: list[AffinePiece]) -> float:
-    """max over value-piece points y of |y - g_j(x)| for the paired preimage x.
-
-    Points and segments pair their samples by index.  A higher-dimensional
-    piece pairs them by lattice parameter, kept where the preimage x lies
-    in the box: its image y may lie in the box where x does not."""
+    """max over value-piece points y of |y - g_j(x)| for the paired preimage x,
+    every piece pairing its samples by index."""
     worst = 0.0
     for c_piece, b_piece in zip(c_pieces, b_pieces):
         i, j = c_piece.pair
-        if c_piece.dimension < 2:
-            xs, ys = c_piece.sample(), b_piece.sample()
-        else:
-            xs, ys = c_piece.lattice(), b_piece.lattice()
-            keep = c_piece.in_box(xs)
-            xs, ys = xs[keep], ys[keep]
+        xs, ys = c_piece.sample(), b_piece.sample()
         res = max(np.abs(ys - ifs.branches[i - 1](xs)).max(),
                   np.abs(ys - ifs.branches[j - 1](xs)).max())
         worst = max(worst, float(res))
@@ -619,11 +575,6 @@ def _disjoint_images(ifs: IfsSystem) -> OscResult:
         verts_i, verts_j = gi(corners), gj(corners)
         axes = [np.linalg.inv(gi.linear)[a] for a in range(ifs.dimension)]
         axes += [np.linalg.inv(gj.linear)[a] for a in range(ifs.dimension)]
-        if ifs.dimension == 3:
-            for ea, eb in product(gi.linear.T, gj.linear.T):
-                cross = np.cross(ea, eb)
-                if np.linalg.norm(cross) > 1e-12:
-                    axes.append(cross)
         axes = np.array([u / np.linalg.norm(u) for u in axes])
         if not _separating_axis_disjoint(verts_i, verts_j, axes):
             return OscResult(False, (i, j), _overlap_witness(ifs, i, j))

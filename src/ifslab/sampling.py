@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_PRIMES = (2, 3, 5)
+_PRIMES = (2, 3)
 
 
 def _generator(seed) -> np.random.PCG64:
@@ -62,7 +62,8 @@ def _radical_inverse(base: int, k: int) -> float:
 
 @lru_cache(maxsize=64)
 def halton_points(count: int, dim: int) -> np.ndarray:
-    """First `count` Halton points in [0,1)^dim, starting at index 1.
+    """First `count` Halton points in [0,1)^dim, starting at index 1: one
+    prime of `_PRIMES` per axis, so dim <= 2, the box's dimensions.
 
     The point set is deliberately not symmetric under coordinate flips:
     its mean sits off the cube center, which the sampling rules rely on

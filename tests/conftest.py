@@ -7,23 +7,23 @@ from ifslab import catalog
 from ifslab.geometry import branch_coincidence_set, branch_value_set
 
 
-# A definition file whose branches agree on the plane z = 1: a
-# two-dimensional coincidence piece.  The images cover 0.128 of the box.
-PLANE_SYSTEM = """
+# A definition file on the unit cube, otherwise well formed: the box
+# refuses a third axis, so every command exits 2.
+CUBE_SYSTEM = """
 [system]
 dimension = 3
 box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 phi = piecewise
 
 [branch.1]
-linear = [[0.4, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.4]]
+linear = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
 translation = [0.0, 0.0, 0.0]
-domain = [[0.0, 0.4], [0.0, 0.4], [0.0, 0.4]]
+domain = [[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]]
 
 [branch.2]
-linear = [[0.4, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, -0.4]]
-translation = [0.0, 0.0, 0.8]
-domain = [[0.0, 0.4], [0.0, 0.4], [0.4, 0.8]]
+linear = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+translation = [0.5, 0.5, 0.5]
+domain = [[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]
 """
 
 # Two turned branches whose images overlap: a system that is not
@@ -355,15 +355,15 @@ def overlap_openly(a, b):
 
 
 def random_ifs(rng, kind):
-    """A seeded affine IFS on the unit box: kind "1d", "2d-diagonal",
-    "2d-rotated" or "3d".  Half of the axis-aligned draws tile the box
+    """A seeded affine IFS on the unit box: kind "1d", "2d-diagonal" or
+    "2d-rotated".  Half of the axis-aligned draws tile the box
     (each axis cut in two, each piece the flipped or unflipped image of
     the box); the rest place 2-3 random contractions anywhere in it."""
     from itertools import product
 
     from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem
 
-    d = {"1d": 1, "2d-diagonal": 2, "2d-rotated": 2, "3d": 3}[kind]
+    d = {"1d": 1, "2d-diagonal": 2, "2d-rotated": 2}[kind]
     box = AmbientBox(np.array([[0.0, 1.0]] * d))
     branches = []
     if kind != "2d-rotated" and rng.random() < 0.5:
@@ -721,13 +721,13 @@ def stacked_transfer_equality_residual(ifs, depth):
 
 def grid_test_systems():
     """Fresh copies (empty caches) of the catalog systems and of seeded
-    "2d-rotated" and "3d" random_ifs systems: the systems on which cell
+    "2d-rotated" random_ifs systems: the systems on which cell
     frames formed near a region are checked against `einsum_cell_grid`,
     and on which the covariance gap must form no finer frame."""
     from ifslab.geometry import IfsSystem
 
-    rng = np.random.default_rng(11)  # two-branch rotated systems, three- and eight-branch 3-D
+    rng = np.random.default_rng(11)  # two-branch rotated systems
     systems = [entry.system for entry in catalog.catalog()]
-    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "3d", "3d")]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated")]
     return [IfsSystem(ifs.box, ifs.branches, weights=ifs.weights, name=ifs.name)
             for ifs in systems]

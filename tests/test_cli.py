@@ -12,7 +12,7 @@ from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
 from ifslab.errors import DepthOverflow
 
-from conftest import IDENTICAL_BRANCH_SYSTEM, PLANE_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
+from conftest import IDENTICAL_BRANCH_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
 
 
 def run(args):
@@ -306,21 +306,6 @@ def test_identical_branches_coincide_on_the_whole_interval(tmp_path):
         ["refused", "measure not separated: branch images (1; 2) overlap", "1", "0", "fail"]]
 
 
-def test_plane_piece_value_set(tmp_path, capsys):
-    # a two-dimensional coincidence piece pairs each value point with its
-    # preimage by lattice parameter: the value-set row is computed, not a
-    # broadcast error, and the run fails where it should, at the attractor
-    path = tmp_path / "plane.ifs"
-    path.write_text(PLANE_SYSTEM)
-    assert run(["verify", "--system", str(path), "--depths", "2..3",
-                "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("FIRST FAILING CHECK: self-similarity-defect (") and "Traceback" not in err
-    rows = {row[0]: row for row in written_rows(tmp_path / "out" / "verify_geometry.csv")}
-    assert rows["value-set"][1] == "1 pieces" and rows["value-set"][4] == "pass"
-    assert float(rows["value-set"][2]) <= 1e-12
-
-
 def tent_file(path, length):
     """The tent as a piecewise definition file on [0, length]."""
     tent = catalog.get("tent_1d").system
@@ -479,7 +464,7 @@ def _weighted_random_systems():
 
     rng = np.random.default_rng(23)
     systems = []
-    for kind in ("1d", "2d-diagonal", "2d-rotated", "3d", "1d", "2d-rotated", "3d"):
+    for kind in ("1d", "2d-diagonal", "2d-rotated", "1d", "2d-rotated"):
         ifs = random_ifs(rng, kind)
         raw = rng.uniform(0.2, 1.0, ifs.n_branches)
         systems.append(geometry.IfsSystem(ifs.box, ifs.branches, weights=raw / raw.sum(),
@@ -912,24 +897,18 @@ def test_verify_fails_on_narrow_gap(tmp_path, capsys):
 
 NO_SCIPY_SCRIPT = """
 import sys
-import numpy as np
 from ifslab.cli import main
-from ifslab.geometry import AffineContraction, AmbientBox, IfsSystem, branch_coincidence_set
 
 out = sys.argv[1]
 assert main(["verify", "--system", "tent_sigma", "--depths", "2..3", "--out", out + "/a"]) == 0
 assert main(["verify", "--system", "overlap_bad", "--depths", "2..3", "--out", out + "/b"]) == 1
-box = AmbientBox(np.array([[0.0, 1.0]] * 3))
-plane = IfsSystem(box, (AffineContraction(np.diag([0.4, 0.4, 0.4]), np.zeros(3)),
-                        AffineContraction(np.diag([0.4, 0.4, -0.4]), np.array([0.0, 0.0, 0.8]))))
-assert branch_coincidence_set(plane)[0].dimension == 2
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
 
 def test_commands_do_not_import_scipy(tmp_path):
-    # scipy is a test dependency only: no command may import it, not even lazily
+    # scipy is no dependency of ifslab: no command may import it, not even lazily
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],

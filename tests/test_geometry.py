@@ -133,9 +133,9 @@ def inclusion_exclusion_uncovered(ifs):
 
 
 def test_self_similarity_defect_matches_inclusion_exclusion():
-    # random overlapping and tiling axis-aligned systems in 1, 2 and 3 dimensions
+    # random overlapping and tiling axis-aligned systems in 1 and 2 dimensions
     rng = np.random.default_rng(23)
-    for kind in 20 * ["1d", "2d-diagonal", "3d"]:
+    for kind in 20 * ["1d", "2d-diagonal"]:
         ifs = random_ifs(rng, kind)
         coverage = self_similarity_defect(ifs)
         assert coverage.method == "box arrangement"
@@ -195,7 +195,7 @@ def tile_branch(box, tile, flip):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 6))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(0, 6))
 def test_self_similarity_defect_guillotine_tilings(seed, d, splits):
     # a tiling of the box by its flipped images covers it; shrinking one
     # image by a tenth along one axis leaves exactly that volume uncovered
@@ -420,20 +420,26 @@ def test_parallel_branches_give_empty_set():
 def test_identical_branches_coincide_on_the_whole_box(dimension):
     # g_1 = g_2: the coincidence piece is the whole box.  On an interval it
     # is the segment between the box's ends, which `sample` walks; in the
-    # plane it is the box itself, sampled on a lattice filtered to the box
+    # plane it is the square itself, sampled at its 4 corners, and its value
+    # piece at their images, row by row
     box = AmbientBox(np.array([[0.0, 1.0]] * dimension))
     half = AffineContraction(0.5 * np.eye(dimension), np.zeros(dimension))
     other = AffineContraction(0.5 * np.eye(dimension), np.full(dimension, 0.5))
     system = IfsSystem(box, (half, half, other))
     [piece] = branch_coincidence_set(system)
     assert piece.pair == (1, 2) and piece.dimension == dimension
+    points = piece.sample()
     if dimension == 1:
         assert piece.endpoints.tolist() == [[0.0], [1.0]]
-    points = piece.sample()
+    else:
+        assert points.tolist() == geo.box_corners(box.intervals).tolist()
     assert len(points) > 1 and bool(box.contains(points).all())
     assert geo.coincidence_residual(system, [piece]) == 0.0
     [value] = branch_value_set(system)
     assert value.dimension == dimension
+    if dimension == 2:
+        assert value.sample().tolist() == half(points).tolist()
+    assert geo.value_residual(system, [piece], [value]) == 0.0
 
 
 def test_memoised_sets_are_fresh_lists():
@@ -596,7 +602,7 @@ def test_osc_overlap_witness(overlap_bad):
     # by about 1e-16.
     rng = np.random.default_rng(29)
     verdicts = Counter()
-    for kind in ("1d", "2d-diagonal", "2d-rotated", "3d"):
+    for kind in ("1d", "2d-diagonal", "2d-rotated"):
         for _ in range(25):
             ifs = random_ifs(rng, kind)
             result = check_open_set_condition(ifs)
@@ -606,7 +612,7 @@ def test_osc_overlap_witness(overlap_bad):
                 assert result.witness is not None, kind
                 assert_witness_in_both_open_images(ifs, result)
             verdicts[kind, result.passed] += 1
-    assert min(verdicts.values()) >= 3 and len(verdicts) == 8, verdicts
+    assert min(verdicts.values()) >= 3 and len(verdicts) == 6, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +636,12 @@ def test_system_rejects_bad_weights(tent_1d):
         IfsSystem(box, branches, weights=[0.5, 0.6])
     with pytest.raises(ValueError):
         IfsSystem(box, branches, weights=[1.0, 0.0])
+
+
+def test_box_refuses_three_axes():
+    # the laboratory is capped at d <= 2
+    with pytest.raises(ValueError, match="supported dimensions are 1, 2"):
+        AmbientBox(np.array([[0.0, 1.0]] * 3))
 
 
 def test_system_rejects_escaping_branch():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import CUBE_SYSTEM
 from ifslab import catalog
 from ifslab.errors import ConfigError
 from ifslab.ifsfile import export_ifs, parse_ifs
@@ -152,7 +153,8 @@ def test_multi_line_arrays_stay_legal():
 
 
 def test_malformed_definition_files_exit_2(tmp_path, capsys):
-    # a file that is not UTF-8 text ended in a UnicodeDecodeError traceback
+    # a file that is not UTF-8 text ended in a UnicodeDecodeError traceback;
+    # a box of three axes is refused by name
     from ifslab.cli import main
 
     system = "phi = tent_1d"
@@ -162,7 +164,8 @@ def test_malformed_definition_files_exit_2(tmp_path, capsys):
             ("weigths", MINIMAL.replace(system, f"{system}\nweigths = [0.9, 0.1]"), "'weigths'"),
             ("multi-line-name", MINIMAL.replace(system, f"{system}\nname = tent\n one"),
              "[system] name"),
-            ("latin-1", MINIMAL.replace(system, f"{system}\nname = t\xe9nt"), "latin-1.ifs")):
+            ("latin-1", MINIMAL.replace(system, f"{system}\nname = t\xe9nt"), "latin-1.ifs"),
+            ("cube", CUBE_SYSTEM, "[system] box: supported dimensions are 1, 2")):
         path = tmp_path / f"{name}.ifs"
         path.write_bytes(text.encode("latin-1"))
         assert main(["verify", "--system", str(path), "--depths", "2..3",

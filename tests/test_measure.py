@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import THREE_BRANCH_SYSTEM, one_shot_chaos_game, overlap_openly
+from conftest import THREE_BRANCH_SYSTEM, one_shot_chaos_game, overlap_openly, word_index
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthOverflow, NoConvergence
@@ -427,12 +429,12 @@ def test_cell_measure_rejects_bad_vectors():
 def test_grid_half_frames_equal_einsum():
     # each cell's half frame, read through its class, and its hull equal
     # np.einsum's bytes, signed zeros included, on the catalog and on
-    # rotated 2-D and random 3-D systems
+    # rotated 2-D systems
     from conftest import einsum_cell_grid, random_ifs
 
     rng = np.random.default_rng(17)
     systems = [entry.system for entry in catalog.catalog()]
-    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated", "3d", "3d")]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated")]
     for system in systems:
         fresh = IfsSystem(system.box, system.branches, name=system.name)
         for depth in range(7):
@@ -453,7 +455,7 @@ def test_grid_cached_build_equals_fresh_build():
 
     rng = np.random.default_rng(3)
     systems = [catalog.get("tent_sigma").system]
-    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "3d", "2d-rotated")]
+    systems += [random_ifs(rng, kind) for kind in ("2d-rotated", "2d-rotated")]
     for system in systems:
         for depth in (1, 3, 4, 2, 5):
             cached = cell_grid(system, depth)
@@ -468,7 +470,7 @@ def test_grid_cached_build_equals_fresh_build():
 
 def test_grid_classes_are_the_distinct_frames():
     # a grid stores each distinct half frame once: at most 4 per depth on
-    # the catalog systems, and on the rotated and 3-D draws one class per
+    # the catalog systems, and on the rotated draws one class per
     # distinct einsum frame (by bytes), a count that grows with the depth;
     # every class holds a cell
     from conftest import einsum_cell_grid, grid_test_systems
@@ -488,4 +490,10 @@ def test_grid_classes_are_the_distinct_frames():
                 assert len(grid.frames) <= 4, (ifs.name, depth)
             counts.append((ifs.name, ifs.n_branches, len(grid.centers), len(grid.frames)))
     assert ("2d-rotated", 2, 16, 5) in counts
-    assert ("3d", 8, 4096, 360) in counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 6), min_size=0, max_size=8))
+def test_word_index_round_trip(n, letters):
+    word = tuple(min(letter, n) for letter in letters)
+    assert index_word(word_index(word, n), n, len(word)) == word

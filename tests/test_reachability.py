@@ -37,7 +37,7 @@ from ifslab import catalog, cli, sampling
 from ifslab.geometry import IfsSystem
 from ifslab.ifsfile import export_ifs
 
-from conftest import IDENTICAL_BRANCH_SYSTEM, PLANE_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
+from conftest import CUBE_SYSTEM, IDENTICAL_BRANCH_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
 
 SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 
@@ -150,8 +150,8 @@ def command_runs(tmp_path):
     skew = systems / "skew.ifs"
     skew.write_text(export_ifs(IfsSystem(tent.system.box, tent.system.branches,
                                          weights=[0.25, 0.75], name="skew"), "tent_1d"))
-    plane = systems / "plane.ifs"
-    plane.write_text(PLANE_SYSTEM)
+    cube = systems / "cube.ifs"
+    cube.write_text(CUBE_SYSTEM)
     rotated = systems / "rotated.ifs"
     rotated.write_text(ROTATED_SYSTEM)
     uncoverable = systems / "uncoverable.ifs"
@@ -175,7 +175,6 @@ def command_runs(tmp_path):
     runs += [
         (["verify", "--config", str(config)], 0),
         (["verify", "--system", str(piecewise), *small], 0),
-        (["verify", "--system", str(plane), *small], 1),         # images miss most of the box
         (["report", "--system", str(rotated), *small], 1),       # fails the open set condition
         (["report", "--system", str(skew), *small], 1),          # needs uniform weights
         (["reconstruct", "--system", str(uncoverable), *small], 1),  # CoverFailure
@@ -187,6 +186,7 @@ def command_runs(tmp_path):
         (["operators", "--system", "tent_square", "--depths", "9..9"], 2),
         (["verify", "--system", "nonesuch"], 2),
         (["verify", "--system", str(systems / "missing.ifs")], 2),
+        (["verify", "--system", str(cube), *small], 2),          # supported dimensions are 1, 2
         (["verify", "--depths", "2-3"], 2),
         (["verify", "--depths", "3..2"], 2),
         (["verify", "--tol", "bogus=1"], 2),
