@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,91 +8,14 @@ from ifslab import catalog
 from ifslab.geometry import branch_coincidence_set, branch_value_set
 
 
-# A definition file on the unit cube, otherwise well formed: the box
-# refuses a third axis, so every command exits 2.
-CUBE_SYSTEM = """
-[system]
-dimension = 3
-box = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
-phi = piecewise
+# The library of hand-written definition files.  Each file's header states
+# its verdict under `verify --depths 2..3` (tests/test_fixtures.py).
+FIXTURES = Path(__file__).parent / "fixtures"
 
-[branch.1]
-linear = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
-translation = [0.0, 0.0, 0.0]
-domain = [[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]]
 
-[branch.2]
-linear = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
-translation = [0.5, 0.5, 0.5]
-domain = [[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]]
-"""
-
-# Two turned branches whose images overlap: a system that is not
-# axis-aligned and fails the open set condition, so its coverage is
-# undecided and the later suites are refused.
-ROTATED_SYSTEM = """
-[system]
-dimension = 2
-box = [[0.0, 1.0], [0.0, 1.0]]
-phi = tent_square
-
-[branch.1]
-linear = [[0.4, -0.3], [0.3, 0.4]]
-translation = [0.3, 0.1]
-
-[branch.2]
-linear = [[0.4, 0.3], [-0.3, 0.4]]
-translation = [0.1, 0.3]
-"""
-
-# x/2, x/2 + 1/4 and x/2 + 1/2 on [0, 1]: the images cover the box and the
-# first two overlap on the open (1/4, 1/2), which holds positive mass, so
-# the invariant measure is not separated.
-THREE_BRANCH_SYSTEM = """
-[system]
-dimension = 1
-box = [[0, 1]]
-phi = piecewise
-
-[branch.1]
-linear = [[0.5]]
-translation = [0]
-domain = [[0, 0.25]]
-
-[branch.2]
-linear = [[0.5]]
-translation = [0.25]
-domain = [[0.25, 0.75]]
-
-[branch.3]
-linear = [[0.5]]
-translation = [0.5]
-domain = [[0.75, 1]]
-"""
-
-# x/2 twice and x/2 + 1/2 on [0, 1]: branches 1 and 2 coincide on the
-# whole interval, and their images overlap on all of [0, 1/2].
-IDENTICAL_BRANCH_SYSTEM = """
-[system]
-dimension = 1
-box = [[0, 1]]
-phi = piecewise
-
-[branch.1]
-linear = [[0.5]]
-translation = [0]
-domain = [[0, 0.5]]
-
-[branch.2]
-linear = [[0.5]]
-translation = [0]
-domain = [[0, 0.5]]
-
-[branch.3]
-linear = [[0.5]]
-translation = [0.5]
-domain = [[0.5, 1]]
-"""
+def fixture_path(name):
+    """The path of the definition file tests/fixtures/<name>.ifs."""
+    return FIXTURES / f"{name}.ifs"
 
 
 @pytest.fixture(scope="session")

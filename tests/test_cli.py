@@ -12,7 +12,7 @@ from ifslab.ifsfile import export_ifs
 from ifslab import bimodule, catalog, cli, geometry, measure, operators
 from ifslab.errors import DepthOverflow
 
-from conftest import IDENTICAL_BRANCH_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
+from conftest import fixture_path
 
 
 def run(args):
@@ -38,11 +38,18 @@ def test_verify_overlap_bad_fails(tmp_path, capsys):
     assert "open-set-condition" in geometry and "fail" in geometry
 
 
-def test_verify_depth_overflow(tmp_path, capsys):
+def test_verify_depth_overflow(tmp_path, capsys, monkeypatch):
     code = run(["verify", "--system", "tent_square", "--depths", "9..9",
                 "--out", str(tmp_path)])
     assert code == 2
     assert "DepthOverflow" in capsys.readouterr().err
+    # IFSLAB_CELL_BUDGET is the only cell-budget setting: tent_square's 64
+    # cells at depth 3 reach a budget of 64
+    monkeypatch.setenv("IFSLAB_CELL_BUDGET", "64")
+    assert run(["operators", "--system", "tent_square", "--depths", "2..3",
+                "--out", str(tmp_path / "budget")]) == 2
+    assert capsys.readouterr().err == "DepthOverflow: 4^3 = 64 cells reaches the cell budget 64\n"
+    assert not (tmp_path / "budget").exists()
 
 
 @pytest.mark.parametrize("budget", ["abc", "0", "-5", "1.5"])
@@ -118,14 +125,14 @@ def test_measure_refuses_exact_without_separation(tmp_path, capsys):
     # K = [0, 1] and the images of x/2 and x/2 + 1/4 overlap on an open
     # interval: the measure is not separated, so `measure` writes no exact
     # masses and verify's measure suite is one refused row, each naming the pair
-    path = tmp_path / "three.ifs"
-    path.write_text(THREE_BRANCH_SYSTEM)
+    path = fixture_path("three_branch")
     code = run(["measure", "--system", str(path), "--depths", "2..2",
                 "--samples", "1000", "--out", str(tmp_path / "measure")])
     assert code == 1
     assert "measure not separated: branch images (1; 2) overlap" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path / "measure")) == ["measure_empirical.csv",
                                                         "measure_fixpoint.csv"]
+    assert len(written_rows(tmp_path / "measure" / "measure_fixpoint.csv")) == 9
     assert run(["verify", "--system", str(path), "--depths", "2..3",
                 "--out", str(tmp_path / "verify")]) == 1
     assert written_rows(tmp_path / "verify" / "verify_measure.csv") == [
@@ -160,6 +167,20 @@ def test_measure_failure_names_suite(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "FIRST FAILING CHECK: exact-masses (measure: refused: attractor is not the ambient box; ")
     assert not (tmp_path / "measure_exact.csv").exists()
+
+
+@pytest.mark.parametrize("depth,samples", [(3, 100_000), (2, 1_025)])
+def test_geometric_path_counts_every_sample(tmp_path, depth, samples):
+    # overlapping images stream the geometric path, the orbit binned a block
+    # at a time, and the exact masses are refused.  1 025 samples on 1 024
+    # chains count the first chain's sample after the last step row, so
+    # every mass is a whole number of 1 025ths
+    assert run(["measure", "--system", "overlap_bad", "--depths", f"{depth}..{depth}",
+                "--samples", str(samples), "--out", str(tmp_path)]) == 1
+    counts = [float(mass) * samples
+              for _, mass in written_rows(tmp_path / "measure_empirical.csv")]
+    assert counts and all(abs(count - round(count)) < 1e-9 for count in counts), counts
+    assert sum(map(round, counts)) == samples
 
 
 def test_reconstruction_suite_runs_once(tmp_path, monkeypatch):
@@ -210,8 +231,7 @@ def test_operator_suite_runs_once(tmp_path, monkeypatch, capsys, uniform):
         entry = catalog.get("tent_square")
         twin = tmp_path / "tent_square.ifs"
         twin.write_text(export_ifs(entry.system, entry.phi_name))
-        rotated = tmp_path / "rotated.ifs"
-        rotated.write_text(ROTATED_SYSTEM)
+        rotated = fixture_path("rotated")
         systems = [other.name for other in catalog.catalog()] + [str(twin), str(rotated)]
     else:
         tent = catalog.get("tent_1d").system
@@ -295,8 +315,7 @@ def test_operators_verdict_is_its_check_rows(tmp_path, capsys, argv, check):
 def test_identical_branches_coincide_on_the_whole_interval(tmp_path):
     # two equal branches of a 1-D system agree on the whole box, one segment
     # piece with endpoints: verify fails at the hypotheses, not in a traceback
-    path = tmp_path / "identical.ifs"
-    path.write_text(IDENTICAL_BRANCH_SYSTEM)
+    path = fixture_path("identical_branch")
     assert run(["verify", "--system", str(path), "--depths", "2..3",
                 "--out", str(tmp_path / "out")]) == 1
     rows = {row[0]: row for row in written_rows(tmp_path / "out" / "verify_geometry.csv")}
@@ -304,6 +323,17 @@ def test_identical_branches_coincide_on_the_whole_interval(tmp_path):
     assert rows["open-set-condition"][4] == "fail"
     assert written_rows(tmp_path / "out" / "verify_measure.csv") == [
         ["refused", "measure not separated: branch images (1; 2) overlap", "1", "0", "fail"]]
+
+
+def test_turned_branches_name_their_overlap_witness(tmp_path):
+    # two turned branches whose images overlap: the open set condition is
+    # decided by the separating-axis test, which names the pair and a point
+    # in both open images
+    assert run(["verify", "--system", str(fixture_path("rotated")), "--depths", "2..3",
+                "--out", str(tmp_path)]) == 1
+    rows = {row[0]: row for row in written_rows(tmp_path / "verify_geometry.csv")}
+    assert rows["open-set-condition"][1].startswith("failed overlap at pair (1; 2); witness")
+    assert rows["open-set-condition"][4] == "fail"
 
 
 def tent_file(path, length):
@@ -343,6 +373,34 @@ def test_tiny_delta_stops_at_the_bump_budget(tmp_path, capsys):
     assert ("bump-partition (reconstruction: 1050625 bumps at pitch 0.00048828125 exceed "
             "the cell budget 1048576;") in capsys.readouterr().err
     assert len(written_rows(tmp_path / "out" / "reconstruction.csv")) == 0
+
+
+def test_delta_is_a_fraction_of_the_shortest_side(tmp_path):
+    # tent_sigma's window is branch 1's image shrunk by 2 * 0.06 on every
+    # side (the certificate's edge case is test_clearance_certificate_at_its_edge)
+    assert run(["reconstruct", "--system", "tent_sigma", "--depths", "2..3", "--delta", "0.06",
+                "--out", str(tmp_path)]) == 0
+    assert [row[2] for row in written_rows(tmp_path / "reconstruction.csv")] == ["55", "55"]
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["--system", "tent_square", "--depths", "2..4", "--delta", "0.3"],
+     "branch image [[0.5, 1.0], [0.5, 1.0]] shrunk by 2*delta=0.6 on every side has no width; "
+     "lower delta; value 1, bound 0)"),
+    (["--system", str(fixture_path("uncoverable")), "--depths", "2..3"],
+     "no admissible rectangle pitch down to 0.00390625 (condition foreign-branch 1 on the "
+     "union box [[0.49609375, 0.90625]]); value 1, bound 0)"),
+], ids=["no-window", "uncoverable"])
+def test_refused_partition_writes_the_header_alone(tmp_path, capsys, argv, refusal):
+    # a delta that leaves no branch image a window is refused before any
+    # partition; on overlapping images with an empty value set every
+    # pitch's union box meets the other branch's image, so the search
+    # reaches the pitch floor, whose union box and blocking branch the
+    # refusal names.  Either way the table is its header alone
+    assert run(["reconstruct", *argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"FIRST FAILING CHECK: bump-partition (reconstruction: {refusal}; 1 of 1 checks failed\n")
+    assert written_rows(tmp_path / "reconstruction.csv") == []
 
 
 def test_transfer_equality_fails_off_uniform_weights():
@@ -861,28 +919,9 @@ def test_tolerance_override_changes_exit(tmp_path):
     assert code == 1
 
 
-GAP_SYSTEM = """
-[system]
-dimension = 1
-box = [[0.0, 1.0]]
-phi = piecewise
-
-[branch.1]
-linear = [[0.5]]
-translation = [0.0]
-domain = [[0.0, 0.5]]
-
-[branch.2]
-linear = [[0.48]]
-translation = [0.52]
-domain = [[0.52, 1.0]]
-"""
-
-
 def test_verify_fails_on_narrow_gap(tmp_path, capsys):
     # images [0, 0.5] and [0.52, 1] leave a 2 % gap; no later suite may run
-    path = tmp_path / "gap.ifs"
-    path.write_text(GAP_SYSTEM)
+    path = fixture_path("gap")
     code = run(["verify", "--system", str(path), "--depths", "2..3",
                 "--out", str(tmp_path / "out")])
     assert code == 1

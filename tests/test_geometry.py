@@ -226,7 +226,7 @@ def segment_piece(a, b):
 
 def test_box_distances_match_one_box_search():
     rng = np.random.default_rng(5)
-    for d in (1, 2, 3):
+    for d in (1, 2):
         low = rng.uniform(0.0, 1.0, (300, d))
         width = rng.uniform(0.0, 0.4, (300, d))
         width[::3, 0] = 0.0  # clipped boxes of zero width
@@ -258,7 +258,7 @@ def point_piece(p):
 def test_box_distances_equal_per_piece_passes():
     rng = np.random.default_rng(29)
     sigma = branch_value_set(catalog.get("tent_sigma").system)
-    for d in (1, 2, 3):
+    for d in (1, 2):
         a, b = rng.uniform(-0.2, 1.2, (2, d))
         parallel = b.copy()
         parallel[0] = a[0]  # an axis-parallel segment
@@ -340,7 +340,7 @@ def test_first_box_equals_a_per_point_scan():
     # boxes and points on a half-integer lattice, so that points sit on
     # faces and equal gaps tie exactly
     rng = np.random.default_rng(41)
-    for d in (1, 2, 3):
+    for d in (1, 2):
         low = rng.integers(0, 6, (7, d)) / 2
         boxes = np.stack([low, low + rng.integers(0, 3, (7, d)) / 2], axis=2)
         points = rng.integers(-2, 10, (400, d)) / 2

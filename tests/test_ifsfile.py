@@ -1,25 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import CUBE_SYSTEM
+from conftest import fixture_path
 from ifslab import catalog
 from ifslab.errors import ConfigError
 from ifslab.ifsfile import export_ifs, parse_ifs
 
-MINIMAL = """
-[system]
-dimension = 1
-box = [[0.0, 1.0]]
-phi = tent_1d
-
-[branch.1]
-linear = [[0.5]]
-translation = [0.0]
-
-[branch.2]
-linear = [[-0.5]]
-translation = [1.0]
-"""
+# x/2 and 1 - x/2 on [0, 1]: the tests below edit it one line at a time
+MINIMAL = fixture_path("tent_1d").read_text()
 
 
 def test_parse_minimal_system():
@@ -153,19 +141,26 @@ def test_multi_line_arrays_stay_legal():
 
 
 def test_malformed_definition_files_exit_2(tmp_path, capsys):
-    # a file that is not UTF-8 text ended in a UnicodeDecodeError traceback;
-    # a box of three axes is refused by name
+    # a malformed value, a missing or unknown key, a name continued on an
+    # indented line and a file that is not UTF-8 text (a UnicodeDecodeError
+    # traceback once) are configuration errors that name what is wrong
     from ifslab.cli import main
 
     system = "phi = tent_1d"
-    for name, text, message in (
-            ("ragged", MINIMAL.replace("linear = [[0.5]]", "linear = [[0.5], [0.1, 0.2]]"),
-             "[branch.1] linear"),
-            ("weigths", MINIMAL.replace(system, f"{system}\nweigths = [0.9, 0.1]"), "'weigths'"),
-            ("multi-line-name", MINIMAL.replace(system, f"{system}\nname = tent\n one"),
-             "[system] name"),
-            ("latin-1", MINIMAL.replace(system, f"{system}\nname = t\xe9nt"), "latin-1.ifs"),
-            ("cube", CUBE_SYSTEM, "[system] box: supported dimensions are 1, 2")):
+    for name, old, new, message in (
+            ("ragged", "linear = [[0.5]]", "linear = [[0.5], [0.1, 0.2]]", "[branch.1] linear"),
+            ("string", "linear = [[0.5]]", 'linear = "half"',
+             "[branch.1] linear must be finite numbers"),
+            ("dimension-word", "dimension = 1", "dimension = one",
+             "dimension must be an integer, got 'one'"),
+            ("missing-linear", "linear = [[-0.5]]\n", "", "[branch.2] is missing 'linear'"),
+            ("weigths", system, f"{system}\nweigths = [0.9, 0.1]", "'weigths'"),
+            ("unknown-branch-key", "translation = [1.0]", "translation = [1.0]\ntranslaton = [2.0]",
+             "unknown key 'translaton' in [branch.2]"),
+            ("multi-line-name", system, f"{system}\nname = tent\n one", "name must be one line"),
+            ("latin-1", system, f"{system}\nname = t\xe9nt", "latin-1.ifs")):
+        text = MINIMAL.replace(old, new)
+        assert text != MINIMAL, name  # the edit took
         path = tmp_path / f"{name}.ifs"
         path.write_bytes(text.encode("latin-1"))
         assert main(["verify", "--system", str(path), "--depths", "2..3",

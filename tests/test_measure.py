@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import THREE_BRANCH_SYSTEM, one_shot_chaos_game, overlap_openly, word_index
+from conftest import fixture_path, one_shot_chaos_game, overlap_openly, word_index
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthOverflow, NoConvergence
 from ifslab.geometry import IfsSystem, box_intersection
-from ifslab.ifsfile import parse_ifs
+from ifslab.ifsfile import load_ifs
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
                             exact_cell_masses, index_word, markov_fixpoint,
                             total_variation)
@@ -130,7 +130,7 @@ def test_unseparated_chaos_game_leaves_the_product_band():
     # the images overlap on an open interval of K = [0, 1], and the
     # chaos-game masses leave the band of the product masses that a
     # separated measure would give (1 cell of 9 inside at seed 7)
-    ifs = parse_ifs(THREE_BRANCH_SYSTEM)
+    ifs = load_ifs(fixture_path("three_branch"))
     n_samples = 10**5
     mu = chaos_game(ifs, 2, n_samples, seed=7)
     exact = exact_cell_masses(ifs, 2)

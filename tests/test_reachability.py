@@ -37,7 +37,7 @@ from ifslab import catalog, cli, sampling
 from ifslab.geometry import IfsSystem
 from ifslab.ifsfile import export_ifs
 
-from conftest import CUBE_SYSTEM, IDENTICAL_BRANCH_SYSTEM, ROTATED_SYSTEM, THREE_BRANCH_SYSTEM
+from conftest import fixture_path
 
 SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 
@@ -45,7 +45,7 @@ SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 REACHED_ELSEWHERE = {
     "bimodule.theta_apply": "the benchmark's tracer wraps it by name (perfbench/spans.py)",
     "catalog.catalog": "lists the example systems for library users and the test suite",
-    "ifsfile.export_ifs": "writes definition files; CI and the benchmark make file twins",
+    "ifsfile.export_ifs": "writes definition files; the benchmark makes file twins",
     "ifsfile._fmt_nested": "export_ifs",
     "ifsfile._fmt": "export_ifs",
 }
@@ -63,27 +63,6 @@ FIXED_PARAMETERS = {
     "geometry.IfsSystem.__init__(name)": "library users and random_ifs build unnamed systems",
     "cli.main(argv)": "the console-script entry point reads sys.argv",
 }
-
-# Branches 0.6x and 0.6x + 0.4: the images [0, 0.6] and [0.4, 1] cover the
-# box and overlap, and the value set is empty.  Both shrunk images clear it,
-# but at every pitch the union of each window's rectangles meets the other
-# branch's image (CoverFailure, foreign-branch).
-UNCOVERABLE_SYSTEM = """
-[system]
-dimension = 1
-box = [[0.0, 1.0]]
-phi = piecewise
-
-[branch.1]
-linear = [[0.6]]
-translation = [0.0]
-domain = [[0.0, 0.6]]
-
-[branch.2]
-linear = [[0.6]]
-translation = [0.4]
-domain = [[0.6, 1.0]]
-"""
 
 
 def defined_functions():
@@ -150,16 +129,8 @@ def command_runs(tmp_path):
     skew = systems / "skew.ifs"
     skew.write_text(export_ifs(IfsSystem(tent.system.box, tent.system.branches,
                                          weights=[0.25, 0.75], name="skew"), "tent_1d"))
-    cube = systems / "cube.ifs"
-    cube.write_text(CUBE_SYSTEM)
-    rotated = systems / "rotated.ifs"
-    rotated.write_text(ROTATED_SYSTEM)
-    uncoverable = systems / "uncoverable.ifs"
-    uncoverable.write_text(UNCOVERABLE_SYSTEM)
-    three = systems / "three.ifs"
-    three.write_text(THREE_BRANCH_SYSTEM)
-    identical = systems / "identical.ifs"
-    identical.write_text(IDENTICAL_BRANCH_SYSTEM)
+    cube, rotated, uncoverable, three, identical = map(
+        fixture_path, ("cube", "rotated", "uncoverable", "three_branch", "identical_branch"))
     config = tmp_path / "run.cfg"
     config.write_text("[run]\nsystem = tent_1d\ndepths = 2..3\nsamples = 500\nseed = 3\n"
                       "delta = 0.05\n[tolerances]\nisometry = 1e-12\n")
