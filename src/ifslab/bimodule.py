@@ -348,12 +348,12 @@ class ReconstructionVectors:
     tents that can be nonzero at its center (`BumpPartition.tent_slots`),
     `columns[r, o]` being the pair index of slot o (-1 for an empty slot,
     whose values are 0.0).  Every other entry of xi_k and eta_k, on these
-    rows or on any other cell, is exactly zero.  `size` is the number of
-    pairs M.  `reference` holds the cell averages of the symbol
-    (`sample_to_cells`) on the cells `reference_cells`, ascending: those
-    whose hull meets the symbol's support box.  On every other cell the
-    symbol reads +-0.0 at each averaging point, so the average is +0.0
-    (a sum 0.0 + (+-0.0) + ... is +0.0).
+    rows or on any other cell, is exactly zero.  `reference` holds the
+    cell averages of the symbol (`sample_to_cells`) on the cells
+    `reference_cells`, ascending: those whose hull meets the symbol's
+    support box.  On every other cell the symbol reads +-0.0 at each
+    averaging point, so the average is +0.0 (a sum 0.0 + (+-0.0) + ... is
+    +0.0).
     """
 
     depth: int
@@ -361,18 +361,8 @@ class ReconstructionVectors:
     columns: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    size: int
     reference_cells: np.ndarray
     reference: np.ndarray
-
-    def dense(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Stored rows `rows` (indices into `self.rows`) of `values`, `xi` or
-        `eta`, scattered into a C-contiguous (len(rows), M) array."""
-        out = np.zeros((len(rows), self.size))
-        columns = self.columns[rows]
-        r, slots = np.nonzero(columns >= 0)
-        out[r, columns[r, slots]] = values[rows[r], slots]
-        return out
 
 
 def _support_cells(boxes: np.ndarray, support) -> np.ndarray:
@@ -419,8 +409,7 @@ def reconstruction_vectors(ifs: IfsSystem, symbol: AdmissibleSymbol,
     inside = _support_cells(boxes, support)
     return ReconstructionVectors(depth, cells[rows], columns,
                                  (ifs.n_branches * a_vals)[:, None] * roots, roots,
-                                 partition.size, cells[inside],
-                                 sample_to_cells(symbol, boxes[inside]))
+                                 cells[inside], sample_to_cells(symbol, boxes[inside]))
 
 
 @dataclass(frozen=True)
@@ -445,11 +434,6 @@ class ReconstructionResidual:
         return max_spectral_norm(self.matrix)
 
 
-# Support rows per einsum call of `reconstruction_residual`: one call's
-# scattered xi and eta rows stay small whatever the depth.
-_PAIR_ROWS = 256
-
-
 def reconstruction_residual(ifs: IfsSystem,
                             vectors: ReconstructionVectors) -> ReconstructionResidual:
     """sum_k M_{xi_k} C C* M_{eta_k}* - M_a on V_{vectors.depth}, as its blocks.
@@ -464,12 +448,16 @@ def reconstruction_residual(ifs: IfsSystem,
     nonzero reference cell get a block; every other block is exactly zero.
     Support rows in the nodes' reach but off the symbol's support have xi
     = 0, and there are often more of them than live rows.  The sum is
-    formed one letter j at a time, for the live rows i.w whose partner j.w
-    is a support row (found by binary search in the ascending rows),
-    `_PAIR_ROWS` rows per call, each call's xi and eta rows scattered into
-    dense (rows, M) arrays; every other entry stays 0.0, which the sum
-    with xi_k or eta_k read as zero gives too.  The weights and the
-    reference symbol are then applied to the blocks in place.
+    formed for the pairs of a live row i.w and a letter j whose partner
+    j.w is a support row (found by binary search in the ascending rows),
+    straight from the stored slots: for each slot o of row i.w in order,
+    xi there times the eta of the partner's slot with the same column is
+    added to a sum that starts at 0.0.  A column sits in at most one slot
+    of a row, and an empty slot's xi and eta are 0.0, so each eta read is
+    exact.  The slots hold ascending columns, and every other pair reads
+    xi_k eta_k = 0, so this is the sum over k in ascending order; every
+    other entry stays 0.0.  The weights and the reference symbol are then
+    applied to the blocks in place.
     """
     level = vectors.depth
     if level < 1:
@@ -478,7 +466,7 @@ def reconstruction_residual(ifs: IfsSystem,
     count = n ** (level - 1)
     rows = vectors.rows
     tail, first = rows % count, rows // count
-    live = vectors.xi.any(axis=1)
+    live = np.flatnonzero(vectors.xi.any(axis=1))
     nonzero = vectors.reference != 0
     reference_cells = vectors.reference_cells[nonzero]
     # the distinct tails, ascending; sorting and dropping repeats is several
@@ -486,15 +474,18 @@ def reconstruction_residual(ifs: IfsSystem,
     tails = np.sort(np.concatenate([tail[live], reference_cells % count]))
     tails = tails[np.diff(tails, prepend=-1) != 0]
     blocks = np.zeros((len(tails), n, n))
-    for j in range(n):
-        wanted = j * count + tail
-        partner = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
-        paired = np.flatnonzero(live & (rows[partner] == wanted))
-        for start in range(0, len(paired), _PAIR_ROWS):
-            chunk = paired[start:start + _PAIR_ROWS]
-            blocks[np.searchsorted(tails, tail[chunk]), first[chunk], j] = np.einsum(
-                "rk,rk->r", vectors.dense(vectors.xi, chunk),
-                vectors.dense(vectors.eta, partner[chunk]))
+    # the cell j.w of every live row's tail w, for every letter j: (n, live)
+    wanted = np.arange(n)[:, None] * count + tail[live]
+    partner = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
+    letter, found = np.nonzero(rows[partner] == wanted)
+    paired, mate = live[found], partner[letter, found]
+    # match[p, o, s]: slot s of the partner holds the bump of slot o
+    match = vectors.columns[paired][:, :, None] == vectors.columns[mate][:, None, :]
+    products = vectors.xi[paired] * np.einsum("pos,ps->po", match, vectors.eta[mate])
+    entry = np.zeros(len(paired))
+    for o in range(products.shape[1]):
+        entry += products[:, o]
+    blocks[np.searchsorted(tails, tail[paired]), first[paired], letter] = entry
     blocks *= ifs.weights
     # cell i.w is entry (i, i) of block w; subtracting a zero average would
     # leave an entry as it is

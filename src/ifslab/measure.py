@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -50,18 +51,6 @@ def check_depth(n_branches: int, depth: int) -> int:
         raise DepthOverflow(
             f"{n_branches}^{depth} = {count} cells reaches the cell budget {budget}")
     return count
-
-
-def index_word(idx: int, n: int, depth: int) -> tuple[int, ...]:
-    letters = []
-    for _ in range(depth):
-        idx, rem = divmod(idx, n)
-        letters.append(rem + 1)
-    return tuple(reversed(letters))
-
-
-def word_string(word: tuple[int, ...]) -> str:
-    return "".join(str(letter) for letter in word)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +454,13 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def write_mass_csv(mu: CellMeasure, n_branches: int, path) -> None:
-    """Rows `word,mass` with 1-based digit words and 17 significant digits."""
+    """Rows `word,mass` with 1-based digit words and 17 significant digits.
+
+    The words are the depth-fold product of the digit letters, first letter
+    most significant: the flat index order.  The body is one string."""
+    letters = [str(letter) for letter in range(1, n_branches + 1)]
+    words = map("".join, product(letters, repeat=mu.depth))
     with open(path, "w", newline="\n") as handle:
         handle.write("word,mass\n")
-        for idx, mass in enumerate(mu.masses):
-            word = index_word(idx, n_branches, mu.depth)
-            handle.write(f"{word_string(word)},{mass:.17g}\n")
+        handle.write("".join(f"{word},{mass:.17g}\n"
+                             for word, mass in zip(words, mu.masses.tolist())))

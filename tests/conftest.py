@@ -189,14 +189,29 @@ def dense_operator(op):
     return dense
 
 
+def scatter_slots(columns, values, size):
+    """(len(columns), size) array of slot values put back in their columns;
+    an empty slot (column -1) and every other entry read 0.0."""
+    out = np.zeros((len(columns), size))
+    rows, slots = np.nonzero(columns >= 0)
+    out[rows, columns[rows, slots]] = values[rows, slots]
+    return out
+
+
 def bump_values(partition, points):
     """(len(points), M) tent values of a bump partition: its `tent_slots`
     scattered into their columns; every other entry is 0.0."""
-    columns, tents = partition.tent_slots(points)
-    values = np.zeros((len(columns), partition.size))
-    rows, slots = np.nonzero(columns >= 0)
-    values[rows, columns[rows, slots]] = tents[rows, slots]
-    return values
+    return scatter_slots(*partition.tent_slots(points), partition.size)
+
+
+def ascending_pair_sum(xi, eta):
+    """sum_k xi[r, k] eta[r, k] per row of two (rows, M) arrays, the
+    products added in ascending k to a sum that starts at 0.0: the order
+    in which `reconstruction_residual` adds its slot pairs."""
+    total = np.zeros(len(xi))
+    for k in range(xi.shape[1]):
+        total += xi[:, k] * eta[:, k]
+    return total
 
 
 def lattice_nodes(partition):
@@ -207,9 +222,19 @@ def lattice_nodes(partition):
     return partition.origin + partition.pitch * np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def index_word(idx, n, depth):
+    """The 1-based letter word of flat index `idx` at depth, first letter
+    most significant."""
+    letters = []
+    for _ in range(depth):
+        idx, rem = divmod(idx, n)
+        letters.append(rem + 1)
+    return tuple(reversed(letters))
+
+
 def word_index(word, n):
     """Flat index of a 1-based letter word, first letter most significant:
-    the inverse of `measure.index_word`."""
+    the inverse of `index_word`."""
     idx = 0
     for letter in word:
         idx = idx * n + (letter - 1)
@@ -467,7 +492,7 @@ def assembled_reconstruction_residual(ifs, symbol, partition, level):
     tail, first = rows % count, rows // count
     blocks = np.zeros((count, n, n))
     for j in range(n):
-        blocks[tail, first, j] = np.einsum("rk,rk->r", xi, eta[position[j * count + tail]])
+        blocks[tail, first, j] = ascending_pair_sum(xi, eta[position[j * count + tail]])
     reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
     return reconstructed.subtract(mult_op(ifs, a_ref))
 

@@ -5,11 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (assembled_covariant_rep_check, assembled_reconstruction_residual,
-                      bump_values, dense_gram_adjoint, dense_operator, dense_reconstruction_pairs,
-                      einsum_cell_grid, grid_test_systems, lattice_nodes, overlap_openly,
-                      per_offset_average, per_piece_box_distances, random_ifs,
-                      reference_box_piece_distance)
+from conftest import (ascending_pair_sum, assembled_covariant_rep_check,
+                      assembled_reconstruction_residual, bump_values, dense_gram_adjoint,
+                      dense_operator, dense_reconstruction_pairs, einsum_cell_grid,
+                      grid_test_systems, lattice_nodes, overlap_openly, per_offset_average,
+                      per_piece_box_distances, random_ifs, reference_box_piece_distance,
+                      scatter_slots)
 from ifslab import bimodule as bi
 from ifslab.bimodule import (AdmissibleSymbol, BumpPartition, build_bump_partition,
                              covariant_rep_check, reconstruction_residual,
@@ -612,13 +613,13 @@ def test_admissible_symbol_vanishes_near_value_set(tent_square):
 # reconstruction vectors and residuals
 # ---------------------------------------------------------------------------
 
-def dense_columns(vectors, n_cells):
-    """Full-length (cells, M) copies of xi and eta, zero off the support rows."""
-    stored = np.arange(len(vectors.rows))
-    xi = np.zeros((n_cells, vectors.size))
-    eta = np.zeros((n_cells, vectors.size))
-    xi[vectors.rows] = vectors.dense(vectors.xi, stored)
-    eta[vectors.rows] = vectors.dense(vectors.eta, stored)
+def dense_columns(vectors, size, n_cells):
+    """Full-length (cells, M) copies of xi and eta, M = size, zero off the
+    support rows."""
+    xi = np.zeros((n_cells, size))
+    eta = np.zeros((n_cells, size))
+    xi[vectors.rows] = scatter_slots(vectors.columns, vectors.xi, size)
+    eta[vectors.rows] = scatter_slots(vectors.columns, vectors.eta, size)
     return xi, eta
 
 
@@ -641,7 +642,7 @@ def zero_symbol_case(ifs):
 def test_vectors_zero_symbol(tent_square):
     symbol, partition = zero_symbol_case(tent_square.system)
     vectors = reconstruction_vectors(tent_square.system, symbol, partition, 3)
-    assert vectors.size == 9 and len(vectors.rows) > 0 and not vectors.xi.any()
+    assert partition.size == 9 and len(vectors.rows) > 0 and not vectors.xi.any()
     residual = reconstruction_residual(tent_square.system, vectors)
     assert verify_operator_reconstruction(residual) == 0.0
     assert verify_theta_reconstruction(tent_square.system, residual) == 0.0
@@ -660,7 +661,7 @@ def test_vectors_built_from_samples_bit_exactly(tent_square):
     depth = 3
     vectors = reconstruction_vectors(ifs, symbol, partition, depth)
     centers = cell_grid(ifs, depth).centers
-    xis, etas = dense_columns(vectors, len(centers))
+    xis, etas = dense_columns(vectors, partition.size, len(centers))
     a_vals = symbol(centers)
     bumps = bump_values(partition, centers)
     for k in (0, partition.size // 2, partition.size - 1):
@@ -675,7 +676,7 @@ def test_vectors_reproduce_symbol_pointwise(tent_square):
     partition = build_bump_partition(ifs, symbol)
     vectors = reconstruction_vectors(ifs, symbol, partition, 4)
     centers = cell_grid(ifs, 4).centers
-    xis, etas = dense_columns(vectors, len(centers))
+    xis, etas = dense_columns(vectors, partition.size, len(centers))
     total = (xis * etas).sum(axis=1) / 4.0
     np.testing.assert_allclose(total, symbol(centers), atol=1e-12)
 
@@ -716,21 +717,15 @@ def test_broken_partition_detected(tent_square):
     assert broken >= hole - intact - 0.02
 
 
-@pytest.mark.parametrize("pair_rows", [None, 1, 7])
-def test_reconstruction_blocks_built_in_place_equal_assembled(monkeypatch, pair_rows):
+def test_reconstruction_blocks_built_in_place_equal_assembled():
     # the in-place blocks against the copying form on every tail: dense
     # pairs, stacked eta, full-row gathers, blocks * weights and the
-    # subtraction of M_a through the operator algebra; also with einsum
-    # calls of one and of seven rows.  The omitted tails' blocks are zero,
-    # and both norms equal the full operator's
+    # subtraction of M_a through the operator algebra.  The omitted tails'
+    # blocks are zero, and both norms equal the full operator's
     from ifslab import catalog
 
-    if pair_rows is not None:
-        monkeypatch.setattr(bi, "_PAIR_ROWS", pair_rows)
     for name, levels in (("tent_sigma", (3, 4, 5, 6)), ("tent_square", (3, 4, 5, 6)),
                          ("sigma_1d", (3, 5))):
-        if pair_rows is not None and name != "sigma_1d":
-            levels = levels[:2]
         entry = catalog.get(name)
         ifs = entry.system
         symbol, partition = reconstruction_symbol(ifs, 0.05)
@@ -760,12 +755,12 @@ def test_sparse_pairs_scatter_to_dense_pairs():
             vectors = reconstruction_vectors(ifs, symbol, partition, level)
             rows, xi, eta = dense_reconstruction_pairs(ifs, symbol, partition, level)
             assert vectors.rows.tobytes() == rows.tobytes()
-            assert vectors.size == partition.size
             assert vectors.columns.shape == vectors.xi.shape == vectors.eta.shape \
                 == (len(rows), 3**ifs.dimension)
-            stored = np.arange(len(rows))
-            assert vectors.dense(vectors.xi, stored).tobytes() == xi.tobytes(), (name, level)
-            assert vectors.dense(vectors.eta, stored).tobytes() == eta.tobytes(), (name, level)
+            stored_xi = scatter_slots(vectors.columns, vectors.xi, partition.size)
+            stored_eta = scatter_slots(vectors.columns, vectors.eta, partition.size)
+            assert stored_xi.tobytes() == xi.tobytes(), (name, level)
+            assert stored_eta.tobytes() == eta.tobytes(), (name, level)
             # a column appears at most once per row; empty slots hold 0.0
             columns = np.sort(vectors.columns, axis=1)
             assert not np.any((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] >= 0))
@@ -801,7 +796,7 @@ def dense_reconstruction(ifs, symbol, partition, level):
 
     The reference the support-row kernel must reproduce bit for bit: the
     C C* blocks of every tail, formed from the full-length pairs with the
-    same sum over pairs as the kernel.
+    kernel's sum over the pairs in ascending order (`ascending_pair_sum`).
     """
     xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, level)
     a_ref = CellFunction(level, sample_to_cells(symbol, cell_grid(ifs, level).hulls()))
@@ -810,8 +805,8 @@ def dense_reconstruction(ifs, symbol, partition, level):
     cells = np.arange(n * count)
     blocks = np.zeros((count, n, n))
     for j in range(n):
-        blocks[cells % count, cells // count, j] = np.einsum(
-            "rk,rk->r", xi_cols, eta_cols[j * count + cells % count])
+        blocks[cells % count, cells // count, j] = ascending_pair_sum(
+            xi_cols, eta_cols[j * count + cells % count])
     reconstructed = CellOperator(level, level, blocks * ifs.weights, ifs.weights)
     return reconstructed.subtract(mult_op(ifs, a_ref))
 
@@ -849,7 +844,7 @@ def test_support_kernels_match_dense_oracle(name, tent_square, tent_sigma):
     for depth in (2, 3):
         vectors = reconstruction_vectors(ifs, symbol, partition, depth + 1)
         xi_cols, eta_cols = dense_pairs(ifs, symbol, partition, depth + 1)
-        stored_xi, stored_eta = dense_columns(vectors, len(xi_cols))
+        stored_xi, stored_eta = dense_columns(vectors, partition.size, len(xi_cols))
         np.testing.assert_array_equal(stored_xi, xi_cols)
         np.testing.assert_array_equal(stored_eta, eta_cols)
         residual = reconstruction_residual(ifs, vectors)
@@ -1099,7 +1094,7 @@ def test_lattice_bump_values_equal_dense_formula_on_random_systems(monkeypatch):
 def test_reconstruction_vectors_peak_memory(tent_sigma):
     # level 6: 2550 support rows and 196 bumps, at most 9 tents per row, with
     # the depth-3 grid it reads cached.  Only the level-6 cells whose prefix
-    # meets the support's region are formed, and the call peaks near 2.0
+    # meets the support's region are formed, and the call peaks near 1.7
     # MiB; the whole level-6 grid took it to 6.8 MiB.  Dense (rows, M) pairs
     # took 8.8 MiB more, and the (rows, M, d) temporaries of the dense tent
     # formula 20.2 MiB
@@ -1115,7 +1110,7 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vectors.size == 196
+    assert partition.size == 196
     assert vectors.xi.shape == vectors.eta.shape == vectors.columns.shape == (2550, 9)
     assert peak < 3 * 2**20, peak / 2**20
 
@@ -1123,11 +1118,13 @@ def test_reconstruction_vectors_peak_memory(tent_sigma):
 def test_reconstruction_residual_peak_memory(tent_sigma):
     # level 6 with the depth-3 grid cached, after a warm-up call: the pairs
     # and the reference averages come from one set of near cells, and the
-    # residual finds partners and tails in the sorted rows.  The dense
-    # level-6 reference and the whole-level position, block and kept
-    # arrays they replaced peaked at 3 128 800 bytes.  Only the 1 807 tails
-    # of the 2 550 support rows whose xi is nonzero, or of a nonzero
-    # reference cell, get a block
+    # residual finds partners and tails in the sorted rows and pairs their
+    # tent slots.  Vectors and residual peak near 1 930 000 bytes; scattering
+    # 256 rows at a time into dense (rows, M) pairs took 2 153 000.  The
+    # dense level-6 reference and the whole-level position, block and kept
+    # arrays peaked at 3 128 800 bytes.  Only the 1 807 tails of the 2 550
+    # support rows whose xi is nonzero, or of a nonzero reference cell, get
+    # a block
     import tracemalloc
 
     ifs = tent_sigma.system

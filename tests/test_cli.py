@@ -363,6 +363,25 @@ def test_box_below_the_finest_pitch_is_named(tmp_path, capsys, monkeypatch):
             "exceed the cell budget 524288;") in capsys.readouterr().err
 
 
+def test_reconstruction_memory_does_not_grow_with_the_bump_count(tmp_path):
+    # the tent on [0, 0.0005] at delta 1e-5: 67 106 bumps, of which each
+    # support row carries at most 3.  The residual pairs the rows' tent
+    # slots, and a warm run peaks near 33 KB; scattering 256 rows at a time
+    # into dense (rows, bumps) arrays took it to 8.6 MB
+    path = tent_file(tmp_path / "tiny.ifs", 0.0005)
+    argv = ["reconstruct", "--system", str(path), "--depths", "2..3", "--delta", "1e-5"]
+    assert run([*argv, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = written_rows(tmp_path / "out" / "reconstruction.csv")
+    assert [row[2] for row in rows] == ["67106", "67106"]
+    assert peak < 2**20, peak
+
+
 def test_tiny_delta_stops_at_the_bump_budget(tmp_path, capsys):
     # tent_square at delta 1e-9: every pitch's union box meets a foreign
     # image until the lattice outgrows the cell budget, and the pitch loop

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path, one_shot_chaos_game, overlap_openly, word_index
+from conftest import fixture_path, index_word, one_shot_chaos_game, overlap_openly, word_index
 from ifslab import catalog
 from ifslab import measure as mea
 from ifslab.errors import DepthOverflow, NoConvergence
 from ifslab.geometry import IfsSystem, box_intersection
 from ifslab.ifsfile import load_ifs
 from ifslab.measure import (CellMeasure, bin_points, cell_grid, chaos_game,
-                            exact_cell_masses, index_word, markov_fixpoint,
-                            total_variation)
+                            exact_cell_masses, markov_fixpoint, total_variation)
 from ifslab.sampling import bit_stream, raw_blocks
 
 
@@ -409,6 +408,19 @@ def test_mass_csv_format(tent_square, tmp_path):
     assert lines[1] == "11,0.0625"
     assert len(lines) == 18  # header + 16 cells + trailing newline
     assert all("\r" not in line for line in lines)
+
+
+def test_mass_csv_words_are_the_flat_index_words(tent_sigma, tmp_path):
+    # row k + 1 holds the word of flat index k, first letter most
+    # significant, and the mass written with 17 significant digits
+    ifs = tent_sigma.system
+    for depth in (0, 1, 3):
+        mu = exact_cell_masses(ifs, depth)
+        path = tmp_path / f"masses_{depth}.csv"
+        mea.write_mass_csv(mu, ifs.n_branches, path)
+        want = "".join(f"{''.join(map(str, index_word(k, ifs.n_branches, depth)))},{mass:.17g}\n"
+                       for k, mass in enumerate(mu.masses))
+        assert path.read_text() == "word,mass\n" + want, depth
 
 
 def test_mass_vectors_are_probability_vectors(tent_sigma):

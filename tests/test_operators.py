@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (blockwise_values, dense_gram_adjoint, dense_operator, einsum_cell_grid,
-                      grid_test_systems, per_offset_average, random_ifs, trig_field,
+                      grid_test_systems, index_word, per_offset_average, random_ifs, trig_field,
                       whole_depth_average_points, whole_depth_covariance_residual,
                       whole_depth_transfer)
 from ifslab import bimodule as bi
@@ -11,7 +11,7 @@ from ifslab import measure as mea
 from ifslab import operators as op
 from ifslab.bimodule import AdmissibleSymbol
 from ifslab.errors import DepthMismatch
-from ifslab.measure import cell_grid, chaos_game, exact_cell_masses, index_word
+from ifslab.measure import cell_grid, chaos_game, exact_cell_masses
 from ifslab.operators import (CellFunction, CellOperator, adjoint_composition_op,
                               composition_op, mult_op, operator_norm, sample_to_cells,
                               transfer_op, transfer_values)
