@@ -429,7 +429,7 @@ class ReconstructionResidual:
 
     @cached_property
     def spectral_norm(self) -> float:
-        """max_w |matrix[w]|_2, the unweighted block norm; one batched SVD,
+        """max_w |matrix[w]|_2, the unweighted block norm (`max_spectral_norm`),
         taken at the first read."""
         return max_spectral_norm(self.matrix)
 
@@ -512,7 +512,7 @@ def verify_theta_reconstruction(ifs: IfsSystem, residual: ReconstructionResidual
 def verify_operator_reconstruction(residual: ReconstructionResidual) -> float:
     """Norm of sum_k M_{xi_k} C C* M_{eta_k}* - M_a for the mass-weighted
     inner product on V_m.  When the weights are bit-equal, operator_norm's
-    factors sqrt(p_i / p_j) are exactly 1.0: it is the theta residual's SVD.
+    factors sqrt(p_i / p_j) are exactly 1.0: it is the theta residual's norm.
     """
     weights = residual.weights
     if (weights == weights[0]).all():

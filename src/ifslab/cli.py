@@ -7,7 +7,7 @@ view writes its CSVs and returns the exit status of the rows it writes.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
 configuration error (bad flags, unknown system, a negative seed, a
 tolerance that is not finite, a bad IFSLAB_CELL_BUDGET, cell-budget
-overflow, more than 9 branches for the mass tables).
+overflow).
 Outputs are plain CSV with LF line endings and 17-significant-digit
 floats; a rerun with the same configuration is byte-identical.
 """
@@ -156,8 +156,9 @@ def check_row(cfg: RunConfig, name: str, detail: str, value: float | None = None
 
 
 def _load_system(name: str):
-    """The system of a catalog name or a definition file path."""
-    if os.path.exists(name) or name.endswith((".ifs", ".ini", ".cfg")):
+    """The system of a catalog name or a definition file path: a file, or a
+    name with a definition file's suffix (a missing one cannot be read)."""
+    if os.path.isfile(name) or name.endswith((".ifs", ".ini", ".cfg")):
         return load_ifs(name)
     try:
         return catalog.get(name).system
@@ -261,11 +262,7 @@ def geometry_rows(cfg: RunConfig, ifs, similarity: CheckRow) -> list[CheckRow]:
 
 def mass_tables(cfg: RunConfig, ifs, unseparated: str | None) -> SuiteResult:
     """The measure_*.csv tables at depths[0] and their checks; the exact
-    masses are refused for `unseparated`.  The word column writes one digit
-    per letter, so a system of more than 9 branches is refused before any work."""
-    if ifs.n_branches > 9:
-        raise ConfigError(f"the mass tables write one digit per letter, so measure takes "
-                          f"at most 9 branches; the system has {ifs.n_branches}")
+    masses are refused for `unseparated`."""
     depth = cfg.depths[0]
     fixpoint = measure.markov_fixpoint(ifs, depth)
     empirical = measure.chaos_game(ifs, depth, cfg.samples, cfg.seed)

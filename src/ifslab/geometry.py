@@ -212,11 +212,13 @@ class IfsSystem:
             if np.any(img[:, 0] < box.lo - 1e-12) or np.any(img[:, 1] > box.hi + 1e-12):
                 raise ValueError("branch image leaves the ambient box")
         n = len(branches)
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        weights = np.asarray(weights, dtype=float)
+        weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("need one weight per branch")
+        if np.abs(weights - 1.0 / n).max() <= 1e-12:
+            # the Hutchinson measure weights every branch 1/n: weights
+            # within 1e-12 of it are read as 1/n exactly
+            weights = np.full(n, 1.0 / n)
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -242,8 +244,9 @@ class IfsSystem:
         return max(g.c2 for g in self.branches)
 
     def is_hutchinson(self) -> bool:
-        """Whether every weight is within 1e-12 of 1/n."""
-        return bool(np.max(np.abs(self.weights - 1.0 / self.n_branches)) <= 1e-12)
+        """Whether every weight is 1/n (as every weight within 1e-12 of it
+        is stored)."""
+        return bool((self.weights == 1.0 / self.n_branches).all())
 
     def image_boxes(self) -> list[np.ndarray]:
         """The (d, 2) image box of every branch, computed once per system;

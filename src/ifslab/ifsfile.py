@@ -17,8 +17,8 @@ Branch sections are numbered from 1 in display order.  `phi` names a
 catalog evaluator, or `piecewise` with a `domain` box in every branch
 section, in which case the expanding map applies the first branch inverse
 whose domain contains the point.  `weights` is optional (uniform when
-absent) and must sum to 1 within 1e-12, and `name` is optional and one
-line.  The file is UTF-8 text, and every number is finite.  A key that
+absent) and must sum to 1 within 1e-12; weights within 1e-12 of 1/n load
+as 1/n (`IfsSystem`).  `name` is optional and one line.  The file is UTF-8 text, and every number is finite.  A key that
 is missing, unknown to its section or not readable is a ConfigError that
 names the section and the key, and so is a section other than these.
 """

@@ -454,12 +454,15 @@ def chaos_game(ifs: IfsSystem, depth: int, n_samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def write_mass_csv(mu: CellMeasure, n_branches: int, path) -> None:
-    """Rows `word,mass` with 1-based digit words and 17 significant digits.
+    """Rows `word,mass` with 1-based letter words and 17 significant digits.
 
-    The words are the depth-fold product of the digit letters, first letter
-    most significant: the flat index order.  The body is one string."""
+    The words are the depth-fold product of the letters, first letter most
+    significant: the flat index order.  A letter is one digit for up to 9
+    branches; from 10 on the letters are joined with `.` (`1.10.3`), so
+    that every word is distinct.  The body is one string."""
     letters = [str(letter) for letter in range(1, n_branches + 1)]
-    words = map("".join, product(letters, repeat=mu.depth))
+    sep = "" if n_branches <= 9 else "."
+    words = map(sep.join, product(letters, repeat=mu.depth))
     with open(path, "w", newline="\n") as handle:
         handle.write("word,mass\n")
         handle.write("".join(f"{word},{mass:.17g}\n"

@@ -163,33 +163,27 @@ class TrigTerms:
     and the terms of each a o gamma_i (`trig_terms`).  Every depth's
     covariance gap reads the same terms, so a command forms them once."""
 
-    slope: np.ndarray         # (K, d)
-    k: np.ndarray             # (K, J, d)
-    branch_b0: np.ndarray     # (K, n)
-    branch_slope: np.ndarray  # (K, n, d)
-    branch_k: np.ndarray      # (K, n, J, d)
-    amp: np.ndarray           # (K, n, J)
-    ph: np.ndarray            # (K, n, J)
+    slope: np.ndarray     # (K, d)
+    k: np.ndarray         # (K, J, d)
+    branch_k: np.ndarray  # (K, n, J, d)
+    amp: np.ndarray       # (K, n, J)
+    ph: np.ndarray        # (K, n, J)
 
 
 def trig_terms(ifs: IfsSystem, symbols) -> TrigTerms:
     """The symbols' terms, and those of a o gamma_i for each symbol a and
     branch i.
 
-    With gamma_i(x) = A_i x + t_i, a o gamma_i has slope A_i^T slope,
-    frequencies A_i^T k_j, constant b0 + slope . t_i and phases
-    ph_j + pi k_j . t_i.
+    With gamma_i(x) = A_i x + t_i, a o gamma_i has frequencies A_i^T k_j
+    and phases ph_j + pi k_j . t_i.
     """
     linear = np.array([gamma.linear for gamma in ifs.branches])  # (n, d, d)
     shift = np.array([gamma.translation for gamma in ifs.branches])
-    b0 = np.array([[s.b0] for s in symbols])
     slope = np.array([s.slope for s in symbols])
     k = np.array([s.k for s in symbols])
     amp = np.array([s.amp for s in symbols])[:, None]
     ph = np.array([s.ph for s in symbols])[:, None]
-    return TrigTerms(slope, k, b0 + axis_sum(slope, shift),
-                     np.einsum("kd,nde->kne", slope, linear),
-                     np.einsum("kjd,nde->knje", k, linear),
+    return TrigTerms(slope, k, np.einsum("kjd,nde->knje", k, linear),
                      np.broadcast_to(amp, (len(amp), len(linear), amp.shape[-1])),
                      ph + np.pi * np.moveaxis(axis_sum(k, shift), -1, 1))
 
@@ -205,9 +199,8 @@ def _phasor_means(k: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _class_terms(linear: np.ndarray, slope: np.ndarray, k: np.ndarray, branch_k: np.ndarray,
                  half: np.ndarray) -> tuple:
-    """(shift, fine - coarse, coarse): what the fine-minus-transfer difference
-    reads of the tail frames, for the C half frames half (C, d, d), one per
-    class.
+    """(shift, fine - coarse): what the fine-minus-transfer difference reads
+    of the tail frames, for the C half frames half (C, d, d), one per class.
 
     Branch i maps a tail w of half frame H to the cell i.w of half frame
     A_i H.  With ext and ext_i the row sums of |H| and of |A_i H|, the
@@ -236,8 +229,7 @@ def _class_terms(linear: np.ndarray, slope: np.ndarray, k: np.ndarray, branch_k:
     drift = delta + mid * size_fine - np.swapaxes(axis_sum(linear, mid * size), 1, 2)
     shift = axis_sum(slope, drift.reshape(-1, d)).reshape(len(slope), n, count)
     fine = np.swapaxes(_phasor_means(k, delta[:, None] + offsets * size_fine[:, None]), 1, 2)
-    coarse = _phasor_means(branch_k, offsets * size)
-    return shift, fine - coarse, coarse
+    return shift, fine - _phasor_means(branch_k, offsets * size)
 
 
 def trig_tail_blocks(ifs: IfsSystem, terms: TrigTerms, depth: int):
@@ -260,24 +252,22 @@ def trig_tail_blocks(ifs: IfsSystem, terms: TrigTerms, depth: int):
     imaginary part, branch, mode) rows and its class shift.  Prefixes go
     in class order, as many per block as keep its (symbol, branch, tail)
     rows within _EVAL_ROWS (or one); a tail's gap does not depend on its
-    block.  Unless every weight is 1/n exactly, sum_i (p_i - 1/n) times
-    the mean of a o gamma_i on w is added, so the gap is exact for any
-    weights: its modes add (p_i - 1/n) coarse to p_i X, and its affine
-    part sigma . center_w, sigma = sum_i (p_i - 1/n) A_i^T slope, is
-    sigma . center_u + sigma . L_u (center_v - c).
+    block.  L averages with weight 1/n, so the weights must be 1/n
+    (`IfsSystem.is_hutchinson`), as for `transfer_op`.
     """
+    if not ifs.is_hutchinson():
+        raise ValueError("the covariance gap is defined for uniform weights")
     n, d = ifs.n_branches, ifs.dimension
     check_depth(n, depth + 1)
     prefix, suffix = cell_grid(ifs, (depth + 1) // 2), cell_grid(ifs, depth // 2)
     branch_linear = np.array([gamma.linear for gamma in ifs.branches])    # (n, d, d)
-    b0, slope, k = terms.branch_b0, terms.branch_slope, terms.branch_k  # of a o gamma_i
-    amp, ph = terms.amp, terms.ph
+    k, amp, ph = terms.branch_k, terms.amp, terms.ph                      # of a o gamma_i
     symbols, prefixes = len(terms.slope), len(prefix.centers)
     pair_class, frames, moved = word_products(ifs, prefix, suffix)
     tail_class = pair_class[:, suffix.classes]                            # (Cu, V)
     moved = moved.reshape(-1, d)
     ext = np.abs(frames).sum(axis=2)                                      # (C, d)
-    shift, phasors, coarse = _class_terms(branch_linear, terms.slope, terms.k, k, frames)
+    shift, phasors = _class_terms(branch_linear, terms.slope, terms.k, k, frames)
 
     # e^{i kappa . x} at the prefix centers and the moved suffix centers, and
     # e^{i (ph - kappa . ext)} per class: (points, K, M), M = n J
@@ -288,28 +278,16 @@ def trig_tail_blocks(ifs: IfsSystem, terms: TrigTerms, depth: int):
         angle += points[:, None, None, axis] * kappa[..., axis]
     angle[-len(ext):] += ph.reshape(symbols, -1)
     waves = np.exp(1j * angle)
-    skew = ifs.weights - 1.0 / n
-    mix = ifs.weights[:, None, None] * phasors
+    mix = ifs.weights[:, None, None] * phasors * amp[..., None]
     level = (shift * ifs.weights[:, None]).sum(axis=1)                    # (K, C)
-    start, lift = np.zeros((prefixes, symbols)), np.zeros((len(moved), symbols))
-    if skew.any():
-        mix += skew[:, None, None] * coarse
-        mid = halton_points(DEFAULT_AVERAGE_POINTS, d).mean(axis=0)
-        level += (skew[:, None] * (b0[..., None] + axis_sum(slope, (2.0 * mid - 1.0) * ext))
-                  ).sum(axis=1)
-        sigma = (skew[:, None] * slope).sum(axis=1)                       # (K, d)
-        start += axis_sum(prefix.centers, sigma)
-        lift += axis_sum(moved, sigma)
-    mix *= amp[..., None]
     classes = waves[-len(ext):] * np.moveaxis(mix, -1, 0).reshape(len(ext), symbols, -1)
     suffix_terms = waves[prefixes:-len(ext)].reshape(*tail_class.shape, *kappa.shape[:2])
     suffix_terms *= classes[tail_class]                                   # P F: (Cu, V, K, M)
-    table = level.T[tail_class] + lift.reshape(*tail_class.shape, symbols)  # (Cu, V, K)
-    # Re(E G) = E.real G.real - E.imag G.imag, plus 1 x shift and start x 1
+    # Re(E G) = E.real G.real - E.imag G.imag, plus 1 x shift
     left = np.concatenate([waves[:prefixes].real, waves[:prefixes].imag,
-                           np.ones((prefixes, symbols, 1)), start[..., None]], axis=-1)
-    right = np.concatenate([suffix_terms.real, -suffix_terms.imag, table[..., None],
-                            np.ones((*table.shape, 1))], axis=-1)        # (Cu, V, K, R)
+                           np.ones((prefixes, symbols, 1))], axis=-1)
+    right = np.concatenate([suffix_terms.real, -suffix_terms.imag,
+                            level.T[tail_class][..., None]], axis=-1)     # (Cu, V, K, R)
 
     order = np.argsort(prefix.classes, kind="stable")
     step = max(1, _EVAL_ROWS // (symbols * n * len(suffix.centers)))

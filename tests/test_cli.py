@@ -422,19 +422,18 @@ def test_refused_partition_writes_the_header_alone(tmp_path, capsys, argv, refus
     assert written_rows(tmp_path / "reconstruction.csv") == []
 
 
-def test_transfer_equality_fails_off_uniform_weights():
-    # weights within 1e-12 of 1/2 count as uniform, but C* is built from
-    # them and L from 1/n, so C* - L is about 4e-13: above the 1e-14 bound
+def test_transfer_equality_holds_on_near_uniform_weights():
+    # weights within 1e-12 of 1/2 load as 1/2 exactly, so C* is built from
+    # the weights L averages with and C* - L is 0: transfer-eq passes
     tent = catalog.get("tent_1d").system
     ifs = geometry.IfsSystem(tent.box, tent.branches, weights=[0.5 + 4e-13, 0.5 - 4e-13])
-    assert ifs.is_hutchinson()
-    assert 3.9e-13 <= cli.identity_residuals(ifs)[2] <= 4.1e-13
+    assert ifs.weights.tolist() == [0.5, 0.5]
+    assert cli.identity_residuals(ifs)[2] == 0.0
     cfg = cli.RunConfig(system="tent_1d", depths=(2, 3))
     rows = [row for row in cli.operator_rows(cfg, ifs, cli.operator_suite(cfg, ifs))
             if row.check == "transfer-eq"]
     assert [row.detail for row in rows] == ["depth 2", "depth 3"]
-    assert not any(row.passed for row in rows)
-    assert all(row.value > row.threshold == 1e-14 for row in rows)
+    assert all(row.passed and row.value == 0.0 for row in rows)
 
 
 def test_report_byte_identical(tmp_path):
@@ -764,36 +763,35 @@ def split_file(path, n):
     return path
 
 
-def test_measure_refuses_more_than_nine_branches(tmp_path, capsys, monkeypatch):
-    # the word column writes one digit per letter, so with 11 branches the
-    # words (1, 11) and (11, 1) would both read 111.  measure and report
-    # refuse 10 or more branches before the chaos game runs; 9 branches
-    # still give 81 distinct words, and the commands without mass tables
-    # take 11
+def test_mass_tables_write_distinct_words_past_nine_branches(tmp_path):
+    # up to 9 branches a letter is one digit; from 10 on the letters are
+    # joined with dots, so with 11 branches (1, 11) and (11, 1) read 1.11
+    # and 11.1, and every table holds n^2 distinct words at depth 2
     nine = split_file(tmp_path / "nine.ifs", 9)
     assert run(["measure", "--system", str(nine), "--depths", "2..2", "--samples", "2000",
                 "--out", str(tmp_path / "nine")]) == 0
     words = [line.split(",")[0] for line in
              (tmp_path / "nine" / "measure_empirical.csv").read_text().splitlines()[1:]]
-    assert len(set(words)) == len(words) == 81
+    assert len(set(words)) == len(words) == 81 and words[:2] == ["11", "12"]
 
-    monkeypatch.setattr(measure, "chaos_game", None)  # a call would raise
-    capsys.readouterr()
+    # report writes the same tables; it exits 1 because x -> n x mod 1 is
+    # not continuous, so the inverse-branch row (and the rows of the later
+    # suites' rates) fail
+    tables = ("measure_fixpoint.csv", "measure_empirical.csv", "measure_exact.csv")
     for n in (10, 11):
         path = split_file(tmp_path / f"split{n}.ifs", n)
-        for command in ("measure", "report"):
+        for command, code in (("measure", 0), ("report", 1)):
             out = tmp_path / f"{command}{n}"
-            assert run([command, "--system", str(path), "--depths", "2..2",
-                        "--samples", "100000", "--out", str(out)]) == 2
-            assert capsys.readouterr().err == (
-                "configuration error: the mass tables write one digit per letter, so measure "
-                f"takes at most 9 branches; the system has {n}\n")
-            assert not out.exists()
-    for command in ("verify", "operators", "reconstruct"):
-        out = tmp_path / command
-        assert run([command, "--system", str(tmp_path / "split11.ifs"), "--depths", "2..3",
-                    "--out", str(out)]) in (0, 1), command
-        assert os.listdir(out), command
+            assert run([command, "--system", str(path), "--depths", "2..3",
+                        "--samples", "2000", "--out", str(out)]) == code, (command, n)
+            for table in tables:
+                words = [line.split(",")[0]
+                         for line in (out / table).read_text().splitlines()[1:]]
+                assert len(set(words)) == len(words) == n * n, (command, n, table)
+                assert words[0] == "1.1" and words[-1] == f"{n}.{n}"
+        for table in tables:
+            assert (tmp_path / f"report{n}" / table).read_bytes() \
+                == (tmp_path / f"measure{n}" / table).read_bytes(), (n, table)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -902,6 +900,22 @@ def test_missing_definition_file_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error: cannot read definition file" in err and "no_such.ifs" in err
+
+
+def test_output_directory_named_like_the_system(tmp_path, capsys, monkeypatch):
+    # the first run makes the directory tent_1d; the second still reads
+    # tent_1d as the catalog name, since only a file is a definition file
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--system", "tent_1d", "--depths", "2..3", "--out", "tent_1d"]
+    assert run(argv) == 0
+    first = (tmp_path / "tent_1d" / "verify_operators.csv").read_bytes()
+    assert run(argv) == 0, capsys.readouterr().err
+    assert (tmp_path / "tent_1d" / "verify_operators.csv").read_bytes() == first
+    # a directory with a definition file's suffix still cannot be read
+    (tmp_path / "dir.ifs").mkdir()
+    capsys.readouterr()
+    assert run(["verify", "--system", "dir.ifs", "--out", "out"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot read definition file")
 
 
 def test_one_depth_range_fails_the_rate_checks(tmp_path, capsys):

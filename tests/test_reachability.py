@@ -129,8 +129,9 @@ def command_runs(tmp_path):
     skew = systems / "skew.ifs"
     skew.write_text(export_ifs(IfsSystem(tent.system.box, tent.system.branches,
                                          weights=[0.25, 0.75], name="skew"), "tent_1d"))
-    cube, rotated, uncoverable, three, identical = map(
-        fixture_path, ("cube", "rotated", "uncoverable", "three_branch", "identical_branch"))
+    cube, rotated, apart, uncoverable, three, identical = map(
+        fixture_path, ("cube", "rotated", "turned_apart", "uncoverable", "three_branch",
+                       "identical_branch"))
     config = tmp_path / "run.cfg"
     config.write_text("[run]\nsystem = tent_1d\ndepths = 2..3\nsamples = 500\nseed = 3\n"
                       "delta = 0.05\n[tolerances]\nisometry = 1e-12\n")
@@ -147,6 +148,7 @@ def command_runs(tmp_path):
         (["verify", "--config", str(config)], 0),
         (["verify", "--system", str(piecewise), *small], 0),
         (["report", "--system", str(rotated), *small], 1),       # fails the open set condition
+        (["verify", "--system", str(apart), *small], 1),         # turned, disjoint: volume identity
         (["report", "--system", str(skew), *small], 1),          # needs uniform weights
         (["reconstruct", "--system", str(uncoverable), *small], 1),  # CoverFailure
         (["reconstruct", "--system", "tent_1d", *small, "--delta", "0.0002"], 0),
