@@ -239,10 +239,18 @@ def self_similarity_row(cfg: RunConfig, ifs) -> CheckRow:
 
 
 def geometry_rows(cfg: RunConfig, ifs, similarity: CheckRow) -> list[CheckRow]:
-    """The geometry suite, with the run's self-similarity row second."""
-    rows = [check_row(cfg, "inverse-branch", f"grid {geometry.INVERSE_GRID}",
-                      geometry.verify_inverse_branches(ifs)),
-            similarity]
+    """The geometry suite, with the run's self-similarity row second.
+
+    The inverse-branch row counts the pairs of branch images that meet; a
+    failing one names instead the pair, and a point of both images, where
+    the branch inverses differ by the row's value."""
+    inverse = geometry.verify_inverse_branches(ifs)
+    row = check_row(cfg, "inverse-branch", f"{inverse.meeting} meeting pairs", inverse.residual)
+    if not row.passed and inverse.pair is not None:
+        i, j = inverse.pair
+        point = np.array2string(inverse.point, precision=6)
+        row = replace(row, detail=f"inverses of branches {i} and {j} differ at {point}")
+    rows = [row, similarity]
 
     osc = geometry.check_open_set_condition(ifs)
     detail = "candidate open box"

@@ -20,9 +20,6 @@ from .errors import NotAContraction
 
 _PIVOT_TOL = 1e-12
 
-# Grid subdivisions per axis of the inverse-branch check.
-INVERSE_GRID = 64
-
 # Points sampled along each one-dimensional coincidence or value piece.
 _PIECE_SAMPLES = 65
 
@@ -77,12 +74,6 @@ class AmbientBox:
         points = np.atleast_2d(points)
         return np.all((points >= self.lo - _PIVOT_TOL) & (points <= self.hi + _PIVOT_TOL),
                       axis=1)
-
-    def grid(self, resolution: int) -> np.ndarray:
-        """Inclusive lattice with `resolution` subdivisions per axis."""
-        axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in self.intervals]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def box_corners(boxes: np.ndarray) -> np.ndarray:
@@ -186,13 +177,11 @@ class AffineContraction:
 # ---------------------------------------------------------------------------
 
 class IfsSystem:
-    """Ambient box, branches, weights and the expanding map they invert.
+    """Ambient box, branches and weights.
 
-    The expanding map `phi` is stored as an evaluator supplied by the
-    catalog or a definition file rather than reconstructed from the
-    branches: on overlap boundaries a pointwise inverse is ambiguous, so
-    agreement with the branch inverses is only demanded off a null set
-    and is measured by :func:`verify_inverse_branches`.
+    The expanding map phi is not stored: with K = B it is forced to be
+    g_i^-1 on g_i(B), and :func:`verify_inverse_branches` decides whether
+    the branch inverses paste into one continuous map.
 
     A system is immutable, so whatever is derived from its box and branches
     alone is kept in `_cell_cache` and computed once: the image boxes, the
@@ -200,7 +189,7 @@ class IfsSystem:
     cell grid.
     """
 
-    def __init__(self, box: AmbientBox, branches, weights=None, phi=None, name: str = ""):
+    def __init__(self, box: AmbientBox, branches, weights=None, name: str = ""):
         branches = tuple(branches)
         if len(branches) < 2:
             raise ValueError("an IFS needs at least two branches")
@@ -227,7 +216,6 @@ class IfsSystem:
         self.box = box
         self.branches = branches
         self.weights = weights
-        self.phi = phi
         self.name = name
         self._cell_cache: dict = {}
 
@@ -257,14 +245,6 @@ class IfsSystem:
             self._cell_cache["image-boxes"] = cached
         return list(cached)
 
-    def apply_phi(self, points: np.ndarray) -> np.ndarray:
-        if self.phi is None:
-            raise ValueError(f"system {self.name!r} carries no expanding-map evaluator")
-        points = np.asarray(points, dtype=float)
-        squeeze = points.ndim == 1
-        out = np.asarray(self.phi(np.atleast_2d(points)), dtype=float)
-        return out[0] if squeeze else out
-
 
 def branch_membership(ifs: IfsSystem, points: np.ndarray) -> np.ndarray:
     """(len(points), n) flags: column i - 1 says whether the point lies in g_i(K),
@@ -287,15 +267,62 @@ def branch_membership(ifs: IfsSystem, points: np.ndarray) -> np.ndarray:
 # Residual scans
 # ---------------------------------------------------------------------------
 
-def verify_inverse_branches(ifs: IfsSystem) -> float:
-    """max over the INVERSE_GRID lattice x and branches i of |phi(g_i(x)) - x|
-    in sup norm."""
-    grid = ifs.box.grid(INVERSE_GRID)
-    worst = 0.0
-    for gamma in ifs.branches:
-        residual = np.abs(ifs.apply_phi(gamma(grid)) - grid).max()
-        worst = max(worst, float(residual))
-    return worst
+class InverseBranches(NamedTuple):
+    """How far the branch inverses disagree where two branch images meet."""
+
+    residual: float  # max of |g_i^-1(y) - g_j^-1(y)| (sup norm) over shared points y
+    meeting: int  # pairs i < j whose images meet
+    pair: tuple[int, int] | None = None  # the first pair at the residual, when it is > 0
+    point: np.ndarray | None = None  # a point y of both images where they differ by it
+
+
+def _clip_to_box(vertices: np.ndarray, box: AmbientBox) -> np.ndarray:
+    """The convex polygon with these cyclic vertices (an interval's two ends
+    in 1-D) cut by each face of the box widened by _PIVOT_TOL, one face at
+    a time (Sutherland-Hodgman); no vertices when nothing is left.  The
+    few vertices are Python floats, which is faster than numpy scalars."""
+    points = vertices.tolist()
+    for axis, (lo, hi) in enumerate(box.intervals.tolist()):
+        for sign, face in ((-1.0, lo - _PIVOT_TOL), (1.0, hi + _PIVOT_TOL)):
+            excess = [sign * (p[axis] - face) for p in points]  # > 0 beyond the face
+            kept = []
+            for k, q in enumerate(points):
+                if (excess[k - 1] > 0.0) != (excess[k] > 0.0):
+                    t = excess[k - 1] / (excess[k - 1] - excess[k])
+                    kept.append([a + t * (b - a) for a, b in zip(points[k - 1], q)])
+                if excess[k] <= 0.0:
+                    kept.append(q)
+            points = kept
+    return np.array(points).reshape(-1, box.dimension)
+
+
+def verify_inverse_branches(ifs: IfsSystem) -> InverseBranches:
+    """Whether the branches are the inverse branches of one continuous phi.
+
+    With K = B = U_i g_i(B), phi must be g_i^-1 on g_i(B).  By the pasting
+    lemma it exists, and is continuous, exactly when g_i^-1 = g_j^-1 on
+    every g_i(B) n g_j(B).  That set is g_i(P), where P is the convex
+    polygon g_i^-1 g_j(B) clipped to the box (`_clip_to_box`), and
+    x - g_j^-1 g_i(x) is affine, so its sup norm over P peaks at a vertex.
+    The box is widened by _PIVOT_TOL for the clip, so images that meet on
+    a face that rounding has moved still meet, and the vertices are then
+    clamped into the box.  One routine serves every branch, axis-aligned or
+    turned; nothing is sampled.
+    """
+    box = ifs.box
+    corners = box_corners(box.intervals)[[0, 1, 3, 2][:2 ** box.dimension]]  # cyclic order
+    worst, meeting = InverseBranches(0.0, 0), 0
+    for (i, gi), (j, gj) in combinations(enumerate(ifs.branches, start=1), 2):
+        polygon = _clip_to_box(gi.inverse(gj(corners)), box)
+        if not len(polygon):
+            continue
+        meeting += 1
+        x = np.clip(polygon, box.lo, box.hi)
+        gaps = np.abs(x - gj.inverse(gi(x))).max(axis=1)
+        k = int(gaps.argmax())
+        if gaps[k] > worst.residual:
+            worst = InverseBranches(float(gaps[k]), 0, (i, j), _read_only(gi(x[k])))
+    return worst._replace(meeting=meeting)
 
 
 class Coverage(NamedTuple):

@@ -927,7 +927,7 @@ def test_non_uniform_weights_keep_the_scaled_operator_norm():
     from ifslab.geometry import IfsSystem
 
     ifs = catalog.get("sigma_1d").system
-    skew = IfsSystem(ifs.box, ifs.branches, weights=[0.2, 0.3, 0.5], phi=ifs.phi)
+    skew = IfsSystem(ifs.box, ifs.branches, weights=[0.2, 0.3, 0.5])
     symbol = AdmissibleSymbol([[0.0, 0.7]], 0.05)
     partition = BumpPartition(ifs.box.lo, np.array([1]), np.array([7]), 0.125, 0.025)
     for level in (2, 3, 4, 5):

@@ -336,15 +336,29 @@ def test_turned_branches_name_their_overlap_witness(tmp_path):
     assert rows["open-set-condition"][4] == "fail"
 
 
+def test_inverse_branch_names_the_pair_and_point_where_inverses_differ(tmp_path):
+    # the gasket's branches 1 and 2 meet on the segment x = 1/2, y <= 1/2,
+    # where g_1^-1(y) - g_2^-1(y) = (1, 0); the row names the pair and the
+    # segment's end (1/2, 0).  The tent's one pair meets at 1/2 and passes
+    assert run(["verify", "--system", str(fixture_path("gasket")), "--depths", "2..3",
+                "--out", str(tmp_path / "gasket")]) == 1
+    rows = {row[0]: row for row in written_rows(tmp_path / "gasket" / "verify_geometry.csv")}
+    assert rows["inverse-branch"][1:3] == ["inverses of branches 1 and 2 differ at [0.5 0. ]",
+                                           "1"]
+    assert rows["inverse-branch"][4] == "fail"
+    assert run(["verify", "--system", "tent_1d", "--depths", "2..3",
+                "--out", str(tmp_path / "tent")]) == 0
+    rows = {row[0]: row for row in written_rows(tmp_path / "tent" / "verify_geometry.csv")}
+    assert rows["inverse-branch"][1:3] == ["1 meeting pairs", "0"]
+
+
 def tent_file(path, length):
-    """The tent as a piecewise definition file on [0, length]."""
+    """The tent as a definition file on [0, length]."""
     tent = catalog.get("tent_1d").system
     box = geometry.AmbientBox(np.array([[0.0, length]]))
     branches = [geometry.AffineContraction(g.linear, g.translation * length)
                 for g in tent.branches]
-    domains = [np.array([[0.0, length / 2]]), np.array([[length / 2, length]])]
-    path.write_text(export_ifs(geometry.IfsSystem(box, branches, name="tent"), "piecewise",
-                               domains))
+    path.write_text(export_ifs(geometry.IfsSystem(box, branches), "tent"))
     return path
 
 
@@ -670,7 +684,7 @@ def test_reconstruction_residuals_do_not_depend_on_seed(tmp_path):
 
 
 def test_reconstruction_ratios_do_not_depend_on_box_scale(tmp_path):
-    # the tent as a piecewise file on [0, 1], [0, 1000], [0, 0.25], [5, 6]
+    # the tent as a definition file on [0, 1], [0, 1000], [0, 0.25], [5, 6]
     # and [0, 0.001]; seeded trial fields in absolute coordinates once
     # failed theta-ratio at 0.94 on [0, 1000], an absolute delta found no
     # support window on [0, 0.25] and an absolute finest pitch of 2^-12 no
@@ -685,10 +699,8 @@ def test_reconstruction_ratios_do_not_depend_on_box_scale(tmp_path):
         box = geometry.AmbientBox(np.array([[lo, hi]]))
         branches = [geometry.AffineContraction(g.linear, lo + length * g.translation
                                                - g.linear @ [lo]) for g in tent.branches]
-        system = geometry.IfsSystem(box, branches, name="tent")
-        domains = [np.array([[lo, lo + length / 2]]), np.array([[lo + length / 2, hi]])]
         path = tmp_path / f"tent_{lo:g}_{hi:g}.ifs"
-        path.write_text(export_ifs(system, "piecewise", domains))
+        path.write_text(export_ifs(geometry.IfsSystem(box, branches), "tent"))
         out = tmp_path / f"out_{lo:g}_{hi:g}"
         assert run(["verify", "--system", str(path), "--depths", "2..3", "--out", str(out)]) == 0
         lines = (out / "verify_reconstruction.csv").read_text().splitlines()
@@ -753,13 +765,11 @@ def test_file_twin_reconstructs_as_its_catalog_system(tmp_path, capsys, name):
 
 
 def split_file(path, n):
-    """x/n + k/n for k = 0..n-1 on [0, 1], as a piecewise definition file."""
+    """x/n + k/n for k = 0..n-1 on [0, 1], as a definition file."""
     box = geometry.AmbientBox(np.array([[0.0, 1.0]]))
     branches = [geometry.AffineContraction(np.array([[1.0 / n]]), np.array([k / n]))
                 for k in range(n)]
-    domains = [np.array([[k / n, (k + 1) / n]]) for k in range(n)]
-    path.write_text(export_ifs(geometry.IfsSystem(box, branches, name=f"split{n}"),
-                               "piecewise", domains))
+    path.write_text(export_ifs(geometry.IfsSystem(box, branches), f"split{n}"))
     return path
 
 
@@ -775,8 +785,9 @@ def test_mass_tables_write_distinct_words_past_nine_branches(tmp_path):
     assert len(set(words)) == len(words) == 81 and words[:2] == ["11", "12"]
 
     # report writes the same tables; it exits 1 because x -> n x mod 1 is
-    # not continuous, so the inverse-branch row (and the rows of the later
-    # suites' rates) fail
+    # not continuous (the inverses of neighbouring branches differ by 1 at
+    # their shared end), so the inverse-branch row (and the rows of the
+    # later suites' rates) fail
     tables = ("measure_fixpoint.csv", "measure_empirical.csv", "measure_exact.csv")
     for n in (10, 11):
         path = split_file(tmp_path / f"split{n}.ifs", n)

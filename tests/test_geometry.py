@@ -69,16 +69,65 @@ def test_two_sided_lipschitz_bounds(seed):
 # ---------------------------------------------------------------------------
 
 def test_inverse_branches_catalog(all_entries):
+    # the inverses agree exactly, not to rounding, on every pair of images
+    # that meet; overlap_bad's images [0, 0.5] and [0.3, 0.8] overlap, and
+    # there g_1^-1 - g_2^-1 = 0.6
+    meeting = {"tent_square": 6, "tent_sigma": 11, "tent_1d": 1, "sigma_1d": 2,
+               "overlap_bad": 1}
     for entry in all_entries:
-        if entry.name == "overlap_bad":
-            continue
-        assert verify_inverse_branches(entry.system) <= 1e-12, entry.name
+        for ifs in (entry.system, parse_ifs(export_ifs(entry.system, entry.phi_name))):
+            result = verify_inverse_branches(ifs)
+            assert result.meeting == meeting[entry.name], entry.name
+            if entry.name == "overlap_bad":
+                assert result.residual == pytest.approx(0.6, abs=1e-15)
+                assert result.pair == (1, 2) and result.point.tolist() == [0.5]
+            else:
+                assert result == (0.0, meeting[entry.name], None, None), entry.name
 
 
-def test_inverse_branches_identity_phi_fails(tent_1d):
-    broken = IfsSystem(tent_1d.system.box, tent_1d.system.branches,
-                       phi=lambda pts: pts, name="identity-phi")
-    assert verify_inverse_branches(broken) >= 0.25
+def test_inverse_branches_bound_a_dense_lattice():
+    # oracle: over the points y of a lattice of spacing h that lie in both
+    # images, max |g_i^-1(y) - g_j^-1(y)| never exceeds the exact value of
+    # the pair.  The exact value is reached at the returned point, which
+    # lies in both images, and g_i^-1 - g_j^-1 is Lipschitz with constant
+    # |A_i^-1| + |A_j^-1|, so the lattice value falls short by at most that
+    # constant times the distance from the point to the nearest lattice
+    # point in both images: about h sqrt(d) where the images overlap, more
+    # in a thin corner of the overlap that no nearby lattice point enters
+    rng = np.random.default_rng(31)
+    overlapping = Counter()
+    for kind in ("1d", "2d-diagonal", "2d-rotated"):
+        for _ in range(30):
+            ifs = random_ifs(rng, kind)
+            d = ifs.dimension
+            steps = 2000 if d == 1 else 200
+            axis = np.linspace(0.0, 1.0, steps + 1)
+            lattice = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+            inside = branch_membership(ifs, lattice)
+            for i, j in combinations(range(ifs.n_branches), 2):
+                gi, gj = ifs.branches[i], ifs.branches[j]
+                pair = IfsSystem(ifs.box, (gi, gj))
+                exact = verify_inverse_branches(pair)
+                both = lattice[inside[:, i] & inside[:, j]]
+                if not len(both):
+                    continue
+                dense = np.abs(gi.inverse(both) - gj.inverse(both)).max()
+                assert dense <= exact.residual, (kind, i, j)
+                if exact.residual == 0.0:
+                    continue
+                # the point is in both images to within the clipping slack
+                point = exact.point
+                pre = np.stack([gi.inverse(point), gj.inverse(point)])
+                assert np.all((pre >= -1e-11) & (pre <= 1.0 + 1e-11)), (kind, i, j)
+                reached = np.abs(gi.inverse(point) - gj.inverse(point)).max()
+                assert reached == pytest.approx(exact.residual, rel=0.0, abs=1e-12)
+                norms = sum(np.linalg.norm(np.linalg.inv(g.linear), 2) for g in (gi, gj))
+                nearest = np.linalg.norm(both - point, axis=1).min()
+                # with opposite signs in 1-D the constant is reached: allow rounding
+                assert exact.residual - dense <= norms * nearest + 1e-12, (kind, i, j)
+                overlapping[kind] += nearest <= np.sqrt(d) / steps
+    assert min(overlapping[kind] for kind in ("1d", "2d-diagonal", "2d-rotated")) >= 5, \
+        overlapping
 
 
 def test_self_similarity_defect_tent_square(tent_square):
@@ -620,7 +669,8 @@ def test_osc_overlap_witness(overlap_bad):
 # ---------------------------------------------------------------------------
 
 def test_branch_index_set_nonempty_on_attractor(tent_square):
-    grid = tent_square.system.box.grid(8)
+    axis = np.linspace(0.0, 1.0, 9)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     assert branch_membership(tent_square.system, grid).any(axis=1).all()
 
 

@@ -77,16 +77,14 @@ def test_fixpoint_matches_exact_all_catalog(all_entries):
 
 
 def test_fixpoint_nonuniform_weights(tent_1d):
-    ifs = IfsSystem(tent_1d.system.box, tent_1d.system.branches,
-                    weights=[0.3, 0.7], phi=tent_1d.system.phi)
+    ifs = IfsSystem(tent_1d.system.box, tent_1d.system.branches, weights=[0.3, 0.7])
     fp = markov_fixpoint(ifs, 4)
     exact = exact_cell_masses(ifs, 4)
     assert total_variation(fp.masses, exact.masses) <= 1e-12
 
 
 def test_fixpoint_no_convergence(tent_1d):
-    ifs = IfsSystem(tent_1d.system.box, tent_1d.system.branches,
-                    weights=[0.3, 0.7], phi=tent_1d.system.phi)
+    ifs = IfsSystem(tent_1d.system.box, tent_1d.system.branches, weights=[0.3, 0.7])
     with pytest.raises(NoConvergence):
         markov_fixpoint(ifs, 4, max_iters=1, tol=1e-15)
 

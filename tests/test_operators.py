@@ -144,7 +144,8 @@ def test_composition_fixes_constants(tent_square):
 
 
 def test_composition_support_by_point_sampling(tent_square):
-    # oracle: indicator of K_w composed with phi is 1 exactly on cells i.w
+    # oracle: indicator of K_w composed with phi is 1 exactly on cells i.w,
+    # where phi is the inverse of branch i
     ifs = tent_square.system
     comp = composition_op(ifs, 1)
     rng = np.random.default_rng(6)
@@ -156,7 +157,7 @@ def test_composition_support_by_point_sampling(tent_square):
         for cell in expected_support:
             lo, hi = hulls[cell, :, 0], hulls[cell, :, 1]
             pts = lo + rng.uniform(0.02, 0.98, size=(100, 2)) * (hi - lo)
-            binned = mea.bin_points(ifs, ifs.apply_phi(pts), 1)
+            binned = mea.bin_points(ifs, ifs.branches[cell // 4].inverse(pts), 1)
             assert np.all(binned == w)
 
 

@@ -45,6 +45,8 @@ SRC = os.path.dirname(os.path.abspath(ifslab.__file__))
 REACHED_ELSEWHERE = {
     "bimodule.theta_apply": "the benchmark's tracer wraps it by name (perfbench/spans.py)",
     "catalog.catalog": "lists the example systems for library users and the test suite",
+    "catalog.CatalogEntry.phi_name": "the benchmark names an entry's file twin by it "
+                                     "(perfbench/run.py); ROADMAP item 6 may drop it",
     "ifsfile.export_ifs": "writes definition files; the benchmark makes file twins",
     "ifsfile._fmt_nested": "export_ifs",
     "ifsfile._fmt": "export_ifs",
@@ -58,9 +60,6 @@ FIXED_PARAMETERS = {
     "measure.markov_fixpoint(max_iters)": "the NoConvergence test stops the iteration early",
     "measure.markov_fixpoint(tol)": "the NoConvergence test asks for a tolerance "
                                     "the iteration cannot reach in one step",
-    "geometry.IfsSystem.__init__(phi)": "library users and random_ifs build systems "
-                                        "without an expanding map",
-    "geometry.IfsSystem.__init__(name)": "library users and random_ifs build unnamed systems",
     "cli.main(argv)": "the console-script entry point reads sys.argv",
 }
 
@@ -123,9 +122,6 @@ def command_runs(tmp_path):
     entry = catalog.get("tent_square")
     twin.write_text(export_ifs(entry.system, entry.phi_name))
     tent = catalog.get("tent_1d")
-    piecewise = systems / "piecewise.ifs"
-    piecewise.write_text(export_ifs(tent.system, "piecewise",
-                                    domains=[[[0.0, 0.5]], [[0.5, 1.0]]]))
     skew = systems / "skew.ifs"
     skew.write_text(export_ifs(IfsSystem(tent.system.box, tent.system.branches,
                                          weights=[0.25, 0.75], name="skew"), "tent_1d"))
@@ -146,7 +142,6 @@ def command_runs(tmp_path):
                          1 if system == "overlap_bad" else 0))
     runs += [
         (["verify", "--config", str(config)], 0),
-        (["verify", "--system", str(piecewise), *small], 0),
         (["report", "--system", str(rotated), *small], 1),       # fails the open set condition
         (["verify", "--system", str(apart), *small], 1),         # turned, disjoint: volume identity
         (["report", "--system", str(skew), *small], 1),          # needs uniform weights
