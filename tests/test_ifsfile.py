@@ -82,15 +82,22 @@ def test_malformed_values_name_the_section_and_key(old, new, message):
     (NAME, f"{NAME}\nweigths = [0.9, 0.1]", r"unknown key 'weigths' in \[system\]"),
     ("translation = [1.0]", "translation = [1.0]\ntranslaton = [2.0]",
      r"unknown key 'translaton' in \[branch.2\]"),
-    ("translation = [0.0]", "translation = [0.0]\ndomain = [[0.0, 0.5]]",
-     r"unknown key 'domain' in \[branch.1\]"),
     ("[branch.2]", "[brnach.3]\nlinear = [[0.5]]\n\n[branch.2]", r"unknown section \[brnach.3\]"),
-], ids=["system", "branch", "section", "domain"])
+], ids=["system", "branch", "section"])
 def test_unknown_keys_are_refused(old, new, message):
     # a misspelt key or section was ignored: the misspelt weights gave
     # uniform weights
     with pytest.raises(ConfigError, match=message):
         parse_ifs(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("domain", ["[0.0, 0.5]", "[[0.0, 0.5], [0.0, 1.0]]", "[[0.0, 0.5, 1.0]]"])
+def test_domain_must_be_a_box_of_the_dimension(domain):
+    # phi is derived from the branches, so a branch domain of any shape,
+    # a box of the dimension included, is refused at load as an unknown key
+    text = MINIMAL.replace("translation = [0.0]", f"translation = [0.0]\ndomain = {domain}")
+    with pytest.raises(ConfigError, match=r"unknown key 'domain' in \[branch.1\]"):
+        parse_ifs(text)
 
 
 def test_multi_line_arrays_stay_legal():
